@@ -220,11 +220,23 @@ func TestDebugRequestsWaterfall(t *testing.T) {
 		}
 	}
 
+	// The daemon rings a trace only after the handler has flushed its
+	// response, so the twelfth may land after this client has read it:
+	// poll until all twelve are listed.
 	var dbg debugResponse
-	if resp := doJSON(t, ts, http.MethodGet, "/v1/debug/requests?route=estimate&n=64", "", &dbg); resp.StatusCode != 200 {
-		t.Fatalf("debug status %d", resp.StatusCode)
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		dbg = debugResponse{}
+		if resp := doJSON(t, ts, http.MethodGet, "/v1/debug/requests?route=estimate&n=64", "", &dbg); resp.StatusCode != 200 {
+			t.Fatalf("debug status %d", resp.StatusCode)
+		}
+		if len(dbg.Recent) >= 12 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("debug lists: recent=%d after 5s, want 12", len(dbg.Recent))
+		}
 	}
-	if len(dbg.Recent) < 12 || len(dbg.Slowest) == 0 {
+	if len(dbg.Slowest) == 0 {
 		t.Fatalf("debug lists: recent=%d slowest=%d", len(dbg.Recent), len(dbg.Slowest))
 	}
 	for _, tr := range dbg.Slowest {

@@ -6,7 +6,7 @@ package mat
 // (EstimateBatch / the daemon's coalesced GEMM). Both kernels are
 // allocation-free and blocked for instruction-level parallelism: the naive
 // single-accumulator loop serializes on the floating-point add chain, while
-// four independent accumulators keep the FMA pipeline full.
+// four independent accumulators keep the multiply and add units busy.
 
 // MulVecBiasInto writes dst = bias + a·x. dst must have length a.Rows(),
 // bias length a.Rows(), x length a.Cols(). dst must not alias bias or x.
@@ -56,6 +56,11 @@ func MulVecBiasInto(dst, bias []float64, a *Matrix, x []float64) {
 // blocked-GEMM form of the serving path. Per-snapshot results are
 // bit-identical to MulVecBiasInto on the same inputs: every dot product
 // accumulates left-to-right in its own register.
+//
+// On amd64 CPUs with AVX the whole blocks of four snapshots run through a
+// vector kernel (gemv_amd64.s) that repeats the generic kernel's operations
+// lane by lane in the same order, so its output is bit-identical too; the
+// generic kernel serves every other platform and the row and snapshot tails.
 func MulVecBiasBatchInto(dst [][]float64, bias []float64, a *Matrix, xs [][]float64) {
 	if len(dst) != len(xs) {
 		panic(ErrShape)
@@ -71,27 +76,43 @@ func MulVecBiasBatchInto(dst [][]float64, bias []float64, a *Matrix, xs [][]floa
 			panic(ErrShape)
 		}
 	}
+	t := mulBiasBatchAsm(dst, bias, a, xs)
+	mulBiasBatchGeneric(dst[t:], bias, a, xs[t:])
+}
+
+// mulBiasBatchGeneric is the portable batch kernel behind
+// MulVecBiasBatchInto, and the reference the vector kernel is tested
+// against. Shapes are the caller's to check.
+func mulBiasBatchGeneric(dst [][]float64, bias []float64, a *Matrix, xs [][]float64) {
 	t := 0
 	for ; t+4 <= len(xs); t += 4 {
-		x0, x1, x2, x3 := xs[t+0], xs[t+1], xs[t+2], xs[t+3]
-		d0, d1, d2, d3 := dst[t+0], dst[t+1], dst[t+2], dst[t+3]
-		for i := 0; i < a.rows; i++ {
-			row := a.data[i*n : (i+1)*n]
-			var s0, s1, s2, s3 float64
-			for j, rv := range row {
-				s0 += rv * x0[j]
-				s1 += rv * x1[j]
-				s2 += rv * x2[j]
-				s3 += rv * x3[j]
-			}
-			b := bias[i]
-			d0[i] = b + s0
-			d1[i] = b + s1
-			d2[i] = b + s2
-			d3[i] = b + s3
-		}
+		mulBiasRows4(dst[t:t+4], bias, a, xs[t:t+4], 0, a.rows)
 	}
 	for ; t < len(xs); t++ {
 		MulVecBiasInto(dst[t], bias, a, xs[t])
+	}
+}
+
+// mulBiasRows4 writes rows [lo, hi) of four snapshots' maps,
+// dst[k][i] = bias[i] + a.Row(i)·xs[k] for k < 4, loading each operator row
+// once for all four.
+func mulBiasRows4(dst [][]float64, bias []float64, a *Matrix, xs [][]float64, lo, hi int) {
+	n := a.cols
+	x0, x1, x2, x3 := xs[0], xs[1], xs[2], xs[3]
+	d0, d1, d2, d3 := dst[0], dst[1], dst[2], dst[3]
+	for i := lo; i < hi; i++ {
+		row := a.data[i*n : (i+1)*n]
+		var s0, s1, s2, s3 float64
+		for j, rv := range row {
+			s0 += rv * x0[j]
+			s1 += rv * x1[j]
+			s2 += rv * x2[j]
+			s3 += rv * x3[j]
+		}
+		b := bias[i]
+		d0[i] = b + s0
+		d1[i] = b + s1
+		d2[i] = b + s2
+		d3[i] = b + s3
 	}
 }

@@ -1,6 +1,9 @@
 package mat
 
 import (
+	"encoding/binary"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -92,5 +95,173 @@ func TestMulVecBiasIntoPanicsOnShape(t *testing.T) {
 			}()
 			MulVecBiasInto(tc.dst, tc.bias, a, tc.x)
 		}()
+	}
+}
+
+const noAVX = "no AVX on this CPU or platform: MulVecBiasBatchInto runs the generic kernel only"
+
+// edgeVals are the IEEE corner cases the vector kernel must reproduce bit
+// for bit: signed zeros, subnormals, values whose products are subnormal,
+// and ±1e300, whose products overflow to ±Inf and whose Inf sums turn to
+// NaN. edgeVec mixes them into normal draws, one value in four.
+var edgeVals = []float64{
+	0, math.Copysign(0, -1),
+	5e-324, -5e-324, 1e-310, -1e-310,
+	1e-160, -1e-160,
+	1e300, -1e300,
+}
+
+func edgeVec(rng *rand.Rand, n int) []float64 {
+	v := make([]float64, n)
+	for i := range v {
+		if rng.Intn(4) == 0 {
+			v[i] = edgeVals[rng.Intn(len(edgeVals))]
+		} else {
+			v[i] = rng.NormFloat64()
+		}
+	}
+	return v
+}
+
+// batchOf slices batch rows of width n out of one backing array.
+func batchOf(vals []float64, batch, n int) [][]float64 {
+	out := make([][]float64, batch)
+	for t := range out {
+		out[t] = vals[t*n : (t+1)*n : (t+1)*n]
+	}
+	return out
+}
+
+// checkAVXMatchesGeneric runs MulVecBiasBatchInto and the generic kernel on
+// the same inputs and fails on the first output whose bits differ.
+func checkAVXMatchesGeneric(t *testing.T, name string, bias []float64, a *Matrix, xs [][]float64) {
+	t.Helper()
+	rows := a.Rows()
+	got := batchOf(make([]float64, len(xs)*rows), len(xs), rows)
+	want := batchOf(make([]float64, len(xs)*rows), len(xs), rows)
+	MulVecBiasBatchInto(got, bias, a, xs)
+	mulBiasBatchGeneric(want, bias, a, xs)
+	for k := range want {
+		for i := range want[k] {
+			if g, w := got[k][i], want[k][i]; math.Float64bits(g) != math.Float64bits(w) {
+				t.Fatalf("%s: snapshot %d cell %d = %v (%#x), generic kernel %v (%#x)",
+					name, k, i, g, math.Float64bits(g), w, math.Float64bits(w))
+			}
+		}
+	}
+}
+
+func TestMulVecBiasBatchAVXMatchesGeneric(t *testing.T) {
+	if !hasAVX {
+		t.Skip(noAVX)
+	}
+	rng := rand.New(rand.NewSource(19))
+	// Rows straddle the 4-row block and reach the served N; M straddles
+	// the packed block and the stack buffer; batches straddle the
+	// 4-snapshot block.
+	for _, rows := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 17, 224, 3360} {
+		for _, m := range []int{1, 2, 3, 8, 12, 24, 100} {
+			a := NewFromData(rows, m, edgeVec(rng, rows*m))
+			bias := edgeVec(rng, rows)
+			for _, batch := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 128} {
+				xs := batchOf(edgeVec(rng, batch*m), batch, m)
+				checkAVXMatchesGeneric(t, fmt.Sprintf("rows=%d m=%d batch=%d", rows, m, batch), bias, a, xs)
+			}
+		}
+	}
+}
+
+// FuzzMulVecBiasBatchInto checks the vector kernel against the generic one
+// bit for bit on fuzzer-chosen shapes and float64 bit patterns. data is read
+// as little-endian float64 words, cycled over the operator, the bias and
+// the readings in that order. NaN words read as 0: which payload an add of
+// two NaNs propagates depends on the operand order the compiler picked for
+// the generic kernel, and recon never passes a NaN (it rejects non-finite
+// readings). NaNs produced inside the kernel, from Inf−Inf or 0·Inf, are
+// still compared.
+func FuzzMulVecBiasBatchInto(f *testing.F) {
+	words := func(vs ...float64) []byte {
+		b := make([]byte, 8*len(vs))
+		for i, v := range vs {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(v))
+		}
+		return b
+	}
+	f.Add(uint8(4), uint8(24), uint8(16), words(1, -2.5, 0.125, 3))
+	f.Add(uint8(7), uint8(3), uint8(9), words(math.Copysign(0, -1), 5e-324, 1e300, -1e300, 0.5))
+	f.Add(uint8(17), uint8(100), uint8(5), words(1e-160, -1e-160, 1e-310, 7, math.Inf(1)))
+	f.Add(uint8(1), uint8(1), uint8(4), []byte{})
+	f.Fuzz(func(t *testing.T, rows, m, batch uint8, data []byte) {
+		if !hasAVX {
+			t.Skip(noAVX)
+		}
+		nr, nm, nb := int(rows%64)+1, int(m%128)+1, int(batch%32)+1
+		vals := make([]float64, nr*nm+nr+nb*nm)
+		if nw := len(data) / 8; nw > 0 {
+			for k := range vals {
+				v := math.Float64frombits(binary.LittleEndian.Uint64(data[8*(k%nw):]))
+				if !math.IsNaN(v) {
+					vals[k] = v
+				}
+			}
+		}
+		a := NewFromData(nr, nm, vals[:nr*nm])
+		bias := vals[nr*nm : nr*nm+nr]
+		xs := batchOf(vals[nr*nm+nr:], nb, nm)
+		checkAVXMatchesGeneric(t, fmt.Sprintf("rows=%d m=%d batch=%d", nr, nm, nb), bias, a, xs)
+	})
+}
+
+// The serving kernel allocates nothing per call: at M = 24 the packed
+// readings sit in a stack buffer, at M = 100 (wider than the stack buffer)
+// in a pooled one.
+func TestMulVecBiasBatchIntoZeroAlloc(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, m := range []int{24, 100} {
+		if m == 100 && raceEnabled {
+			t.Logf("m=%d: skipped under -race (sync.Pool drops buffers there)", m)
+			continue
+		}
+		const rows, batch = 224, 16
+		a := NewFromData(rows, m, randVec(rng, rows*m))
+		bias := randVec(rng, rows)
+		xs := batchOf(randVec(rng, batch*m), batch, m)
+		dst := batchOf(make([]float64, batch*rows), batch, rows)
+		if allocs := testing.AllocsPerRun(50, func() { MulVecBiasBatchInto(dst, bias, a, xs) }); allocs != 0 {
+			t.Fatalf("m=%d: %v allocs per call, want 0", m, allocs)
+		}
+	}
+}
+
+// BenchmarkMulVecBiasBatch times the batch kernel at the two served shapes
+// (the paper-scale die's estimate request and the fleet's JSON request) on
+// both paths, reporting the GEMM's rate as 2·N·M·batch flops per call.
+func BenchmarkMulVecBiasBatch(b *testing.B) {
+	paths := []struct {
+		name string
+		run  func(dst [][]float64, bias []float64, a *Matrix, xs [][]float64)
+	}{
+		{"avx", MulVecBiasBatchInto},
+		{"generic", mulBiasBatchGeneric},
+	}
+	for _, sh := range []struct{ rows, m, batch int }{{3360, 24, 16}, {224, 12, 128}} {
+		for _, p := range paths {
+			b.Run(fmt.Sprintf("N=%d/M=%d/batch=%d/path=%s", sh.rows, sh.m, sh.batch, p.name), func(b *testing.B) {
+				if p.name == "avx" && !hasAVX {
+					b.Skip(noAVX)
+				}
+				rng := rand.New(rand.NewSource(1))
+				a := NewFromData(sh.rows, sh.m, randVec(rng, sh.rows*sh.m))
+				bias := randVec(rng, sh.rows)
+				xs := batchOf(randVec(rng, sh.batch*sh.m), sh.batch, sh.m)
+				dst := batchOf(make([]float64, sh.batch*sh.rows), sh.batch, sh.rows)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					p.run(dst, bias, a, xs)
+				}
+				flops := 2 * float64(sh.rows*sh.m*sh.batch) * float64(b.N)
+				b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")
+			})
+		}
 	}
 }

@@ -184,7 +184,7 @@ func binomial(n, m int) int {
 	}
 	c := 1
 	for i := 0; i < m; i++ {
-		if c > (1<<62)/(n-i) {
+		if c > math.MaxInt/(n-i) {
 			return -1
 		}
 		c = c * (n - i) / (i + 1)

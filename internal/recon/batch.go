@@ -47,10 +47,11 @@ func (r *Reconstructor) ReconstructBatch(readings [][]float64, workers int) ([][
 
 // ReconstructBatchInto writes the estimate for readings[i] into dst[i]
 // (each length N) using the default operator arm: each worker's shard runs
-// as one blocked GEMM (four snapshots per operator-row load). Scratch-free
-// and allocation-free in the steady state. On failure the first offending
-// snapshot is reported as a *BatchError; remaining snapshots in other shards
-// may still have been reconstructed.
+// as one blocked GEMM (four snapshots per operator-row load), and shards
+// hold whole blocks of four snapshots. Scratch-free and allocation-free in
+// the steady state. On failure the first offending snapshot is reported as
+// a *BatchError; remaining snapshots in other shards may still have been
+// reconstructed.
 func (r *Reconstructor) ReconstructBatchInto(dst [][]float64, readings [][]float64, workers int) error {
 	return r.ReconstructBatchArmInto(dst, readings, workers, ArmOperator)
 }
@@ -81,8 +82,12 @@ func (r *Reconstructor) ReconstructBatchArmInto(dst [][]float64, readings [][]fl
 	}
 	if arm == ArmOperator {
 		// Readings are already validated, and the operator arm cannot fail
-		// per-snapshot: each shard is one blocked GEMM.
-		mat.ParallelChunks(len(readings), workers, func(lo, hi int) {
+		// per-snapshot: each shard is one blocked GEMM. Shards split on the
+		// kernel's 4-snapshot blocks, so only the batch's last shard can end
+		// in the kernel's slower per-snapshot tail.
+		blocks := (len(readings) + 3) / 4
+		mat.ParallelChunks(blocks, workers, func(lo, hi int) {
+			lo, hi = 4*lo, min(4*hi, len(readings))
 			mat.MulVecBiasBatchInto(dst[lo:hi], r.opBias, r.op, readings[lo:hi])
 		})
 		return nil

@@ -48,17 +48,21 @@ func TestReconstructIntoMatchesReconstruct(t *testing.T) {
 	}
 }
 
+// Batches shard on the kernel's 4-snapshot blocks; whatever the batch
+// length and worker count, every snapshot matches its single estimate.
 func TestReconstructBatchMatchesSequential(t *testing.T) {
 	r, readings, want := batchFixture(t)
-	for _, workers := range []int{1, 2, 0} {
-		got, err := r.ReconstructBatch(readings, workers)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range want {
-			for c := range want[i] {
-				if got[i][c] != want[i][c] {
-					t.Fatalf("workers=%d snapshot %d cell %d: %v != %v", workers, i, c, got[i][c], want[i][c])
+	for _, n := range []int{1, 5, 6, 16} {
+		for _, workers := range []int{1, 2, 3, 16, 0} {
+			got, err := r.ReconstructBatch(readings[:n], workers)
+			if err != nil {
+				t.Fatalf("n=%d workers=%d: %v", n, workers, err)
+			}
+			for i := range got {
+				for c := range got[i] {
+					if got[i][c] != want[i][c] {
+						t.Fatalf("n=%d workers=%d snapshot %d cell %d: %v != %v", n, workers, i, c, got[i][c], want[i][c])
+					}
 				}
 			}
 		}
