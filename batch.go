@@ -2,21 +2,13 @@ package eigenmaps
 
 import "runtime"
 
-// defaultWorkers sizes a worker pool when BatchOptions.Workers is zero.
-func defaultWorkers() int { return runtime.NumCPU() }
-
 // This file is the concurrent batched monitoring engine: Monitor gains
 // batch and streaming estimation entry points that fan snapshots out over a
-// worker pool while sharing the one cached least-squares factorization.
-// A Monitor is safe for concurrent use — the factorization is precomputed
-// and read-only, and per-snapshot scratch comes from an internal pool, so
-// the steady-state hot path allocates nothing per snapshot.
+// worker pool while sharing the one precomputed reconstruction operator.
+// A Monitor is safe for concurrent use — the operator is read-only, so the
+// steady-state hot path allocates nothing per snapshot.
 
 // BatchOptions tune the batched/streaming estimation paths.
-//
-// Superseded by EstimateOptions, which adds reconstruction-arm selection;
-// prefer the ...With entry points. BatchOptions and the methods taking it
-// are kept as thin wrappers over the operator-arm defaults.
 type BatchOptions struct {
 	// Workers caps the goroutines reconstructing concurrently.
 	// 0 (the default) means one per CPU.
@@ -40,9 +32,6 @@ func (mn *Monitor) EstimateInto(dst, readings []float64) error {
 // GEMM against the precomputed operator. Order is preserved: out[i] is the
 // estimate for readings[i]. A non-finite reading or a wrong-length vector
 // fails the batch with an error identifying the offending snapshot.
-//
-// Prefer EstimateBatchWith, which also selects the arm; this wrapper is kept
-// for compatibility.
 func (mn *Monitor) EstimateBatch(readings [][]float64, opt BatchOptions) ([][]float64, error) {
 	return mn.mon.EstimateBatch(readings, opt.Workers)
 }
@@ -50,9 +39,6 @@ func (mn *Monitor) EstimateBatch(readings [][]float64, opt BatchOptions) ([][]fl
 // EstimateBatchInto is the allocation-free batch form: dst[i] (each length N)
 // receives the estimate for readings[i]. Reusing dst across calls keeps the
 // steady state allocation-free per snapshot.
-//
-// Prefer EstimateBatchIntoWith, which also selects the arm; this wrapper is
-// kept for compatibility.
 func (mn *Monitor) EstimateBatchInto(dst, readings [][]float64, opt BatchOptions) error {
 	return mn.mon.EstimateBatchInto(dst, readings, opt.Workers)
 }
@@ -80,19 +66,11 @@ type StreamResult struct {
 // abandoning it mid-stream blocks the workers (and whoever feeds in)
 // forever. To stop early, close or stop feeding in, then keep receiving
 // until the channel closes.
-//
-// Prefer EstimateStreamWith, which also selects the arm; this wrapper is
-// kept for compatibility.
 func (mn *Monitor) EstimateStream(in <-chan []float64, opt BatchOptions) <-chan StreamResult {
-	return streamEstimates(in, opt, mn.N(), mn.mon.EstimateInto)
-}
-
-// streamEstimates runs the shared worker-pool loop over estimate, which must
-// be safe for concurrent calls (Monitor.EstimateInto is).
-func streamEstimates(in <-chan []float64, opt BatchOptions, n int, estimate func(dst, readings []float64) error) <-chan StreamResult {
+	n := mn.N()
 	workers := opt.Workers
 	if workers <= 0 {
-		workers = defaultWorkers()
+		workers = runtime.NumCPU()
 	}
 	out := make(chan StreamResult, workers)
 	// A single dispatcher assigns arrival indices, then workers race on the
@@ -116,7 +94,7 @@ func streamEstimates(in <-chan []float64, opt BatchOptions, n int, estimate func
 			defer func() { done <- struct{}{} }()
 			for t := range tasks {
 				dst := make([]float64, n)
-				if err := estimate(dst, t.readings); err != nil {
+				if err := mn.mon.EstimateInto(dst, t.readings); err != nil {
 					out <- StreamResult{Index: t.idx, Err: err}
 					continue
 				}

@@ -1,6 +1,7 @@
 package eigenmaps_test
 
 import (
+	"bytes"
 	"math"
 	"sort"
 	"sync"
@@ -204,5 +205,56 @@ func TestMonitorRejectsDegenerateInputs(t *testing.T) {
 	}
 	if _, err := m2.Estimate([]float64{40, math.NaN(), 41}); err == nil {
 		t.Fatal("NaN reading must be rejected")
+	}
+}
+
+func TestEstimateBatchWithThreadsOptions(t *testing.T) {
+	mon, readings := batchSetup(t)
+	batch, err := mon.EstimateBatch(readings, eigenmaps.BatchOptions{Workers: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := mon.Estimate(readings[7])
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := make([][]float64, len(readings))
+	for i := range dst {
+		dst[i] = make([]float64, mon.N())
+	}
+	if err := mon.EstimateBatchInto(dst, readings, eigenmaps.BatchOptions{Workers: 3}); err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if batch[7][i] != want[i] || dst[7][i] != want[i] {
+			t.Fatalf("cell %d: batch %v, batch-into %v != single %v", i, batch[7][i], dst[7][i], want[i])
+		}
+	}
+}
+
+// A saved-and-loaded monitor restores the persisted operator (a v2 record)
+// and serves bit-identically.
+func TestSaveLoadPreservesOperatorArm(t *testing.T) {
+	mon, readings := batchSetup(t)
+	var buf bytes.Buffer
+	if err := mon.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := eigenmaps.LoadMonitor(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := mon.Estimate(readings[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := loaded.Estimate(readings[3])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("cell %d: loaded %v != original %v", i, got[i], want[i])
+		}
 	}
 }

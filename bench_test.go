@@ -168,7 +168,7 @@ func BenchmarkAblationSnapshotMethod(b *testing.B) {
 	env := benchEnvGet(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := basis.TrainPCA(env.DS, 12, basis.PCAConfig{UseSnapshotMethod: true}); err != nil {
+		if _, err := basis.TrainPCA(env.DS, 12, basis.PCAConfig{Method: basis.PCAGram}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -292,11 +292,11 @@ func BenchmarkReconstructOneMap(b *testing.B) {
 	}
 }
 
-// BenchmarkEstimateArms compares the two reconstruction arms per snapshot:
-// the precomputed-operator GEMV (the serving default) against the QR-solve
-// ablation, at the daemon's default K=8/M=8 operating point and at the
-// engine fixture's K=8/M=16 point. The tentpole criterion pins the operator
-// arm at ≥2× the QR arm per snapshot at K=8/M=8.
+// BenchmarkEstimateArms compares the served path per snapshot — the
+// precomputed-operator GEMV — against the two-stage QR reference it
+// replaced (least-squares coefficients, then the basis lift), at the
+// daemon's default K=8/M=8 operating point and at the engine fixture's
+// K=8/M=16 point.
 func BenchmarkEstimateArms(b *testing.B) {
 	env := benchEnvGet(b)
 	for _, m := range []int{8, 16} {
@@ -309,18 +309,27 @@ func BenchmarkEstimateArms(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
+		rec := mon.Reconstructor()
 		readings := mon.Sample(env.DS.Map(0))
 		dst := make([]float64, mon.N())
-		for _, arm := range []recon.Arm{recon.ArmOperator, recon.ArmQR} {
-			b.Run("m="+itoa(m)+"/arm="+arm.String(), func(b *testing.B) {
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					if err := mon.EstimateArmInto(dst, readings, arm); err != nil {
-						b.Fatal(err)
-					}
+		b.Run("m="+itoa(m)+"/arm=operator", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := mon.EstimateInto(dst, readings); err != nil {
+					b.Fatal(err)
 				}
-			})
-		}
+			}
+		})
+		b.Run("m="+itoa(m)+"/arm=qr", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				alpha, err := rec.Coefficients(readings)
+				if err != nil {
+					b.Fatal(err)
+				}
+				rec.Basis().SynthesizeInto(dst, alpha)
+			}
+		})
 	}
 }
 

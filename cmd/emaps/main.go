@@ -69,20 +69,9 @@ func main() {
 	}
 	fmt.Printf("trained %s basis, KMax=%d\n", kind, model.Basis.KMax())
 
-	var alloc place.Allocator
-	switch *allocName {
-	case "greedy":
-		alloc = &place.Greedy{}
-	case "energy":
-		alloc = &place.EnergyCenter{}
-	case "random":
-		alloc = &place.Random{Seed: *seed}
-	case "uniform":
-		alloc = &place.Uniform{}
-	case "doptimal", "d-optimal":
-		alloc = &place.DOptimal{}
-	default:
-		log.Fatalf("unknown allocator %q", *allocName)
+	alloc, err := place.Parse(*allocName, *seed)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	var mask []bool

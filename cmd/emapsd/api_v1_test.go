@@ -1,17 +1,13 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 )
 
 // metricsBody fetches the Prometheus exposition text.
@@ -62,7 +58,7 @@ func TestErrorEnvelopeShape(t *testing.T) {
 		wantCode                 string
 	}{
 		{"unknown route", http.MethodGet, "/v1/nope", "", 404, "not_found"},
-		{"unknown legacy route", http.MethodGet, "/nope", "", 404, "not_found"},
+		{"unknown unversioned route", http.MethodGet, "/nope", "", 404, "not_found"},
 		{"bad create JSON", http.MethodPost, "/v1/monitors", "{", 400, "bad_json"},
 		{"unknown monitor", http.MethodPost, "/v1/monitors/mon-404/estimate", `{"readings":[[1]]}`, 404, "not_found"},
 		{"bad floorplan", http.MethodPost, "/v1/monitors", `{"floorplan":"pentium"}`, 400, "bad_floorplan"},
@@ -77,10 +73,10 @@ func TestErrorEnvelopeShape(t *testing.T) {
 	}
 }
 
-// The unversioned spellings stay as one-release aliases that serve
-// identically but are labeled legacy_<route> in /metrics; /healthz and
-// /metrics answer under both spellings.
-func TestLegacyAliasesServeAndAreLabeled(t *testing.T) {
+// The API lives under /v1 only: the unversioned spellings of API routes
+// are plain 404s, while the infrastructure endpoints /healthz and /metrics
+// answer on both spellings for probes and scrapers.
+func TestUnversionedAPIRoutesAreGone(t *testing.T) {
 	ts := httptest.NewServer(newServer(64))
 	defer ts.Close()
 
@@ -90,162 +86,28 @@ func TestLegacyAliasesServeAndAreLabeled(t *testing.T) {
 			t.Fatalf("GET %s: %d %v", path, resp.StatusCode, health)
 		}
 	}
-
-	// Create over the legacy spelling, estimate over /v1: one monitor, both
-	// surfaces.
-	var cr createResponse
-	if resp := doJSON(t, ts, http.MethodPost, "/monitors", fmt.Sprintf(createBody, ""), &cr); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("legacy create: status %d", resp.StatusCode)
+	cr := createMonitor(t, ts, "")
+	for _, tc := range []struct{ method, path, body string }{
+		{http.MethodGet, "/monitors", ""},
+		{http.MethodPost, "/monitors", fmt.Sprintf(createBody, "")},
+		{http.MethodGet, "/stats", ""},
+		{http.MethodGet, "/monitors/" + cr.ID, ""},
+		{http.MethodPost, "/monitors/" + cr.ID + "/estimate", estimateBody},
+	} {
+		var env errEnvelope
+		if resp := doJSON(t, ts, tc.method, tc.path, tc.body, &env); resp.StatusCode != 404 || env.Error.Code != "not_found" {
+			t.Errorf("%s %s: status %d code %q, want 404 not_found", tc.method, tc.path, resp.StatusCode, env.Error.Code)
+		}
 	}
-	readings := `{"readings":[[45,45,45,45,45,45,45,45]]}`
-	if resp := doJSON(t, ts, http.MethodPost, "/v1/monitors/"+cr.ID+"/estimate", readings, nil); resp.StatusCode != 200 {
-		t.Fatalf("/v1 estimate: status %d", resp.StatusCode)
+	if code, b := bodyString(t, ts, http.MethodPost, "/v1/monitors/"+cr.ID+"/estimate", estimateBody); code != 200 {
+		t.Fatalf("/v1 estimate: %d %s", code, b)
 	}
-	if resp := doJSON(t, ts, http.MethodPost, "/monitors/"+cr.ID+"/estimate", readings, nil); resp.StatusCode != 200 {
-		t.Fatalf("legacy estimate: status %d", resp.StatusCode)
-	}
-	var list map[string]any
-	if resp := doJSON(t, ts, http.MethodGet, "/monitors", "", &list); resp.StatusCode != 200 {
-		t.Fatalf("legacy list: status %d", resp.StatusCode)
-	}
-
 	for _, path := range []string{"/metrics", "/v1/metrics"} {
 		body := metricsBody(t, ts, path)
-		for _, want := range []string{
-			`route="legacy_create"`, `route="legacy_estimate"`, `route="legacy_list"`,
-			`route="estimate"`, `route="healthz"`,
-		} {
+		for _, want := range []string{`route="notfound",code="404"} 5`, `route="estimate"`, `route="healthz"`} {
 			if !strings.Contains(body, want) {
 				t.Errorf("GET %s: missing %s", path, want)
 			}
 		}
-	}
-}
-
-// The estimate route's arm field selects the reconstruction path; the two
-// arms agree to rounding, and an unknown arm is a 400.
-func TestEstimateArmSelection(t *testing.T) {
-	ts := httptest.NewServer(newServer(64))
-	defer ts.Close()
-	cr := createMonitor(t, ts, "")
-
-	readings := make([][]float64, 3)
-	for i := range readings {
-		readings[i] = make([]float64, cr.M)
-		for j := range readings[i] {
-			readings[i][j] = 44 + float64(i) + 0.25*float64(j)
-		}
-	}
-	estimate := func(arm string) []snapshotSummary {
-		body, _ := json.Marshal(map[string]any{"readings": readings, "include_maps": true, "arm": arm})
-		var out struct {
-			Results []snapshotSummary `json:"results"`
-		}
-		if resp := doJSON(t, ts, http.MethodPost, "/v1/monitors/"+cr.ID+"/estimate", string(body), &out); resp.StatusCode != 200 {
-			t.Fatalf("arm %q: status %d", arm, resp.StatusCode)
-		}
-		if len(out.Results) != len(readings) {
-			t.Fatalf("arm %q: %d results", arm, len(out.Results))
-		}
-		return out.Results
-	}
-	op, qr := estimate("operator"), estimate("qr")
-	def := estimate("")
-	for i := range op {
-		for k := range op[i].Map {
-			if d := math.Abs(op[i].Map[k] - qr[i].Map[k]); d > 1e-12*math.Max(1, math.Abs(qr[i].Map[k])) {
-				t.Fatalf("snapshot %d cell %d: arms disagree by %g", i, k, d)
-			}
-			if def[i].Map[k] != op[i].Map[k] {
-				t.Fatalf("snapshot %d cell %d: default arm is not the operator arm", i, k)
-			}
-		}
-	}
-
-	var env errEnvelope
-	if resp := doJSON(t, ts, http.MethodPost, "/v1/monitors/"+cr.ID+"/estimate",
-		`{"readings":[[45,45,45,45,45,45,45,45]],"arm":"cholesky"}`, &env); resp.StatusCode != 400 || env.Error.Code != "bad_arm" {
-		t.Fatalf("unknown arm: status %d %+v", resp.StatusCode, env)
-	}
-}
-
-// With -coalesce-window enabled, concurrent operator-arm requests are served
-// through shared flushes and still agree with the queue-bypassing QR arm;
-// the coalescing counters appear in /metrics.
-func TestCoalescedEstimatesOverHTTP(t *testing.T) {
-	srv := newServer(1024)
-	srv.coalesceWindow = 2 * time.Millisecond
-	srv.coalesceMax = 256
-	ts := httptest.NewServer(srv)
-	defer ts.Close()
-	cr := createMonitor(t, ts, "")
-
-	readings := make([][]float64, 4)
-	for i := range readings {
-		readings[i] = make([]float64, cr.M)
-		for j := range readings[i] {
-			readings[i][j] = 45 + float64(i) - 0.5*float64(j)
-		}
-	}
-	body, _ := json.Marshal(map[string]any{"readings": readings, "include_maps": true})
-	var qr struct {
-		Results []snapshotSummary `json:"results"`
-	}
-	qrBody, _ := json.Marshal(map[string]any{"readings": readings, "include_maps": true, "arm": "qr"})
-	if resp := doJSON(t, ts, http.MethodPost, "/v1/monitors/"+cr.ID+"/estimate", string(qrBody), &qr); resp.StatusCode != 200 {
-		t.Fatalf("qr estimate: status %d", resp.StatusCode)
-	}
-
-	const clients = 6
-	var wg sync.WaitGroup
-	results := make([][]snapshotSummary, clients)
-	errs := make([]error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			req, _ := http.NewRequest(http.MethodPost, ts.URL+"/v1/monitors/"+cr.ID+"/estimate", strings.NewReader(string(body)))
-			resp, err := ts.Client().Do(req)
-			if err != nil {
-				errs[c] = err
-				return
-			}
-			defer resp.Body.Close()
-			if resp.StatusCode != 200 {
-				errs[c] = fmt.Errorf("status %d", resp.StatusCode)
-				return
-			}
-			var out struct {
-				Results []snapshotSummary `json:"results"`
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-				errs[c] = err
-				return
-			}
-			results[c] = out.Results
-		}(c)
-	}
-	wg.Wait()
-	for c := 0; c < clients; c++ {
-		if errs[c] != nil {
-			t.Fatalf("client %d: %v", c, errs[c])
-		}
-		for i := range qr.Results {
-			for k := range qr.Results[i].Map {
-				got, want := results[c][i].Map[k], qr.Results[i].Map[k]
-				if d := math.Abs(got - want); d > 1e-12*math.Max(1, math.Abs(want)) {
-					t.Fatalf("client %d snapshot %d cell %d: coalesced %v vs qr %v", c, i, k, got, want)
-				}
-			}
-		}
-	}
-
-	body2 := metricsBody(t, ts, "/v1/metrics")
-	if n := counterValue(t, body2, "emapsd_coalesce_requests_total"); n != clients {
-		t.Fatalf("coalesce requests = %d, want %d (every operator-arm estimate coalesces)", n, clients)
-	}
-	flushes := counterValue(t, body2, "emapsd_coalesce_flushes_total")
-	if flushes < 1 || flushes > clients {
-		t.Fatalf("coalesce flushes = %d, want within [1,%d]", flushes, clients)
 	}
 }

@@ -5,14 +5,15 @@ import (
 	"sync"
 )
 
-// Reflection-free JSON fast paths for the serving hot route. The CPU profile
-// of the estimate handler is dominated by encoding/json's reflective decode
-// of the readings array and encode of the summary list — more than the
-// batched GEMM itself — so the hot route parses its [][]float64 and renders
-// its response by hand. Anything the tight scanner does not recognize
-// (non-numeric tokens, nulls, malformed nesting) falls back to
-// encoding/json, which remains the semantic authority: the fast path accepts
-// exactly the documents the slow path accepts, or defers to it.
+// Reflection-free JSON fast paths for the serving hot routes. The CPU
+// profile of the estimate handler is dominated by encoding/json's reflective
+// decode of the readings array and encode of the summary list — more than
+// the batched GEMM itself — so the estimate, track and govern routes walk
+// their request bodies by hand and render their responses by hand.
+// Anything the walker does not recognize (unknown keys, escapes, non-numeric
+// tokens, nulls, malformed nesting) falls back to encoding/json, which
+// remains the semantic authority: the fast path claims only documents
+// encoding/json accepts, and decodes them to the same values.
 
 // readingsBuf is a pooled scratch parse state: all numbers land in one flat
 // slice (grown once, reused across requests) and rows are rebuilt as
@@ -25,24 +26,13 @@ type readingsBuf struct {
 
 var readingsPool = sync.Pool{New: func() any { return new(readingsBuf) }}
 
-// parseReadings scans a JSON array-of-arrays of numbers. ok=false means
-// "not the simple shape" (the caller falls back to encoding/json), NOT a
-// validated error. The returned rows alias buf's backing storage — release
-// buf only after the rows are no longer referenced.
-func (b *readingsBuf) parseReadings(data []byte) (rows [][]float64, ok bool) {
+// readingsAt scans the [[...]...] value starting at i into b, replacing
+// any batch an earlier duplicate key left there, and returns the index just
+// past the value (with trailing whitespace consumed). It is the "readings"
+// value parser of every route on the walker.
+func (b *readingsBuf) readingsAt(data []byte, i int) (int, bool) {
 	b.flat = b.flat[:0]
 	b.ends = b.ends[:0]
-	i, ok := b.parseRowsAt(data, skipSpace(data, 0))
-	if !ok || i != len(data) {
-		return nil, false
-	}
-	return b.buildRows(), true
-}
-
-// parseRowsAt scans one [[...]...] value starting at i, appending numbers to
-// b.flat and row boundaries to b.ends. Returns the index just past the value
-// (with trailing whitespace consumed).
-func (b *readingsBuf) parseRowsAt(data []byte, i int) (int, bool) {
 	if i >= len(data) || data[i] != '[' {
 		return 0, false
 	}
@@ -59,10 +49,7 @@ func (b *readingsBuf) parseRowsAt(data []byte, i int) (int, bool) {
 			i = skipSpace(data, i+1)
 		} else {
 			for {
-				j := i
-				for j < len(data) && isNumByte(data[j]) {
-					j++
-				}
+				j := numberEnd(data, i)
 				if j == i {
 					return 0, false
 				}
@@ -113,103 +100,89 @@ func (b *readingsBuf) buildRows() [][]float64 {
 	return b.rows
 }
 
-// parseEstimateRequest scans a whole estimate/track body of the common shape
-// — an object with any of the keys readings, workers, include_maps, arm and
-// no others, no escape sequences, scalars only — in one pass. ok=false
-// defers to encoding/json; like parseReadings it never claims a document it
-// is not sure of. Later duplicate keys win, matching encoding/json.
-func (b *readingsBuf) parseEstimateRequest(data []byte, req *estimateRequest) (rows [][]float64, ok bool) {
-	b.flat = b.flat[:0]
-	b.ends = b.ends[:0]
-	sawReadings := false
+// walkObject is the one request-body walker behind every JSON route's fast
+// path. It scans data as a single object whose keys carry no escape
+// sequences, handing each key and the index of its value to value, which
+// returns the index just past the value (trailing whitespace consumed).
+// Any structural surprise, or a value the route's parser does not claim,
+// returns false: the route then defers the whole body to encoding/json,
+// which stays the authority on every document the walker does not claim.
+// A repeated key reaches value again, so the last one wins, as in
+// encoding/json.
+func walkObject(data []byte, value func(key []byte, i int) (int, bool)) bool {
 	i := skipSpace(data, 0)
 	if i >= len(data) || data[i] != '{' {
-		return nil, false
+		return false
 	}
 	i = skipSpace(data, i+1)
 	if i < len(data) && data[i] == '}' {
-		return nil, skipSpace(data, i+1) == len(data)
+		return skipSpace(data, i+1) == len(data)
 	}
 	for {
-		key, next, ok := parseSimpleString(data, i)
-		if !ok {
-			return nil, false
+		if i >= len(data) || data[i] != '"' {
+			return false
 		}
-		i = skipSpace(data, next)
+		j := i + 1
+		for j < len(data) && data[j] != '"' && data[j] != '\\' {
+			j++
+		}
+		if j >= len(data) || data[j] != '"' {
+			return false
+		}
+		key := data[i+1 : j]
+		i = skipSpace(data, j+1)
 		if i >= len(data) || data[i] != ':' {
-			return nil, false
+			return false
 		}
-		i = skipSpace(data, i+1)
-		switch key {
+		var ok bool
+		if i, ok = value(key, skipSpace(data, i+1)); !ok || i >= len(data) {
+			return false
+		}
+		switch data[i] {
+		case ',':
+			i = skipSpace(data, i+1)
+		case '}':
+			return skipSpace(data, i+1) == len(data)
+		default:
+			return false
+		}
+	}
+}
+
+// parseEstimateRequest is the estimate/track route's fast path: a body
+// whose keys are among readings, workers and include_maps, with scalar
+// values. Absent readings decode as an empty batch. ok=false defers to
+// encoding/json.
+func (b *readingsBuf) parseEstimateRequest(data []byte, req *estimateRequest) (rows [][]float64, ok bool) {
+	b.flat, b.ends = b.flat[:0], b.ends[:0]
+	ok = walkObject(data, func(key []byte, i int) (int, bool) {
+		switch string(key) {
 		case "readings":
-			b.flat = b.flat[:0]
-			b.ends = b.ends[:0]
-			i, ok = b.parseRowsAt(data, i)
-			sawReadings = ok
+			return b.readingsAt(data, i)
 		case "workers":
-			j := i
-			for j < len(data) && isNumByte(data[j]) {
-				j++
-			}
+			j := numberEnd(data, i)
 			n, err := strconv.Atoi(string(data[i:j]))
 			if err != nil {
-				return nil, false
+				return 0, false
 			}
-			req.Workers, i, ok = n, skipSpace(data, j), true
+			req.Workers = n
+			return skipSpace(data, j), true
 		case "include_maps":
 			switch {
 			case hasPrefixAt(data, i, "true"):
-				req.IncludeMaps, i = true, skipSpace(data, i+4)
+				req.IncludeMaps = true
+				return skipSpace(data, i+4), true
 			case hasPrefixAt(data, i, "false"):
-				req.IncludeMaps, i = false, skipSpace(data, i+5)
-			default:
-				return nil, false
+				req.IncludeMaps = false
+				return skipSpace(data, i+5), true
 			}
-		case "arm":
-			var arm string
-			arm, i, ok = parseSimpleString(data, i)
-			req.Arm = arm
-			i = skipSpace(data, i)
-		default:
-			// Unknown key: its value could be arbitrary JSON. Defer.
-			return nil, false
 		}
-		if !ok || i >= len(data) {
-			return nil, false
-		}
-		if data[i] == ',' {
-			i = skipSpace(data, i+1)
-			continue
-		}
-		if data[i] == '}' {
-			i = skipSpace(data, i+1)
-			break
-		}
+		return 0, false
+	})
+	if !ok {
 		return nil, false
-	}
-	if i != len(data) {
-		return nil, false
-	}
-	if !sawReadings {
-		return nil, true
 	}
 	return b.buildRows(), true
-}
-
-// parseSimpleString scans a double-quoted string with no escapes, returning
-// the contents and the index just past the closing quote.
-func parseSimpleString(data []byte, i int) (string, int, bool) {
-	if i >= len(data) || data[i] != '"' {
-		return "", 0, false
-	}
-	j := i + 1
-	for j < len(data) && data[j] != '"' && data[j] != '\\' {
-		j++
-	}
-	if j >= len(data) || data[j] != '"' {
-		return "", 0, false
-	}
-	return string(data[i+1 : j]), j + 1, true
 }
 
 func hasPrefixAt(data []byte, i int, s string) bool {
@@ -228,11 +201,48 @@ func skipSpace(data []byte, i int) int {
 	return i
 }
 
-// isNumByte covers exactly the bytes JSON numbers are built from. Tokens
-// like null, true or NaN contain none of these as a first byte, so they
-// bounce to the encoding/json fallback and get its error semantics.
-func isNumByte(c byte) bool {
-	return c >= '0' && c <= '9' || c == '-' || c == '+' || c == '.' || c == 'e' || c == 'E'
+// numberEnd returns the index just past the JSON number starting at i, or
+// i when none starts there. It follows the JSON grammar
+// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? exactly, so spellings that
+// strconv accepts but JSON does not ("+1", ".5", "1.", "01") end the scan
+// early and the body defers to encoding/json's verdict.
+func numberEnd(data []byte, i int) int {
+	j := i
+	if j < len(data) && data[j] == '-' {
+		j++
+	}
+	switch {
+	case j < len(data) && data[j] == '0':
+		j++
+	case j < len(data) && data[j] >= '1' && data[j] <= '9':
+		j = digitsEnd(data, j)
+	default:
+		return i
+	}
+	if j < len(data) && data[j] == '.' {
+		k := digitsEnd(data, j+1)
+		if k == j+1 {
+			return i
+		}
+		j = k
+	}
+	if j < len(data) && (data[j] == 'e' || data[j] == 'E') {
+		k := j + 1
+		if k < len(data) && (data[k] == '+' || data[k] == '-') {
+			k++
+		}
+		if j = digitsEnd(data, k); j == k {
+			return i
+		}
+	}
+	return j
+}
+
+func digitsEnd(data []byte, i int) int {
+	for i < len(data) && data[i] >= '0' && data[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 // appendEstimateResponse renders {"quality":"...","results":[...]} without

@@ -11,7 +11,6 @@ import (
 	"repro/internal/floorplan"
 	"repro/internal/governor"
 	"repro/internal/obs"
-	"repro/internal/recon"
 	"repro/internal/wire"
 )
 
@@ -76,117 +75,34 @@ type governHTTPRequest struct {
 	Readings json.RawMessage    `json:"readings"`
 }
 
-// parseGovernRequest scans a govern body of the common shape — an object
-// with only the keys config and readings, no escape sequences — in one
-// pass, reusing the estimate route's pooled scanner for the readings and
-// handing just the config object (a dozen scalars, absent entirely on
-// steady-state requests) to encoding/json. ok=false defers the whole body
-// to encoding/json; like parseEstimateRequest it never claims a document it
-// is not sure of. Later duplicate keys win, matching encoding/json.
+// parseGovernRequest is the govern route's fast path on the shared walker:
+// a body whose keys are among config and readings. The readings reuse the
+// estimate route's pooled scanner; the config object (a dozen scalars,
+// absent entirely on steady-state requests) goes through encoding/json,
+// which also finds where it ends. A repeated config merges into the first,
+// as encoding/json decodes into a non-nil pointer. ok=false defers the
+// whole body to encoding/json.
 func parseGovernRequest(b *readingsBuf, data []byte) (rows [][]float64, cfg *wire.GovernConfig, ok bool) {
-	b.flat = b.flat[:0]
-	b.ends = b.ends[:0]
-	sawReadings := false
-	i := skipSpace(data, 0)
-	if i >= len(data) || data[i] != '{' {
-		return nil, nil, false
-	}
-	i = skipSpace(data, i+1)
-	if i < len(data) && data[i] == '}' {
-		return nil, nil, skipSpace(data, i+1) == len(data)
-	}
-	for {
-		key, next, kok := parseSimpleString(data, i)
-		if !kok {
-			return nil, nil, false
-		}
-		i = skipSpace(data, next)
-		if i >= len(data) || data[i] != ':' {
-			return nil, nil, false
-		}
-		i = skipSpace(data, i+1)
-		switch key {
+	b.flat, b.ends = b.flat[:0], b.ends[:0]
+	ok = walkObject(data, func(key []byte, i int) (int, bool) {
+		switch string(key) {
 		case "readings":
-			b.flat = b.flat[:0]
-			b.ends = b.ends[:0]
-			var rok bool
-			i, rok = b.parseRowsAt(data, i)
-			if !rok {
-				return nil, nil, false
-			}
-			sawReadings = true
+			return b.readingsAt(data, i)
 		case "config":
-			if hasPrefixAt(data, i, "null") {
-				cfg, i = nil, skipSpace(data, i+4)
-				break
-			}
-			j, jok := skipJSONObject(data, i)
-			if !jok {
-				return nil, nil, false
-			}
-			cfg = new(wire.GovernConfig)
-			if err := json.Unmarshal(data[i:j], cfg); err != nil {
-				return nil, nil, false
-			}
-			i = skipSpace(data, j)
-		default:
-			// Unknown key: its value could be arbitrary JSON. Defer.
-			return nil, nil, false
-		}
-		if i >= len(data) {
-			return nil, nil, false
-		}
-		if data[i] == ',' {
-			i = skipSpace(data, i+1)
-			continue
-		}
-		if data[i] == '}' {
-			i = skipSpace(data, i+1)
-			break
-		}
-		return nil, nil, false
-	}
-	if i != len(data) {
-		return nil, nil, false
-	}
-	if !sawReadings {
-		return nil, cfg, true
-	}
-	return b.buildRows(), cfg, true
-}
-
-// skipJSONObject returns the index just past the object starting at i.
-// Escape sequences inside strings defer to the fallback (returns false),
-// keeping this a byte scan with no unescaping.
-func skipJSONObject(data []byte, i int) (int, bool) {
-	if i >= len(data) || data[i] != '{' {
-		return 0, false
-	}
-	depth := 0
-	for ; i < len(data); i++ {
-		switch data[i] {
-		case '{':
-			depth++
-		case '}':
-			depth--
-			if depth == 0 {
-				return i + 1, true
-			}
-		case '"':
-			for i++; i < len(data); i++ {
-				if data[i] == '\\' {
-					return 0, false
-				}
-				if data[i] == '"' {
-					break
-				}
-			}
-			if i >= len(data) {
+			next := cfg
+			dec := json.NewDecoder(bytes.NewReader(data[i:]))
+			if dec.Decode(&next) != nil {
 				return 0, false
 			}
+			cfg = next
+			return skipSpace(data, i+int(dec.InputOffset())), true
 		}
+		return 0, false
+	})
+	if !ok {
+		return nil, nil, false
 	}
-	return 0, false
+	return b.buildRows(), cfg, true
 }
 
 // buildGovernor constructs a fresh governor from a config, mapping each
@@ -266,7 +182,7 @@ func (s *server) governBatch(w http.ResponseWriter, e *monitorEntry, rs *residen
 		}
 	}
 	readings = rs.compactReadings(readings)
-	maps, done, err := s.estimateMaps(e, rs, readings, 0, recon.ArmOperator, tr)
+	maps, done, err := s.estimateMaps(e, rs, readings, 0, tr)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad_readings", "estimate: %v", err)
 		return nil, 0, false

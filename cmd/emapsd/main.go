@@ -3,9 +3,10 @@
 // sensor sets — behind one HTTP request loop, serving batched snapshot
 // reconstruction concurrently.
 //
-// Each monitor shares one cached least-squares factorization across all
-// requests; batches fan out over a worker pool, so independent clients and
-// independent monitors proceed in parallel. Trained models are cached by
+// Each monitor shares one precomputed reconstruction operator across all
+// requests, and estimate, track and govern each run one code path; batches
+// fan out over a worker pool, so independent clients and independent
+// monitors proceed in parallel. Trained models are cached by
 // training configuration, so two monitors over the same ensemble (say, a
 // K=8/M=16 layout and a K=4/M=8 fallback) pay for simulation and training
 // once.
@@ -18,33 +19,25 @@
 //	                                   live drift verdict
 //	DELETE /v1/monitors/{id}           retire a monitor
 //	POST /v1/monitors/{id}/estimate    batched reconstruction — one GEMM
-//	                                   against the precomputed operator by
-//	                                   default; "arm":"qr" selects the
-//	                                   per-snapshot QR-solve ablation
+//	                                   against the precomputed operator
 //	POST /v1/monitors/{id}/track       batched Kalman-smoothed tracking
 //	POST /v1/monitors/{id}/simulate    estimate simulated (optionally noisy)
 //	                                   snapshots from the training ensemble,
 //	                                   or from a fresh "workload"/"workload_spec"
 //	                                   scenario (cross-scenario evaluation)
-//	GET  /healthz                      liveness (also under /v1/)
+//	POST /v1/monitors/{id}/govern      estimate, then per-core DVFS caps
+//	GET  /healthz                      liveness (also /v1/healthz)
 //	GET  /metrics                      Prometheus text exposition: request
 //	                                   counts and latency histograms per
 //	                                   route, model-cache hit/miss, store
-//	                                   traffic, snapshot totals (also /v1/)
+//	                                   traffic, snapshot totals (also
+//	                                   /v1/metrics)
 //	GET  /v1/stats                     request/snapshot totals
 //
-// The versioned /v1/ prefix is the canonical API surface. The pre-/v1
-// unversioned spellings remain as aliases for one release; their traffic is
-// labeled "legacy_<route>" in /metrics so operators can watch it drain
-// before the aliases are removed. Every failure, on either spelling, is the
-// uniform envelope {"error":{"code":"...","message":"..."}} — codes are
-// stable slugs, messages are free-form detail.
-//
-// With -coalesce-window, concurrent estimate requests against the same
-// monitor are coalesced: a request waits up to the window (or until
-// -coalesce-max snapshots are queued) and the whole queue is served by one
-// blocked GEMM against the monitor's precomputed operator, trading bounded
-// latency for serving throughput. QR-arm requests bypass the queue.
+// Every API route lives under /v1/ only; /healthz and /metrics also answer
+// unversioned, for probes and scrapers. Every failure is the uniform
+// envelope {"error":{"code":"...","message":"..."}} — codes are stable
+// slugs, messages are free-form detail.
 //
 // With -store-dir the daemon is durable: every trained model and every
 // created monitor is persisted (atomic write + rename, see internal/store),
@@ -100,7 +93,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/place"
 	"repro/internal/power"
-	"repro/internal/recon"
 	"repro/internal/store"
 	"repro/internal/thermal"
 	"repro/internal/track"
@@ -123,8 +115,6 @@ func main() {
 	shard := flag.String("shard", "", "serve shard i of n replicas over a shared store-dir, as i/n (empty = unsharded)")
 	lockStale := flag.Duration("lock-stale", time.Minute, "age past which another replica's lockfile is presumed dead and stolen")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown deadline for in-flight requests")
-	coalesceWindow := flag.Duration("coalesce-window", 0, "bounded wait for batching concurrent estimate requests into one GEMM (0 = disabled)")
-	coalesceMax := flag.Int("coalesce-max", 256, "snapshot count that flushes a coalesced batch immediately")
 	adaptAfter := flag.Int("adapt-after", 64, "out-of-distribution snapshots absorbed before the shadow basis hot-swaps in (0 = never adapt)")
 	faultInject := flag.String("fault-inject", "", "deterministic sensor-fault spec applied to incoming readings, e.g. stuck:3,drop:0.01,offset:2:5 (dev/testing)")
 	faultSeed := flag.Int64("fault-seed", 1, "seed for the -fault-inject randomness (dropouts)")
@@ -149,8 +139,6 @@ func main() {
 	srv.maxModels = *maxModels
 	srv.maxMonitors = *maxMonitors
 	srv.logger = logger
-	srv.coalesceWindow = *coalesceWindow
-	srv.coalesceMax = *coalesceMax
 	srv.lockStale = *lockStale
 	srv.adaptAfter = *adaptAfter
 	if *logSample > 1 {
@@ -300,12 +288,6 @@ type residentState struct {
 	origSensors []int
 	keep        []int
 	clientM     int
-
-	// coal batches concurrent operator-arm estimate requests into shared
-	// GEMMs; nil unless the daemon runs with -coalesce-window > 0. It lives
-	// on the resident state (not the entry) because it captures mon.
-	coalOnce sync.Once
-	coal     *coalescer
 }
 
 // monitorEntry is one monitor behind the request loop — possibly paged out.
@@ -388,12 +370,6 @@ type server struct {
 	shardN    int
 	ring      *shardRing
 	lockStale time.Duration // age past which another replica's lockfile is stolen
-
-	// coalesceWindow > 0 batches concurrent estimate requests per monitor
-	// into shared GEMMs: a request waits at most the window (or until
-	// coalesceMax snapshots are queued) for peers to share a flush.
-	coalesceWindow time.Duration
-	coalesceMax    int
 
 	// adaptAfter is how many out-of-distribution snapshots a drifting
 	// monitor absorbs into its shadow basis before hot-swapping the adapted
@@ -524,12 +500,9 @@ func traceOf(w http.ResponseWriter) *obs.Trace {
 // dispatch routes the request and returns the route label used by metrics
 // and the request log ({id} collapsed so per-monitor paths aggregate).
 //
-// The canonical API surface lives under /v1/. The unversioned spellings of
-// the API routes (e.g. /monitors) are kept as thin aliases for one release;
-// they serve identically but carry a "legacy_"-prefixed route label so
-// /metrics separates remaining legacy traffic from /v1 traffic. /healthz and
-// /metrics are infrastructure endpoints — unversioned canonically, with /v1/
-// aliases so every endpoint is reachable under the versioned prefix.
+// The API lives under /v1/ only. /healthz and /metrics are infrastructure
+// endpoints that probes and scrapers reach unversioned, so they answer on
+// both spellings.
 func (s *server) dispatch(w http.ResponseWriter, r *http.Request) string {
 	path := r.URL.Path
 	switch path {
@@ -542,40 +515,30 @@ func (s *server) dispatch(w http.ResponseWriter, r *http.Request) string {
 			return "metrics"
 		}
 	}
-	rest, versioned := strings.CutPrefix(path, "/v1/")
-	if versioned {
-		rest = "/" + rest
-	} else {
-		rest = path
-	}
-	label := func(name string) string {
-		if versioned {
-			return name
-		}
-		return "legacy_" + name
-	}
+	rest, versioned := strings.CutPrefix(path, "/v1")
 	switch {
+	case !versioned:
+		// No API route answers unversioned.
 	case rest == "/stats" && r.Method == http.MethodGet:
 		s.handleStats(w)
-		return label("stats")
+		return "stats"
 	case rest == "/shard" && r.Method == http.MethodGet:
 		s.handleShard(w)
-		return label("shard")
+		return "shard"
 	case rest == "/monitors" && r.Method == http.MethodPost:
 		s.handleCreate(w, r)
-		return label("create")
+		return "create"
 	case rest == "/monitors" && r.Method == http.MethodGet:
 		s.handleList(w)
-		return label("list")
+		return "list"
 	case rest == "/debug/requests" && r.Method == http.MethodGet:
 		s.handleDebugRequests(w, r)
-		return label("debug")
+		return "debug"
 	case strings.HasPrefix(rest, "/monitors/"):
-		return label(s.handleMonitor(w, r, strings.TrimPrefix(rest, "/monitors/")))
-	default:
-		httpError(w, http.StatusNotFound, "not_found", "no such route")
-		return "notfound"
+		return s.handleMonitor(w, r, strings.TrimPrefix(rest, "/monitors/"))
 	}
+	httpError(w, http.StatusNotFound, "not_found", "no such route")
+	return "notfound"
 }
 
 func (s *server) handleMetrics(w http.ResponseWriter) {
@@ -787,23 +750,11 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	sensors := req.Sensors
 	if len(sensors) == 0 {
-		var alloc place.Allocator
-		switch req.Strategy {
-		case "", "greedy":
-			alloc = &place.Greedy{}
-		case "energy":
-			alloc = &place.EnergyCenter{}
-		case "random":
-			alloc = &place.Random{Seed: req.Seed}
-		case "uniform":
-			alloc = &place.Uniform{}
-		case "d-optimal":
-			alloc = &place.DOptimal{}
-		default:
-			httpError(w, http.StatusBadRequest, "bad_strategy", "unknown strategy %q", req.Strategy)
+		alloc, err := place.Parse(req.Strategy, req.Seed)
+		if err != nil {
+			httpError(w, http.StatusBadRequest, "bad_strategy", "%v", err)
 			return
 		}
-		var err error
 		sensors, err = entry.model.PlaceSensors(req.M, core.PlaceOptions{K: req.K, Allocator: alloc})
 		if err != nil {
 			httpError(w, http.StatusBadRequest, "placement_failed", "placement failed: %v", err)
@@ -1024,9 +975,6 @@ type estimateRequest struct {
 	Readings    json.RawMessage `json:"readings"`
 	Workers     int             `json:"workers"`
 	IncludeMaps bool            `json:"include_maps"`
-	// Arm selects the reconstruction path: "" or "operator" (default) is the
-	// precomputed-operator GEMM; "qr" is the per-snapshot QR-solve ablation.
-	Arm string `json:"arm"`
 }
 
 func releaseNothing() {}
@@ -1068,17 +1016,6 @@ func decodeEstimateRequest(r io.Reader, req *estimateRequest) (rows [][]float64,
 		return nil, releaseNothing, err
 	}
 	return rows, releaseNothing, nil
-}
-
-// parseArm maps the wire arm names onto reconstruction arms.
-func parseArm(s string) (recon.Arm, bool) {
-	switch s {
-	case "", "operator":
-		return recon.ArmOperator, true
-	case "qr":
-		return recon.ArmQR, true
-	}
-	return 0, false
 }
 
 // snapshotSummary is the per-snapshot digest a thermal manager consumes.
@@ -1144,20 +1081,14 @@ func (s *server) residentHTTP(w http.ResponseWriter, e *monitorEntry) (*resident
 	return nil, false
 }
 
-// estimateMaps is the compute path shared by the JSON and binary estimate
-// protocols. done releases pooled output buffers — call it exactly once,
-// after the maps are encoded.
-func (s *server) estimateMaps(e *monitorEntry, rs *residentState, readings [][]float64, workers int, arm recon.Arm, tr *obs.Trace) (maps [][]float64, done func(), err error) {
-	if arm == recon.ArmOperator && s.coalesceWindow > 0 {
-		// Operator-arm requests share flushes; the QR ablation arm bypasses
-		// the queue so its latency reflects the per-snapshot solve.
-		maps, err = s.coalescerFor(rs).estimate(readings, tr)
-		return maps, releaseNothing, err
-	}
-	// Pooled output buffers: the non-coalesced hot path reuses its
-	// batch × N floats across requests instead of re-allocating them.
+// estimateMaps is the compute path shared by the estimate and govern routes
+// over both protocols: one batched GEMM against the monitor's operator into
+// pooled output buffers, reused across requests instead of re-allocating
+// batch × N floats. done releases them — call it exactly once, after the
+// maps are encoded.
+func (s *server) estimateMaps(e *monitorEntry, rs *residentState, readings [][]float64, workers int, tr *obs.Trace) (maps [][]float64, done func(), err error) {
 	buf := e.getMaps(len(readings), rs.mon.N())
-	if err := rs.mon.EstimateBatchArmInto(buf, readings, workers, arm); err != nil {
+	if err := rs.mon.EstimateBatchInto(buf, readings, workers); err != nil {
 		e.putMaps(buf)
 		return nil, releaseNothing, err
 	}
@@ -1183,11 +1114,6 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request, e *monit
 		return
 	}
 	defer release()
-	arm, ok := parseArm(req.Arm)
-	if !ok {
-		httpError(w, http.StatusBadRequest, "bad_arm", "unknown arm %q (want operator or qr)", req.Arm)
-		return
-	}
 	if !s.checkBatch(w, readings) {
 		return
 	}
@@ -1197,7 +1123,7 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request, e *monit
 		}
 	}
 	readings = rs.compactReadings(readings)
-	maps, done, err := s.estimateMaps(e, rs, readings, req.Workers, arm, tr)
+	maps, done, err := s.estimateMaps(e, rs, readings, req.Workers, tr)
 	if err != nil {
 		// Wrong-length vectors, NaN/Inf readings: client error, never a panic.
 		httpError(w, http.StatusBadRequest, "bad_readings", "estimate: %v", err)
@@ -1254,10 +1180,6 @@ func (s *server) handleEstimateBinary(w http.ResponseWriter, r *http.Request, e 
 		httpError(w, http.StatusBadRequest, "bad_frame", "%v", err)
 		return
 	}
-	arm := recon.ArmOperator
-	if req.ArmQR {
-		arm = recon.ArmQR
-	}
 	if !s.checkBatch(w, req.Readings) {
 		return
 	}
@@ -1268,7 +1190,7 @@ func (s *server) handleEstimateBinary(w http.ResponseWriter, r *http.Request, e 
 		}
 	}
 	readings = rs.compactReadings(readings)
-	maps, done, err := s.estimateMaps(e, rs, readings, req.Workers, arm, tr)
+	maps, done, err := s.estimateMaps(e, rs, readings, req.Workers, tr)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad_readings", "estimate: %v", err)
 		return

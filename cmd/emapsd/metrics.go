@@ -43,9 +43,6 @@ type metricsSet struct {
 	lockSteals      atomic.Int64 // stale lockfiles stolen from dead replicas
 	wrongShard      atomic.Int64 // requests refused with 421 (monitor owned elsewhere)
 
-	coalesceFlushes  atomic.Int64 // coalesced-queue flushes (one shared GEMM each)
-	coalesceRequests atomic.Int64 // estimate requests served through the coalescer
-
 	adaptations  atomic.Int64 // monitor hot-swaps (basis adaptations + sensor exclusions)
 	sensorFaults atomic.Int64 // faulty sensors excluded from serving
 }
@@ -59,7 +56,7 @@ var latencyBuckets = []float64{
 
 // stageBuckets are the per-stage histogram bounds. Stages are slices of a
 // request, so the range shifts down: decode and shard routing sit in the
-// tens of microseconds, a coalesced solve in the milliseconds.
+// tens of microseconds, a large batched solve in the milliseconds.
 var stageBuckets = []float64{
 	0.00005, 0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5,
 }
@@ -139,7 +136,7 @@ func (m *metricsSet) render(w io.Writer, g gauges) {
 	for _, rs := range snaps {
 		writeHist(w, "emapsd_request_duration_seconds", "route", rs.Label, rs.Latency)
 	}
-	fmt.Fprintf(w, "# HELP emapsd_stage_duration_seconds Serving-stage latency, by stage (decode, shard_route, page_in, coalesce_wait, solve, drift_score, adapt, govern, encode).\n# TYPE emapsd_stage_duration_seconds histogram\n")
+	fmt.Fprintf(w, "# HELP emapsd_stage_duration_seconds Serving-stage latency, by stage (decode, shard_route, page_in, solve, drift_score, adapt, govern, encode).\n# TYPE emapsd_stage_duration_seconds histogram\n")
 	for st := obs.Stage(0); st < obs.NumStages; st++ {
 		snap := m.stages.Stage(st).Snapshot()
 		if snap.Count == 0 {
@@ -162,8 +159,6 @@ func (m *metricsSet) render(w io.Writer, g gauges) {
 	counter("emapsd_lock_waits_total", "Times this replica waited on another replica's lockfile.", m.lockWaits.Load())
 	counter("emapsd_lock_steals_total", "Stale lockfiles stolen from dead replicas.", m.lockSteals.Load())
 	counter("emapsd_wrong_shard_total", "Requests refused with 421 because another shard owns the monitor.", m.wrongShard.Load())
-	counter("emapsd_coalesce_flushes_total", "Coalesced estimate flushes (one shared GEMM each).", m.coalesceFlushes.Load())
-	counter("emapsd_coalesce_requests_total", "Estimate requests served through the coalescing queue.", m.coalesceRequests.Load())
 	counter("emapsd_adaptations_total", "Monitor hot-swaps: basis adaptations plus sensor exclusions.", m.adaptations.Load())
 	counter("emapsd_sensor_faults_total", "Faulty sensors excluded from serving.", m.sensorFaults.Load())
 	fmt.Fprintf(w, "# HELP emapsd_drift_state Per-monitor drift verdict (0 = ok, 1 = drifting, 2 = degraded).\n# TYPE emapsd_drift_state gauge\n")

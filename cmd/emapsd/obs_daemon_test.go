@@ -72,8 +72,8 @@ func TestMetricsExpositionLint(t *testing.T) {
 			t.Fatalf("estimate status %d", resp.StatusCode)
 		}
 	}
-	// An error and a legacy-alias request so multiple route labels and
-	// status codes appear in the exposition.
+	// An error and an unversioned (404) request so multiple route labels
+	// and status codes appear in the exposition.
 	doJSON(t, ts, http.MethodPost, "/v1/monitors/nope/estimate", payload, nil)
 	doJSON(t, ts, http.MethodGet, "/monitors", "", nil)
 

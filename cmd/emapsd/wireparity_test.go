@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"hash/crc32"
 	"io"
 	"math"
 	"net/http"
@@ -37,8 +39,7 @@ func postBinary(t *testing.T, ts *httptest.Server, path string, frame []byte) (*
 // TestBinaryEstimateParity is the wire-protocol acceptance pin: the same
 // readings sent as JSON and as application/x-emaps decode to bit-identical
 // summaries — same float64 bits in every field, same maps — because both
-// protocols serialize the same computed structs. Covers both solve arms and
-// both map modes.
+// protocols serialize the same computed structs. Covers both map modes.
 func TestBinaryEstimateParity(t *testing.T) {
 	ts := httptest.NewServer(newServer(1024))
 	defer ts.Close()
@@ -51,19 +52,13 @@ func TestBinaryEstimateParity(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		maps bool
-		qr   bool
 	}{
-		{"operator summaries", false, false},
-		{"operator with maps", true, false},
-		{"qr with maps", true, true},
+		{"operator summaries", false},
+		{"operator with maps", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			arm := "operator"
-			if tc.qr {
-				arm = "qr"
-			}
 			jreq, err := json.Marshal(map[string]any{
-				"readings": readings, "include_maps": tc.maps, "arm": arm,
+				"readings": readings, "include_maps": tc.maps,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -80,7 +75,7 @@ func TestBinaryEstimateParity(t *testing.T) {
 			}
 
 			frame, err := wire.AppendEstimateRequest(nil, &wire.EstimateRequest{
-				Readings: readings, IncludeMaps: tc.maps, ArmQR: tc.qr,
+				Readings: readings, IncludeMaps: tc.maps,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -128,6 +123,52 @@ func TestBinaryEstimateParity(t *testing.T) {
 	}
 }
 
+// resealed rewrites the payload word at payload offset off of a frame and
+// recomputes the frame's CRC, so the check behind the checksum is what
+// rejects it.
+func resealed(frame []byte, off int, word uint32) []byte {
+	f := append([]byte(nil), frame...)
+	binary.LittleEndian.PutUint32(f[16+off:], word)
+	end := len(f) - 4
+	binary.LittleEndian.PutUint32(f[end:], crc32.ChecksumIEEE(f[16:end]))
+	return f
+}
+
+// hostileShapes derives, from an empty batch frame whose payload ends in
+// its rows and cols words, the two batch shapes the decoders once let
+// through: rows×cols that wraps a native-int size check (rows = 2³¹,
+// cols = 2³⁰) and millions of empty rows carried by no bytes.
+func hostileShapes(empty []byte) map[string][]byte {
+	rows := len(empty) - 16 - 4 - 8 // payload offset of the rows word
+	return map[string][]byte{
+		"overflowing shape": resealed(resealed(empty, rows, 1<<31), rows+4, 1<<30),
+		"empty rows":        resealed(empty, rows, 5_000_000),
+	}
+}
+
+// wantBadFrame posts each frame and expects the 400 bad_frame JSON envelope.
+func wantBadFrame(t *testing.T, ts *httptest.Server, path string, frames map[string][]byte) {
+	t.Helper()
+	for name, frame := range frames {
+		t.Run(name, func(t *testing.T) {
+			resp, raw := postBinary(t, ts, path, frame)
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("status %d, want 400", resp.StatusCode)
+			}
+			if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+				t.Fatalf("error Content-Type %q, want JSON envelope", ct)
+			}
+			var env errEnvelope
+			if err := json.Unmarshal(raw, &env); err != nil {
+				t.Fatalf("error body is not the JSON envelope: %v (%s)", err, raw)
+			}
+			if env.Error.Code != "bad_frame" {
+				t.Fatalf("error code %q, want bad_frame", env.Error.Code)
+			}
+		})
+	}
+}
+
 // TestBinaryEstimateErrors: protocol errors on the binary path keep the
 // JSON error envelope — one error-handling code path for every client —
 // and never take the daemon down.
@@ -143,34 +184,17 @@ func TestBinaryEstimateErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	for _, tc := range []struct {
-		name  string
-		frame []byte
-		code  string
-	}{
-		{"garbage", []byte("application/x-emaps my foot"), "bad_frame"},
-		{"truncated", good[:len(good)-3], "bad_frame"},
-		{"empty", nil, "bad_frame"},
-		{"corrupt payload", append(append([]byte{}, good[:20]...), good[21:]...), "bad_frame"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			resp, raw := postBinary(t, ts, path, tc.frame)
-			if resp.StatusCode != http.StatusBadRequest {
-				t.Fatalf("status %d, want 400", resp.StatusCode)
-			}
-			if ct := resp.Header.Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
-				t.Fatalf("error Content-Type %q, want JSON envelope", ct)
-			}
-			var env errEnvelope
-			if err := json.Unmarshal(raw, &env); err != nil {
-				t.Fatalf("error body is not the JSON envelope: %v (%s)", err, raw)
-			}
-			if env.Error.Code != tc.code {
-				t.Fatalf("error code %q, want %q", env.Error.Code, tc.code)
-			}
-		})
+	empty, err := wire.AppendEstimateRequest(nil, &wire.EstimateRequest{})
+	if err != nil {
+		t.Fatal(err)
 	}
+	frames := hostileShapes(empty)
+	frames["garbage"] = []byte("application/x-emaps my foot")
+	frames["truncated"] = good[:len(good)-3]
+	frames["empty"] = nil
+	frames["corrupt payload"] = append(append([]byte{}, good[:20]...), good[21:]...)
+	frames["retired qr flag"] = resealed(good, 0, 1<<1)
+	wantBadFrame(t, ts, path, frames)
 
 	// Wrong-length readings reach the estimator and come back as the same
 	// bad_readings a JSON client sees.
@@ -187,5 +211,31 @@ func TestBinaryEstimateErrors(t *testing.T) {
 	// The daemon still serves after every malformed frame.
 	if code, b := bodyString(t, ts, http.MethodPost, path, estimateBody); code != 200 {
 		t.Fatalf("daemon unhealthy after malformed frames: %d %s", code, b)
+	}
+}
+
+// TestBinaryGovernErrors is TestBinaryEstimateErrors' govern twin: hostile
+// EMGQ frames are 400 bad_frame, and the route keeps serving.
+func TestBinaryGovernErrors(t *testing.T) {
+	ts := httptest.NewServer(newServer(1024))
+	defer ts.Close()
+	cr := createMonitor(t, ts, "")
+	path := "/v1/monitors/" + cr.ID + "/govern"
+
+	empty, err := wire.AppendGovernRequest(nil, &wire.GovernRequest{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantBadFrame(t, ts, path, hostileShapes(empty))
+
+	good, err := wire.AppendGovernRequest(nil, &wire.GovernRequest{
+		Config:   &wire.GovernConfig{Policy: "threshold", CeilingC: 70},
+		Readings: [][]float64{{62, 61, 60, 59, 58, 57, 56, 55}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, raw := postBinary(t, ts, path, good); resp.StatusCode != 200 {
+		t.Fatalf("daemon unhealthy after malformed frames: %d %s", resp.StatusCode, raw)
 	}
 }

@@ -205,17 +205,6 @@ type PCAConfig struct {
 	// Workers caps the goroutines used by the Gram accumulation and
 	// eigenvector lift (0 = NumCPU, 1 = sequential).
 	Workers int
-	// UseSnapshotMethod is the deprecated spelling of Method: PCAGram, kept
-	// for the ablation benches. It overrides Method when set.
-	UseSnapshotMethod bool
-}
-
-// method resolves the configured method for a T×N ensemble at dimension kmax.
-func (cfg PCAConfig) method(t, n, kmax int) PCAMethod {
-	if cfg.UseSnapshotMethod {
-		return PCAGram
-	}
-	return ResolvePCAMethod(cfg.Method, t, n, kmax)
 }
 
 // TrainPCA learns the EigenMaps basis from the training ensemble: the kmax
@@ -231,7 +220,7 @@ func TrainPCA(ds *dataset.Dataset, kmax int, cfg PCAConfig) (*Basis, error) {
 		vecs *mat.Matrix
 		err  error
 	)
-	method := cfg.method(ds.T(), ds.N(), kmax)
+	method := ResolvePCAMethod(cfg.Method, ds.T(), ds.N(), kmax)
 	switch method {
 	case PCAGram:
 		vals, vecs, err = mat.SnapshotPODWorkers(x, kmax, cfg.Workers)

@@ -214,11 +214,11 @@ func TestTailImportance(t *testing.T) {
 }
 
 func TestSnapshotMethodMatchesSubspace(t *testing.T) {
-	b1, err := TrainPCA(trainingSet, 5, PCAConfig{Seed: 1})
+	b1, err := TrainPCA(trainingSet, 5, PCAConfig{Seed: 1, Method: PCACovariance})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := TrainPCA(trainingSet, 5, PCAConfig{UseSnapshotMethod: true})
+	b2, err := TrainPCA(trainingSet, 5, PCAConfig{Method: PCAGram})
 	if err != nil {
 		t.Fatal(err)
 	}

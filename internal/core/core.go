@@ -62,9 +62,6 @@ type TrainOptions struct {
 	// Workers caps the goroutines used by the snapshot-Gram path (0 = all
 	// CPUs, 1 = sequential). Negative values are rejected.
 	Workers int
-	// UseSnapshotMethod forwards to basis.PCAConfig (deprecated ablation
-	// spelling of Method: basis.PCAGram).
-	UseSnapshotMethod bool
 }
 
 // OptionError reports a TrainOptions field (or the ensemble it is applied
@@ -136,10 +133,9 @@ func Train(ds *dataset.Dataset, opt TrainOptions) (*Model, error) {
 	switch opt.Kind {
 	case BasisEigenMaps:
 		b, err = basis.TrainPCA(ds, opt.KMax, basis.PCAConfig{
-			Seed:              opt.Seed,
-			Method:            opt.Method,
-			Workers:           opt.Workers,
-			UseSnapshotMethod: opt.UseSnapshotMethod,
+			Seed:    opt.Seed,
+			Method:  opt.Method,
+			Workers: opt.Workers,
 		})
 	case BasisDCT:
 		b, err = basis.TrainDCT(ds, opt.KMax, basis.DCTEnergyRanked)
@@ -273,32 +269,6 @@ func (m *Monitor) EstimateBatch(readings [][]float64, workers int) ([][]float64,
 // receives the estimate for readings[i].
 func (m *Monitor) EstimateBatchInto(dst, readings [][]float64, workers int) error {
 	return m.rec.ReconstructBatchInto(dst, readings, workers)
-}
-
-// EstimateArmInto is EstimateInto with an explicit reconstruction arm
-// (recon.ArmOperator is the default serving path, recon.ArmQR the reference
-// ablation).
-func (m *Monitor) EstimateArmInto(dst, readings []float64, arm recon.Arm) error {
-	return m.rec.ReconstructArmInto(dst, readings, arm)
-}
-
-// EstimateBatchArmInto is EstimateBatchInto with an explicit arm.
-func (m *Monitor) EstimateBatchArmInto(dst, readings [][]float64, workers int, arm recon.Arm) error {
-	return m.rec.ReconstructBatchArmInto(dst, readings, workers, arm)
-}
-
-// EstimateBatchArm is EstimateBatch with an explicit arm.
-func (m *Monitor) EstimateBatchArm(readings [][]float64, workers int, arm recon.Arm) ([][]float64, error) {
-	out := make([][]float64, len(readings))
-	n := m.rec.N()
-	backing := make([]float64, len(readings)*n)
-	for i := range out {
-		out[i] = backing[i*n : (i+1)*n]
-	}
-	if err := m.rec.ReconstructBatchArmInto(out, readings, workers, arm); err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // N returns the number of cells per estimated map (the dst size EstimateInto

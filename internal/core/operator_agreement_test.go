@@ -6,21 +6,35 @@ import (
 
 	"repro/internal/dataset"
 	"repro/internal/floorplan"
-	"repro/internal/recon"
 	"repro/internal/track"
 	"repro/internal/workload"
 )
 
-// The operator and QR arms both realize Theorem 1 and differ only in
-// floating-point operation order: per cell both paths run O(K·M) flops over
-// O(1)-magnitude basis entries, so their results agree to ~1e-14 relative.
+// The served operator and the QR reference (Coefficients, then the basis
+// lift) both realize Theorem 1 and differ only in floating-point operation
+// order: per cell both paths run O(K·M) flops over O(1)-magnitude basis
+// entries, so their results agree to ~1e-14 relative.
 // The 1e-12 bound below leaves two orders of margin for ill-conditioned
 // layouts while still catching any real algebra defect, which would show up
 // at O(1). Coverage spans both bundled floorplans × the catalog's workload
 // scenarios × a Kalman-tracked serving sequence.
-const armAgreeTol = 1e-12
+const agreeTol = 1e-12
 
-func armRelDiff(a, b []float64) float64 {
+// qrReference is the two-stage estimate the monitor's folded operator is
+// pinned against: QR back-substitution for α̂, then x̃ = mean + Ψ_K α̂.
+func qrReference(t *testing.T, mon *Monitor, xS []float64) []float64 {
+	t.Helper()
+	rec := mon.Reconstructor()
+	alpha, err := rec.Coefficients(xS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, mon.N())
+	rec.Basis().SynthesizeInto(x, alpha)
+	return x
+}
+
+func relDiff(a, b []float64) float64 {
 	var diff, scale float64
 	for i := range a {
 		if d := math.Abs(a[i] - b[i]); d > diff {
@@ -65,17 +79,13 @@ func TestOperatorQRAgreementAcrossFloorplansAndScenarios(t *testing.T) {
 				t.Fatalf("%s/%s: monitor: %v", fp.Name, scen, err)
 			}
 			op := make([]float64, mon.N())
-			qr := make([]float64, mon.N())
 			for j := 0; j < 10; j++ {
 				xS := mon.Sample(ds.Map(j))
-				if err := mon.EstimateArmInto(op, xS, recon.ArmOperator); err != nil {
+				if err := mon.EstimateInto(op, xS); err != nil {
 					t.Fatal(err)
 				}
-				if err := mon.EstimateArmInto(qr, xS, recon.ArmQR); err != nil {
-					t.Fatal(err)
-				}
-				if d := armRelDiff(qr, op); d > armAgreeTol {
-					t.Fatalf("%s/%s map %d: arms disagree by %g relative", fp.Name, scen, j, d)
+				if d := relDiff(qrReference(t, mon, xS), op); d > agreeTol {
+					t.Fatalf("%s/%s map %d: operator and QR reference disagree by %g relative", fp.Name, scen, j, d)
 				}
 			}
 		}
@@ -83,8 +93,9 @@ func TestOperatorQRAgreementAcrossFloorplansAndScenarios(t *testing.T) {
 }
 
 // Agreement also holds inside a tracked serving sequence: the Kalman filter
-// smooths readings over time independently of the reconstruction arm, and
-// per-step estimates from the two arms stay within the pinned tolerance.
+// smooths readings over time independently of the reconstruction, and
+// per-step operator estimates stay within the pinned tolerance of the QR
+// reference.
 func TestOperatorQRAgreementUnderTracking(t *testing.T) {
 	fp := floorplan.UltraSparcT1()
 	ds, err := dataset.Generate(fp, dataset.GenConfig{
@@ -111,20 +122,16 @@ func TestOperatorQRAgreementUnderTracking(t *testing.T) {
 		t.Fatal(err)
 	}
 	op := make([]float64, mon.N())
-	qr := make([]float64, mon.N())
 	for j := 0; j < 30; j++ {
 		xS := mon.Sample(ds.Map(j))
 		if _, err := kf.Step(xS); err != nil {
 			t.Fatalf("step %d: %v", j, err)
 		}
-		if err := mon.EstimateArmInto(op, xS, recon.ArmOperator); err != nil {
+		if err := mon.EstimateInto(op, xS); err != nil {
 			t.Fatal(err)
 		}
-		if err := mon.EstimateArmInto(qr, xS, recon.ArmQR); err != nil {
-			t.Fatal(err)
-		}
-		if d := armRelDiff(qr, op); d > armAgreeTol {
-			t.Fatalf("step %d: arms disagree by %g relative", j, d)
+		if d := relDiff(qrReference(t, mon, xS), op); d > agreeTol {
+			t.Fatalf("step %d: operator and QR reference disagree by %g relative", j, d)
 		}
 	}
 }

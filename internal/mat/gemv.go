@@ -3,7 +3,8 @@ package mat
 // Affine kernels for the precomputed reconstruction operator: the serving
 // hot path is dst = bias + A·x with A the N×M operator, applied either to a
 // single reading vector (Estimate) or to a whole batch of them
-// (EstimateBatch / the daemon's coalesced GEMM). Both kernels are
+// (EstimateBatch / one request's batch on the daemon's estimate and govern
+// routes). Both kernels are
 // allocation-free and blocked for instruction-level parallelism: the naive
 // single-accumulator loop serializes on the floating-point add chain, while
 // four independent accumulators keep the multiply and add units busy.

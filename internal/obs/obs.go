@@ -4,8 +4,8 @@
 //
 // The daemon's request loop allocates one Trace per request, anchors it on a
 // monotonic clock, and hands it down the serving path; each stage — decode,
-// shard routing, page-in, coalesce wait, the GEMM solve, drift scoring,
-// adaptation, encode — records its span against that anchor. A finished
+// shard routing, page-in, the GEMM solve, drift scoring, adaptation,
+// governing, encode — records its span against that anchor. A finished
 // trace lands in a Ring (recent requests plus the top-N slowest), feeds the
 // per-stage histograms, and renders as a Server-Timing header, so one
 // request's cost breaks down identically in /metrics, in the client's
@@ -43,11 +43,8 @@ const (
 	// StagePageIn is the store read that rebuilds an evicted monitor's
 	// serving state, including any wait on a concurrent page-in.
 	StagePageIn
-	// StageCoalesceWait is the bounded wait for peer requests to share a
-	// coalesced flush.
-	StageCoalesceWait
 	// StageSolve is the reconstruction itself: the blocked GEMM against the
-	// precomputed operator (or the QR ablation solve).
+	// precomputed operator, or the Kalman step on the track route.
 	StageSolve
 	// StageDriftScore is the residual scoring that stamps the response's
 	// quality verdict.
@@ -67,7 +64,7 @@ const (
 )
 
 var stageNames = [NumStages]string{
-	"decode", "shard_route", "page_in", "coalesce_wait",
+	"decode", "shard_route", "page_in",
 	"solve", "drift_score", "adapt", "govern", "encode",
 }
 
@@ -151,40 +148,15 @@ func (t *Trace) Reset(id string, now time.Time) {
 // span (or the trace start) using a single monotonic clock read, then
 // advances the cursor. The serving path is instrumented as a chain of
 // Marks: the glue between stages is attributed to the stage that follows
-// it, which keeps waterfall coverage near 100% at half the clock reads of
-// a Begin/End pair per stage — clock reads are the dominant cost of
-// tracing on virtualized hosts.
+// it, which keeps waterfall coverage near 100% at one clock read per
+// stage — clock reads are the dominant cost of tracing on virtualized
+// hosts.
 func (t *Trace) Mark(st Stage) {
 	if t == nil {
 		return
 	}
 	now := time.Since(t.start)
 	t.record(st, t.last, now-t.last)
-}
-
-// Begin stamps the start of a stage. On a nil trace it returns the zero
-// time without reading the clock, so a stripped request skips even the
-// clock calls.
-func (t *Trace) Begin() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// End records a stage that started at from (a Begin result) and ends now,
-// and returns the end timestamp so an adjacent follow-on span can start
-// from it without a second clock read. A zero from (chained off a nil
-// trace) records nothing.
-func (t *Trace) End(st Stage, from time.Time) time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	now := time.Now()
-	if !from.IsZero() {
-		t.record(st, from.Sub(t.start), now.Sub(from))
-	}
-	return now
 }
 
 // Tail declares that everything between the last recorded span and the
@@ -201,21 +173,9 @@ func (t *Trace) Tail(st Stage) {
 	t.tail = uint8(st) + 1
 }
 
-// Between records a stage spanning [from, to] — for spans whose endpoints
-// were stamped elsewhere, like a coalesced flush shared by many requests.
-func (t *Trace) Between(st Stage, from, to time.Time) {
-	if t == nil || from.IsZero() || to.IsZero() {
-		return
-	}
-	t.record(st, from.Sub(t.start), to.Sub(from))
-}
-
 func (t *Trace) record(st Stage, offset, dur time.Duration) {
 	if st >= NumStages {
 		return
-	}
-	if offset < 0 {
-		offset = 0
 	}
 	if dur < 0 {
 		dur = 0
@@ -225,14 +185,12 @@ func (t *Trace) record(st Stage, offset, dur time.Duration) {
 		t.used |= bit
 		t.spans[st] = spanRec{Offset: offset, Dur: dur}
 	} else {
-		// Repeat occurrence (e.g. a coalesce fallback, or the body write
-		// folding into encode): accumulate the duration, keep the first
-		// offset so the waterfall stays ordered.
+		// Repeat occurrence (e.g. the body write folding into encode):
+		// accumulate the duration, keep the first offset so the waterfall
+		// stays ordered.
 		t.spans[st].Dur += dur
 	}
-	// Advance the cursor so a following Mark starts where this span ended —
-	// also re-syncs it after a Between whose endpoints were stamped on
-	// another goroutine (a coalesced flush).
+	// Advance the cursor so a following Mark starts where this span ended.
 	if end := offset + dur; end > t.last {
 		t.last = end
 		t.lastStage = st

@@ -9,7 +9,7 @@ import (
 )
 
 func TestStageNames(t *testing.T) {
-	want := []string{"decode", "shard_route", "page_in", "coalesce_wait", "solve", "drift_score", "adapt", "govern", "encode"}
+	want := []string{"decode", "shard_route", "page_in", "solve", "drift_score", "adapt", "govern", "encode"}
 	if int(NumStages) != len(want) {
 		t.Fatalf("NumStages = %d, want %d", NumStages, len(want))
 	}
@@ -25,10 +25,10 @@ func TestStageNames(t *testing.T) {
 
 func TestTraceSpans(t *testing.T) {
 	tr := NewTrace("req-1", time.Time{})
-	from := tr.Begin()
 	time.Sleep(time.Millisecond)
-	tr.End(StageDecode, from)
-	tr.Between(StageSolve, from, time.Now())
+	tr.Mark(StageDecode)
+	time.Sleep(time.Millisecond)
+	tr.Mark(StageSolve)
 	tr.Finish(200, 42, 0)
 
 	spans := tr.Spans()
@@ -53,9 +53,8 @@ func TestTraceSpans(t *testing.T) {
 
 func TestTraceRepeatStageAccumulates(t *testing.T) {
 	tr := NewTrace("req-2", time.Time{})
-	base := tr.Begin()
-	tr.Between(StageSolve, base, base.Add(2*time.Millisecond))
-	tr.Between(StageSolve, base.Add(5*time.Millisecond), base.Add(8*time.Millisecond))
+	tr.record(StageSolve, 0, 2*time.Millisecond)
+	tr.record(StageSolve, 5*time.Millisecond, 3*time.Millisecond)
 	spans := tr.Spans()
 	if len(spans) != 1 {
 		t.Fatalf("got %d spans, want 1", len(spans))
@@ -67,12 +66,8 @@ func TestTraceRepeatStageAccumulates(t *testing.T) {
 
 func TestTraceNilSafe(t *testing.T) {
 	var tr *Trace
-	from := tr.Begin()
-	if !from.IsZero() {
-		t.Error("nil Begin should return zero time")
-	}
-	tr.End(StageDecode, from)
-	tr.Between(StageSolve, from, from)
+	tr.Mark(StageDecode)
+	tr.Tail(StageEncode)
 	tr.Finish(200, 0, 0)
 	if tr.Spans() != nil || tr.StageTotal() != 0 {
 		t.Error("nil trace should have no spans")
@@ -291,9 +286,8 @@ func TestCodeCountsConcurrent(t *testing.T) {
 func TestStageSet(t *testing.T) {
 	s := NewStageSet([]float64{0.001, 0.01})
 	tr := NewTrace("x", time.Time{})
-	base := tr.Begin()
-	tr.Between(StageDecode, base, base.Add(100*time.Microsecond))
-	tr.Between(StageSolve, base, base.Add(5*time.Millisecond))
+	tr.record(StageDecode, 0, 100*time.Microsecond)
+	tr.record(StageSolve, 100*time.Microsecond, 5*time.Millisecond)
 	s.ObserveTrace(tr)
 	s.ObserveTrace(nil)
 	(*StageSet)(nil).ObserveTrace(tr)

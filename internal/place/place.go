@@ -37,6 +37,26 @@ type Allocator interface {
 	Allocate(in Input) ([]int, error)
 }
 
+// Parse maps a strategy name to its allocator: "" and "greedy" (the
+// paper's Algorithm 1), "energy", "random" (seeded by seed), "uniform" and
+// "d-optimal". Unknown names are an error; callers wrap it in their own
+// error surface.
+func Parse(name string, seed int64) (Allocator, error) {
+	switch name {
+	case "", "greedy":
+		return &Greedy{}, nil
+	case "energy":
+		return &EnergyCenter{}, nil
+	case "random":
+		return &Random{Seed: seed}, nil
+	case "uniform":
+		return &Uniform{}, nil
+	case "d-optimal":
+		return &DOptimal{}, nil
+	}
+	return nil, fmt.Errorf("place: unknown strategy %q (want greedy, energy, random, uniform or d-optimal)", name)
+}
+
 // Errors shared by allocators.
 var (
 	ErrTooFewCells = errors.New("place: fewer allowed cells than sensors")

@@ -541,3 +541,23 @@ func TestShermanMorrisonAgainstDirectInverse(t *testing.T) {
 		}
 	}
 }
+
+func TestParseStrategies(t *testing.T) {
+	for name, want := range map[string]string{
+		"": "greedy", "greedy": "greedy", "energy": "energy",
+		"random": "random", "uniform": "uniform", "d-optimal": "d-optimal",
+	} {
+		a, err := Parse(name, 7)
+		if err != nil || a.Name() != want {
+			t.Errorf("Parse(%q) = %v, %v; want %s", name, a, err, want)
+		}
+	}
+	if r, _ := Parse("random", 7); r.(*Random).Seed != 7 {
+		t.Error("Parse(random) dropped the seed")
+	}
+	for _, name := range []string{"doptimal", "Greedy", "exhaustive"} {
+		if _, err := Parse(name, 0); err == nil {
+			t.Errorf("Parse(%q) accepted an unknown strategy", name)
+		}
+	}
+}

@@ -2,21 +2,19 @@ package recon
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/mat"
 )
 
 // Batch reconstruction: many independent snapshots fanned out over a worker
-// pool. Each snapshot is one least-squares solve (Theorem 1), and solves
-// share the cached QR factorization read-only, so the batch parallelizes
-// embarrassingly — contiguous snapshot ranges are sharded across workers via
-// mat.ParallelChunks and each worker draws its scratch from the
-// reconstructor's pool.
+// pool. Each snapshot is one application of the folded Theorem 1 operator,
+// which every worker shares read-only, so the batch parallelizes
+// embarrassingly — contiguous blocks of snapshots are sharded across
+// workers via mat.ParallelChunks.
 
-// BatchError reports the first snapshot of a batch that failed validation or
-// solving. Earlier snapshots may already have been written to the output;
-// snapshots after the failed one are in an unspecified state.
+// BatchError reports the first snapshot of a batch that failed validation.
+// The batch is validated before any snapshot is reconstructed, so on error
+// no output has been written.
 type BatchError struct {
 	Index int // snapshot position within the batch
 	Err   error
@@ -46,31 +44,17 @@ func (r *Reconstructor) ReconstructBatch(readings [][]float64, workers int) ([][
 }
 
 // ReconstructBatchInto writes the estimate for readings[i] into dst[i]
-// (each length N) using the default operator arm: each worker's shard runs
-// as one blocked GEMM (four snapshots per operator-row load), and shards
-// hold whole blocks of four snapshots. Scratch-free and allocation-free in
-// the steady state. On failure the first offending snapshot is reported as
-// a *BatchError; remaining snapshots in other shards may still have been
-// reconstructed.
+// (each length N): each worker's shard runs as one blocked GEMM against the
+// folded operator (four snapshots per operator-row load), and shards hold
+// whole blocks of four snapshots. Scratch-free and allocation-free in the
+// steady state. Every snapshot is validated before any is reconstructed, and
+// the first offending one is reported as a *BatchError.
 func (r *Reconstructor) ReconstructBatchInto(dst [][]float64, readings [][]float64, workers int) error {
-	return r.ReconstructBatchArmInto(dst, readings, workers, ArmOperator)
-}
-
-// ReconstructBatchArmInto is ReconstructBatchInto with an explicit
-// implementation arm (see Arm).
-func (r *Reconstructor) ReconstructBatchArmInto(dst [][]float64, readings [][]float64, workers int, arm Arm) error {
 	if len(dst) != len(readings) {
 		return fmt.Errorf("recon: %d outputs for %d snapshots", len(dst), len(readings))
 	}
-	if arm != ArmOperator && arm != ArmQR {
-		return fmt.Errorf("%w: %d", ErrBadArm, int(arm))
-	}
-	if len(readings) == 0 {
-		return nil
-	}
 	// Validate everything up front so a bad snapshot in one shard cannot race
-	// a half-written batch: the common case (all valid) then runs the workers
-	// error-free.
+	// a half-written batch: the GEMM itself cannot fail per snapshot.
 	n := r.b.N()
 	for i, xS := range readings {
 		if len(dst[i]) != n {
@@ -80,37 +64,12 @@ func (r *Reconstructor) ReconstructBatchArmInto(dst [][]float64, readings [][]fl
 			return &BatchError{Index: i, Err: err}
 		}
 	}
-	if arm == ArmOperator {
-		// Readings are already validated, and the operator arm cannot fail
-		// per-snapshot: each shard is one blocked GEMM. Shards split on the
-		// kernel's 4-snapshot blocks, so only the batch's last shard can end
-		// in the kernel's slower per-snapshot tail.
-		blocks := (len(readings) + 3) / 4
-		mat.ParallelChunks(blocks, workers, func(lo, hi int) {
-			lo, hi = 4*lo, min(4*hi, len(readings))
-			mat.MulVecBiasBatchInto(dst[lo:hi], r.opBias, r.op, readings[lo:hi])
-		})
-		return nil
-	}
-	var firstErr *BatchError
-	var mu sync.Mutex
-	mat.ParallelChunks(len(readings), workers, func(lo, hi int) {
-		sc := r.getScratch()
-		defer r.scratch.Put(sc)
-		for i := lo; i < hi; i++ {
-			if err := r.coefficientsInto(sc.alpha, readings[i], sc); err != nil {
-				mu.Lock()
-				if firstErr == nil || i < firstErr.Index {
-					firstErr = &BatchError{Index: i, Err: err}
-				}
-				mu.Unlock()
-				return
-			}
-			r.b.SynthesizeInto(dst[i], sc.alpha)
-		}
+	// Shards split on the kernel's 4-snapshot blocks, so only the batch's
+	// last shard can end in the kernel's slower per-snapshot tail.
+	blocks := (len(readings) + 3) / 4
+	mat.ParallelChunks(blocks, workers, func(lo, hi int) {
+		lo, hi = 4*lo, min(4*hi, len(readings))
+		mat.MulVecBiasBatchInto(dst[lo:hi], r.opBias, r.op, readings[lo:hi])
 	})
-	if firstErr != nil {
-		return firstErr
-	}
 	return nil
 }

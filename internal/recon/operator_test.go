@@ -1,7 +1,6 @@
 package recon
 
 import (
-	"errors"
 	"math"
 	"testing"
 
@@ -25,12 +24,27 @@ func maxRelDiff(a, b []float64) float64 {
 	return diff / scale
 }
 
-// The two arms compute the same Theorem 1 estimate with different operation
-// orders, so they agree to accumulation-order error only. 1e-12 relative is
-// a loose bound for K,M ≤ 16 with a well-conditioned layout: each path does
-// O(K·M) flops per cell on O(1)-magnitude basis entries, so the float64
-// rounding gap is ~1e-14; 1e-12 leaves two orders of margin without ever
-// masking a real algebra bug.
+// qrReference is the two-stage Theorem 1 estimate the folded operator
+// replaced on the serving path: QR back-substitution for α̂, then the basis
+// lift x̃ = mean + Ψ_K α̂.
+func qrReference(t *testing.T, r *Reconstructor, xS []float64) []float64 {
+	t.Helper()
+	alpha, err := r.Coefficients(xS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := make([]float64, r.N())
+	r.Basis().SynthesizeInto(x, alpha)
+	return x
+}
+
+// The operator and the QR reference compute the same Theorem 1 estimate
+// with different operation orders, so they agree to accumulation-order
+// error only. 1e-12 relative is a loose bound for K,M ≤ 16 with a
+// well-conditioned layout: each path does O(K·M) flops per cell on
+// O(1)-magnitude basis entries, so the float64 rounding gap is ~1e-14;
+// 1e-12 leaves two orders of margin without ever masking a real algebra
+// bug.
 func TestOperatorArmAgreesWithQR(t *testing.T) {
 	for _, m := range []int{5, 8, 12} {
 		r, err := New(testBasis, 5, greedySensors(t, 5, m))
@@ -38,22 +52,19 @@ func TestOperatorArmAgreesWithQR(t *testing.T) {
 			t.Fatal(err)
 		}
 		opDst := make([]float64, r.N())
-		qrDst := make([]float64, r.N())
 		for j := 0; j < 20; j++ {
 			xS := r.Sample(testSet.Map(j))
-			if err := r.ReconstructArmInto(opDst, xS, ArmOperator); err != nil {
+			if err := r.ReconstructInto(opDst, xS); err != nil {
 				t.Fatal(err)
 			}
-			if err := r.ReconstructArmInto(qrDst, xS, ArmQR); err != nil {
-				t.Fatal(err)
-			}
-			if d := maxRelDiff(qrDst, opDst); d > 1e-12 {
-				t.Fatalf("M=%d map %d: arms disagree by %g relative", m, j, d)
+			if d := maxRelDiff(qrReference(t, r, xS), opDst); d > 1e-12 {
+				t.Fatalf("M=%d map %d: operator and QR reference disagree by %g relative", m, j, d)
 			}
 		}
 	}
 }
 
+// ReconstructInto is exactly the folded operator applied: x̃ = c + R·x_S.
 func TestDefaultArmIsOperator(t *testing.T) {
 	r, err := New(testBasis, 4, greedySensors(t, 4, 8))
 	if err != nil {
@@ -61,16 +72,15 @@ func TestDefaultArmIsOperator(t *testing.T) {
 	}
 	xS := r.Sample(testSet.Map(3))
 	def := make([]float64, r.N())
-	op := make([]float64, r.N())
 	if err := r.ReconstructInto(def, xS); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ReconstructArmInto(op, xS, ArmOperator); err != nil {
-		t.Fatal(err)
-	}
+	op, bias := r.Operator()
+	want := make([]float64, r.N())
+	mat.MulVecBiasInto(want, bias, op, xS)
 	for i := range def {
-		if def[i] != op[i] {
-			t.Fatalf("cell %d: default %v != operator %v", i, def[i], op[i])
+		if def[i] != want[i] {
+			t.Fatalf("cell %d: ReconstructInto %v != c + R·x_S %v", i, def[i], want[i])
 		}
 	}
 }
@@ -82,26 +92,22 @@ func TestBatchArmMatchesSequentialBitwise(t *testing.T) {
 	}
 	const batch = 11 // straddles the 4-snapshot GEMM blocking
 	readings := make([][]float64, batch)
+	dst := make([][]float64, batch)
 	for j := range readings {
 		readings[j] = r.Sample(testSet.Map(j))
+		dst[j] = make([]float64, r.N())
 	}
-	for _, arm := range []Arm{ArmOperator, ArmQR} {
-		dst := make([][]float64, batch)
-		for j := range dst {
-			dst[j] = make([]float64, r.N())
-		}
-		if err := r.ReconstructBatchArmInto(dst, readings, 3, arm); err != nil {
+	if err := r.ReconstructBatchInto(dst, readings, 3); err != nil {
+		t.Fatal(err)
+	}
+	single := make([]float64, r.N())
+	for j := range readings {
+		if err := r.ReconstructInto(single, readings[j]); err != nil {
 			t.Fatal(err)
 		}
-		single := make([]float64, r.N())
-		for j := range readings {
-			if err := r.ReconstructArmInto(single, readings[j], arm); err != nil {
-				t.Fatal(err)
-			}
-			for i := range single {
-				if dst[j][i] != single[i] {
-					t.Fatalf("arm=%v snapshot %d cell %d: batch %v != single %v", arm, j, i, dst[j][i], single[i])
-				}
+		for i := range single {
+			if dst[j][i] != single[i] {
+				t.Fatalf("snapshot %d cell %d: batch %v != single %v", j, i, dst[j][i], single[i])
 			}
 		}
 	}
@@ -173,20 +179,5 @@ func TestRestoreWithOperator(t *testing.T) {
 	}
 	if _, err := RestoreWithOperator(testBasis, 5, sensors, r1.QR(), op, bias[:4]); err == nil {
 		t.Fatal("wrong-length bias accepted")
-	}
-}
-
-func TestUnknownArmRejected(t *testing.T) {
-	r, err := New(testBasis, 4, greedySensors(t, 4, 8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	xS := r.Sample(testSet.Map(0))
-	dst := make([]float64, r.N())
-	if err := r.ReconstructArmInto(dst, xS, Arm(99)); !errors.Is(err, ErrBadArm) {
-		t.Fatalf("ReconstructArmInto arm=99 err = %v", err)
-	}
-	if err := r.ReconstructBatchArmInto([][]float64{dst}, [][]float64{xS}, 1, Arm(99)); !errors.Is(err, ErrBadArm) {
-		t.Fatalf("ReconstructBatchArmInto arm=99 err = %v", err)
 	}
 }

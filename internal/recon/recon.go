@@ -34,37 +34,6 @@ var (
 	ErrBadReading = errors.New("recon: non-finite sensor reading")
 )
 
-// Arm selects which of the two mathematically equivalent reconstruction
-// implementations serves an estimate. Both realize Theorem 1; they differ
-// only in how the work is staged.
-type Arm int
-
-const (
-	// ArmOperator applies the precomputed affine operator: x̃ = c + R·x_S
-	// with R = Ψ_K(Ψ̃_K)⁺ folded once at construction and c = mean − R·mean_S.
-	// One N×M matvec per snapshot, no intermediate coefficient solve. This
-	// is the default serving arm.
-	ArmOperator Arm = iota
-	// ArmQR runs the original two-stage path — QR back-substitution for α̂
-	// followed by the basis lift — and is kept as the reference ablation the
-	// operator arm's agreement is pinned against.
-	ArmQR
-)
-
-// String names the arm for benchmarks and logs.
-func (a Arm) String() string {
-	switch a {
-	case ArmOperator:
-		return "operator"
-	case ArmQR:
-		return "qr"
-	}
-	return fmt.Sprintf("Arm(%d)", int(a))
-}
-
-// ErrBadArm reports an Arm value that names neither implementation.
-var ErrBadArm = errors.New("recon: unknown reconstruction arm")
-
 // Reconstructor solves min_α ‖x_S − Ψ̃_K α‖₂ and synthesizes x̃ = mean + Ψ_K α̂.
 // It is safe for concurrent use after construction: the factorization and
 // the folded operator are read-only and per-call scratch comes from an
@@ -93,7 +62,6 @@ type Reconstructor struct {
 type solveScratch struct {
 	centered []float64 // M: readings minus the training mean
 	work     []float64 // M: reflector-sweep workspace
-	alpha    []float64 // K: solved coefficients
 }
 
 func (r *Reconstructor) getScratch() *solveScratch {
@@ -103,7 +71,6 @@ func (r *Reconstructor) getScratch() *solveScratch {
 	return &solveScratch{
 		centered: make([]float64, len(r.sensors)),
 		work:     make([]float64, len(r.sensors)),
-		alpha:    make([]float64, r.k),
 	}
 }
 
@@ -313,37 +280,29 @@ func (r *Reconstructor) checkReadings(xS []float64) error {
 }
 
 // Coefficients solves the least-squares problem for the (possibly noisy)
-// sensor readings xS (length M, °C) and returns α̂. Non-finite readings are
-// rejected with ErrBadReading.
+// sensor readings xS (length M, °C) by QR back-substitution and returns α̂.
+// Non-finite readings are rejected with ErrBadReading. Lifted through
+// Basis().SynthesizeInto, α̂ is the two-stage reference the folded operator
+// is pinned against.
 func (r *Reconstructor) Coefficients(xS []float64) ([]float64, error) {
 	if err := r.checkReadings(xS); err != nil {
 		return nil, err
 	}
 	alpha := make([]float64, r.k)
 	sc := r.getScratch()
-	err := r.coefficientsInto(alpha, xS, sc)
-	r.scratch.Put(sc)
-	if err != nil {
-		return nil, err
+	defer r.scratch.Put(sc)
+	for i, v := range xS {
+		sc.centered[i] = v - r.meanS[i]
+	}
+	if err := r.qr.SolveInto(alpha, sc.centered, sc.work); err != nil {
+		return nil, fmt.Errorf("recon: least squares: %w", err)
 	}
 	return alpha, nil
 }
 
-// coefficientsInto solves for α̂ into dst (length K) using sc's buffers.
-// The readings must already have passed checkReadings.
-func (r *Reconstructor) coefficientsInto(dst, xS []float64, sc *solveScratch) error {
-	for i, v := range xS {
-		sc.centered[i] = v - r.meanS[i]
-	}
-	if err := r.qr.SolveInto(dst, sc.centered, sc.work); err != nil {
-		return fmt.Errorf("recon: least squares: %w", err)
-	}
-	return nil
-}
-
 // Reconstruct estimates the full thermal map from sensor readings
-// (Theorem 1: x̃ = Ψ_K (Ψ̃_K*Ψ̃_K)⁻¹ Ψ̃_K* x_S, realized via QR, with the
-// training mean restored).
+// (Theorem 1: x̃ = Ψ_K (Ψ̃_K*Ψ̃_K)⁻¹ Ψ̃_K* x_S, with the training mean
+// restored), applied as the folded operator x̃ = c + R·x_S.
 func (r *Reconstructor) Reconstruct(xS []float64) ([]float64, error) {
 	out := make([]float64, r.b.N())
 	if err := r.ReconstructInto(out, xS); err != nil {
@@ -353,39 +312,20 @@ func (r *Reconstructor) Reconstruct(xS []float64) ([]float64, error) {
 }
 
 // ReconstructInto is the allocation-free form of Reconstruct: it writes the
-// estimated map into dst (length N) using the default operator arm — one
-// blocked N×M matvec, zero steady-state allocations per snapshot.
+// estimated map into dst (length N) by applying the folded operator — one
+// blocked N×M matvec, zero steady-state allocations per snapshot. It agrees
+// with the QR reference (Coefficients, then Basis().SynthesizeInto) to
+// accumulation-order rounding, within ~1e-12 relative on realistic data; see
+// the package tests for the pinned agreement.
 func (r *Reconstructor) ReconstructInto(dst, xS []float64) error {
-	return r.ReconstructArmInto(dst, xS, ArmOperator)
-}
-
-// ReconstructArmInto is ReconstructInto with an explicit implementation arm.
-// ArmOperator applies the folded operator; ArmQR runs the reference
-// solve-then-lift path. The two agree to the accumulation-order level
-// (within ~1e-12 relative on realistic data; see the package tests for the
-// pinned agreement).
-func (r *Reconstructor) ReconstructArmInto(dst, xS []float64, arm Arm) error {
 	if len(dst) != r.b.N() {
 		return fmt.Errorf("recon: destination length %d != N %d", len(dst), r.b.N())
 	}
 	if err := r.checkReadings(xS); err != nil {
 		return err
 	}
-	switch arm {
-	case ArmOperator:
-		mat.MulVecBiasInto(dst, r.opBias, r.op, xS)
-		return nil
-	case ArmQR:
-		sc := r.getScratch()
-		err := r.coefficientsInto(sc.alpha, xS, sc)
-		if err == nil {
-			r.b.SynthesizeInto(dst, sc.alpha)
-		}
-		r.scratch.Put(sc)
-		return err
-	default:
-		return fmt.Errorf("%w: %d", ErrBadArm, int(arm))
-	}
+	mat.MulVecBiasInto(dst, r.opBias, r.op, xS)
+	return nil
 }
 
 // ResidualProjector returns the M×M sensor-space residual projector

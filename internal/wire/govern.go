@@ -27,7 +27,7 @@ import (
 //	  ladder_n  uint32   0 = default ladder
 //	  ladder    ladder_n float64, strictly ascending in (0,1]
 //	rows      uint32   snapshots in the batch
-//	cols      uint32   readings per snapshot
+//	cols      uint32   readings per snapshot (rows > 0 needs cols > 0)
 //	readings  rows×cols float64, row-major
 //
 // Response payload:
@@ -164,7 +164,7 @@ func AppendGovernRequest(buf []byte, req *GovernRequest) ([]byte, error) {
 // a pooled ReadingsBuf makes steady-state decodes allocation-free, exactly
 // as for estimate requests.
 func DecodeGovernRequest(data []byte, scratch *ReadingsBuf) (*GovernRequest, error) {
-	payload, _, err := checkEnvelope(data, governReqMagic, "govern request")
+	payload, err := checkEnvelope(data, governReqMagic, "govern request")
 	if err != nil {
 		return nil, err
 	}
@@ -182,7 +182,7 @@ func DecodeGovernRequest(data []byte, scratch *ReadingsBuf) (*GovernRequest, err
 			return nil, fmt.Errorf("wire: govern request payload ends inside its config")
 		}
 		policy := binary.LittleEndian.Uint32(payload[off:])
-		if int(policy) >= len(governPolicyNames) {
+		if policy >= uint32(len(governPolicyNames)) {
 			return nil, fmt.Errorf("wire: govern policy id %d out of range", policy)
 		}
 		off += 4
@@ -191,9 +191,9 @@ func DecodeGovernRequest(data []byte, scratch *ReadingsBuf) (*GovernRequest, err
 			ps[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
 			off += 8
 		}
-		ladderN := int(binary.LittleEndian.Uint32(payload[off:]))
+		ladderN := binary.LittleEndian.Uint32(payload[off:])
 		off += 4
-		if ladderN < 0 || len(payload)-off < 8*ladderN {
+		if uint64(ladderN) > uint64(len(payload)-off)/8 {
 			return nil, fmt.Errorf("wire: govern request claims a %d-level ladder beyond the payload", ladderN)
 		}
 		var ladder []float64
@@ -211,31 +211,9 @@ func DecodeGovernRequest(data []byte, scratch *ReadingsBuf) (*GovernRequest, err
 			Ladder: ladder,
 		}
 	}
-	if len(payload)-off < 8 {
-		return nil, fmt.Errorf("wire: govern request payload ends before its batch header")
+	if req.Readings, err = decodeBatch(payload[off:], scratch); err != nil {
+		return nil, err
 	}
-	rows := int(binary.LittleEndian.Uint32(payload[off:]))
-	cols := int(binary.LittleEndian.Uint32(payload[off+4:]))
-	off += 8
-	if rows < 0 || cols < 0 || rows*cols < 0 || len(payload)-off != 8*rows*cols {
-		return nil, fmt.Errorf("wire: %dx%d readings do not fit a %d-byte govern payload", rows, cols, len(payload))
-	}
-	if scratch == nil {
-		scratch = &ReadingsBuf{}
-	}
-	if cap(scratch.flat) < rows*cols {
-		scratch.flat = make([]float64, rows*cols)
-	}
-	flat := scratch.flat[:rows*cols]
-	body := payload[off:]
-	for i := range flat {
-		flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
-	}
-	scratch.rows = scratch.rows[:0]
-	for i := 0; i < rows; i++ {
-		scratch.rows = append(scratch.rows, flat[i*cols:(i+1)*cols:(i+1)*cols])
-	}
-	req.Readings = scratch.rows
 	return req, nil
 }
 
@@ -279,21 +257,22 @@ func AppendGovernResponse(buf []byte, resp *GovernResponse) ([]byte, error) {
 
 // DecodeGovernResponse decodes one binary govern response.
 func DecodeGovernResponse(data []byte) (*GovernResponse, error) {
-	payload, _, err := checkEnvelope(data, governRespMagic, "govern response")
+	payload, err := checkEnvelope(data, governRespMagic, "govern response")
 	if err != nil {
 		return nil, err
 	}
-	if len(payload) < 8 {
-		return nil, fmt.Errorf("wire: govern response payload %d bytes, want at least 8", len(payload))
+	if len(payload) < 16 {
+		return nil, fmt.Errorf("wire: govern response payload %d bytes, want at least 16", len(payload))
 	}
 	flags := binary.LittleEndian.Uint32(payload[0:4])
 	if flags&^uint32(respQualityMask) != 0 {
 		return nil, fmt.Errorf("wire: unknown govern response flags %#x", flags)
 	}
 	resp := &GovernResponse{Quality: Quality(flags & respQualityMask)}
-	ladderN := int(binary.LittleEndian.Uint32(payload[4:8]))
+	ladderN := binary.LittleEndian.Uint32(payload[4:8])
 	off := 8
-	if ladderN < 0 || len(payload)-off < 8*ladderN+8 {
+	// The 8 bytes reserved here are the cores and count words.
+	if uint64(ladderN) > uint64(len(payload)-off-8)/8 {
 		return nil, fmt.Errorf("wire: govern response claims a %d-level ladder beyond the payload", ladderN)
 	}
 	resp.Ladder = make([]float64, ladderN)
@@ -301,14 +280,14 @@ func DecodeGovernResponse(data []byte) (*GovernResponse, error) {
 		resp.Ladder[i] = math.Float64frombits(binary.LittleEndian.Uint64(payload[off:]))
 		off += 8
 	}
-	cores := int(binary.LittleEndian.Uint32(payload[off:]))
-	count := int(binary.LittleEndian.Uint32(payload[off+4:]))
+	cores := binary.LittleEndian.Uint32(payload[off:])
+	count := binary.LittleEndian.Uint32(payload[off+4:])
 	off += 8
-	decSize := 8 + 8 + 8 + 4 + cores
-	if cores < 0 || count < 0 || decSize <= 0 || count > (len(payload)-off)/decSize {
+	decSize := 8 + 8 + 8 + 4 + uint64(cores)
+	if uint64(count) > uint64(len(payload)-off)/decSize {
 		return nil, fmt.Errorf("wire: %d govern decisions do not fit a %d-byte payload", count, len(payload))
 	}
-	resp.Cores = cores
+	resp.Cores = int(cores)
 	resp.Decisions = make([]GovernDecision, count)
 	for i := range resp.Decisions {
 		d := &resp.Decisions[i]
@@ -321,7 +300,7 @@ func DecodeGovernResponse(data []byte) (*GovernResponse, error) {
 		for j := range d.Levels {
 			d.Levels[j] = int(payload[off+j])
 		}
-		off += cores
+		off += len(d.Levels)
 	}
 	if len(payload)-off != 16 {
 		return nil, fmt.Errorf("wire: govern response trailer is %d bytes, want 16", len(payload)-off)

@@ -12,21 +12,21 @@
 // own magics:
 //
 //	magic   "EMRQ" (request) / "EMRS" (response)   4 bytes
-//	version uint32 LE                              protocol version (2; 1 accepted)
+//	version uint32 LE                              protocol version (2)
 //	length  uint64 LE                              payload byte count
 //	payload length bytes
 //	crc     uint32 LE                              IEEE CRC-32 of the payload
 //
-// Request payload, identical under versions 1 and 2 (all integers uint32 LE,
-// floats float64 LE):
+// Request payload (all integers uint32 LE, floats float64 LE):
 //
-//	flags     uint32   bit 0 = include_maps, bit 1 = arm "qr"
+//	flags     uint32   bit 0 = include_maps; every other bit is rejected
 //	workers   uint32   estimation worker-pool size (0 = default)
 //	rows      uint32   snapshots in the batch
-//	cols      uint32   readings per snapshot (the batch is rectangular)
+//	cols      uint32   readings per snapshot (the batch is rectangular;
+//	                   rows > 0 needs cols > 0)
 //	readings  rows×cols float64, row-major
 //
-// Response payload (version 2):
+// Response payload:
 //
 //	flags     uint32   bits 0–1 = quality (0 ok, 1 drifting, 2 degraded)
 //	count     uint32   summaries (== request rows)
@@ -38,10 +38,9 @@
 //	  map_len uint32   0 unless include_maps was set
 //	  map     map_len float64
 //
-// A version 1 response payload is the same without the leading flags word;
-// this build still decodes it (quality reads as ok — v1 daemons predate
-// drift detection). The quality bits mirror the JSON protocol's "quality"
-// field, so both protocols carry the same drift verdict per response.
+// The quality bits mirror the JSON protocol's "quality" field, so both
+// protocols carry the same drift verdict per response. Frames of any other
+// version, including the retired version 1, are rejected.
 //
 // Decoded values are bit-identical to the JSON path's: both protocols move
 // the same float64s, one in decimal text, one in raw bits — which is what
@@ -63,12 +62,9 @@ import (
 // estimate route.
 const ContentType = "application/x-emaps"
 
-// Version is the protocol version this build writes. Decode additionally
-// accepts version 1 (whose responses carry no quality word).
+// Version is the protocol version this build writes and the only one it
+// reads.
 const Version = 2
-
-// minVersion is the oldest protocol version Decode still reads.
-const minVersion = 1
 
 const (
 	reqMagic  = "EMRQ"
@@ -81,7 +77,6 @@ const (
 	maxPayload = 1 << 26
 
 	flagIncludeMaps = 1 << 0
-	flagArmQR       = 1 << 1
 
 	// respQualityMask covers the quality bits of a version ≥ 2 response
 	// flags word.
@@ -137,9 +132,6 @@ type EstimateRequest struct {
 	Workers int
 	// IncludeMaps asks for full maps in each summary.
 	IncludeMaps bool
-	// ArmQR selects the per-snapshot QR-solve ablation arm instead of the
-	// precomputed-operator GEMM.
-	ArmQR bool
 }
 
 // ReadingsBuf is reusable decode scratch: the flat readings storage and the
@@ -169,9 +161,6 @@ func AppendEstimateRequest(buf []byte, req *EstimateRequest) ([]byte, error) {
 	if req.IncludeMaps {
 		flags |= flagIncludeMaps
 	}
-	if req.ArmQR {
-		flags |= flagArmQR
-	}
 	payloadLen := 4 + 4 + 4 + 4 + 8*rows*cols
 	buf = appendHeader(buf, reqMagic, payloadLen)
 	payloadStart := len(buf)
@@ -190,7 +179,7 @@ func AppendEstimateRequest(buf []byte, req *EstimateRequest) ([]byte, error) {
 // ReadingsBuf makes the decode reuse its storage. The returned request's
 // rows alias scratch — recycle it only after the rows are dead.
 func DecodeEstimateRequest(data []byte, scratch *ReadingsBuf) (*EstimateRequest, error) {
-	payload, _, err := checkEnvelope(data, reqMagic, "request")
+	payload, err := checkEnvelope(data, reqMagic, "request")
 	if err != nil {
 		return nil, err
 	}
@@ -198,37 +187,54 @@ func DecodeEstimateRequest(data []byte, scratch *ReadingsBuf) (*EstimateRequest,
 		return nil, fmt.Errorf("wire: request payload %d bytes, want at least 16", len(payload))
 	}
 	flags := binary.LittleEndian.Uint32(payload[0:4])
-	if flags&^uint32(flagIncludeMaps|flagArmQR) != 0 {
+	if flags&^uint32(flagIncludeMaps) != 0 {
 		return nil, fmt.Errorf("wire: unknown request flags %#x", flags)
 	}
-	workers := binary.LittleEndian.Uint32(payload[4:8])
-	rows := int(binary.LittleEndian.Uint32(payload[8:12]))
-	cols := int(binary.LittleEndian.Uint32(payload[12:16]))
-	want := 16 + 8*rows*cols
-	if rows < 0 || cols < 0 || rows*cols < 0 || want != len(payload) {
-		return nil, fmt.Errorf("wire: %dx%d readings do not fit a %d-byte payload", rows, cols, len(payload))
+	readings, err := decodeBatch(payload[8:], scratch)
+	if err != nil {
+		return nil, err
 	}
+	return &EstimateRequest{
+		Readings:    readings,
+		Workers:     int(binary.LittleEndian.Uint32(payload[4:8])),
+		IncludeMaps: flags&flagIncludeMaps != 0,
+	}, nil
+}
+
+// decodeBatch decodes the rows, cols and rows×cols readings that end every
+// request payload. Each dimension is bounded by the bytes that carry the
+// readings before the two are multiplied, so no declared shape can wrap
+// the size check, and rows > 0 with cols = 0 is rejected: such a frame
+// would cost a row header per declared row while carrying no readings, and
+// no monitor has zero sensors. scratch may be nil; the rows alias it.
+func decodeBatch(b []byte, scratch *ReadingsBuf) ([][]float64, error) {
+	if len(b) < 8 {
+		return nil, fmt.Errorf("wire: payload ends before its batch header")
+	}
+	rows := binary.LittleEndian.Uint32(b[0:4])
+	cols := binary.LittleEndian.Uint32(b[4:8])
+	body := b[8:]
+	fits := uint64(len(body)) / 8
+	if rows > 0 && (cols == 0 || uint64(cols) > fits) || uint64(rows) > fits ||
+		8*uint64(rows)*uint64(cols) != uint64(len(body)) {
+		return nil, fmt.Errorf("wire: %dx%d readings do not fit %d payload bytes", rows, cols, len(body))
+	}
+	n, c := int(rows)*int(cols), int(cols)
 	if scratch == nil {
 		scratch = &ReadingsBuf{}
 	}
-	if cap(scratch.flat) < rows*cols {
-		scratch.flat = make([]float64, rows*cols)
+	if cap(scratch.flat) < n {
+		scratch.flat = make([]float64, n)
 	}
-	flat := scratch.flat[:rows*cols]
-	body := payload[16:]
+	flat := scratch.flat[:n]
 	for i := range flat {
 		flat[i] = math.Float64frombits(binary.LittleEndian.Uint64(body[8*i:]))
 	}
 	scratch.rows = scratch.rows[:0]
-	for i := 0; i < rows; i++ {
-		scratch.rows = append(scratch.rows, flat[i*cols:(i+1)*cols:(i+1)*cols])
+	for i := 0; i < int(rows); i++ {
+		scratch.rows = append(scratch.rows, flat[i*c:(i+1)*c:(i+1)*c])
 	}
-	return &EstimateRequest{
-		Readings:    scratch.rows,
-		Workers:     int(workers),
-		IncludeMaps: flags&flagIncludeMaps != 0,
-		ArmQR:       flags&flagArmQR != 0,
-	}, nil
+	return scratch.rows, nil
 }
 
 // AppendEstimateResponse encodes the summaries and the response quality onto
@@ -255,35 +261,25 @@ func AppendEstimateResponse(buf []byte, results []Summary, quality Quality) []by
 	return appendCRC(buf, payloadStart)
 }
 
-// DecodeEstimateResponse decodes one binary estimate response. The returned
-// quality is QualityOK for version 1 responses, which predate the flags word.
+// DecodeEstimateResponse decodes one binary estimate response.
 func DecodeEstimateResponse(data []byte) ([]Summary, Quality, error) {
-	payload, version, err := checkEnvelope(data, respMagic, "response")
+	payload, err := checkEnvelope(data, respMagic, "response")
 	if err != nil {
 		return nil, 0, err
 	}
-	quality := QualityOK
-	off := 0
-	if version >= 2 {
-		if len(payload) < 4 {
-			return nil, 0, fmt.Errorf("wire: response payload %d bytes, want at least 4 for the flags word", len(payload))
-		}
-		flags := binary.LittleEndian.Uint32(payload[0:4])
-		if flags&^uint32(respQualityMask) != 0 {
-			return nil, 0, fmt.Errorf("wire: unknown response flags %#x", flags)
-		}
-		quality = Quality(flags & respQualityMask)
-		off = 4
+	if len(payload) < 8 {
+		return nil, 0, fmt.Errorf("wire: response payload %d bytes, want at least 8", len(payload))
 	}
-	if len(payload)-off < 4 {
-		return nil, 0, fmt.Errorf("wire: response payload %d bytes, want at least %d", len(payload), off+4)
+	flags := binary.LittleEndian.Uint32(payload[0:4])
+	if flags&^uint32(respQualityMask) != 0 {
+		return nil, 0, fmt.Errorf("wire: unknown response flags %#x", flags)
 	}
-	count := int(binary.LittleEndian.Uint32(payload[off : off+4]))
-	if count < 0 || count > (len(payload)-off-4)/32 {
+	count := binary.LittleEndian.Uint32(payload[4:8])
+	off := 8
+	if uint64(count) > uint64(len(payload)-off)/32 {
 		return nil, 0, fmt.Errorf("wire: %d summaries do not fit a %d-byte payload", count, len(payload))
 	}
 	out := make([]Summary, count)
-	off += 4
 	for i := range out {
 		if len(payload)-off < 32 {
 			return nil, 0, fmt.Errorf("wire: response payload ends inside summary %d", i)
@@ -292,9 +288,9 @@ func DecodeEstimateResponse(data []byte) ([]Summary, Quality, error) {
 		out[i].MinC = math.Float64frombits(binary.LittleEndian.Uint64(payload[off+8:]))
 		out[i].MeanC = math.Float64frombits(binary.LittleEndian.Uint64(payload[off+16:]))
 		out[i].MaxCell = int(binary.LittleEndian.Uint32(payload[off+24:]))
-		mapLen := int(binary.LittleEndian.Uint32(payload[off+28:]))
+		mapLen := binary.LittleEndian.Uint32(payload[off+28:])
 		off += 32
-		if len(payload)-off < 8*mapLen {
+		if uint64(mapLen) > uint64(len(payload)-off)/8 {
 			return nil, 0, fmt.Errorf("wire: summary %d claims a %d-cell map beyond the payload", i, mapLen)
 		}
 		if mapLen > 0 {
@@ -303,13 +299,13 @@ func DecodeEstimateResponse(data []byte) ([]Summary, Quality, error) {
 				m[j] = math.Float64frombits(binary.LittleEndian.Uint64(payload[off+8*j:]))
 			}
 			out[i].Map = m
-			off += 8 * mapLen
+			off += 8 * len(m)
 		}
 	}
 	if off != len(payload) {
 		return nil, 0, fmt.Errorf("wire: %d trailing response payload bytes", len(payload)-off)
 	}
-	return out, quality, nil
+	return out, Quality(flags & respQualityMask), nil
 }
 
 // appendHeader writes the magic, version and payload length.
@@ -334,30 +330,28 @@ func appendFloats(buf []byte, fs []float64) []byte {
 }
 
 // checkEnvelope validates magic, version, length and CRC, returning the
-// payload slice (aliasing data) and the envelope's version so callers can
-// decode version-dependent payload layouts.
-func checkEnvelope(data []byte, magic, what string) ([]byte, uint32, error) {
+// payload slice (aliasing data).
+func checkEnvelope(data []byte, magic, what string) ([]byte, error) {
 	if len(data) < 16 {
-		return nil, 0, fmt.Errorf("wire: %s shorter than its 16-byte header", what)
+		return nil, fmt.Errorf("wire: %s shorter than its 16-byte header", what)
 	}
 	if string(data[:4]) != magic {
-		return nil, 0, fmt.Errorf("wire: %s magic %q, want %q", what, data[:4], magic)
+		return nil, fmt.Errorf("wire: %s magic %q, want %q", what, data[:4], magic)
 	}
-	version := binary.LittleEndian.Uint32(data[4:8])
-	if version < minVersion || version > Version {
-		return nil, 0, fmt.Errorf("wire: %s version %d (this build speaks %d..%d)", what, version, minVersion, Version)
+	if version := binary.LittleEndian.Uint32(data[4:8]); version != Version {
+		return nil, fmt.Errorf("wire: %s version %d (this build speaks %d)", what, version, Version)
 	}
 	length := binary.LittleEndian.Uint64(data[8:16])
 	if length > maxPayload {
-		return nil, 0, fmt.Errorf("wire: %s payload length %d exceeds cap %d", what, length, int64(maxPayload))
+		return nil, fmt.Errorf("wire: %s payload length %d exceeds cap %d", what, length, int64(maxPayload))
 	}
 	if uint64(len(data)) != 16+length+4 {
-		return nil, 0, fmt.Errorf("wire: %s is %d bytes, envelope declares %d", what, len(data), 16+length+4)
+		return nil, fmt.Errorf("wire: %s is %d bytes, envelope declares %d", what, len(data), 16+length+4)
 	}
 	payload := data[16 : 16+length]
 	want := binary.LittleEndian.Uint32(data[16+length:])
 	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, 0, fmt.Errorf("wire: %s crc32 %08x, envelope says %08x", what, got, want)
+		return nil, fmt.Errorf("wire: %s crc32 %08x, envelope says %08x", what, got, want)
 	}
-	return payload, version, nil
+	return payload, nil
 }

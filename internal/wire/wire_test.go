@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"hash/crc32"
 	"math"
 	"reflect"
@@ -16,7 +17,6 @@ func sampleRequest() *EstimateRequest {
 		},
 		Workers:     4,
 		IncludeMaps: true,
-		ArmQR:       true,
 	}
 }
 
@@ -33,7 +33,7 @@ func TestRequestRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Readings, req.Readings) {
 		t.Fatalf("readings round-trip:\n got %v\nwant %v", got.Readings, req.Readings)
 	}
-	if got.Workers != 4 || !got.IncludeMaps || !got.ArmQR {
+	if got.Workers != 4 || !got.IncludeMaps {
 		t.Fatalf("options round-trip: %+v", got)
 	}
 }
@@ -125,52 +125,6 @@ func TestResponseEmpty(t *testing.T) {
 	}
 }
 
-// TestVersion1Frames: the request payload is identical under both versions,
-// and a v1 response is a v2 response without the leading quality word — this
-// build must read both (older clients and recorded traffic).
-func TestVersion1Frames(t *testing.T) {
-	req := sampleRequest()
-	reqBuf, err := AppendEstimateRequest(nil, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The CRC covers only the payload, so rewriting the version word of a v2
-	// request frame reproduces a genuine v1 frame exactly.
-	v1req := append([]byte(nil), reqBuf...)
-	v1req[4] = 1
-	got, err := DecodeEstimateRequest(v1req, nil)
-	if err != nil {
-		t.Fatalf("v1 request decode: %v", err)
-	}
-	if !reflect.DeepEqual(got.Readings, req.Readings) {
-		t.Fatal("v1 request readings mismatched")
-	}
-
-	in := []Summary{{MaxC: 81.5, MinC: 44.25, MeanC: 60.125, MaxCell: 17}}
-	v2 := AppendEstimateResponse(nil, in, QualityDegraded)
-	// Strip the 4-byte quality word from the payload, patch the declared
-	// length and version, and re-CRC: a byte-exact v1 response frame.
-	payload := append([]byte(nil), v2[20:len(v2)-4]...)
-	v1resp := append([]byte(nil), v2[:4]...)
-	v1resp = append(v1resp, 1, 0, 0, 0)
-	var lenWord [8]byte
-	lenWord[0] = byte(len(payload))
-	v1resp = append(v1resp, lenWord[:]...)
-	v1resp = append(v1resp, payload...)
-	v1resp = append(v1resp, 0, 0, 0, 0)
-	recrc(v1resp, payload)
-	gotSum, q, err := DecodeEstimateResponse(v1resp)
-	if err != nil {
-		t.Fatalf("v1 response decode: %v", err)
-	}
-	if !reflect.DeepEqual(gotSum, in) {
-		t.Fatalf("v1 response summaries mismatched: %+v", gotSum)
-	}
-	if q != QualityOK {
-		t.Fatalf("v1 response quality %v, want ok (predates drift)", q)
-	}
-}
-
 func TestResponseUnknownFlagsRejected(t *testing.T) {
 	buf := AppendEstimateResponse(nil, []Summary{{MaxC: 1}}, QualityOK)
 	// Response flags live at payload offset 0 → frame offset 16.
@@ -203,6 +157,19 @@ func TestHostileBytes(t *testing.T) {
 		bad[4] = 99
 		if _, err := DecodeEstimateRequest(bad, nil); err == nil {
 			t.Fatal("accepted future version")
+		}
+	})
+	t.Run("retired version 1", func(t *testing.T) {
+		// The CRC covers only the payload, so rewriting the version word
+		// reproduces a version 1 frame exactly.
+		for _, frame := range [][]byte{goodReq, goodResp} {
+			old := append([]byte(nil), frame...)
+			old[4] = 1
+			_, reqErr := DecodeEstimateRequest(old, nil)
+			_, _, respErr := DecodeEstimateResponse(old)
+			if reqErr == nil || respErr == nil {
+				t.Fatal("accepted a version 1 frame")
+			}
 		}
 	})
 	t.Run("truncations", func(t *testing.T) {
@@ -257,11 +224,32 @@ func TestHostileBytes(t *testing.T) {
 		}
 		// flags live at payload offset 0 → frame offset 16. Set an unknown
 		// bit and patch the CRC so the flag check itself is exercised.
-		buf[16] |= 0x80
-		payload := buf[16 : len(buf)-4]
-		recrc(buf, payload)
-		if _, err := DecodeEstimateRequest(buf, nil); err == nil {
-			t.Fatal("accepted unknown flags")
+		for _, bit := range []byte{0x02, 0x80} { // 0x02 was the retired QR arm
+			bad := append([]byte(nil), buf...)
+			bad[16] |= bit
+			recrc(bad, bad[16:len(bad)-4])
+			if _, err := DecodeEstimateRequest(bad, nil); err == nil {
+				t.Fatalf("accepted unknown flag %#x", bit)
+			}
+		}
+	})
+	t.Run("batch shapes beyond payload", func(t *testing.T) {
+		for name, f := range hostileBatchFrames() {
+			var err error
+			if strings.HasPrefix(name, "estimate") {
+				_, err = DecodeEstimateRequest(f, nil)
+			} else {
+				_, err = DecodeGovernRequest(f, nil)
+			}
+			if err == nil || !strings.Contains(err.Error(), "do not fit") {
+				t.Errorf("%s: err = %v, want a batch-shape rejection", name, err)
+			}
+		}
+		// An empty batch stays well-formed: the daemon answers it with
+		// empty_batch, not a frame error.
+		req, err := DecodeEstimateRequest(frame(reqMagic, u32s(0, 0, 0, 0)), nil)
+		if err != nil || len(req.Readings) != 0 {
+			t.Fatalf("empty batch: %v, %v", req, err)
 		}
 	})
 	t.Run("map length beyond payload", func(t *testing.T) {
@@ -284,6 +272,37 @@ func recrc(frame, payload []byte) {
 	frame[len(frame)-3] = byte(c >> 8)
 	frame[len(frame)-2] = byte(c >> 16)
 	frame[len(frame)-1] = byte(c >> 24)
+}
+
+// frame wraps payload in a valid envelope (current version, correct CRC),
+// so a test reaches the payload checks behind the checksum.
+func frame(magic string, payload []byte) []byte {
+	buf := appendHeader(nil, magic, len(payload))
+	start := len(buf)
+	return appendCRC(append(buf, payload...), start)
+}
+
+// u32s renders words as consecutive uint32 LE.
+func u32s(words ...uint32) []byte {
+	var b []byte
+	for _, w := range words {
+		b = binary.LittleEndian.AppendUint32(b, w)
+	}
+	return b
+}
+
+// hostileBatchFrames are request frames whose declared batch shape does
+// not match their payload: rows×cols that wraps a native-int size check
+// (rows = 2³¹, cols = 2³⁰: 8·rows·cols ≡ 0 mod 2⁶⁴) and millions of empty
+// rows carried by no bytes at all. The estimate payload is flags, workers,
+// rows, cols; the govern payload is flags (no config), rows, cols.
+func hostileBatchFrames() map[string][]byte {
+	return map[string][]byte{
+		"estimate overflowing shape": frame(reqMagic, u32s(0, 0, 1<<31, 1<<30)),
+		"estimate empty rows":        frame(reqMagic, u32s(0, 0, 5_000_000, 0)),
+		"govern overflowing shape":   frame(governReqMagic, u32s(0, 1<<31, 1<<30)),
+		"govern empty rows":          frame(governReqMagic, u32s(0, 5_000_000, 0)),
+	}
 }
 
 func BenchmarkAppendEstimateRequest(b *testing.B) {

@@ -205,20 +205,9 @@ type PlaceOptions struct {
 // PlaceSensors returns m sensor cell indices chosen by the selected
 // strategy.
 func (m *Model) PlaceSensors(count int, opt PlaceOptions) ([]int, error) {
-	var alloc place.Allocator
-	switch opt.Strategy {
-	case "", GreedyAllocation:
-		alloc = &place.Greedy{}
-	case EnergyAllocation:
-		alloc = &place.EnergyCenter{}
-	case RandomAllocation:
-		alloc = &place.Random{Seed: opt.Seed}
-	case UniformAllocation:
-		alloc = &place.Uniform{}
-	case DOptimalAllocation:
-		alloc = &place.DOptimal{}
-	default:
-		return nil, fmt.Errorf("eigenmaps: unknown allocation strategy %q", opt.Strategy)
+	alloc, err := place.Parse(string(opt.Strategy), opt.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("eigenmaps: %w", err)
 	}
 	return m.m.PlaceSensors(count, core.PlaceOptions{
 		K:         opt.K,
