@@ -10,6 +10,7 @@ package eigenmaps_test
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -598,6 +599,35 @@ func BenchmarkSymEigen(b *testing.B) {
 		if _, err := mat.SymEigen(a); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkSymEigenGram tracks the dense eigensolver at snapshot-Gram sizes:
+// T = 192 is the t1 provisioning ensemble, 384 twice that.
+func BenchmarkSymEigenGram(b *testing.B) {
+	for _, n := range []int{192, 384} {
+		a := mat.RandomSPD(n, randSource(11))
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := mat.SymEigen(a); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkOrthonormalize tracks the Householder QR and explicit Q that
+// every subspace-iteration sweep runs: 1024×32 is the manycore-256c block,
+// 3360×40 a paper-scale die's.
+func BenchmarkOrthonormalize(b *testing.B) {
+	for _, shape := range [][2]int{{1024, 32}, {3360, 40}} {
+		a := mat.RandomMatrix(shape[0], shape[1], randSource(12))
+		b.Run(fmt.Sprintf("%dx%d", shape[0], shape[1]), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				mat.Orthonormalize(a)
+			}
+		})
 	}
 }
 

@@ -640,6 +640,35 @@ func (cr *createRequest) defaults() {
 	}
 }
 
+// maxCreateMatrixBytes bounds the two dense matrices a create allocates in
+// proportion to its shape: the snapshots × cells float64 training ensemble
+// and the cells × cells float32 correlation matrix of greedy placement. It
+// admits the paper's own scale (3360 cells and 2652 snapshots: 71 MB and
+// 45 MB) with room to spare; a larger shape is rejected before it reaches
+// the model cache, because allocating it could exhaust memory, which is
+// fatal to the whole process rather than an error.
+const maxCreateMatrixBytes = 256 << 20
+
+// checkShape rejects a grid and ensemble whose dense matrices would exceed
+// maxCreateMatrixBytes. Grid sides below 1 pass through: the ensemble
+// generator rejects them as a training error. Sizes are computed in float64
+// so no product overflows, on 32-bit platforms either.
+func (cr *createRequest) checkShape() error {
+	if cr.GridW < 1 || cr.GridH < 1 {
+		return nil
+	}
+	cells := float64(cr.GridW) * float64(cr.GridH)
+	if ensemble := 8 * float64(cr.Snapshots) * cells; ensemble > maxCreateMatrixBytes {
+		return fmt.Errorf("%d snapshots of a %dx%d grid need a %.0f MiB ensemble (limit %d MiB)",
+			cr.Snapshots, cr.GridW, cr.GridH, ensemble/(1<<20), maxCreateMatrixBytes>>20)
+	}
+	if greedy := 4 * cells * cells; greedy > maxCreateMatrixBytes {
+		return fmt.Errorf("a %dx%d grid needs a %.0f MiB placement correlation matrix (limit %d MiB)",
+			cr.GridW, cr.GridH, greedy/(1<<20), maxCreateMatrixBytes>>20)
+	}
+	return nil
+}
+
 func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var req createRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
@@ -647,6 +676,10 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	req.defaults()
+	if err := req.checkShape(); err != nil {
+		httpError(w, http.StatusBadRequest, "train_failed", "training configuration too large: %v", err)
+		return
+	}
 	var fp *floorplan.Floorplan
 	var err error
 	if req.Floorplan == "manycore" {

@@ -191,6 +191,37 @@ func TestDaemonModelCacheCap(t *testing.T) {
 	createMonitor(t, ts, "")
 }
 
+// TestDaemonMalformedCreateLeavesCacheClean replays creates that used to
+// poison the model cache: a negative grid panicked inside the cache entry's
+// training once (the client saw a dropped connection, the retry panicked on
+// a nil model, and the never-ready entry could not be evicted), and a
+// 20000×20000 grid asked for ~480 GB, a fatal out-of-memory error. Both
+// must answer with the 400 envelope, twice, and leave no cache entry, so a
+// valid create still fits into a two-model cache afterwards.
+func TestDaemonMalformedCreateLeavesCacheClean(t *testing.T) {
+	srv := newServer(64)
+	srv.maxModels = 2
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for _, grid := range []string{`"grid_w":-3,"grid_h":-5`, `"grid_w":20000,"grid_h":20000`} {
+		body := fmt.Sprintf(`{"floorplan":"t1",%s,"snapshots":80,"seed":3,"kmax":8,"k":4,"m":8}`, grid)
+		for attempt := 0; attempt < 2; attempt++ {
+			var env errEnvelope
+			resp := doJSON(t, ts, http.MethodPost, "/v1/monitors", body, &env)
+			if resp.StatusCode != http.StatusBadRequest || env.Error.Code != "train_failed" {
+				t.Fatalf("%s attempt %d: status %d (%+v), want 400 train_failed", grid, attempt, resp.StatusCode, env)
+			}
+		}
+	}
+	srv.mu.Lock()
+	models := len(srv.models)
+	srv.mu.Unlock()
+	if models != 0 {
+		t.Fatalf("%d model-cache entries left behind by failed creates", models)
+	}
+	createMonitor(t, ts, "")
+}
+
 func TestDaemonMultiplexesMonitorsConcurrently(t *testing.T) {
 	// Two floorplans, three K/M configurations each, hammered from parallel
 	// clients: the cross-floorplan + noisy-monitoring scenarios concurrently.

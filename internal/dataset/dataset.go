@@ -210,8 +210,13 @@ func (c *GenConfig) defaults() {
 // validate rejects configurations that used to fail silently: fewer
 // snapshots than scenarios gave the early scenarios zero snapshots and the
 // last one everything, a negative worker cap is always a caller bug, and an
-// out-of-range solver would panic deep inside thermal.NewModel.
+// out-of-range solver or a grid side below 1 would panic deep inside
+// thermal.NewModel.
 func (c *GenConfig) validate() error {
+	if c.Grid.W < 1 || c.Grid.H < 1 {
+		return &ConfigError{Option: "Grid", Reason: fmt.Sprintf(
+			"%dx%d has a side below 1", c.Grid.W, c.Grid.H)}
+	}
 	if len(c.Scenarios) > 0 && len(c.Specs) > 0 {
 		return &ConfigError{Option: "Specs", Reason: fmt.Sprintf(
 			"%d Specs and %d Scenarios both set; use exactly one spelling (registry presets cover the enum scenarios)",

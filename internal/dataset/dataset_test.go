@@ -367,6 +367,18 @@ func TestGenerateRejectsNegativeWorkers(t *testing.T) {
 	}
 }
 
+func TestGenerateRejectsGridSideBelowOne(t *testing.T) {
+	// Zero sides select the default grid; a negative side used to panic
+	// inside thermal.NewModel.
+	for _, g := range []floorplan.Grid{{W: -3, H: -5}, {W: -1, H: 14}, {W: 16, H: -2}} {
+		_, err := Generate(floorplan.UltraSparcT1(), GenConfig{Grid: g, Snapshots: 8})
+		var ce *ConfigError
+		if !errors.As(err, &ce) || ce.Option != "Grid" {
+			t.Fatalf("grid %dx%d: err = %v, want ConfigError{Option: Grid}", g.W, g.H, err)
+		}
+	}
+}
+
 func TestGenerateRejectsUnknownSolver(t *testing.T) {
 	cfg := tinyConfig(8, 1)
 	cfg.Solver = thermal.Solver(42)

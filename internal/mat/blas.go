@@ -1,8 +1,11 @@
 package mat
 
-// BLAS-2/3 style products. These are straightforward cache-friendly triple
-// loops; on the problem sizes in this repository (N ≈ 3360, K ≤ 64) they are
-// fast enough that no blocking is needed.
+// BLAS-2/3 style products: straightforward row-streaming triple loops for
+// the small and one-off products of the pipeline. The products that
+// dominate a run do not go through them: the serving path and the
+// design-time Gram, covariance and correlation builds use the blocked batch
+// kernel MulVecBiasBatchInto (gemv.go), which forms four dot products at a
+// time on contiguous rows and, on amd64, in 256-bit vector registers.
 
 // MulVec returns m·x.
 func MulVec(m *Matrix, x []float64) []float64 {

@@ -120,6 +120,15 @@ func (m *Matrix) Col(j int) []float64 {
 	return out
 }
 
+// rowViews returns a view of every row (no copy), for the batch kernels.
+func (m *Matrix) rowViews() [][]float64 {
+	out := make([][]float64, m.rows)
+	for i := range out {
+		out[i] = m.data[i*m.cols : (i+1)*m.cols]
+	}
+	return out
+}
+
 // SetRow copies v into row i.
 func (m *Matrix) SetRow(i int, v []float64) {
 	if len(v) != m.cols {

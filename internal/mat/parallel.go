@@ -9,12 +9,6 @@ import (
 // stay single-threaded (goroutine fan-out costs more than it saves).
 const parallelThreshold = 1 << 22
 
-// parallelRows splits [0, n) into contiguous chunks and runs fn on each from
-// its own goroutine. fn must only write to rows in its own range.
-func parallelRows(n int, fn func(lo, hi int)) {
-	ParallelChunks(n, 0, fn)
-}
-
 // ParallelChunks splits [0, n) into contiguous chunks and runs fn on each
 // from its own goroutine, blocking until all complete. workers caps the
 // goroutine count (0 or negative means runtime.NumCPU()); it is further
@@ -51,41 +45,11 @@ func ParallelChunks(n, workers int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// MulPar returns a·b, computing row blocks of the result concurrently when
-// the product is large enough to amortize the goroutines.
-func MulPar(a, b *Matrix) *Matrix {
-	if a.cols != b.rows {
-		panic(ErrShape)
-	}
-	if a.rows*a.cols*b.cols < parallelThreshold {
-		return Mul(a, b)
-	}
-	out := New(a.rows, b.cols)
-	parallelRows(a.rows, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			arow := a.Row(i)
-			orow := out.Row(i)
-			for k, av := range arow {
-				if av == 0 {
-					continue
-				}
-				AXPY(av, b.Row(k), orow)
-			}
-		}
-	})
-	return out
-}
-
-// MulTAPar returns aᵀ·b concurrently. Unlike MulTA's row-streaming order, it
-// parallelizes over *output* rows (columns of a), so each goroutine owns its
-// output slice.
-func MulTAPar(a, b *Matrix) *Matrix {
-	return MulTAWorkers(a, b, 0)
-}
-
-// MulTAWorkers returns aᵀ·b like MulTAPar but with an explicit cap on the
-// worker count (0 or negative = runtime.NumCPU()). Small products stay
-// single-threaded regardless of the cap.
+// MulTAWorkers returns aᵀ·b, fanning the output rows (columns of a) out over
+// at most workers goroutines (0 or negative = runtime.NumCPU()), each owning
+// its output slice. Small products stay single-threaded regardless of the
+// cap. Every element accumulates in row order as in MulTA, so the result is
+// bit-identical to it for every worker count.
 func MulTAWorkers(a, b *Matrix, workers int) *Matrix {
 	if a.rows != b.rows {
 		panic(ErrShape)
@@ -108,35 +72,38 @@ func MulTAWorkers(a, b *Matrix, workers int) *Matrix {
 	return out
 }
 
-// RowGramPar returns a·aᵀ concurrently (see RowGram).
-func RowGramPar(a *Matrix) *Matrix {
-	return RowGramWorkers(a, 0)
-}
-
-// RowGramWorkers returns a·aᵀ like RowGramPar but with an explicit cap on the
-// worker count (0 or negative = runtime.NumCPU()). The upper triangle is
-// accumulated in parallel row blocks; small Grams stay single-threaded.
+// RowGramWorkers returns a·aᵀ (see RowGram), fanning blocks of rows out over
+// at most workers goroutines (0 or negative = runtime.NumCPU()); small Grams
+// stay single-threaded.
 //
-// The row blocks are uneven in cost (row i touches rows-i dot products), but
-// the snapshot counts this feeds (T ≤ a few thousand) split finely enough
-// across NumCPU that the imbalance is noise next to the O(T²·N) total.
+// Rows are formed four at a time as one MulVecBiasBatchInto product of the
+// trailing rows of a against a zero bias, which writes each block's upper
+// part; the strictly lower triangle is then mirrored. Every entry is one dot
+// product summed left to right from +0 — Dot's sum, the same for (i, j) and
+// (j, i) since the products commute — so the result is bit-identical to
+// RowGram for every worker count.
 func RowGramWorkers(a *Matrix, workers int) *Matrix {
-	if workers == 1 || a.rows*a.rows*a.cols/2 < parallelThreshold {
-		return RowGram(a)
+	if a.rows*a.rows*a.cols/2 < parallelThreshold {
+		workers = 1
 	}
-	out := New(a.rows, a.rows)
-	ParallelChunks(a.rows, workers, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ri := a.Row(i)
-			for j := i; j < a.rows; j++ {
-				out.data[i*out.cols+j] = Dot(ri, a.Row(j))
+	n, c := a.rows, a.cols
+	out := New(n, n)
+	zero := make([]float64, n)
+	rows := a.rowViews()
+	ParallelChunks((n+3)/4, workers, func(lo, hi int) {
+		dst := make([][]float64, 4)
+		for b := lo; b < hi; b++ {
+			i0, i1 := 4*b, min(4*b+4, n)
+			for i := i0; i < i1; i++ {
+				dst[i-i0] = out.data[i*n+i0 : (i+1)*n]
 			}
+			tail := &Matrix{rows: n - i0, cols: c, data: a.data[i0*c:]}
+			MulVecBiasBatchInto(dst[:i1-i0], zero[i0:], tail, rows[i0:i1])
 		}
 	})
-	// Mirror the upper triangle (sequential; cheap).
-	for i := 0; i < out.rows; i++ {
-		for j := i + 1; j < out.cols; j++ {
-			out.data[j*out.cols+i] = out.data[i*out.cols+j]
+	for i := 4; i < n; i++ {
+		for j := 0; j < i&^3; j++ {
+			out.data[i*n+j] = out.data[j*n+i]
 		}
 	}
 	return out

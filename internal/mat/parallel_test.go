@@ -6,68 +6,6 @@ import (
 	"testing"
 )
 
-func TestMulParMatchesSerialSmall(t *testing.T) {
-	rng := rand.New(rand.NewSource(80))
-	a := RandomMatrix(7, 9, rng)
-	b := RandomMatrix(9, 5, rng)
-	if !MulPar(a, b).Equal(Mul(a, b), 1e-12) {
-		t.Fatal("MulPar (serial path) mismatch")
-	}
-}
-
-func TestMulParMatchesSerialLarge(t *testing.T) {
-	// Force the parallel path: rows·inner·cols above the threshold.
-	rng := rand.New(rand.NewSource(81))
-	a := RandomMatrix(220, 200, rng)
-	b := RandomMatrix(200, 150, rng)
-	if !MulPar(a, b).Equal(Mul(a, b), 1e-10) {
-		t.Fatal("MulPar (parallel path) mismatch")
-	}
-}
-
-func TestMulParShapePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MulPar(New(2, 3), New(2, 3))
-}
-
-func TestMulTAParMatchesSerialLarge(t *testing.T) {
-	rng := rand.New(rand.NewSource(82))
-	a := RandomMatrix(300, 120, rng)
-	b := RandomMatrix(300, 130, rng)
-	if !MulTAPar(a, b).Equal(MulTA(a, b), 1e-10) {
-		t.Fatal("MulTAPar mismatch")
-	}
-}
-
-func TestMulTAParSmallPath(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	a := RandomMatrix(6, 4, rng)
-	b := RandomMatrix(6, 3, rng)
-	if !MulTAPar(a, b).Equal(MulTA(a, b), 1e-12) {
-		t.Fatal("MulTAPar small-path mismatch")
-	}
-}
-
-func TestRowGramParMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(84))
-	small := RandomMatrix(8, 10, rng)
-	if !RowGramPar(small).Equal(RowGram(small), 1e-12) {
-		t.Fatal("RowGramPar small-path mismatch")
-	}
-	big := RandomMatrix(260, 180, rng)
-	got := RowGramPar(big)
-	if !got.Equal(RowGram(big), 1e-10) {
-		t.Fatal("RowGramPar parallel-path mismatch")
-	}
-	if !got.IsSymmetric(0) {
-		t.Fatal("RowGramPar result not symmetric")
-	}
-}
-
 func TestMulTAWorkersMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(86))
 	a := RandomMatrix(300, 120, rng)
@@ -133,8 +71,10 @@ func TestSnapshotPODOrthonormalNearRank(t *testing.T) {
 }
 
 func TestParallelRowsCoversRange(t *testing.T) {
+	// The default worker count (0 = NumCPU) splits rows into disjoint,
+	// covering chunks.
 	seen := make([]bool, 103)
-	parallelRows(len(seen), func(lo, hi int) {
+	ParallelChunks(len(seen), 0, func(lo, hi int) {
 		for i := lo; i < hi; i++ {
 			seen[i] = true // ranges are disjoint, so no race
 		}
@@ -145,9 +85,9 @@ func TestParallelRowsCoversRange(t *testing.T) {
 		}
 	}
 	// Degenerate sizes.
-	parallelRows(0, func(lo, hi int) { t.Fatal("fn called for n=0") })
+	ParallelChunks(0, 0, func(lo, hi int) { t.Fatal("fn called for n=0") })
 	called := false
-	parallelRows(1, func(lo, hi int) {
+	ParallelChunks(1, 0, func(lo, hi int) {
 		if lo != 0 || hi != 1 {
 			t.Fatalf("bad range [%d,%d)", lo, hi)
 		}

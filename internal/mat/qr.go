@@ -21,43 +21,99 @@ func NewQR(a *Matrix) *QR {
 	if m < n {
 		panic("mat: QR requires rows >= cols")
 	}
-	f := &QR{qr: a.Clone(), tau: make([]float64, n), m: m, n: n}
-	q := f.qr
+	at := a.T()
+	tau := householder(at.data, m, n)
+	return &QR{qr: at.T(), tau: tau, m: m, n: n}
+}
+
+// householder factors the m×n matrix held column-major in qc (column j is
+// qc[j*m:(j+1)*m]) in place, leaving the packed factors column-major: R's
+// strict upper triangle above the diagonal, R's diagonal on it, and
+// reflector k's sub-diagonal part below it in column k. It returns the
+// reflector scalars (reflector k's diagonal element; 0 for a zero column,
+// whose reflector is skipped).
+//
+// Walking columns as contiguous slices is the whole point of the layout;
+// the operations and their order are the textbook row-major loop's, so the
+// factors are bit-identical to it.
+func householder(qc []float64, m, n int) []float64 {
+	tau := make([]float64, n)
 	for k := 0; k < n; k++ {
+		ck := qc[k*m : (k+1)*m]
 		// Build the Householder reflector annihilating column k below the
 		// diagonal: v = x ± ‖x‖e₁, H = I − 2vvᵀ/‖v‖².
 		var norm float64
-		for i := k; i < m; i++ {
-			norm = math.Hypot(norm, q.At(i, k))
+		for _, x := range ck[k:] {
+			norm = math.Hypot(norm, x)
 		}
 		if norm == 0 {
-			f.tau[k] = 0
 			continue
 		}
 		// Give norm the sign of the pivot so the reflector diagonal
 		// v_k = x_k/norm + 1 stays away from zero (JAMA convention).
-		if q.At(k, k) < 0 {
+		if ck[k] < 0 {
 			norm = -norm
 		}
 		for i := k; i < m; i++ {
-			q.Set(i, k, q.At(i, k)/norm)
+			ck[i] = ck[i] / norm
 		}
-		q.Add(k, k, 1)
-		f.tau[k] = q.At(k, k)
+		ck[k] += 1
+		tau[k] = ck[k]
 		// Apply the reflector to the remaining columns.
 		for j := k + 1; j < n; j++ {
+			cj := qc[j*m : (j+1)*m]
 			var s float64
 			for i := k; i < m; i++ {
-				s += q.At(i, k) * q.At(i, j)
+				s += ck[i] * cj[i]
 			}
-			s = -s / q.At(k, k)
+			s = -s / ck[k]
 			for i := k; i < m; i++ {
-				q.Add(i, j, s*q.At(i, k))
+				cj[i] += s * ck[i]
 			}
 		}
-		q.Set(k, k, -norm) // store R's diagonal (negated signed column norm)
+		ck[k] = -norm // store R's diagonal (negated signed column norm)
 	}
-	return f
+	return tau
+}
+
+// householderQT returns the thin Q of householder's column-major factors
+// transposed: row j of the n×m result is Q's column j, built by applying
+// the reflectors in reverse order to the unit vector e_j. The columns are
+// independent, so large factors build them on all CPUs.
+func householderQT(qc, tau []float64, m, n int) *Matrix {
+	qt := New(n, m)
+	workers := 0
+	if m*n*n < parallelThreshold/4 {
+		workers = 1
+	}
+	ParallelChunks(n, workers, func(lo, hi int) {
+		for j := lo; j < hi; j++ {
+			householderColumn(qt.data[j*m:(j+1)*m], j, qc, tau, m, n)
+		}
+	})
+	return qt
+}
+
+// householderColumn writes Q's column j into q (length m, zero on entry).
+func householderColumn(q []float64, j int, qc, tau []float64, m, n int) {
+	q[j] = 1
+	for k := n - 1; k >= 0; k-- {
+		tk := tau[k]
+		if tk == 0 {
+			continue
+		}
+		v := qc[k*m : (k+1)*m]
+		var s float64
+		s += tk * q[k]
+		for i := k + 1; i < m; i++ {
+			s += v[i] * q[i]
+		}
+		s = -s / tk
+		q[k] += s * tk
+		for i := k + 1; i < m; i++ {
+			q[i] += s * v[i]
+		}
+	}
 }
 
 // R returns the n×n upper-triangular factor. Note the diagonal entries carry
@@ -74,31 +130,7 @@ func (f *QR) R() *Matrix {
 
 // Q returns the thin m×n orthonormal factor.
 func (f *QR) Q() *Matrix {
-	q := New(f.m, f.n)
-	for j := 0; j < f.n; j++ {
-		q.Set(j, j, 1)
-		f.applyQ(q, j)
-	}
-	return q
-}
-
-// applyQ applies the stored reflectors (in reverse order) to column col of
-// dst, turning the unit vector e_col into Q's col-th column.
-func (f *QR) applyQ(dst *Matrix, col int) {
-	for k := f.n - 1; k >= 0; k-- {
-		if f.tau[k] == 0 {
-			continue
-		}
-		var s float64
-		for i := k; i < f.m; i++ {
-			vik := f.reflector(i, k)
-			s += vik * dst.At(i, col)
-		}
-		s = -s / f.tau[k]
-		for i := k; i < f.m; i++ {
-			dst.Add(i, col, s*f.reflector(i, k))
-		}
-	}
+	return householderQT(f.qr.T().data, f.tau, f.m, f.n).T()
 }
 
 // reflector returns element i of reflector k (diagonal element is tau[k]).
@@ -249,5 +281,16 @@ func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
 // Orthonormalize replaces the columns of a with an orthonormal basis of their
 // span (thin Q of the QR factorization). Returns the basis as a new matrix.
 func Orthonormalize(a *Matrix) *Matrix {
-	return NewQR(a).Q()
+	return orthonormalizeT(a.T()).T()
+}
+
+// orthonormalizeT is Orthonormalize on transposed storage: the rows of the
+// n×m at are the columns to orthonormalize, and row j of the result is the
+// basis's column j. at is overwritten with the factorization.
+func orthonormalizeT(at *Matrix) *Matrix {
+	n, m := at.Dims()
+	if m < n {
+		panic("mat: QR requires rows >= cols")
+	}
+	return householderQT(at.data, householder(at.data, m, n), m, n)
 }

@@ -72,22 +72,18 @@ func TopCovarianceEigen(x *Matrix, k int, opts SubspaceOptions) ([]float64, *Mat
 		p = k
 	}
 
-	applyCov := func(v *Matrix) *Matrix {
-		xv := MulPar(x, v)   // T×p
-		w := MulTAPar(x, xv) // N×p
-		return w.Scale(1 / float64(t))
-	}
-
-	v := RandomMatrix(n, p, opts.Rand)
-	v = Orthonormalize(v)
+	// The block lives transposed (p×N, row c is basis vector c) so every
+	// product of the iteration is a batch of contiguous dot products.
+	cov := newCovApply(x)
+	vt := orthonormalizeT(RandomMatrix(n, p, opts.Rand).T())
 	prev := make([]float64, k)
 	for i := range prev {
 		prev[i] = math.Inf(1)
 	}
 	for iter := 0; iter < opts.MaxIter; iter++ {
-		w := applyCov(v)
+		wt := cov.apply(vt)
 		// Rayleigh–Ritz on the current subspace: H = VᵀW is VᵀCV.
-		h := MulTA(v, w)
+		h := MulTB(vt, wt)
 		eg, err := SymEigen(h)
 		if err != nil {
 			return nil, nil, fmt.Errorf("subspace iteration: %w", err)
@@ -105,7 +101,7 @@ func TopCovarianceEigen(x *Matrix, k int, opts SubspaceOptions) ([]float64, *Mat
 			}
 			prev[i] = eg.Values[i]
 		}
-		v = Orthonormalize(w)
+		vt = orthonormalizeT(wt)
 		if maxRel < opts.Tol {
 			break
 		}
@@ -115,13 +111,13 @@ func TopCovarianceEigen(x *Matrix, k int, opts SubspaceOptions) ([]float64, *Mat
 		// MaxIter in practice.
 	}
 	// Final Rayleigh–Ritz rotation to align columns with eigenvectors.
-	w := applyCov(v)
-	h := MulTA(v, w)
+	wt := cov.apply(vt)
+	h := MulTB(vt, wt)
 	eg, err := SymEigen(h)
 	if err != nil {
 		return nil, nil, fmt.Errorf("subspace iteration (final rotation): %w", err)
 	}
-	ritz := Mul(v, eg.Vectors) // N×p, columns ordered by descending eigenvalue
+	ritz := Mul(vt.T(), eg.Vectors) // N×p, columns ordered by descending eigenvalue
 	vals := make([]float64, k)
 	vecs := New(n, k)
 	for j := 0; j < k; j++ {
@@ -129,12 +125,48 @@ func TopCovarianceEigen(x *Matrix, k int, opts SubspaceOptions) ([]float64, *Mat
 		if vals[j] < 0 {
 			vals[j] = 0
 		}
-		for i := 0; i < n; i++ {
-			vecs.Set(i, j, ritz.At(i, j))
-		}
+	}
+	for i := 0; i < n; i++ {
+		copy(vecs.Row(i), ritz.Row(i)[:k])
 	}
 	normalizeSigns(vecs)
 	return vals, vecs, nil
+}
+
+// covApply applies the sample covariance C = XᵀX/T of a T×N data matrix to
+// a transposed block without forming C: given Vᵀ (p×N) it returns (CV)ᵀ.
+// Both products run through MulVecBiasBatchInto against a zero bias, on X
+// and on Xᵀ (transposed once per training run), so each output element is
+// one contiguous dot product accumulated in ascending index order from +0 —
+// the same sum the row-streaming AXPY formulation forms, minus its skipped
+// exact-zero terms. Dropping those is exact for finite data: a product with
+// a zero factor is ±0, and a sum started at +0 is never −0, so adding ±0
+// leaves it unchanged.
+type covApply struct {
+	x, xt *Matrix
+	zero  []float64 // the bias of both products
+	scale float64   // 1/T
+}
+
+func newCovApply(x *Matrix) *covApply {
+	return &covApply{x: x, xt: x.T(), zero: make([]float64, max(x.rows, x.cols)), scale: 1 / float64(x.rows)}
+}
+
+// apply returns (CV)ᵀ for vt = Vᵀ: first (XV)ᵀ (p×T), whose row c is X
+// times basis vector c, then (Xᵀ·XV)ᵀ (p×N), scaled by 1/T. Each block of
+// four basis vectors is independent of the others, so the blocks fan out
+// over the CPUs.
+func (c *covApply) apply(vt *Matrix) *Matrix {
+	t, n := c.x.Dims()
+	p := vt.rows
+	xvt, wt := New(p, t), New(p, n)
+	vs, xvs, ws := vt.rowViews(), xvt.rowViews(), wt.rowViews()
+	ParallelChunks((p+3)/4, 0, func(lo, hi int) {
+		r0, r1 := 4*lo, min(4*hi, p)
+		MulVecBiasBatchInto(xvs[r0:r1], c.zero[:t], c.x, vs[r0:r1])
+		MulVecBiasBatchInto(ws[r0:r1], c.zero[:n], c.xt, xvs[r0:r1])
+	})
+	return wt.Scale(c.scale)
 }
 
 // SnapshotPOD computes the same leading eigenpairs by the classical "method

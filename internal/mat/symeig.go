@@ -23,6 +23,12 @@ var ErrNoConvergence = errors.New("mat: eigensolver failed to converge")
 //
 // Symmetry is assumed, not checked; only the lower triangle feeds the result
 // through the symmetrized copy made here.
+//
+// The pair runs on the transpose of the textbook work matrix: row i of the
+// work array holds column i of V, so every inner loop of both passes walks
+// one contiguous slice. The floating-point operations and their order are
+// exactly the textbook's, so the result is bit-identical to the column-wise
+// formulation (pinned against it in the tests).
 func SymEigen(a *Matrix) (*Eigen, error) {
 	n, c := a.Dims()
 	if n != c {
@@ -31,17 +37,19 @@ func SymEigen(a *Matrix) (*Eigen, error) {
 	if n == 0 {
 		return &Eigen{Values: nil, Vectors: New(0, 0)}, nil
 	}
-	// Work on a symmetrized copy so tiny asymmetries don't bias the result.
-	v := New(n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			v.Set(i, j, 0.5*(a.At(i, j)+a.At(j, i)))
+	// Work on a symmetrized copy so tiny asymmetries don't bias the result:
+	// V(i, j) = (a(i, j) + a(j, i))/2, stored transposed (wt[j*n+i]).
+	wt := make([]float64, n*n)
+	ad := a.data
+	for j := 0; j < n; j++ {
+		for i := 0; i < n; i++ {
+			wt[j*n+i] = 0.5 * (ad[i*n+j] + ad[j*n+i])
 		}
 	}
 	d := make([]float64, n) // diagonal of the tridiagonal form
 	e := make([]float64, n) // sub-diagonal
-	tred2(v, d, e)
-	if err := tql2(v, d, e); err != nil {
+	tred2(wt, n, d, e)
+	if err := tql2(wt, n, d, e); err != nil {
 		return nil, err
 	}
 	// tql2 leaves eigenvalues ascending-ish but unsorted in general; sort
@@ -55,20 +63,21 @@ func SymEigen(a *Matrix) (*Eigen, error) {
 	vectors := New(n, n)
 	for k, i := range idx {
 		values[k] = d[i]
-		for r := 0; r < n; r++ {
-			vectors.Set(r, k, v.At(r, i))
+		for r, x := range wt[i*n : (i+1)*n] {
+			vectors.data[r*n+k] = x
 		}
 	}
 	return &Eigen{Values: values, Vectors: vectors}, nil
 }
 
-// tred2 reduces the symmetric matrix stored in v to tridiagonal form by
-// Householder similarity transformations, accumulating the transform in v.
-// On return d holds the diagonal and e the sub-diagonal (e[0] = 0).
-func tred2(v *Matrix, d, e []float64) {
-	n := v.Rows()
+// tred2 reduces the symmetric matrix stored in wt to tridiagonal form by
+// Householder similarity transformations, accumulating the transform. wt is
+// the n×n work matrix V stored transposed (wt[c*n+r] = V(r, c)). On return
+// d holds the diagonal and e the sub-diagonal (e[0] = 0).
+func tred2(wt []float64, n int, d, e []float64) {
+	row := func(c int) []float64 { return wt[c*n : (c+1)*n] }
 	for j := 0; j < n; j++ {
-		d[j] = v.At(n-1, j)
+		d[j] = wt[j*n+n-1]
 	}
 	for i := n - 1; i > 0; i-- {
 		// Scale to avoid under/overflow.
@@ -78,10 +87,11 @@ func tred2(v *Matrix, d, e []float64) {
 		}
 		if scale == 0 {
 			e[i] = d[i-1]
+			wi := row(i)
 			for j := 0; j < i; j++ {
-				d[j] = v.At(i-1, j)
-				v.Set(i, j, 0)
-				v.Set(j, i, 0)
+				d[j] = wt[j*n+i-1]
+				wt[j*n+i] = 0
+				wi[j] = 0
 			}
 		} else {
 			for k := 0; k < i; k++ {
@@ -100,13 +110,15 @@ func tred2(v *Matrix, d, e []float64) {
 				e[j] = 0
 			}
 			// Apply the similarity transformation to the remaining rows.
+			wi := row(i)
 			for j := 0; j < i; j++ {
 				f = d[j]
-				v.Set(j, i, f)
-				g = e[j] + v.At(j, j)*f
+				wi[j] = f
+				wj := row(j)
+				g = e[j] + wj[j]*f
 				for k := j + 1; k <= i-1; k++ {
-					g += v.At(k, j) * d[k]
-					e[k] += v.At(k, j) * f
+					g += wj[k] * d[k]
+					e[k] += wj[k] * f
 				}
 				e[j] = g
 			}
@@ -122,51 +134,54 @@ func tred2(v *Matrix, d, e []float64) {
 			for j := 0; j < i; j++ {
 				f = d[j]
 				g = e[j]
+				wj := row(j)
 				for k := j; k <= i-1; k++ {
-					v.Set(k, j, v.At(k, j)-(f*e[k]+g*d[k]))
+					wj[k] = wj[k] - (f*e[k] + g*d[k])
 				}
-				d[j] = v.At(i-1, j)
-				v.Set(i, j, 0)
+				d[j] = wj[i-1]
+				wj[i] = 0
 			}
 		}
 		d[i] = h
 	}
 	// Accumulate transformations.
 	for i := 0; i < n-1; i++ {
-		v.Set(n-1, i, v.At(i, i))
-		v.Set(i, i, 1)
+		wi, wi1 := row(i), row(i+1)
+		wi[n-1] = wi[i]
+		wi[i] = 1
 		h := d[i+1]
 		if h != 0 {
 			for k := 0; k <= i; k++ {
-				d[k] = v.At(k, i+1) / h
+				d[k] = wi1[k] / h
 			}
 			for j := 0; j <= i; j++ {
+				wj := row(j)
 				var g float64
 				for k := 0; k <= i; k++ {
-					g += v.At(k, i+1) * v.At(k, j)
+					g += wi1[k] * wj[k]
 				}
 				for k := 0; k <= i; k++ {
-					v.Set(k, j, v.At(k, j)-g*d[k])
+					wj[k] = wj[k] - g*d[k]
 				}
 			}
 		}
 		for k := 0; k <= i; k++ {
-			v.Set(k, i+1, 0)
+			wi1[k] = 0
 		}
 	}
 	for j := 0; j < n; j++ {
-		d[j] = v.At(n-1, j)
-		v.Set(n-1, j, 0)
+		d[j] = wt[j*n+n-1]
+		wt[j*n+n-1] = 0
 	}
-	v.Set(n-1, n-1, 1)
+	wt[n*n-1] = 1
 	e[0] = 0
 }
 
 // tql2 diagonalizes the symmetric tridiagonal matrix (d, e) by the implicit
-// QL method with Wilkinson shifts, accumulating eigenvectors into v.
-func tql2(v *Matrix, d, e []float64) error {
+// QL method with Wilkinson shifts, accumulating eigenvectors into the
+// transposed work matrix wt (row i holds eigenvector i).
+func tql2(wt []float64, n int, d, e []float64) error {
 	const maxIter = 64
-	n := v.Rows()
 	for i := 1; i < n; i++ {
 		e[i-1] = e[i]
 	}
@@ -222,10 +237,12 @@ func tql2(v *Matrix, d, e []float64) error {
 					p = c*d[i] - s*g
 					d[i+1] = h + s*(c*g+s*d[i])
 					// Accumulate the rotation into the eigenvectors.
-					for k := 0; k < n; k++ {
-						h = v.At(k, i+1)
-						v.Set(k, i+1, s*v.At(k, i)+c*h)
-						v.Set(k, i, c*v.At(k, i)-s*h)
+					wi := wt[i*n : (i+1)*n]
+					wi1 := wt[(i+1)*n : (i+2)*n]
+					for k := range wi {
+						h = wi1[k]
+						wi1[k] = s*wi[k] + c*h
+						wi[k] = c*wi[k] - s*h
 					}
 				}
 				p = -s * s2 * c3 * el1 * e[l] / dl1
@@ -251,10 +268,8 @@ func (eg *Eigen) TopK(k int) ([]float64, *Matrix) {
 	}
 	vals := CopyVec(eg.Values[:k])
 	vecs := New(n, k)
-	for j := 0; j < k; j++ {
-		for i := 0; i < n; i++ {
-			vecs.Set(i, j, eg.Vectors.At(i, j))
-		}
+	for i := 0; i < n; i++ {
+		copy(vecs.Row(i), eg.Vectors.Row(i)[:k])
 	}
 	return vals, vecs
 }

@@ -150,27 +150,18 @@ func (g *Greedy) Allocate(in Input) ([]int, error) {
 	// G stored in float32 to halve the footprint (N=3360 → 45 MB); the
 	// comparisons only need ~7 digits.
 	nr := len(rows)
-	gm := make([]float32, nr*nr)
-	for i := 0; i < nr; i++ {
-		ri := u.Row(i)
-		for j := i + 1; j < nr; j++ {
-			v := mat.Dot(ri, u.Row(j))
-			if !g.SignedMax {
-				v = math.Abs(v)
-			}
-			gm[i*nr+j] = float32(v)
-			gm[j*nr+i] = float32(v)
-		}
-		if g.SignedMax {
-			gm[i*nr+i] = float32(math.Inf(-1))
-		}
-	}
+	gm, rowMax, rowArg := correlations(u, g.SignedMax)
 
+	// active flags the surviving rows and live lists them ascending. Every
+	// scan below walks live, which visits the active rows in the order a
+	// full ascending scan over the flags would — so each max, argmax and
+	// sum is the full scan's — while skipping the removed ones for free.
 	active := make([]bool, nr)
+	live := make([]int32, nr)
 	for i := range active {
 		active[i] = true
+		live[i] = int32(i)
 	}
-	remaining := nr
 
 	// Per-row max correlation and argmax over active peers, maintained
 	// incrementally: recomputed only for rows whose argmax was removed.
@@ -179,18 +170,17 @@ func (g *Greedy) Allocate(in Input) ([]int, error) {
 	// touches only candidate rows instead of scanning all R. Entries go
 	// stale when a later recompute moves the row's argmax elsewhere; the
 	// consumer filters on the live rowArg.
-	rowMax := make([]float32, nr)
-	rowArg := make([]int, nr)
 	argRev := make([][]int32, nr)
 	recompute := func(i int) {
 		best := float32(math.Inf(-1))
 		arg := -1
-		base := i * nr
-		for j := 0; j < nr; j++ {
-			if j == i || !active[j] {
+		row := gm[i*nr : (i+1)*nr]
+		for _, j32 := range live {
+			j := int(j32)
+			if j == i {
 				continue
 			}
-			if v := gm[base+j]; v > best {
+			if v := row[j]; v > best {
 				best = v
 				arg = j
 			}
@@ -201,8 +191,10 @@ func (g *Greedy) Allocate(in Input) ([]int, error) {
 			argRev[arg] = append(argRev[arg], int32(i))
 		}
 	}
-	for i := 0; i < nr; i++ {
-		recompute(i)
+	for i, arg := range rowArg {
+		if arg >= 0 {
+			argRev[arg] = append(argRev[arg], int32(i))
+		}
 	}
 
 	// Heap over the row maxima (unless the ablation rescan is requested).
@@ -225,7 +217,7 @@ func (g *Greedy) Allocate(in Input) ([]int, error) {
 	}
 
 	survivors := func() []int {
-		out := make([]int, 0, remaining)
+		out := make([]int, 0, len(live))
 		for r, on := range active {
 			if on {
 				out = append(out, rows[r])
@@ -235,16 +227,13 @@ func (g *Greedy) Allocate(in Input) ([]int, error) {
 		return out
 	}
 
-	for remaining > in.M {
+	for len(live) > in.M {
 		// Row participating in the globally strongest correlation.
 		victim := -1
 		if g.Rescan {
 			best := float32(math.Inf(-1))
-			for i := 0; i < nr; i++ {
-				if !active[i] {
-					continue
-				}
-				if rowMax[i] > best {
+			for _, i32 := range live {
+				if i := int(i32); rowMax[i] > best {
 					best = rowMax[i]
 					victim = i
 				}
@@ -268,20 +257,20 @@ func (g *Greedy) Allocate(in Input) ([]int, error) {
 		// Remove the endpoint with the larger aggregate correlation — the
 		// more redundant of the two.
 		if j := rowArg[victim]; j >= 0 && rowMax[j] == rowMax[victim] {
-			if g.aggregate(gm, nr, active, j) > g.aggregate(gm, nr, active, victim) {
+			if aj, av := g.aggregates(gm, nr, live, j, victim); aj > av {
 				victim = j
 			}
 		}
 
 		active[victim] = false
-		remaining--
+		at := sort.Search(len(live), func(p int) bool { return int(live[p]) >= victim })
+		live = append(live[:at], live[at+1:]...)
 
-		if g.CheckEveryStep || remaining <= checkBelow {
+		if g.CheckEveryStep || len(live) <= checkBelow {
 			sub := in.Psi.SelectRows(survivors())
 			if mat.NewQR(sub).Rank() < k {
 				// Restore and break (Algorithm 1 step 3(d)).
 				active[victim] = true
-				remaining++
 				return survivors(), nil
 			}
 		}
@@ -307,22 +296,81 @@ func (g *Greedy) Allocate(in Input) ([]int, error) {
 	return survivors(), nil
 }
 
-// aggregate sums row i's correlations with the active peers (tie-break
-// criterion: "the row that shows the highest correlation with the other
-// ones").
-func (g *Greedy) aggregate(gm []float32, nr int, active []bool, i int) float64 {
-	var s float64
-	base := i * nr
-	for j := 0; j < nr; j++ {
-		if j == i || !active[j] {
-			continue
-		}
-		v := float64(gm[base+j])
+// aggregates returns the sums of rows a's and b's correlations with their
+// active peers (tie-break criterion: "the row that shows the highest
+// correlation with the other ones"). Each sum runs in ascending peer order;
+// the two run interleaved in one pass, so their add chains overlap.
+func (g *Greedy) aggregates(gm []float32, nr int, live []int32, a, b int) (sa, sb float64) {
+	ra, rb := gm[a*nr:(a+1)*nr], gm[b*nr:(b+1)*nr]
+	for _, j32 := range live {
+		j := int(j32)
+		va, vb := float64(ra[j]), float64(rb[j])
 		if g.SignedMax {
 			// Aggregate redundancy is directionless even in signed mode.
-			v = math.Abs(v)
+			va, vb = math.Abs(va), math.Abs(vb)
 		}
-		s += v
+		if j != a {
+			sa += va
+		}
+		if j != b {
+			sb += vb
+		}
 	}
-	return s
+	return sa, sb
+}
+
+// correlations returns Algorithm 1's row-correlation matrix of the
+// normalized rows of u, R×R in float32: G[i][j] = |uᵢ·uⱼ| off the diagonal
+// (the signed product when signed), and a diagonal of 0, or −∞ when signed
+// so a row never selects itself. It also returns each row's largest
+// off-diagonal entry and its column (the first on ties, −1 when there is
+// none): the row maxima with every row still active.
+//
+// Rows are built four at a time as one batch product U·[uᵢ … uᵢ₊₃] through
+// mat.MulVecBiasBatchInto against a zero bias: each entry is then a single
+// dot product summed left to right from +0 — mat.Dot's sum, and the same
+// one for G[i][j] and G[j][i] since the products commute — so both
+// triangles come out exactly as the pairwise build would mirror them. The
+// blocks are independent, so they fan out over the CPUs.
+func correlations(u *mat.Matrix, signed bool) (gm, rowMax []float32, rowArg []int) {
+	nr := u.Rows()
+	gm = make([]float32, nr*nr)
+	rowMax = make([]float32, nr)
+	rowArg = make([]int, nr)
+	diag := float32(0)
+	if signed {
+		diag = float32(math.Inf(-1))
+	}
+	zero := make([]float64, nr)
+	mat.ParallelChunks((nr+3)/4, 0, func(lo, hi int) {
+		buf := mat.New(4, nr)
+		dst := make([][]float64, 4)
+		xs := make([][]float64, 4)
+		for b := lo; b < hi; b++ {
+			i0, i1 := 4*b, min(4*b+4, nr)
+			for i := i0; i < i1; i++ {
+				dst[i-i0] = buf.Row(i - i0)
+				xs[i-i0] = u.Row(i)
+			}
+			mat.MulVecBiasBatchInto(dst[:i1-i0], zero, u, xs[:i1-i0])
+			for i := i0; i < i1; i++ {
+				row := gm[i*nr : (i+1)*nr]
+				best := float32(math.Inf(-1))
+				arg := -1
+				for j, v := range dst[i-i0] {
+					if !signed {
+						v = math.Abs(v)
+					}
+					row[j] = float32(v)
+					if j != i && row[j] > best {
+						best = row[j]
+						arg = j
+					}
+				}
+				row[i] = diag
+				rowMax[i], rowArg[i] = best, arg
+			}
+		}
+	})
+	return gm, rowMax, rowArg
 }

@@ -2,11 +2,14 @@ package place
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
 	"testing"
 
+	"repro/internal/basis"
+	"repro/internal/dataset"
 	"repro/internal/floorplan"
 	"repro/internal/mat"
 )
@@ -558,6 +561,82 @@ func TestParseStrategies(t *testing.T) {
 	for _, name := range []string{"doptimal", "Greedy", "exhaustive"} {
 		if _, err := Parse(name, 0); err == nil {
 			t.Errorf("Parse(%q) accepted an unknown strategy", name)
+		}
+	}
+}
+
+// TestGreedyBitIdenticalToReference pins Allocate's blocked correlation
+// build and active-list scans to the serial reference (greedy_ref_test.go):
+// identical sensors for both victim engines, both correlation rules, with
+// and without a mask, on random bases, on a trained thermal basis and on a
+// basis built to tie.
+func TestGreedyBitIdenticalToReference(t *testing.T) {
+	ds, err := dataset.Generate(floorplan.UltraSparcT1(), dataset.GenConfig{
+		Grid: floorplan.Grid{W: 16, H: 14}, Snapshots: 80, Seed: 5,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := basis.TrainPCA(ds, 8, basis.PCAConfig{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trained, err := b.PsiK(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(164))
+	// Small-integer rows repeat up to sign and scale, so many pairs share
+	// one correlation value exactly and the argmax, victim and tie-break
+	// choices hinge on visit order.
+	tied := func(seed int64) *mat.Matrix {
+		r := rand.New(rand.NewSource(seed))
+		psi := mat.New(54, 3)
+		for i := range psi.Data() {
+			psi.Data()[i] = float64(r.Intn(5) - 2)
+		}
+		return psi
+	}
+	cases := []struct {
+		name string
+		psi  *mat.Matrix
+		m    int
+	}{
+		{"fixture", fixPsi, 8},
+		{"random-300x6", mat.RandomOrthonormal(300, 6, rng), 9},
+		{"random-901x13", mat.RandomOrthonormal(901, 13, rng), 20},
+		{"tied-54x3-a", tied(0), 5},
+		{"tied-54x3-b", tied(5), 5},
+		{"t1-16x14", trained, 12},
+	}
+	for _, c := range cases {
+		n := c.psi.Rows()
+		mask := make([]bool, n)
+		for i := range mask {
+			mask[i] = i%5 != 2
+		}
+		for _, masked := range []bool{false, true} {
+			for _, signed := range []bool{false, true} {
+				for _, rescan := range []bool{false, true} {
+					in := Input{Psi: c.psi, M: c.m}
+					if masked {
+						in.Mask = mask
+					}
+					g := &Greedy{SignedMax: signed, Rescan: rescan}
+					got, err := g.Allocate(in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					want, err := refAllocate(g, in)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("%s masked=%v signed=%v rescan=%v: sensors %v, reference %v",
+							c.name, masked, signed, rescan, got, want)
+					}
+				}
+			}
 		}
 	}
 }
