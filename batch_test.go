@@ -232,7 +232,7 @@ func TestEstimateBatchWithThreadsOptions(t *testing.T) {
 	}
 }
 
-// A saved-and-loaded monitor restores the persisted operator (a v2 record)
+// A saved-and-loaded monitor restores the persisted operator section
 // and serves bit-identically.
 func TestSaveLoadPreservesOperatorArm(t *testing.T) {
 	mon, readings := batchSetup(t)

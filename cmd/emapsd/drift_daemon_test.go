@@ -43,27 +43,33 @@ func getStats(t *testing.T, ts *httptest.Server, id string) monitorStats {
 	return st
 }
 
-// healthyReadings samples the monitor's training ensemble at its sensor
-// cells: in-distribution traffic the calibrated detector must call OK.
+// healthyReadings samples the monitor's training ensemble (held by its
+// model-cache entry) at its sensor cells: in-distribution traffic the
+// calibrated detector must call OK.
 func healthyReadings(t *testing.T, srv *server, id string, n int) [][]float64 {
 	t.Helper()
 	srv.mu.Lock()
 	e := srv.monitors[id]
+	var me *modelEntry
+	if e != nil {
+		me = srv.models[e.key]
+	}
 	srv.mu.Unlock()
 	if e == nil {
 		t.Fatalf("monitor %s not registered", id)
 	}
 	rs := e.res.Load()
-	if rs == nil || e.ds == nil {
+	if rs == nil || me == nil || me.ds == nil {
 		t.Fatalf("monitor %s not resident with its ensemble", id)
 	}
+	ds := me.ds
 	rec := rs.mon.Reconstructor()
-	if n > e.ds.T() {
-		n = e.ds.T()
+	if n > ds.T() {
+		n = ds.T()
 	}
 	rows := make([][]float64, n)
 	for i := range rows {
-		rows[i] = append([]float64(nil), rec.Sample(e.ds.Map(i))...)
+		rows[i] = append([]float64(nil), rec.Sample(ds.Map(i))...)
 	}
 	return rows
 }

@@ -125,7 +125,7 @@ func (s *server) buildGovernor(w http.ResponseWriter, e *monitorEntry, cfg *wire
 		return nil, false
 	}
 	// e.fp and e.key are stable once residentHTTP has paged the monitor in
-	// (same access pattern as handleSimulate).
+	// (fillMeta runs before the resident state is published).
 	grid := floorplan.Grid{W: e.key.W, H: e.key.H}
 	raster := e.fp.Rasterize(grid)
 	ctrl, err := governor.NewController(policy, cfg.Ladder, governor.CoreCells(e.fp, raster))

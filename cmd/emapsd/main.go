@@ -21,10 +21,6 @@
 //	POST /v1/monitors/{id}/estimate    batched reconstruction — one GEMM
 //	                                   against the precomputed operator
 //	POST /v1/monitors/{id}/track       batched Kalman-smoothed tracking
-//	POST /v1/monitors/{id}/simulate    estimate simulated (optionally noisy)
-//	                                   snapshots from the training ensemble,
-//	                                   or from a fresh "workload"/"workload_spec"
-//	                                   scenario (cross-scenario evaluation)
 //	POST /v1/monitors/{id}/govern      estimate, then per-core DVFS caps
 //	GET  /healthz                      liveness (also /v1/healthz)
 //	GET  /metrics                      Prometheus text exposition: request
@@ -69,12 +65,9 @@ import (
 	"io/fs"
 	"log"
 	"log/slog"
-	"math"
-	"math/rand"
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -87,23 +80,18 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/drift"
 	"repro/internal/floorplan"
-	"repro/internal/mat"
-	"repro/internal/metrics"
-	"repro/internal/noise"
 	"repro/internal/obs"
 	"repro/internal/place"
 	"repro/internal/power"
 	"repro/internal/store"
-	"repro/internal/thermal"
 	"repro/internal/track"
 	"repro/internal/wire"
-	"repro/internal/workload"
 )
 
 // defaultLoadCoupling is the core-utilization correlation every training
 // ensemble is generated with — throughput workloads like the T1's sit near
-// it (see SimOptions.LoadCoupling). Persisted in each record's metadata so
-// ensemble regeneration after a warm start reproduces training exactly.
+// it (see SimOptions.LoadCoupling). Persisted in each record's metadata as
+// part of its training configuration.
 const defaultLoadCoupling = 0.75
 
 func main() {
@@ -214,15 +202,11 @@ func main() {
 	logger.Info("drained")
 }
 
-// trainKey identifies one trained model in the cache. Solver is the
-// *resolved* simulation solver arm ("cg" or "direct"), so "auto", "" and
-// "direct" alias to one cache entry; the worker count is deliberately not
-// part of the key because the generated ensemble is bit-identical for every
-// worker count. Workload is the canonical workload identity: the
-// comma-joined scenario names plus, for an inline spec, its canonical JSON
-// ("" = the default four-preset mix). Cores/Caches/MeshW/MeshH pin
-// parametric many-core requests whose floorplan name alone does not
-// determine the layout.
+// trainKey identifies one trained model in the cache. Workload is the
+// canonical workload identity: the comma-joined scenario names plus, for an
+// inline spec, its canonical JSON ("" = the default four-preset mix).
+// Cores/Caches/MeshW/MeshH pin parametric many-core requests whose
+// floorplan name alone does not determine the layout.
 type trainKey struct {
 	Floorplan string
 	Cores     int
@@ -233,25 +217,21 @@ type trainKey struct {
 	Snapshots int
 	Seed      int64
 	KMax      int
-	Solver    string
 	Workload  string
 }
 
 // modelEntry is a lazily trained model; once.Do gates training so concurrent
-// creates for the same configuration train exactly once. fp and pcfg are
-// the resolved floorplan and power budgets, kept so simulate-with-workload
-// requests can generate fresh ensembles on the monitor's exact die. ready
-// flips once the entry holds a servable model (trained or store-loaded), and
-// lastUse drives least-recently-used eviction when the cache is full.
+// creates for the same configuration train exactly once. fp is the resolved
+// floorplan, persisted with every record. ready flips once the entry holds a
+// servable model (trained or store-loaded), and lastUse drives
+// least-recently-used eviction when the cache is full.
 type modelEntry struct {
 	once    sync.Once
 	ready   atomic.Bool
 	lastUse atomic.Int64 // unix nanos of the last cache hit
 	model   *core.Model
-	ds      *dataset.Dataset // nil for store-loaded entries (regenerated lazily)
+	ds      *dataset.Dataset // training ensemble for drift calibration; nil for store-loaded entries
 	fp      *floorplan.Floorplan
-	pcfg    power.Config
-	specs   []*workload.Spec
 	err     error
 }
 
@@ -293,9 +273,9 @@ type residentState struct {
 // monitorEntry is one monitor behind the request loop — possibly paged out.
 // desc (from the store index) is everything list/routing needs without
 // touching the record; res is the paged serving state (nil while paged
-// out); the meta fields are the creation request's regeneration inputs,
-// filled at create or first page-in (metaOK) and stable afterwards. ds is
-// nil until simulate's replay path first needs it (see ensureEnsemble).
+// out); the meta fields are the creation request's training configuration,
+// which persisting and governing need, filled at create or first page-in
+// (metaOK) and stable afterwards.
 type monitorEntry struct {
 	id   string
 	desc store.IndexEntry
@@ -303,16 +283,13 @@ type monitorEntry struct {
 	res     atomic.Pointer[residentState]
 	lastUse atomic.Int64 // unix nanos of the last touch, drives monitor LRU
 
-	mu        sync.Mutex // guards page-in, the meta fields below, and ds
+	mu        sync.Mutex // guards page-in and the meta fields below
 	metaOK    bool
 	key       trainKey
 	fp        *floorplan.Floorplan
-	pcfg      power.Config
 	rho       float64
 	workloads []string
 	specJSON  json.RawMessage
-	specs     []*workload.Spec
-	ds        *dataset.Dataset
 
 	snapshots atomic.Int64
 
@@ -392,12 +369,6 @@ type server struct {
 	// hook behind the O(resident + one index read) warm-boot acceptance
 	// criterion.
 	fileOpens atomic.Int64
-
-	// simGen bounds the thermal simulations run by simulate-with-workload
-	// requests, which (unlike create's cached training) are uncached
-	// per-request work: excess requests queue here instead of saturating
-	// every CPU.
-	simGen chan struct{}
 }
 
 func newServer(maxBatch int) *server {
@@ -414,7 +385,6 @@ func newServer(maxBatch int) *server {
 		monitors:   make(map[string]*monitorEntry),
 		residents:  make(map[string]*monitorEntry),
 		index:      make(map[string]store.IndexEntry),
-		simGen:     make(chan struct{}, runtime.NumCPU()),
 	}
 }
 
@@ -599,9 +569,6 @@ type createRequest struct {
 	// are rejected with 400s.
 	Workloads    []string        `json:"workloads"`
 	WorkloadSpec json.RawMessage `json:"workload_spec"`
-
-	SimSolver  string `json:"sim_solver"`  // transient linear solver: "auto" (default), "cg", "direct"
-	SimWorkers int    `json:"sim_workers"` // goroutine cap for ensemble generation (0 = all CPUs)
 }
 
 type createResponse struct {
@@ -698,21 +665,10 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad_workload", "bad workload: %v", err)
 		return
 	}
-	solver, err := thermal.ParseSolver(req.SimSolver)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad_solver", "bad sim_solver %q (want auto, cg or direct)", req.SimSolver)
-		return
-	}
-	if req.SimWorkers < 0 {
-		httpError(w, http.StatusBadRequest, "bad_workers", "sim_workers %d is negative (0 = all CPUs)", req.SimWorkers)
-		return
-	}
-	pcfg := power.ConfigFor(fp, defaultLoadCoupling)
 	key := trainKey{Floorplan: fp.Name,
 		Cores: req.Cores, Caches: req.Caches, MeshW: req.MeshW, MeshH: req.MeshH,
 		W: req.GridW, H: req.GridH,
 		Snapshots: req.Snapshots, Seed: req.Seed, KMax: req.KMax,
-		Solver:   thermal.ResolveSolver(solver).String(),
 		Workload: wlKey}
 	entry, ok := s.modelFor(key)
 	if !ok {
@@ -721,13 +677,13 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	entry.once.Do(func() {
-		entry.fp, entry.pcfg, entry.specs = fp, pcfg, specs
+		entry.fp = fp
 		// A model evicted to disk earlier (or trained by a previous life of
 		// a durable daemon) reloads in milliseconds instead of retraining.
 		loadFromDisk := func() bool {
-			model, dfp, dpcfg, ok := s.loadModelRecord(key)
+			model, dfp, ok := s.loadModelRecord(key)
 			if ok {
-				entry.model, entry.fp, entry.pcfg = model, dfp, dpcfg
+				entry.model, entry.fp = model, dfp
 				entry.ready.Store(true)
 				s.metrics.modelsLoaded.Add(1)
 			}
@@ -753,9 +709,7 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			Snapshots: key.Snapshots,
 			Specs:     specs,
 			Seed:      key.Seed,
-			Power:     pcfg,
-			Solver:    solver,
-			Workers:   req.SimWorkers,
+			Power:     power.ConfigFor(fp, defaultLoadCoupling),
 		})
 		if entry.err == nil {
 			entry.model, entry.err = core.Train(entry.ds, core.TrainOptions{KMax: key.KMax, Seed: key.Seed})
@@ -813,9 +767,8 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusInternalServerError, "internal", "cond: %v", err)
 		return
 	}
-	me := &monitorEntry{key: key,
-		ds: entry.ds, fp: entry.fp, pcfg: entry.pcfg,
-		rho: req.Rho, workloads: req.Workloads, specJSON: req.WorkloadSpec, specs: specs,
+	me := &monitorEntry{key: key, fp: entry.fp,
+		rho: req.Rho, workloads: req.Workloads, specJSON: req.WorkloadSpec,
 		metaOK: true}
 	rs := &residentState{mon: mon, kf: kf, basis: entry.model.Basis, energy: entry.model.Energy}
 	// Drift calibration needs the training ensemble in memory; a create
@@ -989,9 +942,6 @@ func (s *server) handleMonitor(w http.ResponseWriter, r *http.Request, rest stri
 	case action == "track" && r.Method == http.MethodPost:
 		s.handleTrack(w, r, entry)
 		return "track"
-	case action == "simulate" && r.Method == http.MethodPost:
-		s.handleSimulate(w, r, entry)
-		return "simulate"
 	case action == "govern" && r.Method == http.MethodPost:
 		s.handleGovern(w, r, entry)
 		return "govern"
@@ -1294,137 +1244,6 @@ func (s *server) handleTrack(w http.ResponseWriter, r *http.Request, e *monitorE
 		"results":     out,
 		"steps":       rs.kf.Steps(),
 		"uncertainty": rs.kf.CovarianceTrace(),
-	})
-}
-
-type simulateRequest struct {
-	Count   int     `json:"count"`   // snapshots to draw, default 16
-	SNRdB   float64 `json:"snr_db"`  // 0 = noiseless
-	Seed    int64   `json:"seed"`    // noise (and fresh-simulation) seed
-	Workers int     `json:"workers"` // estimation worker pool
-
-	// Workload (a registry name) or WorkloadSpec (an inline declarative
-	// spec) switches the snapshot source: instead of replaying the
-	// training ensemble, the daemon simulates Count fresh maps of that
-	// scenario on the monitor's floorplan — a server-side cross-scenario
-	// evaluation (train on the monitor's mix, measure on this workload).
-	Workload     string          `json:"workload"`
-	WorkloadSpec json.RawMessage `json:"workload_spec"`
-}
-
-// handleSimulate drives the noisy-monitoring scenario end to end on the
-// server: sample maps from the training ensemble (or a freshly simulated
-// scenario), corrupt the sensor readings at the requested SNR, reconstruct,
-// and report the error against ground truth.
-func (s *server) handleSimulate(w http.ResponseWriter, r *http.Request, e *monitorEntry) {
-	rs, ok := s.residentHTTP(w, e)
-	if !ok {
-		return
-	}
-	var req simulateRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad_json", "bad JSON: %v", err)
-		return
-	}
-	if req.Count == 0 {
-		req.Count = 16
-	}
-	if req.Count < 0 || req.Count > s.maxBatch {
-		httpError(w, http.StatusBadRequest, "bad_count", "count %d outside [1,%d]", req.Count, s.maxBatch)
-		return
-	}
-	var spec *workload.Spec
-	if req.Workload != "" {
-		var err error
-		if spec, err = workload.Parse(req.Workload); err != nil {
-			httpError(w, http.StatusBadRequest, "bad_workload", "bad workload: %v", err)
-			return
-		}
-	}
-	if len(req.WorkloadSpec) > 0 {
-		if spec != nil {
-			httpError(w, http.StatusBadRequest, "bad_workload", "workload and workload_spec are mutually exclusive")
-			return
-		}
-		var err error
-		if spec, err = workload.Decode(req.WorkloadSpec); err != nil {
-			httpError(w, http.StatusBadRequest, "bad_workload", "bad workload_spec: %v", err)
-			return
-		}
-	}
-	var src *dataset.Dataset
-	if spec != nil {
-		// The monitor's resolved solver arm, so cross-scenario ground truth
-		// is reproducible against an offline run of the same configuration
-		// (cg and direct are not bit-identical).
-		solver, err := thermal.ParseSolver(e.key.Solver)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "internal", "monitor solver: %v", err)
-			return
-		}
-		s.simGen <- struct{}{}
-		ds, err := dataset.Generate(e.fp, dataset.GenConfig{
-			Grid:      floorplan.Grid{W: e.key.W, H: e.key.H},
-			Snapshots: req.Count,
-			Specs:     []*workload.Spec{spec},
-			Seed:      req.Seed,
-			Power:     e.pcfg,
-			Solver:    solver,
-		})
-		<-s.simGen
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "simulate_failed", "simulate workload: %v", err)
-			return
-		}
-		src = ds
-	} else {
-		// Replay the training ensemble. A warm-started monitor regenerates
-		// it on first use — bit-identical to the original by construction
-		// (same key, same specs, same solver arm).
-		ds, err := e.ensureEnsemble(s)
-		if err != nil {
-			httpError(w, http.StatusInternalServerError, "internal", "regenerating training ensemble: %v", err)
-			return
-		}
-		src = ds
-	}
-	rng := rand.New(rand.NewSource(req.Seed))
-	rec := rs.mon.Reconstructor()
-	// Loop-invariant: the *source* ensemble's mean at the sensors — for a
-	// cross-scenario run the fresh scenario's own mean, so SNR calibrates
-	// against that scenario's fluctuation power, not the DC offset between
-	// the training mix and the evaluated workload.
-	meanS := rec.Sample(src.Mean())
-	truth := make([][]float64, req.Count)
-	readings := make([][]float64, req.Count)
-	for i := 0; i < req.Count; i++ {
-		x := src.Map(i % src.T())
-		truth[i] = x
-		xS := rec.Sample(x)
-		if req.SNRdB != 0 && !math.IsInf(req.SNRdB, 1) {
-			centered := mat.SubVec(xS, meanS)
-			wn := noise.AtSNR(rng, centered, metrics.FromDB(req.SNRdB))
-			xS = mat.AddVec(xS, wn)
-		}
-		readings[i] = xS
-	}
-	maps, err := rs.mon.EstimateBatch(readings, req.Workers)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad_readings", "estimate: %v", err)
-		return
-	}
-	s.snapshots.Add(int64(len(maps)))
-	e.snapshots.Add(int64(len(maps)))
-	var ens metrics.Ensemble
-	out := make([]snapshotSummary, len(maps))
-	for i, x := range maps {
-		ens.Add(truth[i], x)
-		out[i] = summarize(x, false)
-	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"results": out,
-		"mse_c2":  ens.MSE(),
-		"max_abs": ens.MaxAbs(),
 	})
 }
 

@@ -29,7 +29,7 @@ func seedLargeStore(t *testing.T, dir string, n int) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, _, err := keyFromMeta(rec.Meta)
+	key, err := keyFromMeta(rec.Meta)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -108,18 +108,19 @@ func TestWarmStartBitIdenticalEstimates(t *testing.T) {
 	}
 }
 
-// TestWarmStartTrackerAndSimulateReplay: tracking monitors rebuild their
-// Kalman filter, and simulate's training-ensemble replay regenerates the
-// ensemble bit-identically after a restart.
-func TestWarmStartTrackerAndSimulateReplay(t *testing.T) {
+// TestWarmStartTrackerReplay: tracking monitors rebuild their Kalman filter
+// after a restart. Filter state is run-time state that restarts from its
+// stationary prior, so the first track response after the restart is byte
+// for byte the first one before it.
+func TestWarmStartTrackerReplay(t *testing.T) {
 	dir := t.TempDir()
 	srv1 := durableServer(t, dir)
 	ts1 := httptest.NewServer(srv1)
 	cr := createMonitor(t, ts1, `,"tracking":true,"rho":0.9`)
-	simBody := `{"count":8,"snr_db":20,"seed":11}`
-	code, before := bodyString(t, ts1, http.MethodPost, "/v1/monitors/"+cr.ID+"/simulate", simBody)
+	trackBody := `{"readings":[[62,61,60,59,58,57,56,55],[61,60,60,58,58,56,56,54]],"include_maps":true}`
+	code, before := bodyString(t, ts1, http.MethodPost, "/v1/monitors/"+cr.ID+"/track", trackBody)
 	if code != 200 {
-		t.Fatalf("simulate before restart: %d %s", code, before)
+		t.Fatalf("track before restart: %d %s", code, before)
 	}
 	ts1.Close()
 
@@ -130,22 +131,15 @@ func TestWarmStartTrackerAndSimulateReplay(t *testing.T) {
 	ts2 := httptest.NewServer(srv2)
 	defer ts2.Close()
 
-	// Tracker survives as a fresh filter on the same model.
-	code, trackResp := bodyString(t, ts2, http.MethodPost, "/v1/monitors/"+cr.ID+"/track",
-		`{"readings":[[62,61,60,59,58,57,56,55]]}`)
+	code, after := bodyString(t, ts2, http.MethodPost, "/v1/monitors/"+cr.ID+"/track", trackBody)
 	if code != 200 {
-		t.Fatalf("track after restart: %d %s", code, trackResp)
-	}
-	// Replay regenerates the training ensemble lazily; same bytes out.
-	code, after := bodyString(t, ts2, http.MethodPost, "/v1/monitors/"+cr.ID+"/simulate", simBody)
-	if code != 200 {
-		t.Fatalf("simulate after restart: %d %s", code, after)
+		t.Fatalf("track after restart: %d %s", code, after)
 	}
 	if before != after {
-		t.Fatalf("simulate replay differs across restart:\nbefore: %s\nafter:  %s", before, after)
+		t.Fatalf("first track response differs across restart:\nbefore: %s\nafter:  %s", before, after)
 	}
 	if got := srv2.metrics.modelsTrained.Load(); got != 0 {
-		t.Fatalf("replay retrained %d models, want 0", got)
+		t.Fatalf("warm start retrained %d models, want 0", got)
 	}
 }
 

@@ -29,7 +29,6 @@ var routeTable = []routeInfo{
 	{http.MethodDelete, "/v1/monitors/{id}", "delete"},
 	{http.MethodPost, "/v1/monitors/{id}/estimate", "estimate"},
 	{http.MethodPost, "/v1/monitors/{id}/track", "track"},
-	{http.MethodPost, "/v1/monitors/{id}/simulate", "simulate"},
 	{http.MethodPost, "/v1/monitors/{id}/govern", "govern"},
 }
 

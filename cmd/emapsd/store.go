@@ -14,13 +14,10 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/dataset"
 	"repro/internal/drift"
 	"repro/internal/floorplan"
 	"repro/internal/obs"
-	"repro/internal/power"
 	"repro/internal/store"
-	"repro/internal/thermal"
 	"repro/internal/track"
 	"repro/internal/workload"
 )
@@ -94,7 +91,7 @@ func (s *server) loadRecord(path string) (*store.Record, error) {
 	return store.LoadFile(path)
 }
 
-// metaForKey renders a training key (plus the regeneration inputs that are
+// metaForKey renders a training key (plus the training inputs that are
 // not part of the key) into record metadata.
 func metaForKey(key trainKey, workloads []string, specJSON json.RawMessage) store.Meta {
 	return store.Meta{
@@ -102,7 +99,6 @@ func metaForKey(key trainKey, workloads []string, specJSON json.RawMessage) stor
 		Cores:     key.Cores, Caches: key.Caches, MeshW: key.MeshW, MeshH: key.MeshH,
 		GridW: key.W, GridH: key.H,
 		Snapshots: key.Snapshots, Seed: key.Seed, KMax: key.KMax,
-		Solver:       key.Solver,
 		Workloads:    workloads,
 		WorkloadSpec: specJSON,
 		LoadCoupling: defaultLoadCoupling,
@@ -110,19 +106,21 @@ func metaForKey(key trainKey, workloads []string, specJSON json.RawMessage) stor
 }
 
 // keyFromMeta inverts metaForKey, recomputing the canonical workload key
-// string from the stored scenario names and inline spec.
-func keyFromMeta(meta store.Meta) (trainKey, []*workload.Spec, error) {
-	specs, wlKey, err := resolveWorkloads(meta.Workloads, meta.WorkloadSpec)
+// string from the stored scenario names and inline spec. The retired
+// meta.Solver field is ignored, so records written with it load under the
+// same key as records written without it.
+func keyFromMeta(meta store.Meta) (trainKey, error) {
+	_, wlKey, err := resolveWorkloads(meta.Workloads, meta.WorkloadSpec)
 	if err != nil {
-		return trainKey{}, nil, err
+		return trainKey{}, err
 	}
 	return trainKey{
 		Floorplan: meta.Floorplan,
 		Cores:     meta.Cores, Caches: meta.Caches, MeshW: meta.MeshW, MeshH: meta.MeshH,
 		W: meta.GridW, H: meta.GridH,
 		Snapshots: meta.Snapshots, Seed: meta.Seed, KMax: meta.KMax,
-		Solver: meta.Solver, Workload: wlKey,
-	}, specs, nil
+		Workload: wlKey,
+	}, nil
 }
 
 // resolveWorkloads parses registry scenario names and an optional inline
@@ -228,9 +226,9 @@ func (s *server) persistMonitor(e *monitorEntry, rs *residentState) {
 // loadModelRecord tries to satisfy a model-cache miss from disk. It returns
 // ok=false (never an error the client sees) when there is no usable record:
 // the caller falls back to training.
-func (s *server) loadModelRecord(key trainKey) (*core.Model, *floorplan.Floorplan, power.Config, bool) {
+func (s *server) loadModelRecord(key trainKey) (*core.Model, *floorplan.Floorplan, bool) {
 	if s.storeDir == "" {
-		return nil, nil, power.Config{}, false
+		return nil, nil, false
 	}
 	path := s.modelPath(key)
 	rec, err := s.loadRecord(path)
@@ -239,24 +237,22 @@ func (s *server) loadModelRecord(key trainKey) (*core.Model, *floorplan.Floorpla
 			s.metrics.storeFailures.Add(1)
 			s.logf("load model record", "path", path, "err", err)
 		}
-		return nil, nil, power.Config{}, false
+		return nil, nil, false
 	}
-	gotKey, _, err := keyFromMeta(rec.Meta)
+	gotKey, err := keyFromMeta(rec.Meta)
 	if err != nil || gotKey != key {
 		// Hash collision, renamed file or tampering: the record describes a
 		// different training run — never serve it for this key.
 		s.metrics.storeFailures.Add(1)
 		s.logf("load model record", "path", path, "err", fmt.Errorf("key mismatch (cross-configuration record)"))
-		return nil, nil, power.Config{}, false
+		return nil, nil, false
 	}
 	if rec.Floorplan == nil || rec.Energy == nil {
 		s.metrics.storeFailures.Add(1)
 		s.logf("load model record", "path", path, "err", fmt.Errorf("record missing floorplan or energy"))
-		return nil, nil, power.Config{}, false
+		return nil, nil, false
 	}
-	model := &core.Model{Basis: rec.Basis, Energy: rec.Energy, Grid: rec.Basis.Grid}
-	pcfg := power.ConfigFor(rec.Floorplan, rec.Meta.LoadCoupling)
-	return model, rec.Floorplan, pcfg, true
+	return &core.Model{Basis: rec.Basis, Energy: rec.Energy, Grid: rec.Basis.Grid}, rec.Floorplan, true
 }
 
 // trainLock serializes training for key across replicas sharing the store.
@@ -436,11 +432,9 @@ func (s *server) adoptRecord(path, file string) (*monitorEntry, error) {
 
 // loadedRecord is a fully decoded monitor record, ready to serve.
 type loadedRecord struct {
-	rs    *residentState
-	key   trainKey
-	specs []*workload.Spec
-	pcfg  power.Config
-	rec   *store.Record
+	rs  *residentState
+	key trainKey
+	rec *store.Record
 }
 
 // buildMonitorState rebuilds the serving state from a decoded record.
@@ -454,21 +448,11 @@ func buildMonitorState(rec *store.Record) (*loadedRecord, error) {
 	if rec.Floorplan == nil || rec.Energy == nil {
 		return nil, fmt.Errorf("record missing floorplan or energy")
 	}
-	key, specs, err := keyFromMeta(rec.Meta)
+	key, err := keyFromMeta(rec.Meta)
 	if err != nil {
 		return nil, fmt.Errorf("reconstructing train key: %w", err)
 	}
-	if _, err := thermal.ParseSolver(key.Solver); err != nil {
-		return nil, fmt.Errorf("stored solver: %w", err)
-	}
-	// v2 records carry the folded reconstruction operator; v1 records re-fold
-	// it from the QR factors (deterministic, so serving stays bit-identical).
-	var mon *core.Monitor
-	if rec.Op != nil {
-		mon, err = core.RestoreMonitorWithOperator(rec.Basis, rec.K, rec.Sensors, rec.QR, rec.Op, rec.OpBias)
-	} else {
-		mon, err = core.RestoreMonitor(rec.Basis, rec.K, rec.Sensors, rec.QR)
-	}
+	mon, err := core.RestoreMonitorWithOperator(rec.Basis, rec.K, rec.Sensors, rec.QR, rec.Op, rec.OpBias)
 	if err != nil {
 		return nil, fmt.Errorf("restoring monitor: %w", err)
 	}
@@ -481,7 +465,6 @@ func buildMonitorState(rec *store.Record) (*loadedRecord, error) {
 			return nil, fmt.Errorf("restoring tracker: %w", err)
 		}
 	}
-	pcfg := power.ConfigFor(rec.Floorplan, rec.Meta.LoadCoupling)
 	rs := &residentState{mon: mon, kf: kf, basis: rec.Basis, energy: rec.Energy}
 	if rec.Drift != nil {
 		// Drift detection resumes exactly where the saving daemon left off:
@@ -505,13 +488,7 @@ func buildMonitorState(rec *store.Record) (*loadedRecord, error) {
 			}
 		}
 	}
-	return &loadedRecord{
-		rs:    rs,
-		key:   key,
-		specs: specs,
-		pcfg:  pcfg,
-		rec:   rec,
-	}, nil
+	return &loadedRecord{rs: rs, key: key, rec: rec}, nil
 }
 
 // keepPositions maps the serving sensor subset back onto positions in the
@@ -544,7 +521,7 @@ func descFor(rec *store.Record, file string, key trainKey) store.IndexEntry {
 	}
 }
 
-// fillMeta copies a loaded record's regeneration inputs into the entry.
+// fillMeta copies a loaded record's training configuration into the entry.
 // Callers hold e.mu (or the entry is not yet published).
 func (e *monitorEntry) fillMeta(lr *loadedRecord) {
 	if e.metaOK {
@@ -552,17 +529,15 @@ func (e *monitorEntry) fillMeta(lr *loadedRecord) {
 	}
 	e.key = lr.key
 	e.fp = lr.rec.Floorplan
-	e.pcfg = lr.pcfg
 	e.rho = lr.rec.Meta.Rho
 	e.workloads = lr.rec.Meta.Workloads
 	e.specJSON = lr.rec.Meta.WorkloadSpec
-	e.specs = lr.specs
 	e.metaOK = true
 }
 
 // seedModelCache re-seeds the model cache from a loaded record so a later
-// create with this key places sensors without retraining (the ensemble
-// itself stays lazy). Adapted generations are skipped: their basis has
+// create with this key places sensors without retraining. Adapted
+// generations are skipped: their basis has
 // diverged from what the train key means, and seeding it would hand a
 // future create the wrong subspace. Callers must not hold s.mu.
 func (s *server) seedModelCache(lr *loadedRecord) {
@@ -574,7 +549,7 @@ func (s *server) seedModelCache(lr *loadedRecord) {
 	if _, ok := s.models[lr.key]; !ok && len(s.models) < s.maxModels {
 		entry := &modelEntry{
 			model: &core.Model{Basis: lr.rec.Basis, Energy: lr.rec.Energy, Grid: lr.rec.Basis.Grid},
-			fp:    lr.rec.Floorplan, pcfg: lr.pcfg, specs: lr.specs,
+			fp:    lr.rec.Floorplan,
 		}
 		entry.once.Do(func() {})
 		entry.ready.Store(true)
@@ -784,37 +759,4 @@ func (s *server) evictLocked() bool {
 	delete(s.models, victimKey)
 	s.metrics.modelsEvicted.Add(1)
 	return true
-}
-
-// ensureEnsemble lazily (re)generates a warm-started monitor's training
-// ensemble — needed only by simulate's replay path, which is why it is not
-// part of the persisted record: the ensemble is by far the largest artifact
-// and is bit-reproducible from the key. Serialized per monitor under e.mu
-// (a failed generation is retried by the next request, not cached) and
-// bounded by the simGen semaphore like any other per-request simulation.
-func (e *monitorEntry) ensureEnsemble(s *server) (*dataset.Dataset, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.ds != nil {
-		return e.ds, nil
-	}
-	solver, err := thermal.ParseSolver(e.key.Solver)
-	if err != nil {
-		return nil, err
-	}
-	s.simGen <- struct{}{}
-	defer func() { <-s.simGen }()
-	ds, err := dataset.Generate(e.fp, dataset.GenConfig{
-		Grid:      floorplan.Grid{W: e.key.W, H: e.key.H},
-		Snapshots: e.key.Snapshots,
-		Specs:     e.specs,
-		Seed:      e.key.Seed,
-		Power:     e.pcfg,
-		Solver:    solver,
-	})
-	if err != nil {
-		return nil, err
-	}
-	e.ds = ds
-	return ds, nil
 }

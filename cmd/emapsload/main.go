@@ -1,5 +1,5 @@
 // Command emapsload is the serving layer's load generator: it hammers a
-// running emapsd daemon's estimate, track, simulate or govern endpoint from a
+// running emapsd daemon's estimate, track or govern endpoint from a
 // configurable number of concurrent clients for a fixed duration (or
 // request budget) and reports throughput and latency percentiles as JSON —
 // the end-to-end number the serving path is optimized against.
@@ -102,12 +102,11 @@ func main() {
 	flag.Float64Var(&cfg.Zipf, "zipf", 0, "zipf exponent for monitor selection (> 1 = skewed; <= 1 = uniform)")
 	flag.StringVar(&cfg.Proto, "proto", "json", "estimate request encoding: json or binary (application/x-emaps)")
 	flag.StringVar(&cfg.CreateBody, "create-body", defaultCreateBody, "JSON body used to create the monitor when -monitor is empty")
-	flag.StringVar(&cfg.Endpoint, "endpoint", "estimate", "endpoint to load: estimate, track, simulate or govern")
-	flag.IntVar(&cfg.Batch, "batch", 16, "snapshots per request (readings per batch, or simulate count)")
+	flag.StringVar(&cfg.Endpoint, "endpoint", "estimate", "endpoint to load: estimate, track or govern")
+	flag.IntVar(&cfg.Batch, "batch", 16, "snapshots (readings) per request")
 	flag.IntVar(&cfg.Concurrency, "concurrency", 4, "concurrent client goroutines")
 	flag.DurationVar(&cfg.Duration, "duration", 10*time.Second, "how long to generate load")
 	flag.IntVar(&cfg.Requests, "requests", 0, "stop after this many requests instead of -duration (0 = use -duration)")
-	flag.Float64Var(&cfg.SNRdB, "snr-db", 20, "sensor SNR for the simulate endpoint")
 	flag.BoolVar(&cfg.Keep, "keep", false, "keep the created monitor instead of deleting it")
 	flag.StringVar(&cfg.Fault, "fault", "", "fault spec injected into generated readings, e.g. stuck:3,drop:0.01,drift:web->compute@30s")
 	flag.Int64Var(&cfg.FaultSeed, "fault-seed", 1, "base seed for the per-worker fault injectors")
@@ -241,7 +240,6 @@ type config struct {
 	Concurrency    int
 	Duration       time.Duration
 	Requests       int
-	SNRdB          float64
 	Keep           bool
 	Fault          string
 	FaultSeed      int64
@@ -338,9 +336,9 @@ func run(cfg config) (*Report, error) {
 		cfg.Proto = "json"
 	}
 	switch cfg.Endpoint {
-	case "estimate", "track", "simulate", "govern":
+	case "estimate", "track", "govern":
 	default:
-		return nil, fmt.Errorf("unknown endpoint %q (want estimate, track, simulate or govern)", cfg.Endpoint)
+		return nil, fmt.Errorf("unknown endpoint %q (want estimate, track or govern)", cfg.Endpoint)
 	}
 	switch cfg.Proto {
 	case "json":
@@ -355,9 +353,6 @@ func run(cfg config) (*Report, error) {
 	faults, err := drift.ParseFaults(cfg.Fault)
 	if err != nil {
 		return nil, err
-	}
-	if len(faults) > 0 && cfg.Endpoint == "simulate" {
-		return nil, fmt.Errorf("-fault corrupts generated readings; the simulate endpoint has none")
 	}
 
 	bases, err := resolveBases(cfg)
@@ -682,34 +677,25 @@ func finishTarget(cfg config, tg target, m int) (target, error) {
 	tg.url = tg.base + "/v1/monitors/" + tg.id + "/" + cfg.Endpoint
 	tg.contentType = "application/json"
 	tg.perReq = cfg.Batch
-	switch cfg.Endpoint {
-	case "simulate":
-		body, err := json.Marshal(map[string]any{
-			"count": cfg.Batch, "snr_db": cfg.SNRdB, "seed": int64(1),
-		})
-		tg.body = body
-		return tg, err
-	default: // estimate, track, govern
-		if m < 1 {
-			return tg, fmt.Errorf("monitor %s reports %d sensors", tg.id, m)
+	if m < 1 {
+		return tg, fmt.Errorf("monitor %s reports %d sensors", tg.id, m)
+	}
+	tg.m = m
+	readings := syntheticReadings(cfg.Batch, m, "")
+	if cfg.Proto == "binary" {
+		var frame []byte
+		var err error
+		if cfg.Endpoint == "govern" {
+			frame, err = wire.AppendGovernRequest(nil, &wire.GovernRequest{Readings: readings})
+		} else {
+			frame, err = wire.AppendEstimateRequest(nil, &wire.EstimateRequest{Readings: readings})
 		}
-		tg.m = m
-		readings := syntheticReadings(cfg.Batch, m, "")
-		if cfg.Proto == "binary" {
-			var frame []byte
-			var err error
-			if cfg.Endpoint == "govern" {
-				frame, err = wire.AppendGovernRequest(nil, &wire.GovernRequest{Readings: readings})
-			} else {
-				frame, err = wire.AppendEstimateRequest(nil, &wire.EstimateRequest{Readings: readings})
-			}
-			tg.body, tg.contentType = frame, wire.ContentType
-			return tg, err
-		}
-		body, err := json.Marshal(map[string]any{"readings": readings})
-		tg.body = body
+		tg.body, tg.contentType = frame, wire.ContentType
 		return tg, err
 	}
+	body, err := json.Marshal(map[string]any{"readings": readings})
+	tg.body = body
+	return tg, err
 }
 
 // familyShape maps a workload family name onto the synthetic pattern's

@@ -170,8 +170,10 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if _, err := run(config{Endpoint: "estimate", Batch: 1, Concurrency: 0}); err == nil {
 		t.Fatal("concurrency 0 accepted")
 	}
-	if _, err := run(config{Endpoint: "frobnicate", Batch: 1, Concurrency: 1}); err == nil {
-		t.Fatal("unknown endpoint accepted")
+	for _, ep := range []string{"frobnicate", "simulate"} {
+		if _, err := run(config{Endpoint: ep, Batch: 1, Concurrency: 1}); err == nil {
+			t.Fatalf("unknown endpoint %q accepted", ep)
+		}
 	}
 	if _, err := run(config{Endpoint: "estimate", Batch: 0, Concurrency: 1}); err == nil {
 		t.Fatal("batch 0 accepted")
@@ -216,18 +218,6 @@ func TestRequestBodyShapes(t *testing.T) {
 				t.Fatalf("binary reading [%d][%d] = %g, json %g", i, j, v, est.Readings[i][j])
 			}
 		}
-	}
-
-	tg, err = finishTarget(config{Endpoint: "simulate", Batch: 7, SNRdB: 15, Proto: "json"}, target{id: "mon-9", base: "http://x"}, 8)
-	if err != nil || tg.perReq != 7 {
-		t.Fatalf("simulate body: per=%d err=%v", tg.perReq, err)
-	}
-	var sim struct {
-		Count int     `json:"count"`
-		SNR   float64 `json:"snr_db"`
-	}
-	if err := json.Unmarshal(tg.body, &sim); err != nil || sim.Count != 7 || sim.SNR != 15 {
-		t.Fatalf("simulate body %s", tg.body)
 	}
 }
 
@@ -409,12 +399,9 @@ func TestRunCountsQuality(t *testing.T) {
 		t.Fatalf("clean-run quality counts %+v, want 10/0/0", rep.Quality)
 	}
 
-	// Bad specs and inapplicable endpoints fail before any load.
+	// A bad fault spec fails before any load.
 	if _, err := run(config{Addr: ts.URL, Endpoint: "estimate", Batch: 1, Concurrency: 1, Fault: "bogus:1"}); err == nil {
 		t.Fatal("bad fault spec accepted")
-	}
-	if _, err := run(config{Addr: ts.URL, Endpoint: "simulate", Batch: 1, Concurrency: 1, Fault: "stuck:0"}); err == nil {
-		t.Fatal("fault spec accepted for simulate")
 	}
 }
 

@@ -26,7 +26,6 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/floorplan"
 	"repro/internal/render"
-	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
@@ -43,10 +42,6 @@ func main() {
 		kmax    = flag.Int("kmax", 0, "override KMax")
 		seedArg = flag.Int64("seed", 0, "override seed")
 		method  = flag.String("train-method", "auto", "PCA eigensolver side: auto, covariance or gram")
-		workers = flag.Int("workers", 0, "goroutine cap for snapshot-Gram training (0 = all CPUs)")
-
-		simSolver  = flag.String("sim-solver", "auto", "transient linear solver: auto, cg or direct")
-		simWorkers = flag.Int("sim-workers", 0, "goroutine cap for simulating workload segments (0 = all CPUs)")
 
 		specFiles = flag.String("scenario-spec", "", "comma-separated JSON workload-spec files replacing the default scenario mix")
 	)
@@ -72,13 +67,6 @@ func main() {
 	default:
 		log.Fatalf("unknown -train-method %q (want auto, covariance or gram)", *method)
 	}
-	cfg.Workers = *workers
-	solver, serr := thermal.ParseSolver(*simSolver)
-	if serr != nil {
-		log.Fatalf("bad -sim-solver: %v", serr)
-	}
-	cfg.SimSolver = solver
-	cfg.SimWorkers = *simWorkers
 	fileSpecs, ferr := workload.DecodeFiles(*specFiles)
 	if ferr != nil {
 		log.Fatal(ferr)
@@ -106,9 +94,6 @@ func main() {
 	if !needEnv {
 		env = &experiments.Env{Cfg: cfg}
 	} else if *dsPath != "" {
-		if *simSolver != "auto" || *simWorkers != 0 {
-			log.Printf("warning: -sim-solver/-sim-workers are ignored with -dataset (the ensemble is loaded, not simulated)")
-		}
 		ds, lerr := dataset.LoadFile(*dsPath)
 		if lerr != nil {
 			log.Fatal(lerr)
@@ -128,12 +113,8 @@ func main() {
 	if needEnv {
 		fmt.Printf("environment ready in %v (T=%d, N=%d, KMax=%d)\n",
 			time.Since(start).Round(time.Millisecond), env.DS.T(), env.DS.N(), env.Cfg.KMax)
-		simTag := "" // no solver attribution when a cached dataset skipped simulation
-		if env.Timing.Simulate > 0 {
-			simTag = fmt.Sprintf(" [%v]", env.Timing.SimSolver)
-		}
-		fmt.Printf("  simulate %v%s · train eigenmaps %v [%v] · train k-lse %v\n\n",
-			env.Timing.Simulate.Round(time.Millisecond), simTag,
+		fmt.Printf("  simulate %v · train eigenmaps %v [%v] · train k-lse %v\n\n",
+			env.Timing.Simulate.Round(time.Millisecond),
 			env.Timing.TrainPCA.Round(time.Millisecond), env.Timing.PCAMethod,
 			env.Timing.TrainKLSE.Round(time.Millisecond))
 	}
@@ -190,8 +171,6 @@ func main() {
 			Seed:         env.Cfg.Seed,
 			Specs:        env.Cfg.Specs,
 			LoadCoupling: env.Cfg.LoadCoupling,
-			SimSolver:    env.Cfg.SimSolver,
-			SimWorkers:   env.Cfg.SimWorkers,
 		})
 	})
 	run("robust", func() (fmt.Stringer, error) {
@@ -203,8 +182,6 @@ func main() {
 			Seed:         env.Cfg.Seed,
 			Specs:        env.Cfg.Specs,
 			LoadCoupling: env.Cfg.LoadCoupling,
-			SimSolver:    env.Cfg.SimSolver,
-			SimWorkers:   env.Cfg.SimWorkers,
 		})
 	})
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/floorplan"
 	"repro/internal/governor"
 	"repro/internal/power"
-	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
@@ -32,7 +31,7 @@ type governConfig struct {
 // trains the EigenMaps model, places M sensors and governs from the
 // reconstructed map — the deployment configuration.
 func runGovern(fp *floorplan.Floorplan, grid floorplan.Grid, specs []*workload.Spec,
-	pcfg power.Config, sv thermal.Solver, workers, snapshots int, seed int64, gc governConfig) error {
+	pcfg power.Config, snapshots int, seed int64, gc governConfig) error {
 	pol := func(ceiling float64) (governor.Policy, error) {
 		return governor.NewPolicy(gc.Policy, governor.Params{CeilingC: ceiling})
 	}
@@ -89,8 +88,6 @@ func runGovern(fp *floorplan.Floorplan, grid floorplan.Grid, specs []*workload.S
 				Specs:     []*workload.Spec{spec},
 				Seed:      seed + 100_000 + int64(si),
 				Power:     pcfg,
-				Solver:    sv,
-				Workers:   workers,
 			})
 			if err != nil {
 				return fmt.Errorf("%s ensemble: %w", name, err)

@@ -6,7 +6,7 @@
 //	thermsim -o maps.emds [-w 60] [-hh 56] [-t 2652] [-seed 2012]
 //	         [-scenarios web,compute,mixed,idle] [-scenario-spec a.json,b.json]
 //	         [-floorplan t1|athlon|manycore-<cores>c] [-leakage]
-//	         [-solver auto|cg|direct] [-workers N] [-list-scenarios]
+//	         [-list-scenarios]
 //	thermsim -govern hysteresis [-govern-ceiling C] [-govern-steps N]
 //	         [-govern-m M -govern-k K] [-govern-faults spec] ...
 //
@@ -50,8 +50,6 @@ func main() {
 		leakage   = flag.Bool("leakage", false, "enable temperature-dependent leakage feedback")
 		steps     = flag.Int("steps-per-snapshot", 1, "simulation steps between recorded snapshots")
 		coupling  = flag.Float64("coupling", 0.75, "default core load coupling in [0,1] for scenarios that declare no load_coupling of their own")
-		solver    = flag.String("solver", "auto", "transient linear solver: auto, cg or direct")
-		workers   = flag.Int("workers", 0, "goroutine cap for simulating scenario segments (0 = all CPUs)")
 		list      = flag.Bool("list-scenarios", false, "print the workload registry and exit")
 
 		govern     = flag.String("govern", "", "closed-loop mode: run this control policy (threshold, hysteresis or pi) instead of writing a dataset")
@@ -66,11 +64,6 @@ func main() {
 	if *list {
 		fmt.Println(strings.Join(workload.Names(), "\n"))
 		return
-	}
-
-	sv, err := thermal.ParseSolver(*solver)
-	if err != nil {
-		log.Fatal(err)
 	}
 
 	specs, err := workload.ParseList(*scenarios)
@@ -90,7 +83,7 @@ func main() {
 	pcfg := power.ConfigFor(fp, *coupling)
 
 	if *govern != "" {
-		err := runGovern(fp, floorplan.Grid{W: *w, H: *h}, specs, pcfg, sv, *workers, *t, *seed,
+		err := runGovern(fp, floorplan.Grid{W: *w, H: *h}, specs, pcfg, *t, *seed,
 			governConfig{
 				Policy:   *govern,
 				CeilingC: *govCeiling,
@@ -112,8 +105,6 @@ func main() {
 		Seed:             *seed,
 		StepsPerSnapshot: *steps,
 		Power:            pcfg,
-		Solver:           sv,
-		Workers:          *workers,
 	}
 	if *leakage {
 		cfg.Thermal.Leakage = &thermal.LeakageModel{BaseWPerCell: 0.002, TRefC: 45, TSlopeC: 30}

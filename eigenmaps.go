@@ -183,24 +183,6 @@ func (w *WorkloadSpec) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Solver names the linear-solver arm of the transient thermal simulation.
-type Solver string
-
-// Available solver arms.
-const (
-	// SolverAuto (or the empty string) picks the best arm automatically —
-	// currently always the factor-once banded direct solver.
-	SolverAuto Solver = "auto"
-	// SolverCG is the warm-started Jacobi-preconditioned conjugate-gradient
-	// iteration (the ablation arm; slower, per-step cost depends on the
-	// power trace).
-	SolverCG Solver = "cg"
-	// SolverDirect factors the constant backward-Euler matrix once as a
-	// banded Cholesky and advances each step by two triangular
-	// substitutions.
-	SolverDirect Solver = "direct"
-)
-
 // SimOptions parameterize SimulateT1. The zero value reproduces the paper's
 // setup: a 60×56 grid and 2652 snapshots over a mix of workloads.
 type SimOptions struct {
@@ -224,28 +206,18 @@ type SimOptions struct {
 	// independent cores; throughput workloads like the T1's sit near 0.75,
 	// the value the experiment suite uses). Zero means independent.
 	LoadCoupling float64
-	// Solver selects the transient linear-solver arm ("" = auto).
-	Solver Solver
-	// Workers caps the goroutines simulating workload segments concurrently
-	// (0 = all CPUs, 1 = sequential). The ensemble is bit-identical for
-	// every worker count.
-	Workers int
 }
 
 // SimulateT1 runs the design-time thermal simulation of the bundled 8-core
-// UltraSPARC T1 floorplan and returns the snapshot ensemble.
+// UltraSPARC T1 floorplan and returns the snapshot ensemble. Workload
+// segments are simulated concurrently on all CPUs; the ensemble does not
+// depend on the CPU count.
 func SimulateT1(opt SimOptions) (*Ensemble, error) {
-	solver, err := thermal.ParseSolver(string(opt.Solver))
-	if err != nil {
-		return nil, fmt.Errorf("eigenmaps: %w", err)
-	}
 	cfg := dataset.GenConfig{
 		Grid:      opt.Grid.internal(),
 		Snapshots: opt.Snapshots,
 		Seed:      opt.Seed,
 		Power:     power.Config{LoadCoupling: opt.LoadCoupling},
-		Solver:    solver,
-		Workers:   opt.Workers,
 	}
 	for _, w := range opt.Workloads {
 		s, err := w.internal()

@@ -76,7 +76,7 @@ func TestTrainMethodFacade(t *testing.T) {
 	// Both eigensolver sides are selectable and train the same subspace the
 	// auto default does (up to numerical tolerance).
 	for _, method := range []eigenmaps.TrainMethod{eigenmaps.AutoMethod, eigenmaps.CovarianceMethod, eigenmaps.GramMethod} {
-		m, err := eigenmaps.Train(ens, eigenmaps.TrainOptions{KMax: 12, Seed: 5, Method: method, Workers: 2})
+		m, err := eigenmaps.Train(ens, eigenmaps.TrainOptions{KMax: 12, Seed: 5, Method: method})
 		if err != nil {
 			t.Fatalf("%s: %v", method, err)
 		}
@@ -104,17 +104,24 @@ func TestTrainMethodFacade(t *testing.T) {
 }
 
 func TestTrainRejectsDegenerateOptionsFacade(t *testing.T) {
-	ens, _ := fixture(t)
-	_, err := eigenmaps.Train(ens, eigenmaps.TrainOptions{KMax: 4, Workers: -2})
+	// One snapshot centers to the zero matrix: no spectrum to train on.
+	single, err := eigenmaps.SimulateT1(eigenmaps.SimOptions{
+		Grid: eigenmaps.Grid{W: 6, H: 5}, Snapshots: 1, Seed: 5,
+		Workloads: []eigenmaps.Workload{eigenmaps.WorkloadWeb},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = eigenmaps.Train(single, eigenmaps.TrainOptions{KMax: 4})
 	if err == nil {
-		t.Fatal("negative Workers should fail")
+		t.Fatal("a single-snapshot ensemble should fail")
 	}
 	if !errors.Is(err, eigenmaps.ErrInvalidOptions) {
 		t.Fatalf("error %v does not match ErrInvalidOptions", err)
 	}
 	var oe *eigenmaps.OptionError
-	if !errors.As(err, &oe) || oe.Option != "Workers" {
-		t.Fatalf("error %v is not the Workers OptionError", err)
+	if !errors.As(err, &oe) || oe.Option != "Ensemble" {
+		t.Fatalf("error %v is not the Ensemble OptionError", err)
 	}
 }
 
@@ -375,53 +382,6 @@ func TestRenderFacade(t *testing.T) {
 	}
 	if len(img) < g.N() {
 		t.Fatal("PGM payload too short")
-	}
-}
-
-func TestSimulateT1SolverAndWorkersFacade(t *testing.T) {
-	opts := func(solver eigenmaps.Solver, workers int) eigenmaps.SimOptions {
-		return eigenmaps.SimOptions{
-			Grid: eigenmaps.Grid{W: 12, H: 10}, Snapshots: 16, Seed: 9,
-			Solver: solver, Workers: workers,
-		}
-	}
-	want, err := eigenmaps.SimulateT1(opts(eigenmaps.SolverDirect, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Auto resolves to direct, and the worker count never changes bytes.
-	for _, o := range []eigenmaps.SimOptions{opts("", 4), opts(eigenmaps.SolverAuto, 0), opts(eigenmaps.SolverDirect, 3)} {
-		got, err := eigenmaps.SimulateT1(o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for j := 0; j < want.T(); j++ {
-			wj, gj := want.Map(j), got.Map(j)
-			for i := range wj {
-				if wj[i] != gj[i] {
-					t.Fatalf("opts %+v: map %d differs from direct/1-worker run", o, j)
-				}
-			}
-		}
-	}
-	// The CG arm agrees to the pinned tolerance.
-	cg, err := eigenmaps.SimulateT1(opts(eigenmaps.SolverCG, 1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < want.T(); j++ {
-		wj, cj := want.Map(j), cg.Map(j)
-		for i := range wj {
-			if d := math.Abs(wj[i] - cj[i]); d > 1e-6 {
-				t.Fatalf("map %d cell %d: |direct−cg| = %g °C", j, i, d)
-			}
-		}
-	}
-	if _, err := eigenmaps.SimulateT1(opts("multigrid", 0)); err == nil {
-		t.Fatal("expected unknown-solver error")
-	}
-	if _, err := eigenmaps.SimulateT1(opts("", -1)); err == nil {
-		t.Fatal("expected negative-workers error")
 	}
 }
 

@@ -139,12 +139,12 @@ func TestPCAAutoSelection(t *testing.T) {
 // results: the Gram path is bit-identical across worker counts.
 func TestGramWorkersInvariant(t *testing.T) {
 	ds := agreementEnsemble(t, floorplan.UltraSparcT1(), 80, 13)
-	seq, err := TrainPCA(ds, 8, PCAConfig{Method: PCAGram, Workers: 1})
+	seq, err := trainPCAWorkers(ds, 8, PCAConfig{Method: PCAGram}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 5} {
-		par, err := TrainPCA(ds, 8, PCAConfig{Method: PCAGram, Workers: workers})
+		par, err := trainPCAWorkers(ds, 8, PCAConfig{Method: PCAGram}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -202,15 +202,20 @@ type PCAConfig struct {
 	// Method selects the eigensolver side; the PCAAuto zero value picks the
 	// cheaper one from the ensemble shape.
 	Method PCAMethod
-	// Workers caps the goroutines used by the Gram accumulation and
-	// eigenvector lift (0 = NumCPU, 1 = sequential).
-	Workers int
 }
 
 // TrainPCA learns the EigenMaps basis from the training ensemble: the kmax
 // leading eigenvectors of the sample covariance of the centered maps
-// (Proposition 1). Importance holds the corresponding eigenvalues.
+// (Proposition 1). Importance holds the corresponding eigenvalues. The Gram
+// path fans out over all CPUs; its result does not depend on the count.
 func TrainPCA(ds *dataset.Dataset, kmax int, cfg PCAConfig) (*Basis, error) {
+	return trainPCAWorkers(ds, kmax, cfg, 0)
+}
+
+// trainPCAWorkers is TrainPCA with an explicit goroutine cap for the Gram
+// path (0 = all CPUs, 1 = sequential); the tests vary it to pin
+// bit-identity.
+func trainPCAWorkers(ds *dataset.Dataset, kmax int, cfg PCAConfig, workers int) (*Basis, error) {
 	if kmax < 1 {
 		return nil, fmt.Errorf("basis: kmax %d < 1", kmax)
 	}
@@ -223,7 +228,7 @@ func TrainPCA(ds *dataset.Dataset, kmax int, cfg PCAConfig) (*Basis, error) {
 	method := ResolvePCAMethod(cfg.Method, ds.T(), ds.N(), kmax)
 	switch method {
 	case PCAGram:
-		vals, vecs, err = mat.SnapshotPODWorkers(x, kmax, cfg.Workers)
+		vals, vecs, err = mat.SnapshotPODWorkers(x, kmax, workers)
 	case PCACovariance:
 		opts := cfg.Subspace
 		opts.Rand = rand.New(rand.NewSource(cfg.Seed))

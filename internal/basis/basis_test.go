@@ -2,9 +2,9 @@ package basis
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/dataset"
@@ -314,7 +314,7 @@ func TestBasisSaveLoadRoundTrip(t *testing.T) {
 	if err := b.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(&buf)
+	got, err := Decode(buf.Bytes())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -350,23 +350,11 @@ func TestBasisSaveLoadRoundTrip(t *testing.T) {
 	}
 }
 
-func TestBasisSaveLoadFile(t *testing.T) {
-	b := trainPCA(t, 4)
-	path := filepath.Join(t.TempDir(), "basis.embs")
-	if err := b.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Psi.Equal(b.Psi, 0) {
-		t.Fatal("file round trip mismatch")
-	}
-}
-
 func TestBasisLoadRejectsGarbage(t *testing.T) {
-	if _, err := Load(bytes.NewReader([]byte("YUCK"))); err == nil {
+	if _, err := Decode([]byte("YUCK")); err == nil {
+		t.Fatal("expected short-header error")
+	}
+	if _, err := Decode([]byte("YUCKYUCKYUCKYUCKYUCKYUCK")); err == nil {
 		t.Fatal("expected magic error")
 	}
 	var buf bytes.Buffer
@@ -375,7 +363,19 @@ func TestBasisLoadRejectsGarbage(t *testing.T) {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
-	if _, err := Load(bytes.NewReader(raw[:len(raw)-5])); err == nil {
+	if _, err := Decode(raw[:len(raw)-5]); err == nil {
 		t.Fatal("expected truncation error")
+	}
+	if _, err := Decode(append(raw[:len(raw):len(raw)], 0)); err == nil {
+		t.Fatal("expected trailing-byte error")
+	}
+	// A bare 24-byte header declaring a 65536×65536 grid must fail on the
+	// byte count, before allocating the 32 GiB its mean alone would need.
+	head := []byte(basisMagic)
+	for _, v := range []uint32{basisVersion, 0, 65536, 65536, 1} {
+		head = binary.LittleEndian.AppendUint32(head, v)
+	}
+	if _, err := Decode(head); err == nil {
+		t.Fatal("expected an error for a header larger than its bytes")
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
+	"math"
 
 	"repro/internal/floorplan"
 	"repro/internal/mat"
@@ -46,72 +46,59 @@ func (b *Basis) Save(w io.Writer) error {
 	return bw.Flush()
 }
 
-// Load reads a basis written by Save.
-func Load(r io.Reader) (*Basis, error) {
-	br := bufio.NewReader(r)
-	head := make([]byte, 4)
-	if _, err := io.ReadFull(br, head); err != nil {
-		return nil, fmt.Errorf("basis: reading magic: %w", err)
+// headerSize is the fixed part of the format: magic plus five uint32s
+// (version, name length, W, H, K).
+const headerSize = 4 + 5*4
+
+// Decode parses a basis written by Save. data must hold exactly one basis.
+// The declared shape is checked against len(data) in 64-bit arithmetic
+// before anything is allocated, so a forged header cannot drive an
+// allocation larger than the bytes it came with.
+func Decode(data []byte) (*Basis, error) {
+	if len(data) < headerSize {
+		return nil, fmt.Errorf("basis: %d bytes is shorter than the %d-byte header", len(data), headerSize)
 	}
-	if string(head) != basisMagic {
-		return nil, fmt.Errorf("basis: bad magic %q", head)
+	if string(data[:4]) != basisMagic {
+		return nil, fmt.Errorf("basis: bad magic %q", data[:4])
 	}
-	var ver, nameLen, w, h, k uint32
-	for _, p := range []*uint32{&ver, &nameLen, &w, &h, &k} {
-		if err := binary.Read(br, binary.LittleEndian, p); err != nil {
-			return nil, fmt.Errorf("basis: reading header: %w", err)
-		}
-	}
+	u32 := func(i int) uint32 { return binary.LittleEndian.Uint32(data[4+4*i:]) }
+	ver, nameLen, w, h, k := u32(0), u32(1), u32(2), u32(3), u32(4)
 	if ver != basisVersion {
 		return nil, fmt.Errorf("basis: unsupported version %d", ver)
 	}
-	const maxDim = 1 << 20
-	if w == 0 || h == 0 || w > maxDim || h > maxDim || k == 0 || nameLen > 255 ||
-		uint64(k)*uint64(w)*uint64(h) > 1<<32 {
+	if w == 0 || h == 0 || k == 0 || nameLen > 255 {
 		return nil, fmt.Errorf("basis: implausible header W=%d H=%d K=%d nameLen=%d", w, h, k, nameLen)
 	}
-	name := make([]byte, nameLen)
-	if _, err := io.ReadFull(br, name); err != nil {
-		return nil, fmt.Errorf("basis: reading name: %w", err)
+	// Bound the shape by the floats actually present before multiplying it
+	// out: n·k ≤ avail then holds without overflow, on 32-bit too.
+	n, kk := uint64(w)*uint64(h), uint64(k)
+	avail := uint64(len(data)-headerSize) / 8
+	if n > avail || kk > avail/n {
+		return nil, fmt.Errorf("basis: header W=%d H=%d K=%d needs more than the %d bytes present", w, h, k, len(data))
+	}
+	if want := uint64(headerSize) + uint64(nameLen) + 8*(n+kk+n*kk); uint64(len(data)) != want {
+		return nil, fmt.Errorf("basis: %d bytes for a %d-byte W=%d H=%d K=%d basis", len(data), want, w, h, k)
+	}
+	off := headerSize
+	name := string(data[off : off+int(nameLen)])
+	off += int(nameLen)
+	floats := func(count int) []float64 {
+		out := make([]float64, count)
+		for i := range out {
+			out[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[off+8*i:]))
+		}
+		off += 8 * count
+		return out
 	}
 	grid := floorplan.Grid{W: int(w), H: int(h)}
-	n := grid.N()
-	mean := make([]float64, n)
-	imp := make([]float64, k)
-	psi := make([]float64, n*int(k))
-	for _, payload := range [][]float64{mean, imp, psi} {
-		if err := binary.Read(br, binary.LittleEndian, payload); err != nil {
-			return nil, fmt.Errorf("basis: reading payload: %w", err)
-		}
-	}
+	mean := floats(grid.N())
+	imp := floats(int(k))
+	psi := floats(grid.N() * int(k))
 	return &Basis{
-		Name:       string(name),
+		Name:       name,
 		Grid:       grid,
 		Mean:       mean,
-		Psi:        mat.NewFromData(n, int(k), psi),
+		Psi:        mat.NewFromData(grid.N(), int(k), psi),
 		Importance: imp,
 	}, nil
-}
-
-// SaveFile writes the basis to path.
-func (b *Basis) SaveFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := b.Save(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// LoadFile reads a basis from path.
-func LoadFile(path string) (*Basis, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f)
 }

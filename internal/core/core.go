@@ -59,16 +59,13 @@ type TrainOptions struct {
 	// or the snapshot-Gram dual); the zero value picks the cheaper one from
 	// the ensemble shape. Ignored by the DCT families.
 	Method basis.PCAMethod
-	// Workers caps the goroutines used by the snapshot-Gram path (0 = all
-	// CPUs, 1 = sequential). Negative values are rejected.
-	Workers int
 }
 
 // OptionError reports a TrainOptions field (or the ensemble it is applied
 // to) that would silently produce a degenerate model. Match with errors.As,
 // or errors.Is against ErrInvalidOptions.
 type OptionError struct {
-	Option string // offending field, e.g. "Workers"
+	Option string // offending field, e.g. "Method"
 	Reason string
 }
 
@@ -85,14 +82,10 @@ var ErrInvalidOptions = errors.New("core: invalid training options")
 
 // validate rejects option/ensemble combinations that would otherwise train
 // silently into garbage: a single snapshot centers to the zero matrix (its
-// "covariance" has no spectrum at all), and a negative worker cap is always
-// a caller bug rather than a request for sequential execution.
+// "covariance" has no spectrum at all), and an unknown method has no solver.
 func (opt TrainOptions) validate(ds *dataset.Dataset) error {
 	if t := ds.T(); t < 2 {
 		return &OptionError{Option: "Ensemble", Reason: fmt.Sprintf("training needs T ≥ 2 snapshots, got %d (a single centered snapshot has a degenerate covariance)", t)}
-	}
-	if opt.Workers < 0 {
-		return &OptionError{Option: "Workers", Reason: fmt.Sprintf("%d is negative (0 = all CPUs, 1 = sequential)", opt.Workers)}
 	}
 	switch opt.Method {
 	case basis.PCAAuto, basis.PCACovariance, basis.PCAGram:
@@ -132,11 +125,7 @@ func Train(ds *dataset.Dataset, opt TrainOptions) (*Model, error) {
 	)
 	switch opt.Kind {
 	case BasisEigenMaps:
-		b, err = basis.TrainPCA(ds, opt.KMax, basis.PCAConfig{
-			Seed:    opt.Seed,
-			Method:  opt.Method,
-			Workers: opt.Workers,
-		})
+		b, err = basis.TrainPCA(ds, opt.KMax, basis.PCAConfig{Seed: opt.Seed, Method: opt.Method})
 	case BasisDCT:
 		b, err = basis.TrainDCT(ds, opt.KMax, basis.DCTEnergyRanked)
 	case BasisDCTZigZag:
@@ -224,21 +213,11 @@ func (mdl *Model) NewMonitor(k int, sensors []int) (*Monitor, error) {
 	return &Monitor{rec: r}, nil
 }
 
-// RestoreMonitor rebuilds a run-time estimator from a persisted basis,
-// sensor set and cached least-squares factorization (the monitor store's
-// deserialization path, see internal/store). The restored monitor estimates
-// bit-identically to the one the factorization was captured from.
-func RestoreMonitor(b *basis.Basis, k int, sensors []int, qr *mat.QR) (*Monitor, error) {
-	r, err := recon.Restore(b, k, sensors, qr)
-	if err != nil {
-		return nil, err
-	}
-	return &Monitor{rec: r}, nil
-}
-
-// RestoreMonitorWithOperator is RestoreMonitor plus a persisted
-// reconstruction operator (a v2 store record's operator section), skipping
-// the deterministic re-fold on load.
+// RestoreMonitorWithOperator rebuilds a run-time estimator from a persisted
+// basis, sensor set, least-squares factorization and folded reconstruction
+// operator (the monitor store's deserialization path, see internal/store).
+// The restored monitor estimates bit-identically to the one they were
+// captured from.
 func RestoreMonitorWithOperator(b *basis.Basis, k int, sensors []int, qr *mat.QR, op *mat.Matrix, opBias []float64) (*Monitor, error) {
 	r, err := recon.RestoreWithOperator(b, k, sensors, qr, op, opBias)
 	if err != nil {

@@ -157,17 +157,6 @@ type GenConfig struct {
 	Seed    int64
 	Thermal thermal.Config
 	Power   power.Config // Scenario and Seed fields are overridden per segment
-
-	// Solver overrides Thermal.Solver when non-auto: the linear-solver arm
-	// of the transient simulation (auto/cg/direct; see thermal.Solver).
-	Solver thermal.Solver
-
-	// Workers caps the goroutines generating scenario segments concurrently
-	// (0 = all CPUs, 1 = sequential). Segments are fully independent — each
-	// owns its seeded workload generator and its Transient over the shared
-	// read-only thermal model — so the output is bit-identical for every
-	// worker count.
-	Workers int
 }
 
 // ConfigError reports a GenConfig field that would silently produce a
@@ -209,8 +198,7 @@ func (c *GenConfig) defaults() {
 
 // validate rejects configurations that used to fail silently: fewer
 // snapshots than scenarios gave the early scenarios zero snapshots and the
-// last one everything, a negative worker cap is always a caller bug, and an
-// out-of-range solver or a grid side below 1 would panic deep inside
+// last one everything, and a grid side below 1 would panic deep inside
 // thermal.NewModel.
 func (c *GenConfig) validate() error {
 	if c.Grid.W < 1 || c.Grid.H < 1 {
@@ -235,16 +223,6 @@ func (c *GenConfig) validate() error {
 			"%d snapshots cannot cover %d scenarios (each scenario segment needs at least one snapshot)",
 			c.Snapshots, c.segments())}
 	}
-	if c.Workers < 0 {
-		return &ConfigError{Option: "Workers", Reason: fmt.Sprintf(
-			"%d is negative (0 = all CPUs, 1 = sequential)", c.Workers)}
-	}
-	if !thermal.ValidSolver(c.Solver) {
-		return &ConfigError{Option: "Solver", Reason: fmt.Sprintf("unknown solver %v", c.Solver)}
-	}
-	if !thermal.ValidSolver(c.Thermal.Solver) {
-		return &ConfigError{Option: "Thermal.Solver", Reason: fmt.Sprintf("unknown solver %v", c.Thermal.Solver)}
-	}
 	return nil
 }
 
@@ -262,12 +240,18 @@ func (c *GenConfig) segments() int {
 // of the first power map, and records the die temperature after every
 // StepsPerSnapshot transient steps.
 //
-// Scenario segments are generated concurrently across cfg.Workers
-// goroutines. Each segment owns its seeded power generator and Transient
-// and writes to its own row range, while all of them share the model's
-// factored system matrix read-only, so the result is bit-identical to a
-// sequential run (pinned by the determinism tests).
+// Scenario segments are generated concurrently across all CPUs. Each
+// segment owns its seeded power generator and Transient and writes to its
+// own row range, while all of them share the model's factored system matrix
+// read-only, so the result is bit-identical to a sequential run (pinned by
+// the determinism tests).
 func Generate(fp *floorplan.Floorplan, cfg GenConfig) (*Dataset, error) {
+	return generate(fp, cfg, 0)
+}
+
+// generate is Generate with an explicit goroutine cap for the segments
+// (0 = all CPUs, 1 = sequential); the tests vary it to pin bit-identity.
+func generate(fp *floorplan.Floorplan, cfg GenConfig, workers int) (*Dataset, error) {
 	cfg.defaults()
 	if err := cfg.validate(); err != nil {
 		return nil, err
@@ -276,11 +260,7 @@ func Generate(fp *floorplan.Floorplan, cfg GenConfig) (*Dataset, error) {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
 	raster := fp.Rasterize(cfg.Grid)
-	tcfg := cfg.Thermal
-	if cfg.Solver != thermal.SolverAuto {
-		tcfg.Solver = cfg.Solver
-	}
-	model := thermal.NewModel(cfg.Grid, tcfg)
+	model := thermal.NewModel(cfg.Grid, cfg.Thermal)
 
 	maps := mat.New(cfg.Snapshots, cfg.Grid.N())
 	// Segment si covers rows [starts[si], starts[si+1]); the last segment
@@ -294,7 +274,7 @@ func Generate(fp *floorplan.Floorplan, cfg GenConfig) (*Dataset, error) {
 	starts[nseg] = cfg.Snapshots
 
 	errs := make([]error, nseg)
-	mat.ParallelChunks(nseg, cfg.Workers, func(lo, hi int) {
+	mat.ParallelChunks(nseg, workers, func(lo, hi int) {
 		for si := lo; si < hi; si++ {
 			errs[si] = generateSegment(fp, raster, model, &cfg, si, starts[si], starts[si+1], maps)
 		}

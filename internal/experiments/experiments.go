@@ -15,7 +15,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/floorplan"
 	"repro/internal/power"
-	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
@@ -44,16 +43,6 @@ type Config struct {
 	// Method forwards to core.TrainOptions: the PCA eigensolver side
 	// (default auto — pick the cheaper one from the ensemble shape).
 	Method basis.PCAMethod
-	// Workers forwards to core.TrainOptions: the goroutine cap for the
-	// snapshot-Gram training path (0 = all CPUs).
-	Workers int
-
-	// SimSolver forwards to dataset.GenConfig: the transient linear-solver
-	// arm (default auto — the factor-once banded direct solver).
-	SimSolver thermal.Solver
-	// SimWorkers forwards to dataset.GenConfig: the goroutine cap for
-	// generating scenario segments concurrently (0 = all CPUs).
-	SimWorkers int
 
 	// Specs, when non-empty, replaces the default scenario mix with
 	// declarative workload specs (dataset.GenConfig.Specs). The robustness
@@ -101,10 +90,6 @@ type Timing struct {
 	TrainPCA  time.Duration // EigenMaps training
 	TrainKLSE time.Duration // DCT baseline training
 	PCAMethod basis.PCAMethod
-	// SimSolver is the resolved solver arm the simulation ran with; it is
-	// left zero (auto) when a cached dataset was supplied and nothing was
-	// simulated.
-	SimSolver thermal.Solver
 }
 
 // Env holds the shared precomputed state every experiment driver reuses:
@@ -128,8 +113,6 @@ func NewEnv(cfg Config) (*Env, error) {
 		Specs:     cfg.Specs,
 		Seed:      cfg.Seed,
 		Power:     power.Config{LoadCoupling: cfg.LoadCoupling},
-		Solver:    cfg.SimSolver,
-		Workers:   cfg.SimWorkers,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: simulate: %w", err)
@@ -139,9 +122,6 @@ func NewEnv(cfg Config) (*Env, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Attributed here, not in NewEnvWithDataset: a preloaded dataset was not
-	// produced by this process, so no solver arm can be claimed for it.
-	env.Timing.SimSolver = thermal.ResolveSolver(cfg.SimSolver)
 	env.Timing.Simulate = simTime
 	return env, nil
 }
@@ -153,8 +133,7 @@ func NewEnvWithDataset(cfg Config, ds *dataset.Dataset) (*Env, error) {
 	cfg.Snapshots = ds.T()
 	start := time.Now()
 	pca, err := core.Train(ds, core.TrainOptions{
-		KMax: cfg.KMax, Kind: core.BasisEigenMaps, Seed: cfg.Seed,
-		Method: cfg.Method, Workers: cfg.Workers,
+		KMax: cfg.KMax, Kind: core.BasisEigenMaps, Seed: cfg.Seed, Method: cfg.Method,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: train EigenMaps: %w", err)

@@ -11,7 +11,6 @@ import (
 	"repro/internal/floorplan"
 	"repro/internal/governor"
 	"repro/internal/power"
-	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
@@ -61,10 +60,6 @@ type GovernorConfig struct {
 	// Faults configures the drift-faulted arm's injector
 	// (drift.ParseFaults syntax). Default "stuck:0:40,offset:3:+5".
 	Faults string
-
-	// SimSolver / SimWorkers forward to dataset.GenConfig.
-	SimSolver  thermal.Solver
-	SimWorkers int
 }
 
 func (c *GovernorConfig) defaults() error {
@@ -247,8 +242,6 @@ func Governor(cfg GovernorConfig) (*GovernorResult, error) {
 			Specs:     []*workload.Spec{spec},
 			Seed:      mixSeed(cfg.Seed, 100_000+int64(si)),
 			Power:     cfg.Power,
-			Solver:    cfg.SimSolver,
-			Workers:   cfg.SimWorkers,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("governor sweep: %s ensemble: %w", name, err)

@@ -11,7 +11,6 @@ import (
 	"repro/internal/floorplan"
 	"repro/internal/power"
 	"repro/internal/recon"
-	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
@@ -48,10 +47,6 @@ type RobustConfig struct {
 	// Specs are the scenario families. Default: the six-family catalog
 	// cross-section web, compute, idle, bursty, wave, dvfs.
 	Specs []*workload.Spec
-
-	// SimSolver / SimWorkers forward to dataset.GenConfig.
-	SimSolver  thermal.Solver
-	SimWorkers int
 
 	// Adapt enables the adaptation arm: for every train×eval pair, the
 	// trained basis absorbs an adaptation stream of the *eval* family
@@ -189,8 +184,6 @@ func Robust(cfg RobustConfig) (*RobustResult, error) {
 			Specs:     []*workload.Spec{cfg.Specs[si]},
 			Seed:      mixSeed(cfg.Seed, seedSalt+int64(si)),
 			Power:     cfg.Power,
-			Solver:    cfg.SimSolver,
-			Workers:   cfg.SimWorkers,
 		})
 	}
 
@@ -220,8 +213,6 @@ func Robust(cfg RobustConfig) (*RobustResult, error) {
 				Specs:     []*workload.Spec{cfg.Specs[j]},
 				Seed:      mixSeed(cfg.Seed, 200_000+int64(j)),
 				Power:     cfg.Power,
-				Solver:    cfg.SimSolver,
-				Workers:   cfg.SimWorkers,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("robust: adapt stream %s: %w", res.Names[j], err)

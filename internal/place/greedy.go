@@ -29,10 +29,10 @@ import (
 //     repair walks a reverse index of argmax pointers instead of scanning
 //     all rows. The algorithm as a whole stays Θ(R²) — the Gram build is
 //     O(R²K) and the aggregate tie-break scans the victim pair's rows — but
-//     the heap+index remove two of the three per-removal linear scans
-//     (~12% end-to-end at the paper's R = 3360, and more as the removal
-//     count grows). Set Rescan for the linear-scan reference; the ablation
-//     test asserts both produce identical allocations.
+//     the heap+index remove two of the three per-removal linear scans. At
+//     the paper's scale the heap won 15 of 16 timed pairs against the
+//     rescan (DESIGN.md); the rescan survives only as the test reference,
+//     which must produce identical allocations.
 type Greedy struct {
 	// SignedMax selects the paper-literal signed max-element rule.
 	SignedMax bool
@@ -41,9 +41,6 @@ type Greedy struct {
 	RankCheckBelow int
 	// CheckEveryStep forces a rank check after every removal (ablation).
 	CheckEveryStep bool
-	// Rescan selects the O(R)-per-removal linear scan over row maxima
-	// instead of the lazy max-heap (ablation reference).
-	Rescan bool
 }
 
 // rowMaxHeap is a binary max-heap of (correlation, row) pairs ordered by
@@ -197,15 +194,12 @@ func (g *Greedy) Allocate(in Input) ([]int, error) {
 		}
 	}
 
-	// Heap over the row maxima (unless the ablation rescan is requested).
-	// Invariant: every active row has an entry carrying its current rowMax;
-	// entries invalidated by removals or recomputes are skipped at pop time.
-	var heap *rowMaxHeap
-	if !g.Rescan {
-		heap = &rowMaxHeap{val: make([]float32, 0, nr), row: make([]int32, 0, nr)}
-		for i := 0; i < nr; i++ {
-			heap.push(rowMax[i], i)
-		}
+	// Heap over the row maxima. Invariant: every active row has an entry
+	// carrying its current rowMax; entries invalidated by removals or
+	// recomputes are skipped at pop time.
+	heap := &rowMaxHeap{val: make([]float32, 0, nr), row: make([]int32, 0, nr)}
+	for i := 0; i < nr; i++ {
+		heap.push(rowMax[i], i)
 	}
 
 	checkBelow := g.RankCheckBelow
@@ -230,24 +224,14 @@ func (g *Greedy) Allocate(in Input) ([]int, error) {
 	for len(live) > in.M {
 		// Row participating in the globally strongest correlation.
 		victim := -1
-		if g.Rescan {
-			best := float32(math.Inf(-1))
-			for _, i32 := range live {
-				if i := int(i32); rowMax[i] > best {
-					best = rowMax[i]
-					victim = i
-				}
+		for {
+			v, r, ok := heap.pop()
+			if !ok {
+				break
 			}
-		} else {
-			for {
-				v, r, ok := heap.pop()
-				if !ok {
-					break
-				}
-				if active[r] && v == rowMax[r] {
-					victim = r
-					break
-				}
+			if active[r] && v == rowMax[r] {
+				victim = r
+				break
 			}
 		}
 		if victim < 0 {
@@ -278,17 +262,15 @@ func (g *Greedy) Allocate(in Input) ([]int, error) {
 		// Repair row maxima that pointed at the removed row, via the reverse
 		// index (stale entries — rows whose argmax has since moved on, or a
 		// duplicate of an already-repaired row — filter out on the live
-		// rowArg). In heap mode each repaired row gets a fresh entry; its
-		// old one (possibly just popped when the tie-break redirected the
-		// removal) goes stale. The victim's list is consumed for good: an
-		// inactive row is never an argmax again.
+		// rowArg). Each repaired row gets a fresh heap entry; its old one
+		// (possibly just popped when the tie-break redirected the removal)
+		// goes stale. The victim's list is consumed for good: an inactive
+		// row is never an argmax again.
 		for _, i32 := range argRev[victim] {
 			i := int(i32)
 			if active[i] && rowArg[i] == victim {
 				recompute(i)
-				if heap != nil {
-					heap.push(rowMax[i], i)
-				}
+				heap.push(rowMax[i], i)
 			}
 		}
 		argRev[victim] = nil

@@ -13,8 +13,10 @@ import (
 // TestGreedyBitIdenticalToReference).
 
 // refAllocate is Greedy.Allocate with one serial Dot per correlation pair
-// and full-range scans over the active flags.
-func refAllocate(g *Greedy, in Input) ([]int, error) {
+// and full-range scans over the active flags. With rescan set, the victim is
+// found by an O(R) linear scan over the row maxima instead of the lazy
+// max-heap — the formulation the heap must reproduce exactly.
+func refAllocate(g *Greedy, in Input, rescan bool) ([]int, error) {
 	if in.Psi == nil {
 		return nil, fmt.Errorf("%w: greedy needs Psi", ErrBadInput)
 	}
@@ -104,11 +106,11 @@ func refAllocate(g *Greedy, in Input) ([]int, error) {
 		recompute(i)
 	}
 
-	// Heap over the row maxima (unless the ablation rescan is requested).
-	// Invariant: every active row has an entry carrying its current rowMax;
-	// entries invalidated by removals or recomputes are skipped at pop time.
+	// Heap over the row maxima (unless the rescan is requested). Invariant:
+	// every active row has an entry carrying its current rowMax; entries
+	// invalidated by removals or recomputes are skipped at pop time.
 	var heap *rowMaxHeap
-	if !g.Rescan {
+	if !rescan {
 		heap = &rowMaxHeap{val: make([]float32, 0, nr), row: make([]int32, 0, nr)}
 		for i := 0; i < nr; i++ {
 			heap.push(rowMax[i], i)
@@ -137,7 +139,7 @@ func refAllocate(g *Greedy, in Input) ([]int, error) {
 	for remaining > in.M {
 		// Row participating in the globally strongest correlation.
 		victim := -1
-		if g.Rescan {
+		if rescan {
 			best := float32(math.Inf(-1))
 			for i := 0; i < nr; i++ {
 				if !active[i] {

@@ -166,19 +166,21 @@ func TestGreedyRankCheckScheduleAblation(t *testing.T) {
 }
 
 func TestGreedyHeapMatchesRescanAblation(t *testing.T) {
-	// The lazy max-heap must reproduce the linear-rescan victim sequence
-	// exactly — same tie-breaks, same rank-safeguard interactions — so the
-	// two modes yield identical allocations on every instance.
+	// The lazy max-heap must reproduce the linear-rescan victim sequence of
+	// the reference exactly — same tie-breaks, same rank-safeguard
+	// interactions — so the two yield identical allocations on every
+	// instance.
 	for seed := int64(0); seed < 8; seed++ {
 		for _, signed := range []bool{false, true} {
 			for _, every := range []bool{false, true} {
 				psi := mat.RandomOrthonormal(36, 4, rand.New(rand.NewSource(seed)))
 				in := Input{Psi: psi, Grid: floorplan.Grid{W: 6, H: 6}, M: 6}
-				heap, err := (&Greedy{SignedMax: signed, CheckEveryStep: every}).Allocate(in)
+				g := &Greedy{SignedMax: signed, CheckEveryStep: every}
+				heap, err := g.Allocate(in)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rescan, err := (&Greedy{SignedMax: signed, CheckEveryStep: every, Rescan: true}).Allocate(in)
+				rescan, err := refAllocate(g, in, true)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -207,7 +209,7 @@ func TestGreedyHeapMatchesRescanMasked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rescan, err := (&Greedy{Rescan: true}).Allocate(in)
+	rescan, err := refAllocate(&Greedy{}, in, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -622,12 +624,12 @@ func TestGreedyBitIdenticalToReference(t *testing.T) {
 					if masked {
 						in.Mask = mask
 					}
-					g := &Greedy{SignedMax: signed, Rescan: rescan}
+					g := &Greedy{SignedMax: signed}
 					got, err := g.Allocate(in)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := refAllocate(g, in)
+					want, err := refAllocate(g, in, rescan)
 					if err != nil {
 						t.Fatal(err)
 					}

@@ -81,24 +81,12 @@ func New(b *basis.Basis, k int, sensors []int) (*Reconstructor, error) {
 	return build(b, k, sensors, nil, nil, nil)
 }
 
-// Restore rebuilds a reconstructor from a previously cached least-squares
-// factorization — the deserialization path of the monitor store. It performs
-// New's full validation but reuses qr instead of refactoring Ψ̃_K, so a
-// restored reconstructor reproduces the saved one's ReconstructInto output
-// bit-for-bit: the reflector sweep runs over the exact float64 values the
-// original computed with, in the same order.
-func Restore(b *basis.Basis, k int, sensors []int, qr *mat.QR) (*Reconstructor, error) {
-	if qr == nil {
-		return nil, fmt.Errorf("recon: restore: nil factorization")
-	}
-	return build(b, k, sensors, qr, nil, nil)
-}
-
-// RestoreWithOperator is Restore plus an already-folded operator (op is the
-// N×M matrix R, opBias the length-N affine term c) from a v2 store record,
-// skipping the fold entirely. Shapes are validated against (b, k, sensors);
-// the fold is deterministic, so adopting a persisted operator and re-folding
-// from the same factorization produce bit-identical estimates.
+// RestoreWithOperator rebuilds a reconstructor from a cached least-squares
+// factorization and its already-folded operator (op is the N×M matrix R,
+// opBias the length-N affine term c) — the deserialization path of the
+// monitor store. It performs New's full validation but refactors and folds
+// nothing, so a restored reconstructor reproduces the saved one's
+// ReconstructInto output bit-for-bit.
 func RestoreWithOperator(b *basis.Basis, k int, sensors []int, qr *mat.QR, op *mat.Matrix, opBias []float64) (*Reconstructor, error) {
 	if qr == nil {
 		return nil, fmt.Errorf("recon: restore: nil factorization")

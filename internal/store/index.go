@@ -2,8 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/binary"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -40,10 +38,10 @@ const (
 	indexMagic = "EMSI"
 	// IndexVersion is the index format version SaveIndex writes.
 	IndexVersion = 1
-	// maxIndexEntries bounds the entry count a corrupt header can claim
-	// before any allocation happens (~10^8 monitors is far beyond the
-	// design target of 10^6).
-	maxIndexEntries = 1 << 27
+	// minIndexEntry is the smallest encoded entry: four string lengths and
+	// five u32 fields. It bounds the entry count a header can claim by the
+	// bytes that follow it, before any allocation happens.
+	minIndexEntry = 4*4 + 5*4
 )
 
 // IndexEntry summarizes one monitor record: everything the daemon needs to
@@ -100,21 +98,7 @@ func EncodeIndex(w io.Writer, idx *Index) error {
 		}
 		putU32(&payload, flags)
 	}
-	head := make([]byte, 0, 16)
-	head = append(head, indexMagic...)
-	head = binary.LittleEndian.AppendUint32(head, IndexVersion)
-	head = binary.LittleEndian.AppendUint64(head, uint64(payload.Len()))
-	if _, err := w.Write(head); err != nil {
-		return &Error{Kind: KindIO, Detail: "writing index header", Err: err}
-	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
-		return &Error{Kind: KindIO, Detail: "writing index payload", Err: err}
-	}
-	crc := crc32.ChecksumIEEE(payload.Bytes())
-	if _, err := w.Write(binary.LittleEndian.AppendUint32(nil, crc)); err != nil {
-		return &Error{Kind: KindIO, Detail: "writing index checksum", Err: err}
-	}
-	return nil
+	return writeEnvelope(w, indexMagic, IndexVersion, payload.Bytes())
 }
 
 // DecodeIndex reads one index. The error contract matches Decode: hostile
@@ -122,48 +106,9 @@ func EncodeIndex(w io.Writer, idx *Index) error {
 // ErrChecksum, ErrInvalid), never a panic — and the caller is expected to
 // treat any of them as "rebuild the index from a directory scan".
 func DecodeIndex(r io.Reader) (*Index, error) {
-	var mg [4]byte
-	if _, err := io.ReadFull(r, mg[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, errf(KindTruncated, "index shorter than the 4-byte magic")
-		}
-		return nil, &Error{Kind: KindIO, Detail: "reading index magic", Err: err}
-	}
-	if string(mg[:]) != indexMagic {
-		return nil, errf(KindBadMagic, "index magic %q", mg[:])
-	}
-	head := make([]byte, 12)
-	if _, err := io.ReadFull(r, head); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, errf(KindTruncated, "index header cut short")
-		}
-		return nil, &Error{Kind: KindIO, Detail: "reading index header", Err: err}
-	}
-	version := binary.LittleEndian.Uint32(head[0:4])
-	if version != IndexVersion {
-		return nil, errf(KindUnknownVersion, "index version %d (this build reads %d)", version, IndexVersion)
-	}
-	length := binary.LittleEndian.Uint64(head[4:12])
-	if length > maxPayload {
-		return nil, errf(KindInvalid, "index payload length %d exceeds cap %d", length, int64(maxPayload))
-	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, errf(KindTruncated, "index payload: want %d bytes", length)
-		}
-		return nil, &Error{Kind: KindIO, Detail: "reading index payload", Err: err}
-	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, errf(KindTruncated, "index checksum missing")
-		}
-		return nil, &Error{Kind: KindIO, Detail: "reading index checksum", Err: err}
-	}
-	want := binary.LittleEndian.Uint32(crcBuf[:])
-	if got := crc32.ChecksumIEEE(payload); got != want {
-		return nil, errf(KindChecksum, "index crc32 %08x, header says %08x", got, want)
+	payload, err := readEnvelope(r, indexMagic, IndexVersion)
+	if err != nil {
+		return nil, err
 	}
 	return parseIndexPayload(payload)
 }
@@ -171,16 +116,13 @@ func DecodeIndex(r io.Reader) (*Index, error) {
 // parseIndexPayload parses a checksum-verified index payload.
 func parseIndexPayload(payload []byte) (*Index, error) {
 	p := &reader{buf: payload}
-	count, err := p.u32("index entry count")
+	count, err := p.count(minIndexEntry, "index entry count")
 	if err != nil {
 		return nil, err
 	}
-	if count > maxIndexEntries {
-		return nil, errf(KindInvalid, "implausible index entry count %d", count)
-	}
 	idx := &Index{Entries: make([]IndexEntry, 0, count)}
 	seen := make(map[string]struct{}, count)
-	for i := uint32(0); i < count; i++ {
+	for i := 0; i < count; i++ {
 		var e IndexEntry
 		if e.ID, err = p.string("index id"); err != nil {
 			return nil, err
@@ -237,27 +179,7 @@ func parseIndexPayload(payload []byte) (*Index, error) {
 // like SaveFile: a crash mid-write leaves the old index or none, never a
 // torn one.
 func SaveIndexFile(path string, idx *Index) error {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return &Error{Kind: KindIO, Detail: "creating temp index file", Err: err}
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := EncodeIndex(tmp, idx); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return &Error{Kind: KindIO, Detail: "syncing temp index file", Err: err}
-	}
-	if err := tmp.Close(); err != nil {
-		return &Error{Kind: KindIO, Detail: "closing temp index file", Err: err}
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return &Error{Kind: KindIO, Detail: "renaming index into place", Err: err}
-	}
-	return nil
+	return saveAtomic(path, func(w io.Writer) error { return EncodeIndex(w, idx) })
 }
 
 // LoadIndexFile reads an index written by SaveIndexFile.

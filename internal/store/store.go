@@ -1,10 +1,13 @@
 // Package store is the durable serving layer's codec: a versioned,
 // checksummed binary format that round-trips everything a trained monitor
 // needs to serve — the floorplan, the PCA basis, the per-cell training
-// energy, the sensor placement, the cached least-squares (QR) factorization
-// and the training key — so the expensive design-time pipeline (ensemble
-// simulation, PCA, greedy placement) runs once and its product is reloaded
-// in microseconds instead of recomputed in seconds.
+// energy, the sensor placement, the cached least-squares (QR) factorization,
+// the folded reconstruction operator and the training key — so the
+// expensive design-time pipeline (ensemble simulation, PCA, greedy
+// placement) runs once and its product is reloaded in microseconds instead
+// of recomputed in seconds. A record without the monitor section is a
+// trained model: the daemon's model files and the library's Model.Save use
+// it.
 //
 // # Format
 //
@@ -16,35 +19,34 @@
 //	payload length bytes
 //	crc     uint32 LE         IEEE CRC-32 of the payload
 //
-// The payload is a fixed sequence of sections: a strict-decoded
-// JSON metadata blob (the training key, solver/noise configuration and
-// serving options), a presence bitmap, then the optional floorplan, the
-// basis (in the basis package's own format, length-prefixed), the optional
-// energy map and the optional monitor section (K, sensors, packed QR
-// factors). Version 2 adds one optional section after the monitor: the
-// folded reconstruction operator (N×M matrix plus length-N affine term),
-// so a warm-started daemon skips even the deterministic re-fold. Version 3
-// adds one more optional section after the operator: the drift block —
-// the monitor's training residual calibration (the thresholds its drift
-// detector alarms against) and its adaptation lineage (parent train-key,
-// adaptation generation, and the original client-facing sensor list, which
-// differs from the serving sensors once a faulty sensor has been excluded).
-// A payload without the newer sections is byte-identical under all three
-// versions, and this build still decodes version 1 and 2 files; missing
-// sections are simply recomputed (operator) or absent (drift — the monitor
-// serves uncalibrated).
+// The payload is a fixed sequence of sections: a strict-decoded JSON
+// metadata blob (the training key and serving options), a presence bitmap,
+// then the optional floorplan, the basis (in the basis package's own
+// format, length-prefixed), the optional energy map, the optional monitor
+// section (K, sensors, packed QR factors), the folded reconstruction
+// operator (N×M matrix plus length-N affine term) that must accompany the
+// monitor section, and the optional drift block — the monitor's training
+// residual calibration (the thresholds its drift detector alarms against)
+// and its adaptation lineage (parent train-key, adaptation generation, and
+// the original client-facing sensor list, which differs from the serving
+// sensors once a faulty sensor has been excluded). A record without the
+// drift block serves uncalibrated. Version 3 is the only version this
+// build reads or writes: version 1 and 2 files (no operator or no drift
+// section) fail with ErrUnknownVersion.
 //
 // # Decoding contract
 //
 // Decode is strict and never panics on hostile bytes. Every failure is a
 // *store.Error whose Kind separates the cases callers handle differently,
 // with errors.Is sentinels for each: ErrBadMagic (not a store file),
-// ErrUnknownVersion (written by a future format — the file is fine, this
-// binary is too old), ErrTruncated (the envelope ends early),
+// ErrUnknownVersion (written by another format version: a future one, or
+// the retired versions 1 and 2), ErrTruncated (the envelope ends early),
 // ErrChecksum (envelope intact but the payload bits are damaged) and
 // ErrInvalid (the payload parses but describes an impossible record, e.g. a
-// sensor index outside the basis grid or metadata claiming a different
-// grid than the basis carries — a cross-floorplan load).
+// sensor index outside the basis grid, metadata claiming a different grid
+// than the basis carries — a cross-floorplan load — or a count or shape
+// larger than the bytes left in the payload, which is checked before
+// anything is allocated).
 //
 // Floats round-trip bit-exactly (fixed-width little-endian), which is what
 // makes a loaded monitor's estimates bit-identical to the saving monitor's.
@@ -69,12 +71,9 @@ import (
 
 const (
 	magic = "EMST"
-	// Version is the current format version, the one Encode writes. Decode
-	// additionally accepts version 1 (no operator section) and version 2
-	// (no drift section).
+	// Version is the format version Encode writes and the only one Decode
+	// reads.
 	Version = 3
-	// minVersion is the oldest format version Decode still reads.
-	minVersion = 1
 	// maxPayload caps the envelope length field so a corrupt header cannot
 	// drive a large allocation before the checksum is ever verified (the
 	// payload is sized and read eagerly). The largest realistic record —
@@ -93,7 +92,7 @@ const (
 	KindIO Kind = iota
 	// KindBadMagic: the bytes are not a monitor store file at all.
 	KindBadMagic
-	// KindUnknownVersion: written by a future (or zero) format version.
+	// KindUnknownVersion: written by another format version.
 	KindUnknownVersion
 	// KindTruncated: the envelope ends before its declared length.
 	KindTruncated
@@ -177,12 +176,12 @@ func errf(k Kind, format string, args ...any) *Error {
 }
 
 // Meta is the version-stable metadata of a record: the identity of the
-// training run (the daemon's cache key), the solver and noise configuration
-// needed to regenerate the training ensemble, and the monitor's serving
-// options. It is JSON in the payload so version-1 readers can keep decoding
-// records as fields are deprecated; unknown fields are rejected (strict
-// decode), so a file from a schema that *added* fields fails loudly instead
-// of silently dropping state.
+// training run (the daemon's cache key), the workload and power
+// configuration it was generated with, and the monitor's serving options.
+// It is JSON in the payload so records keep decoding as fields are
+// deprecated; unknown fields are rejected (strict decode), so a file from a
+// schema that *added* fields fails loudly instead of silently dropping
+// state.
 type Meta struct {
 	// Training-run identity (mirrors the daemon's train key).
 	Floorplan string `json:"floorplan,omitempty"`
@@ -196,11 +195,13 @@ type Meta struct {
 	Seed      int64  `json:"seed,omitempty"`
 	KMax      int    `json:"kmax,omitempty"`
 
-	// Solver and noise/power configuration: enough to regenerate the
-	// training ensemble bit-identically (the ensemble itself is never
-	// serialized — it is the one component that is cheaper to recompute
-	// lazily than to store).
-	Solver       string          `json:"solver,omitempty"`
+	// Solver is ignored. Records written while the simulator still had a
+	// second solver arm carry "direct" (or "cg") here; the field stays so
+	// that strict decoding keeps accepting them, and nothing sets it now.
+	Solver string `json:"solver,omitempty"`
+
+	// Workload and power configuration of the training ensemble (the
+	// ensemble itself is never serialized).
 	Workloads    []string        `json:"workloads,omitempty"`
 	WorkloadSpec json.RawMessage `json:"workload_spec,omitempty"`
 	LoadCoupling float64         `json:"load_coupling,omitempty"`
@@ -213,8 +214,8 @@ type Meta struct {
 
 // Record is one serializable bundle. Basis is required; Floorplan and
 // Energy are optional (a facade monitor has neither); the monitor section —
-// Sensors, K and QR together — is optional so the same format persists both
-// evicted models (no placement yet) and live monitors.
+// Sensors, K, QR, Op and OpBias together — is optional so the same format
+// persists both trained models (no placement yet) and live monitors.
 type Record struct {
 	Meta      Meta
 	Basis     *basis.Basis
@@ -226,16 +227,13 @@ type Record struct {
 	QR      *mat.QR
 
 	// Op/OpBias are the folded reconstruction operator (N×M) and its affine
-	// term (length N): x̃ = OpBias + Op·x_S. Optional (version ≥ 2); when
-	// absent the loader re-folds the operator from the QR factors, which is
-	// deterministic and therefore bit-identical. Only valid alongside the
-	// monitor section.
+	// term (length N): x̃ = OpBias + Op·x_S. Part of the monitor section.
 	Op     *mat.Matrix
 	OpBias []float64
 
-	// Drift is the drift-calibration and adaptation-lineage block. Optional
-	// (version ≥ 3); only valid alongside the monitor section. A record
-	// without it serves with drift detection disabled.
+	// Drift is the drift-calibration and adaptation-lineage block. Optional;
+	// only valid alongside the monitor section. A record without it serves
+	// with drift detection disabled.
 	Drift *DriftInfo
 }
 
@@ -268,8 +266,8 @@ type DriftInfo struct {
 // HasMonitor reports whether the record carries the monitor section.
 func (rec *Record) HasMonitor() bool { return rec.QR != nil }
 
-// Section-presence bits in the payload's flags word. flagOperator is only
-// legal in version ≥ 2 envelopes, flagDrift in version ≥ 3.
+// Section-presence bits in the payload's flags word. flagMonitor and
+// flagOperator are always set together.
 const (
 	flagFloorplan = 1 << iota
 	flagEnergy
@@ -284,14 +282,10 @@ func Encode(w io.Writer, rec *Record) error {
 	if rec.Basis == nil {
 		return errf(KindInvalid, "record has no basis")
 	}
-	if (rec.Sensors != nil || rec.QR != nil) && !(rec.Sensors != nil && rec.QR != nil && rec.K > 0) {
-		return errf(KindInvalid, "partial monitor section (need sensors, K and QR together)")
-	}
-	if (rec.Op != nil) != (rec.OpBias != nil) {
-		return errf(KindInvalid, "partial operator section (need operator and bias together)")
-	}
-	if rec.Op != nil && rec.QR == nil {
-		return errf(KindInvalid, "operator section without monitor section")
+	hasAny := rec.Sensors != nil || rec.QR != nil || rec.Op != nil || rec.OpBias != nil
+	hasAll := rec.Sensors != nil && rec.QR != nil && rec.K > 0 && rec.Op != nil && rec.OpBias != nil
+	if hasAny && !hasAll {
+		return errf(KindInvalid, "partial monitor section (need sensors, K, QR, operator and bias together)")
 	}
 	if rec.Op != nil && rec.Op.Rows() != len(rec.OpBias) {
 		return errf(KindInvalid, "operator bias length %d for %d rows", len(rec.OpBias), rec.Op.Rows())
@@ -323,10 +317,7 @@ func Encode(w io.Writer, rec *Record) error {
 		flags |= flagEnergy
 	}
 	if rec.QR != nil {
-		flags |= flagMonitor
-	}
-	if rec.Op != nil {
-		flags |= flagOperator
+		flags |= flagMonitor | flagOperator
 	}
 	if rec.Drift != nil {
 		flags |= flagDrift
@@ -391,18 +382,22 @@ func Encode(w io.Writer, rec *Record) error {
 		}
 	}
 
+	return writeEnvelope(w, magic, Version, payload.Bytes())
+}
+
+// writeEnvelope frames payload as magic, version, length, payload, CRC-32.
+func writeEnvelope(w io.Writer, mg string, version uint32, payload []byte) error {
 	head := make([]byte, 0, 16)
-	head = append(head, magic...)
-	head = binary.LittleEndian.AppendUint32(head, Version)
-	head = binary.LittleEndian.AppendUint64(head, uint64(payload.Len()))
+	head = append(head, mg...)
+	head = binary.LittleEndian.AppendUint32(head, version)
+	head = binary.LittleEndian.AppendUint64(head, uint64(len(payload)))
 	if _, err := w.Write(head); err != nil {
 		return &Error{Kind: KindIO, Detail: "writing header", Err: err}
 	}
-	if _, err := w.Write(payload.Bytes()); err != nil {
+	if _, err := w.Write(payload); err != nil {
 		return &Error{Kind: KindIO, Detail: "writing payload", Err: err}
 	}
-	crc := crc32.ChecksumIEEE(payload.Bytes())
-	if _, err := w.Write(binary.LittleEndian.AppendUint32(nil, crc)); err != nil {
+	if _, err := w.Write(binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(payload))); err != nil {
 		return &Error{Kind: KindIO, Detail: "writing checksum", Err: err}
 	}
 	return nil
@@ -411,56 +406,58 @@ func Encode(w io.Writer, rec *Record) error {
 // Decode reads one record. See the package comment for the error contract;
 // hostile bytes yield a typed *Error, never a panic.
 func Decode(r io.Reader) (*Record, error) {
-	var mg [4]byte
-	if _, err := io.ReadFull(r, mg[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, errf(KindTruncated, "file shorter than the 4-byte magic")
+	payload, err := readEnvelope(r, magic, Version)
+	if err != nil {
+		return nil, err
+	}
+	return parsePayload(payload)
+}
+
+// readEnvelope reads one frame written by writeEnvelope and returns its
+// checksum-verified payload.
+func readEnvelope(r io.Reader, mg string, version uint32) ([]byte, error) {
+	readFull := func(buf []byte, what string) error {
+		if _, err := io.ReadFull(r, buf); err != nil {
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
+				return errf(KindTruncated, "%s file: %s cut short", mg, what)
+			}
+			return &Error{Kind: KindIO, Detail: "reading " + what, Err: err}
 		}
-		return nil, &Error{Kind: KindIO, Detail: "reading magic", Err: err}
+		return nil
 	}
-	if string(mg[:]) != magic {
-		return nil, errf(KindBadMagic, "magic %q", mg[:])
+	head := make([]byte, 16)
+	if err := readFull(head[:4], "magic"); err != nil {
+		return nil, err
 	}
-	head := make([]byte, 12)
-	if _, err := io.ReadFull(r, head); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, errf(KindTruncated, "envelope header cut short")
-		}
-		return nil, &Error{Kind: KindIO, Detail: "reading header", Err: err}
+	if string(head[:4]) != mg {
+		return nil, errf(KindBadMagic, "magic %q, want %q", head[:4], mg)
 	}
-	version := binary.LittleEndian.Uint32(head[0:4])
-	if version < minVersion || version > Version {
-		return nil, errf(KindUnknownVersion, "version %d (this build reads %d..%d)", version, minVersion, Version)
+	if err := readFull(head[4:], "header"); err != nil {
+		return nil, err
 	}
-	length := binary.LittleEndian.Uint64(head[4:12])
+	if v := binary.LittleEndian.Uint32(head[4:8]); v != version {
+		return nil, errf(KindUnknownVersion, "%s version %d (this build reads %d)", mg, v, version)
+	}
+	length := binary.LittleEndian.Uint64(head[8:16])
 	if length > maxPayload {
 		return nil, errf(KindInvalid, "payload length %d exceeds cap %d", length, int64(maxPayload))
 	}
-	payload := make([]byte, length)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, errf(KindTruncated, "payload: want %d bytes", length)
-		}
-		return nil, &Error{Kind: KindIO, Detail: "reading payload", Err: err}
+	payload := make([]byte, length+4)
+	if err := readFull(payload, "payload"); err != nil {
+		return nil, err
 	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(r, crcBuf[:]); err != nil {
-		if err == io.EOF || err == io.ErrUnexpectedEOF {
-			return nil, errf(KindTruncated, "checksum missing")
-		}
-		return nil, &Error{Kind: KindIO, Detail: "reading checksum", Err: err}
-	}
-	want := binary.LittleEndian.Uint32(crcBuf[:])
+	payload, crcBuf := payload[:length], payload[length:]
+	want := binary.LittleEndian.Uint32(crcBuf)
 	if got := crc32.ChecksumIEEE(payload); got != want {
 		return nil, errf(KindChecksum, "crc32 %08x, header says %08x", got, want)
 	}
-	return parsePayload(payload, version)
+	return payload, nil
 }
 
 // parsePayload parses a checksum-verified payload. Structural overruns here
 // mean the writer and reader disagree about the format (or the file was
 // forged around its checksum): KindInvalid, not KindTruncated.
-func parsePayload(payload []byte, version uint32) (*Record, error) {
+func parsePayload(payload []byte) (*Record, error) {
 	p := &reader{buf: payload}
 	rec := &Record{}
 
@@ -468,7 +465,7 @@ func parsePayload(payload []byte, version uint32) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	metaJSON, err := p.bytes(int(metaLen), "metadata")
+	metaJSON, err := p.bytes(uint64(metaLen), "metadata")
 	if err != nil {
 		return nil, err
 	}
@@ -482,35 +479,32 @@ func parsePayload(payload []byte, version uint32) (*Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	known := uint32(flagFloorplan | flagEnergy | flagMonitor)
-	if version >= 2 {
-		known |= flagOperator
+	if flags&^uint32(flagFloorplan|flagEnergy|flagMonitor|flagOperator|flagDrift) != 0 {
+		return nil, errf(KindInvalid, "unknown section flags %#x", flags)
 	}
-	if version >= 3 {
-		known |= flagDrift
+	monitor := flags&flagMonitor != 0
+	if monitor != (flags&flagOperator != 0) {
+		return nil, errf(KindInvalid, "monitor and operator sections must come together (flags %#x)", flags)
 	}
-	if flags&^known != 0 {
-		return nil, errf(KindInvalid, "unknown section flags %#x for version %d", flags, version)
+	if flags&flagDrift != 0 && !monitor {
+		return nil, errf(KindInvalid, "drift section without monitor section")
 	}
 
 	if flags&flagFloorplan != 0 {
-		fp, err := p.floorplan()
-		if err != nil {
+		if rec.Floorplan, err = p.floorplan(); err != nil {
 			return nil, err
 		}
-		rec.Floorplan = fp
 	}
 
 	basisLen, err := p.u64("basis length")
 	if err != nil {
 		return nil, err
 	}
-	basisBlob, err := p.bytes(int(basisLen), "basis")
+	basisBlob, err := p.bytes(basisLen, "basis")
 	if err != nil {
 		return nil, err
 	}
-	rec.Basis, err = basis.Load(bytes.NewReader(basisBlob))
-	if err != nil {
+	if rec.Basis, err = basis.Decode(basisBlob); err != nil {
 		return nil, &Error{Kind: KindInvalid, Detail: "basis", Err: err}
 	}
 	n := rec.Basis.N()
@@ -520,24 +514,17 @@ func parsePayload(payload []byte, version uint32) (*Record, error) {
 		if err != nil {
 			return nil, err
 		}
-		if int(count) != n {
+		if int64(count) != int64(n) {
 			return nil, errf(KindInvalid, "energy length %d for N=%d", count, n)
 		}
-		rec.Energy, err = p.floats(int(count), "energy")
-		if err != nil {
+		if rec.Energy, err = p.floats(uint64(count), "energy"); err != nil {
 			return nil, err
 		}
 	}
 
-	if flags&flagMonitor != 0 {
+	if monitor {
 		if err := p.monitorSection(rec); err != nil {
 			return nil, err
-		}
-	}
-
-	if flags&flagOperator != 0 {
-		if flags&flagMonitor == 0 {
-			return nil, errf(KindInvalid, "operator section without monitor section")
 		}
 		if err := p.operatorSection(rec); err != nil {
 			return nil, err
@@ -545,9 +532,6 @@ func parsePayload(payload []byte, version uint32) (*Record, error) {
 	}
 
 	if flags&flagDrift != 0 {
-		if flags&flagMonitor == 0 {
-			return nil, errf(KindInvalid, "drift section without monitor section")
-		}
 		if err := p.driftSection(rec); err != nil {
 			return nil, err
 		}
@@ -609,10 +593,8 @@ func validate(rec *Record) error {
 		if qm, qn := rec.QR.Dims(); qm != len(rec.Sensors) || qn != rec.K {
 			return errf(KindInvalid, "factorization is %d×%d for M=%d K=%d", qm, qn, len(rec.Sensors), rec.K)
 		}
-		if rec.Op != nil {
-			if rows, cols := rec.Op.Dims(); rows != n || cols != len(rec.Sensors) {
-				return errf(KindInvalid, "operator is %d×%d for N=%d M=%d", rows, cols, n, len(rec.Sensors))
-			}
+		if rows, cols := rec.Op.Dims(); rows != n || cols != len(rec.Sensors) {
+			return errf(KindInvalid, "operator is %d×%d for N=%d M=%d", rows, cols, n, len(rec.Sensors))
 		}
 		if rec.Drift != nil {
 			if err := validateDrift(rec); err != nil {
@@ -686,13 +668,18 @@ func validateDrift(rec *Record) error {
 // the checksum; atomicity means the store never loses a good record to a
 // failed overwrite.)
 func SaveFile(path string, rec *Record) error {
+	return saveAtomic(path, func(w io.Writer) error { return Encode(w, rec) })
+}
+
+// saveAtomic writes path through a fsynced temporary file and a rename.
+func saveAtomic(path string, encode func(io.Writer) error) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
 		return &Error{Kind: KindIO, Detail: "creating temp file", Err: err}
 	}
 	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if err := Encode(tmp, rec); err != nil {
+	if err := encode(tmp); err != nil {
 		tmp.Close()
 		return err
 	}
@@ -737,18 +724,22 @@ func putFloats(w *bytes.Buffer, fs []float64) {
 	w.Write(buf)
 }
 
-// reader is a bounds-checked cursor over the verified payload.
+// reader is a bounds-checked cursor over the verified payload. Every count
+// and shape is checked against the bytes left, in 64-bit arithmetic, before
+// anything is allocated for it.
 type reader struct {
 	buf []byte
 	off int
 }
 
-func (p *reader) bytes(n int, what string) ([]byte, error) {
-	if n < 0 || p.off+n > len(p.buf) || p.off+n < p.off {
+func (p *reader) left() uint64 { return uint64(len(p.buf) - p.off) }
+
+func (p *reader) bytes(n uint64, what string) ([]byte, error) {
+	if n > p.left() {
 		return nil, errf(KindInvalid, "%s: %d bytes at offset %d overruns %d-byte payload", what, n, p.off, len(p.buf))
 	}
-	out := p.buf[p.off : p.off+n]
-	p.off += n
+	out := p.buf[p.off : p.off+int(n)]
+	p.off += int(n)
 	return out, nil
 }
 
@@ -768,6 +759,19 @@ func (p *reader) u64(what string) (uint64, error) {
 	return binary.LittleEndian.Uint64(b), nil
 }
 
+// count reads a u32 element count and bounds it by the payload bytes left,
+// given that each element takes at least unit bytes.
+func (p *reader) count(unit uint64, what string) (int, error) {
+	n, err := p.u32(what)
+	if err != nil {
+		return 0, err
+	}
+	if uint64(n) > p.left()/unit {
+		return 0, errf(KindInvalid, "%s %d overruns the %d payload bytes left", what, n, p.left())
+	}
+	return int(n), nil
+}
+
 func (p *reader) string(what string) (string, error) {
 	n, err := p.u32(what + " length")
 	if err != nil {
@@ -776,21 +780,52 @@ func (p *reader) string(what string) (string, error) {
 	if n > 1<<16 {
 		return "", errf(KindInvalid, "%s: implausible length %d", what, n)
 	}
-	b, err := p.bytes(int(n), what)
+	b, err := p.bytes(uint64(n), what)
 	if err != nil {
 		return "", err
 	}
 	return string(b), nil
 }
 
-func (p *reader) floats(n int, what string) ([]float64, error) {
-	b, err := p.bytes(8*n, what)
-	if err != nil {
-		return nil, err
+func (p *reader) floats(n uint64, what string) ([]float64, error) {
+	if n > p.left()/8 {
+		return nil, errf(KindInvalid, "%s: %d floats overrun the %d payload bytes left", what, n, p.left())
 	}
+	b, _ := p.bytes(8*n, what) // cannot fail: bounded just above
 	out := make([]float64, n)
 	for i := range out {
 		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	}
+	return out, nil
+}
+
+// matrix reads a rows×cols shape and its row-major floats.
+func (p *reader) matrix(what string) (*mat.Matrix, error) {
+	rows, err := p.u32(what + " rows")
+	if err != nil {
+		return nil, err
+	}
+	cols, err := p.u32(what + " cols")
+	if err != nil {
+		return nil, err
+	}
+	data, err := p.floats(uint64(rows)*uint64(cols), what)
+	if err != nil {
+		return nil, err
+	}
+	return mat.NewFromData(int(rows), int(cols), data), nil
+}
+
+// indices reads a count-prefixed list of u64 cell indices.
+func (p *reader) indices(what string) ([]int, error) {
+	m, err := p.count(8, what+" count")
+	if err != nil {
+		return nil, err
+	}
+	out := make([]int, m)
+	for i := range out {
+		v, _ := p.u64(what) // cannot fail: count bounded m by the bytes left
+		out[i] = int(int64(v))
 	}
 	return out, nil
 }
@@ -800,12 +835,10 @@ func (p *reader) floorplan() (*floorplan.Floorplan, error) {
 	if err != nil {
 		return nil, err
 	}
-	nBlocks, err := p.u32("block count")
+	// A block is at least a name length, a kind and four floats.
+	nBlocks, err := p.count(4+4+32, "block count")
 	if err != nil {
 		return nil, err
-	}
-	if nBlocks > 1<<20 {
-		return nil, errf(KindInvalid, "implausible block count %d", nBlocks)
 	}
 	fp := &floorplan.Floorplan{Name: name, Blocks: make([]floorplan.Block, nBlocks)}
 	for i := range fp.Blocks {
@@ -834,42 +867,19 @@ func (p *reader) monitorSection(rec *Record) error {
 	if err != nil {
 		return err
 	}
-	m, err := p.u32("sensor count")
-	if err != nil {
-		return err
-	}
-	if m > 1<<24 {
-		return errf(KindInvalid, "implausible sensor count %d", m)
-	}
 	rec.K = int(k)
-	rec.Sensors = make([]int, m)
-	for i := range rec.Sensors {
-		v, err := p.u64("sensor index")
-		if err != nil {
-			return err
-		}
-		rec.Sensors[i] = int(int64(v))
+	if rec.Sensors, err = p.indices("sensor"); err != nil {
+		return err
 	}
-	qm, err := p.u32("QR rows")
+	packed, err := p.matrix("QR factors")
 	if err != nil {
 		return err
 	}
-	qn, err := p.u32("QR cols")
+	tau, err := p.floats(uint64(packed.Cols()), "QR tau")
 	if err != nil {
 		return err
 	}
-	if uint64(qm)*uint64(qn) > 1<<32 {
-		return errf(KindInvalid, "implausible QR shape %dx%d", qm, qn)
-	}
-	packed, err := p.floats(int(qm)*int(qn), "QR factors")
-	if err != nil {
-		return err
-	}
-	tau, err := p.floats(int(qn), "QR tau")
-	if err != nil {
-		return err
-	}
-	qr, err := mat.RestoreQR(mat.NewFromData(int(qm), int(qn), packed), tau)
+	qr, err := mat.RestoreQR(packed, tau)
 	if err != nil {
 		return &Error{Kind: KindInvalid, Detail: "QR factors", Err: err}
 	}
@@ -878,27 +888,15 @@ func (p *reader) monitorSection(rec *Record) error {
 }
 
 func (p *reader) operatorSection(rec *Record) error {
-	rows, err := p.u32("operator rows")
+	op, err := p.matrix("operator")
 	if err != nil {
 		return err
 	}
-	cols, err := p.u32("operator cols")
+	bias, err := p.floats(uint64(op.Rows()), "operator bias")
 	if err != nil {
 		return err
 	}
-	if uint64(rows)*uint64(cols) > 1<<32 {
-		return errf(KindInvalid, "implausible operator shape %dx%d", rows, cols)
-	}
-	data, err := p.floats(int(rows)*int(cols), "operator")
-	if err != nil {
-		return err
-	}
-	bias, err := p.floats(int(rows), "operator bias")
-	if err != nil {
-		return err
-	}
-	rec.Op = mat.NewFromData(int(rows), int(cols), data)
-	rec.OpBias = bias
+	rec.Op, rec.OpBias = op, bias
 	return nil
 }
 
@@ -907,21 +905,14 @@ func (p *reader) driftSection(rec *Record) error {
 	if err != nil {
 		return err
 	}
-	ms, err := p.u32("drift sensor count")
+	// Each drift sensor carries a mean and a std, so the count bound
+	// guarantees both reads below.
+	ms, err := p.count(16, "drift sensor count")
 	if err != nil {
 		return err
 	}
-	if ms > 1<<24 {
-		return errf(KindInvalid, "implausible drift sensor count %d", ms)
-	}
-	sensorMean, err := p.floats(int(ms), "drift sensor means")
-	if err != nil {
-		return err
-	}
-	sensorStd, err := p.floats(int(ms), "drift sensor stds")
-	if err != nil {
-		return err
-	}
+	sensorMean, _ := p.floats(uint64(ms), "drift sensor means")
+	sensorStd, _ := p.floats(uint64(ms), "drift sensor stds")
 	parentKey, err := p.string("drift parent key")
 	if err != nil {
 		return err
@@ -930,23 +921,12 @@ func (p *reader) driftSection(rec *Record) error {
 	if err != nil {
 		return err
 	}
-	norig, err := p.u32("original sensor count")
+	orig, err := p.indices("original sensor")
 	if err != nil {
 		return err
 	}
-	if norig > 1<<24 {
-		return errf(KindInvalid, "implausible original sensor count %d", norig)
-	}
-	var orig []int
-	if norig > 0 {
-		orig = make([]int, norig)
-		for i := range orig {
-			v, err := p.u64("original sensor index")
-			if err != nil {
-				return err
-			}
-			orig[i] = int(int64(v))
-		}
+	if len(orig) == 0 {
+		orig = nil
 	}
 	rec.Drift = &DriftInfo{
 		CalibMean:   cal[0],

@@ -17,7 +17,10 @@ import (
 )
 
 // trainSmall runs the design-time pipeline at test scale and returns the
-// model plus a monitor-shaped record for it.
+// model plus a monitor record for it, as the daemon persists one. Its
+// metadata carries the retired "solver" field that records written before
+// the CG arm was removed all have, so every test here also pins that such
+// records still decode.
 func trainSmall(t *testing.T) (*core.Model, *Record) {
 	t.Helper()
 	fp := floorplan.UltraSparcT1()
@@ -41,6 +44,7 @@ func trainSmall(t *testing.T) (*core.Model, *Record) {
 		t.Fatal(err)
 	}
 	rec := mon.Reconstructor()
+	op, opBias := rec.Operator()
 	return model, &Record{
 		Meta: Meta{
 			Floorplan: fp.Name, GridW: 12, GridH: 10,
@@ -53,6 +57,8 @@ func trainSmall(t *testing.T) (*core.Model, *Record) {
 		Sensors:   rec.Sensors(),
 		K:         rec.K(),
 		QR:        rec.QR(),
+		Op:        op,
+		OpBias:    opBias,
 	}
 }
 
@@ -119,11 +125,11 @@ func TestRoundTrip(t *testing.T) {
 		t.Errorf("floorplan round-trip mismatch")
 	}
 	// The restored reconstructor must solve bit-identically.
-	orig, err := recon.Restore(rec.Basis, rec.K, rec.Sensors, rec.QR)
+	orig, err := recon.RestoreWithOperator(rec.Basis, rec.K, rec.Sensors, rec.QR, rec.Op, rec.OpBias)
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := recon.Restore(got.Basis, got.K, got.Sensors, got.QR)
+	loaded, err := recon.RestoreWithOperator(got.Basis, got.K, got.Sensors, got.QR, got.Op, got.OpBias)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,21 +10,8 @@ import (
 	"repro/internal/recon"
 )
 
-// operatorRecord returns trainSmall's record with the folded operator
-// section attached, as the daemon persists it.
-func operatorRecord(t *testing.T) *Record {
-	t.Helper()
-	_, rec := trainSmall(t)
-	r, err := recon.Restore(rec.Basis, rec.K, rec.Sensors, rec.QR)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec.Op, rec.OpBias = r.Operator()
-	return rec
-}
-
 func TestOperatorRoundTrip(t *testing.T) {
-	rec := operatorRecord(t)
+	_, rec := trainSmall(t)
 	got, err := Decode(bytes.NewReader(encodeToBytes(t, rec)))
 	if err != nil {
 		t.Fatalf("decode: %v", err)
@@ -39,8 +26,8 @@ func TestOperatorRoundTrip(t *testing.T) {
 		t.Fatal("operator bias bits changed")
 	}
 	// A monitor restored from the persisted operator estimates bit-identically
-	// to one that re-folds from the QR factors.
-	refolded, err := recon.Restore(got.Basis, got.K, got.Sensors, got.QR)
+	// to one freshly folded from the same basis and sensors.
+	refolded, err := recon.New(got.Basis, got.K, got.Sensors)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,40 +52,18 @@ func TestOperatorRoundTrip(t *testing.T) {
 	}
 }
 
-// Version 1 files — written before the operator section existed — must still
-// decode. The CRC covers only the payload (not the envelope version field),
-// and a payload without the operator section is byte-identical under both
-// versions, so rewriting the version word of an operator-free v2 encode
-// reproduces a genuine v1 file exactly.
+// Version 1 files — written before the operator section existed — are no
+// longer read: the payload would still parse, so the version word alone
+// must turn them away, typed.
 func TestDecodeVersion1Record(t *testing.T) {
 	_, rec := trainSmall(t)
-	data := encodeToBytes(t, rec) // no operator section
-	v1 := append([]byte(nil), data...)
+	v1 := encodeToBytes(t, rec)
 	binary.LittleEndian.PutUint32(v1[4:8], 1)
-	got, err := Decode(bytes.NewReader(v1))
-	if err != nil {
-		t.Fatalf("v1 decode: %v", err)
-	}
-	if !got.HasMonitor() || got.Op != nil {
-		t.Fatalf("v1 record: monitor=%v op=%v", got.HasMonitor(), got.Op)
-	}
-	if got.K != rec.K || len(got.Sensors) != len(rec.Sensors) {
-		t.Fatalf("v1 record content mismatch: K=%d M=%d", got.K, len(got.Sensors))
-	}
-}
-
-// A version 1 envelope whose flags claim an operator section is a forgery
-// (v1 writers predate the flag): KindInvalid, not a crash or a silent read.
-func TestDecodeVersion1RejectsOperatorFlag(t *testing.T) {
-	rec := operatorRecord(t)
-	data := encodeToBytes(t, rec)
-	v1 := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint32(v1[4:8], 1)
-	decodeErr(t, v1, ErrInvalid)
+	decodeErr(t, v1, ErrUnknownVersion)
 }
 
 func TestEncodeRejectsPartialOperatorSection(t *testing.T) {
-	rec := operatorRecord(t)
+	_, rec := trainSmall(t)
 	var buf bytes.Buffer
 	half := *rec
 	half.OpBias = nil
@@ -110,6 +75,11 @@ func TestEncodeRejectsPartialOperatorSection(t *testing.T) {
 	if err := Encode(&buf, &orphan); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("operator-without-monitor error %v, want ErrInvalid", err)
 	}
+	bare := *rec
+	bare.Op, bare.OpBias = nil, nil
+	if err := Encode(&buf, &bare); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("monitor-without-operator error %v, want ErrInvalid", err)
+	}
 	short := *rec
 	short.OpBias = rec.OpBias[:3]
 	if err := Encode(&buf, &short); !errors.Is(err, ErrInvalid) {
@@ -118,7 +88,7 @@ func TestEncodeRejectsPartialOperatorSection(t *testing.T) {
 }
 
 func TestDecodeRejectsWrongShapeOperator(t *testing.T) {
-	rec := operatorRecord(t)
+	_, rec := trainSmall(t)
 	wrong := *rec
 	wrong.Op = mat.New(3, 3)
 	wrong.OpBias = make([]float64, 3)

@@ -92,31 +92,13 @@ func TestDriftRoundTrip(t *testing.T) {
 	}
 }
 
-// A version 2 reader's payload — no drift section — must decode under this
-// build, and rewriting the version word of a drift-free v3 encode reproduces
-// a genuine v2 file exactly (the CRC covers only the payload).
+// Version 2 files — written before the drift section existed — are no
+// longer read either.
 func TestDecodeVersion2Record(t *testing.T) {
-	rec := operatorRecord(t)
-	data := encodeToBytes(t, rec) // no drift section
-	v2 := append([]byte(nil), data...)
+	_, rec := trainSmall(t)
+	v2 := encodeToBytes(t, rec)
 	binary.LittleEndian.PutUint32(v2[4:8], 2)
-	got, err := Decode(bytes.NewReader(v2))
-	if err != nil {
-		t.Fatalf("v2 decode: %v", err)
-	}
-	if !got.HasMonitor() || got.Op == nil || got.Drift != nil {
-		t.Fatalf("v2 record: monitor=%v op=%v drift=%v", got.HasMonitor(), got.Op != nil, got.Drift)
-	}
-}
-
-// A version 2 envelope whose flags claim a drift section is a forgery (v2
-// writers predate the flag): KindInvalid, not a crash or a silent read.
-func TestDecodeVersion2RejectsDriftFlag(t *testing.T) {
-	rec := adaptedRecord(t)
-	data := encodeToBytes(t, rec)
-	v2 := append([]byte(nil), data...)
-	binary.LittleEndian.PutUint32(v2[4:8], 2)
-	decodeErr(t, v2, ErrInvalid)
+	decodeErr(t, v2, ErrUnknownVersion)
 }
 
 func TestDriftCorruptionMatrix(t *testing.T) {

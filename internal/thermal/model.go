@@ -11,12 +11,11 @@
 // stable).
 //
 // The backward-Euler system matrix A = C/dt + G is constant across all
-// steps, so the default solver factors it once as a banded Cholesky under an
+// steps, so the model factors it once as a banded Cholesky under an
 // interleaved die/spreader ordering (bandwidth 2·min(W,H) instead of n under
 // the layer-major ordering) and advances every step with two O(n·bw) triangular
-// substitutions — exact and with deterministic per-step cost. The original
-// Jacobi-preconditioned conjugate-gradient arm remains available behind
-// Config.Solver for ablation and for cross-checking; see DESIGN.md.
+// substitutions — exact and with deterministic per-step cost. The tests
+// check it against a dense Cholesky solve of the same system; see DESIGN.md.
 package thermal
 
 import (
@@ -27,70 +26,6 @@ import (
 	"repro/internal/floorplan"
 	"repro/internal/mat"
 )
-
-// Solver selects how the SPD linear systems of the model are solved.
-type Solver int
-
-// Solver arms.
-const (
-	// SolverAuto picks the best solver for the grid; it currently always
-	// resolves to SolverDirect (see ResolveSolver).
-	SolverAuto Solver = iota
-	// SolverCG is Jacobi-preconditioned conjugate gradients, warm-started
-	// from the previous step (the original iterative arm; per-step cost
-	// depends on the power map through the iteration count).
-	SolverCG
-	// SolverDirect factors A (and G) once as banded Choleskys and solves
-	// each step by two triangular substitutions.
-	SolverDirect
-)
-
-// String names the solver.
-func (s Solver) String() string {
-	switch s {
-	case SolverAuto:
-		return "auto"
-	case SolverCG:
-		return "cg"
-	case SolverDirect:
-		return "direct"
-	}
-	return fmt.Sprintf("Solver(%d)", int(s))
-}
-
-// ParseSolver converts a flag/JSON spelling into a Solver. The empty string
-// means auto.
-func ParseSolver(s string) (Solver, error) {
-	switch s {
-	case "", "auto":
-		return SolverAuto, nil
-	case "cg":
-		return SolverCG, nil
-	case "direct":
-		return SolverDirect, nil
-	}
-	return 0, fmt.Errorf("thermal: unknown solver %q (want auto, cg or direct)", s)
-}
-
-// ValidSolver reports whether s is one of the defined solver arms (config
-// validators use this to reject garbage values with a typed error instead
-// of panicking deep in the simulator).
-func ValidSolver(s Solver) bool {
-	return s == SolverAuto || s == SolverCG || s == SolverDirect
-}
-
-// ResolveSolver maps SolverAuto to the concrete arm NewModel will use.
-// The banded factor wins at every grid shape this repository simulates: its
-// O(n·bw) per-step cost beats CG's many stencil sweeps per step even at
-// the paper's full 60×56 grid, and the one-time O(n·bw²) factor amortizes
-// over the thousands of steps of a dataset run, so auto always resolves to
-// SolverDirect. The explicit arms are returned unchanged.
-func ResolveSolver(s Solver) Solver {
-	if s == SolverAuto {
-		return SolverDirect
-	}
-	return s
-}
 
 // Material bundles the two bulk properties the RC model needs.
 type Material struct {
@@ -128,14 +63,6 @@ type Config struct {
 	// Leakage, if non-nil, adds temperature-dependent leakage power to every
 	// die cell, closing the electro-thermal feedback loop.
 	Leakage *LeakageModel
-
-	// Solver selects the linear-solver arm (auto/cg/direct). The zero value
-	// (auto) resolves via ResolveSolver.
-	Solver Solver
-
-	// CG controls for the iterative arm (ignored by SolverDirect).
-	CGTol     float64 // relative residual; default 1e-8
-	CGMaxIter int     // default 2000
 }
 
 // LeakageModel is a standard exponential leakage fit:
@@ -185,12 +112,6 @@ func (c *Config) defaults() {
 	if c.DtSeconds == 0 {
 		c.DtSeconds = 10e-3
 	}
-	if c.CGTol == 0 {
-		c.CGTol = 1e-8
-	}
-	if c.CGMaxIter == 0 {
-		c.CGMaxIter = 2000
-	}
 }
 
 // Model is an assembled RC network for one grid. The unknown vector stacks
@@ -213,8 +134,7 @@ type Model struct {
 
 	diag []float64 // diagonal of G (conductance matrix), length 2n
 
-	solver Solver // resolved arm (never SolverAuto)
-	ord    []int  // banded-system cell permutation (see cellOrder)
+	ord []int // banded-system cell permutation (see cellOrder)
 
 	// Banded Cholesky factors of A = C/dt + G (transient steps) and G
 	// (steady states), assembled under the interleaved die/spreader
@@ -249,10 +169,6 @@ func NewModel(g floorplan.Grid, cfg Config) *Model {
 		cDie:  cfg.Die.VolumetricC * area * cfg.DieThicknessM,
 		cSpr:  cfg.Spreader.VolumetricC * area * cfg.SpreaderThicknessM,
 	}
-	if !ValidSolver(cfg.Solver) {
-		panic(fmt.Sprintf("thermal: invalid solver %v", cfg.Solver))
-	}
-	m.solver = ResolveSolver(cfg.Solver)
 	m.diag = m.conductanceDiagonal()
 	m.ord = m.cellOrder()
 	return m
@@ -333,17 +249,6 @@ func (m *Model) ApplyG(x, y []float64) {
 			y[i] -= m.gTIM * xs
 			y[n+i] -= m.gTIM * xd
 		}
-	}
-}
-
-// applyA computes y = (C/dt + G)·x, the backward-Euler system matrix.
-func (m *Model) applyA(x, y []float64) {
-	m.ApplyG(x, y)
-	cd := m.cDie / m.Cfg.DtSeconds
-	cs := m.cSpr / m.Cfg.DtSeconds
-	for i := 0; i < m.n; i++ {
-		y[i] += cd * x[i]
-		y[m.n+i] += cs * x[m.n+i]
 	}
 }
 
@@ -435,16 +340,9 @@ func (m *Model) factorG() (*mat.BandCholesky, error) {
 	return m.facG, m.errG
 }
 
-// interleave packs the layer-major vector x (die rises in [0,n), spreader
-// rises in [n,2n)) into z with cell i's unknowns at 2·ord[i] and 2·ord[i]+1.
-func (m *Model) interleave(z, x []float64) {
-	for i, oi := range m.ord {
-		z[2*oi] = x[i]
-		z[2*oi+1] = x[m.n+i]
-	}
-}
-
-// deinterleave is the inverse permutation of interleave.
+// deinterleave unpacks the interleaved vector z (cell i's die and spreader
+// unknowns at 2·ord[i] and 2·ord[i]+1) into the layer-major x (die rises in
+// [0,n), spreader rises in [n,2n)).
 func (m *Model) deinterleave(x, z []float64) {
 	for i, oi := range m.ord {
 		x[i] = z[2*oi]
@@ -463,83 +361,4 @@ func (m *Model) SteadyState(cellPowerW []float64) ([]float64, error) {
 		return nil, err
 	}
 	return tr.DieTemperatures(), nil
-}
-
-// cgScratch holds the four work vectors of the CG iteration so the hot path
-// allocates nothing per solve.
-type cgScratch struct {
-	r, z, p, ap []float64
-}
-
-func newCGScratch(n int) *cgScratch {
-	return &cgScratch{
-		r:  make([]float64, n),
-		z:  make([]float64, n),
-		p:  make([]float64, n),
-		ap: make([]float64, n),
-	}
-}
-
-// cg solves apply(x) = b by preconditioned conjugate gradients with the
-// Jacobi preconditioner diag. x holds the warm start on entry and the
-// solution on exit. Work vectors come from s (length 2n each).
-func (m *Model) cg(apply func(x, y []float64), b, x, diag []float64, s *cgScratch) error {
-	r, z, p, ap := s.r, s.z, s.p, s.ap
-
-	apply(x, r)
-	for i := range r {
-		r[i] = b[i] - r[i]
-	}
-	var bnorm float64
-	for _, v := range b {
-		bnorm += v * v
-	}
-	bnorm = math.Sqrt(bnorm)
-	if bnorm == 0 {
-		for i := range x {
-			x[i] = 0
-		}
-		return nil
-	}
-	tol := m.Cfg.CGTol * bnorm
-
-	var rz float64
-	for i := range r {
-		z[i] = r[i] / diag[i]
-		rz += r[i] * z[i]
-	}
-	copy(p, z)
-	for iter := 0; iter < m.Cfg.CGMaxIter; iter++ {
-		var rnorm float64
-		for _, v := range r {
-			rnorm += v * v
-		}
-		if math.Sqrt(rnorm) <= tol {
-			return nil
-		}
-		apply(p, ap)
-		var pap float64
-		for i := range p {
-			pap += p[i] * ap[i]
-		}
-		if pap <= 0 {
-			return fmt.Errorf("thermal: CG breakdown (pᵀAp = %g); matrix not SPD?", pap)
-		}
-		alpha := rz / pap
-		for i := range x {
-			x[i] += alpha * p[i]
-			r[i] -= alpha * ap[i]
-		}
-		var rzNew float64
-		for i := range r {
-			z[i] = r[i] / diag[i]
-			rzNew += r[i] * z[i]
-		}
-		beta := rzNew / rz
-		rz = rzNew
-		for i := range p {
-			p[i] = z[i] + beta*p[i]
-		}
-	}
-	return fmt.Errorf("thermal: CG did not converge in %d iterations", m.Cfg.CGMaxIter)
 }

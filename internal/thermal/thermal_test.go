@@ -34,28 +34,31 @@ func TestSteadyStateZeroPowerIsAmbient(t *testing.T) {
 	}
 }
 
+// TestSteadyStateEnergyBalance checks the production steady state against
+// conservation of energy: in equilibrium all injected power leaves through
+// the sink, Σ gSink·(T_spreader − T_amb) == Σ P. It runs on the e2ebench
+// grids (60×56, 16×14, 32×32) and a tall 7×19 grid, under a non-uniform
+// power map.
 func TestSteadyStateEnergyBalance(t *testing.T) {
-	// In equilibrium all injected power must leave through the sink:
-	// Σ gSink·(T_spreader − T_amb) == Σ P.
-	m := smallModel()
-	p := make([]float64, m.Grid.N())
-	var total float64
-	for i := range p {
-		p[i] = 0.02
-		total += p[i]
-	}
-	b := make([]float64, 2*m.Grid.N())
-	copy(b, p)
-	x := make([]float64, 2*m.Grid.N())
-	if err := m.cg(m.ApplyG, b, x, m.diag, newCGScratch(len(b))); err != nil {
-		t.Fatal(err)
-	}
-	var out float64
-	for i := 0; i < m.Grid.N(); i++ {
-		out += m.gSink * x[m.Grid.N()+i]
-	}
-	if math.Abs(out-total) > 1e-6*total {
-		t.Fatalf("sink heat %v W != injected %v W", out, total)
+	for _, g := range []floorplan.Grid{{W: 60, H: 56}, {W: 16, H: 14}, {W: 32, H: 32}, {W: 7, H: 19}} {
+		m := NewModel(g, Config{})
+		p := make([]float64, g.N())
+		var in float64
+		for i := range p {
+			p[i] = 0.005 + 0.03*math.Abs(math.Sin(0.37*float64(i)+1))
+			in += p[i]
+		}
+		tr := m.NewTransient()
+		if err := tr.SetSteadyState(p); err != nil {
+			t.Fatal(err)
+		}
+		var out float64
+		for _, v := range tr.SpreaderTemperatures() {
+			out += m.gSink * (v - m.Cfg.AmbientC)
+		}
+		if rel := math.Abs(out-in) / in; rel > 1e-10 {
+			t.Fatalf("%dx%d: sink heat %v W vs injected %v W (relative gap %g)", g.W, g.H, out, in, rel)
+		}
 	}
 }
 

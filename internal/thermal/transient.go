@@ -2,47 +2,28 @@ package thermal
 
 // Transient integrates the RC model in time with backward Euler.
 //
-// Each step solves A·t⁺ = C/dt·t + p with A = C/dt + G constant, so under
-// SolverDirect the step is two banded triangular substitutions against the
-// model's factor-once Cholesky (exact, allocation-free, per-step cost
-// independent of the power map); under SolverCG it is the original
-// warm-started Jacobi-preconditioned CG iteration. Multiple Transients may
-// run concurrently over one shared Model: the model's factors and
-// conductances are read-only after first use.
+// Each step solves A·t⁺ = C/dt·t + p with A = C/dt + G constant, so the
+// step is two banded triangular substitutions against the model's
+// factor-once Cholesky (exact, allocation-free, per-step cost independent of
+// the power map). Multiple Transients may run concurrently over one shared
+// Model: the model's factors and conductances are read-only after first use.
 type Transient struct {
 	m *Model
 	// t holds temperature *rise above ambient* for all 2n unknowns; the
 	// exported accessors convert to °C.
 	t []float64
 
-	// scratch
-	b     []float64  // right-hand side, layer-major
-	z     []float64  // interleaved permutation buffer (direct arm)
-	diagA []float64  // Jacobi preconditioner of A (CG arm)
-	cgs   *cgScratch // CG work vectors (CG arm)
+	z []float64 // interleaved right-hand side and solution (scratch)
 }
 
 // NewTransient starts a transient run from thermal equilibrium at ambient
 // (zero rise everywhere).
 func (m *Model) NewTransient() *Transient {
-	tr := &Transient{
+	return &Transient{
 		m: m,
 		t: make([]float64, 2*m.n),
-		b: make([]float64, 2*m.n),
+		z: make([]float64, 2*m.n),
 	}
-	if m.solver == SolverDirect {
-		tr.z = make([]float64, 2*m.n)
-	} else {
-		tr.diagA = make([]float64, 2*m.n)
-		tr.cgs = newCGScratch(2 * m.n)
-		cd := m.cDie / m.Cfg.DtSeconds
-		cs := m.cSpr / m.Cfg.DtSeconds
-		for i := 0; i < m.n; i++ {
-			tr.diagA[i] = m.diag[i] + cd
-			tr.diagA[m.n+i] = m.diag[m.n+i] + cs
-		}
-	}
-	return tr
 }
 
 // SetSteadyState initializes the run at the equilibrium for the given power
@@ -53,24 +34,17 @@ func (tr *Transient) SetSteadyState(cellPowerW []float64) error {
 	if len(cellPowerW) != m.n {
 		panic("thermal: SetSteadyState power length mismatch")
 	}
-	copy(tr.b, cellPowerW)
-	for i := m.n; i < 2*m.n; i++ {
-		tr.b[i] = 0
+	fac, err := m.factorG()
+	if err != nil {
+		return err
 	}
-	if m.solver == SolverDirect {
-		fac, err := m.factorG()
-		if err != nil {
-			return err
-		}
-		m.interleave(tr.z, tr.b)
-		fac.SolveInto(tr.z, tr.z)
-		m.deinterleave(tr.t, tr.z)
-		return nil
+	for i, oi := range m.ord {
+		tr.z[2*oi] = cellPowerW[i]
+		tr.z[2*oi+1] = 0
 	}
-	for i := range tr.t {
-		tr.t[i] = 0
-	}
-	return m.cg(m.ApplyG, tr.b, tr.t, m.diag, tr.cgs)
+	fac.SolveInto(tr.z, tr.z)
+	m.deinterleave(tr.t, tr.z)
+	return nil
 }
 
 // Step advances one time step under the per-die-cell power vector (length n)
@@ -101,43 +75,25 @@ func (tr *Transient) StepInto(dst, cellPowerW []float64) error {
 	}
 	cd := m.cDie / m.Cfg.DtSeconds
 	cs := m.cSpr / m.Cfg.DtSeconds
-	if m.solver == SolverDirect {
-		fac, err := m.factorA()
-		if err != nil {
-			return err
-		}
-		// Build the RHS directly in interleaved order, fusing the
-		// permutation into the assembly pass.
-		for i, oi := range m.ord {
-			p := cellPowerW[i]
-			if lk := m.Cfg.Leakage; lk != nil {
-				p += lk.Power(tr.t[i] + m.Cfg.AmbientC)
-			}
-			tr.z[2*oi] = cd*tr.t[i] + p
-			tr.z[2*oi+1] = cs * tr.t[m.n+i]
-		}
-		fac.SolveInto(tr.z, tr.z)
-		for i, oi := range m.ord {
-			tr.t[i] = tr.z[2*oi]
-			tr.t[m.n+i] = tr.z[2*oi+1]
-			dst[i] = tr.z[2*oi] + m.Cfg.AmbientC
-		}
-		return nil
+	fac, err := m.factorA()
+	if err != nil {
+		return err
 	}
-	for i := 0; i < m.n; i++ {
+	// Build the RHS directly in interleaved order, fusing the permutation
+	// into the assembly pass.
+	for i, oi := range m.ord {
 		p := cellPowerW[i]
 		if lk := m.Cfg.Leakage; lk != nil {
 			p += lk.Power(tr.t[i] + m.Cfg.AmbientC)
 		}
-		tr.b[i] = cd*tr.t[i] + p
-		tr.b[m.n+i] = cs * tr.t[m.n+i]
+		tr.z[2*oi] = cd*tr.t[i] + p
+		tr.z[2*oi+1] = cs * tr.t[m.n+i]
 	}
-	// Warm start from the previous temperatures (already in tr.t).
-	if err := m.cg(m.applyA, tr.b, tr.t, tr.diagA, tr.cgs); err != nil {
-		return err
-	}
-	for i := range dst {
-		dst[i] = tr.t[i] + m.Cfg.AmbientC
+	fac.SolveInto(tr.z, tr.z)
+	for i, oi := range m.ord {
+		tr.t[i] = tr.z[2*oi]
+		tr.t[m.n+i] = tr.z[2*oi+1]
+		dst[i] = tr.z[2*oi] + m.Cfg.AmbientC
 	}
 	return nil
 }

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 
 	"repro/internal/basis"
 	"repro/internal/core"
 	"repro/internal/place"
 	"repro/internal/recon"
+	"repro/internal/store"
 )
 
 // BasisFamily selects the approximation subspace.
@@ -61,15 +63,11 @@ type TrainOptions struct {
 	// Method selects the PCA eigensolver side. Default AutoMethod.
 	// Ignored by the DCT families.
 	Method TrainMethod
-	// Workers caps the goroutines used by the snapshot-Gram path's parallel
-	// Gram accumulation and eigenvector lift (0 = all CPUs, 1 = sequential).
-	// Negative values fail Train with an OptionError.
-	Workers int
 }
 
 // OptionError is the typed error Train returns for invalid TrainOptions or
-// a degenerate ensemble (T < 2 snapshots, negative Workers). Match with
-// errors.As, or errors.Is against ErrInvalidOptions.
+// a degenerate ensemble (T < 2 snapshots). Match with errors.As, or
+// errors.Is against ErrInvalidOptions.
 type OptionError = core.OptionError
 
 // ErrInvalidOptions is the errors.Is target for all OptionError values.
@@ -104,11 +102,10 @@ func Train(e *Ensemble, opt TrainOptions) (*Model, error) {
 		return nil, &OptionError{Option: "Method", Reason: fmt.Sprintf("unknown training method %q (want %q, %q or %q)", opt.Method, AutoMethod, CovarianceMethod, GramMethod)}
 	}
 	m, err := core.Train(e.ds, core.TrainOptions{
-		KMax:    opt.KMax,
-		Kind:    kind,
-		Seed:    opt.Seed,
-		Method:  method,
-		Workers: opt.Workers,
+		KMax:   opt.KMax,
+		Kind:   kind,
+		Seed:   opt.Seed,
+		Method: method,
 	})
 	if err != nil {
 		return nil, err
@@ -116,29 +113,48 @@ func Train(e *Ensemble, opt TrainOptions) (*Model, error) {
 	return &Model{m: m}, nil
 }
 
-// Save writes the trained model (basis + training energy) in the library's
-// binary format, so full-scale training can happen once.
-func (m *Model) Save(w io.Writer) error { return m.m.Save(w) }
-
-// SaveFile writes the model to a file.
-func (m *Model) SaveFile(path string) error { return m.m.SaveFile(path) }
-
-// LoadModel reads a model written by Save.
-func LoadModel(r io.Reader) (*Model, error) {
-	im, err := core.LoadModel(r)
-	if err != nil {
-		return nil, err
+// storeRecord bundles the model — basis and training energy — as a model
+// record of the store format, the same record the daemon writes as
+// model-<hash>.emod.
+func (m *Model) storeRecord() *store.Record {
+	return &store.Record{
+		Meta:   store.Meta{GridW: m.m.Grid.W, GridH: m.m.Grid.H, KMax: m.m.Basis.KMax()},
+		Basis:  m.m.Basis,
+		Energy: m.m.Energy,
 	}
-	return &Model{m: im}, nil
 }
 
-// LoadModelFile reads a model from a file.
+// Save writes the trained model in the library's versioned, checksummed
+// store format, so full-scale training can happen once.
+func (m *Model) Save(w io.Writer) error { return store.Encode(w, m.storeRecord()) }
+
+// SaveFile writes the model to path atomically (temporary file + rename).
+func (m *Model) SaveFile(path string) error { return store.SaveFile(path, m.storeRecord()) }
+
+// LoadModel reads a model written by Save — or by the daemon, whose model
+// records (model-<hash>.emod) are the same format. Failures are
+// *StoreError values; a record without a training energy map is
+// ErrStoreInvalid.
+func LoadModel(r io.Reader) (*Model, error) {
+	rec, err := store.Decode(r)
+	if err != nil {
+		return nil, fmt.Errorf("eigenmaps: %w", err)
+	}
+	if rec.Energy == nil {
+		return nil, fmt.Errorf("eigenmaps: %w", &store.Error{
+			Kind: store.KindInvalid, Detail: "record has no training energy (not a model record)"})
+	}
+	return &Model{m: &core.Model{Basis: rec.Basis, Energy: rec.Energy, Grid: rec.Basis.Grid}}, nil
+}
+
+// LoadModelFile reads a model from path.
 func LoadModelFile(path string) (*Model, error) {
-	im, err := core.LoadModelFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return &Model{m: im}, nil
+	defer f.Close()
+	return LoadModel(f)
 }
 
 // KMax returns the number of trained basis vectors.

@@ -28,8 +28,8 @@ type StoreError = store.Error
 var (
 	// ErrStoreBadMagic: the bytes are not a monitor store file.
 	ErrStoreBadMagic = store.ErrBadMagic
-	// ErrStoreVersion: the file was written by a future format version —
-	// the file is fine, this build is too old to read it.
+	// ErrStoreVersion: the file was written by another format version — a
+	// future one this build is too old for, or the retired versions 1 and 2.
 	ErrStoreVersion = store.ErrUnknownVersion
 	// ErrStoreTruncated: the file ends before its declared length.
 	ErrStoreTruncated = store.ErrTruncated
@@ -43,8 +43,8 @@ var (
 )
 
 // storeRecord bundles the monitor's full serving state for the codec,
-// including the folded reconstruction operator (a v2 section) so a loaded
-// monitor skips even the deterministic re-fold.
+// including the folded reconstruction operator, so a loaded monitor skips
+// even the deterministic re-fold.
 func (mn *Monitor) storeRecord() *store.Record {
 	rec := mn.mon.Reconstructor()
 	op, opBias := rec.Operator()
@@ -97,15 +97,7 @@ func monitorFromRecord(rec *store.Record) (*Monitor, error) {
 		return nil, fmt.Errorf("eigenmaps: %w", &store.Error{
 			Kind: store.KindInvalid, Detail: "record has no monitor section (model-only store file)"})
 	}
-	// v2 records carry the folded operator; v1 records re-fold it from the
-	// QR factors, which is deterministic and therefore bit-identical.
-	var mon *core.Monitor
-	var err error
-	if rec.Op != nil {
-		mon, err = core.RestoreMonitorWithOperator(rec.Basis, rec.K, rec.Sensors, rec.QR, rec.Op, rec.OpBias)
-	} else {
-		mon, err = core.RestoreMonitor(rec.Basis, rec.K, rec.Sensors, rec.QR)
-	}
+	mon, err := core.RestoreMonitorWithOperator(rec.Basis, rec.K, rec.Sensors, rec.QR, rec.Op, rec.OpBias)
 	if err != nil {
 		return nil, fmt.Errorf("eigenmaps: %w", err)
 	}
