@@ -558,18 +558,18 @@ func BenchmarkGreedyPlacementFullScale(b *testing.B) {
 	}
 }
 
-// BenchmarkThermalStep measures one backward-Euler step of the RC model at
-// the paper's grid size (the inner loop of dataset generation).
+// BenchmarkThermalStep measures a whole small simulation at the paper's
+// grid size: each iteration runs SimulateT1 for 8 snapshots at 60×56, that
+// is the model build, both banded factorizations, the four segments' steady
+// states and eight backward-Euler steps. Factoring dominates; one step
+// alone is BenchmarkTransientStep. (The name predates that reading; the
+// committed baseline gates it.)
 func BenchmarkThermalStep(b *testing.B) {
-	ens, err := eigenmaps.SimulateT1(eigenmaps.SimOptions{
+	if _, err := eigenmaps.SimulateT1(eigenmaps.SimOptions{
 		Grid: eigenmaps.Grid{W: 60, H: 56}, Snapshots: 4, Seed: 1,
-	})
-	if err != nil {
+	}); err != nil {
 		b.Fatal(err)
 	}
-	_ = ens
-	// SimulateT1 exercised the full path; per-step cost is measured through
-	// the snapshot rate below.
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := eigenmaps.SimulateT1(eigenmaps.SimOptions{

@@ -143,10 +143,10 @@ func Run(cfg LoopConfig) (*Result, error) {
 	if !(cfg.CeilingC > 0) {
 		return nil, fmt.Errorf("governor: ceiling %v °C, want > 0", cfg.CeilingC)
 	}
-	n := cfg.Grid.N()
-	if n <= 0 {
-		return nil, fmt.Errorf("governor: empty grid")
+	if cfg.Grid.W < 1 || cfg.Grid.H < 1 {
+		return nil, fmt.Errorf("governor: grid %dx%d has a side below 1", cfg.Grid.W, cfg.Grid.H)
 	}
+	n := cfg.Grid.N()
 	if cfg.Estimator != nil && len(cfg.Sensors) == 0 {
 		return nil, fmt.Errorf("governor: estimator set but no sensors given")
 	}

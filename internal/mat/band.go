@@ -87,32 +87,48 @@ func (a *SymBand) Dense() *Matrix {
 
 // BandCholesky is the Cholesky factorization A = L·Lᵀ of a symmetric
 // positive-definite band matrix. The factor inherits the bandwidth of A, so
-// factoring costs O(n·bw²) and each solve O(n·bw). Both triangular sweeps
-// stream contiguous memory: L is stored row-major in band form and its
-// transpose is materialized once at factor time so back-substitution reads
-// rows of Lᵀ instead of strided columns of L.
+// factoring costs O(n·bw²) and each solve O(n·bw).
 //
-// Solve-side layout: rows are stored with stride bw+4 — three zero slots
-// pad each row of L before its first in-band entry and each row of Lᵀ after
-// its last — so the blocked four-row sweeps of SolveInto can read a uniform
-// window for all four rows with the out-of-band positions contributing
-// exact zeros, instead of branching per row.
+// Solve-side layout: the factor is stored twice, once per triangular sweep
+// of SolveInto, in 4-row interleaved panels of 4·(bw+4) values, so that each
+// sweep streams one contiguous panel per block of four rows and a vector
+// kernel can run the block's four rows in the four lanes of one register.
+//
+//   - The forward panel of rows i … i+3 (i = 0, 4, 8, …) starts with their
+//     4×4 diagonal block, L[i+r][i+k] at 4k+r for k ≤ r, then holds the bw
+//     columns c = i−bw … i−1 to their left, column c as the four values
+//     (L[i][c], L[i+1][c], L[i+2][c], L[i+3][c]) at 16 + 4·(c−i+bw).
+//   - The backward panel of rows i, i−1, i−2, i−3 (i = n−1, n−5, …) starts
+//     with the diagonal block of Lᵀ, L[i−k][i−r] at 4k+r for k ≤ r, then
+//     holds the bw columns c = i+1 … i+bw of Lᵀ to their right as
+//     (L[c][i], L[c][i−1], L[c][i−2], L[c][i−3]) at 16 + 4·(c−i−1).
+//
+// Positions outside the band or the matrix hold zeros, so all four rows of
+// a block share one window and the out-of-band positions contribute exact
+// zeros, as the padding of a row layout would. The n%4 rows no panel covers
+// keep SymBand's row layout: the last rows of L for the forward sweep and
+// the first rows of Lᵀ for the backward one. Below bw = 8 there are no
+// panels and every row is stored that way.
 //
 // A BandCholesky is immutable after construction and safe for concurrent
 // use by any number of goroutines.
 type BandCholesky struct {
-	n, bw  int
-	stride int       // bw + 4 (three padding slots per row)
-	l      []float64 // L rows: L[i][j] at i·stride + (j−i+bw+3); diag at i·stride+bw+3
-	u      []float64 // Lᵀ rows: Lᵀ[i][j]=L[j][i] at i·stride + (j−i); diag at i·stride
+	n, bw int
+	nb    int       // panels per sweep: n/4, or 0 when bw < 8
+	fwd   []float64 // forward panels, 4·(bw+4) values each
+	bwd   []float64 // backward panels, 4·(bw+4) values each
+	lrow  []float64 // rows 4·nb … n−1 of L: L[i][j] at (i−4·nb)·(bw+1) + (j−i+bw)
+	urow  []float64 // rows 0 … n−4·nb−1 of Lᵀ: L[j][i] at i·(bw+1) + (j−i)
+	avx   bool      // run the AVX kernels of band_amd64.s
 }
 
-// dot4 is Dot with four independent accumulators. The banded triangular
-// sweeps are long chains of dot products whose single-accumulator form is
-// bound by floating-point add latency, not throughput; four parallel sums
-// roughly triple the sweep speed. Summation order differs from Dot, so the
-// band solver's results differ from a dense solve only at rounding level
-// (the tests pin agreement to 1e-10).
+// dot4 is Dot with four independent accumulators, the inner product of the
+// factorization and of the rows the solve panels do not cover. Those are
+// long chains of dot products whose single-accumulator form is bound by
+// floating-point add latency, not throughput; four parallel sums roughly
+// triple their speed. Summation order differs from Dot, so the band
+// solver's results differ from a dense solve only at rounding level (the
+// tests pin agreement to 1e-10).
 func dot4(a, b []float64) float64 {
 	if len(a) != len(b) {
 		panic(ErrShape)
@@ -131,31 +147,45 @@ func dot4(a, b []float64) float64 {
 	return s0 + s1 + s2 + s3
 }
 
-// quadDot2 computes the four dot products a0·x … a3·x in one pass over x,
-// two elements per iteration with two accumulators per row: four rows ×
-// one accumulator is bound by floating-point add latency (one chained add
-// per row per iteration), eight independent chains reach add throughput.
-// All five slices must have equal length.
-func quadDot2(a0, a1, a2, a3, x []float64) (s0, s1, s2, s3 float64) {
+// bandDot is dot4, run by the AVX kernel when avx is set. The kernel's four
+// lanes are dot4's four accumulators over the same elements, with the tail
+// added into lane 0 in order and the lanes reduced as ((s0+s1)+s2)+s3, so
+// both return the same bits.
+func bandDot(a, b []float64, avx bool) float64 {
+	if avx && len(a) >= 4 && len(a) == len(b) {
+		return dot4AVX(&a[0], &b[0], len(a))
+	}
+	return dot4(a, b)
+}
+
+// panelDotsGeneric returns the four row sums s_r = Σ_t p[4t+r]·x[t] of a
+// panel window, with two accumulators per row (even and odd t) added at
+// the end: four rows × one accumulator would be bound by floating-point add
+// latency, eight independent chains reach add throughput. p must hold at
+// least 4·len(x) values.
+func panelDotsGeneric(p, x []float64) (s0, s1, s2, s3 float64) {
+	p = p[:4*len(x)]
 	var r0, r1, r2, r3 float64
 	t := 0
 	for ; t+1 < len(x); t += 2 {
 		xv0, xv1 := x[t], x[t+1]
-		s0 += a0[t] * xv0
-		r0 += a0[t+1] * xv1
-		s1 += a1[t] * xv0
-		r1 += a1[t+1] * xv1
-		s2 += a2[t] * xv0
-		r2 += a2[t+1] * xv1
-		s3 += a3[t] * xv0
-		r3 += a3[t+1] * xv1
+		e, o := p[4*t:4*t+4], p[4*t+4:4*t+8]
+		s0 += e[0] * xv0
+		r0 += o[0] * xv1
+		s1 += e[1] * xv0
+		r1 += o[1] * xv1
+		s2 += e[2] * xv0
+		r2 += o[2] * xv1
+		s3 += e[3] * xv0
+		r3 += o[3] * xv1
 	}
 	if t < len(x) {
 		xv := x[t]
-		s0 += a0[t] * xv
-		s1 += a1[t] * xv
-		s2 += a2[t] * xv
-		s3 += a3[t] * xv
+		e := p[4*t : 4*t+4]
+		s0 += e[0] * xv
+		s1 += e[1] * xv
+		s2 += e[2] * xv
+		s3 += e[3] * xv
 	}
 	return s0 + r0, s1 + r1, s2 + r2, s3 + r3
 }
@@ -163,7 +193,18 @@ func quadDot2(a0, a1, a2, a3, x []float64) (s0, s1, s2, s3 float64) {
 // NewBandCholesky factors the symmetric positive-definite band matrix a.
 // It returns ErrSingular if a is not positive definite to working
 // precision. a is not modified.
+//
+// On amd64 CPUs with AVX the inner products of the factorization and the
+// panel sweeps of SolveInto run through vector kernels (band_amd64.s) that
+// repeat the generic kernels' operations lane by lane in the same order, so
+// the factor and every solve are bit-identical to the generic kernels'.
 func NewBandCholesky(a *SymBand) (*BandCholesky, error) {
+	return newBandCholesky(a, hasAVX)
+}
+
+// newBandCholesky is NewBandCholesky with the kernel chosen by the caller;
+// the tests run both on the same inputs.
+func newBandCholesky(a *SymBand, avx bool) (*BandCholesky, error) {
 	n, bw, w := a.n, a.bw, a.bw+1
 	// Factor in the tight stride-(bw+1) layout of SymBand.
 	t := make([]float64, len(a.data))
@@ -181,7 +222,7 @@ func NewBandCholesky(a *SymBand) (*BandCholesky, error) {
 			if k0 < j0 {
 				k0 = j0
 			}
-			s := dot4(ti[k0-i+bw:j-i+bw], tj[k0-j+bw:bw])
+			s := bandDot(ti[k0-i+bw:j-i+bw], tj[k0-j+bw:bw], avx)
 			ti[j-i+bw] = (ti[j-i+bw] - s) / tj[bw]
 		}
 		var d float64
@@ -194,22 +235,67 @@ func NewBandCholesky(a *SymBand) (*BandCholesky, error) {
 		}
 		ti[bw] = math.Sqrt(d)
 	}
-	// Re-lay the factor into the padded solve layout, plus its transpose.
-	ws := bw + 4
-	c := &BandCholesky{n: n, bw: bw, stride: ws}
-	c.l = make([]float64, n*ws)
-	c.u = make([]float64, n*ws)
-	for i := 0; i < n; i++ {
-		copy(c.l[i*ws+3:i*ws+3+w], t[i*w:(i+1)*w])
-		j1 := i + bw
-		if j1 > n-1 {
-			j1 = n - 1
-		}
-		for j := i; j <= j1; j++ {
-			c.u[i*ws+(j-i)] = t[j*w+(i-j+bw)]
+	// Re-lay the factor into the solve layout.
+	c := &BandCholesky{n: n, bw: bw, avx: avx}
+	if bw >= 8 {
+		c.nb = n / 4
+	}
+	ps := 4 * (bw + 4)
+	c.fwd = make([]float64, c.nb*ps)
+	c.bwd = make([]float64, c.nb*ps)
+	for k := 0; k < c.nb; k++ {
+		c.packForward(k, t)
+		c.packBackward(k, t)
+	}
+	rows := n - 4*c.nb
+	c.lrow = append([]float64(nil), t[4*c.nb*w:]...)
+	c.urow = make([]float64, rows*w)
+	for i := 0; i < rows; i++ {
+		for j := i; j <= min(n-1, i+bw); j++ {
+			c.urow[i*w+j-i] = t[j*w+i-j+bw] // L[j][i]
 		}
 	}
 	return c, nil
+}
+
+// packForward writes forward panel k, rows 4k … 4k+3 of L, from the factor
+// fac in SymBand's row layout.
+func (c *BandCholesky) packForward(k int, fac []float64) {
+	bw, w := c.bw, c.bw+1
+	p := c.fwd[k*4*(bw+4):][:4*(bw+4)]
+	i := 4 * k
+	for r := 0; r < 4; r++ {
+		lr := fac[(i+r)*w:][:w]
+		// Columns j = i−bw+t, t ≥ 0, left of the diagonal block; lr holds
+		// L[i+r][j] at j−i−r+bw = t−r.
+		for t := max(r, bw-i); t < bw; t++ {
+			p[16+4*t+r] = lr[t-r]
+		}
+		for q := 0; q <= r; q++ { // the diagonal block, L[i+r][i+q]
+			p[4*q+r] = lr[bw-r+q]
+		}
+	}
+}
+
+// packBackward writes backward panel k, rows i … i−3 of Lᵀ with
+// i = n−1−4k, from the factor fac in SymBand's row layout.
+func (c *BandCholesky) packBackward(k int, fac []float64) {
+	n, bw, w := c.n, c.bw, c.bw+1
+	p := c.bwd[k*4*(bw+4):][:4*(bw+4)]
+	i := n - 1 - 4*k
+	for j := i - 3; j <= i; j++ {
+		lj := fac[j*w:][:w]
+		for r := i - j; r < 4; r++ {
+			p[4*(i-j)+r] = lj[i-r-j+bw] // L[j][i−r]
+		}
+	}
+	for j := i + 1; j <= min(n-1, i+bw); j++ {
+		lj := fac[j*w:][:w]
+		q := p[16+4*(j-i-1):][:4]
+		for r := 0; r < 4 && j-i+r <= bw; r++ {
+			q[r] = lj[i-r-j+bw] // L[j][i−r]
+		}
+	}
 }
 
 // N returns the system order.
@@ -229,116 +315,70 @@ func (c *BandCholesky) Solve(b []float64) []float64 {
 // the solution into dst. dst and b may be the same slice; it allocates
 // nothing.
 //
-// Both sweeps process four rows per pass so each loaded x value feeds four
-// multiply-adds: the row-at-a-time sweep issues two loads per multiply-add
-// and saturates the load ports long before the floating-point units, which
-// is what bounds the per-step cost of the thermal solver. The three padding
-// slots per row (see the type comment) let all four rows share one loop
-// window; only the 4×4 triangular tail is substituted serially.
+// Both sweeps process four rows per pass, one panel each (see the type
+// comment), so each loaded x value feeds four multiply-adds: the
+// row-at-a-time sweep issues two loads per multiply-add and saturates the
+// load ports long before the floating-point units. The four rows' sums over
+// the panel window run in one call of panelDotsGeneric, or of its AVX
+// kernel with one row per lane; only the 4×4 triangular tail is
+// substituted serially. The n%4 rows outside the panels, and every row of a
+// band narrower than 8, are substituted one at a time.
 func (c *BandCholesky) SolveInto(dst, b []float64) {
-	n, bw, ws := c.n, c.bw, c.stride
+	n, bw, w := c.n, c.bw, c.bw+1
 	if len(dst) != n || len(b) != n {
 		panic(ErrShape)
 	}
-	if bw < 8 {
-		c.solveNarrow(dst, b)
-		return
-	}
-	base := bw + 3 // diagonal offset within a padded row of l
+	ps := 4 * (bw + 4)
 	// Forward: L·y = b (y accumulates in dst).
-	i := 0
-	for ; i+3 < n; i += 4 {
-		lo := i - bw
-		if lo < 0 {
-			lo = 0
-		}
-		xs := dst[lo:i]
-		a0 := c.l[i*ws+base-(i-lo):][:len(xs)]
-		a1 := c.l[(i+1)*ws+base-(i+1-lo):][:len(xs)]
-		a2 := c.l[(i+2)*ws+base-(i+2-lo):][:len(xs)]
-		a3 := c.l[(i+3)*ws+base-(i+3-lo):][:len(xs)]
-		s0, s1, s2, s3 := quadDot2(a0, a1, a2, a3, xs)
-		l1 := c.l[(i+1)*ws : (i+2)*ws]
-		l2 := c.l[(i+2)*ws : (i+3)*ws]
-		l3 := c.l[(i+3)*ws : (i+4)*ws]
-		x0 := (b[i] - s0) / c.l[i*ws+base]
-		s1 += l1[base-1] * x0
-		x1 := (b[i+1] - s1) / l1[base]
-		s2 += l2[base-2]*x0 + l2[base-1]*x1
-		x2 := (b[i+2] - s2) / l2[base]
-		s3 += l3[base-3]*x0 + l3[base-2]*x1 + l3[base-1]*x2
+	for k := 0; k < c.nb; k++ {
+		i := 4 * k
+		lo := max(0, i-bw)
+		p := c.fwd[k*ps : (k+1)*ps]
+		s0, s1, s2, s3 := c.panelDots(p[16+4*(lo-i+bw):], dst[lo:i])
+		x0 := (b[i] - s0) / p[0]
+		s1 += p[1] * x0
+		x1 := (b[i+1] - s1) / p[5]
+		s2 += p[2]*x0 + p[6]*x1
+		x2 := (b[i+2] - s2) / p[10]
+		s3 += p[3]*x0 + p[7]*x1 + p[11]*x2
 		dst[i] = x0
 		dst[i+1] = x1
 		dst[i+2] = x2
-		dst[i+3] = (b[i+3] - s3) / l3[base]
+		dst[i+3] = (b[i+3] - s3) / p[15]
 	}
-	for ; i < n; i++ {
-		lo := i - bw
-		if lo < 0 {
-			lo = 0
-		}
-		li := c.l[i*ws : (i+1)*ws]
-		dst[i] = (b[i] - dot4(li[base-(i-lo):base], dst[lo:i])) / li[base]
+	for i := 4 * c.nb; i < n; i++ {
+		lo := max(0, i-bw)
+		li := c.lrow[(i-4*c.nb)*w:][:w]
+		dst[i] = (b[i] - bandDot(li[bw-(i-lo):bw], dst[lo:i], c.avx)) / li[bw]
 	}
-	// Backward: Lᵀ·x = y, reading contiguous rows of the transposed factor.
-	i = n - 1
-	for ; i >= 3; i -= 4 {
-		hi := i + bw
-		if hi > n-1 {
-			hi = n - 1
-		}
-		var s0, s1, s2, s3 float64
-		if m := hi - i; m > 0 {
-			xs := dst[i+1 : hi+1]
-			a0 := c.u[i*ws+1:][:m]
-			a1 := c.u[(i-1)*ws+2:][:m]
-			a2 := c.u[(i-2)*ws+3:][:m]
-			a3 := c.u[(i-3)*ws+4:][:m]
-			s0, s1, s2, s3 = quadDot2(a0, a1, a2, a3, xs)
-		}
-		u1 := c.u[(i-1)*ws : i*ws]
-		u2 := c.u[(i-2)*ws : (i-1)*ws]
-		u3 := c.u[(i-3)*ws : (i-2)*ws]
-		x0 := (dst[i] - s0) / c.u[i*ws]
-		s1 += u1[1] * x0
-		x1 := (dst[i-1] - s1) / u1[0]
-		s2 += u2[1]*x1 + u2[2]*x0
-		x2 := (dst[i-2] - s2) / u2[0]
-		s3 += u3[1]*x2 + u3[2]*x1 + u3[3]*x0
+	// Backward: Lᵀ·x = y.
+	for k := 0; k < c.nb; k++ {
+		i := n - 1 - 4*k
+		hi := min(n-1, i+bw)
+		p := c.bwd[k*ps : (k+1)*ps]
+		s0, s1, s2, s3 := c.panelDots(p[16:], dst[i+1:hi+1])
+		x0 := (dst[i] - s0) / p[0]
+		s1 += p[1] * x0
+		x1 := (dst[i-1] - s1) / p[5]
+		s2 += p[6]*x1 + p[2]*x0
+		x2 := (dst[i-2] - s2) / p[10]
+		s3 += p[11]*x2 + p[7]*x1 + p[3]*x0
 		dst[i] = x0
 		dst[i-1] = x1
 		dst[i-2] = x2
-		dst[i-3] = (dst[i-3] - s3) / u3[0]
+		dst[i-3] = (dst[i-3] - s3) / p[15]
 	}
-	for ; i >= 0; i-- {
-		hi := i + bw
-		if hi > n-1 {
-			hi = n - 1
-		}
-		ui := c.u[i*ws : (i+1)*ws]
-		dst[i] = (dst[i] - dot4(ui[1:hi-i+1], dst[i+1:hi+1])) / ui[0]
+	for i := n - 4*c.nb - 1; i >= 0; i-- {
+		hi := min(n-1, i+bw)
+		ui := c.urow[i*w:][:w]
+		dst[i] = (dst[i] - bandDot(ui[1:hi-i+1], dst[i+1:hi+1], c.avx)) / ui[0]
 	}
 }
 
-// solveNarrow is the row-at-a-time fallback for bands too narrow for
-// four-row blocking to pay off.
-func (c *BandCholesky) solveNarrow(dst, b []float64) {
-	n, bw, ws := c.n, c.bw, c.stride
-	base := bw + 3
-	for i := 0; i < n; i++ {
-		lo := i - bw
-		if lo < 0 {
-			lo = 0
-		}
-		li := c.l[i*ws : (i+1)*ws]
-		dst[i] = (b[i] - dot4(li[base-(i-lo):base], dst[lo:i])) / li[base]
+// panelDots runs the panel window p against x through the factor's kernel.
+func (c *BandCholesky) panelDots(p, x []float64) (s0, s1, s2, s3 float64) {
+	if c.avx && len(x) > 0 {
+		return panelDotsAVX(&p[0], &x[0], len(x))
 	}
-	for i := n - 1; i >= 0; i-- {
-		hi := i + bw
-		if hi > n-1 {
-			hi = n - 1
-		}
-		ui := c.u[i*ws : (i+1)*ws]
-		dst[i] = (dst[i] - dot4(ui[1:hi-i+1], dst[i+1:hi+1])) / ui[0]
-	}
+	return panelDotsGeneric(p, x)
 }

@@ -83,10 +83,7 @@ func TestBandCholeskyMatchesDense(t *testing.T) {
 		dl := dc.L()
 		for i := 0; i < tc.n; i++ {
 			for j := 0; j <= i; j++ {
-				var got float64
-				if i-j <= bc.bw {
-					got = bc.l[i*bc.stride+(j-i+bc.bw+3)]
-				}
+				got := bc.lower(i, j)
 				if math.Abs(got-dl.At(i, j)) > 1e-10 {
 					t.Fatalf("n=%d bw=%d: L[%d][%d] = %v, dense %v", tc.n, tc.bw, i, j, got, dl.At(i, j))
 				}

@@ -21,7 +21,6 @@ package thermal
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/floorplan"
 	"repro/internal/mat"
@@ -138,16 +137,16 @@ type Model struct {
 
 	// Banded Cholesky factors of A = C/dt + G (transient steps) and G
 	// (steady states), assembled under the interleaved die/spreader
-	// ordering. Factored lazily exactly once and then shared read-only by
-	// every Transient of this model — concurrent dataset-generation workers
-	// all solve against the same factor.
-	onceA, onceG sync.Once
-	facA, facG   *mat.BandCholesky
-	errA, errG   error
+	// ordering. Built by NewModel and then shared read-only by every
+	// Transient of this model — concurrent dataset-generation workers all
+	// solve against the same factor. A failed factorization is kept and
+	// returned by the first call that needs that factor.
+	facA, facG *mat.BandCholesky
+	errA, errG error
 }
 
 // NewModel assembles the RC network for grid g under cfg (zero fields take
-// defaults).
+// defaults) and factors its two banded systems, which costs O(n·bw²).
 func NewModel(g floorplan.Grid, cfg Config) *Model {
 	cfg.defaults()
 	if g.W <= 0 || g.H <= 0 {
@@ -171,6 +170,7 @@ func NewModel(g floorplan.Grid, cfg Config) *Model {
 	}
 	m.diag = m.conductanceDiagonal()
 	m.ord = m.cellOrder()
+	m.factor()
 	return m
 }
 
@@ -322,22 +322,30 @@ func (m *Model) assembleBand(withMass bool) *mat.SymBand {
 	return a
 }
 
-// factorA returns the banded Cholesky factor of A = C/dt + G, computing it
-// exactly once per model. Safe for concurrent use.
-func (m *Model) factorA() (*mat.BandCholesky, error) {
-	m.onceA.Do(func() {
+// factor computes both banded factors, A on a second goroutine and G on
+// the caller's, and returns when both are done. Every run needs both before
+// its first step (G for its steady start, A for the steps), so building
+// them here, at the same time, spares the run waiting on each in turn.
+// Factoring at construction rather than on first use also keeps the
+// factorizations' scratch from overlapping what the caller allocates
+// afterwards, such as a generated ensemble's snapshot matrix, which lowers
+// the process's peak memory.
+func (m *Model) factor() {
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
 		m.facA, m.errA = mat.NewBandCholesky(m.assembleBand(true))
-	})
-	return m.facA, m.errA
+	}()
+	m.facG, m.errG = mat.NewBandCholesky(m.assembleBand(false))
+	<-done
 }
 
-// factorG returns the banded Cholesky factor of G, computing it exactly
-// once per model. Safe for concurrent use.
-func (m *Model) factorG() (*mat.BandCholesky, error) {
-	m.onceG.Do(func() {
-		m.facG, m.errG = mat.NewBandCholesky(m.assembleBand(false))
-	})
-	return m.facG, m.errG
+// SystemBands returns freshly assembled copies of the two matrices the
+// model factors, in its interleaved banded ordering: the backward-Euler
+// matrix A = C/dt + G and the conductance matrix G. The banded solver's
+// bit-identity tests and benchmarks run on them.
+func (m *Model) SystemBands() (a, g *mat.SymBand) {
+	return m.assembleBand(true), m.assembleBand(false)
 }
 
 // deinterleave unpacks the interleaved vector z (cell i's die and spreader

@@ -1,6 +1,7 @@
 package thermal
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -314,7 +315,8 @@ func TestDieTemperaturesInto(t *testing.T) {
 
 // TestSharedFactorConcurrentTransients runs several Transients over one
 // Model from separate goroutines (the parallel dataset-generation shape);
-// under -race this pins that the lazily-computed factor is safely shared.
+// under -race this pins that the factors NewModel builds on two goroutines
+// are safely shared.
 func TestSharedFactorConcurrentTransients(t *testing.T) {
 	g := floorplan.Grid{W: 10, H: 9}
 	m := NewModel(g, Config{})
@@ -353,6 +355,22 @@ func TestSharedFactorConcurrentTransients(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestFactorErrorsStayPerMatrix pins that A and G, though factored
+// together, each report their own factorization's error. A negative sink
+// resistance makes G indefinite (1ᵀ·G·1 = Σ gSink < 0), while the mass
+// terms keep A diagonally dominant: the steady start fails and the steps
+// still run.
+func TestFactorErrorsStayPerMatrix(t *testing.T) {
+	g := floorplan.Grid{W: 6, H: 5}
+	tr := NewModel(g, Config{SinkResistanceKPerW: -0.35}).NewTransient()
+	if err := tr.SetSteadyState(make([]float64, g.N())); !errors.Is(err, mat.ErrSingular) {
+		t.Fatalf("SetSteadyState error %v, want %v", err, mat.ErrSingular)
+	}
+	if err := tr.StepInto(make([]float64, g.N()), make([]float64, g.N())); err != nil {
+		t.Fatalf("StepInto: %v", err)
+	}
 }
 
 // TestTallGridAgreement pins the minor-dimension ordering: a grid with

@@ -137,6 +137,56 @@ func TestTransientConvergesToSteadyState(t *testing.T) {
 	}
 }
 
+// TestTransientContractsToSteadyState checks that transient runs converge
+// to the steady state on every production grid, and the 3×2 grid of the
+// solver's narrow fallback. Backward Euler on the M-matrix A = C/dt + G is
+// a max-norm contraction: A⁻¹·(C/dt) is non-negative, and its row sums are
+// at most 1 because G·1 ≥ 0. So under a constant power map, with no
+// leakage, a run started at ambient must never move away from the steady
+// state in any unknown, die or spreader, beyond 1e-12 °C of rounding, and
+// must come within 1e-9 °C of it. The property holds at any step length;
+// 50 ms steps (the default is 10 ms) reach 1e-9 °C in under 200 steps,
+// which keeps CI's repeated -race run of this test short.
+func TestTransientContractsToSteadyState(t *testing.T) {
+	for _, g := range []floorplan.Grid{{W: 60, H: 56}, {W: 16, H: 14}, {W: 32, H: 32}, {W: 7, H: 19}, {W: 3, H: 2}} {
+		m := NewModel(g, Config{DtSeconds: 50e-3})
+		p := make([]float64, g.N())
+		for i := range p {
+			p[i] = 0.005 + 0.03*math.Abs(math.Sin(0.37*float64(i)+1))
+		}
+		steady := m.NewTransient()
+		if err := steady.SetSteadyState(p); err != nil {
+			t.Fatal(err)
+		}
+		dist := func(tr *Transient) float64 {
+			var d float64
+			for i, v := range tr.t {
+				d = math.Max(d, math.Abs(v-steady.t[i]))
+			}
+			return d
+		}
+		tr := m.NewTransient()
+		dst := make([]float64, g.N())
+		prev := dist(tr)
+		const maxSteps = 2000
+		step := 0
+		for ; prev >= 1e-9 && step < maxSteps; step++ {
+			if err := tr.StepInto(dst, p); err != nil {
+				t.Fatal(err)
+			}
+			d := dist(tr)
+			if d > prev+1e-12 {
+				t.Fatalf("%dx%d step %d: distance to the steady state grew from %g to %g °C", g.W, g.H, step, prev, d)
+			}
+			prev = d
+		}
+		if prev >= 1e-9 {
+			t.Fatalf("%dx%d: %g °C from the steady state after %d steps, want < 1e-9", g.W, g.H, prev, step)
+		}
+		t.Logf("%dx%d: within 1e-9 °C of the steady state after %d steps", g.W, g.H, step)
+	}
+}
+
 func TestTransientMonotoneHeatUp(t *testing.T) {
 	m := NewModel(floorplan.Grid{W: 6, H: 6}, Config{})
 	p := make([]float64, m.Grid.N())

@@ -6,7 +6,8 @@ package thermal
 // step is two banded triangular substitutions against the model's
 // factor-once Cholesky (exact, allocation-free, per-step cost independent of
 // the power map). Multiple Transients may run concurrently over one shared
-// Model: the model's factors and conductances are read-only after first use.
+// Model: the model's factors and conductances are read-only once NewModel
+// returns.
 type Transient struct {
 	m *Model
 	// t holds temperature *rise above ambient* for all 2n unknowns; the
@@ -34,15 +35,14 @@ func (tr *Transient) SetSteadyState(cellPowerW []float64) error {
 	if len(cellPowerW) != m.n {
 		panic("thermal: SetSteadyState power length mismatch")
 	}
-	fac, err := m.factorG()
-	if err != nil {
-		return err
+	if m.errG != nil {
+		return m.errG
 	}
 	for i, oi := range m.ord {
 		tr.z[2*oi] = cellPowerW[i]
 		tr.z[2*oi+1] = 0
 	}
-	fac.SolveInto(tr.z, tr.z)
+	m.facG.SolveInto(tr.z, tr.z)
 	m.deinterleave(tr.t, tr.z)
 	return nil
 }
@@ -75,9 +75,8 @@ func (tr *Transient) StepInto(dst, cellPowerW []float64) error {
 	}
 	cd := m.cDie / m.Cfg.DtSeconds
 	cs := m.cSpr / m.Cfg.DtSeconds
-	fac, err := m.factorA()
-	if err != nil {
-		return err
+	if m.errA != nil {
+		return m.errA
 	}
 	// Build the RHS directly in interleaved order, fusing the permutation
 	// into the assembly pass.
@@ -89,7 +88,7 @@ func (tr *Transient) StepInto(dst, cellPowerW []float64) error {
 		tr.z[2*oi] = cd*tr.t[i] + p
 		tr.z[2*oi+1] = cs * tr.t[m.n+i]
 	}
-	fac.SolveInto(tr.z, tr.z)
+	m.facA.SolveInto(tr.z, tr.z)
 	for i, oi := range m.ord {
 		tr.t[i] = tr.z[2*oi]
 		tr.t[m.n+i] = tr.z[2*oi+1]
