@@ -252,6 +252,23 @@ func digitsEnd(data []byte, i int) int {
 // from encoding/json's only in exponent styling (1e-05 vs 0.00001); clients
 // decode bit-identical float64 values either way.
 func appendEstimateResponse(buf []byte, results []snapshotSummary, quality string) []byte {
+	return append(appendResults(buf, results, quality), '}', '\n')
+}
+
+// appendTrackResponse renders the track reply: the estimate reply's fields,
+// then the tracker's step count and tr(P), in the same number style.
+func appendTrackResponse(buf []byte, results []snapshotSummary, quality string, steps int, uncertainty float64) []byte {
+	buf = appendResults(buf, results, quality)
+	buf = append(buf, `,"steps":`...)
+	buf = strconv.AppendInt(buf, int64(steps), 10)
+	buf = append(buf, `,"uncertainty":`...)
+	buf = strconv.AppendFloat(buf, uncertainty, 'g', -1, 64)
+	return append(buf, '}', '\n')
+}
+
+// appendResults renders {"quality":"...","results":[...] — the shared,
+// unclosed head of the estimate and track replies.
+func appendResults(buf []byte, results []snapshotSummary, quality string) []byte {
 	buf = append(buf, `{"quality":"`...)
 	buf = append(buf, quality...)
 	buf = append(buf, `","results":[`...)
@@ -282,7 +299,7 @@ func appendEstimateResponse(buf []byte, results []snapshotSummary, quality strin
 		}
 		buf = append(buf, '}')
 	}
-	return append(buf, ']', '}', '\n')
+	return append(buf, ']')
 }
 
 var responsePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}

@@ -182,7 +182,7 @@ func (s *server) governBatch(w http.ResponseWriter, e *monitorEntry, rs *residen
 		}
 	}
 	readings = rs.compactReadings(readings)
-	maps, done, err := s.estimateMaps(e, rs, readings, 0, tr)
+	maps, done, err := s.estimateMaps(rs, readings, 0, tr)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad_readings", "estimate: %v", err)
 		return nil, 0, false
@@ -317,12 +317,7 @@ func (s *server) handleGovern(w http.ResponseWriter, r *http.Request, e *monitor
 	tr.Tail(obs.StageEncode)
 	respBuf := responsePool.Get().(*[]byte)
 	*respBuf = appendGovernResponseJSON((*respBuf)[:0], &sc.resp, quality.String(), g.jsonHead)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(*respBuf); err != nil && s.logger != nil {
-		s.logger.Error("write response", "err", err)
-	}
-	responsePool.Put(respBuf)
+	s.writeResponse(w, "application/json", respBuf)
 }
 
 // handleGovernBinary serves one application/x-emaps govern request (EMGQ in,

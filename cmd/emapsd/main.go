@@ -298,29 +298,39 @@ type monitorEntry struct {
 	// resident hot-swaps — a drift adaptation replaces the estimator, not
 	// the cap schedule the plant is already running under.
 	gov atomic.Pointer[governorState]
-
-	// mapsPool recycles per-request estimate output buffers (batch × N
-	// floats): the serving hot path must not allocate a fresh ~60 KB of maps
-	// per request at tens of thousands of snapshots per second.
-	mapsPool sync.Pool
 }
 
-// getMaps returns n reusable length-cells map buffers; the caller hands the
-// returned batch back via putMaps after the response is encoded.
-func (e *monitorEntry) getMaps(n, cells int) [][]float64 {
-	var maps [][]float64
-	if v, ok := e.mapsPool.Get().(*[][]float64); ok {
-		maps = *v
+// mapsPool recycles per-request output maps (batch × N floats) for every
+// monitor and route that writes them (estimate, govern, track): the serving
+// hot path must not allocate a fresh ~60 KB of maps per request at tens of
+// thousands of snapshots per second. One server-wide pool holds about as
+// many batches as requests run at once, where a pool per monitor would keep
+// a batch for every monitor served until GC clears it, resident or paged
+// out.
+var mapsPool = sync.Pool{New: func() any { return new([][]float64) }}
+
+// getMaps returns a pooled batch of n map buffers of length cells. A pooled
+// row is re-sliced when its capacity suffices and replaced when it does
+// not, so monitors of different N share the pool. Hand the batch back with
+// putMaps once the response is encoded.
+func getMaps(n, cells int) *[][]float64 {
+	buf := mapsPool.Get().(*[][]float64)
+	maps := (*buf)[:cap(*buf)]
+	if len(maps) < n {
+		maps = append(maps, make([][]float64, n-len(maps))...)
 	}
-	for len(maps) < n {
-		maps = append(maps, make([]float64, cells))
+	maps = maps[:n]
+	for i, row := range maps {
+		if cap(row) < cells {
+			row = make([]float64, cells)
+		}
+		maps[i] = row[:cells]
 	}
-	return maps[:n]
+	*buf = maps
+	return buf
 }
 
-func (e *monitorEntry) putMaps(maps [][]float64) {
-	e.mapsPool.Put(&maps)
-}
+func putMaps(buf *[][]float64) { mapsPool.Put(buf) }
 
 type server struct {
 	maxBatch    int
@@ -1069,14 +1079,14 @@ func (s *server) residentHTTP(w http.ResponseWriter, e *monitorEntry) (*resident
 // pooled output buffers, reused across requests instead of re-allocating
 // batch × N floats. done releases them — call it exactly once, after the
 // maps are encoded.
-func (s *server) estimateMaps(e *monitorEntry, rs *residentState, readings [][]float64, workers int, tr *obs.Trace) (maps [][]float64, done func(), err error) {
-	buf := e.getMaps(len(readings), rs.mon.N())
-	if err := rs.mon.EstimateBatchInto(buf, readings, workers); err != nil {
-		e.putMaps(buf)
+func (s *server) estimateMaps(rs *residentState, readings [][]float64, workers int, tr *obs.Trace) (maps [][]float64, done func(), err error) {
+	buf := getMaps(len(readings), rs.mon.N())
+	if err := rs.mon.EstimateBatchInto(*buf, readings, workers); err != nil {
+		putMaps(buf)
 		return nil, releaseNothing, err
 	}
 	tr.Mark(obs.StageSolve)
-	return buf, func() { e.putMaps(buf) }, nil
+	return *buf, func() { putMaps(buf) }, nil
 }
 
 func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request, e *monitorEntry) {
@@ -1106,7 +1116,7 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request, e *monit
 		}
 	}
 	readings = rs.compactReadings(readings)
-	maps, done, err := s.estimateMaps(e, rs, readings, req.Workers, tr)
+	maps, done, err := s.estimateMaps(rs, readings, req.Workers, tr)
 	if err != nil {
 		// Wrong-length vectors, NaN/Inf readings: client error, never a panic.
 		httpError(w, http.StatusBadRequest, "bad_readings", "estimate: %v", err)
@@ -1129,12 +1139,7 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request, e *monit
 	tr.Tail(obs.StageEncode)
 	body := responsePool.Get().(*[]byte)
 	*body = appendEstimateResponse((*body)[:0], out, quality.String())
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(*body); err != nil && s.logger != nil {
-		s.logger.Error("write response", "err", err)
-	}
-	responsePool.Put(body)
+	s.writeResponse(w, "application/json", body)
 }
 
 // wireBufPool recycles binary-protocol decode scratch, mirroring the JSON
@@ -1173,7 +1178,7 @@ func (s *server) handleEstimateBinary(w http.ResponseWriter, r *http.Request, e 
 		}
 	}
 	readings = rs.compactReadings(readings)
-	maps, done, err := s.estimateMaps(e, rs, readings, req.Workers, tr)
+	maps, done, err := s.estimateMaps(rs, readings, req.Workers, tr)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad_readings", "estimate: %v", err)
 		return
@@ -1189,12 +1194,7 @@ func (s *server) handleEstimateBinary(w http.ResponseWriter, r *http.Request, e 
 	tr.Tail(obs.StageEncode)
 	respBuf := responsePool.Get().(*[]byte)
 	*respBuf = wire.AppendEstimateResponse((*respBuf)[:0], out, qualityFor(quality))
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(*respBuf); err != nil && s.logger != nil {
-		s.logger.Error("write response", "err", err)
-	}
-	responsePool.Put(respBuf)
+	s.writeResponse(w, wire.ContentType, respBuf)
 }
 
 func (s *server) handleTrack(w http.ResponseWriter, r *http.Request, e *monitorEntry) {
@@ -1224,7 +1224,12 @@ func (s *server) handleTrack(w http.ResponseWriter, r *http.Request, e *monitorE
 		}
 	}
 	readings = rs.compactReadings(readings)
-	maps, err := rs.kf.StepBatch(readings)
+	buf := getMaps(len(readings), rs.mon.N())
+	defer putMaps(buf)
+	maps := *buf
+	// steps and uncertainty describe the tracker right after this batch:
+	// both come from the critical section that applied it.
+	steps, uncertainty, err := rs.kf.StepBatchInto(maps, readings)
 	tr.Mark(obs.StageSolve)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad_readings", "track: %v", err)
@@ -1239,15 +1244,25 @@ func (s *server) handleTrack(w http.ResponseWriter, r *http.Request, e *monitorE
 	for i, x := range maps {
 		out[i] = summarize(x, req.IncludeMaps)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
-		"quality":     quality.String(),
-		"results":     out,
-		"steps":       rs.kf.Steps(),
-		"uncertainty": rs.kf.CovarianceTrace(),
-	})
+	// Everything after the drift span is the encode stage, as on estimate.
+	tr.Tail(obs.StageEncode)
+	body := responsePool.Get().(*[]byte)
+	*body = appendTrackResponse((*body)[:0], out, quality.String(), steps, uncertainty)
+	s.writeResponse(w, "application/json", body)
 }
 
 // --- plumbing ---
+
+// writeResponse writes a rendered 200 reply from a responsePool buffer and
+// returns the buffer to the pool.
+func (s *server) writeResponse(w http.ResponseWriter, contentType string, body *[]byte) {
+	w.Header().Set("Content-Type", contentType)
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(*body); err != nil && s.logger != nil {
+		s.logger.Error("write response", "err", err)
+	}
+	responsePool.Put(body)
+}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

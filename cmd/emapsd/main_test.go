@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -461,5 +462,78 @@ func TestCreateManycoreFloorplans(t *testing.T) {
 		`{"floorplan":"manycore","cores":16,"caches":8,"mesh_w":3,"mesh_h":4}`, &em)
 	if resp.StatusCode != http.StatusBadRequest || em.Error.Code != "bad_floorplan" {
 		t.Fatalf("bad mesh: status %d %+v", resp.StatusCode, em)
+	}
+}
+
+// TestTrackConcurrentBatchesReportOwnSteps sends eight track batches of b
+// snapshots to one tracking monitor at once. Each response's steps and
+// uncertainty must describe the tracker right after that batch: the steps
+// are exactly {b, 2b, …, 8b}, each once, and since the covariance
+// recursion does not depend on the readings, each uncertainty is
+// bit-identical to a sequential replay's at the same step count.
+func TestTrackConcurrentBatchesReportOwnSteps(t *testing.T) {
+	srv := newServer(1024)
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	const batches, b = 8, 5
+	concurrent := createMonitor(t, ts, `,"tracking":true`)
+	sequential := createMonitor(t, ts, `,"tracking":true`)
+	// The synthetic readings would read as drift, and a sensor exclusion
+	// rebuilds the tracker from its prior; score nothing.
+	for _, id := range []string{concurrent.ID, sequential.ID} {
+		srv.monitors[id].res.Load().drift = nil
+	}
+	payload := estimatePayload(concurrent.M, b)
+	type trackReply struct {
+		Steps       int     `json:"steps"`
+		Uncertainty float64 `json:"uncertainty"`
+	}
+	post := func(id string) (trackReply, error) {
+		var tr trackReply
+		resp, err := ts.Client().Post(ts.URL+"/v1/monitors/"+id+"/track", "application/json", strings.NewReader(payload))
+		if err != nil {
+			return tr, err
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			return tr, fmt.Errorf("track status %d", resp.StatusCode)
+		}
+		return tr, json.NewDecoder(resp.Body).Decode(&tr)
+	}
+	replies := make([]trackReply, batches)
+	errs := make([]error, batches)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range replies {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			replies[i], errs[i] = post(concurrent.ID)
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	uncertainty := map[int]float64{}
+	for i := 1; i <= batches; i++ {
+		tr, err := post(sequential.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		uncertainty[i*b] = tr.Uncertainty
+	}
+	sort.Slice(replies, func(i, j int) bool { return replies[i].Steps < replies[j].Steps })
+	for i, tr := range replies {
+		if tr.Steps != (i+1)*b {
+			t.Fatalf("concurrent batches reported steps %+v, want each of %d, %d, … %d once", replies, b, 2*b, batches*b)
+		}
+		if math.Float64bits(tr.Uncertainty) != math.Float64bits(uncertainty[tr.Steps]) {
+			t.Fatalf("steps %d: uncertainty %v, sequential replay %v", tr.Steps, tr.Uncertainty, uncertainty[tr.Steps])
+		}
 	}
 }

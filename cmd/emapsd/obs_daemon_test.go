@@ -269,6 +269,46 @@ func TestDebugRequestsWaterfall(t *testing.T) {
 	if median < 0.9 {
 		t.Fatalf("median attributed share %.3f < 0.90: waterfall loses wall time", median)
 	}
+
+	// A traced track request: its render and body write are the encode
+	// stage, as on estimate, not a tail of the drift span.
+	tracked := createMonitor(t, ts, `,"tracking":true`)
+	const rid = "rid-track-waterfall"
+	req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/monitors/"+tracked.ID+"/track",
+		strings.NewReader(estimatePayload(tracked.M, 64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set(wire.HeaderRequestID, rid)
+	resp, err := ts.Client().Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != 200 {
+		t.Fatalf("track status %d", resp.StatusCode)
+	}
+	var trackTrace *debugTrace
+	for deadline := time.Now().Add(5 * time.Second); trackTrace == nil; {
+		dbg = debugResponse{}
+		doJSON(t, ts, http.MethodGet, "/v1/debug/requests?route=track", "", &dbg)
+		for i := range dbg.Recent {
+			if dbg.Recent[i].ID == rid {
+				trackTrace = &dbg.Recent[i]
+			}
+		}
+		if trackTrace == nil && time.Now().After(deadline) {
+			t.Fatalf("track trace %s not in the flight recorder after 5s", rid)
+		}
+	}
+	var stages []string
+	for _, st := range trackTrace.Stages {
+		stages = append(stages, st.Stage)
+	}
+	got := strings.Join(stages, ",")
+	if !strings.HasPrefix(got, "decode,solve,") || !strings.HasSuffix(got, ",encode") {
+		t.Fatalf("track waterfall stages %s, want decode, solve, then drift stages and encode last", got)
+	}
 }
 
 // flushRecorder counts Flush calls reaching the underlying writer.

@@ -105,11 +105,12 @@ func (b *Basis) SynthesizeInto(dst, alpha []float64) {
 	if len(dst) != b.N() {
 		panic(fmt.Sprintf("basis: destination length %d != N %d", len(dst), b.N()))
 	}
+	psi, stride := b.Psi.Data(), b.Psi.Cols()
 	for i := range dst {
-		row := b.Psi.Row(i)
+		row := psi[i*stride : i*stride+k]
 		s := b.Mean[i]
-		for j := 0; j < k; j++ {
-			s += alpha[j] * row[j]
+		for j, a := range alpha {
+			s += a * row[j]
 		}
 		dst[i] = s
 	}

@@ -60,6 +60,9 @@ var (
 // makes the tracker safe to share between the goroutines of a streaming
 // engine (each update is atomic, and interleaving order is the arrival
 // order at the lock).
+//
+// Every intermediate of a step lives in a per-tracker workspace, so a step
+// allocates nothing.
 type Kalman struct {
 	cfg     Config
 	b       *basis.Basis
@@ -68,12 +71,26 @@ type Kalman struct {
 
 	psiT  *mat.Matrix // M×K sensing matrix Ψ̃_K
 	meanS []float64   // training mean at the sensors
+	lam   []float64   // λ_0..λ_{K-1} floored at 1e-12, the stationary covariance
 
 	mu    sync.Mutex
 	alpha []float64   // state estimate (K)
 	p     *mat.Matrix // state covariance (K×K)
-	prior *mat.Matrix // diag(λ_0..λ_{K-1}), the stationary covariance
 	steps int
+	ws    workspace
+}
+
+// workspace is one step's scratch: every intermediate of the predict/update
+// cycle, overwritten each step under kf.mu.
+type workspace struct {
+	pMinus *mat.Matrix  // P⁻ (K×K)
+	pht    *mat.Matrix  // P⁻Ψ̃ᵀ (K×M)
+	s      *mat.Matrix  // S = Ψ̃P⁻Ψ̃ᵀ + R (M×M)
+	chol   mat.Cholesky // S = L·Lᵀ
+	gain   *mat.Matrix  // G = P⁻Ψ̃ᵀS⁻¹ (K×M)
+	iMinus *mat.Matrix  // I − GΨ̃ (K×K)
+	innov  []float64    // innovation (M)
+	upd    []float64    // G·innovation (K)
 }
 
 // NewKalman builds a tracker for the first k basis vectors observed at the
@@ -102,26 +119,37 @@ func NewKalman(b *basis.Basis, k int, sensors []int, cfg Config) (*Kalman, error
 	if err != nil {
 		return nil, err
 	}
-	psiT := psiK.SelectRows(sensors)
-	meanS := make([]float64, len(sensors))
+	m := len(sensors)
+	meanS := make([]float64, m)
 	for i, s := range sensors {
 		meanS[i] = b.Mean[s]
 	}
-	prior := mat.New(k, k)
-	for i := 0; i < k; i++ {
-		lam := b.Importance[i]
-		if lam <= 0 {
-			lam = 1e-12
+	lam := make([]float64, k)
+	for i := range lam {
+		lam[i] = b.Importance[i]
+		if lam[i] <= 0 {
+			lam[i] = 1e-12
 		}
-		prior.Set(i, i, lam)
 	}
 	kf := &Kalman{
 		cfg:     cfg,
 		b:       b,
 		k:       k,
 		sensors: append([]int(nil), sensors...),
-		psiT:    psiT,
+		psiT:    psiK.SelectRows(sensors),
 		meanS:   meanS,
+		lam:     lam,
+		alpha:   make([]float64, k),
+		p:       mat.New(k, k),
+		ws: workspace{
+			pMinus: mat.New(k, k),
+			pht:    mat.New(k, m),
+			s:      mat.New(m, m),
+			gain:   mat.New(k, m),
+			iMinus: mat.New(k, k),
+			innov:  make([]float64, m),
+			upd:    make([]float64, k),
+		},
 	}
 	kf.Reset()
 	return kf, nil
@@ -132,16 +160,11 @@ func NewKalman(b *basis.Basis, k int, sensors []int, cfg Config) (*Kalman, error
 func (kf *Kalman) Reset() {
 	kf.mu.Lock()
 	defer kf.mu.Unlock()
-	kf.alpha = make([]float64, kf.k)
-	kf.prior = mat.New(kf.k, kf.k)
-	for i := 0; i < kf.k; i++ {
-		lam := kf.b.Importance[i]
-		if lam <= 0 {
-			lam = 1e-12
-		}
-		kf.prior.Set(i, i, lam)
+	clear(kf.alpha)
+	clear(kf.p.Data())
+	for i, l := range kf.lam {
+		kf.p.Set(i, i, l)
 	}
-	kf.p = kf.prior.Clone()
 	kf.steps = 0
 }
 
@@ -170,9 +193,16 @@ func (kf *Kalman) Sample(x []float64) []float64 {
 // Step runs one predict/update cycle on the sensor readings (°C) and
 // returns the current full-map estimate.
 func (kf *Kalman) Step(readings []float64) ([]float64, error) {
+	if err := kf.checkReadings(readings); err != nil {
+		return nil, err
+	}
+	out := make([]float64, kf.b.N())
 	kf.mu.Lock()
 	defer kf.mu.Unlock()
-	return kf.stepLocked(readings)
+	if err := kf.stepInto(out, readings); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // StepBatch smooths a streamed batch: it runs one predict/update cycle per
@@ -185,22 +215,46 @@ func (kf *Kalman) Step(readings []float64) ([]float64, error) {
 // leaves the filter state untouched — a client may safely retry it without
 // double-applying a valid prefix.
 func (kf *Kalman) StepBatch(readings [][]float64) ([][]float64, error) {
+	out := make([][]float64, len(readings))
+	for i := range out {
+		out[i] = make([]float64, kf.b.N())
+	}
+	if _, _, err := kf.StepBatchInto(out, readings); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// StepBatchInto is the allocation-free form of StepBatch: it writes the
+// full-map estimate after step i into dst[i], which must have length N, for
+// len(readings) == len(dst) steps. It returns the tracker's step count and
+// tr(P) right after this batch's last step, read in the same critical
+// section as the updates, so concurrent batches on one tracker each report
+// their own position in the sequence. The batch is validated whole before
+// the first update, as in StepBatch.
+func (kf *Kalman) StepBatchInto(dst, readings [][]float64) (steps int, uncertainty float64, err error) {
+	if len(dst) != len(readings) {
+		panic(fmt.Sprintf("track: %d destination maps for %d reading vectors", len(dst), len(readings)))
+	}
+	n := kf.b.N()
+	for _, d := range dst {
+		if len(d) != n {
+			panic(fmt.Sprintf("track: destination map length %d != N %d", len(d), n))
+		}
+	}
 	for i, y := range readings {
 		if err := kf.checkReadings(y); err != nil {
-			return nil, fmt.Errorf("track: batch step %d: %w", i, err)
+			return 0, 0, fmt.Errorf("track: batch step %d: %w", i, err)
 		}
 	}
 	kf.mu.Lock()
 	defer kf.mu.Unlock()
-	out := make([][]float64, len(readings))
 	for i, y := range readings {
-		est, err := kf.stepLocked(y)
-		if err != nil {
-			return nil, fmt.Errorf("track: batch step %d: %w", i, err)
+		if err := kf.stepInto(dst[i], y); err != nil {
+			return 0, 0, fmt.Errorf("track: batch step %d: %w", i, err)
 		}
-		out[i] = est
 	}
-	return out, nil
+	return kf.steps, kf.traceLocked(), nil
 }
 
 // checkReadings validates one reading vector's shape and finiteness.
@@ -216,62 +270,76 @@ func (kf *Kalman) checkReadings(readings []float64) error {
 	return nil
 }
 
-// stepLocked is Step's body; the caller must hold kf.mu.
-func (kf *Kalman) stepLocked(readings []float64) ([]float64, error) {
-	if err := kf.checkReadings(readings); err != nil {
-		return nil, err
-	}
-	k := kf.k
-	m := len(kf.sensors)
+// stepInto runs one predict/update cycle on validated readings and writes
+// the full-map estimate into dst; the caller must hold kf.mu. It runs the
+// allocating kernels' write-into forms in the order the filter has always
+// used them, so every map, α and P is bitwise what MulVec, MulTB, Mul,
+// NewCholesky, Solve and Synthesize give
+// (TestStepBatchIntoBitIdenticalToReference).
+func (kf *Kalman) stepInto(dst, readings []float64) error {
+	k, m := kf.k, len(kf.sensors)
+	ws := &kf.ws
 	rho := kf.cfg.Rho
 
 	// Predict: α⁻ = ρ·α, P⁻ = ρ²·P + Q.
 	for i := range kf.alpha {
 		kf.alpha[i] *= rho
 	}
-	pMinus := kf.p.Clone().Scale(rho * rho)
-	for i := 0; i < k; i++ {
-		pMinus.Add(i, i, kf.cfg.ProcessScale*kf.prior.At(i, i))
+	copy(ws.pMinus.Data(), kf.p.Data())
+	ws.pMinus.Scale(rho * rho)
+	for i, l := range kf.lam {
+		ws.pMinus.Add(i, i, kf.cfg.ProcessScale*l)
 	}
 
-	// Innovation on centered readings.
-	centered := mat.SubVec(readings, kf.meanS)
-	innov := mat.SubVec(centered, mat.MulVec(kf.psiT, kf.alpha))
+	// Innovation on centered readings: (y − mean) − Ψ̃α⁻.
+	mat.MulVecInto(ws.innov, kf.psiT, kf.alpha)
+	for i, v := range ws.innov {
+		ws.innov[i] = (readings[i] - kf.meanS[i]) - v
+	}
 
 	// S = Ψ̃ P⁻ Ψ̃ᵀ + R.
-	pht := mat.MulTB(pMinus, kf.psiT) // K×M: P⁻ Ψ̃ᵀ
-	s := mat.Mul(kf.psiT, pht)        // M×M
+	mat.MulTBInto(ws.pht, ws.pMinus, kf.psiT) // K×M: P⁻ Ψ̃ᵀ
+	mat.MulInto(ws.s, kf.psiT, ws.pht)        // M×M
 	for i := 0; i < m; i++ {
-		s.Add(i, i, kf.cfg.MeasurementVar)
+		ws.s.Add(i, i, kf.cfg.MeasurementVar)
 	}
-	chol, err := mat.NewCholesky(s)
-	if err != nil {
-		return nil, fmt.Errorf("track: innovation covariance not SPD: %w", err)
+	if err := ws.chol.Factorize(ws.s); err != nil {
+		return fmt.Errorf("track: innovation covariance not SPD: %w", err)
 	}
-	// Gain G = P⁻ Ψ̃ᵀ S⁻¹, built column by column: G = (S⁻¹ (P⁻Ψ̃ᵀ)ᵀ)ᵀ.
-	gain := mat.New(k, m)
+	// Gain G = P⁻ Ψ̃ᵀ S⁻¹, one row per solve: gᵢ = S⁻¹(P⁻Ψ̃ᵀ)ᵢ.
 	for row := 0; row < k; row++ {
-		sol := chol.Solve(pht.Row(row))
-		gain.SetRow(row, sol)
+		ws.chol.SolveInto(ws.gain.Row(row), ws.pht.Row(row))
 	}
 
 	// Update: α += G·innov, P = (I − GΨ̃) P⁻ (Joseph-free form; S is SPD and
 	// the gain exact, so the plain form stays symmetric within round-off,
-	// and we re-symmetrize below).
-	mat.AXPY(1, mat.MulVec(gain, innov), kf.alpha)
-	gPsi := mat.Mul(gain, kf.psiT) // K×K
-	iMinus := mat.Identity(k).SubMatrix(gPsi)
-	kf.p = mat.Mul(iMinus, pMinus)
+	// and is re-symmetrized below).
+	mat.MulVecInto(ws.upd, ws.gain, ws.innov)
+	for i, v := range ws.upd {
+		kf.alpha[i] += v
+	}
+	mat.MulInto(ws.iMinus, ws.gain, kf.psiT) // K×K: GΨ̃, then I − GΨ̃ in place
+	im := ws.iMinus.Data()
+	for i, v := range im {
+		var id float64
+		if i%(k+1) == 0 {
+			id = 1
+		}
+		im[i] = id - v
+	}
+	mat.MulInto(kf.p, ws.iMinus, ws.pMinus)
 	// Re-symmetrize to stop round-off drift.
+	p := kf.p.Data()
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
-			v := 0.5 * (kf.p.At(i, j) + kf.p.At(j, i))
-			kf.p.Set(i, j, v)
-			kf.p.Set(j, i, v)
+			v := 0.5 * (p[i*k+j] + p[j*k+i])
+			p[i*k+j] = v
+			p[j*k+i] = v
 		}
 	}
 	kf.steps++
-	return kf.b.Synthesize(kf.alpha), nil
+	kf.b.SynthesizeInto(dst, kf.alpha)
+	return nil
 }
 
 // Coefficients returns a copy of the current state estimate α.
@@ -286,6 +354,11 @@ func (kf *Kalman) Coefficients() []float64 {
 func (kf *Kalman) CovarianceTrace() float64 {
 	kf.mu.Lock()
 	defer kf.mu.Unlock()
+	return kf.traceLocked()
+}
+
+// traceLocked is tr(P), summed in index order; the caller holds kf.mu.
+func (kf *Kalman) traceLocked() float64 {
 	var tr float64
 	for i := 0; i < kf.k; i++ {
 		tr += kf.p.At(i, i)

@@ -396,3 +396,92 @@ func TestKalmanConcurrentSteps(t *testing.T) {
 		t.Fatalf("covariance trace = %v", tr)
 	}
 }
+
+// TestStepBatchIntoZeroAlloc pins the serving contract: once a tracker
+// exists, stepping a batch into caller-owned maps allocates nothing.
+func TestStepBatchIntoZeroAlloc(t *testing.T) {
+	ds, b, sensors := fixture(t)
+	kf, err := NewKalman(b, 8, sensors, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	readings := make([][]float64, 16)
+	dst := make([][]float64, len(readings))
+	for i := range readings {
+		readings[i] = kf.Sample(ds.Map(i))
+		dst[i] = make([]float64, b.N())
+	}
+	if _, _, err := kf.StepBatchInto(dst, readings); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, _, err := kf.StepBatchInto(dst, readings); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("StepBatchInto allocates %v times per batch, want 0", allocs)
+	}
+}
+
+var (
+	fleetOnce sync.Once
+	fleetDS   *dataset.Dataset
+	fleetB    *basis.Basis
+	fleetS    []int
+	fleetErr  error
+)
+
+// fleetFixture is a die of the end-to-end benchmark's fleet-json workload:
+// t1 at 16×14 (N 224), T 256, KMax 12, and 12 greedy sensors for K 8.
+func fleetFixture(tb testing.TB) (*dataset.Dataset, *basis.Basis, []int) {
+	tb.Helper()
+	fleetOnce.Do(func() {
+		fleetDS, fleetErr = dataset.Generate(floorplan.UltraSparcT1(), dataset.GenConfig{
+			Grid:      floorplan.Grid{W: 16, H: 14},
+			Snapshots: 256,
+			Seed:      1,
+		})
+		if fleetErr != nil {
+			return
+		}
+		if fleetB, fleetErr = basis.TrainPCA(fleetDS, 12, basis.PCAConfig{Seed: 1}); fleetErr != nil {
+			return
+		}
+		psi, err := fleetB.PsiK(8)
+		if err != nil {
+			fleetErr = err
+			return
+		}
+		fleetS, fleetErr = (&place.Greedy{}).Allocate(place.Input{Psi: psi, Grid: fleetDS.Grid, M: 12})
+	})
+	if fleetErr != nil {
+		tb.Fatal(fleetErr)
+	}
+	return fleetDS, fleetB, fleetS
+}
+
+// BenchmarkKalmanStepBatch steps one tracker through 128-snapshot batches
+// at the fleet shape (K 8, M 12, N 224).
+func BenchmarkKalmanStepBatch(b *testing.B) {
+	ds, bs, sensors := fleetFixture(b)
+	kf, err := NewKalman(bs, 8, sensors, Config{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	const batch = 128
+	readings := make([][]float64, batch)
+	dst := make([][]float64, batch)
+	for i := range readings {
+		readings[i] = kf.Sample(ds.Map(i))
+		dst[i] = make([]float64, bs.N())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := kf.StepBatchInto(dst, readings); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(batch*b.N)/b.Elapsed().Seconds(), "snapshots/s")
+}
