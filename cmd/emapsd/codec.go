@@ -49,12 +49,8 @@ func (b *readingsBuf) readingsAt(data []byte, i int) (int, bool) {
 			i = skipSpace(data, i+1)
 		} else {
 			for {
-				j := numberEnd(data, i)
-				if j == i {
-					return 0, false
-				}
-				v, err := strconv.ParseFloat(string(data[i:j]), 64)
-				if err != nil {
+				v, j, ok := parseNumber(data, i)
+				if !ok {
 					return 0, false
 				}
 				b.flat = append(b.flat, v)
@@ -160,7 +156,7 @@ func (b *readingsBuf) parseEstimateRequest(data []byte, req *estimateRequest) (r
 		case "readings":
 			return b.readingsAt(data, i)
 		case "workers":
-			j := numberEnd(data, i)
+			_, j, _ := parseNumber(data, i)
 			n, err := strconv.Atoi(string(data[i:j]))
 			if err != nil {
 				return 0, false
@@ -197,50 +193,6 @@ func skipSpace(data []byte, i int) int {
 		default:
 			return i
 		}
-	}
-	return i
-}
-
-// numberEnd returns the index just past the JSON number starting at i, or
-// i when none starts there. It follows the JSON grammar
-// -?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)? exactly, so spellings that
-// strconv accepts but JSON does not ("+1", ".5", "1.", "01") end the scan
-// early and the body defers to encoding/json's verdict.
-func numberEnd(data []byte, i int) int {
-	j := i
-	if j < len(data) && data[j] == '-' {
-		j++
-	}
-	switch {
-	case j < len(data) && data[j] == '0':
-		j++
-	case j < len(data) && data[j] >= '1' && data[j] <= '9':
-		j = digitsEnd(data, j)
-	default:
-		return i
-	}
-	if j < len(data) && data[j] == '.' {
-		k := digitsEnd(data, j+1)
-		if k == j+1 {
-			return i
-		}
-		j = k
-	}
-	if j < len(data) && (data[j] == 'e' || data[j] == 'E') {
-		k := j + 1
-		if k < len(data) && (data[k] == '+' || data[k] == '-') {
-			k++
-		}
-		if j = digitsEnd(data, k); j == k {
-			return i
-		}
-	}
-	return j
-}
-
-func digitsEnd(data []byte, i int) int {
-	for i < len(data) && data[i] >= '0' && data[i] <= '9' {
-		i++
 	}
 	return i
 }

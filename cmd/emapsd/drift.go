@@ -111,6 +111,15 @@ func newDriftState(cal drift.Calibration, b *basis.Basis, energy []float64, seed
 	return &driftState{det: det, cal: cal, shadow: shadow}, nil
 }
 
+// clientWidth is the number of readings a client sends per snapshot: the
+// monitor's sensor count, counting excluded sensors.
+func (rs *residentState) clientWidth() int {
+	if rs.clientM != 0 {
+		return rs.clientM
+	}
+	return rs.mon.Reconstructor().M()
+}
+
 // compactReadings maps client-facing reading vectors onto the serving
 // sensor subset after fault exclusions. With no exclusions (keep == nil)
 // the rows pass through untouched; rows of unexpected length also pass
@@ -432,10 +441,7 @@ func (s *server) handleMonitorStats(w http.ResponseWriter, e *monitorEntry) {
 	if !ok {
 		return
 	}
-	clientM := rs.clientM
-	if clientM == 0 {
-		clientM = len(rs.mon.Sensors())
-	}
+	clientM := rs.clientWidth()
 	out := map[string]any{
 		"id":               e.id,
 		"floorplan":        e.desc.Floorplan,

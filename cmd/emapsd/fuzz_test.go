@@ -13,8 +13,9 @@ import (
 // estimate, track and govern fast paths: every body the fast path claims
 // must be one encoding/json accepts, and must decode to the values
 // encoding/json gives. Each input is tried as both an estimate and a govern
-// body. Seeds cover the bodies the benchmark fleet sends plus the committed
-// corpus in testdata/fuzz.
+// body. Seeds cover the bodies the benchmark fleet sends, every number
+// seed of FuzzParseNumber as a reading, and the committed corpus in
+// testdata/fuzz.
 func FuzzJSONWalker(f *testing.F) {
 	for _, seed := range []string{
 		`{"readings":[[62,61,60,59,58,57,56,55]]}`,
@@ -23,6 +24,10 @@ func FuzzJSONWalker(f *testing.F) {
 		`{"config":{"policy":"pi","ceiling_c":70,"ladder":[0.5,1]},"readings":[[1,2]]}`,
 	} {
 		f.Add([]byte(seed))
+	}
+	// Every tier and edge of the number parser, as a reading.
+	for _, n := range numberSeeds {
+		f.Add([]byte(`{"readings":[[` + n + `]]}`))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var est estimateRequest

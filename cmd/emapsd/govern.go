@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"strconv"
 	"strings"
@@ -103,6 +104,23 @@ func parseGovernRequest(b *readingsBuf, data []byte) (rows [][]float64, cfg *wir
 		return nil, nil, false
 	}
 	return b.buildRows(), cfg, true
+}
+
+// decodeGovernJSON decodes a govern body the walker did not claim through
+// encoding/json, the authority on such bodies. It is a function of its
+// own so that the fallback's &readings does not move the fast path's
+// readings to the heap on every request.
+func decodeGovernJSON(data []byte) (readings [][]float64, cfg *wire.GovernConfig, err error) {
+	var req governHTTPRequest
+	if err := json.Unmarshal(data, &req); err != nil {
+		return nil, nil, fmt.Errorf("bad JSON: %v", err)
+	}
+	if len(req.Readings) > 0 && string(req.Readings) != "null" {
+		if err := json.Unmarshal(req.Readings, &readings); err != nil {
+			return nil, nil, fmt.Errorf("bad readings: %v", err)
+		}
+	}
+	return readings, req.Config, nil
 }
 
 // buildGovernor constructs a fresh governor from a config, mapping each
@@ -209,12 +227,10 @@ func (s *server) governBatch(w http.ResponseWriter, e *monitorEntry, rs *residen
 	flat := sc.flat[:len(maps)*cores]
 	for i, x := range maps {
 		sum := summarize(x, false)
-		levels := ctrl.Step(x)
 		d := &resp.Decisions[i]
 		d.MaxC, d.MinC, d.MeanC, d.MaxCell = sum.MaxC, sum.MinC, sum.MeanC, sum.MaxCell
 		d.Levels = flat[i*cores : (i+1)*cores : (i+1)*cores]
-		copy(d.Levels, levels)
-		g.throttled += uint64(ctrl.Throttled())
+		g.throttled += uint64(ctrl.StepInto(d.Levels, x))
 	}
 	g.snapshots += uint64(len(maps))
 	resp.Snapshots = g.snapshots
@@ -272,7 +288,7 @@ func appendGovernResponseJSON(buf []byte, resp *wire.GovernResponse, quality str
 
 func (s *server) handleGovern(w http.ResponseWriter, r *http.Request, e *monitorEntry) {
 	rs, ok := s.residentHTTP(w, e)
-	if !ok {
+	if !ok || !limitBody(w, r, s.bodyLimit(rs)) {
 		return
 	}
 	if strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentType) {
@@ -284,24 +300,17 @@ func (s *server) handleGovern(w http.ResponseWriter, r *http.Request, e *monitor
 	body.Reset()
 	defer bodyPool.Put(body)
 	if _, err := body.ReadFrom(r.Body); err != nil {
-		httpError(w, http.StatusBadRequest, "bad_json", "reading request: %v", err)
+		badBody(w, err, "bad_json", "reading request: %v")
 		return
 	}
 	buf := readingsPool.Get().(*readingsBuf)
 	defer readingsPool.Put(buf)
 	readings, cfg, ok := parseGovernRequest(buf, body.Bytes())
 	if !ok {
-		var req governHTTPRequest
-		if err := json.Unmarshal(body.Bytes(), &req); err != nil {
-			httpError(w, http.StatusBadRequest, "bad_json", "bad JSON: %v", err)
+		var err error
+		if readings, cfg, err = decodeGovernJSON(body.Bytes()); err != nil {
+			httpError(w, http.StatusBadRequest, "bad_json", "%v", err)
 			return
-		}
-		cfg = req.Config
-		if len(req.Readings) > 0 && string(req.Readings) != "null" {
-			if err := json.Unmarshal(req.Readings, &readings); err != nil {
-				httpError(w, http.StatusBadRequest, "bad_json", "bad readings: %v", err)
-				return
-			}
 		}
 	}
 	tr.Mark(obs.StageDecode)
@@ -328,7 +337,7 @@ func (s *server) handleGovernBinary(w http.ResponseWriter, r *http.Request, e *m
 	body.Reset()
 	defer bodyPool.Put(body)
 	if _, err := body.ReadFrom(r.Body); err != nil {
-		httpError(w, http.StatusBadRequest, "bad_frame", "reading request: %v", err)
+		badBody(w, err, "bad_frame", "reading request: %v")
 		return
 	}
 	scratch := wireBufPool.Get().(*wire.ReadingsBuf)

@@ -647,9 +647,12 @@ func (cr *createRequest) checkShape() error {
 }
 
 func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
+	if !limitBody(w, r, maxCreateBody) {
+		return
+	}
 	var req createRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "bad_json", "bad JSON: %v", err)
+		badBody(w, err, "bad_json", "bad JSON: %v")
 		return
 	}
 	req.defaults()
@@ -972,6 +975,60 @@ type estimateRequest struct {
 
 func releaseNothing() {}
 
+// Request-body bounds, checked before a body is buffered. A JSON reading
+// is at most 24 bytes in shortest round-trip form
+// ("-2.2250738585072014e-308"); its allowance adds a separator and
+// whitespace, a row's allowance its brackets, and the slack covers the
+// keys, whitespace and a govern config object. A binary frame (8 bytes a
+// reading) always fits the same bound. Create bodies (a training
+// configuration, perhaps an explicit sensor list or an inline workload
+// spec) get a fixed bound.
+const (
+	bodyBytesPerReading = 32
+	bodyBytesPerRow     = 16
+	bodySlack           = 64 << 10
+	maxCreateBody       = 1 << 20
+)
+
+// bodyLimit is the largest estimate, track or govern body the monitor
+// accepts: -max-batch rows of the readings its clients send.
+func (s *server) bodyLimit(rs *residentState) int64 {
+	return int64(s.maxBatch)*(int64(rs.clientWidth())*bodyBytesPerReading+bodyBytesPerRow) + bodySlack
+}
+
+// limitBody bounds r's body to n bytes before anything buffers it. A
+// declared length over the bound is answered 413 body_too_large at once;
+// any other body stops reading at the bound, and badBody maps that read
+// error onto the same answer.
+func limitBody(w http.ResponseWriter, r *http.Request, n int64) bool {
+	if r.ContentLength > n {
+		httpError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			"request body of %d bytes exceeds the %d-byte limit", r.ContentLength, n)
+		return false
+	}
+	// The server's own writer, so that it closes the connection rather
+	// than drain the rest of an over-bound body.
+	rw := w
+	if sw, ok := w.(*statusWriter); ok {
+		rw = sw.ResponseWriter
+	}
+	r.Body = http.MaxBytesReader(rw, r.Body, n)
+	return true
+}
+
+// badBody answers a body that failed to read or decode: 413
+// body_too_large when the read hit limitBody's bound, else 400 with code
+// and format applied to err.
+func badBody(w http.ResponseWriter, err error, code, format string) {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		httpError(w, http.StatusRequestEntityTooLarge, "body_too_large",
+			"request body exceeds the %d-byte limit", tooLarge.Limit)
+		return
+	}
+	httpError(w, http.StatusBadRequest, code, format, err)
+}
+
 // bodyPool recycles whole-request read buffers for the estimate hot path.
 var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
@@ -1091,7 +1148,7 @@ func (s *server) estimateMaps(rs *residentState, readings [][]float64, workers i
 
 func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request, e *monitorEntry) {
 	rs, ok := s.residentHTTP(w, e)
-	if !ok {
+	if !ok || !limitBody(w, r, s.bodyLimit(rs)) {
 		return
 	}
 	if strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentType) {
@@ -1103,7 +1160,7 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request, e *monit
 	readings, release, err := decodeEstimateRequest(r.Body, &req)
 	tr.Mark(obs.StageDecode)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad_json", "bad JSON: %v", err)
+		badBody(w, err, "bad_json", "bad JSON: %v")
 		return
 	}
 	defer release()
@@ -1157,7 +1214,7 @@ func (s *server) handleEstimateBinary(w http.ResponseWriter, r *http.Request, e 
 	body.Reset()
 	defer bodyPool.Put(body)
 	if _, err := body.ReadFrom(r.Body); err != nil {
-		httpError(w, http.StatusBadRequest, "bad_frame", "reading request: %v", err)
+		badBody(w, err, "bad_frame", "reading request: %v")
 		return
 	}
 	scratch := wireBufPool.Get().(*wire.ReadingsBuf)
@@ -1206,12 +1263,15 @@ func (s *server) handleTrack(w http.ResponseWriter, r *http.Request, e *monitorE
 		httpError(w, http.StatusBadRequest, "no_tracker", "monitor %s has no tracker (create with \"tracking\": true)", e.id)
 		return
 	}
+	if !limitBody(w, r, s.bodyLimit(rs)) {
+		return
+	}
 	tr := traceOf(w)
 	var req estimateRequest
 	readings, release, err := decodeEstimateRequest(r.Body, &req)
 	tr.Mark(obs.StageDecode)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad_json", "bad JSON: %v", err)
+		badBody(w, err, "bad_json", "bad JSON: %v")
 		return
 	}
 	defer release()

@@ -208,21 +208,28 @@ func (h *Hysteresis) Reset(cores int, ladder []float64) error {
 	return nil
 }
 
-// Act implements Policy.
+// Act implements Policy. The latch is set at or above SetC, kept while the
+// core stays above ClearC, and cleared otherwise; a NaN temperature
+// compares false both ways and holds it. The latch and the level are
+// computed on 0/1 integers, so neither comparison is a branch: their
+// outcome flips unpredictably when a core rides the band.
 func (h *Hysteresis) Act(coreTempC []float64, levels []int) {
+	set, clear, top := h.SetC, h.ClearC, h.top
+	hot := h.hot[:len(coreTempC)]
+	levels = levels[:len(coreTempC)]
 	for c, tc := range coreTempC {
-		switch {
-		case tc >= h.SetC:
-			h.hot[c] = true
-		case tc <= h.ClearC:
-			h.hot[c] = false
-		}
-		if h.hot[c] {
-			levels[c] = 0
-		} else {
-			levels[c] = h.top
-		}
+		latch := b2i(tc >= set) | b2i(hot[c])&^b2i(tc <= clear)
+		hot[c] = latch != 0
+		levels[c] = top &^ -latch
 	}
+}
+
+// b2i is 1 for true and 0 for false.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // PICap is a per-core PI controller on the temperature error e = T − TargetC:
@@ -320,17 +327,14 @@ func CoreCells(fp *floorplan.Floorplan, r *floorplan.Raster) [][]int {
 // ladder levels. It is the shared control kernel of the simulation Loop and
 // the daemon's /govern route.
 type Controller struct {
-	policy    Policy
-	ladder    []float64
-	coreCells [][]int
-	// cellIdx is the concatenation of every core's cell indices;
-	// cellOff[ci] : cellOff[ci+1] bounds core ci's span. One flat array
-	// keeps the per-step scans off the slice-of-slices pointer chase on the
-	// daemon's govern hot path.
-	cellIdx []int32
-	cellOff []int32
-	levels  []int
-	temps   []float64
+	policy Policy
+	ladder []float64
+	// cells[ci] is core ci's cell indices, a private copy on one backing
+	// array so the per-step scan walks contiguous memory.
+	cells     [][]int
+	levels    []int
+	temps     []float64
+	throttled int // cores below the top level after the last Step
 }
 
 // NewController validates the ladder, resets the policy for len(coreCells)
@@ -353,26 +357,25 @@ func NewController(policy Policy, ladder []float64, coreCells [][]int) (*Control
 		return nil, err
 	}
 	c := &Controller{
-		policy:    policy,
-		ladder:    ladder,
-		coreCells: coreCells,
-		levels:    make([]int, len(coreCells)),
-		temps:     make([]float64, len(coreCells)),
+		policy: policy,
+		ladder: ladder,
+		levels: make([]int, len(coreCells)),
+		temps:  make([]float64, len(coreCells)),
 	}
 	total := 0
 	for _, cc := range coreCells {
 		total += len(cc)
 	}
-	c.cellIdx = make([]int32, 0, total)
-	c.cellOff = make([]int32, len(coreCells)+1)
+	flat := make([]int, 0, total)
+	c.cells = make([][]int, len(coreCells))
 	for ci, cc := range coreCells {
 		for _, i := range cc {
 			if i < 0 {
 				return nil, fmt.Errorf("governor: core %d has negative cell index %d", ci, i)
 			}
-			c.cellIdx = append(c.cellIdx, int32(i))
 		}
-		c.cellOff[ci+1] = int32(len(c.cellIdx))
+		flat = append(flat, cc...)
+		c.cells[ci] = flat[len(flat)-len(cc) : len(flat) : len(flat)]
 	}
 	for i := range c.levels {
 		c.levels[i] = len(ladder) - 1
@@ -384,22 +387,39 @@ func NewController(policy Policy, ladder []float64, coreCells [][]int) (*Control
 // runs the policy and returns the per-core ladder levels for the next
 // interval. The returned slice is the controller's own — copy it to retain.
 func (c *Controller) Step(mapC []float64) []int {
-	for ci := range c.temps {
-		lo, hi := c.cellOff[ci], c.cellOff[ci+1]
-		if lo == hi {
-			c.temps[ci] = 0
+	c.StepInto(c.levels, mapC)
+	return c.levels
+}
+
+// StepInto is Step writing the levels into dst (length Cores()) instead of
+// returning the controller's slice; it returns the number of cores left
+// below the top level, as Throttled does afterwards. The copy and the
+// count share one pass over the fresh levels.
+func (c *Controller) StepInto(dst []int, mapC []float64) int {
+	temps := c.temps[:len(c.cells)]
+	for ci, cells := range c.cells {
+		if len(cells) == 0 {
+			temps[ci] = 0
 			continue
 		}
-		t := mapC[c.cellIdx[lo]]
-		for _, i := range c.cellIdx[lo+1 : hi] {
+		t := mapC[cells[0]]
+		for _, i := range cells[1:] {
 			if v := mapC[i]; v > t {
 				t = v
 			}
 		}
-		c.temps[ci] = t
+		temps[ci] = t
 	}
-	c.policy.Act(c.temps, c.levels)
-	return c.levels
+	c.policy.Act(temps, c.levels)
+	dst = dst[:len(c.levels)]
+	top := len(c.ladder) - 1
+	n := 0
+	for k, l := range c.levels {
+		n += b2i(l < top)
+		dst[k] = l
+	}
+	c.throttled = n
+	return n
 }
 
 // Levels returns the current per-core ladder levels (the controller's own
@@ -413,19 +433,11 @@ func (c *Controller) Freq(lvl int) float64 { return c.ladder[lvl] }
 func (c *Controller) Ladder() []float64 { return append([]float64(nil), c.ladder...) }
 
 // Cores returns the number of governed cores.
-func (c *Controller) Cores() int { return len(c.coreCells) }
+func (c *Controller) Cores() int { return len(c.cells) }
 
 // Policy returns the bound policy's name.
 func (c *Controller) Policy() string { return c.policy.Name() }
 
-// Throttled counts cores currently below the top ladder level.
-func (c *Controller) Throttled() int {
-	n := 0
-	top := len(c.ladder) - 1
-	for _, l := range c.levels {
-		if l < top {
-			n++
-		}
-	}
-	return n
-}
+// Throttled returns how many cores the last Step left below the top ladder
+// level (0 before the first Step: every core starts at nominal).
+func (c *Controller) Throttled() int { return c.throttled }

@@ -198,7 +198,6 @@ func Run(cfg LoopConfig) (*Result, error) {
 	top := len(ctrl.ladder) - 1
 	peak := math.Inf(-1)
 	corePeak := math.Inf(-1)
-	coreCells := ctrl.cellIdx
 
 	for step := 0; step < cfg.Steps; step++ {
 		blockP := gen.Step()
@@ -230,9 +229,11 @@ func Run(cfg LoopConfig) (*Result, error) {
 		if stepPeak > peak {
 			peak = stepPeak
 		}
-		for _, i := range coreCells {
-			if trueT[i] > corePeak {
-				corePeak = trueT[i]
+		for _, cells := range ctrl.cells {
+			for _, i := range cells {
+				if trueT[i] > corePeak {
+					corePeak = trueT[i]
+				}
 			}
 		}
 		if stepPeak > cfg.CeilingC {
