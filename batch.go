@@ -11,7 +11,9 @@ import "runtime"
 // BatchOptions tune the batched/streaming estimation paths.
 type BatchOptions struct {
 	// Workers caps the goroutines reconstructing concurrently.
-	// 0 (the default) means one per CPU.
+	// 0 (the default) means one per CPU. A batch of fewer than
+	// 2²² multiply-adds (batch·N·M) runs on the calling goroutine
+	// whatever Workers says.
 	Workers int
 }
 
@@ -27,11 +29,12 @@ func (mn *Monitor) EstimateInto(dst, readings []float64) error {
 	return mn.mon.EstimateInto(dst, readings)
 }
 
-// EstimateBatch reconstructs one full map per reading vector, fanning the
-// batch out across a worker pool; each worker's share runs as one blocked
-// GEMM against the precomputed operator. Order is preserved: out[i] is the
-// estimate for readings[i]. A non-finite reading or a wrong-length vector
-// fails the batch with an error identifying the offending snapshot.
+// EstimateBatch reconstructs one full map per reading vector as blocked
+// GEMMs against the precomputed operator, fanning a large batch out across
+// a worker pool. Order is preserved: out[i] is the estimate for
+// readings[i]. A non-finite or out-of-range reading (beyond ±1e6 °C) or a
+// wrong-length vector fails the batch with an error identifying the
+// offending snapshot.
 func (mn *Monitor) EstimateBatch(readings [][]float64, opt BatchOptions) ([][]float64, error) {
 	return mn.mon.EstimateBatch(readings, opt.Workers)
 }

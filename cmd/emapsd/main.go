@@ -80,6 +80,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/drift"
 	"repro/internal/floorplan"
+	"repro/internal/mat"
 	"repro/internal/obs"
 	"repro/internal/place"
 	"repro/internal/power"
@@ -412,7 +413,13 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 	var tr *obs.Trace
 	if !s.noTrace {
-		id := r.Header.Get(wire.HeaderRequestID)
+		// Direct lookup: net/http stores request headers under canonical
+		// keys, and the constant is canonical, so Get's canonicalization
+		// pass would be pure overhead.
+		var id string
+		if v := r.Header[wire.HeaderRequestID]; len(v) > 0 {
+			id = v[0]
+		}
 		if id == "" {
 			id = obs.NewID()
 		} else {
@@ -1052,20 +1059,32 @@ func decodeEstimateRequest(r io.Reader, req *estimateRequest) (rows [][]float64,
 	}
 	readingsPool.Put(buf)
 	defer bodyPool.Put(body)
-	// Unusual shape (escapes, extra keys, non-numeric tokens, malformed
-	// JSON): let encoding/json decide whether it is valid and report its
-	// error — unknown fields stay ignored, exactly as before the fast path.
-	if err := json.Unmarshal(data, req); err != nil {
-		return nil, releaseNothing, err
+	rows, err = decodeEstimateJSON(data, req)
+	return rows, releaseNothing, err
+}
+
+// decodeEstimateJSON decodes an estimate/track body the walker did not
+// claim (escapes, extra keys, non-numeric tokens, malformed JSON) through
+// encoding/json, the authority on such bodies, which also reports its
+// error; unknown fields stay ignored, exactly as before the fast path. It
+// decodes into a copy of *req and is a function of its own so that the
+// fallback's addresses do not move the fast path's request and rows to the
+// heap on every request.
+func decodeEstimateJSON(data []byte, req *estimateRequest) ([][]float64, error) {
+	fallback := *req
+	if err := json.Unmarshal(data, &fallback); err != nil {
+		return nil, err
 	}
+	*req = fallback
 	if len(req.Readings) == 0 {
 		// Field absent: same as an empty batch downstream.
-		return nil, releaseNothing, nil
+		return nil, nil
 	}
+	var rows [][]float64
 	if err := json.Unmarshal(req.Readings, &rows); err != nil {
-		return nil, releaseNothing, err
+		return nil, err
 	}
-	return rows, releaseNothing, nil
+	return rows, nil
 }
 
 // snapshotSummary is the per-snapshot digest a thermal manager consumes.
@@ -1075,25 +1094,13 @@ func decodeEstimateRequest(r io.Reader, req *estimateRequest) (rows [][]float64,
 // cross-protocol parity pin relies on.
 type snapshotSummary = wire.Summary
 
-// summarize digests one map in a single fused pass (min, max, mean, argmax
-// together — the summary is a measurable slice of serving cost at high
-// snapshot rates). Bit-identical to mat.MinMax + mat.Mean + a first-match
-// scan: the max updates only on strict improvement, so MaxCell is the first
-// index attaining the global max, and the mean accumulates left to right.
+// summarize digests one map: max, min and the first cell attaining the
+// max, bitwise those of one left-to-right scan, and the mean as a blocked
+// sum (mat.Summarize, one vector pass on amd64). Estimate, govern and
+// track all digest through it.
 func summarize(x []float64, includeMap bool) snapshotSummary {
-	lo, hi := x[0], x[0]
-	acc := x[0]
-	maxCell := 0
-	for i := 1; i < len(x); i++ {
-		v := x[i]
-		acc += v
-		if v > hi {
-			hi, maxCell = v, i
-		} else if v < lo {
-			lo = v
-		}
-	}
-	sum := snapshotSummary{MaxC: hi, MinC: lo, MeanC: acc / float64(len(x)), MaxCell: maxCell}
+	hi, lo, mean, maxCell := mat.Summarize(x)
+	sum := snapshotSummary{MaxC: hi, MinC: lo, MeanC: mean, MaxCell: maxCell}
 	if includeMap {
 		sum.Map = x
 	}

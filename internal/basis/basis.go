@@ -43,6 +43,13 @@ type Basis struct {
 	Method PCAMethod
 }
 
+// MaxAbsReading is the largest sensor reading magnitude, in °C, that a
+// monitor maps to temperatures: 1e6 °C, far beyond any die. Reconstruction
+// and tracking reject a batch holding a reading beyond it (or a NaN or
+// ±Inf one) before any state changes, since a finite reading near the
+// float64 range would overflow the operator into ±Inf and NaN maps.
+const MaxAbsReading = 1e6
+
 // ErrKRange reports a requested subspace dimension outside [1, KMax].
 var ErrKRange = errors.New("basis: K outside [1, KMax]")
 

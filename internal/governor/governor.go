@@ -36,6 +36,7 @@ import (
 	"sort"
 
 	"repro/internal/floorplan"
+	"repro/internal/mat"
 )
 
 // DefaultLadder is the stock DVFS ladder: four relative-frequency steps with
@@ -330,8 +331,9 @@ type Controller struct {
 	policy Policy
 	ladder []float64
 	// cells[ci] is core ci's cell indices, a private copy on one backing
-	// array so the per-step scan walks contiguous memory.
+	// array; hottest lays them out for the per-step gathered scan.
 	cells     [][]int
+	hottest   *mat.MaxSets
 	levels    []int
 	temps     []float64
 	throttled int // cores below the top level after the last Step
@@ -377,6 +379,10 @@ func NewController(policy Policy, ladder []float64, coreCells [][]int) (*Control
 		flat = append(flat, cc...)
 		c.cells[ci] = flat[len(flat)-len(cc) : len(flat) : len(flat)]
 	}
+	var err error
+	if c.hottest, err = mat.NewMaxSets(c.cells); err != nil {
+		return nil, fmt.Errorf("governor: %w", err)
+	}
 	for i := range c.levels {
 		c.levels[i] = len(ladder) - 1
 	}
@@ -396,20 +402,10 @@ func (c *Controller) Step(mapC []float64) []int {
 // below the top level, as Throttled does afterwards. The copy and the
 // count share one pass over the fresh levels.
 func (c *Controller) StepInto(dst []int, mapC []float64) int {
+	// Each core's hottest cell, scanned in the core's cell order with the
+	// first of equal values winning; a core with no cells reads 0.
 	temps := c.temps[:len(c.cells)]
-	for ci, cells := range c.cells {
-		if len(cells) == 0 {
-			temps[ci] = 0
-			continue
-		}
-		t := mapC[cells[0]]
-		for _, i := range cells[1:] {
-			if v := mapC[i]; v > t {
-				t = v
-			}
-		}
-		temps[ci] = t
-	}
+	c.hottest.MaxInto(temps, mapC)
 	c.policy.Act(temps, c.levels)
 	dst = dst[:len(c.levels)]
 	top := len(c.ladder) - 1

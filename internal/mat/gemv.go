@@ -1,5 +1,7 @@
 package mat
 
+import "sync"
+
 // Affine kernels for the precomputed reconstruction operator: the serving
 // hot path is dst = bias + A·x with A the N×M operator, applied either to a
 // single reading vector (Estimate) or to a whole batch of them
@@ -58,10 +60,13 @@ func MulVecBiasInto(dst, bias []float64, a *Matrix, x []float64) {
 // bit-identical to MulVecBiasInto on the same inputs: every dot product
 // accumulates left-to-right in its own register.
 //
-// On amd64 CPUs with AVX the whole blocks of four snapshots run through a
-// vector kernel (gemv_amd64.s) that repeats the generic kernel's operations
-// lane by lane in the same order, so its output is bit-identical too; the
-// generic kernel serves every other platform and the row and snapshot tails.
+// On amd64 the whole blocks of snapshots run through vector kernels
+// (gemv_amd64.s) that repeat the generic kernel's operations lane by lane
+// in the same order, so their output is bit-identical too: with AVX-512,
+// blocks of eight snapshots through an 8-row × 8-snapshot kernel; with AVX,
+// the blocks of four left over (or all of them, without AVX-512) through a
+// 4-row × 4-snapshot one. The generic kernel serves every other platform
+// and the row and snapshot tails.
 func MulVecBiasBatchInto(dst [][]float64, bias []float64, a *Matrix, xs [][]float64) {
 	if len(dst) != len(xs) {
 		panic(ErrShape)
@@ -77,8 +82,83 @@ func MulVecBiasBatchInto(dst [][]float64, bias []float64, a *Matrix, xs [][]floa
 			panic(ErrShape)
 		}
 	}
-	t := mulBiasBatchAsm(dst, bias, a, xs)
+	t := 0
+	if hasAVX {
+		t = mulBiasBatchVec(dst, bias, a, xs, hasAVX512)
+	}
 	mulBiasBatchGeneric(dst[t:], bias, a, xs[t:])
+}
+
+// packStack is the largest packed block of readings (width·cols float64s,
+// 2 KiB) that lives on the stack; wider blocks borrow a buffer from
+// packPool.
+const packStack = 256
+
+var packPool = sync.Pool{New: func() any { return new([]float64) }}
+
+// mulBiasBatchVec runs every whole block of eight snapshots through the
+// AVX-512 kernel when wide is set, then every whole block of four left
+// through the AVX kernel, and the operator's rows past the kernels' last
+// whole row block through the generic one. It returns how many leading
+// snapshots it wrote: a multiple of 4, or 0 when the shape leaves the
+// kernels nothing to do. The caller checks that the CPU runs the kernels
+// it asks for.
+func mulBiasBatchVec(dst [][]float64, bias []float64, a *Matrix, xs [][]float64, wide bool) int {
+	m := a.cols
+	if m == 0 || a.rows < 4 || len(xs) < 4 {
+		return 0
+	}
+	wide = wide && a.rows >= 8 && len(xs) >= 8
+	width := 4
+	if wide {
+		width = 8
+	}
+	var stack [packStack]float64
+	xp := stack[:]
+	if width*m > packStack {
+		p := packPool.Get().(*[]float64)
+		defer packPool.Put(p)
+		if cap(*p) < width*m {
+			*p = make([]float64, width*m)
+		}
+		xp = *p
+	}
+	t := 0
+	if wide {
+		rows8 := a.rows &^ 7
+		for ; t+8 <= len(xs); t += 8 {
+			packReadings(xp[:8*m], xs[t:t+8])
+			d := dst[t : t+8]
+			mulBias8x8(&d[0][0], &d[1][0], &d[2][0], &d[3][0], &d[4][0], &d[5][0], &d[6][0], &d[7][0],
+				&bias[0], &a.data[0], &xp[0], rows8, m)
+			if rows8 < a.rows {
+				mulBiasRows4(d[:4], bias, a, xs[t:t+4], rows8, a.rows)
+				mulBiasRows4(d[4:], bias, a, xs[t+4:t+8], rows8, a.rows)
+			}
+		}
+	}
+	rows4 := a.rows &^ 3
+	for ; t+4 <= len(xs); t += 4 {
+		packReadings(xp[:4*m], xs[t:t+4])
+		d := dst[t : t+4]
+		mulBias4x4(&d[0][0], &d[1][0], &d[2][0], &d[3][0], &bias[0], &a.data[0], &xp[0], rows4, m)
+		if rows4 < a.rows {
+			mulBiasRows4(d, bias, a, xs[t:t+4], rows4, a.rows)
+		}
+	}
+	return t
+}
+
+// packReadings packs the snapshots xs j-major into xp, the layout the
+// vector kernels load one reading of every snapshot from:
+// xp[len(xs)·j+k] = xs[k][j].
+func packReadings(xp []float64, xs [][]float64) {
+	w := len(xs)
+	for k, x := range xs {
+		for j, v := range x {
+			xp[w*j+k] = v
+		}
+	}
 }
 
 // mulBiasBatchGeneric is the portable batch kernel behind

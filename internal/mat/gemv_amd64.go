@@ -1,11 +1,14 @@
 package mat
 
-import "sync"
-
 // hasAVX reports whether this CPU and OS run 256-bit AVX code: CPUID
 // advertises AVX and OSXSAVE, and XCR0 shows the OS saving the XMM and YMM
-// register state. It is read once, at package init.
-var hasAVX = cpuHasAVX()
+// register state. hasAVX512 reports the same for 512-bit AVX-512F code:
+// CPUID leaf 7 advertises AVX512F, and XCR0 also shows the opmask and the
+// full ZMM register state saved. Both are read once, at package init.
+var (
+	hasAVX    = cpuHasAVX()
+	hasAVX512 = hasAVX && cpuHasAVX512()
+)
 
 func cpuHasAVX() bool {
 	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 1 {
@@ -18,6 +21,20 @@ func cpuHasAVX() bool {
 	const xmmYmm = 1<<1 | 1<<2
 	xcr0, _ := xgetbv()
 	return xcr0&xmmYmm == xmmYmm
+}
+
+// cpuHasAVX512 assumes cpuHasAVX, which checked OSXSAVE for xgetbv.
+func cpuHasAVX512() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const avx512f = 1 << 16
+	if _, ebx, _, _ := cpuid(7, 0); ebx&avx512f == 0 {
+		return false
+	}
+	const opmaskZmm = 1<<5 | 1<<6 | 1<<7 // k0–k7, ZMM0–15 upper halves, ZMM16–31
+	xcr0, _ := xgetbv()
+	return xcr0&opmaskZmm == opmaskZmm
 }
 
 // cpuid executes CPUID with EAX = eaxArg and ECX = ecxArg.
@@ -35,45 +52,21 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func mulBias4x4(d0, d1, d2, d3, bias, a, xp *float64, rows, m int)
 
-// packStackCols is the widest operator whose packed block of readings
-// (4·cols float64s, 2 KiB here) lives on the stack; wider ones borrow a
-// buffer from packPool.
-const packStackCols = 64
+// mulBias8x8 is mulBias4x4 for eight snapshots in AVX-512 registers:
+// xp[8j+k] = reading j of snapshot k, and rows must be a positive multiple
+// of 8.
+//
+//go:noescape
+func mulBias8x8(d0, d1, d2, d3, d4, d5, d6, d7, bias, a, xp *float64, rows, m int)
 
-var packPool = sync.Pool{New: func() any { return new([]float64) }}
+// summaryBlocksAVX is summaryBlocksGeneric(x[0:n], st) on 256-bit vectors
+// (summary_amd64.s); n must be a positive multiple of summaryLanes.
+//
+//go:noescape
+func summaryBlocksAVX(x *float64, n int, st *laneStats)
 
-// mulBiasBatchAsm runs every whole block of four snapshots through the AVX
-// kernel, the operator's last rows%4 rows through the generic one, and
-// returns how many leading snapshots it wrote: a multiple of 4, or 0 when
-// the CPU lacks AVX or the shape leaves the kernel nothing to do.
-func mulBiasBatchAsm(dst [][]float64, bias []float64, a *Matrix, xs [][]float64) int {
-	m := a.cols
-	rows4 := a.rows &^ 3
-	if !hasAVX || m == 0 || rows4 == 0 || len(xs) < 4 {
-		return 0
-	}
-	var stack [4 * packStackCols]float64
-	xp := stack[:]
-	if m > packStackCols {
-		p := packPool.Get().(*[]float64)
-		defer packPool.Put(p)
-		if cap(*p) < 4*m {
-			*p = make([]float64, 4*m)
-		}
-		xp = *p
-	}
-	xp = xp[:4*m]
-	t := 0
-	for ; t+4 <= len(xs); t += 4 {
-		x0, x1, x2, x3 := xs[t][:m], xs[t+1][:m], xs[t+2][:m], xs[t+3][:m]
-		for j := range x0 {
-			p := xp[4*j : 4*j+4]
-			p[0], p[1], p[2], p[3] = x0[j], x1[j], x2[j], x3[j]
-		}
-		mulBias4x4(&dst[t][0], &dst[t+1][0], &dst[t+2][0], &dst[t+3][0], &bias[0], &a.data[0], &xp[0], rows4, m)
-		if rows4 < a.rows {
-			mulBiasRows4(dst[t:t+4], bias, a, xs[t:t+4], rows4, a.rows)
-		}
-	}
-	return t
-}
+// maxSets4AVX runs MaxSets.MaxInto's scan over the first groups groups of
+// four sets (maxsets_amd64.s), writing 4·groups maxima to dst.
+//
+//go:noescape
+func maxSets4AVX(dst, x *float64, idx *int32, groups, length int)

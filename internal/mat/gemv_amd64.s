@@ -98,3 +98,131 @@ col:
 	// Clear the upper YMM halves before returning to SSE code.
 	VZEROUPPER
 	RET
+
+// func mulBias8x8(d0, d1, d2, d3, d4, d5, d6, d7, bias, a, xp *float64, rows, m int)
+//
+// The AVX-512 form of mulBias4x4: each pass of the outer loop computes an
+// 8-row × 8-snapshot block of sums in Z0..Z7, row i+r in Zr, one snapshot
+// per lane. Lane k of row r repeats the generic kernel's
+// s += a[i+r][j]·x_k[j] for j ascending, as a separate VMULPD and VADDPD
+// from a zero start, so every sum is bit-identical to it. Three rounds of
+// shuffles transpose the block to one vector per snapshot, which is added
+// to bias[i:i+8] and stored to dk[i:i+8]. Only Z0..Z15 are used, so
+// AVX512F is the one extension the kernel needs.
+TEXT ·mulBias8x8(SB), NOSPLIT, $0-104
+	MOVQ bias+64(FP), BX
+	MOVQ a+72(FP), SI      // SI = &a[i·m], the block's first row
+	MOVQ xp+80(FP), R8
+	MOVQ rows+88(FP), DX
+	SHLQ $3, DX            // DX = rows·8, the end of the row offset
+	MOVQ m+96(FP), R9
+	SHLQ $3, R9            // R9 = m·8, one operator row in bytes
+	LEAQ (R9)(R9*2), R13   // R13 = 3·m·8
+	XORQ R10, R10          // R10 = i·8, the block's offset into bias and dk
+
+rowblock:
+	MOVQ   SI, R11         // R11 = &a[i][j]: rows i..i+3 at R11 + r·m·8
+	LEAQ   (SI)(R9*4), R12 // R12 = &a[i+4][j]: rows i+4..i+7
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	XORQ   CX, CX          // CX = j·8
+
+col:
+	VMOVUPD      (R8)(CX*8), Z8 // xp[8j:8j+8], reading j of the eight snapshots
+	VBROADCASTSD (R11), Z9
+	VMULPD       Z8, Z9, Z9
+	VADDPD       Z9, Z0, Z0
+	VBROADCASTSD (R11)(R9*1), Z10
+	VMULPD       Z8, Z10, Z10
+	VADDPD       Z10, Z1, Z1
+	VBROADCASTSD (R11)(R9*2), Z11
+	VMULPD       Z8, Z11, Z11
+	VADDPD       Z11, Z2, Z2
+	VBROADCASTSD (R11)(R13*1), Z12
+	VMULPD       Z8, Z12, Z12
+	VADDPD       Z12, Z3, Z3
+	VBROADCASTSD (R12), Z13
+	VMULPD       Z8, Z13, Z13
+	VADDPD       Z13, Z4, Z4
+	VBROADCASTSD (R12)(R9*1), Z14
+	VMULPD       Z8, Z14, Z14
+	VADDPD       Z14, Z5, Z5
+	VBROADCASTSD (R12)(R9*2), Z15
+	VMULPD       Z8, Z15, Z15
+	VADDPD       Z15, Z6, Z6
+	VBROADCASTSD (R12)(R13*1), Z9
+	VMULPD       Z8, Z9, Z9
+	VADDPD       Z9, Z7, Z7
+	ADDQ         $8, R11
+	ADDQ         $8, R12
+	ADDQ         $8, CX
+	CMPQ         CX, R9
+	JLT          col
+
+	// Transpose: Zr lane k = s(i+r, k) becomes Z8+k lane r, the eight
+	// rows of snapshot k. Round 1 pairs rows within 128-bit lanes, rounds
+	// 2 and 3 gather the 128-bit lanes.
+	VUNPCKLPD  Z1, Z0, Z8         // s(i,0) s(i+1,0) | s(i,2) s(i+1,2) | s(i,4) … | s(i,6) …
+	VUNPCKHPD  Z1, Z0, Z9         // s(i,1) s(i+1,1) | s(i,3) … | s(i,5) … | s(i,7) …
+	VUNPCKLPD  Z3, Z2, Z10
+	VUNPCKHPD  Z3, Z2, Z11
+	VUNPCKLPD  Z5, Z4, Z12
+	VUNPCKHPD  Z5, Z4, Z13
+	VUNPCKLPD  Z7, Z6, Z14
+	VUNPCKHPD  Z7, Z6, Z15
+	VSHUFF64X2 $0x88, Z10, Z8, Z0 // rows i..i+3 of snapshots 0 and 4
+	VSHUFF64X2 $0x88, Z11, Z9, Z1 // … of snapshots 1 and 5
+	VSHUFF64X2 $0xdd, Z10, Z8, Z2 // … of snapshots 2 and 6
+	VSHUFF64X2 $0xdd, Z11, Z9, Z3 // … of snapshots 3 and 7
+	VSHUFF64X2 $0x88, Z14, Z12, Z4 // rows i+4..i+7 of snapshots 0 and 4
+	VSHUFF64X2 $0x88, Z15, Z13, Z5
+	VSHUFF64X2 $0xdd, Z14, Z12, Z6
+	VSHUFF64X2 $0xdd, Z15, Z13, Z7
+	VSHUFF64X2 $0x88, Z4, Z0, Z8  // snapshot 0
+	VSHUFF64X2 $0x88, Z5, Z1, Z9  // snapshot 1
+	VSHUFF64X2 $0x88, Z6, Z2, Z10 // snapshot 2
+	VSHUFF64X2 $0x88, Z7, Z3, Z11 // snapshot 3
+	VSHUFF64X2 $0xdd, Z4, Z0, Z12 // snapshot 4
+	VSHUFF64X2 $0xdd, Z5, Z1, Z13 // snapshot 5
+	VSHUFF64X2 $0xdd, Z6, Z2, Z14 // snapshot 6
+	VSHUFF64X2 $0xdd, Z7, Z3, Z15 // snapshot 7
+
+	VMOVUPD (BX)(R10*1), Z0     // bias[i:i+8]
+	VADDPD  Z8, Z0, Z8          // bias + s, the generic kernel's b + s
+	VADDPD  Z9, Z0, Z9
+	VADDPD  Z10, Z0, Z10
+	VADDPD  Z11, Z0, Z11
+	VADDPD  Z12, Z0, Z12
+	VADDPD  Z13, Z0, Z13
+	VADDPD  Z14, Z0, Z14
+	VADDPD  Z15, Z0, Z15
+	MOVQ    d0+0(FP), AX
+	VMOVUPD Z8, (AX)(R10*1)
+	MOVQ    d1+8(FP), AX
+	VMOVUPD Z9, (AX)(R10*1)
+	MOVQ    d2+16(FP), AX
+	VMOVUPD Z10, (AX)(R10*1)
+	MOVQ    d3+24(FP), AX
+	VMOVUPD Z11, (AX)(R10*1)
+	MOVQ    d4+32(FP), AX
+	VMOVUPD Z12, (AX)(R10*1)
+	MOVQ    d5+40(FP), AX
+	VMOVUPD Z13, (AX)(R10*1)
+	MOVQ    d6+48(FP), AX
+	VMOVUPD Z14, (AX)(R10*1)
+	MOVQ    d7+56(FP), AX
+	VMOVUPD Z15, (AX)(R10*1)
+
+	LEAQ (SI)(R9*8), SI
+	ADDQ $64, R10
+	CMPQ R10, DX
+	JLT  rowblock
+
+	VZEROUPPER
+	RET

@@ -2,10 +2,25 @@
 
 package mat
 
-// hasAVX is false off amd64: the generic kernel serves every batch.
-const hasAVX = false
+// hasAVX and hasAVX512 are false off amd64: the generic kernels serve
+// every batch and every summary, and the vector kernels below never run.
+const (
+	hasAVX    = false
+	hasAVX512 = false
+)
 
-// mulBiasBatchAsm has no vector kernel to run off amd64 and writes nothing.
-func mulBiasBatchAsm(dst [][]float64, bias []float64, a *Matrix, xs [][]float64) int {
-	return 0
+func mulBias4x4(d0, d1, d2, d3, bias, a, xp *float64, rows, m int) {
+	panic("mat: no AVX serving kernel on this platform")
+}
+
+func mulBias8x8(d0, d1, d2, d3, d4, d5, d6, d7, bias, a, xp *float64, rows, m int) {
+	panic("mat: no AVX-512 serving kernel on this platform")
+}
+
+func summaryBlocksAVX(x *float64, n int, st *laneStats) {
+	panic("mat: no AVX summary kernel on this platform")
+}
+
+func maxSets4AVX(dst, x *float64, idx *int32, groups, length int) {
+	panic("mat: no AVX max-sets kernel on this platform")
 }

@@ -132,14 +132,37 @@ func batchOf(vals []float64, batch, n int) [][]float64 {
 	return out
 }
 
-// checkAVXMatchesGeneric runs MulVecBiasBatchInto and the generic kernel on
-// the same inputs and fails on the first output whose bits differ.
-func checkAVXMatchesGeneric(t *testing.T, name string, bias []float64, a *Matrix, xs [][]float64) {
+// batchKernel writes a whole batch: dst[t] = bias + a·xs[t].
+type batchKernel func(dst [][]float64, bias []float64, a *Matrix, xs [][]float64)
+
+// batchKernels lists the batch kernels this CPU runs, by name, each
+// called directly: the generic kernel, and each vector kernel with the
+// generic one finishing the snapshots it leaves.
+func batchKernels() map[string]batchKernel {
+	ks := map[string]batchKernel{"generic": mulBiasBatchGeneric}
+	vec := func(wide bool) batchKernel {
+		return func(dst [][]float64, bias []float64, a *Matrix, xs [][]float64) {
+			t := mulBiasBatchVec(dst, bias, a, xs, wide)
+			mulBiasBatchGeneric(dst[t:], bias, a, xs[t:])
+		}
+	}
+	if hasAVX {
+		ks["avx"] = vec(false)
+	}
+	if hasAVX512 {
+		ks["avx512"] = vec(true)
+	}
+	return ks
+}
+
+// checkKernelMatchesGeneric runs kernel and the generic kernel on the same
+// inputs and fails on the first output whose bits differ.
+func checkKernelMatchesGeneric(t *testing.T, name string, kernel batchKernel, bias []float64, a *Matrix, xs [][]float64) {
 	t.Helper()
 	rows := a.Rows()
 	got := batchOf(make([]float64, len(xs)*rows), len(xs), rows)
 	want := batchOf(make([]float64, len(xs)*rows), len(xs), rows)
-	MulVecBiasBatchInto(got, bias, a, xs)
+	kernel(got, bias, a, xs)
 	mulBiasBatchGeneric(want, bias, a, xs)
 	for k := range want {
 		for i := range want[k] {
@@ -165,20 +188,46 @@ func TestMulVecBiasBatchAVXMatchesGeneric(t *testing.T) {
 			bias := edgeVec(rng, rows)
 			for _, batch := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 128} {
 				xs := batchOf(edgeVec(rng, batch*m), batch, m)
-				checkAVXMatchesGeneric(t, fmt.Sprintf("rows=%d m=%d batch=%d", rows, m, batch), bias, a, xs)
+				checkKernelMatchesGeneric(t, fmt.Sprintf("rows=%d m=%d batch=%d", rows, m, batch), MulVecBiasBatchInto, bias, a, xs)
 			}
 		}
 	}
 }
 
-// FuzzMulVecBiasBatchInto checks the vector kernel against the generic one
-// bit for bit on fuzzer-chosen shapes and float64 bit patterns. data is read
-// as little-endian float64 words, cycled over the operator, the bias and
-// the readings in that order. NaN words read as 0: which payload an add of
-// two NaNs propagates depends on the operand order the compiler picked for
-// the generic kernel, and recon never passes a NaN (it rejects non-finite
-// readings). NaNs produced inside the kernel, from Inf−Inf or 0·Inf, are
-// still compared.
+// Each vector kernel, called directly, against the generic one: rows
+// straddle the 4- and 8-row blocks, M straddles the stack-packed block of
+// both widths, and batches straddle the 4- and 8-snapshot blocks.
+func TestMulVecBiasBatchKernelsMatchGeneric(t *testing.T) {
+	kernels := batchKernels()
+	if len(kernels) == 1 {
+		t.Skip(noAVX)
+	}
+	for name := range kernels {
+		t.Logf("kernel %s runs on this CPU", name)
+	}
+	rng := rand.New(rand.NewSource(23))
+	for _, rows := range []int{1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 224} {
+		for _, m := range []int{1, 3, 8, 24, 32, 33, 100} {
+			a := NewFromData(rows, m, edgeVec(rng, rows*m))
+			bias := edgeVec(rng, rows)
+			for _, batch := range []int{1, 3, 4, 5, 7, 8, 9, 12, 15, 16, 17, 24} {
+				xs := batchOf(edgeVec(rng, batch*m), batch, m)
+				for name, kernel := range kernels {
+					checkKernelMatchesGeneric(t, fmt.Sprintf("%s rows=%d m=%d batch=%d", name, rows, m, batch), kernel, bias, a, xs)
+				}
+			}
+		}
+	}
+}
+
+// FuzzMulVecBiasBatchInto checks each vector kernel, and the dispatch over
+// them, against the generic one bit for bit on fuzzer-chosen shapes and
+// float64 bit patterns. data is read as little-endian float64 words, cycled
+// over the operator, the bias and the readings in that order. NaN words
+// read as 0: which payload an add of two NaNs propagates depends on the
+// operand order the compiler picked for the generic kernel, and recon never
+// passes a NaN (it rejects non-finite readings). NaNs produced inside the
+// kernel, from Inf−Inf or 0·Inf, are still compared.
 func FuzzMulVecBiasBatchInto(f *testing.F) {
 	words := func(vs ...float64) []byte {
 		b := make([]byte, 8*len(vs))
@@ -208,7 +257,11 @@ func FuzzMulVecBiasBatchInto(f *testing.F) {
 		a := NewFromData(nr, nm, vals[:nr*nm])
 		bias := vals[nr*nm : nr*nm+nr]
 		xs := batchOf(vals[nr*nm+nr:], nb, nm)
-		checkAVXMatchesGeneric(t, fmt.Sprintf("rows=%d m=%d batch=%d", nr, nm, nb), bias, a, xs)
+		shape := fmt.Sprintf("rows=%d m=%d batch=%d", nr, nm, nb)
+		checkKernelMatchesGeneric(t, shape, MulVecBiasBatchInto, bias, a, xs)
+		for name, kernel := range batchKernels() {
+			checkKernelMatchesGeneric(t, name+" "+shape, kernel, bias, a, xs)
+		}
 	})
 }
 
@@ -235,20 +288,16 @@ func TestMulVecBiasBatchIntoZeroAlloc(t *testing.T) {
 
 // BenchmarkMulVecBiasBatch times the batch kernel at the two served shapes
 // (the paper-scale die's estimate request and the fleet's JSON request) on
-// both paths, reporting the GEMM's rate as 2·N·M·batch flops per call.
+// each path — avx is the 4×4 AVX kernel, avx512 the 8×8 AVX-512 one —
+// reporting the GEMM's rate as 2·N·M·batch flops per call.
 func BenchmarkMulVecBiasBatch(b *testing.B) {
-	paths := []struct {
-		name string
-		run  func(dst [][]float64, bias []float64, a *Matrix, xs [][]float64)
-	}{
-		{"avx", MulVecBiasBatchInto},
-		{"generic", mulBiasBatchGeneric},
-	}
+	kernels := batchKernels()
 	for _, sh := range []struct{ rows, m, batch int }{{3360, 24, 16}, {224, 12, 128}} {
-		for _, p := range paths {
-			b.Run(fmt.Sprintf("N=%d/M=%d/batch=%d/path=%s", sh.rows, sh.m, sh.batch, p.name), func(b *testing.B) {
-				if p.name == "avx" && !hasAVX {
-					b.Skip(noAVX)
+		for _, path := range []string{"avx", "avx512", "generic"} {
+			b.Run(fmt.Sprintf("N=%d/M=%d/batch=%d/path=%s", sh.rows, sh.m, sh.batch, path), func(b *testing.B) {
+				run, ok := kernels[path]
+				if !ok {
+					b.Skipf("no %s kernel on this CPU or platform", path)
 				}
 				rng := rand.New(rand.NewSource(1))
 				a := NewFromData(sh.rows, sh.m, randVec(rng, sh.rows*sh.m))
@@ -257,7 +306,7 @@ func BenchmarkMulVecBiasBatch(b *testing.B) {
 				dst := batchOf(make([]float64, sh.batch*sh.rows), sh.batch, sh.rows)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					p.run(dst, bias, a, xs)
+					run(dst, bias, a, xs)
 				}
 				flops := 2 * float64(sh.rows*sh.m*sh.batch) * float64(b.N)
 				b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")

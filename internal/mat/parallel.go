@@ -5,9 +5,10 @@ import (
 	"sync"
 )
 
-// parallelThreshold is the approximate flop count below which the products
-// stay single-threaded (goroutine fan-out costs more than it saves).
-const parallelThreshold = 1 << 22
+// ParallelThreshold is the one fan-out rule of the kernels and of batch
+// reconstruction: work of fewer multiply-adds than this stays on the
+// calling goroutine, where goroutine fan-out would cost more than it saves.
+const ParallelThreshold = 1 << 22
 
 // ParallelChunks splits [0, n) into contiguous chunks and runs fn on each
 // from its own goroutine, blocking until all complete. workers caps the
@@ -54,7 +55,7 @@ func MulTAWorkers(a, b *Matrix, workers int) *Matrix {
 	if a.rows != b.rows {
 		panic(ErrShape)
 	}
-	if workers == 1 || a.rows*a.cols*b.cols < parallelThreshold {
+	if workers == 1 || a.rows*a.cols*b.cols < ParallelThreshold {
 		return MulTA(a, b)
 	}
 	out := New(a.cols, b.cols)
@@ -83,7 +84,7 @@ func MulTAWorkers(a, b *Matrix, workers int) *Matrix {
 // (j, i) since the products commute — so the result is bit-identical to
 // RowGram for every worker count.
 func RowGramWorkers(a *Matrix, workers int) *Matrix {
-	if a.rows*a.rows*a.cols/2 < parallelThreshold {
+	if a.rows*a.rows*a.cols/2 < ParallelThreshold {
 		workers = 1
 	}
 	n, c := a.rows, a.cols

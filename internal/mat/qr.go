@@ -83,7 +83,7 @@ func householder(qc []float64, m, n int) []float64 {
 func householderQT(qc, tau []float64, m, n int) *Matrix {
 	qt := New(n, m)
 	workers := 0
-	if m*n*n < parallelThreshold/4 {
+	if m*n*n < ParallelThreshold/4 {
 		workers = 1
 	}
 	ParallelChunks(n, workers, func(lo, hi int) {

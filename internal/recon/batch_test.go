@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"repro/internal/mat"
 )
 
 // batchReconstructor builds a shared K=4, M=8 reconstructor over the test
@@ -48,8 +50,10 @@ func TestReconstructIntoMatchesReconstruct(t *testing.T) {
 	}
 }
 
-// Batches shard on the kernel's 4-snapshot blocks; whatever the batch
-// length and worker count, every snapshot matches its single estimate.
+// Whatever the batch length and worker count, every snapshot matches its
+// single estimate. These batches are below mat.ParallelThreshold, so they
+// run on the calling goroutine; TestReconstructBatchFansOutAboveThreshold
+// covers the sharded path.
 func TestReconstructBatchMatchesSequential(t *testing.T) {
 	r, readings, want := batchFixture(t)
 	for _, n := range []int{1, 5, 6, 16} {
@@ -63,6 +67,37 @@ func TestReconstructBatchMatchesSequential(t *testing.T) {
 					if got[i][c] != want[i][c] {
 						t.Fatalf("n=%d workers=%d snapshot %d cell %d: %v != %v", n, workers, i, c, got[i][c], want[i][c])
 					}
+				}
+			}
+		}
+	}
+}
+
+// A batch of at least mat.ParallelThreshold multiply-adds shards over the
+// workers on 8-snapshot blocks; every snapshot still matches its single
+// estimate bit for bit. The batch ends in a partial block, and under -race
+// this is the fan-out path's race coverage.
+func TestReconstructBatchFansOutAboveThreshold(t *testing.T) {
+	r, readings, want := batchFixture(t)
+	perSnapshot := testBasis.N() * len(readings[0])
+	n := mat.ParallelThreshold/perSnapshot + 13
+	if n*perSnapshot < mat.ParallelThreshold {
+		t.Fatalf("batch of %d is below the fan-out threshold", n)
+	}
+	batch := make([][]float64, n)
+	for i := range batch {
+		batch[i] = readings[i%len(readings)]
+	}
+	for _, workers := range []int{3, 0} {
+		got, err := r.ReconstructBatch(batch, workers)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range got {
+			w := want[i%len(want)]
+			for c := range got[i] {
+				if math.Float64bits(got[i][c]) != math.Float64bits(w[c]) {
+					t.Fatalf("workers=%d snapshot %d cell %d: %v != %v", workers, i, c, got[i][c], w[c])
 				}
 			}
 		}

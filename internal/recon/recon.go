@@ -29,9 +29,10 @@ var (
 	// a duplicated row makes the layout silently worse-conditioned than its
 	// nominal M suggests, so it is rejected up front.
 	ErrDuplicateSensor = errors.New("recon: duplicate sensor index")
-	// ErrBadReading reports a NaN or ±Inf sensor reading; least squares would
-	// not fail on it, it would silently poison the whole reconstructed map.
-	ErrBadReading = errors.New("recon: non-finite sensor reading")
+	// ErrBadReading reports a NaN or ±Inf sensor reading, or one beyond
+	// ±basis.MaxAbsReading; least squares would not fail on it, it would
+	// silently poison the whole reconstructed map.
+	ErrBadReading = errors.New("recon: non-finite or out-of-range sensor reading")
 )
 
 // Reconstructor solves min_α ‖x_S − Ψ̃_K α‖₂ and synthesizes x̃ = mean + Ψ_K α̂.
@@ -254,13 +255,14 @@ func (r *Reconstructor) Cond() (float64, error) {
 	return mat.Cond(r.psiTilde)
 }
 
-// checkReadings validates shape and finiteness of a reading vector.
+// checkReadings validates the shape of a reading vector and that every
+// reading is a number within ±basis.MaxAbsReading.
 func (r *Reconstructor) checkReadings(xS []float64) error {
 	if len(xS) != len(r.sensors) {
 		return fmt.Errorf("recon: %d readings for %d sensors", len(xS), len(r.sensors))
 	}
 	for i, v := range xS {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
+		if !(math.Abs(v) <= basis.MaxAbsReading) {
 			return fmt.Errorf("%w: reading %d is %v", ErrBadReading, i, v)
 		}
 	}
@@ -269,9 +271,9 @@ func (r *Reconstructor) checkReadings(xS []float64) error {
 
 // Coefficients solves the least-squares problem for the (possibly noisy)
 // sensor readings xS (length M, °C) by QR back-substitution and returns α̂.
-// Non-finite readings are rejected with ErrBadReading. Lifted through
-// Basis().SynthesizeInto, α̂ is the two-stage reference the folded operator
-// is pinned against.
+// Non-finite and out-of-range readings are rejected with ErrBadReading.
+// Lifted through Basis().SynthesizeInto, α̂ is the two-stage reference the
+// folded operator is pinned against.
 func (r *Reconstructor) Coefficients(xS []float64) ([]float64, error) {
 	if err := r.checkReadings(xS); err != nil {
 		return nil, err
@@ -360,9 +362,10 @@ func (r *Reconstructor) ResidualInto(dst, xS []float64) (float64, error) {
 // one scratch checkout: it zeroes energy (length M), accumulates each
 // scored row's squared per-sensor residual into it, and returns the mean
 // normalized residual norm over the rows it scored plus that count. Rows
-// that fail validation (wrong length, non-finite) are skipped rather than
-// failing the batch — this is the serving hot path's drift scorer, and a
-// malformed row has already produced its client-facing error elsewhere.
+// that fail validation (wrong length, non-finite, out of range) are
+// skipped rather than failing the batch — this is the serving hot path's
+// drift scorer, and a malformed row has already produced its client-facing
+// error elsewhere.
 func (r *Reconstructor) ResidualStats(energy []float64, rows [][]float64) (meanRho float64, n int, err error) {
 	m := len(r.sensors)
 	if len(energy) != m {

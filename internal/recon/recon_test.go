@@ -316,3 +316,27 @@ func TestReconstructorConcurrentUse(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Readings are accepted up to ±basis.MaxAbsReading and rejected past it
+// with ErrBadReading, as NaN and ±Inf are.
+func TestReadingBound(t *testing.T) {
+	r, readings, _ := batchFixture(t)
+	dst := make([]float64, testBasis.N())
+	for _, v := range []float64{basis.MaxAbsReading, -basis.MaxAbsReading} {
+		x := append([]float64(nil), readings[0]...)
+		x[0] = v
+		if err := r.ReconstructInto(dst, x); err != nil {
+			t.Fatalf("reading %g rejected: %v", v, err)
+		}
+	}
+	for _, v := range []float64{math.Nextafter(basis.MaxAbsReading, math.Inf(1)), -1.7e308, math.Inf(-1), math.NaN()} {
+		x := append([]float64(nil), readings[0]...)
+		x[len(x)-1] = v
+		if err := r.ReconstructInto(dst, x); !errors.Is(err, ErrBadReading) {
+			t.Fatalf("reading %g: error %v, want ErrBadReading", v, err)
+		}
+		if _, err := r.ReconstructBatch([][]float64{readings[0], x}, 1); !errors.Is(err, ErrBadReading) {
+			t.Fatalf("batch with reading %g: error %v, want ErrBadReading", v, err)
+		}
+	}
+}

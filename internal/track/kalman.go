@@ -257,7 +257,9 @@ func (kf *Kalman) StepBatchInto(dst, readings [][]float64) (steps int, uncertain
 	return kf.steps, kf.traceLocked(), nil
 }
 
-// checkReadings validates one reading vector's shape and finiteness.
+// checkReadings validates one reading vector's shape and that every
+// reading is a number within ±basis.MaxAbsReading: one reading beyond it
+// would overflow the filter's state, and every later step with it.
 func (kf *Kalman) checkReadings(readings []float64) error {
 	if len(readings) != len(kf.sensors) {
 		return fmt.Errorf("track: %d readings for %d sensors", len(readings), len(kf.sensors))
@@ -265,6 +267,9 @@ func (kf *Kalman) checkReadings(readings []float64) error {
 	for i, v := range readings {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return fmt.Errorf("track: non-finite reading %d (%v)", i, v)
+		}
+		if math.Abs(v) > basis.MaxAbsReading {
+			return fmt.Errorf("track: reading %d (%v) beyond ±%g °C", i, v, basis.MaxAbsReading)
 		}
 	}
 	return nil

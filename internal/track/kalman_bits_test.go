@@ -146,3 +146,42 @@ func TestStepMatchesReferenceOnErrors(t *testing.T) {
 		t.Fatalf("rejected input moved the filter: steps %d, α %v", kf.Steps(), kf.Coefficients())
 	}
 }
+
+// A finite reading beyond ±basis.MaxAbsReading fails the batch before any
+// state moves, so the filter's next step is bitwise a fresh filter's.
+func TestStepRejectsReadingsBeyondBound(t *testing.T) {
+	_, b, sensors := fixture(t)
+	kf, err := NewKalman(b, 6, sensors, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	twin, err := NewKalman(b, 6, sensors, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := make([]float64, len(sensors))
+	for i := range good {
+		good[i] = 50
+	}
+	edge := append([]float64(nil), good...)
+	edge[0] = -basis.MaxAbsReading
+	over := append([]float64(nil), good...)
+	over[len(over)-1] = 1.7e308
+	dst := [][]float64{make([]float64, b.N()), make([]float64, b.N())}
+	if _, _, err := kf.StepBatchInto(dst, [][]float64{good, over}); err == nil {
+		t.Fatal("a 1.7e308 reading was accepted")
+	}
+	if kf.Steps() != 0 || mat.NormInf(kf.Coefficients()) != 0 {
+		t.Fatalf("rejected batch moved the filter: steps %d, α %v", kf.Steps(), kf.Coefficients())
+	}
+	if err := kf.checkReadings(edge); err != nil {
+		t.Fatalf("a reading of exactly −%g rejected: %v", basis.MaxAbsReading, err)
+	}
+	got, _ := kf.Step(good)
+	want, _ := twin.Step(good)
+	for c := range want {
+		if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
+			t.Fatalf("cell %d after the rejected batch: %v, fresh filter %v", c, got[c], want[c])
+		}
+	}
+}
