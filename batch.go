@@ -39,13 +39,6 @@ func (mn *Monitor) EstimateBatch(readings [][]float64, opt BatchOptions) ([][]fl
 	return mn.mon.EstimateBatch(readings, opt.Workers)
 }
 
-// EstimateBatchInto is the allocation-free batch form: dst[i] (each length N)
-// receives the estimate for readings[i]. Reusing dst across calls keeps the
-// steady state allocation-free per snapshot.
-func (mn *Monitor) EstimateBatchInto(dst, readings [][]float64, opt BatchOptions) error {
-	return mn.mon.EstimateBatchInto(dst, readings, opt.Workers)
-}
-
 // StreamResult is one snapshot's outcome on the streaming path.
 type StreamResult struct {
 	// Index is the snapshot's arrival position (0-based) — results are NOT

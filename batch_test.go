@@ -78,28 +78,6 @@ func TestEstimateBatchMatchesEstimate(t *testing.T) {
 	}
 }
 
-func TestEstimateBatchIntoReusesBuffers(t *testing.T) {
-	mon, readings := batchSetup(t)
-	dst := make([][]float64, len(readings))
-	for i := range dst {
-		dst[i] = make([]float64, mon.N())
-	}
-	for rep := 0; rep < 2; rep++ {
-		if err := mon.EstimateBatchInto(dst, readings, eigenmaps.BatchOptions{Workers: 3}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	want, err := mon.Estimate(readings[7])
-	if err != nil {
-		t.Fatal(err)
-	}
-	for c := range want {
-		if dst[7][c] != want[c] {
-			t.Fatalf("cell %d: %v != %v", c, dst[7][c], want[c])
-		}
-	}
-}
-
 func TestEstimateBatchRejectsNaN(t *testing.T) {
 	mon, readings := batchSetup(t)
 	bad := append([]float64(nil), readings[0]...)
@@ -218,16 +196,9 @@ func TestEstimateBatchWithThreadsOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := make([][]float64, len(readings))
-	for i := range dst {
-		dst[i] = make([]float64, mon.N())
-	}
-	if err := mon.EstimateBatchInto(dst, readings, eigenmaps.BatchOptions{Workers: 3}); err != nil {
-		t.Fatal(err)
-	}
 	for i := range want {
-		if batch[7][i] != want[i] || dst[7][i] != want[i] {
-			t.Fatalf("cell %d: batch %v, batch-into %v != single %v", i, batch[7][i], dst[7][i], want[i])
+		if batch[7][i] != want[i] {
+			t.Fatalf("cell %d: batch %v != single %v", i, batch[7][i], want[i])
 		}
 	}
 }

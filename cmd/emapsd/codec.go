@@ -146,23 +146,15 @@ func walkObject(data []byte, value func(key []byte, i int) (int, bool)) bool {
 }
 
 // parseEstimateRequest is the estimate/track route's fast path: a body
-// whose keys are among readings, workers and include_maps, with scalar
-// values. Absent readings decode as an empty batch. ok=false defers to
-// encoding/json.
+// whose keys are among readings and include_maps. Absent readings decode
+// as an empty batch. ok=false defers to encoding/json, which ignores
+// unknown keys such as the retired "workers".
 func (b *readingsBuf) parseEstimateRequest(data []byte, req *estimateRequest) (rows [][]float64, ok bool) {
 	b.flat, b.ends = b.flat[:0], b.ends[:0]
 	ok = walkObject(data, func(key []byte, i int) (int, bool) {
 		switch string(key) {
 		case "readings":
 			return b.readingsAt(data, i)
-		case "workers":
-			_, j, _ := parseNumber(data, i)
-			n, err := strconv.Atoi(string(data[i:j]))
-			if err != nil {
-				return 0, false
-			}
-			req.Workers = n
-			return skipSpace(data, j), true
 		case "include_maps":
 			switch {
 			case hasPrefixAt(data, i, "true"):

@@ -77,15 +77,15 @@ func TestParseEstimateRequestAgreesWithEncodingJSON(t *testing.T) {
 	claim := []string{
 		`{}`,
 		`{"readings":[[1,2],[3,4]]}`,
-		`{"readings":[[1,2]],"workers":3,"include_maps":true}`,
+		`{"readings":[[1,2]],"include_maps":true}`,
 		// The benchmark fleet's bodies: shortest round-trip floats.
 		`{"readings":[[62.5,6.25e-05],[1e+21,-0.5]]}`,
 		`{"readings":[[62.5,6.25e-05],[1e+21,-0.5]],"include_maps":true}`,
 		`{"readings":[]}`,
-		`{"include_maps":false,"workers":-1,"readings":[[5.5]]}`,
-		` { "readings" : [ [ 1 ] ] , "workers" : 0 } `,
+		`{"include_maps":false,"readings":[[5.5]]}`,
+		` { "readings" : [ [ 1 ] ] , "include_maps" : true } `,
 		`{"readings":[[1]],"readings":[[2,3]]}`, // duplicate key: last wins
-		`{"workers":2}`,                         // readings absent: empty batch
+		`{"include_maps":true}`,                 // readings absent: empty batch
 	}
 	for _, doc := range claim {
 		buf := new(readingsBuf)
@@ -105,9 +105,9 @@ func TestParseEstimateRequestAgreesWithEncodingJSON(t *testing.T) {
 				t.Fatalf("json.Unmarshal readings(%q): %v", doc, err)
 			}
 		}
-		if fast.Workers != std.Workers || fast.IncludeMaps != std.IncludeMaps {
-			t.Errorf("parseEstimateRequest(%q): scalars %+v, want workers=%d include_maps=%v",
-				doc, fast, std.Workers, std.IncludeMaps)
+		if fast.IncludeMaps != std.IncludeMaps {
+			t.Errorf("parseEstimateRequest(%q): include_maps=%v, want %v",
+				doc, fast.IncludeMaps, std.IncludeMaps)
 		}
 		if len(rows) != len(stdRows) {
 			t.Errorf("parseEstimateRequest(%q): %d rows, want %d", doc, len(rows), len(stdRows))
@@ -122,11 +122,13 @@ func TestParseEstimateRequestAgreesWithEncodingJSON(t *testing.T) {
 
 	defer_ := []string{
 		``, `null`, `[]`, `{`, `{"readings":null}`, `{"readings":[[1]],"extra":1}`,
-		`{"workers":1.5}`, `{"workers":"3"}`, `{"include_maps":1}`,
+		`{"include_maps":1}`,
 		`{"readings":[[1]]} trailing`, `{"readings":[[1]]`,
-		`{"workers":+3}`, `{"workers":03}`, `{"workers":1e2}`,
-		// The retired arm field is an unknown key: encoding/json ignores it.
+		// The retired arm and workers fields are unknown keys:
+		// encoding/json ignores them.
 		`{"readings":[[1]],"arm":"qr"}`,
+		`{"readings":[[1,2]],"workers":3,"include_maps":true}`,
+		`{"workers":2}`,
 	}
 	for _, doc := range defer_ {
 		buf := new(readingsBuf)

@@ -412,9 +412,11 @@ func (s *server) swappedState(e *monitorEntry, rs *residentState, b *basis.Basis
 
 // commitSwap persists the next generation and publishes it. The atomic
 // store is the hot-swap: requests that loaded the old state finish on it,
-// every later request sees the adapted monitor.
+// every later request sees the adapted monitor. Persisting is best-effort
+// here: the monitor was acknowledged at create, and a record that could
+// not be rewritten leaves the previous generation on disk.
 func (s *server) commitSwap(e *monitorEntry, newRS *residentState) {
-	s.persistMonitor(e, newRS)
+	_ = s.persistMonitor(e, newRS) // failure already counted and logged
 	e.res.Store(newRS)
 	s.registerResident(e)
 }

@@ -34,15 +34,14 @@ func FuzzJSONWalker(f *testing.F) {
 		if rows, ok := new(readingsBuf).parseEstimateRequest(data, &est); ok {
 			var ref struct {
 				Readings    [][]float64 `json:"readings"`
-				Workers     int         `json:"workers"`
 				IncludeMaps bool        `json:"include_maps"`
 			}
 			if err := json.Unmarshal(data, &ref); err != nil {
 				t.Fatalf("estimate fast path claimed %q, encoding/json rejects it: %v", data, err)
 			}
-			if est.Workers != ref.Workers || est.IncludeMaps != ref.IncludeMaps {
-				t.Fatalf("estimate %q: workers=%d include_maps=%v, encoding/json %d %v",
-					data, est.Workers, est.IncludeMaps, ref.Workers, ref.IncludeMaps)
+			if est.IncludeMaps != ref.IncludeMaps {
+				t.Fatalf("estimate %q: include_maps=%v, encoding/json %v",
+					data, est.IncludeMaps, ref.IncludeMaps)
 			}
 			sameRows(t, data, rows, ref.Readings)
 		}

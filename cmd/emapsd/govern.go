@@ -194,13 +194,8 @@ func (s *server) governBatch(w http.ResponseWriter, e *monitorEntry, rs *residen
 	if !s.checkBatch(w, readings) {
 		return nil, 0, false
 	}
-	if s.injector != nil {
-		for _, row := range readings {
-			s.injector.Apply(row)
-		}
-	}
 	readings = rs.compactReadings(readings)
-	maps, done, err := s.estimateMaps(rs, readings, 0, tr)
+	maps, done, err := s.estimateMaps(rs, readings, tr)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad_readings", "estimate: %v", err)
 		return nil, 0, false

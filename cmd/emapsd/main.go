@@ -78,7 +78,6 @@ import (
 	"repro/internal/basis"
 	"repro/internal/core"
 	"repro/internal/dataset"
-	"repro/internal/drift"
 	"repro/internal/floorplan"
 	"repro/internal/mat"
 	"repro/internal/obs"
@@ -105,8 +104,6 @@ func main() {
 	lockStale := flag.Duration("lock-stale", time.Minute, "age past which another replica's lockfile is presumed dead and stolen")
 	drainTimeout := flag.Duration("drain-timeout", 15*time.Second, "graceful-shutdown deadline for in-flight requests")
 	adaptAfter := flag.Int("adapt-after", 64, "out-of-distribution snapshots absorbed before the shadow basis hot-swaps in (0 = never adapt)")
-	faultInject := flag.String("fault-inject", "", "deterministic sensor-fault spec applied to incoming readings, e.g. stuck:3,drop:0.01,offset:2:5 (dev/testing)")
-	faultSeed := flag.Int64("fault-seed", 1, "seed for the -fault-inject randomness (dropouts)")
 	logSample := flag.Int("log-sample", 1, "log 1 in N request lines at high QPS (errors always logged; 1 = every request)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof on this loopback-only address, e.g. 127.0.0.1:8790 (empty = disabled)")
 	printRoutes := flag.Bool("print-routes", false, "print the /v1 route table and exit (CI docs gate)")
@@ -139,16 +136,6 @@ func main() {
 			logSink.Close()
 			os.Exit(1)
 		}
-	}
-	if *faultInject != "" {
-		faults, err := drift.ParseFaults(*faultInject)
-		if err != nil {
-			logger.Error("fault-inject", "err", err)
-			logSink.Close()
-			os.Exit(1)
-		}
-		srv.injector = drift.NewInjector(faults, *faultSeed)
-		logger.Warn("fault injection active", "spec", *faultInject, "seed", *faultSeed)
 	}
 	idx, n, err := parseShard(*shard)
 	if err != nil {
@@ -361,10 +348,8 @@ type server struct {
 
 	// adaptAfter is how many out-of-distribution snapshots a drifting
 	// monitor absorbs into its shadow basis before hot-swapping the adapted
-	// generation in (0 = never adapt). injector, when non-nil, corrupts
-	// incoming readings with the -fault-inject spec (dev/testing only).
+	// generation in (0 = never adapt).
 	adaptAfter int
-	injector   *drift.Injector
 
 	mu        sync.Mutex
 	models    map[trainKey]*modelEntry
@@ -833,8 +818,13 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	// Persist before publishing: once the monitor is visible, a concurrent
 	// DELETE must find the record on disk — persisting afterwards could
-	// resurrect a just-deleted monitor at the next warm start.
-	s.persistMonitor(me, rs)
+	// resurrect a just-deleted monitor at the next warm start. A durable
+	// daemon acknowledges only a monitor whose record is written.
+	if err := s.persistMonitor(me, rs); err != nil {
+		httpError(w, http.StatusInternalServerError, "persist_failed",
+			"monitor %s: writing its record: %v", me.id, err)
+		return
+	}
 	s.mu.Lock()
 	s.monitors[me.id] = me
 	s.mu.Unlock()
@@ -976,7 +966,6 @@ type estimateRequest struct {
 	// codec.go — the array is the bulk of the request bytes, and reflective
 	// decode of it dominated the serving profile.
 	Readings    json.RawMessage `json:"readings"`
-	Workers     int             `json:"workers"`
 	IncludeMaps bool            `json:"include_maps"`
 }
 
@@ -1143,9 +1132,9 @@ func (s *server) residentHTTP(w http.ResponseWriter, e *monitorEntry) (*resident
 // pooled output buffers, reused across requests instead of re-allocating
 // batch × N floats. done releases them — call it exactly once, after the
 // maps are encoded.
-func (s *server) estimateMaps(rs *residentState, readings [][]float64, workers int, tr *obs.Trace) (maps [][]float64, done func(), err error) {
+func (s *server) estimateMaps(rs *residentState, readings [][]float64, tr *obs.Trace) (maps [][]float64, done func(), err error) {
 	buf := getMaps(len(readings), rs.mon.N())
-	if err := rs.mon.EstimateBatchInto(*buf, readings, workers); err != nil {
+	if err := rs.mon.EstimateBatchInto(*buf, readings, 0); err != nil {
 		putMaps(buf)
 		return nil, releaseNothing, err
 	}
@@ -1174,13 +1163,8 @@ func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request, e *monit
 	if !s.checkBatch(w, readings) {
 		return
 	}
-	if s.injector != nil {
-		for _, row := range readings {
-			s.injector.Apply(row)
-		}
-	}
 	readings = rs.compactReadings(readings)
-	maps, done, err := s.estimateMaps(rs, readings, req.Workers, tr)
+	maps, done, err := s.estimateMaps(rs, readings, tr)
 	if err != nil {
 		// Wrong-length vectors, NaN/Inf readings: client error, never a panic.
 		httpError(w, http.StatusBadRequest, "bad_readings", "estimate: %v", err)
@@ -1236,13 +1220,8 @@ func (s *server) handleEstimateBinary(w http.ResponseWriter, r *http.Request, e 
 		return
 	}
 	readings := req.Readings
-	if s.injector != nil {
-		for _, row := range readings {
-			s.injector.Apply(row)
-		}
-	}
 	readings = rs.compactReadings(readings)
-	maps, done, err := s.estimateMaps(rs, readings, req.Workers, tr)
+	maps, done, err := s.estimateMaps(rs, readings, tr)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad_readings", "estimate: %v", err)
 		return
@@ -1284,11 +1263,6 @@ func (s *server) handleTrack(w http.ResponseWriter, r *http.Request, e *monitorE
 	defer release()
 	if !s.checkBatch(w, readings) {
 		return
-	}
-	if s.injector != nil {
-		for _, row := range readings {
-			s.injector.Apply(row)
-		}
 	}
 	readings = rs.compactReadings(readings)
 	buf := getMaps(len(readings), rs.mon.N())

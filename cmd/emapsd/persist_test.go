@@ -404,3 +404,46 @@ func TestWarmStartManyMonitors(t *testing.T) {
 		t.Fatalf("next id after warm start: %s", cr.ID)
 	}
 }
+
+// TestCreatePersistFailureIsRefused: a durable create whose monitor record
+// cannot be written answers 500 persist_failed and publishes nothing, so
+// the refused monitor is absent from the listing before and after a
+// restart, while the next create is acknowledged as usual.
+func TestCreatePersistFailureIsRefused(t *testing.T) {
+	dir := t.TempDir()
+	// A directory where mon-1's record goes makes its rename fail.
+	if err := os.Mkdir(filepath.Join(dir, "mon-1"+monitorSuffix), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	listIDs := func(ts *httptest.Server) []string {
+		var list struct {
+			Monitors []monitorInfo `json:"monitors"`
+		}
+		doJSON(t, ts, http.MethodGet, "/v1/monitors", "", &list)
+		var ids []string
+		for _, m := range list.Monitors {
+			ids = append(ids, m.ID)
+		}
+		return ids
+	}
+
+	ts1 := httptest.NewServer(durableServer(t, dir))
+	var env errEnvelope
+	resp := doJSON(t, ts1, http.MethodPost, "/v1/monitors", fmt.Sprintf(createBody, ""), &env)
+	if resp.StatusCode != http.StatusInternalServerError || env.Error.Code != "persist_failed" {
+		t.Fatalf("create onto an unwritable record: status %d code %q, want 500 persist_failed", resp.StatusCode, env.Error.Code)
+	}
+	if ids := listIDs(ts1); len(ids) != 0 {
+		t.Fatalf("refused monitor listed: %v", ids)
+	}
+	cr := createMonitor(t, ts1, "")
+	ts1.Close()
+
+	srv2 := durableServer(t, dir)
+	srv2.warmStart()
+	ts2 := httptest.NewServer(srv2)
+	defer ts2.Close()
+	if ids := listIDs(ts2); len(ids) != 1 || ids[0] != cr.ID {
+		t.Fatalf("listing after restart: %v, want only %s", ids, cr.ID)
+	}
+}

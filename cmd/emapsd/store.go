@@ -178,12 +178,13 @@ func (s *server) persistModel(key trainKey, entry *modelEntry, workloads []strin
 
 // persistMonitor writes a live monitor's full serving bundle — including
 // the drift calibration and adaptation lineage when the monitor is
-// calibrated — and indexes it. Best-effort, like persistModel. The basis
-// and energy come from rs, not the model cache: an adapted generation's
-// basis is its own.
-func (s *server) persistMonitor(e *monitorEntry, rs *residentState) {
+// calibrated — and indexes it. A failed write is counted, logged and
+// returned: create refuses the monitor, a hot-swap keeps serving the
+// generation it already acknowledged. The basis and energy come from rs,
+// not the model cache: an adapted generation's basis is its own.
+func (s *server) persistMonitor(e *monitorEntry, rs *residentState) error {
 	if s.storeDir == "" {
-		return
+		return nil
 	}
 	meta := metaForKey(e.key, e.workloads, e.specJSON)
 	meta.MonitorID = e.id
@@ -217,10 +218,11 @@ func (s *server) persistMonitor(e *monitorEntry, rs *residentState) {
 	if err := store.SaveFile(s.monitorPath(e.id), record); err != nil {
 		s.metrics.storeFailures.Add(1)
 		s.logf("persist monitor", "id", e.id, "err", err)
-		return
+		return err
 	}
 	s.metrics.storeSaves.Add(1)
 	s.updateIndex(&e.desc, "")
+	return nil
 }
 
 // loadModelRecord tries to satisfy a model-cache miss from disk. It returns

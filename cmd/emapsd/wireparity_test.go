@@ -239,3 +239,35 @@ func TestBinaryGovernErrors(t *testing.T) {
 		t.Fatalf("daemon unhealthy after malformed frames: %d %s", resp.StatusCode, raw)
 	}
 }
+
+// TestRetiredWorkersIgnored: a request that still carries the retired
+// workers knob — the JSON key, or a nonzero reserved word after the flags
+// of a binary estimate frame — gets the same bytes as one without it. Each
+// pair goes to twin monitors, so their drift state advances alike.
+func TestRetiredWorkersIgnored(t *testing.T) {
+	ts := httptest.NewServer(newServer(64))
+	defer ts.Close()
+	with, without := createMonitor(t, ts, ""), createMonitor(t, ts, "")
+	rows := readingsJSON(goodReadings(with.M, 3, 0))
+	for _, tc := range []struct{ with, without string }{
+		{`{"readings":` + rows + `,"workers":3}`, `{"readings":` + rows + `}`},
+		{`{"workers":3,"readings":` + rows + `,"include_maps":true}`, `{"readings":` + rows + `,"include_maps":true}`},
+	} {
+		codeA, got := bodyString(t, ts, http.MethodPost, "/v1/monitors/"+with.ID+"/estimate", tc.with)
+		codeB, want := bodyString(t, ts, http.MethodPost, "/v1/monitors/"+without.ID+"/estimate", tc.without)
+		if codeA != http.StatusOK || codeB != http.StatusOK || got != want {
+			t.Fatalf("%s: %d %s\n%s: %d %s", tc.with, codeA, got, tc.without, codeB, want)
+		}
+	}
+
+	frame, err := wire.AppendEstimateRequest(nil, &wire.EstimateRequest{Readings: goodReadings(with.M, 3, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := resealed(frame, 4, 7) // payload offset 4: the reserved word
+	respA, got := postBinary(t, ts, "/v1/monitors/"+with.ID+"/estimate", old)
+	respB, want := postBinary(t, ts, "/v1/monitors/"+without.ID+"/estimate", frame)
+	if respA.StatusCode != http.StatusOK || respB.StatusCode != http.StatusOK || !bytes.Equal(got, want) {
+		t.Fatalf("reserved word 7: status %d, 0: status %d; bodies equal: %v", respA.StatusCode, respB.StatusCode, bytes.Equal(got, want))
+	}
+}

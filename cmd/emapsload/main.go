@@ -51,7 +51,7 @@
 // of gating on a partially failed run.
 //
 // Fault mode: -fault injects deterministic sensor faults into the generated
-// readings (same grammar as emapsd -fault-inject):
+// readings (the drift package's fault grammar, which thermsim also reads):
 //
 //	emapsload -fault stuck:3,drop:0.01,drift:web->compute@30s
 //

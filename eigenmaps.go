@@ -76,13 +76,6 @@ func (e *Ensemble) Grid() Grid { return Grid{W: e.ds.Grid.W, H: e.ds.Grid.H} }
 // modify it.
 func (e *Ensemble) Map(j int) []float64 { return e.ds.Map(j) }
 
-// Split partitions the ensemble into train/eval parts by interleaving;
-// evalFrac in (0,1) is the evaluation share.
-func (e *Ensemble) Split(evalFrac float64) (train, eval *Ensemble) {
-	tr, ev := e.ds.Split(evalFrac)
-	return &Ensemble{ds: tr}, &Ensemble{ds: ev}
-}
-
 // Save writes the ensemble in the library's binary format.
 func (e *Ensemble) Save(w io.Writer) error { return e.ds.Save(w) }
 
@@ -248,11 +241,6 @@ func SimulateT1(opt SimOptions) (*Ensemble, error) {
 // cells with 'S'.
 func RenderASCII(g Grid, x []float64, sensors []int) string {
 	return render.ASCII(g.internal(), x, render.Options{Sensors: sensors})
-}
-
-// RenderPGM encodes map x as a binary PGM image (one pixel per cell).
-func RenderPGM(g Grid, x []float64, sensors []int) []byte {
-	return render.PGM(g.internal(), x, render.Options{Sensors: sensors})
 }
 
 // T1SensorMask returns the placement mask for the bundled T1 floorplan that

@@ -67,9 +67,6 @@ func (t *Tracker) StepBatch(readings [][]float64) ([][]float64, error) {
 // Sample extracts the tracker's sensor readings from a full map.
 func (t *Tracker) Sample(x []float64) []float64 { return t.kf.Sample(x) }
 
-// Reset returns the tracker to its training prior.
-func (t *Tracker) Reset() { t.kf.Reset() }
-
 // Sensors returns the monitored cells.
 func (t *Tracker) Sensors() []int { return t.kf.Sensors() }
 

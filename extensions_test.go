@@ -34,10 +34,6 @@ func TestTrackerFacade(t *testing.T) {
 	if tr.Uncertainty() >= before {
 		t.Fatal("uncertainty did not shrink with measurements")
 	}
-	tr.Reset()
-	if math.Abs(tr.Uncertainty()-before) > 1e-9 {
-		t.Fatal("Reset did not restore prior uncertainty")
-	}
 }
 
 func TestTrackerFewerSensorsThanK(t *testing.T) {

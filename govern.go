@@ -11,7 +11,7 @@ import (
 // the ceiling, a 3 °C hysteresis band, conservative PI gains).
 type GovernorOptions struct {
 	// Policy names the control law: "threshold", "hysteresis" (the default)
-	// or "pi". GovernorPolicies lists the registry.
+	// or "pi".
 	Policy string
 
 	// CeilingC is the thermal ceiling in °C. Required: every policy's
@@ -27,9 +27,6 @@ type GovernorOptions struct {
 	// cores onto, topping out at 1.0. Nil selects {0.5, 0.7, 0.85, 1.0}.
 	Ladder []float64
 }
-
-// GovernorPolicies returns the registered control-policy names.
-func GovernorPolicies() []string { return governor.PolicyNames() }
 
 // Governor caps per-core DVFS levels from a thermal map — typically an
 // EigenMaps estimate, closing the monitor → control loop the paper's sensor

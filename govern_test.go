@@ -80,12 +80,9 @@ func TestT1GovernorValidates(t *testing.T) {
 	if _, err := NewT1Governor(grid, GovernorOptions{CeilingC: 75, Ladder: []float64{1.0, 0.5}}); err == nil {
 		t.Fatal("descending ladder accepted")
 	}
-	names := GovernorPolicies()
-	want := map[string]bool{"threshold": true, "hysteresis": true, "pi": true}
-	for _, n := range names {
-		delete(want, n)
-	}
-	if len(want) != 0 {
-		t.Fatalf("policy registry %v missing %v", names, want)
+	for _, p := range []string{"threshold", "hysteresis", "pi"} {
+		if _, err := NewT1Governor(grid, GovernorOptions{Policy: p, CeilingC: 75}); err != nil {
+			t.Fatalf("policy %q: %v", p, err)
+		}
 	}
 }

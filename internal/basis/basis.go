@@ -133,16 +133,6 @@ func (b *Basis) Approximate(x []float64, k int) ([]float64, error) {
 	return b.Synthesize(alpha), nil
 }
 
-// TailImportance returns Σ_{n≥K} Importance[n] — for PCA this is the
-// expected approximation MSE·N of Proposition 1, eq. (2).
-func (b *Basis) TailImportance(k int) float64 {
-	var s float64
-	for i := k; i < len(b.Importance); i++ {
-		s += b.Importance[i]
-	}
-	return s
-}
-
 // PCAMethod selects how TrainPCA extracts the leading eigenpairs of the
 // snapshot covariance. Both sides of the duality span the same subspace (see
 // the subspace-agreement tests); they differ only in cost.

@@ -198,21 +198,6 @@ func TestKRangeErrors(t *testing.T) {
 	}
 }
 
-func TestTailImportance(t *testing.T) {
-	b := trainPCA(t, 6)
-	total := b.TailImportance(0)
-	var sum float64
-	for _, v := range b.Importance {
-		sum += v
-	}
-	if math.Abs(total-sum) > 1e-12 {
-		t.Fatal("TailImportance(0) != full sum")
-	}
-	if b.TailImportance(6) != 0 {
-		t.Fatal("TailImportance(KMax) != 0")
-	}
-}
-
 func TestSnapshotMethodMatchesSubspace(t *testing.T) {
 	b1, err := TrainPCA(trainingSet, 5, PCAConfig{Seed: 1, Method: PCACovariance})
 	if err != nil {

@@ -126,8 +126,6 @@ func TestTrainMethodMatchesDefault(t *testing.T) {
 
 func TestTrainKMaxClampsToT(t *testing.T) {
 	ds := testDS(t)
-	small, _ := ds.Split(0.1)
-	_ = small
 	tiny := &dataset.Dataset{Grid: ds.Grid, Maps: ds.Maps.SelectRows([]int{0, 1, 2, 3, 4})}
 	m, err := Train(tiny, TrainOptions{KMax: 40, Seed: 1})
 	if err != nil {

@@ -60,29 +60,6 @@ func (d *Dataset) Centered() (*mat.Matrix, []float64) {
 	return x, mean
 }
 
-// Split partitions the dataset into train/eval subsets by interleaving
-// (every k-th snapshot goes to eval, k chosen from evalFrac), preserving
-// temporal diversity in both halves. evalFrac must lie in (0, 1).
-func (d *Dataset) Split(evalFrac float64) (train, eval *Dataset) {
-	if evalFrac <= 0 || evalFrac >= 1 {
-		panic(fmt.Sprintf("dataset: evalFrac %v outside (0,1)", evalFrac))
-	}
-	k := int(1 / evalFrac)
-	if k < 2 {
-		k = 2
-	}
-	var trIdx, evIdx []int
-	for j := 0; j < d.T(); j++ {
-		if j%k == k-1 {
-			evIdx = append(evIdx, j)
-		} else {
-			trIdx = append(trIdx, j)
-		}
-	}
-	return &Dataset{Grid: d.Grid, Maps: d.Maps.SelectRows(trIdx)},
-		&Dataset{Grid: d.Grid, Maps: d.Maps.SelectRows(evIdx)}
-}
-
 // Validate checks the dataset for non-finite values and inconsistent
 // dimensions, returning a descriptive error for the first problem found.
 // Training rejects invalid datasets up front rather than producing NaN

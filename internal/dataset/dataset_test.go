@@ -126,30 +126,6 @@ func TestMeanAndCentered(t *testing.T) {
 	}
 }
 
-func TestSplit(t *testing.T) {
-	d := genTiny(t, 40, 7)
-	train, eval := d.Split(0.25)
-	if train.T()+eval.T() != d.T() {
-		t.Fatalf("split sizes %d+%d != %d", train.T(), eval.T(), d.T())
-	}
-	if eval.T() != 10 {
-		t.Fatalf("eval size %d, want 10", eval.T())
-	}
-	if train.N() != d.N() || eval.N() != d.N() {
-		t.Fatal("split changed N")
-	}
-}
-
-func TestSplitPanicsOnBadFrac(t *testing.T) {
-	d := genTiny(t, 10, 8)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	d.Split(1.5)
-}
-
 func TestStatsEmpty(t *testing.T) {
 	d := &Dataset{Grid: floorplan.Grid{W: 2, H: 2}, Maps: mat.New(0, 4)}
 	s := d.Stats()

@@ -119,39 +119,6 @@ func Transform2D(g floorplan.Grid, x []float64) []float64 {
 	return out
 }
 
-// Inverse2D reconstructs the map from a full coefficient vector produced by
-// Transform2D.
-func Inverse2D(g floorplan.Grid, coef []float64) []float64 {
-	if len(coef) != g.N() {
-		panic("dct: coefficient length mismatch")
-	}
-	tmp := make([]float64, g.N())
-	rowBuf := make([]float64, g.W)
-	rowOut := make([]float64, g.W)
-	for u := 0; u < g.H; u++ {
-		for v := 0; v < g.W; v++ {
-			rowBuf[v] = coef[g.Index(u, v)]
-		}
-		idct1D(rowBuf, rowOut)
-		for col := 0; col < g.W; col++ {
-			tmp[g.Index(u, col)] = rowOut[col]
-		}
-	}
-	out := make([]float64, g.N())
-	colBuf := make([]float64, g.H)
-	colOut := make([]float64, g.H)
-	for col := 0; col < g.W; col++ {
-		for u := 0; u < g.H; u++ {
-			colBuf[u] = tmp[g.Index(u, col)]
-		}
-		idct1D(colBuf, colOut)
-		for row := 0; row < g.H; row++ {
-			out[g.Index(row, col)] = colOut[row]
-		}
-	}
-	return out
-}
-
 // dct1D computes the orthonormal DCT-II of in into out (same length).
 func dct1D(in, out []float64) {
 	n := len(in)
@@ -161,18 +128,6 @@ func dct1D(in, out []float64) {
 			s += in[i] * math.Cos(math.Pi*float64(2*i+1)*float64(k)/float64(2*n))
 		}
 		out[k] = alpha(k, n) * s
-	}
-}
-
-// idct1D computes the inverse (DCT-III with orthonormal scaling).
-func idct1D(in, out []float64) {
-	n := len(in)
-	for i := 0; i < n; i++ {
-		var s float64
-		for k := 0; k < n; k++ {
-			s += alpha(k, n) * in[k] * math.Cos(math.Pi*float64(2*i+1)*float64(k)/float64(2*n))
-		}
-		out[i] = s
 	}
 }
 

@@ -17,8 +17,8 @@
 // and re-fold the operator).
 //
 // The package also hosts the deterministic fault layer (ParseFaults,
-// Injector) shared by the daemon's dev fault-injection flag and the load
-// generator, so the whole loop is testable under CI with seeded faults.
+// Injector) the load generator and the simulator corrupt readings with, so
+// the whole loop is testable under CI with seeded, client-side faults.
 package drift
 
 import (
@@ -329,22 +329,4 @@ func (d *Detector) Status() Status {
 		Observations: d.count,
 		FaultySensor: d.faulty,
 	}
-}
-
-// Reset rebases the detector on a fresh calibration — the post-adaptation
-// step: the adapted monitor's residual distribution replaces the stale one
-// and all accumulated statistics clear.
-func (d *Detector) Reset(cal Calibration) error {
-	if !cal.Valid() {
-		return errors.New("drift: invalid calibration")
-	}
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.cal = cal
-	d.ewma = 0
-	d.cusum = 0
-	d.shares = make([]float64, len(cal.SensorMean))
-	d.count = 0
-	d.faulty = -1
-	return nil
 }

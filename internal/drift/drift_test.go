@@ -202,35 +202,6 @@ func TestDetectorBatchedObserveMatchesUnbatched(t *testing.T) {
 	}
 }
 
-func TestDetectorReset(t *testing.T) {
-	m := 4
-	cal := calib(t, m, 0.1, 0.02)
-	d, err := NewDetector(cal, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spread := []float64{1, 1, 1, 1}
-	for step := 0; step < 100; step++ {
-		d.Observe(0.9, spread, 1)
-	}
-	if d.State() == StateOK {
-		t.Fatal("setup: expected non-OK before reset")
-	}
-	// Post-adaptation: new calibration centered where the traffic now lives.
-	if err := d.Reset(calib(t, m, 0.9, 0.02)); err != nil {
-		t.Fatal(err)
-	}
-	if s := d.State(); s != StateOK {
-		t.Fatalf("state %v after reset", s)
-	}
-	for step := 0; step < 100; step++ {
-		d.Observe(0.9, spread, 1)
-	}
-	if s := d.State(); s != StateOK {
-		t.Fatalf("recalibrated detector flagged in-distribution traffic: %v", s)
-	}
-}
-
 func TestStateStrings(t *testing.T) {
 	if StateOK.String() != "ok" || StateDrifting.String() != "drifting" || StateDegraded.String() != "degraded" {
 		t.Fatal("state names must match the wire quality vocabulary")

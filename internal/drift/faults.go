@@ -30,21 +30,6 @@ const (
 	FaultDrift
 )
 
-// String names the kind the way fault specs spell it.
-func (k FaultKind) String() string {
-	switch k {
-	case FaultStuck:
-		return "stuck"
-	case FaultDrop:
-		return "drop"
-	case FaultOffset:
-		return "offset"
-	case FaultDrift:
-		return "drift"
-	}
-	return fmt.Sprintf("FaultKind(%d)", int(k))
-}
-
 // Fault is one parsed fault-spec entry.
 type Fault struct {
 	Kind   FaultKind
@@ -137,10 +122,9 @@ func ParseFaults(spec string) ([]Fault, error) {
 }
 
 // Injector applies parsed sensor faults to reading vectors, deterministically
-// under a seed, so the daemon's dev fault flag and the load generator corrupt
-// traffic reproducibly. It is safe for concurrent use (the daemon shares one
-// across request goroutines; the load generator gives each worker its own
-// with a distinct seed).
+// under a seed, so the load generator and the simulator corrupt traffic
+// reproducibly. It is safe for concurrent use (the load generator gives
+// each worker its own with a distinct seed).
 type Injector struct {
 	mu     sync.Mutex
 	faults []Fault
@@ -211,15 +195,4 @@ func (in *Injector) Workload(elapsed time.Duration) (family string, ok bool) {
 		return f.From, true
 	}
 	return "", false
-}
-
-// Active reports whether any *sensor* fault (stuck, drop, offset) is present
-// — i.e. whether Apply can change readings.
-func (in *Injector) Active() bool {
-	for _, f := range in.faults {
-		if f.Kind != FaultDrift {
-			return true
-		}
-	}
-	return false
 }

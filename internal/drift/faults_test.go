@@ -60,9 +60,6 @@ func TestInjectorStuckFreezesFirstValue(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := NewInjector(faults, 1)
-	if !in.Active() {
-		t.Fatal("stuck fault should be active")
-	}
 	a := []float64{70, 75, 80}
 	in.Apply(a)
 	if a[1] != 75 {
@@ -138,9 +135,6 @@ func TestInjectorWorkloadSwitch(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := NewInjector(faults, 1)
-	if in.Active() {
-		t.Fatal("drift-only spec has no sensor faults")
-	}
 	if w, ok := in.Workload(0); !ok || w != "web" {
 		t.Fatalf("t=0 workload %q ok=%v", w, ok)
 	}

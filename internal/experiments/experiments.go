@@ -159,14 +159,6 @@ func NewEnvWithDataset(cfg Config, ds *dataset.Dataset) (*Env, error) {
 	}, nil
 }
 
-// Basis returns the named model's basis (test convenience).
-func (e *Env) Basis(kind core.BasisKind) *basis.Basis {
-	if kind == core.BasisEigenMaps {
-		return e.PCA.Basis
-	}
-	return e.KLSE.Basis
-}
-
 // Series is one labeled curve of an experiment (X sorted ascending).
 type Series struct {
 	Name string

@@ -46,13 +46,3 @@ func (r *Fig2Result) String() string {
 	fmt.Fprintf(&b, "(Fig. 2 left: %d EigenMaps rendered; see Renders)\n", r.RendersShown)
 	return b.String()
 }
-
-// DecayRatio returns λ₁/λ_k — a scalar summary of how fast the spectrum
-// decays (the paper's qualitative claim: "the informative content decays
-// rapidly").
-func (r *Fig2Result) DecayRatio(k int) float64 {
-	if k < 1 || k > len(r.Eigenvalues) || r.Eigenvalues[k-1] <= 0 {
-		return 0
-	}
-	return r.Eigenvalues[0] / r.Eigenvalues[k-1]
-}

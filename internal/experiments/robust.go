@@ -66,17 +66,6 @@ type RobustConfig struct {
 	AdaptSeedWeight int
 }
 
-// DefaultRobustConfig returns the reference harness configuration: six
-// scenario families on a generated 256-core die (the fully defaulted
-// RobustConfig, materialized for inspection).
-func DefaultRobustConfig(seed int64) (RobustConfig, error) {
-	cfg := RobustConfig{Seed: seed}
-	if err := cfg.defaults(); err != nil {
-		return RobustConfig{}, err
-	}
-	return cfg, nil
-}
-
 func (c *RobustConfig) defaults() error {
 	if c.Floorplan == nil {
 		fp, err := floorplan.Manycore(256, 64, floorplan.Grid{W: 16, H: 16})

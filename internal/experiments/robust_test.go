@@ -14,11 +14,7 @@ import (
 // reconstruction-error matrix over six distinct scenario specs on a
 // generated 256-core floorplan.
 func TestRobustDefaultMatrix(t *testing.T) {
-	cfg, err := DefaultRobustConfig(2012)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Robust(cfg)
+	res, err := Robust(RobustConfig{Seed: 2012})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,6 @@ package floorplan
 
 import (
 	"fmt"
-	"sort"
 )
 
 // Kind classifies a block's functional role; it drives both the power model
@@ -56,9 +55,6 @@ type Block struct {
 func (b Block) Contains(x, y float64) bool {
 	return x >= b.X && x < b.X+b.W && y >= b.Y && y < b.Y+b.H
 }
-
-// Area returns the block's fractional area of the die.
-func (b Block) Area() float64 { return b.W * b.H }
 
 // Floorplan is a named set of blocks tiling (or partially covering) the die.
 type Floorplan struct {
@@ -118,26 +114,6 @@ func (fp *Floorplan) KindBlocks(k Kind) []int {
 			out = append(out, i)
 		}
 	}
-	return out
-}
-
-// CoverageFraction returns the total fractional die area covered by blocks.
-func (fp *Floorplan) CoverageFraction() float64 {
-	var a float64
-	for _, b := range fp.Blocks {
-		a += b.Area()
-	}
-	return a
-}
-
-// Names returns the block names sorted alphabetically (useful for stable
-// reporting).
-func (fp *Floorplan) Names() []string {
-	out := make([]string, len(fp.Blocks))
-	for i, b := range fp.Blocks {
-		out[i] = b.Name
-	}
-	sort.Strings(out)
 	return out
 }
 

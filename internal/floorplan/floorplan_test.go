@@ -218,34 +218,6 @@ func TestMaskExcludingKinds(t *testing.T) {
 	}
 }
 
-func TestBlockMapShape(t *testing.T) {
-	fp := UltraSparcT1()
-	g := Grid{W: 10, H: 8}
-	bm := fp.Rasterize(g).BlockMap()
-	if len(bm) != 8 || len(bm[0]) != 10 {
-		t.Fatalf("BlockMap shape %dx%d, want 8x10", len(bm), len(bm[0]))
-	}
-	// Top-left cell must be core0, bottom-right core7.
-	if fp.Blocks[bm[0][0]].Name != "core0" {
-		t.Fatalf("top-left is %s, want core0", fp.Blocks[bm[0][0]].Name)
-	}
-	if fp.Blocks[bm[7][9]].Name != "core7" {
-		t.Fatalf("bottom-right is %s, want core7", fp.Blocks[bm[7][9]].Name)
-	}
-}
-
-func TestNamesSorted(t *testing.T) {
-	names := UltraSparcT1().Names()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] > names[i] {
-			t.Fatal("names not sorted")
-		}
-	}
-	if len(names) != 18 {
-		t.Fatalf("T1 has %d blocks, want 18", len(names))
-	}
-}
-
 // Property: rasterization at random grid sizes assigns every cell of the T1
 // plan exactly once.
 func TestRasterizePartitionProperty(t *testing.T) {
@@ -282,5 +254,22 @@ func TestAthlonDualCoreValid(t *testing.T) {
 	r := fp.Rasterize(Grid{W: 30, H: 28})
 	if r.CoveredCells() != 30*28 {
 		t.Fatalf("raster covers %d of %d", r.CoveredCells(), 30*28)
+	}
+}
+
+// TestBlockMapShape: the raster's block map (BlockOf, one entry per cell)
+// puts core0 at the die's top-left cell and core7 at its bottom-right.
+func TestBlockMapShape(t *testing.T) {
+	fp := UltraSparcT1()
+	g := Grid{W: 10, H: 8}
+	r := fp.Rasterize(g)
+	if len(r.BlockOf) != g.N() {
+		t.Fatalf("block map has %d cells, want %d", len(r.BlockOf), g.N())
+	}
+	if name := fp.Blocks[r.BlockOf[g.Index(0, 0)]].Name; name != "core0" {
+		t.Fatalf("top-left is %s, want core0", name)
+	}
+	if name := fp.Blocks[r.BlockOf[g.Index(7, 9)]].Name; name != "core7" {
+		t.Fatalf("bottom-right is %s, want core7", name)
 	}
 }

@@ -76,18 +76,6 @@ func (fp *Floorplan) Rasterize(g Grid) *Raster {
 // CellsOf returns the cell indices covered by block b (do not mutate).
 func (r *Raster) CellsOf(b int) []int { return r.cells[b] }
 
-// CellCount returns the number of cells covered by block b.
-func (r *Raster) CellCount(b int) int { return len(r.cells[b]) }
-
-// CoveredCells returns the total number of cells assigned to any block.
-func (r *Raster) CoveredCells() int {
-	n := 0
-	for _, c := range r.cells {
-		n += len(c)
-	}
-	return n
-}
-
 // Mask returns a per-cell boolean slice, true where allowed(block) holds.
 // Uncovered cells are always false.
 func (r *Raster) Mask(allowed func(Block) bool) []bool {
@@ -109,17 +97,4 @@ func (r *Raster) MaskExcludingKinds(kinds ...Kind) []bool {
 		deny[k] = true
 	}
 	return r.Mask(func(b Block) bool { return !deny[b.Kind] })
-}
-
-// BlockMap renders the raster as an H×W matrix of block indices (row-major
-// [][]), mainly for debugging and rendering.
-func (r *Raster) BlockMap() [][]int {
-	out := make([][]int, r.Grid.H)
-	for row := range out {
-		out[row] = make([]int, r.Grid.W)
-		for col := 0; col < r.Grid.W; col++ {
-			out[row][col] = r.BlockOf[r.Grid.Index(row, col)]
-		}
-	}
-	return out
 }

@@ -51,7 +51,7 @@ func BenchmarkControlStep(b *testing.B) {
 			maps[s][i] = 70 + 12*float64((i*7+s*13)%17)/17
 		}
 	}
-	for _, name := range PolicyNames() {
+	for _, name := range policyNames {
 		b.Run("policy="+name, func(b *testing.B) {
 			pol, err := NewPolicy(name, Params{CeilingC: 80})
 			if err != nil {

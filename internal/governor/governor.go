@@ -33,7 +33,6 @@ package governor
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"repro/internal/floorplan"
 	"repro/internal/mat"
@@ -103,13 +102,6 @@ type Params struct {
 	// °C·step). Defaults 0.10 and 0.02.
 	Kp float64
 	Ki float64
-}
-
-// PolicyNames lists the built-in policies in registry order.
-func PolicyNames() []string {
-	names := []string{"threshold", "hysteresis", "pi"}
-	sort.Strings(names)
-	return names
 }
 
 // NewPolicy builds a built-in policy by name, deriving unset Params
@@ -293,9 +285,6 @@ func (p *PICap) Act(coreTempC []float64, levels []int) {
 		levels[c] = quantize(p.ladder, u)
 	}
 }
-
-// Integral exposes core c's accumulated integral term (°C·steps) for tests.
-func (p *PICap) Integral(c int) float64 { return p.integ[c] }
 
 // quantize returns the highest ladder level whose frequency does not exceed
 // u (floor level when even the lowest does). The 1e-9 slack absorbs the

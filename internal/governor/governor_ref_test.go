@@ -124,7 +124,7 @@ func TestControllerMatchesReference(t *testing.T) {
 	if testing.Short() {
 		steps = 2000
 	}
-	for _, name := range PolicyNames() {
+	for _, name := range policyNames {
 		t.Run(name, func(t *testing.T) {
 			pol, err := NewPolicy(name, Params{CeilingC: ceiling})
 			if err != nil {

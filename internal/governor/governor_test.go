@@ -5,6 +5,9 @@ import (
 	"testing"
 )
 
+// policyNames lists every built-in policy NewPolicy accepts.
+var policyNames = []string{"hysteresis", "pi", "threshold"}
+
 func TestValidateLadder(t *testing.T) {
 	cases := []struct {
 		name   string
@@ -145,7 +148,7 @@ func TestPIAntiWindup(t *testing.T) {
 		t.Fatalf("saturated level = %d, want floor 0", levels[0])
 	}
 	lim := (1 - DefaultLadder[0]) / p.Ki
-	if got := p.Integral(0); got > lim+1e-9 {
+	if got := p.integ[0]; got > lim+1e-9 {
 		t.Fatalf("integral wound up to %v, clamp is %v", got, lim)
 	}
 	// Cool to 10 °C under target: each step discharges Ki·|e| = 0.2 of

@@ -75,7 +75,7 @@ func TestLoopThrottleEngages(t *testing.T) {
 	if unres.ViolationSteps == 0 {
 		t.Fatalf("baseline never violates a ceiling %.1f °C below its own peak", base-ceiling)
 	}
-	for _, name := range PolicyNames() {
+	for _, name := range policyNames {
 		policy, err := NewPolicy(name, Params{CeilingC: ceiling})
 		if err != nil {
 			t.Fatal(err)

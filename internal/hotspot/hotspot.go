@@ -27,32 +27,6 @@ func Hottest(x []float64) (int, float64) {
 	return best, x[best]
 }
 
-// Above returns the indices of all cells at or above threshold (°C),
-// ascending.
-func Above(x []float64, threshold float64) []int {
-	var out []int
-	for i, v := range x {
-		if v >= threshold {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// TopN returns the n hottest cell indices, hottest first (ties broken by
-// index). n is clamped to the map size.
-func TopN(x []float64, n int) []int {
-	if n > len(x) {
-		n = len(x)
-	}
-	idx := make([]int, len(x))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool { return x[idx[a]] > x[idx[b]] })
-	return idx[:n]
-}
-
 // GradientMagnitude returns the per-cell spatial gradient magnitude in
 // °C per cell pitch, using central differences (one-sided at die edges).
 // Large on-chip gradients stress interconnect and cause timing skew — the
@@ -114,24 +88,6 @@ func BlockMax(r *floorplan.Raster, x []float64) []float64 {
 			}
 		}
 		out[b] = m
-	}
-	return out
-}
-
-// BlockMean returns each block's mean temperature (NaN for empty blocks).
-func BlockMean(r *floorplan.Raster, x []float64) []float64 {
-	out := make([]float64, len(r.Plan.Blocks))
-	for b := range out {
-		cells := r.CellsOf(b)
-		if len(cells) == 0 {
-			out[b] = math.NaN()
-			continue
-		}
-		var s float64
-		for _, i := range cells {
-			s += x[i]
-		}
-		out[b] = s / float64(len(cells))
 	}
 	return out
 }

@@ -23,27 +23,6 @@ func TestHottestPanicsEmpty(t *testing.T) {
 	Hottest(nil)
 }
 
-func TestAbove(t *testing.T) {
-	got := Above([]float64{50, 80, 79.9, 90}, 80)
-	if len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("Above = %v", got)
-	}
-	if Above([]float64{1, 2}, 10) != nil {
-		t.Fatal("expected nil for no hits")
-	}
-}
-
-func TestTopN(t *testing.T) {
-	x := []float64{5, 9, 7, 9, 1}
-	got := TopN(x, 3)
-	if got[0] != 1 || got[1] != 3 || got[2] != 2 {
-		t.Fatalf("TopN = %v", got)
-	}
-	if len(TopN(x, 99)) != 5 {
-		t.Fatal("TopN must clamp")
-	}
-}
-
 func TestGradientUniformMapIsZero(t *testing.T) {
 	g := floorplan.Grid{W: 5, H: 4}
 	x := make([]float64, g.N())
@@ -104,9 +83,8 @@ func TestBlockMaxAndMean(t *testing.T) {
 		x[i] = 95
 	}
 	maxs := BlockMax(r, x)
-	means := BlockMean(r, x)
-	if maxs[coreIdx] != 95 || means[coreIdx] != 95 {
-		t.Fatalf("core2 max/mean = %v/%v", maxs[coreIdx], means[coreIdx])
+	if maxs[coreIdx] != 95 {
+		t.Fatalf("core2 max = %v", maxs[coreIdx])
 	}
 	other := fp.BlockIndex("fpu")
 	if maxs[other] != 0 {

@@ -32,27 +32,6 @@ func NewSymBand(n, bw int) *SymBand {
 	return &SymBand{n: n, bw: bw, data: make([]float64, n*(bw+1))}
 }
 
-// N returns the matrix order.
-func (a *SymBand) N() int { return a.n }
-
-// Bandwidth returns the number of stored sub-diagonals.
-func (a *SymBand) Bandwidth() int { return a.bw }
-
-// At returns element (i, j), exploiting symmetry; entries outside the band
-// are zero.
-func (a *SymBand) At(i, j int) float64 {
-	if i < 0 || i >= a.n || j < 0 || j >= a.n {
-		panic(fmt.Sprintf("mat: band index (%d,%d) outside %d×%d", i, j, a.n, a.n))
-	}
-	if j > i {
-		i, j = j, i
-	}
-	if i-j > a.bw {
-		return 0
-	}
-	return a.data[i*(a.bw+1)+(j-i+a.bw)]
-}
-
 // Set assigns element (i, j) (and, by symmetry, (j, i)). It panics if the
 // entry lies outside the band.
 func (a *SymBand) Set(i, j int, v float64) {
@@ -66,23 +45,6 @@ func (a *SymBand) Set(i, j int, v float64) {
 		panic(fmt.Sprintf("mat: entry (%d,%d) outside bandwidth %d", i, j, a.bw))
 	}
 	a.data[i*(a.bw+1)+(j-i+a.bw)] = v
-}
-
-// Dense expands the band matrix to a dense Matrix (testing convenience).
-func (a *SymBand) Dense() *Matrix {
-	out := New(a.n, a.n)
-	for i := 0; i < a.n; i++ {
-		lo := i - a.bw
-		if lo < 0 {
-			lo = 0
-		}
-		for j := lo; j <= i; j++ {
-			v := a.data[i*(a.bw+1)+(j-i+a.bw)]
-			out.Set(i, j, v)
-			out.Set(j, i, v)
-		}
-	}
-	return out
 }
 
 // BandCholesky is the Cholesky factorization A = L·Lᵀ of a symmetric
@@ -296,19 +258,6 @@ func (c *BandCholesky) packBackward(k int, fac []float64) {
 			q[r] = lj[i-r-j+bw] // L[j][i−r]
 		}
 	}
-}
-
-// N returns the system order.
-func (c *BandCholesky) N() int { return c.n }
-
-// Bandwidth returns the factor's bandwidth.
-func (c *BandCholesky) Bandwidth() int { return c.bw }
-
-// Solve returns x with A·x = b.
-func (c *BandCholesky) Solve(b []float64) []float64 {
-	x := make([]float64, c.n)
-	c.SolveInto(x, b)
-	return x
 }
 
 // SolveInto solves A·x = b by two banded triangular substitutions, writing

@@ -80,7 +80,7 @@ func TestBandCholeskyMatchesDense(t *testing.T) {
 			t.Fatalf("n=%d bw=%d dense: %v", tc.n, tc.bw, err)
 		}
 		// Factors agree entrywise (both are the unique lower Cholesky factor).
-		dl := dc.L()
+		dl := dc.l
 		for i := 0; i < tc.n; i++ {
 			for j := 0; j <= i; j++ {
 				got := bc.lower(i, j)

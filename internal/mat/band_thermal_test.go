@@ -61,7 +61,7 @@ func BenchmarkBandFactor(b *testing.B) {
 func BenchmarkBandSolve(b *testing.B) {
 	for _, g := range benchGrids {
 		a, _ := thermal.NewModel(g, thermal.Config{}).SystemBands()
-		rhs := make([]float64, a.N())
+		rhs := make([]float64, 2*g.N()) // die and spreader unknowns
 		rng := rand.New(rand.NewSource(1))
 		for i := range rhs {
 			rhs[i] = rng.NormFloat64()
@@ -75,7 +75,7 @@ func BenchmarkBandSolve(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				x := make([]float64, a.N())
+				x := make([]float64, len(rhs))
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					c.SolveInto(x, rhs)

@@ -57,9 +57,6 @@ func (c *Cholesky) Factorize(a *Matrix) error {
 	return nil
 }
 
-// L returns the lower-triangular factor (a copy).
-func (c *Cholesky) L() *Matrix { return c.l.Clone() }
-
 // Solve returns x with A·x = b via forward/back substitution.
 func (c *Cholesky) Solve(b []float64) []float64 {
 	x := make([]float64, len(b))

@@ -99,7 +99,7 @@ func TestCholeskyFactorizeReusesStorage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !sameBitsSlice(c.L().Data(), fresh.L().Data()) {
+		if !sameBitsSlice(c.l.Data(), fresh.l.Data()) {
 			t.Fatalf("trial %d: refactored L differs from NewCholesky's", trial)
 		}
 		b := RandomMatrix(1, 7, rng).Row(0)

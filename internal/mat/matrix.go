@@ -56,16 +56,6 @@ func Identity(n int) *Matrix {
 	return m
 }
 
-// Diag returns a square matrix with d on the diagonal.
-func Diag(d []float64) *Matrix {
-	n := len(d)
-	m := New(n, n)
-	for i, v := range d {
-		m.data[i*n+i] = v
-	}
-	return m
-}
-
 // Rows returns the number of rows.
 func (m *Matrix) Rows() int { return m.rows }
 
@@ -177,17 +167,6 @@ func (m *Matrix) Scale(s float64) *Matrix {
 	return m
 }
 
-// AddMatrix adds b element-wise into m (m += b) and returns m.
-func (m *Matrix) AddMatrix(b *Matrix) *Matrix {
-	if m.rows != b.rows || m.cols != b.cols {
-		panic(ErrShape)
-	}
-	for i, v := range b.data {
-		m.data[i] += v
-	}
-	return m
-}
-
 // SubMatrix subtracts b element-wise from m (m -= b) and returns m.
 func (m *Matrix) SubMatrix(b *Matrix) *Matrix {
 	if m.rows != b.rows || m.cols != b.cols {
@@ -255,17 +234,6 @@ func (m *Matrix) FrobeniusNorm() float64 {
 	return maxAbs * math.Sqrt(s)
 }
 
-// MaxAbs returns the largest absolute element value.
-func (m *Matrix) MaxAbs() float64 {
-	var out float64
-	for _, v := range m.data {
-		if a := math.Abs(v); a > out {
-			out = a
-		}
-	}
-	return out
-}
-
 // Equal reports whether m and b have identical shape and every pair of
 // elements differs by at most tol.
 func (m *Matrix) Equal(b *Matrix, tol float64) bool {
@@ -275,21 +243,6 @@ func (m *Matrix) Equal(b *Matrix, tol float64) bool {
 	for i, v := range m.data {
 		if math.Abs(v-b.data[i]) > tol {
 			return false
-		}
-	}
-	return true
-}
-
-// IsSymmetric reports whether m is square and symmetric to within tol.
-func (m *Matrix) IsSymmetric(tol float64) bool {
-	if m.rows != m.cols {
-		return false
-	}
-	for i := 0; i < m.rows; i++ {
-		for j := i + 1; j < m.cols; j++ {
-			if math.Abs(m.data[i*m.cols+j]-m.data[j*m.cols+i]) > tol {
-				return false
-			}
 		}
 	}
 	return true

@@ -116,63 +116,12 @@ func householderColumn(q []float64, j int, qc, tau []float64, m, n int) {
 	}
 }
 
-// R returns the n×n upper-triangular factor. Note the diagonal entries carry
-// the sign produced by the factorization (not necessarily positive).
-func (f *QR) R() *Matrix {
-	r := New(f.n, f.n)
-	for i := 0; i < f.n; i++ {
-		for j := i; j < f.n; j++ {
-			r.Set(i, j, f.qr.At(i, j))
-		}
-	}
-	return r
-}
-
-// Q returns the thin m×n orthonormal factor.
-func (f *QR) Q() *Matrix {
-	return householderQT(f.qr.T().data, f.tau, f.m, f.n).T()
-}
-
 // reflector returns element i of reflector k (diagonal element is tau[k]).
 func (f *QR) reflector(i, k int) float64 {
 	if i == k {
 		return f.tau[k]
 	}
 	return f.qr.At(i, k)
-}
-
-// QTVec returns Qᵀb for a length-m vector b (the first n entries are the
-// coefficients used by least-squares solves; the remainder is the residual
-// part). The returned slice has length m.
-func (f *QR) QTVec(b []float64) []float64 {
-	if len(b) != f.m {
-		panic(ErrShape)
-	}
-	y := CopyVec(b)
-	for k := 0; k < f.n; k++ {
-		if f.tau[k] == 0 {
-			continue
-		}
-		var s float64
-		for i := k; i < f.m; i++ {
-			s += f.reflector(i, k) * y[i]
-		}
-		s = -s / f.tau[k]
-		for i := k; i < f.m; i++ {
-			y[i] += s * f.reflector(i, k)
-		}
-	}
-	return y
-}
-
-// Solve returns the least-squares solution x of A·x ≈ b.
-// It returns ErrSingular if R is rank-deficient to working precision.
-func (f *QR) Solve(b []float64) ([]float64, error) {
-	x := make([]float64, f.n)
-	if err := f.SolveInto(x, b, make([]float64, f.m)); err != nil {
-		return nil, err
-	}
-	return x, nil
 }
 
 // SolveInto is the allocation-free form of Solve: it writes the length-n
@@ -186,7 +135,7 @@ func (f *QR) SolveInto(dst, b, work []float64) error {
 	if len(dst) != f.n {
 		panic(ErrShape)
 	}
-	// y = Qᵀb, computed in work (same reflector sweep as QTVec).
+	// y = Qᵀb, computed in work by applying the Householder reflectors.
 	copy(work, b)
 	for k := 0; k < f.n; k++ {
 		if f.tau[k] == 0 {
@@ -270,12 +219,6 @@ func RestoreQR(packed *Matrix, tau []float64) (*QR, error) {
 		return nil, fmt.Errorf("mat: restore QR: %d reflector scalars for %d columns", len(tau), n)
 	}
 	return &QR{qr: packed.Clone(), tau: append([]float64(nil), tau...), m: m, n: n}, nil
-}
-
-// LeastSquares solves min‖A·x − b‖₂ by Householder QR.
-// A must have Rows ≥ Cols and full column rank.
-func LeastSquares(a *Matrix, b []float64) ([]float64, error) {
-	return NewQR(a).Solve(b)
 }
 
 // Orthonormalize replaces the columns of a with an orthonormal basis of their

@@ -117,17 +117,6 @@ func TestQRRequiresTallMatrix(t *testing.T) {
 	NewQR(New(2, 3))
 }
 
-func TestQTVecPreservesNorm(t *testing.T) {
-	rng := rand.New(rand.NewSource(16))
-	a := RandomMatrix(7, 3, rng)
-	b := RandomMatrix(1, 7, rng).Row(0)
-	y := NewQR(a).QTVec(b)
-	// Householder application of Qᵀ (full, implicit) is orthogonal: norms match.
-	if !almostEqual(Norm2(y), Norm2(b), 1e-12) {
-		t.Fatalf("‖Qᵀb‖ = %v != ‖b‖ = %v", Norm2(y), Norm2(b))
-	}
-}
-
 func TestOrthonormalizeSpansSameSpace(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	a := RandomMatrix(8, 3, rng)

@@ -31,17 +31,3 @@ func RandomSPD(n int, rng *rand.Rand) *Matrix {
 	}
 	return a
 }
-
-// RandomSymmetric returns a random symmetric n×n matrix with entries drawn
-// from a standard normal (symmetrized).
-func RandomSymmetric(n int, rng *rand.Rand) *Matrix {
-	a := RandomMatrix(n, n, rng)
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			v := 0.5 * (a.At(i, j) + a.At(j, i))
-			a.Set(i, j, v)
-			a.Set(j, i, v)
-		}
-	}
-	return a
-}

@@ -169,18 +169,12 @@ func (c *covApply) apply(vt *Matrix) *Matrix {
 	return wt.Scale(c.scale)
 }
 
-// SnapshotPOD computes the same leading eigenpairs by the classical "method
-// of snapshots": eigendecompose the T×T row Gram matrix XXᵀ/T and lift the
-// eigenvectors back through Xᵀ. Exact (up to the dense eigensolver) and
-// O(N·T² + T³) — the cheap side of the duality whenever T < N. Equivalent to
-// SnapshotPODWorkers with a single worker.
-func SnapshotPOD(x *Matrix, k int) ([]float64, *Matrix, error) {
-	return SnapshotPODWorkers(x, k, 1)
-}
-
-// SnapshotPODWorkers is SnapshotPOD with the two O(N·T²)-class stages — the
-// T×T Gram accumulation and the lift of the eigenvector block back through
-// Xᵀ — fanned out over ParallelChunks with the given worker cap (0 or
+// SnapshotPODWorkers computes the leading eigenpairs of the covariance by
+// the classical "method of snapshots": eigendecompose the T×T row Gram
+// matrix XXᵀ/T and lift the eigenvectors back through Xᵀ. Exact (up to the
+// dense eigensolver) and O(N·T² + T³), the cheap side of the duality
+// whenever T < N. Its two O(N·T²)-class stages — the Gram accumulation and
+// the lift — fan out over ParallelChunks with the given worker cap (0 or
 // negative = runtime.NumCPU()).
 //
 // The lift recovers the covariance eigenvectors as the columns of

@@ -185,7 +185,7 @@ func TestCholeskyFactor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	l := c.L()
+	l := c.l
 	if !Mul(l, l.T()).Equal(a, 1e-10) {
 		t.Fatal("LLᵀ != A")
 	}

@@ -50,94 +50,3 @@ func Cond(a *Matrix) (float64, error) {
 	}
 	return smax / smin, nil
 }
-
-// Rank returns the numerical rank of a: the number of singular values above
-// max(m,n)·ε·σ_max.
-func Rank(a *Matrix) (int, error) {
-	sv, err := SingularValues(a)
-	if err != nil {
-		return 0, err
-	}
-	if len(sv) == 0 || sv[0] == 0 {
-		return 0, nil
-	}
-	dim := a.Rows()
-	if a.Cols() > dim {
-		dim = a.Cols()
-	}
-	// Gram-based singular values carry ~√ε relative error, so use a looser
-	// threshold than the usual dim·ε·σ_max.
-	tol := float64(dim) * 1.49e-8 * sv[0]
-	r := 0
-	for _, s := range sv {
-		if s > tol {
-			r++
-		}
-	}
-	return r, nil
-}
-
-// SVDThin computes a thin singular value decomposition A = U·diag(σ)·Vᵀ for
-// an m×n matrix with m ≥ n: U is m×n with orthonormal columns, V is n×n.
-// Left vectors for near-zero singular values are completed by
-// orthonormalization so U always has exactly orthonormal columns.
-func SVDThin(a *Matrix) (u *Matrix, sigma []float64, v *Matrix, err error) {
-	m, n := a.Dims()
-	if m < n {
-		panic("mat: SVDThin requires rows >= cols")
-	}
-	eg, err := SymEigen(Gram(a))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	v = eg.Vectors
-	sigma = make([]float64, n)
-	for i, lam := range eg.Values {
-		if lam < 0 {
-			lam = 0
-		}
-		sigma[i] = math.Sqrt(lam)
-	}
-	// U = A·V·Σ⁻¹ for the well-conditioned part.
-	av := Mul(a, v)
-	u = New(m, n)
-	dim := m
-	tol := float64(dim) * 1.49e-8 * sigma[0] // matches the Rank threshold
-	var degenerate []int
-	for j := 0; j < n; j++ {
-		if sigma[j] > tol {
-			for i := 0; i < m; i++ {
-				u.Set(i, j, av.At(i, j)/sigma[j])
-			}
-		} else {
-			degenerate = append(degenerate, j)
-		}
-	}
-	// Complete degenerate columns by Gram–Schmidt against the good (and
-	// previously completed) columns, so U has exactly orthonormal columns.
-	// A full re-orthonormalization via QR would risk flipping the signs of
-	// good columns and breaking A = UΣVᵀ.
-	for _, j := range degenerate {
-		filled := false
-		for e := 0; e < m && !filled; e++ {
-			cand := make([]float64, m)
-			cand[e] = 1
-			for jj := 0; jj < n; jj++ {
-				if jj == j || (sigma[jj] <= tol && jj > j) {
-					continue // skip self and not-yet-filled columns
-				}
-				col := u.Col(jj)
-				AXPY(-Dot(cand, col), col, cand)
-			}
-			if Norm2(cand) > 0.5 {
-				Normalize(cand)
-				u.SetCol(j, cand)
-				filled = true
-			}
-		}
-		if !filled {
-			return nil, nil, nil, ErrNoConvergence
-		}
-	}
-	return u, sigma, v, nil
-}

@@ -84,70 +84,6 @@ func TestCondDiag(t *testing.T) {
 	}
 }
 
-func TestRankValues(t *testing.T) {
-	rng := rand.New(rand.NewSource(32))
-	a := RandomMatrix(6, 4, rng)
-	r, err := Rank(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != 4 {
-		t.Fatalf("rank(random 6x4) = %d, want 4", r)
-	}
-	// Rank-1 outer product.
-	u := RandomMatrix(6, 1, rng)
-	v := RandomMatrix(1, 4, rng)
-	r, err = Rank(Mul(u, v))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != 1 {
-		t.Fatalf("rank(uvᵀ) = %d, want 1", r)
-	}
-}
-
-func TestSVDThinReconstructs(t *testing.T) {
-	rng := rand.New(rand.NewSource(33))
-	a := RandomMatrix(7, 4, rng)
-	u, s, v, err := SVDThin(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := Mul(Mul(u, Diag(s)), v.T())
-	if !rec.Equal(a, 1e-7) {
-		t.Fatalf("UΣVᵀ != A, maxdiff = %v", rec.Clone().SubMatrix(a).MaxAbs())
-	}
-	if !Gram(u).Equal(Identity(4), 1e-7) {
-		t.Fatal("UᵀU != I")
-	}
-	if !Gram(v).Equal(Identity(4), 1e-8) {
-		t.Fatal("VᵀV != I")
-	}
-}
-
-func TestSVDThinRankDeficient(t *testing.T) {
-	// Rank-2 matrix: third column is the sum of the first two.
-	rng := rand.New(rand.NewSource(34))
-	a := RandomMatrix(6, 3, rng)
-	for i := 0; i < 6; i++ {
-		a.Set(i, 2, a.At(i, 0)+a.At(i, 1))
-	}
-	u, s, v, err := SVDThin(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s[2] > 1e-6*s[0] {
-		t.Fatalf("expected tiny σ₃, got %v", s)
-	}
-	rec := Mul(Mul(u, Diag(s)), v.T())
-	if !rec.Equal(a, 1e-6) {
-		t.Fatal("rank-deficient reconstruction failed")
-	}
-	if !Gram(u).Equal(Identity(3), 1e-7) {
-		t.Fatal("U not orthonormal after degenerate completion")
-	}
-}
-
 // Property: Frobenius norm equals sqrt of sum of squared singular values.
 func TestSVDNormConsistencyProperty(t *testing.T) {
 	f := func(seed int64) bool {

@@ -8,23 +8,6 @@ import (
 	"math"
 )
 
-// MSE returns the mean squared error between maps a and b (Sec. 4's per-map
-// contribution: Σ|a−b|²/N).
-func MSE(a, b []float64) float64 {
-	if len(a) != len(b) {
-		panic(fmt.Sprintf("metrics: length mismatch %d vs %d", len(a), len(b)))
-	}
-	if len(a) == 0 {
-		return 0
-	}
-	var s float64
-	for i := range a {
-		d := a[i] - b[i]
-		s += d * d
-	}
-	return s / float64(len(a))
-}
-
 // MaxSqErr returns the largest squared per-cell error (the paper's MAX).
 func MaxSqErr(a, b []float64) float64 {
 	if len(a) != len(b) {
@@ -85,9 +68,6 @@ func (e *Ensemble) MaxSq() float64 { return e.maxSq }
 
 // MaxAbs returns √MAX in °C.
 func (e *Ensemble) MaxAbs() float64 { return math.Sqrt(e.maxSq) }
-
-// Maps returns the number of accumulated pairs.
-func (e *Ensemble) Maps() int { return e.numMaps }
 
 // DB converts a linear power ratio to decibels.
 func DB(ratio float64) float64 { return 10 * math.Log10(ratio) }

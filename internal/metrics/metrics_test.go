@@ -7,8 +7,16 @@ import (
 	"testing/quick"
 )
 
+// mse is the per-cell MSE of one map pair (Σ|a−b|²/N), as the ensemble
+// accumulates it.
+func mse(a, b []float64) float64 {
+	var e Ensemble
+	e.Add(a, b)
+	return e.MSE()
+}
+
 func TestMSEKnown(t *testing.T) {
-	got := MSE([]float64{1, 2, 3}, []float64{1, 3, 5})
+	got := mse([]float64{1, 2, 3}, []float64{1, 3, 5})
 	if math.Abs(got-(0+1+4)/3.0) > 1e-14 {
 		t.Fatalf("MSE = %v", got)
 	}
@@ -16,13 +24,13 @@ func TestMSEKnown(t *testing.T) {
 
 func TestMSEZeroForIdentical(t *testing.T) {
 	x := []float64{4, 5, 6}
-	if MSE(x, x) != 0 {
+	if mse(x, x) != 0 {
 		t.Fatal("MSE of identical maps must be 0")
 	}
 }
 
 func TestMSEEmpty(t *testing.T) {
-	if MSE(nil, nil) != 0 {
+	if mse(nil, nil) != 0 {
 		t.Fatal("MSE of empty should be 0")
 	}
 }
@@ -33,7 +41,7 @@ func TestMSEMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	MSE([]float64{1}, []float64{1, 2})
+	mse([]float64{1}, []float64{1, 2})
 }
 
 func TestMaxSqAndAbs(t *testing.T) {
@@ -51,8 +59,8 @@ func TestEnsembleAccumulation(t *testing.T) {
 	var e Ensemble
 	e.Add([]float64{0, 0}, []float64{1, 0})  // sq errors 1, 0
 	e.Add([]float64{0, 0}, []float64{0, -2}) // sq errors 0, 4
-	if e.Maps() != 2 {
-		t.Fatalf("Maps = %d", e.Maps())
+	if e.numMaps != 2 {
+		t.Fatalf("Maps = %d", e.numMaps)
 	}
 	if math.Abs(e.MSE()-5.0/4) > 1e-14 {
 		t.Fatalf("ensemble MSE = %v, want 1.25", e.MSE())
@@ -108,7 +116,7 @@ func TestEnsembleMSEConsistencyProperty(t *testing.T) {
 				b[i] = r.NormFloat64()
 			}
 			e.Add(a, b)
-			sum += MSE(a, b)
+			sum += mse(a, b)
 		}
 		return math.Abs(e.MSE()-sum/float64(maps)) < 1e-10
 	}

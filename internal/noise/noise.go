@@ -43,13 +43,3 @@ func AtSNR(rng *rand.Rand, x []float64, snr float64) []float64 {
 	}
 	return w
 }
-
-// AddAtSNRdB returns x + w with w drawn by AtSNR at the given SNR in dB.
-func AddAtSNRdB(rng *rand.Rand, x []float64, snrDB float64) []float64 {
-	w := AtSNR(rng, x, math.Pow(10, snrDB/10))
-	out := make([]float64, len(x))
-	for i := range x {
-		out[i] = x[i] + w[i]
-	}
-	return out
-}

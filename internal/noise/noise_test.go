@@ -61,19 +61,6 @@ func TestAtSNRInfiniteSNR(t *testing.T) {
 	}
 }
 
-func TestAddAtSNRdB(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	x := []float64{10, 20, 30, 40}
-	y := AddAtSNRdB(rng, x, 20)
-	w := make([]float64, len(x))
-	for i := range x {
-		w[i] = y[i] - x[i]
-	}
-	if math.Abs(metrics.DB(metrics.SNR(x, w))-20) > 1e-9 {
-		t.Fatal("AddAtSNRdB did not hit target SNR")
-	}
-}
-
 func TestDeterministicGivenRNG(t *testing.T) {
 	x := []float64{5, 6, 7}
 	w1 := AtSNR(rand.New(rand.NewSource(9)), x, 10)

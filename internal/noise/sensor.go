@@ -92,12 +92,6 @@ func (s *Sensors) Read(trueC []float64) []float64 {
 	return out
 }
 
-// Offset returns sensor i's frozen calibration offset (test introspection).
-func (s *Sensors) Offset(i int) float64 { return s.offsets[i] }
-
-// Gain returns sensor i's frozen gain (test introspection).
-func (s *Sensors) Gain(i int) float64 { return s.gains[i] }
-
 // TypicalSensor is a representative on-chip thermal sensor error budget:
 // 0.3 °C read noise, 0.5 °C quantization, 1 °C calibration offset spread,
 // 1% gain spread.

@@ -37,8 +37,8 @@ func TestSensorsCalibrationFrozenPerSensor(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("calibration error must be frozen, not re-drawn")
 		}
-		if math.Abs(a[i]-60-bank.Offset(i)) > 1e-12 {
-			t.Fatalf("reading %v does not match offset %v", a[i]-60, bank.Offset(i))
+		if math.Abs(a[i]-60-bank.offsets[i]) > 1e-12 {
+			t.Fatalf("reading %v does not match offset %v", a[i]-60, bank.offsets[i])
 		}
 	}
 	// Different sensors should (almost surely) have different offsets.
@@ -56,7 +56,7 @@ func TestSensorsGainAppliesToRise(t *testing.T) {
 		t.Fatalf("gain error applied at reference: %v", atRef[0])
 	}
 	hot := bank.Read([]float64{65})
-	wantRise := bank.Gain(0) * 20
+	wantRise := bank.gains[0] * 20
 	if math.Abs((hot[0]-45)-wantRise) > 1e-12 {
 		t.Fatalf("rise %v, want %v", hot[0]-45, wantRise)
 	}

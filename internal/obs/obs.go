@@ -123,15 +123,6 @@ type Trace struct {
 	used      uint32 // bitmask of recorded stages
 }
 
-// NewTrace starts a trace for one request, anchored at now — pass the
-// timestamp the caller already read at request entry so the trace costs no
-// extra clock read (zero means read the clock here).
-func NewTrace(id string, now time.Time) *Trace {
-	t := new(Trace)
-	t.Reset(id, now)
-	return t
-}
-
 // Reset re-anchors t as a fresh trace for one request. The serving path
 // embeds the Trace in its per-request writer state and Resets it in place,
 // so tracing adds no allocation of its own — the flight recorder stores

@@ -381,3 +381,12 @@ func BenchmarkRingRecord(b *testing.B) {
 		}
 	})
 }
+
+// NewTrace starts a trace for one request, anchored at now (zero means
+// read the clock here). The daemon embeds its traces in per-request
+// writer state and Resets them in place.
+func NewTrace(id string, now time.Time) *Trace {
+	t := new(Trace)
+	t.Reset(id, now)
+	return t
+}

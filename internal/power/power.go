@@ -328,15 +328,6 @@ func NewSpecGenerator(fp *floorplan.Floorplan, spec *workload.Spec, cfg Config) 
 	return g, nil
 }
 
-// NumBlocks returns the number of blocks (the length of Step's result).
-func (g *Generator) NumBlocks() int { return len(g.plan.Blocks) }
-
-// Spec returns a copy of the workload spec driving this generator. (A
-// copy, not the internal pointer: the generator's derived state — DVFS
-// ladders, envelope buffers — is frozen at construction, so mutating the
-// live spec could never take effect and could only corrupt a run.)
-func (g *Generator) Spec() *workload.Spec { return g.spec.Clone() }
-
 // Step advances the workload one time step and returns the per-block power
 // vector in watts (indexed like fp.Blocks).
 func (g *Generator) Step() []float64 {

@@ -246,9 +246,6 @@ func (r *Reconstructor) QR() *mat.QR { return r.qr }
 // rebuild via RestoreWithOperator to skip the fold on load.
 func (r *Reconstructor) Operator() (*mat.Matrix, []float64) { return r.op, r.opBias }
 
-// SensingMatrix returns Ψ̃_K (a copy).
-func (r *Reconstructor) SensingMatrix() *mat.Matrix { return r.psiTilde.Clone() }
-
 // Cond returns the 2-norm condition number κ(Ψ̃_K) — the paper's figure of
 // merit for a sensor layout (eq. (5)).
 func (r *Reconstructor) Cond() (float64, error) {

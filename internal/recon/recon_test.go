@@ -129,7 +129,7 @@ func TestCoefficientsMatchTheorem1(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	psiT := r.SensingMatrix()
+	psiT := r.psiTilde
 	centered := make([]float64, len(sensors))
 	for i, s := range sensors {
 		centered[i] = x[s] - testBasis.Mean[s]

@@ -174,9 +174,6 @@ func NewModel(g floorplan.Grid, cfg Config) *Model {
 	return m
 }
 
-// NumUnknowns returns the total unknown count (2 layers × N cells).
-func (m *Model) NumUnknowns() int { return 2 * m.n }
-
 // conductanceDiagonal precomputes diag(G).
 func (m *Model) conductanceDiagonal() []float64 {
 	g := m.Grid
@@ -206,50 +203,6 @@ func (m *Model) conductanceDiagonal() []float64 {
 		}
 	}
 	return d
-}
-
-// ApplyG computes y = G·x for the conductance matrix (the negated graph
-// Laplacian plus grounding terms); x and y have length 2n.
-func (m *Model) ApplyG(x, y []float64) {
-	if len(x) != 2*m.n || len(y) != 2*m.n {
-		panic("thermal: ApplyG length mismatch")
-	}
-	g := m.Grid
-	n := m.n
-	for i := range y {
-		y[i] = m.diag[i] * x[i]
-	}
-	for row := 0; row < g.H; row++ {
-		for col := 0; col < g.W; col++ {
-			i := g.Index(row, col)
-			xd := x[i]
-			xs := x[n+i]
-			// Lateral couplings: accumulate -g·x_neighbor.
-			if col > 0 {
-				j := i - g.H // column stacking: left neighbor is H back
-				y[i] -= m.gxDie * x[j]
-				y[n+i] -= m.gxSpr * x[n+j]
-			}
-			if col < g.W-1 {
-				j := i + g.H
-				y[i] -= m.gxDie * x[j]
-				y[n+i] -= m.gxSpr * x[n+j]
-			}
-			if row > 0 {
-				j := i - 1
-				y[i] -= m.gyDie * x[j]
-				y[n+i] -= m.gySpr * x[n+j]
-			}
-			if row < g.H-1 {
-				j := i + 1
-				y[i] -= m.gyDie * x[j]
-				y[n+i] -= m.gySpr * x[n+j]
-			}
-			// Vertical coupling through the TIM.
-			y[i] -= m.gTIM * xs
-			y[n+i] -= m.gTIM * xd
-		}
-	}
 }
 
 // cellOrder returns the permutation placing cell i's unknowns at
@@ -356,17 +309,4 @@ func (m *Model) deinterleave(x, z []float64) {
 		x[i] = z[2*oi]
 		x[m.n+i] = z[2*oi+1]
 	}
-}
-
-// SteadyState solves G·T = P for the equilibrium temperature rise under the
-// per-die-cell power vector (length n) and returns die temperatures in °C.
-func (m *Model) SteadyState(cellPowerW []float64) ([]float64, error) {
-	if len(cellPowerW) != m.n {
-		panic("thermal: SteadyState power length mismatch")
-	}
-	tr := m.NewTransient()
-	if err := tr.SetSteadyState(cellPowerW); err != nil {
-		return nil, err
-	}
-	return tr.DieTemperatures(), nil
 }

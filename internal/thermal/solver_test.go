@@ -296,23 +296,6 @@ func TestSetSteadyStateZeroAllocAfterFirst(t *testing.T) {
 	}
 }
 
-func TestDieTemperaturesInto(t *testing.T) {
-	g := floorplan.Grid{W: 6, H: 5}
-	m := NewModel(g, Config{})
-	tr := m.NewTransient()
-	if err := tr.SetSteadyState(stepPowers(g.N(), 1)[0]); err != nil {
-		t.Fatal(err)
-	}
-	want := tr.DieTemperatures()
-	got := make([]float64, g.N())
-	tr.DieTemperaturesInto(got)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatal("DieTemperaturesInto mismatch")
-		}
-	}
-}
-
 // TestSharedFactorConcurrentTransients runs several Transients over one
 // Model from separate goroutines (the parallel dataset-generation shape);
 // under -race this pins that the factors NewModel builds on two goroutines

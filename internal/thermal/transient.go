@@ -47,17 +47,6 @@ func (tr *Transient) SetSteadyState(cellPowerW []float64) error {
 	return nil
 }
 
-// Step advances one time step under the per-die-cell power vector (length n)
-// and returns the die-layer temperatures in °C (a fresh slice). See StepInto
-// for the allocation-free form.
-func (tr *Transient) Step(cellPowerW []float64) ([]float64, error) {
-	dst := make([]float64, tr.m.n)
-	if err := tr.StepInto(dst, cellPowerW); err != nil {
-		return nil, err
-	}
-	return dst, nil
-}
-
 // StepInto advances one time step under the per-die-cell power vector
 // (length n) and writes the die-layer temperatures in °C into dst (length
 // n). It allocates nothing, making it the inner loop of dataset generation.
@@ -95,31 +84,4 @@ func (tr *Transient) StepInto(dst, cellPowerW []float64) error {
 		dst[i] = tr.z[2*oi] + m.Cfg.AmbientC
 	}
 	return nil
-}
-
-// DieTemperatures returns the current die-layer temperatures in °C.
-func (tr *Transient) DieTemperatures() []float64 {
-	out := make([]float64, tr.m.n)
-	tr.DieTemperaturesInto(out)
-	return out
-}
-
-// DieTemperaturesInto writes the current die-layer temperatures in °C into
-// dst (length n) without allocating.
-func (tr *Transient) DieTemperaturesInto(dst []float64) {
-	if len(dst) != tr.m.n {
-		panic("thermal: DieTemperaturesInto length mismatch")
-	}
-	for i := range dst {
-		dst[i] = tr.t[i] + tr.m.Cfg.AmbientC
-	}
-}
-
-// SpreaderTemperatures returns the current spreader-layer temperatures in °C.
-func (tr *Transient) SpreaderTemperatures() []float64 {
-	out := make([]float64, tr.m.n)
-	for i := range out {
-		out[i] = tr.t[tr.m.n+i] + tr.m.Cfg.AmbientC
-	}
-	return out
 }

@@ -168,16 +168,6 @@ func (kf *Kalman) Reset() {
 	kf.steps = 0
 }
 
-// K returns the subspace dimension.
-func (kf *Kalman) K() int { return kf.k }
-
-// Steps returns the number of measurement updates applied since Reset.
-func (kf *Kalman) Steps() int {
-	kf.mu.Lock()
-	defer kf.mu.Unlock()
-	return kf.steps
-}
-
 // Sensors returns a copy of the sensor cells.
 func (kf *Kalman) Sensors() []int { return append([]int(nil), kf.sensors...) }
 
@@ -345,13 +335,6 @@ func (kf *Kalman) stepInto(dst, readings []float64) error {
 	kf.steps++
 	kf.b.SynthesizeInto(dst, kf.alpha)
 	return nil
-}
-
-// Coefficients returns a copy of the current state estimate α.
-func (kf *Kalman) Coefficients() []float64 {
-	kf.mu.Lock()
-	defer kf.mu.Unlock()
-	return mat.CopyVec(kf.alpha)
 }
 
 // CovarianceTrace returns tr(P) — a scalar uncertainty summary that must

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -28,23 +27,6 @@ const (
 type Timing struct {
 	Name  string
 	DurMS float64
-}
-
-// FormatServerTiming renders timings as a Server-Timing header value:
-// `name;dur=1.234, name2;dur=0.5`. Durations are milliseconds with
-// microsecond precision — enough for stage attribution without bloating
-// every response header.
-func FormatServerTiming(ts []Timing) string {
-	var b strings.Builder
-	for i, t := range ts {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		b.WriteString(t.Name)
-		b.WriteString(";dur=")
-		b.WriteString(strconv.FormatFloat(t.DurMS, 'f', -1, 64))
-	}
-	return b.String()
 }
 
 // ParseServerTiming parses a Server-Timing header value back into timings.
@@ -77,9 +59,4 @@ func ParseServerTiming(v string) []Timing {
 		}
 	}
 	return out
-}
-
-// SortTimings orders timings by name, for deterministic report output.
-func SortTimings(ts []Timing) {
-	sort.Slice(ts, func(i, j int) bool { return ts[i].Name < ts[j].Name })
 }

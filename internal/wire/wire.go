@@ -20,7 +20,7 @@
 // Request payload (all integers uint32 LE, floats float64 LE):
 //
 //	flags     uint32   bit 0 = include_maps; every other bit is rejected
-//	workers   uint32   estimation worker-pool size (0 = default)
+//	reserved  uint32   written as 0, ignored on read (was workers)
 //	rows      uint32   snapshots in the batch
 //	cols      uint32   readings per snapshot (the batch is rectangular;
 //	                   rows > 0 needs cols > 0)
@@ -128,8 +128,6 @@ type EstimateRequest struct {
 	// Readings is the rows×cols batch; rows are subslices of one flat
 	// allocation (or of a caller-provided ReadingsBuf).
 	Readings [][]float64
-	// Workers is the estimation worker-pool size (0 = default).
-	Workers int
 	// IncludeMaps asks for full maps in each summary.
 	IncludeMaps bool
 }
@@ -165,7 +163,7 @@ func AppendEstimateRequest(buf []byte, req *EstimateRequest) ([]byte, error) {
 	buf = appendHeader(buf, reqMagic, payloadLen)
 	payloadStart := len(buf)
 	buf = binary.LittleEndian.AppendUint32(buf, flags)
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(req.Workers))
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // reserved
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(rows))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(cols))
 	for _, r := range req.Readings {
@@ -196,7 +194,6 @@ func DecodeEstimateRequest(data []byte, scratch *ReadingsBuf) (*EstimateRequest,
 	}
 	return &EstimateRequest{
 		Readings:    readings,
-		Workers:     int(binary.LittleEndian.Uint32(payload[4:8])),
 		IncludeMaps: flags&flagIncludeMaps != 0,
 	}, nil
 }

@@ -15,7 +15,6 @@ func sampleRequest() *EstimateRequest {
 			{62.5, 61.25, 60, 59, 58, 57, 56, 55},
 			{63, 62, 61, 60, 59, 58, 57, 56.125},
 		},
-		Workers:     4,
 		IncludeMaps: true,
 	}
 }
@@ -33,8 +32,20 @@ func TestRequestRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Readings, req.Readings) {
 		t.Fatalf("readings round-trip:\n got %v\nwant %v", got.Readings, req.Readings)
 	}
-	if got.Workers != 4 || !got.IncludeMaps {
+	if !got.IncludeMaps {
 		t.Fatalf("options round-trip: %+v", got)
+	}
+	// The word after the flags (payload offset 4, frame offset 20) is
+	// reserved: written as 0, and a frame carrying anything there (an old
+	// client's workers) decodes the same.
+	if w := binary.LittleEndian.Uint32(buf[20:]); w != 0 {
+		t.Fatalf("reserved word written as %d", w)
+	}
+	old := append([]byte(nil), buf...)
+	binary.LittleEndian.PutUint32(old[20:], 7)
+	recrc(old, old[16:len(old)-4])
+	if again, err := DecodeEstimateRequest(old, nil); err != nil || !reflect.DeepEqual(again, got) {
+		t.Fatalf("reserved word 7: %+v, %v; want %+v", again, err, got)
 	}
 }
 
@@ -294,8 +305,9 @@ func u32s(words ...uint32) []byte {
 // hostileBatchFrames are request frames whose declared batch shape does
 // not match their payload: rows×cols that wraps a native-int size check
 // (rows = 2³¹, cols = 2³⁰: 8·rows·cols ≡ 0 mod 2⁶⁴) and millions of empty
-// rows carried by no bytes at all. The estimate payload is flags, workers,
-// rows, cols; the govern payload is flags (no config), rows, cols.
+// rows carried by no bytes at all. The estimate payload is flags, a
+// reserved word, rows, cols; the govern payload is flags (no config),
+// rows, cols.
 func hostileBatchFrames() map[string][]byte {
 	return map[string][]byte{
 		"estimate overflowing shape": frame(reqMagic, u32s(0, 0, 1<<31, 1<<30)),

@@ -160,14 +160,6 @@ type Spec struct {
 	LoadCoupling float64 `json:"load_coupling,omitempty"`
 }
 
-// FamilyName returns Family, falling back to Name.
-func (s *Spec) FamilyName() string {
-	if s.Family != "" {
-		return s.Family
-	}
-	return s.Name
-}
-
 // Validate checks the spec for out-of-range probabilities, degenerate
 // schedules and malformed envelopes, returning a descriptive error for the
 // first violation. Engines must only run validated specs.

@@ -173,17 +173,6 @@ func TestParseReturnsClones(t *testing.T) {
 	}
 }
 
-func TestFamilyNameFallback(t *testing.T) {
-	s := &Spec{Name: "solo"}
-	if s.FamilyName() != "solo" {
-		t.Fatalf("FamilyName = %q", s.FamilyName())
-	}
-	s.Family = "grouped"
-	if s.FamilyName() != "grouped" {
-		t.Fatalf("FamilyName = %q", s.FamilyName())
-	}
-}
-
 func TestPresetPanicsOnUnknown(t *testing.T) {
 	defer func() {
 		if recover() == nil {

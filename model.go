@@ -163,15 +163,6 @@ func (m *Model) KMax() int { return m.m.Basis.KMax() }
 // Grid returns the model's grid.
 func (m *Model) Grid() Grid { return Grid{W: m.m.Grid.W, H: m.m.Grid.H} }
 
-// EigenMap returns basis vector k (0-based) as a map-shaped vector — the
-// pictures of the paper's Fig. 2.
-func (m *Model) EigenMap(k int) ([]float64, error) {
-	if k < 0 || k >= m.KMax() {
-		return nil, fmt.Errorf("eigenmaps: basis index %d outside [0,%d)", k, m.KMax())
-	}
-	return m.m.Basis.Psi.Col(k), nil
-}
-
 // Spectrum returns the basis importance values (eigenvalues for the PCA
 // family) — the decay plot of Fig. 2.
 func (m *Model) Spectrum() []float64 {
@@ -180,11 +171,21 @@ func (m *Model) Spectrum() []float64 {
 	return out
 }
 
-// ExpectedApproxMSE returns the Proposition 1 bound on per-cell
-// approximation MSE at dimension K: (Σ_{n≥K} λ_n)/N. Only meaningful for
-// the EigenMaps family.
+// ExpectedApproxMSE returns Proposition 1's per-cell approximation MSE at
+// dimension K on the training ensemble: the eigenvalue tail Σ_{n≥K} λ_n
+// over N. The tail runs past KMax, so it is taken as the total variance
+// (the sum of the training energy map) minus Σ_{n<K} λ_n, clamped at 0;
+// K is clamped to [0, KMax]. Only meaningful for the EigenMaps family.
 func (m *Model) ExpectedApproxMSE(k int) float64 {
-	return m.m.Basis.TailImportance(k) / float64(m.m.Basis.N())
+	k = max(0, min(k, m.KMax()))
+	var tail float64
+	for _, e := range m.m.Energy {
+		tail += e
+	}
+	for _, l := range m.m.Basis.Importance[:k] {
+		tail -= l
+	}
+	return max(tail, 0) / float64(m.m.Basis.N())
 }
 
 // Allocation names a sensor-placement strategy for PlaceSensors.
@@ -238,8 +239,8 @@ func (m *Model) PlaceSensors(count int, opt PlaceOptions) ([]int, error) {
 // behind Theorem 1 is computed once at construction and shared read-only by
 // every estimating goroutine, with per-call scratch drawn from an internal
 // pool. Beyond the single-snapshot Estimate, the batched engine offers
-// EstimateInto (allocation-free), EstimateBatch / EstimateBatchInto (worker
-// pool fan-out) and EstimateStream (channel-driven) — see batch.go.
+// EstimateInto (allocation-free), EstimateBatch (worker pool fan-out) and
+// EstimateStream (channel-driven) — see batch.go.
 type Monitor struct {
 	mon  *core.Monitor
 	grid Grid
