@@ -559,22 +559,33 @@ func (s *server) seedModelCache(lr *loadedRecord) {
 	}
 }
 
+// touchNanos is a request's LRU stamp in unix nanoseconds: its arrival
+// time, which ServeHTTP read into the trace, or a clock read for an
+// untraced request.
+func touchNanos(tr *obs.Trace) int64 {
+	if tr != nil {
+		return tr.Wall.UnixNano()
+	}
+	return time.Now().UnixNano()
+}
+
 // resident returns e's serving state, paging the record in on first touch.
 // The fast path is one atomic load (and records no page-in span); the slow
 // path is single-flight per entry under e.mu, and its trace span includes
 // any wait behind a concurrent page-in — that wait is latency the request
 // actually spent on paging. A missing record file (index/record
 // disagreement) surfaces as a typed *store.Error wrapping fs.ErrNotExist.
+// A hit stamps the LRU with the request's arrival time (touchNanos).
 func (s *server) resident(e *monitorEntry, tr *obs.Trace) (*residentState, error) {
 	if rs := e.res.Load(); rs != nil {
-		e.lastUse.Store(time.Now().UnixNano())
+		e.lastUse.Store(touchNanos(tr))
 		return rs, nil
 	}
 	defer tr.Mark(obs.StagePageIn)
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if rs := e.res.Load(); rs != nil {
-		e.lastUse.Store(time.Now().UnixNano())
+		e.lastUse.Store(touchNanos(tr))
 		return rs, nil
 	}
 	if s.storeDir == "" || e.desc.File == "" {

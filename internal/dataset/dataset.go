@@ -217,17 +217,23 @@ func (c *GenConfig) segments() int {
 // of the first power map, and records the die temperature after every
 // StepsPerSnapshot transient steps.
 //
-// Scenario segments are generated concurrently across all CPUs. Each
-// segment owns its seeded power generator and Transient and writes to its
-// own row range, while all of them share the model's factored system matrix
-// read-only, so the result is bit-identical to a sequential run (pinned by
-// the determinism tests).
+// Scenario segments are split across all CPUs in contiguous chunks, and the
+// segments of one chunk run in lock step: each step advances every
+// segment's own seeded power generator, then solves all of their
+// backward-Euler systems in one sweep over the model's factor
+// (thermal.Model.StepBatchInto), which costs far less than a sweep per
+// segment. Each segment owns its generator and Transient and writes to its
+// own row range, while all of them share the model's factors read-only, and
+// every segment's arithmetic runs in the order of a segment stepped alone,
+// so the result is bit-identical to a sequential run for any CPU count
+// (pinned by the determinism tests).
 func Generate(fp *floorplan.Floorplan, cfg GenConfig) (*Dataset, error) {
 	return generate(fp, cfg, 0)
 }
 
 // generate is Generate with an explicit goroutine cap for the segments
-// (0 = all CPUs, 1 = sequential); the tests vary it to pin bit-identity.
+// (0 = all CPUs, 1 = every segment in one lock step); the tests vary it to
+// pin bit-identity.
 func generate(fp *floorplan.Floorplan, cfg GenConfig, workers int) (*Dataset, error) {
 	cfg.defaults()
 	if err := cfg.validate(); err != nil {
@@ -252,9 +258,7 @@ func generate(fp *floorplan.Floorplan, cfg GenConfig, workers int) (*Dataset, er
 
 	errs := make([]error, nseg)
 	mat.ParallelChunks(nseg, workers, func(lo, hi int) {
-		for si := lo; si < hi; si++ {
-			errs[si] = generateSegment(fp, raster, model, &cfg, si, starts[si], starts[si+1], maps)
-		}
+		generateSegments(fp, raster, model, &cfg, starts, lo, hi, maps, errs)
 	})
 	for _, err := range errs {
 		if err != nil {
@@ -264,52 +268,104 @@ func generate(fp *floorplan.Floorplan, cfg GenConfig, workers int) (*Dataset, er
 	return &Dataset{Grid: cfg.Grid, Maps: maps}, nil
 }
 
-// generateSegment simulates scenario segment si, writing snapshots into
-// rows [start, end) of maps. The transient inner loop is allocation-free:
-// power is spread into a reused cell buffer and temperatures are written
-// straight into the dataset rows (intermediate un-recorded steps land in a
-// scratch row).
-func generateSegment(fp *floorplan.Floorplan, raster *floorplan.Raster, model *thermal.Model,
-	cfg *GenConfig, si, start, end int, maps *mat.Matrix) error {
+// segmentRun is one scenario segment in flight: its power generator, its
+// transient, its cell power buffer and the rows it fills.
+type segmentRun struct {
+	name       string // for error reporting
+	si         int
+	gen        *power.Generator
+	tr         *thermal.Transient
+	cellP      []float64
+	start, end int
+}
+
+// generateSegments simulates scenario segments [lo, hi) in lock step,
+// writing segment si's snapshots into rows [starts[si], starts[si+1]) of
+// maps and its error, if any, into errs[si]. Every segment starts at its
+// own warm start; then each step spreads every running segment's next
+// power map and advances all of their transients at once. Only the last
+// segment can be longer than the others, so it finishes alone. The loop is
+// allocation-free: power is spread into reused cell buffers and
+// temperatures are written straight into the dataset rows (intermediate
+// un-recorded steps land in one scratch row).
+func generateSegments(fp *floorplan.Floorplan, raster *floorplan.Raster, model *thermal.Model,
+	cfg *GenConfig, starts []int, lo, hi int, maps *mat.Matrix, errs []error) {
+	runs := make([]segmentRun, 0, hi-lo)
+	for si := lo; si < hi; si++ {
+		r, err := startSegment(fp, raster, model, cfg, si)
+		if err != nil {
+			errs[si] = err
+			continue
+		}
+		r.start, r.end = starts[si], starts[si+1]
+		runs = append(runs, r)
+	}
+	trs := make([]*thermal.Transient, len(runs))
+	cellP := make([][]float64, len(runs))
+	dst := make([][]float64, len(runs))
+	scratch := make([]float64, cfg.Grid.N())
+	for row := 0; ; row++ {
+		// Drop the segments whose rows are all written.
+		live := runs[:0]
+		for _, r := range runs {
+			if r.start+row < r.end {
+				live = append(live, r)
+			}
+		}
+		runs = live
+		if len(runs) == 0 {
+			return
+		}
+		for v, r := range runs {
+			trs[v], cellP[v] = r.tr, r.cellP
+		}
+		for k := 0; k < cfg.StepsPerSnapshot; k++ {
+			for v, r := range runs {
+				power.SpreadToCellsInto(r.cellP, raster, r.gen.Step())
+				dst[v] = scratch
+				if k == cfg.StepsPerSnapshot-1 {
+					dst[v] = maps.Row(r.start + row)
+				}
+			}
+			n := len(runs)
+			if err := model.StepBatchInto(trs[:n], dst[:n], cellP[:n]); err != nil {
+				for _, r := range runs {
+					errs[r.si] = fmt.Errorf("dataset: scenario %v step: %w", r.name, err)
+				}
+				return
+			}
+		}
+	}
+}
+
+// startSegment builds scenario segment si's seeded power generator and a
+// transient warm-started at the steady state of its first power map.
+func startSegment(fp *floorplan.Floorplan, raster *floorplan.Raster, model *thermal.Model,
+	cfg *GenConfig, si int) (segmentRun, error) {
 	pcfg := cfg.Power
 	pcfg.Seed = cfg.Seed + int64(si)*7919
-	var gen *power.Generator
-	var sc string // segment name for error reporting
+	r := segmentRun{si: si}
 	if len(cfg.Specs) > 0 {
 		spec := cfg.Specs[si]
-		sc = spec.Name
-		if sc == "" {
-			sc = fmt.Sprintf("spec[%d]", si)
+		r.name = spec.Name
+		if r.name == "" {
+			r.name = fmt.Sprintf("spec[%d]", si)
 		}
 		var err error
-		gen, err = power.NewSpecGenerator(fp, spec, pcfg)
+		r.gen, err = power.NewSpecGenerator(fp, spec, pcfg)
 		if err != nil {
-			return fmt.Errorf("dataset: scenario %s: %w", sc, err)
+			return r, fmt.Errorf("dataset: scenario %s: %w", r.name, err)
 		}
 	} else {
 		pcfg.Scenario = cfg.Scenarios[si]
-		sc = pcfg.Scenario.String()
-		gen = power.NewGenerator(fp, pcfg)
+		r.name = pcfg.Scenario.String()
+		r.gen = power.NewGenerator(fp, pcfg)
 	}
-
-	tr := model.NewTransient()
-	cellP := make([]float64, cfg.Grid.N())
-	scratch := make([]float64, cfg.Grid.N())
-	power.SpreadToCellsInto(cellP, raster, gen.Step())
-	if err := tr.SetSteadyState(cellP); err != nil {
-		return fmt.Errorf("dataset: scenario %v warm start: %w", sc, err)
+	r.tr = model.NewTransient()
+	r.cellP = make([]float64, cfg.Grid.N())
+	power.SpreadToCellsInto(r.cellP, raster, r.gen.Step())
+	if err := r.tr.SetSteadyState(r.cellP); err != nil {
+		return r, fmt.Errorf("dataset: scenario %v warm start: %w", r.name, err)
 	}
-	for row := start; row < end; row++ {
-		for k := 0; k < cfg.StepsPerSnapshot; k++ {
-			power.SpreadToCellsInto(cellP, raster, gen.Step())
-			dst := scratch
-			if k == cfg.StepsPerSnapshot-1 {
-				dst = maps.Row(row)
-			}
-			if err := tr.StepInto(dst, cellP); err != nil {
-				return fmt.Errorf("dataset: scenario %v step: %w", sc, err)
-			}
-		}
-	}
-	return nil
+	return r, nil
 }

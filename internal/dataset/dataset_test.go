@@ -10,6 +10,7 @@ import (
 	"repro/internal/floorplan"
 	"repro/internal/mat"
 	"repro/internal/power"
+	"repro/internal/thermal"
 	"repro/internal/workload"
 )
 
@@ -262,30 +263,81 @@ func TestValidateRejectsGridMismatch(t *testing.T) {
 	}
 }
 
-func TestGenerateWorkersBitIdentical(t *testing.T) {
-	// The parallelism pin: every worker count must produce the same bytes,
-	// because segments are fully independent. Generate itself always fans
-	// out over all CPUs, so the sweep goes through the unexported entry
-	// point.
-	want, err := generate(floorplan.UltraSparcT1(), tinyConfig(30, 21), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{0, 2, 4} {
-		got, err := generate(floorplan.UltraSparcT1(), tinyConfig(30, 21), workers)
+// generateOneAtATime is the reference for the lock step: every segment
+// simulated alone, one Transient.StepInto per step, as generation ran before
+// its segments shared a sweep over the factor.
+func generateOneAtATime(t *testing.T, fp *floorplan.Floorplan, cfg GenConfig) *mat.Matrix {
+	t.Helper()
+	cfg.defaults()
+	raster := fp.Rasterize(cfg.Grid)
+	model := thermal.NewModel(cfg.Grid, cfg.Thermal)
+	maps := mat.New(cfg.Snapshots, cfg.Grid.N())
+	nseg := cfg.segments()
+	scratch := make([]float64, cfg.Grid.N())
+	for si := 0; si < nseg; si++ {
+		r, err := startSegment(fp, raster, model, &cfg, si)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !got.Maps.Equal(want.Maps, 0) {
-			t.Fatalf("workers=%d produced different bytes than workers=1", workers)
+		end := (si + 1) * (cfg.Snapshots / nseg)
+		if si == nseg-1 {
+			end = cfg.Snapshots
+		}
+		for row := si * (cfg.Snapshots / nseg); row < end; row++ {
+			for k := 0; k < cfg.StepsPerSnapshot; k++ {
+				power.SpreadToCellsInto(r.cellP, raster, r.gen.Step())
+				dst := scratch
+				if k == cfg.StepsPerSnapshot-1 {
+					dst = maps.Row(row)
+				}
+				if err := r.tr.StepInto(dst, r.cellP); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 	}
-	got, err := Generate(floorplan.UltraSparcT1(), tinyConfig(30, 21))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.Maps.Equal(want.Maps, 0) {
-		t.Fatal("Generate produced different bytes than workers=1")
+	return maps
+}
+
+func TestGenerateWorkersBitIdentical(t *testing.T) {
+	// The parallelism pin: every worker count must produce the bytes of
+	// the segments simulated one at a time. One worker steps all four
+	// segments (7, 7, 7 and 9 rows) in lock step, two and three workers two
+	// each, and four workers one each; the last segment's two extra rows
+	// run alone. Generate itself always fans out over all CPUs, so the
+	// sweep goes through the unexported entry point. Three segments put an
+	// odd vector beside a pair; extra un-recorded steps and leakage (whose
+	// power reads each run's own pre-step temperatures) must keep every
+	// run's state its own.
+	fp := floorplan.UltraSparcT1()
+	three := tinyConfig(31, 23)
+	three.Scenarios = []power.Scenario{power.ScenarioWeb, power.ScenarioCompute, power.ScenarioIdle}
+	steps := tinyConfig(30, 21)
+	steps.StepsPerSnapshot = 2
+	leaky := tinyConfig(30, 22)
+	leaky.Thermal.Leakage = &thermal.LeakageModel{BaseWPerCell: 0.004, TRefC: 45, TSlopeC: 30}
+	cases := []struct {
+		name string
+		cfg  GenConfig
+	}{{"default", tinyConfig(30, 21)}, {"three-segments", three}, {"steps=2", steps}, {"leakage", leaky}}
+	for _, c := range cases {
+		want := generateOneAtATime(t, fp, c.cfg)
+		for _, workers := range []int{0, 1, 2, 3, 4} {
+			got, err := generate(fp, c.cfg, workers)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !got.Maps.Equal(want, 0) {
+				t.Fatalf("%s: workers=%d produced different bytes than the segments one at a time", c.name, workers)
+			}
+		}
+		got, err := Generate(fp, c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !got.Maps.Equal(want, 0) {
+			t.Fatalf("%s: Generate produced different bytes than the segments one at a time", c.name)
+		}
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -123,10 +122,9 @@ func ParseFaults(spec string) ([]Fault, error) {
 
 // Injector applies parsed sensor faults to reading vectors, deterministically
 // under a seed, so the load generator and the simulator corrupt traffic
-// reproducibly. It is safe for concurrent use (the load generator gives
-// each worker its own with a distinct seed).
+// reproducibly. It is not safe for concurrent use; give each goroutine its
+// own (the load generator gives each worker one with a distinct seed).
 type Injector struct {
-	mu     sync.Mutex
 	faults []Fault
 	rng    *rand.Rand
 	held   map[int]float64 // stuck sensors frozen at first observed value
@@ -147,8 +145,6 @@ func NewInjector(faults []Fault, seed int64) *Injector {
 // Out-of-range sensor indices are ignored so one injector serves monitors of
 // any M.
 func (in *Injector) Apply(readings []float64) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	for _, f := range in.faults {
 		switch f.Kind {
 		case FaultStuck:

@@ -262,7 +262,15 @@ func (c *BandCholesky) packBackward(k int, fac []float64) {
 
 // SolveInto solves A·x = b by two banded triangular substitutions, writing
 // the solution into dst. dst and b may be the same slice; it allocates
-// nothing.
+// nothing. It is SolveBatchInto on one vector.
+func (c *BandCholesky) SolveInto(dst, b []float64) {
+	c.SolveBatchInto([][]float64{dst}, [][]float64{b})
+}
+
+// SolveBatchInto solves A·dst[v] = b[v] for every v in one pass of each
+// triangular sweep over the factor, the form of LAPACK's DPBTRS with
+// NRHS > 1. Each dst[v] may be b[v] itself; otherwise no two of the
+// vectors may overlap. It allocates nothing.
 //
 // Both sweeps process four rows per pass, one panel each (see the type
 // comment), so each loaded x value feeds four multiply-adds: the
@@ -272,56 +280,113 @@ func (c *BandCholesky) packBackward(k int, fac []float64) {
 // kernel with one row per lane; only the 4×4 triangular tail is
 // substituted serially. The n%4 rows outside the panels, and every row of a
 // band narrower than 8, are substituted one at a time.
-func (c *BandCholesky) SolveInto(dst, b []float64) {
+//
+// The vectors share each panel: pairs of them go through panelDots2, which
+// loads every panel column once for both, and an odd one out through
+// panelDots while the panel is still in cache. A solve reads the whole
+// factor (about 12 MB on the 60×56 die) for work proportional to it, so one
+// sweep for several vectors costs far less than a sweep per vector. Every
+// vector's own operations run in SolveInto's order, so each dst[v] is
+// bit-identical to SolveInto(dst[v], b[v]).
+func (c *BandCholesky) SolveBatchInto(dst, b [][]float64) {
 	n, bw, w := c.n, c.bw, c.bw+1
-	if len(dst) != n || len(b) != n {
+	if len(dst) != len(b) {
 		panic(ErrShape)
 	}
+	for v := range dst {
+		if len(dst[v]) != n || len(b[v]) != n {
+			panic(ErrShape)
+		}
+	}
 	ps := 4 * (bw + 4)
+	var s [8]float64
 	// Forward: L·y = b (y accumulates in dst).
 	for k := 0; k < c.nb; k++ {
 		i := 4 * k
 		lo := max(0, i-bw)
 		p := c.fwd[k*ps : (k+1)*ps]
-		s0, s1, s2, s3 := c.panelDots(p[16+4*(lo-i+bw):], dst[lo:i])
-		x0 := (b[i] - s0) / p[0]
-		s1 += p[1] * x0
-		x1 := (b[i+1] - s1) / p[5]
-		s2 += p[2]*x0 + p[6]*x1
-		x2 := (b[i+2] - s2) / p[10]
-		s3 += p[3]*x0 + p[7]*x1 + p[11]*x2
-		dst[i] = x0
-		dst[i+1] = x1
-		dst[i+2] = x2
-		dst[i+3] = (b[i+3] - s3) / p[15]
+		win := p[16+4*(lo-i+bw):]
+		v := 0
+		for ; v+1 < len(dst); v += 2 {
+			x, y := dst[v], dst[v+1]
+			c.panelDots2(win, x[lo:i], y[lo:i], &s)
+			forward4(p, s[0], s[1], s[2], s[3], b[v][i:i+4], x[i:i+4])
+			forward4(p, s[4], s[5], s[6], s[7], b[v+1][i:i+4], y[i:i+4])
+		}
+		if v < len(dst) {
+			x := dst[v]
+			s0, s1, s2, s3 := c.panelDots(win, x[lo:i])
+			forward4(p, s0, s1, s2, s3, b[v][i:i+4], x[i:i+4])
+		}
 	}
 	for i := 4 * c.nb; i < n; i++ {
 		lo := max(0, i-bw)
 		li := c.lrow[(i-4*c.nb)*w:][:w]
-		dst[i] = (b[i] - bandDot(li[bw-(i-lo):bw], dst[lo:i], c.avx)) / li[bw]
+		for v, x := range dst {
+			x[i] = (b[v][i] - bandDot(li[bw-(i-lo):bw], x[lo:i], c.avx)) / li[bw]
+		}
 	}
 	// Backward: Lᵀ·x = y.
 	for k := 0; k < c.nb; k++ {
 		i := n - 1 - 4*k
 		hi := min(n-1, i+bw)
 		p := c.bwd[k*ps : (k+1)*ps]
-		s0, s1, s2, s3 := c.panelDots(p[16:], dst[i+1:hi+1])
-		x0 := (dst[i] - s0) / p[0]
-		s1 += p[1] * x0
-		x1 := (dst[i-1] - s1) / p[5]
-		s2 += p[6]*x1 + p[2]*x0
-		x2 := (dst[i-2] - s2) / p[10]
-		s3 += p[11]*x2 + p[7]*x1 + p[3]*x0
-		dst[i] = x0
-		dst[i-1] = x1
-		dst[i-2] = x2
-		dst[i-3] = (dst[i-3] - s3) / p[15]
+		v := 0
+		for ; v+1 < len(dst); v += 2 {
+			x, y := dst[v], dst[v+1]
+			c.panelDots2(p[16:], x[i+1:hi+1], y[i+1:hi+1], &s)
+			backward4(p, s[0], s[1], s[2], s[3], x[i-3:i+1])
+			backward4(p, s[4], s[5], s[6], s[7], y[i-3:i+1])
+		}
+		if v < len(dst) {
+			x := dst[v]
+			s0, s1, s2, s3 := c.panelDots(p[16:], x[i+1:hi+1])
+			backward4(p, s0, s1, s2, s3, x[i-3:i+1])
+		}
 	}
 	for i := n - 4*c.nb - 1; i >= 0; i-- {
 		hi := min(n-1, i+bw)
 		ui := c.urow[i*w:][:w]
-		dst[i] = (dst[i] - bandDot(ui[1:hi-i+1], dst[i+1:hi+1], c.avx)) / ui[0]
+		for _, x := range dst {
+			x[i] = (x[i] - bandDot(ui[1:hi-i+1], x[i+1:hi+1], c.avx)) / ui[0]
+		}
 	}
+}
+
+// forward4 substitutes the 4×4 diagonal block at the head of forward panel
+// p for one vector: s0 … s3 are the block's four row sums over the panel
+// window, b the four right-hand-side entries and x the four unknowns
+// written. b and x may be the same slice.
+func forward4(p []float64, s0, s1, s2, s3 float64, b, x []float64) {
+	p, b, x = p[:16], b[:4], x[:4]
+	x0 := (b[0] - s0) / p[0]
+	s1 += p[1] * x0
+	x1 := (b[1] - s1) / p[5]
+	s2 += p[2]*x0 + p[6]*x1
+	x2 := (b[2] - s2) / p[10]
+	s3 += p[3]*x0 + p[7]*x1 + p[11]*x2
+	x[0] = x0
+	x[1] = x1
+	x[2] = x2
+	x[3] = (b[3] - s3) / p[15]
+}
+
+// backward4 substitutes the 4×4 diagonal block at the head of backward
+// panel p, rows i … i−3, for one vector: s0 … s3 are the block's row sums
+// over the panel window and x = dst[i−3 : i+1], read and overwritten from
+// its last entry down.
+func backward4(p []float64, s0, s1, s2, s3 float64, x []float64) {
+	p, x = p[:16], x[:4]
+	x0 := (x[3] - s0) / p[0]
+	s1 += p[1] * x0
+	x1 := (x[2] - s1) / p[5]
+	s2 += p[6]*x1 + p[2]*x0
+	x2 := (x[1] - s2) / p[10]
+	s3 += p[11]*x2 + p[7]*x1 + p[3]*x0
+	x[3] = x0
+	x[2] = x1
+	x[1] = x2
+	x[0] = (x[0] - s3) / p[15]
 }
 
 // panelDots runs the panel window p against x through the factor's kernel.
@@ -330,4 +395,19 @@ func (c *BandCholesky) panelDots(p, x []float64) (s0, s1, s2, s3 float64) {
 		return panelDotsAVX(&p[0], &x[0], len(x))
 	}
 	return panelDotsGeneric(p, x)
+}
+
+// panelDots2 runs the panel window p against two vectors x and y of one
+// length, writing panelDots(p, x) to s[0:4] and panelDots(p, y) to s[4:8]
+// bit for bit. The AVX kernel loads each panel column once for both.
+func (c *BandCholesky) panelDots2(p, x, y []float64, s *[8]float64) {
+	if len(y) != len(x) || len(p) < 4*len(x) {
+		panic(ErrShape)
+	}
+	if c.avx && len(x) > 0 {
+		panelDots2AVX(&p[0], &x[0], &y[0], len(x), s)
+		return
+	}
+	s[0], s[1], s[2], s[3] = panelDotsGeneric(p, x)
+	s[4], s[5], s[6], s[7] = panelDotsGeneric(p, y)
 }

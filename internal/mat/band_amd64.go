@@ -14,3 +14,10 @@ func dot4AVX(a, b *float64, n int) float64
 //
 //go:noescape
 func panelDotsAVX(p, x *float64, m int) (s0, s1, s2, s3 float64)
+
+// panelDots2AVX writes panelDotsAVX(p, x, m) to s[0:4] and
+// panelDotsAVX(p, y, m) to s[4:8], loading each panel column once for both
+// vectors. m must be positive.
+//
+//go:noescape
+func panelDots2AVX(p, x, y *float64, m int, s *[8]float64)

@@ -96,3 +96,64 @@ done:
 	VMOVSD       X3, s3+48(FP)
 	VZEROUPPER
 	RET
+
+// func panelDots2AVX(p, x, y *float64, m int, s *[8]float64)
+//
+// panelDotsAVX for two vectors at once: each pair of panel columns is
+// loaded into Y6 and Y7 once and fed to both. Y0/Y1 are x's even and odd
+// accumulators and Y4/Y5 y's, each updated exactly as panelDotsAVX updates
+// its own; s[0:4] receives Y0 + Y1 and s[4:8] Y4 + Y5.
+TEXT ·panelDots2AVX(SB), NOSPLIT, $0-40
+	MOVQ p+0(FP), SI
+	MOVQ x+8(FP), DI
+	MOVQ y+16(FP), BX
+	MOVQ m+24(FP), CX
+	MOVQ s+32(FP), R8
+	MOVQ CX, DX
+	ANDQ $-2, DX
+	SHLQ $3, DX            // DX = (m &^ 1)·8, the end of the whole pairs
+	XORQ AX, AX            // AX = t·8; column t sits at 32t = AX·4 in p
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y4, Y4, Y4
+	VXORPD Y5, Y5, Y5
+	CMPQ AX, DX
+	JGE  odd2
+
+pair2:
+	VMOVUPD      (SI)(AX*4), Y6   // column t
+	VMOVUPD      32(SI)(AX*4), Y7 // column t+1
+	VBROADCASTSD (DI)(AX*1), Y2
+	VMULPD       Y6, Y2, Y2
+	VADDPD       Y2, Y0, Y0
+	VBROADCASTSD 8(DI)(AX*1), Y3
+	VMULPD       Y7, Y3, Y3
+	VADDPD       Y3, Y1, Y1
+	VBROADCASTSD (BX)(AX*1), Y2
+	VMULPD       Y6, Y2, Y2
+	VADDPD       Y2, Y4, Y4
+	VBROADCASTSD 8(BX)(AX*1), Y3
+	VMULPD       Y7, Y3, Y3
+	VADDPD       Y3, Y5, Y5
+	ADDQ         $16, AX
+	CMPQ         AX, DX
+	JLT          pair2
+
+odd2:
+	TESTQ $1, CX
+	JZ    done2
+	VMOVUPD      (SI)(AX*4), Y6 // the last column of an odd window
+	VBROADCASTSD (DI)(AX*1), Y2
+	VMULPD       Y6, Y2, Y2
+	VADDPD       Y2, Y0, Y0
+	VBROADCASTSD (BX)(AX*1), Y3
+	VMULPD       Y6, Y3, Y3
+	VADDPD       Y3, Y4, Y4
+
+done2:
+	VADDPD  Y1, Y0, Y0 // x: s_r + r_r
+	VADDPD  Y5, Y4, Y4 // y: s_r + r_r
+	VMOVUPD Y0, (R8)
+	VMOVUPD Y4, 32(R8)
+	VZEROUPPER
+	RET

@@ -10,3 +10,7 @@ func dot4AVX(a, b *float64, n int) float64 { panic("mat: no AVX band kernel on t
 func panelDotsAVX(p, x *float64, m int) (s0, s1, s2, s3 float64) {
 	panic("mat: no AVX band kernel on this platform")
 }
+
+func panelDots2AVX(p, x, y *float64, m int, s *[8]float64) {
+	panic("mat: no AVX band kernel on this platform")
+}

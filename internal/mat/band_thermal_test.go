@@ -2,6 +2,7 @@ package mat_test
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -22,6 +23,62 @@ func TestBandCholeskyBitIdenticalOnThermalSystems(t *testing.T) {
 		a, gm := thermal.NewModel(g, thermal.Config{}).SystemBands()
 		mat.CheckBandBits(t, fmt.Sprintf("%dx%d A", g.W, g.H), a)
 		mat.CheckBandBits(t, fmt.Sprintf("%dx%d G", g.W, g.H), gm)
+	}
+}
+
+// TestBandSolveBatchBitIdentical pins the multi-vector solve to SolveInto
+// on A and G of every thermal grid (7×19 leaves n%4 = 2 rows outside the
+// panels), for one to four right-hand sides, through every kernel this
+// platform runs: each vector's solution must match its own SolveInto bit
+// for bit, with dst apart from b and aliasing it, and allocate nothing.
+func TestBandSolveBatchBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, g := range thermalGrids {
+		a, gm := thermal.NewModel(g, thermal.Config{}).SystemBands()
+		for name, sys := range map[string]*mat.SymBand{"A": a, "G": gm} {
+			n := 2 * g.N()
+			for _, p := range bandPaths {
+				if p.avx && !mat.HasAVX {
+					continue
+				}
+				c, err := mat.NewBandCholeskyKernel(sys, p.avx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for vectors := 1; vectors <= 4; vectors++ {
+					label := fmt.Sprintf("%dx%d %s/%s vectors=%d", g.W, g.H, name, p.name, vectors)
+					b := make([][]float64, vectors)
+					want := make([][]float64, vectors)
+					got := make([][]float64, vectors)
+					z := make([][]float64, vectors)
+					for v := range b {
+						b[v] = make([]float64, n)
+						for i := range b[v] {
+							b[v][i] = rng.NormFloat64() * 100
+						}
+						want[v] = make([]float64, n)
+						c.SolveInto(want[v], b[v])
+						got[v] = make([]float64, n)
+						z[v] = append([]float64(nil), b[v]...)
+					}
+					c.SolveBatchInto(got, b)
+					c.SolveBatchInto(z, z)
+					for v := range want {
+						for i := range want[v] {
+							if math.Float64bits(got[v][i]) != math.Float64bits(want[v][i]) {
+								t.Fatalf("%s: vector %d x[%d] = %v, SolveInto %v", label, v, i, got[v][i], want[v][i])
+							}
+							if math.Float64bits(z[v][i]) != math.Float64bits(want[v][i]) {
+								t.Fatalf("%s: aliased vector %d x[%d] = %v, SolveInto %v", label, v, i, z[v][i], want[v][i])
+							}
+						}
+					}
+					if allocs := testing.AllocsPerRun(3, func() { c.SolveBatchInto(got, b) }); allocs != 0 {
+						t.Fatalf("%s: %v allocs per solve, want 0", label, allocs)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -55,32 +112,50 @@ func BenchmarkBandFactor(b *testing.B) {
 	}
 }
 
-// BenchmarkBandSolve times one SolveInto against the thermal model's
-// factored A on the create-path grids, through each kernel: the two
-// triangular sweeps of one backward-Euler step.
+// BenchmarkBandSolve times the two triangular sweeps of one backward-Euler
+// step against the thermal model's factored A on the create-path grids,
+// through each kernel: SolveInto of one right-hand side, and on the
+// vectors=2 arms one SolveBatchInto of two, the lock step of two workload
+// segments.
 func BenchmarkBandSolve(b *testing.B) {
 	for _, g := range benchGrids {
 		a, _ := thermal.NewModel(g, thermal.Config{}).SystemBands()
-		rhs := make([]float64, 2*g.N()) // die and spreader unknowns
 		rng := rand.New(rand.NewSource(1))
-		for i := range rhs {
-			rhs[i] = rng.NormFloat64()
+		rhs := make([][]float64, 2)
+		for v := range rhs {
+			rhs[v] = make([]float64, 2*g.N()) // die and spreader unknowns
+			for i := range rhs[v] {
+				rhs[v][i] = rng.NormFloat64()
+			}
 		}
 		for _, p := range bandPaths {
-			b.Run(fmt.Sprintf("grid=%dx%d/path=%s", g.W, g.H, p.name), func(b *testing.B) {
-				if p.avx && !mat.HasAVX {
-					b.Skip("no AVX on this CPU or platform")
+			for _, vectors := range []int{1, 2} {
+				name := fmt.Sprintf("grid=%dx%d/path=%s", g.W, g.H, p.name)
+				if vectors > 1 {
+					name += fmt.Sprintf("/vectors=%d", vectors)
 				}
-				c, err := mat.NewBandCholeskyKernel(a, p.avx)
-				if err != nil {
-					b.Fatal(err)
-				}
-				x := make([]float64, len(rhs))
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					c.SolveInto(x, rhs)
-				}
-			})
+				b.Run(name, func(b *testing.B) {
+					if p.avx && !mat.HasAVX {
+						b.Skip("no AVX on this CPU or platform")
+					}
+					c, err := mat.NewBandCholeskyKernel(a, p.avx)
+					if err != nil {
+						b.Fatal(err)
+					}
+					x := make([][]float64, vectors)
+					for v := range x {
+						x[v] = make([]float64, 2*g.N())
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if vectors == 1 {
+							c.SolveInto(x[0], rhs[0])
+						} else {
+							c.SolveBatchInto(x, rhs[:vectors])
+						}
+					}
+				})
+			}
 		}
 	}
 }

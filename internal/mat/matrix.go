@@ -67,35 +67,48 @@ func (m *Matrix) Dims() (int, int) { return m.rows, m.cols }
 
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 {
-	m.boundsCheck(i, j)
+	if uint(i) >= uint(m.rows) || uint(j) >= uint(m.cols) {
+		panic(indexError{i, j, m.rows, m.cols})
+	}
 	return m.data[i*m.cols+j]
 }
 
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) {
-	m.boundsCheck(i, j)
+	if uint(i) >= uint(m.rows) || uint(j) >= uint(m.cols) {
+		panic(indexError{i, j, m.rows, m.cols})
+	}
 	m.data[i*m.cols+j] = v
 }
 
 // Add adds v to element (i, j).
 func (m *Matrix) Add(i, j int, v float64) {
-	m.boundsCheck(i, j)
-	m.data[i*m.cols+j] += v
-}
-
-func (m *Matrix) boundsCheck(i, j int) {
-	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("mat: index (%d,%d) out of range %dx%d", i, j, m.rows, m.cols))
+	if uint(i) >= uint(m.rows) || uint(j) >= uint(m.cols) {
+		panic(indexError{i, j, m.rows, m.cols})
 	}
+	m.data[i*m.cols+j] += v
 }
 
 // Row returns a view of row i (no copy). Mutating the returned slice mutates
 // the matrix.
 func (m *Matrix) Row(i int) []float64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("mat: row %d out of range %d", i, m.rows))
+	if uint(i) >= uint(m.rows) {
+		panic(indexError{i, -1, m.rows, m.cols})
 	}
 	return m.data[i*m.cols : (i+1)*m.cols]
+}
+
+// indexError is the panic value of an out-of-range At, Set, Add or Row
+// (j < 0 for Row). It is formatted only when printed, so the accessors'
+// one check stays cheap enough for the compiler to inline them (pinned by
+// TestAccessorsInline).
+type indexError struct{ i, j, rows, cols int }
+
+func (e indexError) Error() string {
+	if e.j < 0 {
+		return fmt.Sprintf("mat: row %d out of range %d", e.i, e.rows)
+	}
+	return fmt.Sprintf("mat: index (%d,%d) out of range %dx%d", e.i, e.j, e.rows, e.cols)
 }
 
 // Col returns a copy of column j.

@@ -7,10 +7,12 @@ import "math"
 const summaryLanes = 8
 
 // laneStats is the state of Summarize's blocked pass. Lane k has seen
-// cells k, k+L, k+2L, … in index order: hi and lo are the first of them
-// attaining the lane's maximum and minimum, hiAt the index of that maximum
-// (exact as a float64, which keeps the vector kernel in one register
-// domain), and sum their sum from the lane's first cell on. The field
+// cells k, k+L, k+2L, … in index order: sum is their sum from the lane's
+// first cell on, hi and lo are the first of them attaining the lane's
+// maximum and minimum, and hiAt the index of that maximum (exact as a
+// float64, which keeps the vector kernel in one register domain). The
+// generic twin may give a lane the extremes of more cells than its own
+// (see summaryBlocksGeneric), which reduce to the same results. The field
 // order is the vector kernel's store layout.
 type laneStats struct {
 	hi, lo, sum, hiAt [summaryLanes]float64
@@ -34,8 +36,8 @@ type laneStats struct {
 // exactly; so do maps shorter than L.
 //
 // On amd64 with AVX the blocked pass runs as a vector kernel
-// (summary_amd64.s); the generic twin repeats its operations in the same
-// order, so every platform returns the same bits.
+// (summary_amd64.s); the generic twin adds each lane in the same order and
+// reduces to the same extremes, so every platform returns the same bits.
 func Summarize(x []float64) (hi, lo, mean float64, hiAt int) {
 	return summarize(x, hasAVX)
 }
@@ -97,16 +99,53 @@ func (st *laneStats) add(k int, v float64, i int) {
 }
 
 // summaryBlocksGeneric runs the blocked pass over x, whose length is a
-// positive multiple of L: each lane starts from its first cell, then takes
-// the later ones in index order.
+// positive multiple of L, with the results the vector kernel's lanes reduce
+// to. It takes lanes 0–3 and then lanes 4–7 (summaryHalf): four lanes'
+// sums and extremes fit in locals, eight do not.
 func summaryBlocksGeneric(x []float64, st *laneStats) {
-	for k, v := range x[:summaryLanes] {
-		st.hi[k], st.lo[k], st.sum[k], st.hiAt[k] = v, v, v, float64(k)
-	}
-	for q := summaryLanes; q < len(x); q += summaryLanes {
-		for k, v := range x[q : q+summaryLanes] {
-			st.add(k, v, q+k)
+	summaryHalf(x, 0, st)
+	summaryHalf(x, 4, st)
+}
+
+// summaryHalf runs lanes k0 … k0+3 of summaryBlocksGeneric. Lane k's sum
+// is the vector kernel's: x[k], then x[k+L], x[k+2L], … added in index
+// order. The extremes are those of one scan of the four lanes' cells in
+// index order, given to each of the four: the maximum at the first index
+// attaining it, and the minimum, which the lanes reduce to as well. The
+// scan tests four cells for a new extreme before it updates them one by
+// one, so the common case is eight compares and no update: a scan that kept
+// each lane's extremes and index through branches ran slower than the
+// scalar scan.
+func summaryHalf(x []float64, k0 int, st *laneStats) {
+	s0, s1, s2, s3 := x[k0], x[k0+1], x[k0+2], x[k0+3]
+	hi, lo, at := s0, s0, k0
+	for j, v := range x[k0+1 : k0+4] {
+		if v > hi {
+			hi, at = v, k0+1+j
+		} else if v < lo {
+			lo = v
 		}
+	}
+	for i := k0 + summaryLanes; i < len(x); i += summaryLanes {
+		c := x[i : i+4 : i+4]
+		v0, v1, v2, v3 := c[0], c[1], c[2], c[3]
+		s0 += v0
+		s1 += v1
+		s2 += v2
+		s3 += v3
+		if v0 > hi || v1 > hi || v2 > hi || v3 > hi || v0 < lo || v1 < lo || v2 < lo || v3 < lo {
+			for j, v := range c {
+				if v > hi {
+					hi, at = v, i+j
+				} else if v < lo {
+					lo = v
+				}
+			}
+		}
+	}
+	st.sum[k0], st.sum[k0+1], st.sum[k0+2], st.sum[k0+3] = s0, s1, s2, s3
+	for k := k0; k < k0+4; k++ {
+		st.hi[k], st.lo[k], st.hiAt[k] = hi, lo, float64(at)
 	}
 }
 

@@ -18,11 +18,11 @@ GLOBL summaryIdx<>(SB), RODATA|NOPTR, $72
 // lanes 0..3 live in the A registers and 4..7 in the B registers, one
 // cell per lane, so lane k sees cells k, k+8, k+16, … . Each lane starts
 // from its first cell; then, for every later cell v, VMAXPD(v, hi) is
-// summaryBlocksGeneric's "if v > hi { hi = v }" exactly (it returns its
-// second operand unless the first is greater, on ±0 ties and NaN too), the
-// GT_OQ compare and blend its "hiAt = i" under the same condition, VMINPD
-// its "if v < lo { lo = v }" and VADDPD its "sum += v", so the lane states
-// are bit-identical to the generic twin's.
+// laneStats.add's "if v > hi { hi = v }" exactly (it returns its second
+// operand unless the first is greater, on ±0 ties and NaN too), the GT_OQ
+// compare and blend its "hiAt = i" under the same condition, VMINPD its
+// "if v < lo { lo = v }" and VADDPD its "sum += v", so the lane sums are
+// bit-identical to the generic twin's and the lanes reduce to its extremes.
 //
 // Registers: Y0/Y1 hi, Y2/Y3 lo, Y4/Y5 sum, Y6/Y7 the current cells'
 // indices, Y8/Y9 hiAt, Y12 the step 8, Y13/Y14 the cells, Y10/Y11 the

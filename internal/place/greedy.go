@@ -308,12 +308,14 @@ func (g *Greedy) aggregates(gm []float32, nr int, live []int32, a, b int) (sa, s
 // off-diagonal entry and its column (the first on ties, −1 when there is
 // none): the row maxima with every row still active.
 //
-// Rows are built four at a time as one batch product U·[uᵢ … uᵢ₊₃] through
-// mat.MulVecBiasBatchInto against a zero bias: each entry is then a single
-// dot product summed left to right from +0 — mat.Dot's sum, and the same
-// one for G[i][j] and G[j][i] since the products commute — so both
-// triangles come out exactly as the pairwise build would mirror them. The
-// blocks are independent, so they fan out over the CPUs.
+// Rows are built eight at a time as one batch product U·[uᵢ … uᵢ₊₇]
+// through mat.MulVecBiasBatchInto against a zero bias, which runs eight
+// snapshots through its AVX-512 kernel where the CPU has one: each entry is
+// then a single dot product summed left to right from +0 — mat.Dot's sum,
+// and the same one for G[i][j] and G[j][i] since the products commute — so
+// both triangles come out exactly as the pairwise build would mirror them,
+// whatever the block width or kernel. The blocks are independent, so they
+// fan out over the CPUs.
 func correlations(u *mat.Matrix, signed bool) (gm, rowMax []float32, rowArg []int) {
 	nr := u.Rows()
 	gm = make([]float32, nr*nr)
@@ -324,12 +326,13 @@ func correlations(u *mat.Matrix, signed bool) (gm, rowMax []float32, rowArg []in
 		diag = float32(math.Inf(-1))
 	}
 	zero := make([]float64, nr)
-	mat.ParallelChunks((nr+3)/4, 0, func(lo, hi int) {
-		buf := mat.New(4, nr)
-		dst := make([][]float64, 4)
-		xs := make([][]float64, 4)
+	const width = 8
+	mat.ParallelChunks((nr+width-1)/width, 0, func(lo, hi int) {
+		buf := mat.New(width, nr)
+		dst := make([][]float64, width)
+		xs := make([][]float64, width)
 		for b := lo; b < hi; b++ {
-			i0, i1 := 4*b, min(4*b+4, nr)
+			i0, i1 := width*b, min(width*b+width, nr)
 			for i := i0; i < i1; i++ {
 				dst[i-i0] = buf.Row(i - i0)
 				xs[i-i0] = u.Row(i)

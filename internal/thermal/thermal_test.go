@@ -382,3 +382,72 @@ func TestLeakageModelMonotone(t *testing.T) {
 		t.Fatalf("leakage at TRef = %v, want base", lk.Power(45))
 	}
 }
+
+// TestTransientStepBatchBitIdentical pins Model.StepBatchInto to
+// Transient.StepInto: runs stepped together, one to five at a time (five
+// takes two sweeps), must leave the same die temperatures and state, bit
+// for bit, as twins of them stepped alone, with and without leakage (whose
+// power reads each run's own pre-step temperatures), and allocate nothing.
+func TestTransientStepBatchBitIdentical(t *testing.T) {
+	lk := &LeakageModel{BaseWPerCell: 0.004, TRefC: 45, TSlopeC: 30}
+	for _, g := range []floorplan.Grid{{W: 12, H: 10}, {W: 7, H: 19}} {
+		for _, leak := range []*LeakageModel{nil, lk} {
+			m := NewModel(g, Config{Leakage: leak})
+			n := m.Grid.N()
+			for runs := 1; runs <= 5; runs++ {
+				batch := make([]*Transient, runs)
+				alone := make([]*Transient, runs)
+				power := make([][]float64, runs)
+				got := make([][]float64, runs)
+				want := make([]float64, n)
+				for v := range batch {
+					batch[v], alone[v] = m.NewTransient(), m.NewTransient()
+					power[v] = make([]float64, n)
+					for i := range power[v] {
+						power[v][i] = 0.01 * float64((i*(v+3))%17)
+					}
+					if err := batch[v].SetSteadyState(power[v]); err != nil {
+						t.Fatal(err)
+					}
+					if err := alone[v].SetSteadyState(power[v]); err != nil {
+						t.Fatal(err)
+					}
+					got[v] = make([]float64, n)
+				}
+				for step := 0; step < 4; step++ {
+					for v := range power {
+						power[v][(step*7+v)%n] += 0.5
+					}
+					if err := m.StepBatchInto(batch, got, power); err != nil {
+						t.Fatal(err)
+					}
+					for v := range alone {
+						if err := alone[v].StepInto(want, power[v]); err != nil {
+							t.Fatal(err)
+						}
+						for i := range want {
+							if math.Float64bits(got[v][i]) != math.Float64bits(want[i]) {
+								t.Fatalf("%dx%d leak=%v runs=%d step %d: run %d cell %d = %v, alone %v",
+									g.W, g.H, leak != nil, runs, step, v, i, got[v][i], want[i])
+							}
+						}
+						for i := range alone[v].t {
+							if math.Float64bits(batch[v].t[i]) != math.Float64bits(alone[v].t[i]) {
+								t.Fatalf("%dx%d leak=%v runs=%d step %d: run %d state %d differs",
+									g.W, g.H, leak != nil, runs, step, v, i)
+							}
+						}
+					}
+				}
+				allocs := testing.AllocsPerRun(3, func() {
+					if err := m.StepBatchInto(batch, got, power); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if allocs != 0 {
+					t.Fatalf("%dx%d runs=%d: %v allocs per step, want 0", g.W, g.H, runs, allocs)
+				}
+			}
+		}
+	}
+}
