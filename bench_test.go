@@ -508,22 +508,33 @@ func BenchmarkTrain(b *testing.B) {
 }
 
 // BenchmarkPlaceGreedy measures Algorithm 1's lazy max-heap engine on the
-// shared 800-cell basis. (The linear-rescan reference it replaced lives in
-// the place package's tests, which pin identical allocations.)
+// shared 800-cell basis (heap), and at the paper's scale on a seeded
+// random orthonormal 3360×16 basis with M 24 (paper), both with their
+// allocated bytes: Allocate keeps no R×R correlation matrix, which was
+// 45 MB at 3,360 cells. (The linear-rescan reference the heap replaced
+// lives in the place package's tests, which pin identical allocations.)
 func BenchmarkPlaceGreedy(b *testing.B) {
 	ds, mdl := trainBenchGet(b)
 	psi, err := mdl.Basis.PsiK(16)
 	if err != nil {
 		b.Fatal(err)
 	}
-	in := place.Input{Psi: psi, Grid: ds.Grid, M: 16}
-	b.Run("heap", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := (&place.Greedy{}).Allocate(in); err != nil {
-				b.Fatal(err)
+	for _, arm := range []struct {
+		name string
+		in   place.Input
+	}{
+		{"heap", place.Input{Psi: psi, Grid: ds.Grid, M: 16}},
+		{"paper", place.Input{Psi: mat.RandomOrthonormal(3360, 16, rand.New(rand.NewSource(8))), M: 24}},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := (&place.Greedy{}).Allocate(arm.in); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkGreedyPlacementFullScale measures Algorithm 1 on the paper's
@@ -560,10 +571,12 @@ func BenchmarkGreedyPlacementFullScale(b *testing.B) {
 
 // BenchmarkThermalStep measures a whole small simulation at the paper's
 // grid size: each iteration runs SimulateT1 for 8 snapshots at 60×56, that
-// is the model build, both banded factorizations, the four segments' steady
-// states and eight backward-Euler steps. Factoring dominates; one step
-// alone is BenchmarkTransientStep. (The name predates that reading; the
-// committed baseline gates it.)
+// is the model build, the four segments' steady states and eight
+// backward-Euler steps. The model's two banded factors come from the
+// process's factor cache, filled by the warm-up call, as every create
+// after a grid's first gets them; factoring alone is BenchmarkBandFactor,
+// one step alone BenchmarkTransientStep. (The name predates that reading;
+// the committed baseline gates it.)
 func BenchmarkThermalStep(b *testing.B) {
 	if _, err := eigenmaps.SimulateT1(eigenmaps.SimOptions{
 		Grid: eigenmaps.Grid{W: 60, H: 56}, Snapshots: 4, Seed: 1,

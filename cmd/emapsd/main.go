@@ -609,19 +609,25 @@ func (cr *createRequest) defaults() {
 	}
 }
 
-// maxCreateMatrixBytes bounds the two dense matrices a create allocates in
-// proportion to its shape: the snapshots × cells float64 training ensemble
-// and the cells × cells float32 correlation matrix of greedy placement. It
-// admits the paper's own scale (3360 cells and 2652 snapshots: 71 MB and
-// 45 MB) with room to spare; a larger shape is rejected before it reaches
-// the model cache, because allocating it could exhaust memory, which is
-// fatal to the whole process rather than an error.
+// maxCreateMatrixBytes bounds the one dense matrix a create allocates in
+// proportion to its shape, the snapshots × cells float64 training
+// ensemble. It admits the paper's own scale (3360 cells and 2652
+// snapshots: 71 MB) with room to spare; a larger shape is rejected before
+// it reaches the model cache, because allocating it could exhaust memory,
+// which is fatal to the whole process rather than an error.
 const maxCreateMatrixBytes = 256 << 20
 
-// checkShape rejects a grid and ensemble whose dense matrices would exceed
-// maxCreateMatrixBytes. Grid sides below 1 pass through: the ensemble
-// generator rejects them as a training error. Sizes are computed in float64
-// so no product overflows, on 32-bit platforms either.
+// maxCreateCells bounds a create's grid (90×91 fits). Greedy placement
+// does Θ(cells²·K) work in O(cells·K) memory, and a grid's two banded
+// thermal factors take 64·cells·(2·min(W,H)+4) bytes, about 96 MB at
+// the largest admitted grid, so both stay within what one create may
+// cost.
+const maxCreateCells = 8192
+
+// checkShape rejects an ensemble over maxCreateMatrixBytes and a grid over
+// maxCreateCells. Grid sides below 1 pass through: the ensemble generator
+// rejects them as a training error. Sizes are computed in float64 so no
+// product overflows, on 32-bit platforms either.
 func (cr *createRequest) checkShape() error {
 	if cr.GridW < 1 || cr.GridH < 1 {
 		return nil
@@ -631,9 +637,8 @@ func (cr *createRequest) checkShape() error {
 		return fmt.Errorf("%d snapshots of a %dx%d grid need a %.0f MiB ensemble (limit %d MiB)",
 			cr.Snapshots, cr.GridW, cr.GridH, ensemble/(1<<20), maxCreateMatrixBytes>>20)
 	}
-	if greedy := 4 * cells * cells; greedy > maxCreateMatrixBytes {
-		return fmt.Errorf("a %dx%d grid needs a %.0f MiB placement correlation matrix (limit %d MiB)",
-			cr.GridW, cr.GridH, greedy/(1<<20), maxCreateMatrixBytes>>20)
+	if cells > maxCreateCells {
+		return fmt.Errorf("a %dx%d grid has %.0f cells (limit %d)", cr.GridW, cr.GridH, cells, maxCreateCells)
 	}
 	return nil
 }

@@ -136,17 +136,21 @@ func Train(ds *dataset.Dataset, opt TrainOptions) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: training: %w", err)
 	}
-	// Energy map: mean squared centered temperature per cell.
-	x, _ := ds.Centered()
+	// Energy map: mean squared centered temperature per cell, centered on
+	// the basis mean, which is the ensemble mean Dataset.Centered returns
+	// for every basis kind, so each (x − mean)² is the centered copy's v·v
+	// without a second copy of the ensemble.
+	mean := b.Mean
 	energy := make([]float64, ds.N())
-	for j := 0; j < x.Rows(); j++ {
-		row := x.Row(j)
-		for i, v := range row {
+	for j := 0; j < ds.T(); j++ {
+		row := ds.Map(j)
+		for i, x := range row {
+			v := x - mean[i]
 			energy[i] += v * v
 		}
 	}
 	for i := range energy {
-		energy[i] /= float64(x.Rows())
+		energy[i] /= float64(ds.T())
 	}
 	return &Model{Basis: b, Energy: energy, Grid: ds.Grid}, nil
 }

@@ -164,6 +164,12 @@ func NewBandCholesky(a *SymBand) (*BandCholesky, error) {
 	return newBandCholesky(a, hasAVX)
 }
 
+// Bytes returns the memory the factor holds: its two sets of panels and
+// the rows outside them.
+func (c *BandCholesky) Bytes() int {
+	return 8 * (len(c.fwd) + len(c.bwd) + len(c.lrow) + len(c.urow))
+}
+
 // newBandCholesky is NewBandCholesky with the kernel chosen by the caller;
 // the tests run both on the same inputs.
 func newBandCholesky(a *SymBand, avx bool) (*BandCholesky, error) {

@@ -70,3 +70,27 @@ func summaryBlocksAVX(x *float64, n int, st *laneStats)
 //
 //go:noescape
 func maxSets4AVX(dst, x *float64, idx *int32, groups, length int)
+
+// dotsMaxAVX512 runs DotsArgMax's scan over the n columns of the K-major
+// block b (dots_amd64.s), leaving each of its 64 lanes' largest value and
+// first column (−1 when none) in vals and idx.
+//
+//go:noescape
+func dotsMaxAVX512(x, b *float64, k, n, skip int, absMask uint32, vals *[DotsWidth]float32, idx *[DotsWidth]int32)
+
+// absDotsAVX512 is absDotsGeneric on 512-bit vectors (dots_amd64.s).
+//
+//go:noescape
+func absDotsAVX512(dst *float32, x, b *float64, k, n int)
+
+// dotsMaxAVX is dotsMaxAVX512 on 256-bit vectors (dots_amd64.s), its 32
+// lanes' largest values and first columns (as float32, −1 when none) in
+// vals and idx, which the caller fills with −∞ and −1 first.
+//
+//go:noescape
+func dotsMaxAVX(x, b *float64, k, n int, skip float32, absMask uint32, vals, idx *[dotsLanesAVX]float32)
+
+// absDotsAVX is absDotsGeneric on 256-bit vectors (dots_amd64.s).
+//
+//go:noescape
+func absDotsAVX(dst *float32, x, b *float64, k, n int)

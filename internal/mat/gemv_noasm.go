@@ -24,3 +24,19 @@ func summaryBlocksAVX(x *float64, n int, st *laneStats) {
 func maxSets4AVX(dst, x *float64, idx *int32, groups, length int) {
 	panic("mat: no AVX max-sets kernel on this platform")
 }
+
+func dotsMaxAVX512(x, b *float64, k, n, skip int, absMask uint32, vals *[DotsWidth]float32, idx *[DotsWidth]int32) {
+	panic("mat: no AVX-512 dots kernel on this platform")
+}
+
+func absDotsAVX512(dst *float32, x, b *float64, k, n int) {
+	panic("mat: no AVX-512 dots kernel on this platform")
+}
+
+func dotsMaxAVX(x, b *float64, k, n int, skip float32, absMask uint32, vals, idx *[dotsLanesAVX]float32) {
+	panic("mat: no AVX dots kernel on this platform")
+}
+
+func absDotsAVX(dst *float32, x, b *float64, k, n int) {
+	panic("mat: no AVX dots kernel on this platform")
+}

@@ -8,12 +8,12 @@ import (
 	"repro/internal/mat"
 )
 
-// Greedy is the paper's Algorithm 1: normalize the rows of Ψ_K, build the
-// row-correlation Gram matrix G = UU* − I, and repeatedly delete the row
-// involved in the strongest remaining correlation until M rows survive,
-// guarding against rank collapse of the sensing matrix.
+// Greedy is the paper's Algorithm 1: normalize the rows of Ψ_K, take the
+// row correlations G = UU* − I, and repeatedly delete the row involved in
+// the strongest remaining correlation until M rows survive, guarding
+// against rank collapse of the sensing matrix.
 //
-// Three implementation notes, all recorded in DESIGN.md:
+// Four implementation notes, all recorded in DESIGN.md:
 //
 //   - Correlation magnitude. We eliminate by |G[i,j]| rather than the signed
 //     maximum: a row and its negation span the same direction and are just as
@@ -27,12 +27,17 @@ import (
 //     lazily-invalidated max-heap over the per-row maxima — O(log R) per
 //     removal instead of the O(R) linear rescan — and the post-removal
 //     repair walks a reverse index of argmax pointers instead of scanning
-//     all rows. The algorithm as a whole stays Θ(R²) — the Gram build is
-//     O(R²K) and the aggregate tie-break scans the victim pair's rows — but
-//     the heap+index remove two of the three per-removal linear scans. At
-//     the paper's scale the heap won 15 of 16 timed pairs against the
-//     rescan (DESIGN.md); the rescan survives only as the test reference,
-//     which must produce identical allocations.
+//     all rows. The algorithm as a whole stays Θ(R²K) — the initial row
+//     maxima and the aggregate tie-break scan whole rows — but the
+//     heap+index remove two of the three per-removal linear scans. At the
+//     paper's scale the heap won 15 of 16 timed pairs against the rescan
+//     (DESIGN.md); the rescan survives only as the test reference, which
+//     must produce identical allocations.
+//   - No stored G. The R×R matrix (45 MB in float32 at the paper's 3,360
+//     cells) is never built: the normalized rows are kept K-major
+//     (corrBlock) and each row of G is recomputed when a scan needs it, by
+//     the column kernels of mat.DotsArgMax and mat.AbsDotsInto, whose
+//     entries are bitwise the stored ones. Memory is O(R·K).
 type Greedy struct {
 	// SignedMax selects the paper-literal signed max-element rule.
 	SignedMax bool
@@ -113,6 +118,22 @@ func (g *Greedy) Name() string { return "greedy" }
 // restored from the previous iteration is returned even if it still holds
 // more than M rows — Algorithm 1's "restore and break" semantics.
 func (g *Greedy) Allocate(in Input) ([]int, error) {
+	return g.allocate(in, matKernels)
+}
+
+// columnKernels are the two kernels Allocate runs over the K-major block:
+// a row's largest correlation with the other live rows and its first
+// column (mat.DotsArgMax), and a row's correlation magnitudes with every
+// column (mat.AbsDotsInto). The tests run Allocate through mat's kernels
+// and through scalar ones built on mat.Dot.
+type columnKernels struct {
+	argMax  func(x, b []float64, skip int, signed bool) (float32, int)
+	absInto func(dst []float32, x, b []float64)
+}
+
+var matKernels = columnKernels{argMax: mat.DotsArgMax, absInto: mat.AbsDotsInto}
+
+func (g *Greedy) allocate(in Input, kern columnKernels) ([]int, error) {
 	if in.Psi == nil {
 		return nil, fmt.Errorf("%w: greedy needs Psi", ErrBadInput)
 	}
@@ -136,60 +157,53 @@ func (g *Greedy) Allocate(in Input) ([]int, error) {
 		return nil, fmt.Errorf("%w: M=%d < K=%d cannot keep Ψ̃ full rank", ErrBadInput, in.M, k)
 	}
 
-	// U: normalized candidate rows.
-	u := mat.New(len(rows), k)
-	for r, c := range rows {
-		row := mat.CopyVec(in.Psi.Row(c))
-		mat.Normalize(row)
-		u.SetRow(r, row)
-	}
-
-	// G stored in float32 to halve the footprint (N=3360 → 45 MB); the
-	// comparisons only need ~7 digits.
 	nr := len(rows)
-	gm, rowMax, rowArg := correlations(u, g.SignedMax)
+	blk := newCorrBlock(in.Psi, rows)
 
-	// active flags the surviving rows and live lists them ascending. Every
-	// scan below walks live, which visits the active rows in the order a
-	// full ascending scan over the flags would — so each max, argmax and
-	// sum is the full scan's — while skipping the removed ones for free.
-	active := make([]bool, nr)
-	live := make([]int32, nr)
-	for i := range active {
-		active[i] = true
-		live[i] = int32(i)
+	// rowArgMax returns row i's largest correlation with the other live
+	// rows and the first row holding it (−1 when there is none): the
+	// maximum of float32(|uᵢ·uⱼ|), or of the signed product, over live
+	// j ≠ i in ascending order, strict > from −∞.
+	rowArgMax := func(i int, x []float64) (float32, int) {
+		v, c := kern.argMax(blk.column(x, i), blk.data, int(blk.rowCol[i]), g.SignedMax)
+		if c < 0 {
+			return v, -1
+		}
+		return v, int(blk.colRow[c])
 	}
 
 	// Per-row max correlation and argmax over active peers, maintained
 	// incrementally: recomputed only for rows whose argmax was removed.
+	// The initial maxima are independent row scans, so they fan out over
+	// the CPUs.
+	rowMax := make([]float32, nr)
+	rowArg := make([]int, nr)
+	workers := 0
+	if nr*blk.n*k < mat.ParallelThreshold {
+		workers = 1
+	}
+	mat.ParallelChunks(nr, workers, func(lo, hi int) {
+		x := make([]float64, k)
+		for i := lo; i < hi; i++ {
+			rowMax[i], rowArg[i] = rowArgMax(i, x)
+		}
+	})
+
 	// argRev is the reverse index — argRev[j] holds every row that ever set
 	// rowArg = j since argRev[j] was last consumed — so the repair step
 	// touches only candidate rows instead of scanning all R. Entries go
 	// stale when a later recompute moves the row's argmax elsewhere; the
 	// consumer filters on the live rowArg.
 	argRev := make([][]int32, nr)
-	recompute := func(i int) {
-		best := float32(math.Inf(-1))
-		arg := -1
-		row := gm[i*nr : (i+1)*nr]
-		for _, j32 := range live {
-			j := int(j32)
-			if j == i {
-				continue
-			}
-			if v := row[j]; v > best {
-				best = v
-				arg = j
-			}
-		}
-		rowMax[i] = best
-		rowArg[i] = arg
+	for i, arg := range rowArg {
 		if arg >= 0 {
 			argRev[arg] = append(argRev[arg], int32(i))
 		}
 	}
-	for i, arg := range rowArg {
-		if arg >= 0 {
+	x := make([]float64, k)
+	recompute := func(i int) {
+		rowMax[i], rowArg[i] = rowArgMax(i, x)
+		if arg := rowArg[i]; arg >= 0 {
 			argRev[arg] = append(argRev[arg], int32(i))
 		}
 	}
@@ -210,8 +224,13 @@ func (g *Greedy) Allocate(in Input) ([]int, error) {
 		}
 	}
 
+	active := make([]bool, nr)
+	for i := range active {
+		active[i] = true
+	}
+	remaining := nr
 	survivors := func() []int {
-		out := make([]int, 0, len(live))
+		out := make([]int, 0, remaining)
 		for r, on := range active {
 			if on {
 				out = append(out, rows[r])
@@ -221,7 +240,10 @@ func (g *Greedy) Allocate(in Input) ([]int, error) {
 		return out
 	}
 
-	for len(live) > in.M {
+	// Scratch rows of correlation magnitudes for the tie-break.
+	va, vb := make([]float32, blk.n), make([]float32, blk.n)
+
+	for remaining > in.M {
 		// Row participating in the globally strongest correlation.
 		victim := -1
 		for {
@@ -241,20 +263,21 @@ func (g *Greedy) Allocate(in Input) ([]int, error) {
 		// Remove the endpoint with the larger aggregate correlation — the
 		// more redundant of the two.
 		if j := rowArg[victim]; j >= 0 && rowMax[j] == rowMax[victim] {
-			if aj, av := g.aggregates(gm, nr, live, j, victim); aj > av {
+			if aj, av := blk.aggregates(kern, va[:blk.n], vb[:blk.n], x, j, victim); aj > av {
 				victim = j
 			}
 		}
 
 		active[victim] = false
-		at := sort.Search(len(live), func(p int) bool { return int(live[p]) >= victim })
-		live = append(live[:at], live[at+1:]...)
+		remaining--
+		blk.kill(victim)
 
-		if g.CheckEveryStep || len(live) <= checkBelow {
+		if g.CheckEveryStep || remaining <= checkBelow {
 			sub := in.Psi.SelectRows(survivors())
 			if mat.NewQR(sub).Rank() < k {
 				// Restore and break (Algorithm 1 step 3(d)).
 				active[victim] = true
+				remaining++
 				return survivors(), nil
 			}
 		}
@@ -278,84 +301,134 @@ func (g *Greedy) Allocate(in Input) ([]int, error) {
 	return survivors(), nil
 }
 
-// aggregates returns the sums of rows a's and b's correlations with their
-// active peers (tie-break criterion: "the row that shows the highest
-// correlation with the other ones"). Each sum runs in ascending peer order;
-// the two run interleaved in one pass, so their add chains overlap.
-func (g *Greedy) aggregates(gm []float32, nr int, live []int32, a, b int) (sa, sb float64) {
-	ra, rb := gm[a*nr:(a+1)*nr], gm[b*nr:(b+1)*nr]
-	for _, j32 := range live {
-		j := int(j32)
-		va, vb := float64(ra[j]), float64(rb[j])
-		if g.SignedMax {
-			// Aggregate redundancy is directionless even in signed mode.
-			va, vb = math.Abs(va), math.Abs(vb)
-		}
-		if j != a {
-			sa += va
-		}
-		if j != b {
-			sb += vb
-		}
-	}
-	return sa, sb
+// corrBlock holds the normalized candidate rows uᵢ = Ψ_K[rows[i]]/‖·‖ as the
+// columns of a K-major block, the layout the column kernels read: element
+// k of column c at data[k·n+c], n a multiple of mat.DotsWidth. Columns
+// keep the rows in ascending order, so a scan in column order visits the
+// live rows as an ascending scan over the rows would. A removed row's
+// column is filled with NaN, which no kernel maximum ever picks and whose
+// magnitude reads 0; once half the used columns are dead the live ones are
+// moved to the front and the block shrinks, so the scans stay within
+// twice the live rows. Its memory is O(R·K): the R×R correlation matrix is
+// never stored, each row of it is recomputed when a scan needs it.
+type corrBlock struct {
+	k, n   int
+	dead   int       // dead columns among the used ones
+	data   []float64 // k·n values
+	colRow []int32   // row of each used column, −1 once dead; later columns pad
+	rowCol []int32   // column of each row, −1 once dead
 }
 
-// correlations returns Algorithm 1's row-correlation matrix of the
-// normalized rows of u, R×R in float32: G[i][j] = |uᵢ·uⱼ| off the diagonal
-// (the signed product when signed), and a diagonal of 0, or −∞ when signed
-// so a row never selects itself. It also returns each row's largest
-// off-diagonal entry and its column (the first on ties, −1 when there is
-// none): the row maxima with every row still active.
-//
-// Rows are built eight at a time as one batch product U·[uᵢ … uᵢ₊₇]
-// through mat.MulVecBiasBatchInto against a zero bias, which runs eight
-// snapshots through its AVX-512 kernel where the CPU has one: each entry is
-// then a single dot product summed left to right from +0 — mat.Dot's sum,
-// and the same one for G[i][j] and G[j][i] since the products commute — so
-// both triangles come out exactly as the pairwise build would mirror them,
-// whatever the block width or kernel. The blocks are independent, so they
-// fan out over the CPUs.
-func correlations(u *mat.Matrix, signed bool) (gm, rowMax []float32, rowArg []int) {
-	nr := u.Rows()
-	gm = make([]float32, nr*nr)
-	rowMax = make([]float32, nr)
-	rowArg = make([]int, nr)
-	diag := float32(0)
-	if signed {
-		diag = float32(math.Inf(-1))
+func newCorrBlock(psi *mat.Matrix, rows []int) *corrBlock {
+	k := psi.Cols()
+	b := &corrBlock{
+		k:      k,
+		n:      padColumns(len(rows)),
+		colRow: make([]int32, len(rows)),
+		rowCol: make([]int32, len(rows)),
 	}
-	zero := make([]float64, nr)
-	const width = 8
-	mat.ParallelChunks((nr+width-1)/width, 0, func(lo, hi int) {
-		buf := mat.New(width, nr)
-		dst := make([][]float64, width)
-		xs := make([][]float64, width)
-		for b := lo; b < hi; b++ {
-			i0, i1 := width*b, min(width*b+width, nr)
-			for i := i0; i < i1; i++ {
-				dst[i-i0] = buf.Row(i - i0)
-				xs[i-i0] = u.Row(i)
-			}
-			mat.MulVecBiasBatchInto(dst[:i1-i0], zero, u, xs[:i1-i0])
-			for i := i0; i < i1; i++ {
-				row := gm[i*nr : (i+1)*nr]
-				best := float32(math.Inf(-1))
-				arg := -1
-				for j, v := range dst[i-i0] {
-					if !signed {
-						v = math.Abs(v)
-					}
-					row[j] = float32(v)
-					if j != i && row[j] > best {
-						best = row[j]
-						arg = j
-					}
-				}
-				row[i] = diag
-				rowMax[i], rowArg[i] = best, arg
+	b.data = make([]float64, k*b.n)
+	u := make([]float64, k)
+	for r, c := range rows {
+		copy(u, psi.Row(c))
+		mat.Normalize(u)
+		for i, v := range u {
+			b.data[i*b.n+r] = v
+		}
+		b.colRow[r], b.rowCol[r] = int32(r), int32(r)
+	}
+	b.fillNaN(len(rows))
+	return b
+}
+
+// padColumns rounds a column count up to a positive multiple of
+// mat.DotsWidth.
+func padColumns(cols int) int {
+	return max(1, (cols+mat.DotsWidth-1)/mat.DotsWidth) * mat.DotsWidth
+}
+
+// fillNaN marks columns from..n−1 as padding.
+func (b *corrBlock) fillNaN(from int) {
+	nan := math.NaN()
+	for i := 0; i < b.k; i++ {
+		pad := b.data[i*b.n+from : (i+1)*b.n]
+		for c := range pad {
+			pad[c] = nan
+		}
+	}
+}
+
+// column copies row's normalized vector out of its column into x.
+func (b *corrBlock) column(x []float64, row int) []float64 {
+	c := int(b.rowCol[row])
+	for i := range x {
+		x[i] = b.data[i*b.n+c]
+	}
+	return x
+}
+
+// kill removes row from the scans: its column becomes NaN, and the block
+// is compacted once half its used columns are dead.
+func (b *corrBlock) kill(row int) {
+	c := int(b.rowCol[row])
+	nan := math.NaN()
+	for i := 0; i < b.k; i++ {
+		b.data[i*b.n+c] = nan
+	}
+	b.colRow[c], b.rowCol[row] = -1, -1
+	b.dead++
+	if 2*b.dead >= len(b.colRow) {
+		b.compact()
+	}
+}
+
+// compact moves the live columns, in order, to the front of a block of
+// padColumns(live) columns. It copies in place, each block row forward:
+// no value is overwritten before it is read, since the new row stride is
+// at most the old one and every live column moves down or stays.
+func (b *corrBlock) compact() {
+	live := len(b.colRow) - b.dead
+	n := padColumns(live)
+	for i := 0; i < b.k; i++ {
+		src, dst := b.data[i*b.n:i*b.n+len(b.colRow)], b.data[i*n:i*n+live]
+		w := 0
+		for c, r := range b.colRow {
+			if r >= 0 {
+				dst[w] = src[c]
+				w++
 			}
 		}
-	})
-	return gm, rowMax, rowArg
+	}
+	w := 0
+	for _, r := range b.colRow {
+		if r >= 0 {
+			b.colRow[w], b.rowCol[r] = r, int32(w)
+			w++
+		}
+	}
+	b.colRow = b.colRow[:live]
+	b.n, b.dead = n, 0
+	b.data = b.data[:b.k*n]
+	b.fillNaN(live)
+}
+
+// aggregates returns the sums of rows i's and j's correlation magnitudes
+// with their live peers (tie-break criterion: "the row that shows the
+// highest correlation with the other ones"; directionless even in signed
+// mode). Each sum adds the float64 of every float32 magnitude in ascending
+// peer order from +0, as a scan over the peers would: the row's own column
+// is zeroed and a dead column's magnitude reads +0, and adding +0 to a sum
+// that started at +0 leaves it bitwise unchanged. The two sums run
+// interleaved in one pass, so their add chains overlap.
+func (b *corrBlock) aggregates(kern columnKernels, vi, vj []float32, x []float64, i, j int) (si, sj float64) {
+	kern.absInto(vi, b.column(x, i), b.data)
+	kern.absInto(vj, b.column(x, j), b.data)
+	vi[b.rowCol[i]] = 0
+	vj[b.rowCol[j]] = 0
+	vj = vj[:len(vi)]
+	for c, v := range vi {
+		si += float64(v)
+		sj += float64(vj[c])
+	}
+	return si, sj
 }

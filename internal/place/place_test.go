@@ -567,11 +567,18 @@ func TestParseStrategies(t *testing.T) {
 	}
 }
 
-// TestGreedyBitIdenticalToReference pins Allocate's blocked correlation
-// build and active-list scans to the serial reference (greedy_ref_test.go):
-// identical sensors for both victim engines, both correlation rules, with
-// and without a mask, on random bases, on a trained thermal basis and on a
-// basis built to tie.
+// TestGreedyBitIdenticalToReference pins Allocate's on-demand correlations
+// over the K-major block to the serial reference (greedy_ref_test.go),
+// which stores the R×R matrix: identical sensors through both kernel sets
+// (mat's, AVX-512 where the CPU has it, and the scalar mat.Dot twins),
+// against both victim engines of the reference, for both correlation
+// rules, with and without a mask, with the default rank-check schedule,
+// one checking every step and one checking from halfway (both only up to
+// 300 rows, where a rank check per step stays cheap). The bases are
+// random, trained, built to tie (small integers, and rows repeated or
+// negated), and sized below, at and across the 64-column kernel width
+// (R % 64 ≠ 0 included); every run from R rows down to M crosses each
+// compaction of the block.
 func TestGreedyBitIdenticalToReference(t *testing.T) {
 	ds, err := dataset.Generate(floorplan.UltraSparcT1(), dataset.GenConfig{
 		Grid: floorplan.Grid{W: 16, H: 14}, Snapshots: 80, Seed: 5,
@@ -599,14 +606,34 @@ func TestGreedyBitIdenticalToReference(t *testing.T) {
 		}
 		return psi
 	}
+	// An orthonormal basis whose later rows repeat or negate earlier ones.
+	echoed := func(n, k int, seed int64) *mat.Matrix {
+		r := rand.New(rand.NewSource(seed))
+		psi := mat.RandomOrthonormal(n, k, r)
+		for i := n / 2; i < n; i++ {
+			if r.Intn(3) > 0 {
+				row := psi.Row(i)
+				copy(row, psi.Row(r.Intn(i)))
+				if r.Intn(2) == 0 {
+					mat.ScaleVec(-1, row)
+				}
+			}
+		}
+		return psi
+	}
 	cases := []struct {
 		name string
 		psi  *mat.Matrix
 		m    int
 	}{
 		{"fixture", fixPsi, 8},
+		{"random-63x4", mat.RandomOrthonormal(63, 4, rng), 6},
+		{"random-64x5", mat.RandomOrthonormal(64, 5, rng), 7},
+		{"random-65x5", mat.RandomOrthonormal(65, 5, rng), 5},
+		{"random-130x6", mat.RandomOrthonormal(130, 6, rng), 9},
 		{"random-300x6", mat.RandomOrthonormal(300, 6, rng), 9},
 		{"random-901x13", mat.RandomOrthonormal(901, 13, rng), 20},
+		{"echoed-200x5", echoed(200, 5, 3), 8},
 		{"tied-54x3-a", tied(0), 5},
 		{"tied-54x3-b", tied(5), 5},
 		{"t1-16x14", trained, 12},
@@ -619,23 +646,41 @@ func TestGreedyBitIdenticalToReference(t *testing.T) {
 		}
 		for _, masked := range []bool{false, true} {
 			for _, signed := range []bool{false, true} {
-				for _, rescan := range []bool{false, true} {
+				for _, sched := range []struct {
+					name  string
+					every bool
+					below int
+				}{{"default", false, 0}, {"every", true, 0}, {"below=n/2", false, n / 2}} {
+					if sched.name != "default" && n > 300 {
+						continue
+					}
 					in := Input{Psi: c.psi, M: c.m}
 					if masked {
 						in.Mask = mask
 					}
-					g := &Greedy{SignedMax: signed}
-					got, err := g.Allocate(in)
+					g := &Greedy{SignedMax: signed, CheckEveryStep: sched.every, RankCheckBelow: sched.below}
+					want, err := refAllocate(g, in, false)
 					if err != nil {
 						t.Fatal(err)
 					}
-					want, err := refAllocate(g, in, rescan)
-					if err != nil {
-						t.Fatal(err)
+					if sched.name == "default" {
+						rescan, err := refAllocate(g, in, true)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if fmt.Sprint(rescan) != fmt.Sprint(want) {
+							t.Fatalf("%s masked=%v signed=%v: reference rescan %v, heap %v", c.name, masked, signed, rescan, want)
+						}
 					}
-					if fmt.Sprint(got) != fmt.Sprint(want) {
-						t.Fatalf("%s masked=%v signed=%v rescan=%v: sensors %v, reference %v",
-							c.name, masked, signed, rescan, got, want)
+					for _, ks := range kernelSets {
+						got, err := g.allocate(in, ks.kern)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if fmt.Sprint(got) != fmt.Sprint(want) {
+							t.Fatalf("%s masked=%v signed=%v schedule=%s kernels=%s: sensors %v, reference %v",
+								c.name, masked, signed, sched.name, ks.name, got, want)
+						}
 					}
 				}
 			}

@@ -137,17 +137,28 @@ type Model struct {
 
 	// Banded Cholesky factors of A = C/dt + G (transient steps) and G
 	// (steady states), assembled under the interleaved die/spreader
-	// ordering. Built by NewModel and then shared read-only by every
-	// Transient of this model — concurrent dataset-generation workers all
-	// solve against the same factor. A failed factorization is kept and
-	// returned by the first call that needs that factor.
+	// ordering. Taken by NewModel from the process's factor cache, which
+	// factors each grid and package once (factors.go), and then shared
+	// read-only by every Transient of this model — concurrent
+	// dataset-generation workers all solve against the same factor — and
+	// by every model of the same grid and package. A failed factorization
+	// is kept and returned by the first call that needs that factor.
 	facA, facG *mat.BandCholesky
 	errA, errG error
 }
 
 // NewModel assembles the RC network for grid g under cfg (zero fields take
-// defaults) and factors its two banded systems, which costs O(n·bw²).
+// defaults) and takes its two banded factors from the process's factor
+// cache. The first model of a grid and package factors them, which costs
+// O(n·bw²); later ones, whatever their ambient temperature or leakage,
+// reuse them.
 func NewModel(g floorplan.Grid, cfg Config) *Model {
+	return newModel(g, cfg, factors)
+}
+
+// newModel is NewModel against the factor cache c; with c nil the model
+// factors its own systems. The tests pass their own caches.
+func newModel(g floorplan.Grid, cfg Config, c *factorCache) *Model {
 	cfg.defaults()
 	if g.W <= 0 || g.H <= 0 {
 		panic(fmt.Sprintf("thermal: invalid grid %dx%d", g.H, g.W))
@@ -170,7 +181,8 @@ func NewModel(g floorplan.Grid, cfg Config) *Model {
 	}
 	m.diag = m.conductanceDiagonal()
 	m.ord = m.cellOrder()
-	m.factor()
+	p := c.pair(newFactorKey(g, cfg), m.factor)
+	m.facA, m.facG, m.errA, m.errG = p.facA, p.facG, p.errA, p.errG
 	return m
 }
 
@@ -283,14 +295,15 @@ func (m *Model) assembleBand(withMass bool) *mat.SymBand {
 // factorizations' scratch from overlapping what the caller allocates
 // afterwards, such as a generated ensemble's snapshot matrix, which lowers
 // the process's peak memory.
-func (m *Model) factor() {
+func (m *Model) factor() (facA, facG *mat.BandCholesky, errA, errG error) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		m.facA, m.errA = mat.NewBandCholesky(m.assembleBand(true))
+		facA, errA = mat.NewBandCholesky(m.assembleBand(true))
 	}()
-	m.facG, m.errG = mat.NewBandCholesky(m.assembleBand(false))
+	facG, errG = mat.NewBandCholesky(m.assembleBand(false))
 	<-done
+	return facA, facG, errA, errG
 }
 
 // SystemBands returns freshly assembled copies of the two matrices the
