@@ -483,10 +483,45 @@ func trainBenchGet(b *testing.B) (*dataset.Dataset, *core.Model) {
 	return trainBenchDS, trainBenchMdl
 }
 
+// provisionBenchDS returns the training ensemble of one of the two dies
+// the provision benchmark creates, simulated as the daemon simulates it
+// (load coupling 0.75): t1 at 60×56 with T 192, or manycore-256c at 32×32
+// with T 384.
+var provisionBenchDS = func() func(b *testing.B, name string) *dataset.Dataset {
+	var mu sync.Mutex
+	cache := map[string]*dataset.Dataset{}
+	return func(b *testing.B, name string) *dataset.Dataset {
+		b.Helper()
+		mu.Lock()
+		defer mu.Unlock()
+		if ds := cache[name]; ds != nil {
+			return ds
+		}
+		grid, snapshots := floorplan.Grid{W: 60, H: 56}, 192
+		if name != "t1" {
+			grid, snapshots = floorplan.Grid{W: 32, H: 32}, 384
+		}
+		fp, err := floorplan.Named(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		ds, err := dataset.Generate(fp, dataset.GenConfig{
+			Grid: grid, Snapshots: snapshots, Seed: 51, Power: power.ConfigFor(fp, 0.75),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		cache[name] = ds
+		return ds
+	}
+}()
+
 // BenchmarkTrain compares the two sides of the PCA duality on the shared
 // T1-sized ensemble (the tentpole criterion: gram ≥ 3× faster than
 // covariance at N ≈ 2–4×T). The auto arm tracks what Train actually picks
-// for this shape.
+// for this shape. The provision arms train the provision benchmark's two
+// dies with the daemon's options: t1 at 60×56, T 192, KMax 24 (the Gram
+// side) and manycore-256c at 32×32, T 384, KMax 16 (the covariance side).
 func BenchmarkTrain(b *testing.B) {
 	ds, _ := trainBenchGet(b)
 	for _, arm := range []struct {
@@ -500,6 +535,23 @@ func BenchmarkTrain(b *testing.B) {
 		b.Run(arm.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := core.Train(ds, core.TrainOptions{KMax: trainBenchKMax, Seed: 12, Method: arm.method}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	for _, arm := range []struct {
+		name, floorplan string
+		kmax            int
+	}{
+		{"provision-t1", "t1", 24},
+		{"provision-manycore", "manycore-256c", 16},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			ds := provisionBenchDS(b, arm.floorplan)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.Train(ds, core.TrainOptions{KMax: arm.kmax, Seed: 51}); err != nil {
 					b.Fatal(err)
 				}
 			}

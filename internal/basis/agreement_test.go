@@ -17,7 +17,7 @@ func maxPrincipalAngleSin(t *testing.T, a, b *mat.Matrix) float64 {
 	if a.Rows() != b.Rows() || a.Cols() != b.Cols() {
 		t.Fatalf("shape mismatch: %dx%d vs %dx%d", a.Rows(), a.Cols(), b.Rows(), b.Cols())
 	}
-	r := b.Clone().SubMatrix(mat.Mul(a, mat.MulTA(a, b)))
+	r := b.Clone().SubMatrix(mat.Mul(a, mat.Mul(a.T(), b)))
 	sv, err := mat.SingularValues(r)
 	if err != nil {
 		t.Fatal(err)

@@ -4,10 +4,10 @@ package mat
 // the small and one-off products of the pipeline, including, through their
 // write-into forms, the Kalman tracker's K- and M-sized per-step products.
 // The products that dominate a run do not go through them: the estimate
-// and govern routes and the design-time Gram, covariance and correlation
-// builds use the blocked batch kernel MulVecBiasBatchInto (gemv.go), which
-// forms four dot products at a time on contiguous rows and, on amd64, in
-// 256-bit vector registers.
+// and govern routes and the design-time Gram, covariance, Rayleigh–Ritz
+// and lift products use the blocked batch kernel MulVecBiasBatchInto
+// (gemv.go), which forms four dot products at a time on contiguous rows
+// and, on amd64, in 256-bit or 512-bit vector registers.
 
 // MulVec returns m·x.
 func MulVec(m *Matrix, x []float64) []float64 {
@@ -66,34 +66,8 @@ func MulInto(dst, a, b *Matrix) {
 	}
 }
 
-// MulTA returns aᵀ·b without materializing aᵀ.
-func MulTA(a, b *Matrix) *Matrix {
-	if a.rows != b.rows {
-		panic(ErrShape)
-	}
-	out := New(a.cols, b.cols)
-	for r := 0; r < a.rows; r++ {
-		arow := a.Row(r)
-		brow := b.Row(r)
-		for i, av := range arow {
-			if av == 0 {
-				continue
-			}
-			AXPY(av, brow, out.Row(i))
-		}
-	}
-	return out
-}
-
-// MulTB returns a·bᵀ without materializing bᵀ.
-func MulTB(a, b *Matrix) *Matrix {
-	out := New(a.rows, b.rows)
-	MulTBInto(out, a, b)
-	return out
-}
-
-// MulTBInto is the allocation-free form of MulTB: it overwrites dst
-// (a.Rows()×b.Rows(), aliasing neither a nor b) with a·bᵀ.
+// MulTBInto overwrites dst (a.Rows()×b.Rows(), aliasing neither a nor b)
+// with a·bᵀ, one Dot per entry, without materializing bᵀ.
 func MulTBInto(dst, a, b *Matrix) {
 	if a.cols != b.cols || dst.rows != a.rows || dst.cols != b.rows {
 		panic(ErrShape)

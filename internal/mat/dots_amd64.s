@@ -20,6 +20,17 @@ DATA dotsIota<>+56(SB)/4, $14
 DATA dotsIota<>+60(SB)/4, $15
 GLOBL dotsIota<>(SB), RODATA|NOPTR, $64
 
+// Every bit of a float32 but its sign, in each of 16 lanes.
+DATA dotsAbsMaskS<>+0(SB)/8, $0x7fffffff7fffffff
+DATA dotsAbsMaskS<>+8(SB)/8, $0x7fffffff7fffffff
+DATA dotsAbsMaskS<>+16(SB)/8, $0x7fffffff7fffffff
+DATA dotsAbsMaskS<>+24(SB)/8, $0x7fffffff7fffffff
+DATA dotsAbsMaskS<>+32(SB)/8, $0x7fffffff7fffffff
+DATA dotsAbsMaskS<>+40(SB)/8, $0x7fffffff7fffffff
+DATA dotsAbsMaskS<>+48(SB)/8, $0x7fffffff7fffffff
+DATA dotsAbsMaskS<>+56(SB)/8, $0x7fffffff7fffffff
+GLOBL dotsAbsMaskS<>(SB), RODATA|NOPTR, $64
+
 // DOTS64 sums the products of x[0:k] with the 64 columns of the block at
 // DI into Z0..Z7, eight columns per register, one column per lane: for i
 // ascending, Zr += x[i]·b[i·n + 8r : i·n + 8r + 8], a VMULPD rounded
@@ -59,7 +70,22 @@ krow:                           \
 	CMPQ         CX, R8         \
 	JLT          krow
 
-// func dotsMaxAVX512(x, b *float64, k, n, skip int, absMask uint32, vals *[64]float32, idx *[64]int32)
+// DOTSSUM16 adds the magnitudes of the 16 float32 values V, of columns
+// 16h … 16h+15 of a pass, into the float64 lane sums LO (columns
+// 16h … 16h+7) and HI (16h+8 … 16h+15): each lane converts its value
+// without its sign to float64 and adds it only where the value is not NaN
+// and K1 (column ≠ skip) is set. Uses Z24..Z26, K3 and K4.
+#define DOTSSUM16(V, LO, HI) \
+	VPANDD        dotsAbsMaskS<>(SB), V, Z24 \
+	VCMPPS        $7, Z24, Z24, K1, K3       \
+	KSHIFTRW      $8, K3, K4                 \
+	VCVTPS2PD     Y24, Z25                   \
+	VEXTRACTF64X4 $1, Z24, Y26               \
+	VCVTPS2PD     Y26, Z26                   \
+	VADDPD        Z25, LO, K3, LO            \
+	VADDPD        Z26, HI, K4, HI
+
+// func dotsMaxAVX512(x, b *float64, k, n, skip int, absMask uint32, vals *[64]float32, idx *[64]int32, sums *[32]float64)
 //
 // Each pass forms the products of x with 64 columns (DOTS64), rounds them
 // to float32 and ANDs them with absMask (0x7fffffff clears the sign, all
@@ -69,7 +95,12 @@ krow:                           \
 // only where it is greater (ordered compare, so NaN never wins) and its
 // column is not skip, so each lane holds the first column of its largest
 // value. The 64 lanes are stored to vals and idx for the caller to reduce.
-TEXT ·dotsMaxAVX512(SB), NOSPLIT, $0-64
+//
+// With sums non-nil, Z28..Z31 also keep DotsArgMaxSum's 32 lane sums
+// (DOTSSUM16), column c in lane c mod 32: columns 0 … 31 of a pass go to
+// Z28..Z31 before columns 32 … 63, so each lane adds its columns in
+// ascending order. They are stored to *sums at the end.
+TEXT ·dotsMaxAVX512(SB), NOSPLIT, $0-72
 	MOVQ x+0(FP), SI
 	MOVQ b+8(FP), DI
 	MOVQ k+16(FP), R8
@@ -101,6 +132,11 @@ TEXT ·dotsMaxAVX512(SB), NOSPLIT, $0-64
 	VPADDD       Z24, Z19, Z20
 	MOVL         $64, AX
 	VPBROADCASTD AX, Z21
+	MOVQ         sums+64(FP), DX
+	VPXORQ       Z28, Z28, Z28
+	VPXORQ       Z29, Z29, Z29
+	VPXORQ       Z30, Z30, Z30
+	VPXORQ       Z31, Z31, Z31
 
 pass:
 	DOTS64
@@ -113,6 +149,11 @@ pass:
 	VCMPPS       $0x1e, Z9, Z0, K1, K2 // and value > best (GT_OQ)
 	VMOVAPS      Z0, K2, Z9
 	VMOVDQA32    Z17, K2, Z13
+	TESTQ        DX, DX
+	JZ           sum0
+	DOTSSUM16(Z0, Z28, Z29)
+
+sum0:
 
 	VCVTPD2PS    Z2, Y2
 	VCVTPD2PS    Z3, Y3
@@ -122,6 +163,11 @@ pass:
 	VCMPPS       $0x1e, Z10, Z2, K1, K2
 	VMOVAPS      Z2, K2, Z10
 	VMOVDQA32    Z18, K2, Z14
+	TESTQ        DX, DX
+	JZ           sum1
+	DOTSSUM16(Z2, Z30, Z31)
+
+sum1:
 
 	VCVTPD2PS    Z4, Y4
 	VCVTPD2PS    Z5, Y5
@@ -131,6 +177,11 @@ pass:
 	VCMPPS       $0x1e, Z11, Z4, K1, K2
 	VMOVAPS      Z4, K2, Z11
 	VMOVDQA32    Z19, K2, Z15
+	TESTQ        DX, DX
+	JZ           sum2
+	DOTSSUM16(Z4, Z28, Z29)
+
+sum2:
 
 	VCVTPD2PS    Z6, Y6
 	VCVTPD2PS    Z7, Y7
@@ -140,6 +191,11 @@ pass:
 	VCMPPS       $0x1e, Z12, Z6, K1, K2
 	VMOVAPS      Z6, K2, Z12
 	VMOVDQA32    Z20, K2, Z16
+	TESTQ        DX, DX
+	JZ           sum3
+	DOTSSUM16(Z6, Z30, Z31)
+
+sum3:
 
 	VPADDD Z21, Z17, Z17
 	VPADDD Z21, Z18, Z18
@@ -159,6 +215,14 @@ pass:
 	VMOVDQU32 Z14, 64(AX)
 	VMOVDQU32 Z15, 128(AX)
 	VMOVDQU32 Z16, 192(AX)
+	TESTQ     DX, DX
+	JZ        done
+	VMOVUPD   Z28, (DX)
+	VMOVUPD   Z29, 64(DX)
+	VMOVUPD   Z30, 128(DX)
+	VMOVUPD   Z31, 192(DX)
+
+done:
 	VZEROUPPER
 	RET
 
@@ -302,7 +366,26 @@ krowy:                          \
 	VBLENDVPS Y9, CUR, Y10, Y10   \
 	VMOVUPS   Y10, OFF(BX)
 
-// func dotsMaxAVX(x, b *float64, k, n int, skip float32, absMask uint32, vals, idx *[32]float32)
+// DOTSSUMGROUP adds the magnitudes of eight float32 values V, of the
+// columns whose indices (as float32) are in CUR, into the float64 lane
+// sums at LO(DX) (the first four columns) and HI(DX) (the last four): a
+// value without its sign, zeroed where it is NaN or its column is the
+// skipped one in Y14, converted to float64. Uses Y8..Y10.
+#define DOTSSUMGROUP(V, CUR, LO, HI) \
+	VANDPS       dotsAbsMaskS<>(SB), V, Y8 \
+	VCMPPS       $7, Y8, Y8, Y9            \
+	VCMPPS       $4, Y14, CUR, Y10         \
+	VANDPS       Y10, Y9, Y9               \
+	VANDPS       Y9, Y8, Y8                \
+	VCVTPS2PD    X8, Y9                    \
+	VADDPD       LO(DX), Y9, Y9            \
+	VMOVUPD      Y9, LO(DX)                \
+	VEXTRACTF128 $1, Y8, X8                \
+	VCVTPS2PD    X8, Y8                    \
+	VADDPD       HI(DX), Y8, Y8            \
+	VMOVUPD      Y8, HI(DX)
+
+// func dotsMaxAVX(x, b *float64, k, n int, skip float32, absMask uint32, vals, idx *[32]float32, sums *[32]float64)
 //
 // dotsMaxAVX512 on 256-bit vectors for CPUs with AVX but not AVX-512:
 // each pass forms 32 columns' products (DOTS32Y), rounds them to float32,
@@ -310,8 +393,11 @@ krowy:                          \
 // which the caller fills with −∞ and −1 first. Only sixteen vector
 // registers exist here, so the lanes live in memory, and column indices
 // are float32 so that AVX alone (no AVX2 integer ops) can compare and
-// blend them.
-TEXT ·dotsMaxAVX(SB), NOSPLIT, $0-56
+// blend them. With sums non-nil, each pass also adds its 32 magnitudes
+// into DotsArgMaxSum's lanes in *sums (DOTSSUMGROUP), column c in lane
+// c mod 32; adding +0 where a column does not count leaves a lane as
+// skipping it would, since a sum started at +0 is never −0.
+TEXT ·dotsMaxAVX(SB), NOSPLIT, $0-64
 	MOVQ x+0(FP), SI
 	MOVQ b+8(FP), DI
 	MOVQ k+16(FP), R8
@@ -322,6 +408,7 @@ TEXT ·dotsMaxAVX(SB), NOSPLIT, $0-56
 	SHLQ $3, R9
 	MOVQ vals+40(FP), AX
 	MOVQ idx+48(FP), BX
+	MOVQ sums+56(FP), DX
 
 	VBROADCASTSS skip+32(FP), Y14
 	VBROADCASTSS absMask+36(FP), Y15
@@ -356,6 +443,15 @@ passy:
 	DOTSMAXGROUP(Y4, Y3, 64)
 	VADDPS Y12, Y3, Y5
 	DOTSMAXGROUP(Y6, Y5, 96)
+
+	TESTQ DX, DX
+	JZ    nosumy
+	DOTSSUMGROUP(Y0, Y13, 0, 32)
+	DOTSSUMGROUP(Y2, Y1, 64, 96)
+	DOTSSUMGROUP(Y4, Y3, 128, 160)
+	DOTSSUMGROUP(Y6, Y5, 192, 224)
+
+nosumy:
 
 	VADDPS Y11, Y13, Y13
 	ADDQ   $256, DI        // the next 32 columns
@@ -421,6 +517,28 @@ abspassy:
 	ADDQ       $256, DI
 	DECQ       R10
 	JNZ        abspassy
+
+	VZEROUPPER
+	RET
+
+// func subWidenedAVX512(dst *float64, src *float32, n int)
+//
+// dst[i] −= float64(src[i]) for i < n, eight per step: VCVTPS2PD widens
+// exactly, and one VSUBPD rounds each difference as the scalar loop does.
+TEXT ·subWidenedAVX512(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	XORQ AX, AX
+
+subloop:
+	VCVTPS2PD (SI)(AX*4), Z0
+	VMOVUPD   (DI)(AX*8), Z1
+	VSUBPD    Z0, Z1, Z1
+	VMOVUPD   Z1, (DI)(AX*8)
+	ADDQ      $8, AX
+	CMPQ      AX, CX
+	JLT       subloop
 
 	VZEROUPPER
 	RET

@@ -100,11 +100,18 @@ func TestDotsKernelsBitIdentical(t *testing.T) {
 								want, wantArg = v, c
 							}
 						}
-						got, arg := dotsArgMax(kern, x, b, skip, signed)
+						got, arg := dotsArgMax(kern, x, b, skip, signed, nil)
 						if math.Float32bits(got) != math.Float32bits(want) || arg != wantArg {
 							t.Fatalf("%s k=%d n=%d skip=%d signed=%v: max %v at %d, want %v at %d",
 								name, k, n, skip, signed, got, arg, want, wantArg)
 						}
+						var sums [DotsSumLanes]float64
+						got, arg = dotsArgMax(kern, x, b, skip, signed, &sums)
+						if math.Float32bits(got) != math.Float32bits(want) || arg != wantArg {
+							t.Fatalf("%s k=%d n=%d skip=%d signed=%v: with sums, max %v at %d, want %v at %d",
+								name, k, n, skip, signed, got, arg, want, wantArg)
+						}
+						checkLaneSums(t, fmt.Sprintf("%s k=%d n=%d skip=%d signed=%v", name, k, n, skip, signed), &sums, ref, skip)
 					}
 				}
 				dst := make([]float32, n)
@@ -120,6 +127,50 @@ func TestDotsKernelsBitIdentical(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// checkLaneSums holds DotsArgMaxSum's lanes to the magnitudes
+// float32(|ref[c]|) stored one by one: lane l, bit for bit, is their sum
+// over the columns c ≡ l (mod DotsSumLanes), c ≠ skip and not NaN, in
+// ascending order from +0; and the pairwise total is within the blocked
+// sum's bound, (n/DotsSumLanes + 4)·2⁻⁵³ of itself, of the serial sum.
+func checkLaneSums(t *testing.T, name string, sums *[DotsSumLanes]float64, ref []float64, skip int) {
+	t.Helper()
+	var want [DotsSumLanes]float64
+	var serial float64
+	for c, s := range ref {
+		m := float32(math.Abs(s))
+		if c == skip || m != m {
+			continue
+		}
+		want[c%DotsSumLanes] += float64(m)
+		serial += float64(m)
+	}
+	for l := range want {
+		if math.Float64bits(sums[l]) != math.Float64bits(want[l]) {
+			t.Fatalf("%s: lane %d sum %v, want %v", name, l, sums[l], want[l])
+		}
+	}
+	total := sumLanes(sums)
+	bound := float64(len(ref)/DotsSumLanes+4+len(ref)) * 0x1p-53 * total
+	if d := math.Abs(total - serial); d > bound {
+		t.Fatalf("%s: blocked sum %v, serial %v: |difference| %v above %v", name, total, serial, d, bound)
+	}
+}
+
+// TestDotsArgMaxSumPublic pins DotsArgMaxSum to the kernels it runs: the
+// maximum and column of DotsArgMax and the pairwise total of the lanes.
+func TestDotsArgMaxSumPublic(t *testing.T) {
+	rng := rand.New(rand.NewSource(72))
+	x := []float64{0.5, -1, 2}
+	b := dotsBlockFixture(rng, x, 192)
+	v, c, sum := DotsArgMaxSum(x, b, 3, false)
+	wv, wc := DotsArgMax(x, b, 3, false)
+	var sums [DotsSumLanes]float64
+	dotsArgMax(dotsGeneric, x, b, 3, false, &sums)
+	if v != wv || c != wc || math.Float64bits(sum) != math.Float64bits(sumLanes(&sums)) {
+		t.Fatalf("DotsArgMaxSum %v at %d sum %v; DotsArgMax %v at %d, generic lanes sum %v", v, c, sum, wv, wc, sumLanes(&sums))
 	}
 }
 
@@ -139,11 +190,11 @@ func TestDotsArgMaxNoneQualifies(t *testing.T) {
 			b    []float64
 			skip int
 		}{{dead, -1}, {one, 5}} {
-			if v, arg := dotsArgMax(kern, x, c.b, c.skip, false); !math.IsInf(float64(v), -1) || arg != -1 {
+			if v, arg := dotsArgMax(kern, x, c.b, c.skip, false, nil); !math.IsInf(float64(v), -1) || arg != -1 {
 				t.Fatalf("%s skip=%d: %v at %d, want -Inf at -1", name, c.skip, v, arg)
 			}
 		}
-		if v, arg := dotsArgMax(kern, x, one, -1, false); v != 3 || arg != 5 {
+		if v, arg := dotsArgMax(kern, x, one, -1, false, nil); v != 3 || arg != 5 {
 			t.Fatalf("%s: %v at %d, want 3 at 5", name, v, arg)
 		}
 	}
@@ -181,7 +232,13 @@ func BenchmarkDots(b *testing.B) {
 		for name, kern := range dotsKernels() {
 			b.Run(fmt.Sprintf("k=%d/n=%d/path=%s/argmax", shape.k, shape.n, name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					dotsArgMax(kern, x, blk, 7, false)
+					dotsArgMax(kern, x, blk, 7, false, nil)
+				}
+			})
+			b.Run(fmt.Sprintf("k=%d/n=%d/path=%s/argmaxsum", shape.k, shape.n, name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					var sums [DotsSumLanes]float64
+					dotsArgMax(kern, x, blk, 7, false, &sums)
 				}
 			})
 			b.Run(fmt.Sprintf("k=%d/n=%d/path=%s/values", shape.k, shape.n, name), func(b *testing.B) {

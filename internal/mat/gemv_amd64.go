@@ -73,10 +73,11 @@ func maxSets4AVX(dst, x *float64, idx *int32, groups, length int)
 
 // dotsMaxAVX512 runs DotsArgMax's scan over the n columns of the K-major
 // block b (dots_amd64.s), leaving each of its 64 lanes' largest value and
-// first column (−1 when none) in vals and idx.
+// first column (−1 when none) in vals and idx, and with sums non-nil
+// adding DotsArgMaxSum's lanes into *sums.
 //
 //go:noescape
-func dotsMaxAVX512(x, b *float64, k, n, skip int, absMask uint32, vals *[DotsWidth]float32, idx *[DotsWidth]int32)
+func dotsMaxAVX512(x, b *float64, k, n, skip int, absMask uint32, vals *[DotsWidth]float32, idx *[DotsWidth]int32, sums *[DotsSumLanes]float64)
 
 // absDotsAVX512 is absDotsGeneric on 512-bit vectors (dots_amd64.s).
 //
@@ -88,9 +89,21 @@ func absDotsAVX512(dst *float32, x, b *float64, k, n int)
 // vals and idx, which the caller fills with −∞ and −1 first.
 //
 //go:noescape
-func dotsMaxAVX(x, b *float64, k, n int, skip float32, absMask uint32, vals, idx *[dotsLanesAVX]float32)
+func dotsMaxAVX(x, b *float64, k, n int, skip float32, absMask uint32, vals, idx *[dotsLanesAVX]float32, sums *[DotsSumLanes]float64)
 
 // absDotsAVX is absDotsGeneric on 256-bit vectors (dots_amd64.s).
 //
 //go:noescape
 func absDotsAVX(dst *float32, x, b *float64, k, n int)
+
+// rotateAVX512 is rotateGeneric on 512-bit vectors (rotate_amd64.s); n
+// must be a positive multiple of 8.
+//
+//go:noescape
+func rotateAVX512(x, y *float64, n int, c, s float64)
+
+// subWidenedAVX512 is subWidenedGeneric on 512-bit vectors (dots_amd64.s);
+// n must be a positive multiple of 8.
+//
+//go:noescape
+func subWidenedAVX512(dst *float64, src *float32, n int)

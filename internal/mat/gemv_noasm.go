@@ -25,7 +25,7 @@ func maxSets4AVX(dst, x *float64, idx *int32, groups, length int) {
 	panic("mat: no AVX max-sets kernel on this platform")
 }
 
-func dotsMaxAVX512(x, b *float64, k, n, skip int, absMask uint32, vals *[DotsWidth]float32, idx *[DotsWidth]int32) {
+func dotsMaxAVX512(x, b *float64, k, n, skip int, absMask uint32, vals *[DotsWidth]float32, idx *[DotsWidth]int32, sums *[DotsSumLanes]float64) {
 	panic("mat: no AVX-512 dots kernel on this platform")
 }
 
@@ -33,10 +33,18 @@ func absDotsAVX512(dst *float32, x, b *float64, k, n int) {
 	panic("mat: no AVX-512 dots kernel on this platform")
 }
 
-func dotsMaxAVX(x, b *float64, k, n int, skip float32, absMask uint32, vals, idx *[dotsLanesAVX]float32) {
+func dotsMaxAVX(x, b *float64, k, n int, skip float32, absMask uint32, vals, idx *[dotsLanesAVX]float32, sums *[DotsSumLanes]float64) {
 	panic("mat: no AVX dots kernel on this platform")
 }
 
 func absDotsAVX(dst *float32, x, b *float64, k, n int) {
 	panic("mat: no AVX dots kernel on this platform")
+}
+
+func rotateAVX512(x, y *float64, n int, c, s float64) {
+	panic("mat: no AVX-512 rotation kernel on this platform")
+}
+
+func subWidenedAVX512(dst *float64, src *float32, n int) {
+	panic("mat: no AVX-512 subtraction kernel on this platform")
 }

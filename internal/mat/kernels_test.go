@@ -190,12 +190,95 @@ func TestTopCovarianceEigenBitIdenticalToReference(t *testing.T) {
 
 func TestRowGramWorkersBitIdenticalToRowGram(t *testing.T) {
 	rng := rand.New(rand.NewSource(165))
-	for _, shape := range [][2]int{{1, 5}, {7, 3}, {45, 300}, {193, 640}} {
+	for _, shape := range [][2]int{{1, 5}, {7, 3}, {9, 4}, {15, 17}, {16, 9}, {17, 33}, {45, 300}, {193, 640}} {
 		x := covData(shape[0], shape[1], rng)
 		want := RowGram(x)
 		for _, workers := range []int{1, 2, 3} {
 			got := RowGramWorkers(x, workers)
 			sameMatrixBits(t, fmt.Sprintf("%dx%d workers=%d", shape[0], shape[1], workers), got, want)
 		}
+	}
+}
+
+// TestHouseholderOddWidthsBitIdenticalToReference pins the four-column
+// reflector passes and the Q columns that start at their own reflector to
+// the row-major reference at every width from 1 to 9 and from 31 to 33
+// columns (whole blocks of four, and one to three columns left over), with
+// a zero column (τ = 0, its reflector skipped) first, in the middle and
+// last, on factors small enough for one goroutine and large enough to
+// build Q's blocks on all CPUs.
+func TestHouseholderOddWidthsBitIdenticalToReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(166))
+	widths := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 31, 32, 33}
+	for _, m := range []int{40, 1100} {
+		for _, n := range widths {
+			full := RandomMatrix(m, n, rng)
+			cases := map[string]*Matrix{"full": full}
+			for _, z := range []int{0, n / 2, n - 1} {
+				a := full.Clone()
+				for i := 0; i < m; i++ {
+					a.data[i*n+z] = 0
+				}
+				cases[fmt.Sprintf("zero-column-%d", z)] = a
+			}
+			for name, a := range cases {
+				what := fmt.Sprintf("%dx%d/%s", m, n, name)
+				wantPacked, wantTau := refQR(a)
+				wantQ := refQ(wantPacked, wantTau)
+				f := NewQR(a)
+				packed, tau := f.Factors()
+				sameMatrixBits(t, what+" packed factors", packed, wantPacked)
+				sameBits(t, what+" tau", tau, wantTau)
+				sameMatrixBits(t, what+" Orthonormalize", Orthonormalize(a), wantQ)
+			}
+		}
+	}
+}
+
+// TestRotateBitIdenticalToGeneric pins tql2's rotation, AVX-512 blocks of
+// eight plus the element-wise tail, to the element-wise loop at lengths
+// 1–9 and 63–65 (a tail of every length, and none) and at a Gram size,
+// for rotations with either sign and the degenerate ones (c or s zero).
+func TestRotateBitIdenticalToGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(167))
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 63, 64, 65, 192} {
+		for _, cs := range [][2]float64{{0.6, 0.8}, {-0.28, 0.96}, {1, 0}, {0, -1}, {rng.NormFloat64(), rng.NormFloat64()}} {
+			x, y := make([]float64, n), make([]float64, n)
+			for i := range x {
+				x[i], y[i] = rng.NormFloat64(), rng.NormFloat64()
+			}
+			x[n/2] = math.Copysign(0, -1)
+			wx, wy := CopyVec(x), CopyVec(y)
+			rotateGeneric(wx, wy, cs[0], cs[1])
+			rotate(x, y, cs[0], cs[1])
+			what := fmt.Sprintf("n=%d c=%v s=%v", n, cs[0], cs[1])
+			sameBits(t, what+" x", x, wx)
+			sameBits(t, what+" y", y, wy)
+		}
+	}
+}
+
+// TestSubWidenedBitIdenticalToGeneric pins the vector decrement to the
+// element-wise loop at lengths 0–17 and 63–65, with +0 (a dead column's
+// magnitude), subnormal and large float32 values.
+func TestSubWidenedBitIdenticalToGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(168))
+	for _, n := range []int{0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65} {
+		dst, src := make([]float64, n), make([]float32, n)
+		for i := range dst {
+			dst[i] = 1000 * rng.Float64()
+			switch i % 4 {
+			case 0:
+				src[i] = 0
+			case 1:
+				src[i] = math.SmallestNonzeroFloat32
+			default:
+				src[i] = float32(rng.NormFloat64() * 100)
+			}
+		}
+		want := CopyVec(dst)
+		subWidenedGeneric(want, src)
+		SubWidened(dst, src)
+		sameBits(t, fmt.Sprintf("n=%d", n), dst, want)
 	}
 }

@@ -46,43 +46,16 @@ func ParallelChunks(n, workers int, fn func(lo, hi int)) {
 	wg.Wait()
 }
 
-// MulTAWorkers returns aᵀ·b, fanning the output rows (columns of a) out over
-// at most workers goroutines (0 or negative = runtime.NumCPU()), each owning
-// its output slice. Small products stay single-threaded regardless of the
-// cap. Every element accumulates in row order as in MulTA, so the result is
-// bit-identical to it for every worker count.
-func MulTAWorkers(a, b *Matrix, workers int) *Matrix {
-	if a.rows != b.rows {
-		panic(ErrShape)
-	}
-	if workers == 1 || a.rows*a.cols*b.cols < ParallelThreshold {
-		return MulTA(a, b)
-	}
-	out := New(a.cols, b.cols)
-	ParallelChunks(a.cols, workers, func(lo, hi int) {
-		for r := 0; r < a.rows; r++ {
-			arow := a.Row(r)
-			brow := b.Row(r)
-			for i := lo; i < hi; i++ {
-				if av := arow[i]; av != 0 {
-					AXPY(av, brow, out.Row(i))
-				}
-			}
-		}
-	})
-	return out
-}
-
 // RowGramWorkers returns a·aᵀ (see RowGram), fanning blocks of rows out over
 // at most workers goroutines (0 or negative = runtime.NumCPU()); small Grams
 // stay single-threaded.
 //
-// Rows are formed four at a time as one MulVecBiasBatchInto product of the
-// trailing rows of a against a zero bias, which writes each block's upper
-// part; the strictly lower triangle is then mirrored. Every entry is one dot
-// product summed left to right from +0 — Dot's sum, the same for (i, j) and
-// (j, i) since the products commute — so the result is bit-identical to
-// RowGram for every worker count.
+// Rows are formed eight at a time, the width of the AVX-512 batch kernel, as
+// one MulVecBiasBatchInto product of the trailing rows of a against a zero
+// bias, which writes each block's upper part; the strictly lower triangle is
+// then mirrored. Every entry is one dot product summed left to right from
+// +0 — Dot's sum, the same for (i, j) and (j, i) since the products commute
+// — so the result is bit-identical to RowGram for every worker count.
 func RowGramWorkers(a *Matrix, workers int) *Matrix {
 	if a.rows*a.rows*a.cols/2 < ParallelThreshold {
 		workers = 1
@@ -91,10 +64,10 @@ func RowGramWorkers(a *Matrix, workers int) *Matrix {
 	out := New(n, n)
 	zero := make([]float64, n)
 	rows := a.rowViews()
-	ParallelChunks((n+3)/4, workers, func(lo, hi int) {
-		dst := make([][]float64, 4)
+	ParallelChunks((n+7)/8, workers, func(lo, hi int) {
+		dst := make([][]float64, 8)
 		for b := lo; b < hi; b++ {
-			i0, i1 := 4*b, min(4*b+4, n)
+			i0, i1 := 8*b, min(8*b+8, n)
 			for i := i0; i < i1; i++ {
 				dst[i-i0] = out.data[i*n+i0 : (i+1)*n]
 			}
@@ -102,8 +75,8 @@ func RowGramWorkers(a *Matrix, workers int) *Matrix {
 			MulVecBiasBatchInto(dst[:i1-i0], zero[i0:], tail, rows[i0:i1])
 		}
 	})
-	for i := 4; i < n; i++ {
-		for j := 0; j < i&^3; j++ {
+	for i := 8; i < n; i++ {
+		for j := 0; j < i&^7; j++ {
 			out.data[i*n+j] = out.data[j*n+i]
 		}
 	}

@@ -1,20 +1,33 @@
 package mat
 
 import (
+	"fmt"
 	"math/rand"
 	"sync/atomic"
 	"testing"
 )
 
-func TestMulTAWorkersMatchesSerial(t *testing.T) {
+// TestLiftTAMatchesSerial pins the snapshot-Gram lift to the row-streaming
+// MulTA bit for bit, for every worker count, on data with exact zeros of
+// both signs (the terms MulTA skips and the batch kernel multiplies
+// through), with N below, at and across the 64-column transpose block
+// (N % 64 ≠ 0 included) and k below and past the 8-row kernel width.
+func TestLiftTAMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(86))
-	a := RandomMatrix(300, 120, rng)
-	b := RandomMatrix(300, 130, rng)
-	want := MulTA(a, b)
-	for _, workers := range []int{0, 1, 2, 7} {
-		if !MulTAWorkers(a, b, workers).Equal(want, 0) {
-			t.Fatalf("MulTAWorkers(%d) not bit-identical to serial", workers)
+	for _, shape := range [][3]int{{300, 120, 130}, {7, 1, 3}, {40, 63, 8}, {40, 64, 9}, {33, 65, 24}, {192, 200, 24}, {5, 129, 1}} {
+		a := covData(shape[0], shape[1], rng)
+		b := RandomMatrix(shape[0], shape[2], rng)
+		want := MulTA(a, b)
+		for _, workers := range []int{0, 1, 2, 7} {
+			sameMatrixBits(t, fmt.Sprintf("%dx%d k=%d workers=%d", shape[0], shape[1], shape[2], workers), liftTA(a, b, workers), want)
 		}
+	}
+	// Large enough to fan out: 192·3360·24 multiply-adds.
+	a := covData(192, 3360, rng)
+	b := RandomMatrix(192, 24, rng)
+	want := MulTA(a, b)
+	for _, workers := range []int{0, 2, 3} {
+		sameMatrixBits(t, fmt.Sprintf("192x3360 k=24 workers=%d", workers), liftTA(a, b, workers), want)
 	}
 }
 

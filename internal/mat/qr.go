@@ -35,7 +35,10 @@ func NewQR(a *Matrix) *QR {
 //
 // Walking columns as contiguous slices is the whole point of the layout;
 // the operations and their order are the textbook row-major loop's, so the
-// factors are bit-identical to it.
+// factors are bit-identical to it. Each reflector meets the columns right
+// of it four per pass (reflect4): every column keeps its own dot product
+// and its own update, so the four add chains overlap instead of waiting on
+// one another.
 func householder(qc []float64, m, n int) []float64 {
 	tau := make([]float64, n)
 	for k := 0; k < n; k++ {
@@ -60,58 +63,116 @@ func householder(qc []float64, m, n int) []float64 {
 		ck[k] += 1
 		tau[k] = ck[k]
 		// Apply the reflector to the remaining columns.
-		for j := k + 1; j < n; j++ {
-			cj := qc[j*m : (j+1)*m]
-			var s float64
-			for i := k; i < m; i++ {
-				s += ck[i] * cj[i]
-			}
-			s = -s / ck[k]
-			for i := k; i < m; i++ {
-				cj[i] += s * ck[i]
-			}
+		v := ck[k+1:]
+		col := func(j int) []float64 { return qc[j*m+k : (j+1)*m] }
+		j := k + 1
+		for ; j+4 <= n; j += 4 {
+			reflect4(tau[k], v, col(j), col(j+1), col(j+2), col(j+3))
+		}
+		for ; j < n; j++ {
+			reflect(tau[k], v, col(j))
 		}
 		ck[k] = -norm // store R's diagonal (negated signed column norm)
 	}
 	return tau
 }
 
+// reflect applies a Householder reflector to column c: with the
+// reflector's diagonal element d and its sub-diagonal part v (c[0] meets
+// d, c[i+1] meets v[i]), s = −(d·c[0] + Σ v[i]·c[i+1])/d, the sum taken in
+// that order from +0, then c[0] += s·d and c[i+1] += s·v[i].
+func reflect(d float64, v, c []float64) {
+	c, cv := c[:1], c[1:len(v)+1]
+	var s float64
+	s += d * c[0]
+	for i, vi := range v {
+		s += vi * cv[i]
+	}
+	s = -s / d
+	c[0] += s * d
+	for i, vi := range v {
+		cv[i] += s * vi
+	}
+}
+
+// reflect4 is reflect on four columns at once, each with its own sum.
+func reflect4(d float64, v, c0, c1, c2, c3 []float64) {
+	n := len(v)
+	v0, v1, v2, v3 := c0[1:n+1], c1[1:n+1], c2[1:n+1], c3[1:n+1]
+	var s0, s1, s2, s3 float64
+	s0 += d * c0[0]
+	s1 += d * c1[0]
+	s2 += d * c2[0]
+	s3 += d * c3[0]
+	for i, vi := range v {
+		s0 += vi * v0[i]
+		s1 += vi * v1[i]
+		s2 += vi * v2[i]
+		s3 += vi * v3[i]
+	}
+	s0, s1, s2, s3 = -s0/d, -s1/d, -s2/d, -s3/d
+	c0[0] += s0 * d
+	c1[0] += s1 * d
+	c2[0] += s2 * d
+	c3[0] += s3 * d
+	for i, vi := range v {
+		v0[i] += s0 * vi
+		v1[i] += s1 * vi
+		v2[i] += s2 * vi
+		v3[i] += s3 * vi
+	}
+}
+
 // householderQT returns the thin Q of householder's column-major factors
 // transposed: row j of the n×m result is Q's column j, built by applying
-// the reflectors in reverse order to the unit vector e_j. The columns are
-// independent, so large factors build them on all CPUs.
+// the reflectors in reverse order to the unit vector e_j.
+//
+// Column j starts at reflector j: every reflector k > j meets only +0
+// entries of e_j (indices ≥ k > j), so its sum is +0 and each update adds
+// ±0 to +0, which leaves the +0 — skipping those reflectors is exact for
+// finite factors. The columns are built four per pass (reflect4), and the
+// blocks of four, independent of one another, go to all CPUs for large
+// factors. A block's cost grows with its first column, so the blocks are
+// dealt out small and large alternately (0, last, 1, last−1, …) to give
+// each contiguous chunk an even share.
 func householderQT(qc, tau []float64, m, n int) *Matrix {
 	qt := New(n, m)
 	workers := 0
 	if m*n*n < ParallelThreshold/4 {
 		workers = 1
 	}
-	ParallelChunks(n, workers, func(lo, hi int) {
-		for j := lo; j < hi; j++ {
-			householderColumn(qt.data[j*m:(j+1)*m], j, qc, tau, m, n)
+	blocks := (n + 3) / 4
+	ParallelChunks(blocks, workers, func(lo, hi int) {
+		for p := lo; p < hi; p++ {
+			b := p / 2
+			if p%2 == 1 {
+				b = blocks - 1 - p/2
+			}
+			householderColumns(qt.data, 4*b, min(4*b+4, n), qc, tau, m)
 		}
 	})
 	return qt
 }
 
-// householderColumn writes Q's column j into q (length m, zero on entry).
-func householderColumn(q []float64, j int, qc, tau []float64, m, n int) {
-	q[j] = 1
-	for k := n - 1; k >= 0; k-- {
+// householderColumns writes Q's columns j0 … j1−1 (at most four) into rows
+// j0 … j1−1 of qt (n×m, zero on entry there).
+func householderColumns(qt []float64, j0, j1 int, qc, tau []float64, m int) {
+	col := func(j, k int) []float64 { return qt[j*m+k : (j+1)*m] }
+	for j := j0; j < j1; j++ {
+		qt[j*m+j] = 1
+	}
+	for k := j1 - 1; k >= 0; k-- {
 		tk := tau[k]
 		if tk == 0 {
 			continue
 		}
-		v := qc[k*m : (k+1)*m]
-		var s float64
-		s += tk * q[k]
-		for i := k + 1; i < m; i++ {
-			s += v[i] * q[i]
+		v := qc[k*m+k+1 : (k+1)*m]
+		if k <= j0 && j1-j0 == 4 {
+			reflect4(tk, v, col(j0, k), col(j0+1, k), col(j0+2, k), col(j0+3, k))
+			continue
 		}
-		s = -s / tk
-		q[k] += s * tk
-		for i := k + 1; i < m; i++ {
-			q[i] += s * v[i]
+		for j := max(j0, k); j < j1; j++ {
+			reflect(tk, v, col(j, k))
 		}
 	}
 }

@@ -386,3 +386,33 @@ func refTopCovarianceEigen(x *Matrix, k int, opts SubspaceOptions) ([]float64, *
 	normalizeSigns(vecs)
 	return vals, vecs, nil
 }
+
+// MulTA returns aᵀ·b without materializing aᵀ: the row-streaming AXPY
+// product the snapshot-Gram lift (liftTA) and the Rayleigh–Ritz matrix
+// (covApply.rayleigh) must reproduce.
+func MulTA(a, b *Matrix) *Matrix {
+	if a.rows != b.rows {
+		panic(ErrShape)
+	}
+	out := New(a.cols, b.cols)
+	for r := 0; r < a.rows; r++ {
+		arow := a.Row(r)
+		brow := b.Row(r)
+		for i, av := range arow {
+			if av == 0 {
+				continue
+			}
+			AXPY(av, brow, out.Row(i))
+		}
+	}
+	return out
+}
+
+// MulTB returns a·bᵀ, one Dot per entry: the Rayleigh–Ritz product
+// TopCovarianceEigen formed as MulTB(Vᵀ, Wᵀ) before covApply.rayleigh,
+// and the reference MulTBInto is pinned to.
+func MulTB(a, b *Matrix) *Matrix {
+	out := New(a.rows, b.rows)
+	MulTBInto(out, a, b)
+	return out
+}

@@ -83,7 +83,7 @@ func TopCovarianceEigen(x *Matrix, k int, opts SubspaceOptions) ([]float64, *Mat
 	for iter := 0; iter < opts.MaxIter; iter++ {
 		wt := cov.apply(vt)
 		// Rayleigh–Ritz on the current subspace: H = VᵀW is VᵀCV.
-		h := MulTB(vt, wt)
+		h := cov.rayleigh(vt, wt)
 		eg, err := SymEigen(h)
 		if err != nil {
 			return nil, nil, fmt.Errorf("subspace iteration: %w", err)
@@ -112,7 +112,7 @@ func TopCovarianceEigen(x *Matrix, k int, opts SubspaceOptions) ([]float64, *Mat
 	}
 	// Final Rayleigh–Ritz rotation to align columns with eigenvectors.
 	wt := cov.apply(vt)
-	h := MulTB(vt, wt)
+	h := cov.rayleigh(vt, wt)
 	eg, err := SymEigen(h)
 	if err != nil {
 		return nil, nil, fmt.Errorf("subspace iteration (final rotation): %w", err)
@@ -169,6 +169,20 @@ func (c *covApply) apply(vt *Matrix) *Matrix {
 	return wt.Scale(c.scale)
 }
 
+// rayleigh returns the p×p Rayleigh–Ritz matrix H = VᵀW for the transposed
+// blocks vt = Vᵀ and wt = Wᵀ: row i of H is one MulVecBiasBatchInto
+// product of Wᵀ with basis vector i against a zero bias, so H[i][j] sums
+// W[n][j]·V[n][i] over n ascending from +0. That is Dot(vt[i], wt[j])
+// with each product's factors commuted, which rounds the same, and a zero
+// bias added to a sum started at +0 (never −0) leaves it unchanged, so H
+// is bitwise the entry-by-entry Dot product.
+func (c *covApply) rayleigh(vt, wt *Matrix) *Matrix {
+	p := vt.rows
+	h := New(p, p)
+	MulVecBiasBatchInto(h.rowViews(), c.zero[:p], wt, vt.rowViews())
+	return h
+}
+
 // SnapshotPODWorkers computes the leading eigenpairs of the covariance by
 // the classical "method of snapshots": eigendecompose the T×T row Gram
 // matrix XXᵀ/T and lift the eigenvectors back through Xᵀ. Exact (up to the
@@ -211,7 +225,7 @@ func SnapshotPODWorkers(x *Matrix, k, workers int) ([]float64, *Matrix, error) {
 	// normalization with MGS against the previous (finalized) columns,
 	// cached as slices so the O(k²) projections don't re-copy them.
 	_, wk := eg.TopK(k)
-	vecs := MulTAWorkers(x, wk, workers) // N×k
+	vecs := liftTA(x, wk, workers) // N×k
 	final := make([][]float64, k)
 	for j := 0; j < k; j++ {
 		u := vecs.Col(j)
@@ -230,6 +244,47 @@ func SnapshotPODWorkers(x *Matrix, k, workers int) ([]float64, *Matrix, error) {
 	}
 	normalizeSigns(vecs)
 	return vals, vecs, nil
+}
+
+// liftBlock is the number of columns of X each pass of liftTA transposes.
+const liftBlock = 64
+
+// liftTA returns xᵀ·w (N×k) for the T×N x and the T×k w, fanning blocks
+// of liftBlock columns of x out over at most workers goroutines (0 or
+// negative = runtime.NumCPU()); small products stay on the calling
+// goroutine. Each block is transposed into its goroutine's liftBlock×T
+// buffer and multiplied by wᵀ in one MulVecBiasBatchInto against a zero
+// bias, so entry (i, j) sums w[t][j]·x[t][i] over t ascending from +0:
+// the AXPY formulation's sum, x[t][i]·w[t][j] in the same order, with
+// each product's factors commuted, and with the terms of an exactly zero
+// x[t][i] included — a product with a zero factor is ±0 for finite w,
+// and adding ±0 leaves a sum that started at +0 unchanged. The result is
+// therefore bitwise the row-streaming product for every worker count.
+// Only a block of x is ever transposed, never the whole of it.
+func liftTA(x, w *Matrix, workers int) *Matrix {
+	if x.rows != w.rows {
+		panic(ErrShape)
+	}
+	t, n, k := x.rows, x.cols, w.cols
+	out := New(n, k)
+	if t*n*k < ParallelThreshold {
+		workers = 1
+	}
+	wt, zero, outs := w.T(), make([]float64, k), out.rowViews()
+	ParallelChunks((n+liftBlock-1)/liftBlock, workers, func(lo, hi int) {
+		buf := New(liftBlock, t)
+		cols := buf.rowViews()
+		for b := lo; b < hi; b++ {
+			c0, c1 := b*liftBlock, min(b*liftBlock+liftBlock, n)
+			for r := 0; r < t; r++ {
+				for c, v := range x.data[r*n+c0 : r*n+c1] {
+					buf.data[c*t+r] = v
+				}
+			}
+			MulVecBiasBatchInto(outs[c0:c1], zero, wt, cols[:c1-c0])
+		}
+	})
+	return out
 }
 
 // normalizeSigns flips each column so its largest-magnitude element is

@@ -144,7 +144,9 @@ func tred2(wt []float64, n int, d, e []float64) {
 		}
 		d[i] = h
 	}
-	// Accumulate transformations.
+	// Accumulate transformations. Row i+1 and d are read-only while rows
+	// 0 … i are updated, and each row j keeps its own sum g, so the rows
+	// go four per pass (accumulate4) with their add chains overlapped.
 	for i := 0; i < n-1; i++ {
 		wi, wi1 := row(i), row(i+1)
 		wi[n-1] = wi[i]
@@ -154,14 +156,20 @@ func tred2(wt []float64, n int, d, e []float64) {
 			for k := 0; k <= i; k++ {
 				d[k] = wi1[k] / h
 			}
-			for j := 0; j <= i; j++ {
-				wj := row(j)
+			u, dk := wi1[:i+1], d[:i+1]
+			part := func(j int) []float64 { return wt[j*n : j*n+i+1] }
+			j := 0
+			for ; j+4 <= i+1; j += 4 {
+				accumulate4(u, dk, part(j), part(j+1), part(j+2), part(j+3))
+			}
+			for ; j <= i; j++ {
+				wj := part(j)
 				var g float64
-				for k := 0; k <= i; k++ {
-					g += wi1[k] * wj[k]
+				for k, uk := range u {
+					g += uk * wj[k]
 				}
-				for k := 0; k <= i; k++ {
-					wj[k] = wj[k] - g*d[k]
+				for k, dv := range dk {
+					wj[k] = wj[k] - g*dv
 				}
 			}
 		}
@@ -175,6 +183,27 @@ func tred2(wt []float64, n int, d, e []float64) {
 	}
 	wt[n*n-1] = 1
 	e[0] = 0
+}
+
+// accumulate4 runs tred2's accumulation step on four rows at once: for
+// each row w, g = Σ u[k]·w[k] from +0 in ascending k, then
+// w[k] = w[k] − g·d[k].
+func accumulate4(u, d, w0, w1, w2, w3 []float64) {
+	n := len(u)
+	w0, w1, w2, w3, d = w0[:n], w1[:n], w2[:n], w3[:n], d[:n]
+	var g0, g1, g2, g3 float64
+	for k, uk := range u {
+		g0 += uk * w0[k]
+		g1 += uk * w1[k]
+		g2 += uk * w2[k]
+		g3 += uk * w3[k]
+	}
+	for k, dk := range d {
+		w0[k] = w0[k] - g0*dk
+		w1[k] = w1[k] - g1*dk
+		w2[k] = w2[k] - g2*dk
+		w3[k] = w3[k] - g3*dk
+	}
 }
 
 // tql2 diagonalizes the symmetric tridiagonal matrix (d, e) by the implicit
@@ -237,13 +266,7 @@ func tql2(wt []float64, n int, d, e []float64) error {
 					p = c*d[i] - s*g
 					d[i+1] = h + s*(c*g+s*d[i])
 					// Accumulate the rotation into the eigenvectors.
-					wi := wt[i*n : (i+1)*n]
-					wi1 := wt[(i+1)*n : (i+2)*n]
-					for k := range wi {
-						h = wi1[k]
-						wi1[k] = s*wi[k] + c*h
-						wi[k] = c*wi[k] - s*h
-					}
+					rotate(wt[i*n:(i+1)*n], wt[(i+1)*n:(i+2)*n], c, s)
 				}
 				p = -s * s2 * c3 * el1 * e[l] / dl1
 				e[l] = s * p
@@ -257,6 +280,33 @@ func tql2(wt []float64, n int, d, e []float64) error {
 		e[l] = 0
 	}
 	return nil
+}
+
+// rotate applies tql2's plane rotation to the rows x and y (equal
+// lengths): with h the old y[k], y[k] = s·x[k] + c·h and
+// x[k] = c·x[k] − s·h, every product rounded before its add. Where the CPU
+// has AVX-512, whole blocks of eight go through rotateAVX512, which does
+// the same operations lane by lane (a separate multiply and add, never
+// fused), and rotateGeneric takes the rest.
+func rotate(x, y []float64, c, s float64) {
+	y = y[:len(x)]
+	k := 0
+	if hasAVX512 && len(x) >= 8 {
+		k = len(x) &^ 7
+		rotateAVX512(&x[0], &y[0], k, c, s)
+	}
+	rotateGeneric(x[k:], y[k:], c, s)
+}
+
+// rotateGeneric is rotate element by element, the generic twin of
+// rotateAVX512.
+func rotateGeneric(x, y []float64, c, s float64) {
+	y = y[:len(x)]
+	for k, xk := range x {
+		h := y[k]
+		y[k] = s*xk + c*h
+		x[k] = c*xk - s*h
+	}
 }
 
 // TopK returns the leading k eigenpairs (largest eigenvalues) as a K-column

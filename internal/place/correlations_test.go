@@ -73,7 +73,9 @@ func correlations4(u *mat.Matrix, signed bool) (gm, rowMax []float32, rowArg []i
 
 // scalarKernels are the column kernels computed one column at a time with
 // mat.Dot, their definition: Allocate run through them and through mat's
-// kernels (AVX-512 where the CPU has it) must place the same sensors.
+// kernels (AVX-512 where the CPU has it) must place the same sensors. Their
+// aggregate seeds are serial sums, not the blocked ones, which the
+// tie-break margin covers as well.
 var scalarKernels = columnKernels{
 	argMax: func(x, b []float64, skip int, signed bool) (float32, int) {
 		best, arg := float32(math.Inf(-1)), -1
@@ -86,6 +88,22 @@ var scalarKernels = columnKernels{
 			}
 		}
 		return best, arg
+	},
+	argMaxSum: func(x, b []float64, skip int, signed bool) (float32, int, float64) {
+		best, arg := float32(math.Inf(-1)), -1
+		var sum float64
+		for c, s := range scalarDots(x, b) {
+			if m := float32(math.Abs(s)); c != skip && m == m {
+				sum += float64(m)
+			}
+			if !signed {
+				s = math.Abs(s)
+			}
+			if v := float32(s); v > best && c != skip {
+				best, arg = v, c
+			}
+		}
+		return best, arg, sum
 	},
 	absInto: func(dst []float32, x, b []float64) {
 		for c, s := range scalarDots(x, b) {

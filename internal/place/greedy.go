@@ -13,7 +13,7 @@ import (
 // the strongest remaining correlation until M rows survive, guarding
 // against rank collapse of the sensing matrix.
 //
-// Four implementation notes, all recorded in DESIGN.md:
+// Five implementation notes, all recorded in DESIGN.md:
 //
 //   - Correlation magnitude. We eliminate by |G[i,j]| rather than the signed
 //     maximum: a row and its negation span the same direction and are just as
@@ -28,7 +28,7 @@ import (
 //     removal instead of the O(R) linear rescan — and the post-removal
 //     repair walks a reverse index of argmax pointers instead of scanning
 //     all rows. The algorithm as a whole stays Θ(R²K) — the initial row
-//     maxima and the aggregate tie-break scan whole rows — but the
+//     maxima and the aggregates' decrement scan whole rows — but the
 //     heap+index remove two of the three per-removal linear scans. At the
 //     paper's scale the heap won 15 of 16 timed pairs against the rescan
 //     (DESIGN.md); the rescan survives only as the test reference, which
@@ -38,6 +38,11 @@ import (
 //     (corrBlock) and each row of G is recomputed when a scan needs it, by
 //     the column kernels of mat.DotsArgMax and mat.AbsDotsInto, whose
 //     entries are bitwise the stored ones. Memory is O(R·K).
+//   - Running tie-break aggregates. Each live row's sum of correlation
+//     magnitudes is seeded by the initial row-max pass and decremented
+//     after every removal; the tie-break trusts two of them only when
+//     they differ by more than a rounding bound τ, and otherwise sums the
+//     two rows exactly, so every decision is the exact sums'.
 type Greedy struct {
 	// SignedMax selects the paper-literal signed max-element rule.
 	SignedMax bool
@@ -118,29 +123,41 @@ func (g *Greedy) Name() string { return "greedy" }
 // restored from the previous iteration is returned even if it still holds
 // more than M rows — Algorithm 1's "restore and break" semantics.
 func (g *Greedy) Allocate(in Input) ([]int, error) {
-	return g.allocate(in, matKernels)
+	sensors, _, err := g.allocate(in, matKernels, tieSlack)
+	return sensors, err
 }
 
-// columnKernels are the two kernels Allocate runs over the K-major block:
-// a row's largest correlation with the other live rows and its first
-// column (mat.DotsArgMax), and a row's correlation magnitudes with every
-// column (mat.AbsDotsInto). The tests run Allocate through mat's kernels
-// and through scalar ones built on mat.Dot.
+// columnKernels are the kernels Allocate runs over the K-major block: a
+// row's largest correlation with the other live rows and its first column
+// (mat.DotsArgMax), the same plus the sum of the row's correlation
+// magnitudes (mat.DotsArgMaxSum), and a row's correlation magnitudes with
+// every column (mat.AbsDotsInto). The tests run Allocate through mat's
+// kernels and through scalar ones built on mat.Dot.
 type columnKernels struct {
-	argMax  func(x, b []float64, skip int, signed bool) (float32, int)
-	absInto func(dst []float32, x, b []float64)
+	argMax    func(x, b []float64, skip int, signed bool) (float32, int)
+	argMaxSum func(x, b []float64, skip int, signed bool) (float32, int, float64)
+	absInto   func(dst []float32, x, b []float64)
 }
 
-var matKernels = columnKernels{argMax: mat.DotsArgMax, absInto: mat.AbsDotsInto}
+var matKernels = columnKernels{argMax: mat.DotsArgMax, argMaxSum: mat.DotsArgMaxSum, absInto: mat.AbsDotsInto}
 
-func (g *Greedy) allocate(in Input, kern columnKernels) ([]int, error) {
+// tieSlack sets the margin τ = tieSlack·R·2⁻⁵³·(A⁰ᵢ + A⁰ⱼ) by which two
+// running aggregates must differ before the tie-break trusts them (see
+// allocate); the tests raise it to +∞, which sends every tie-break to the
+// exact sums.
+const tieSlack = 6
+
+// allocate is Allocate on the given kernels and tie-break slack. It also
+// returns how many tie-breaks the running aggregates could not settle and
+// the exact sums did.
+func (g *Greedy) allocate(in Input, kern columnKernels, slack float64) ([]int, int, error) {
 	if in.Psi == nil {
-		return nil, fmt.Errorf("%w: greedy needs Psi", ErrBadInput)
+		return nil, 0, fmt.Errorf("%w: greedy needs Psi", ErrBadInput)
 	}
 	n, k := in.Psi.Dims()
 	cells, err := allowedCells(n, in.Mask)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	// Rows with zero norm carry no information and can never host a useful
 	// sensor; drop them from the candidate pool up front.
@@ -151,10 +168,10 @@ func (g *Greedy) allocate(in Input, kern columnKernels) ([]int, error) {
 		}
 	}
 	if err := validateCount(in.M, len(rows)); err != nil {
-		return nil, err
+		return nil, 0, err
 	}
 	if in.M < k {
-		return nil, fmt.Errorf("%w: M=%d < K=%d cannot keep Ψ̃ full rank", ErrBadInput, in.M, k)
+		return nil, 0, fmt.Errorf("%w: M=%d < K=%d cannot keep Ψ̃ full rank", ErrBadInput, in.M, k)
 	}
 
 	nr := len(rows)
@@ -166,16 +183,15 @@ func (g *Greedy) allocate(in Input, kern columnKernels) ([]int, error) {
 	// j ≠ i in ascending order, strict > from −∞.
 	rowArgMax := func(i int, x []float64) (float32, int) {
 		v, c := kern.argMax(blk.column(x, i), blk.data, int(blk.rowCol[i]), g.SignedMax)
-		if c < 0 {
-			return v, -1
-		}
-		return v, int(blk.colRow[c])
+		return v, blk.row(c)
 	}
 
 	// Per-row max correlation and argmax over active peers, maintained
 	// incrementally: recomputed only for rows whose argmax was removed.
 	// The initial maxima are independent row scans, so they fan out over
-	// the CPUs.
+	// the CPUs. The same scans seed the running aggregates: row i's sum of
+	// correlation magnitudes with its peers, blocked, in blk.agg at its
+	// column (still column i here), and kept in agg0 as A⁰ᵢ.
 	rowMax := make([]float32, nr)
 	rowArg := make([]int, nr)
 	workers := 0
@@ -185,9 +201,12 @@ func (g *Greedy) allocate(in Input, kern columnKernels) ([]int, error) {
 	mat.ParallelChunks(nr, workers, func(lo, hi int) {
 		x := make([]float64, k)
 		for i := lo; i < hi; i++ {
-			rowMax[i], rowArg[i] = rowArgMax(i, x)
+			var c int
+			rowMax[i], c, blk.agg[i] = kern.argMaxSum(blk.column(x, i), blk.data, i, g.SignedMax)
+			rowArg[i] = blk.row(c)
 		}
 	})
+	agg0 := append([]float64(nil), blk.agg[:nr]...)
 
 	// argRev is the reverse index — argRev[j] holds every row that ever set
 	// rowArg = j since argRev[j] was last consumed — so the repair step
@@ -240,8 +259,10 @@ func (g *Greedy) allocate(in Input, kern columnKernels) ([]int, error) {
 		return out
 	}
 
-	// Scratch rows of correlation magnitudes for the tie-break.
+	// Scratch rows of correlation magnitudes for the running aggregates
+	// and the exact tie-break.
 	va, vb := make([]float32, blk.n), make([]float32, blk.n)
+	fallbacks := 0
 
 	for remaining > in.M {
 		// Row participating in the globally strongest correlation.
@@ -261,16 +282,35 @@ func (g *Greedy) allocate(in Input, kern columnKernels) ([]int, error) {
 		}
 		// The max pair is (victim, rowArg[victim]); both see the same value.
 		// Remove the endpoint with the larger aggregate correlation — the
-		// more redundant of the two.
+		// more redundant of the two. The running aggregates decide when
+		// they differ by more than τ, which bounds how far either can be
+		// from the exact serial sum (DESIGN.md "Greedy allocation"); a
+		// closer call is settled by the exact sums.
 		if j := rowArg[victim]; j >= 0 && rowMax[j] == rowMax[victim] {
-			if aj, av := blk.aggregates(kern, va[:blk.n], vb[:blk.n], x, j, victim); aj > av {
+			aj, av := blk.agg[blk.rowCol[j]], blk.agg[blk.rowCol[victim]]
+			tau := slack * float64(nr) * 0x1p-53 * (agg0[j] + agg0[victim])
+			switch {
+			case aj-av > tau:
 				victim = j
+			case av-aj > tau:
+				// The victim stays.
+			default:
+				fallbacks++
+				if ej, ev := blk.aggregates(kern, va[:blk.n], vb[:blk.n], x, j, victim); ej > ev {
+					victim = j
+				}
 			}
 		}
 
 		active[victim] = false
 		remaining--
+		blk.column(x, victim)
 		blk.kill(victim)
+		// Take the victim out of every live row's aggregate: its column is
+		// NaN now, so it reads +0 in its own row, as dead and padding
+		// columns do.
+		kern.absInto(va[:blk.n], x, blk.data)
+		mat.SubWidened(blk.agg, va[:len(blk.agg)])
 
 		if g.CheckEveryStep || remaining <= checkBelow {
 			sub := in.Psi.SelectRows(survivors())
@@ -278,7 +318,7 @@ func (g *Greedy) allocate(in Input, kern columnKernels) ([]int, error) {
 				// Restore and break (Algorithm 1 step 3(d)).
 				active[victim] = true
 				remaining++
-				return survivors(), nil
+				return survivors(), fallbacks, nil
 			}
 		}
 
@@ -298,7 +338,7 @@ func (g *Greedy) allocate(in Input, kern columnKernels) ([]int, error) {
 		}
 		argRev[victim] = nil
 	}
-	return survivors(), nil
+	return survivors(), fallbacks, nil
 }
 
 // corrBlock holds the normalized candidate rows uᵢ = Ψ_K[rows[i]]/‖·‖ as the
@@ -315,6 +355,7 @@ type corrBlock struct {
 	k, n   int
 	dead   int       // dead columns among the used ones
 	data   []float64 // k·n values
+	agg    []float64 // each used column's running aggregate (see allocate)
 	colRow []int32   // row of each used column, −1 once dead; later columns pad
 	rowCol []int32   // column of each row, −1 once dead
 }
@@ -324,6 +365,7 @@ func newCorrBlock(psi *mat.Matrix, rows []int) *corrBlock {
 	b := &corrBlock{
 		k:      k,
 		n:      padColumns(len(rows)),
+		agg:    make([]float64, len(rows)),
 		colRow: make([]int32, len(rows)),
 		rowCol: make([]int32, len(rows)),
 	}
@@ -356,6 +398,15 @@ func (b *corrBlock) fillNaN(from int) {
 			pad[c] = nan
 		}
 	}
+}
+
+// row returns the row of column c, or −1 for a column index of −1 (no
+// column).
+func (b *corrBlock) row(c int) int {
+	if c < 0 {
+		return -1
+	}
+	return int(b.colRow[c])
 }
 
 // column copies row's normalized vector out of its column into x.
@@ -400,13 +451,13 @@ func (b *corrBlock) compact() {
 		}
 	}
 	w := 0
-	for _, r := range b.colRow {
+	for c, r := range b.colRow {
 		if r >= 0 {
-			b.colRow[w], b.rowCol[r] = r, int32(w)
+			b.colRow[w], b.rowCol[r], b.agg[w] = r, int32(w), b.agg[c]
 			w++
 		}
 	}
-	b.colRow = b.colRow[:live]
+	b.colRow, b.agg = b.colRow[:live], b.agg[:live]
 	b.n, b.dead = n, 0
 	b.data = b.data[:b.k*n]
 	b.fillNaN(live)

@@ -12,6 +12,7 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/floorplan"
 	"repro/internal/mat"
+	"repro/internal/power"
 )
 
 // fixture: a deterministic orthonormal 40×4 basis on an 8×5 grid.
@@ -578,7 +579,9 @@ func TestParseStrategies(t *testing.T) {
 // random, trained, built to tie (small integers, and rows repeated or
 // negated), and sized below, at and across the 64-column kernel width
 // (R % 64 ≠ 0 included); every run from R rows down to M crosses each
-// compaction of the block.
+// compaction of the block. Each run is made twice: with the running
+// aggregates settling the tie-breaks they can, and with the slack at +∞,
+// which sends every tie-break to the exact sums.
 func TestGreedyBitIdenticalToReference(t *testing.T) {
 	ds, err := dataset.Generate(floorplan.UltraSparcT1(), dataset.GenConfig{
 		Grid: floorplan.Grid{W: 16, H: 14}, Snapshots: 80, Seed: 5,
@@ -673,17 +676,74 @@ func TestGreedyBitIdenticalToReference(t *testing.T) {
 						}
 					}
 					for _, ks := range kernelSets {
-						got, err := g.allocate(in, ks.kern)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if fmt.Sprint(got) != fmt.Sprint(want) {
-							t.Fatalf("%s masked=%v signed=%v schedule=%s kernels=%s: sensors %v, reference %v",
-								c.name, masked, signed, sched.name, ks.name, got, want)
+						for _, slack := range []float64{tieSlack, math.Inf(1)} {
+							got, _, err := g.allocate(in, ks.kern, slack)
+							if err != nil {
+								t.Fatal(err)
+							}
+							if fmt.Sprint(got) != fmt.Sprint(want) {
+								t.Fatalf("%s masked=%v signed=%v schedule=%s kernels=%s slack=%v: sensors %v, reference %v",
+									c.name, masked, signed, sched.name, ks.name, slack, got, want)
+							}
 						}
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestGreedyTieBreakAggregatesAtPaperScale runs Allocate on the two dies
+// the provision benchmark creates (t1 at 60×56 with K 16, manycore-256c at
+// 32×32 with K 12, M 24, trained as the daemon trains them) with the
+// running aggregates and again with every tie-break on the exact sums:
+// the sensors must agree. It logs how many tie-breaks there were and how
+// many the aggregates left to the exact sums.
+func TestGreedyTieBreakAggregatesAtPaperScale(t *testing.T) {
+	if testing.Short() {
+		t.Skip("paper-scale training skipped in -short")
+	}
+	for _, c := range []struct {
+		floorplan string
+		grid      floorplan.Grid
+		t, kmax   int
+		k, m      int
+	}{
+		{"t1", floorplan.Grid{W: 60, H: 56}, 192, 24, 16, 24},
+		{"manycore-256c", floorplan.Grid{W: 32, H: 32}, 384, 16, 12, 24},
+	} {
+		fp, err := floorplan.Named(c.floorplan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, seed := range []int64{1, 2002} {
+			ds, err := dataset.Generate(fp, dataset.GenConfig{
+				Grid: c.grid, Snapshots: c.t, Seed: seed, Power: power.ConfigFor(fp, 0.75),
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := basis.TrainPCA(ds, c.kmax, basis.PCAConfig{Seed: seed})
+			if err != nil {
+				t.Fatal(err)
+			}
+			psi, err := b.PsiK(c.k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			in := Input{Psi: psi, M: c.m}
+			got, fallbacks, err := (&Greedy{}).allocate(in, matKernels, tieSlack)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, ties, err := (&Greedy{}).allocate(in, matKernels, math.Inf(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("%s seed %d: sensors %v, exact tie-breaks %v", c.floorplan, seed, got, want)
+			}
+			t.Logf("%s %dx%d seed %d: %d tie-breaks, %d left to the exact sums", c.floorplan, c.grid.W, c.grid.H, seed, ties, fallbacks)
 		}
 	}
 }

@@ -268,7 +268,7 @@ func (kf *Kalman) checkReadings(readings []float64) error {
 // stepInto runs one predict/update cycle on validated readings and writes
 // the full-map estimate into dst; the caller must hold kf.mu. It runs the
 // allocating kernels' write-into forms in the order the filter has always
-// used them, so every map, α and P is bitwise what MulVec, MulTB, Mul,
+// used them, so every map, α and P is bitwise what MulVec, MulTBInto, Mul,
 // NewCholesky, Solve and Synthesize give
 // (TestStepBatchIntoBitIdenticalToReference).
 func (kf *Kalman) stepInto(dst, readings []float64) error {

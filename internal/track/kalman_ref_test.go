@@ -106,8 +106,9 @@ func (kf *refKalman) stepLocked(readings []float64) ([]float64, error) {
 	innov := mat.SubVec(centered, mat.MulVec(kf.psiT, kf.alpha))
 
 	// S = Ψ̃ P⁻ Ψ̃ᵀ + R.
-	pht := mat.MulTB(pMinus, kf.psiT) // K×M: P⁻ Ψ̃ᵀ
-	s := mat.Mul(kf.psiT, pht)        // M×M
+	pht := mat.New(k, kf.psiT.Rows()) // K×M: P⁻ Ψ̃ᵀ
+	mat.MulTBInto(pht, pMinus, kf.psiT)
+	s := mat.Mul(kf.psiT, pht) // M×M
 	for i := 0; i < m; i++ {
 		s.Add(i, i, kf.cfg.MeasurementVar)
 	}
