@@ -8,7 +8,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/drift"
 	"repro/internal/obs"
-	"repro/internal/track"
 	"repro/internal/wire"
 )
 
@@ -72,31 +71,31 @@ func qualityFor(st drift.State) wire.Quality {
 	return wire.QualityOK
 }
 
-// calibrateMonitor scores every training snapshot's reprojection residual
-// through the freshly folded operator and fits the detector's baseline
-// distribution. maps is the training ensemble (ground-truth thermal maps).
-func calibrateMonitor(mon *core.Monitor, maps [][]float64) (drift.Calibration, error) {
-	rec := mon.Reconstructor()
+// calibrate fits the detector's baseline distribution: the reprojection
+// residual of each serving-space reading row through mon's folded operator.
+// Create passes the training ensemble sampled at the sensors, a hot-swap
+// the ring of recent readings. Rows mon rejects are skipped.
+func calibrate(mon *core.Monitor, rows [][]float64) (drift.Calibration, error) {
 	m := len(mon.Sensors())
-	rhos := make([]float64, len(maps))
-	per := make([][]float64, len(maps))
-	for i, x := range maps {
-		row := make([]float64, m)
-		rho, err := mon.ResidualInto(row, rec.Sample(x))
+	rhos := make([]float64, 0, len(rows))
+	per := make([][]float64, 0, len(rows))
+	for _, row := range rows {
+		resid := make([]float64, m)
+		rho, err := mon.ResidualInto(resid, row)
 		if err != nil {
-			return drift.Calibration{}, err
+			continue
 		}
-		rhos[i] = rho
-		per[i] = row
+		rhos = append(rhos, rho)
+		per = append(per, resid)
 	}
 	return drift.Calibrate(rhos, per)
 }
 
 // newDriftState wraps a calibration and a shadow basis seeded from the
-// serving basis (so adaptation refines the trained subspace rather than
+// serving model (so adaptation refines the trained subspace rather than
 // restarting from scratch). seedCount weights the seed against absorbed
 // snapshots — the training ensemble size.
-func newDriftState(cal drift.Calibration, b *basis.Basis, energy []float64, seedCount int) (*driftState, error) {
+func newDriftState(cal drift.Calibration, model *core.Model, seedCount int) (*driftState, error) {
 	det, err := drift.NewDetector(cal, drift.Config{})
 	if err != nil {
 		return nil, err
@@ -104,7 +103,7 @@ func newDriftState(cal drift.Calibration, b *basis.Basis, energy []float64, seed
 	if seedCount < 1 {
 		seedCount = 1
 	}
-	shadow, err := basis.NewIncrementalFrom(b, energy, seedCount, shadowBufCap)
+	shadow, err := basis.NewIncrementalFrom(model.Basis, model.Energy, seedCount, shadowBufCap)
 	if err != nil {
 		return nil, err
 	}
@@ -253,37 +252,6 @@ func (ds *driftState) lastRows(n int) [][]float64 {
 	return out
 }
 
-// recalibrated fits a fresh calibration by replaying the ring through a new
-// monitor. drop >= 0 removes that serving position from each ring row first
-// (the excluded sensor). Returns ok=false when the ring is too small.
-func (ds *driftState) recalibrated(mon *core.Monitor, drop int) (drift.Calibration, bool) {
-	m := len(mon.Sensors())
-	rhos := make([]float64, 0, len(ds.ring))
-	per := make([][]float64, 0, len(ds.ring))
-	for _, row := range ds.ring {
-		if drop >= 0 && drop < len(row) {
-			compact := make([]float64, 0, len(row)-1)
-			compact = append(compact, row[:drop]...)
-			row = append(compact, row[drop+1:]...)
-		}
-		if len(row) != m {
-			continue
-		}
-		resid := make([]float64, m)
-		rho, err := mon.ResidualInto(resid, row)
-		if err != nil {
-			continue
-		}
-		rhos = append(rhos, rho)
-		per = append(per, resid)
-	}
-	if len(rhos) < 2 {
-		return drift.Calibration{}, false
-	}
-	cal, err := drift.Calibrate(rhos, per)
-	return cal, err == nil
-}
-
 // adaptMonitor is the global-drift response: snapshot the shadow basis,
 // re-fold the operator over the same sensors, recalibrate on recent
 // traffic, persist the next generation and hot-swap the resident state.
@@ -301,8 +269,8 @@ func (s *server) adaptMonitor(e *monitorEntry, rs *residentState) {
 		s.logf("adapt", "id", e.id, "err", err)
 		return
 	}
-	energy := ds.shadow.Energy()
-	newRS, err := s.swappedState(e, rs, adapted, energy, rs.mon.Sensors(), -1)
+	model := &core.Model{Basis: adapted, Energy: ds.shadow.Energy(), Grid: adapted.Grid}
+	newRS, err := s.swappedState(e, rs, model, rs.mon.Sensors(), -1)
 	if err != nil {
 		s.logf("adapt", "id", e.id, "err", err)
 		return
@@ -334,7 +302,7 @@ func (s *server) excludeSensor(e *monitorEntry, rs *residentState, pos int) {
 	survivors := make([]int, 0, len(sensors)-1)
 	survivors = append(survivors, sensors[:pos]...)
 	survivors = append(survivors, sensors[pos+1:]...)
-	newRS, err := s.swappedState(e, rs, rs.basis, rs.energy, survivors, pos)
+	newRS, err := s.swappedState(e, rs, rs.model, survivors, pos)
 	if err != nil {
 		s.logf("exclude sensor", "id", e.id, "pos", pos, "err", err)
 		return
@@ -350,25 +318,30 @@ func (s *server) excludeSensor(e *monitorEntry, rs *residentState, pos int) {
 }
 
 // swappedState builds the next-generation resident state: a monitor folded
-// from b over sensors, a rebuilt tracker, a recalibrated detector and a
-// fresh shadow. drop >= 0 is the serving position excluded from the old
-// sensor vector (-1 for same-sensors adaptation). Caller holds rs.drift.mu.
-func (s *server) swappedState(e *monitorEntry, rs *residentState, b *basis.Basis, energy []float64, sensors []int, drop int) (*residentState, error) {
-	model := &core.Model{Basis: b, Energy: energy, Grid: b.Grid}
+// from model over sensors, a rebuilt tracker, a detector recalibrated on
+// the ring of recent readings and a fresh shadow. drop >= 0 is the serving
+// position excluded from the old sensor vector, and is removed from every
+// ring row first (-1 for same-sensors adaptation). Caller holds
+// rs.drift.mu.
+func (s *server) swappedState(e *monitorEntry, rs *residentState, model *core.Model, sensors []int, drop int) (*residentState, error) {
 	mon, err := model.NewMonitor(rs.mon.K(), sensors)
 	if err != nil {
 		return nil, err
 	}
-	var kf *track.Kalman
-	if rs.kf != nil {
-		kf, err = track.NewKalman(b, rs.mon.K(), sensors, track.Config{Rho: e.rho})
-		if err != nil {
-			return nil, err
-		}
+	next, err := newResident(mon, model, rs.meta, rs.fp)
+	if err != nil {
+		return nil, err
 	}
 	ds := rs.drift
-	cal, ok := ds.recalibrated(mon, drop)
-	if !ok {
+	rows := ds.ring
+	if drop >= 0 {
+		rows = make([][]float64, len(ds.ring))
+		for i, row := range ds.ring {
+			rows[i] = removeAt(row, drop)
+		}
+	}
+	cal, err := calibrate(mon, rows)
+	if err != nil {
 		// Too little recent traffic to refit (cannot happen in practice: the
 		// detector needs MinCount observations to leave OK, and each fills
 		// the ring). Rebase on the old moments so the detector stays alive.
@@ -378,36 +351,23 @@ func (s *server) swappedState(e *monitorEntry, rs *residentState, b *basis.Basis
 			cal.SensorStd = removeAt(cal.SensorStd, drop)
 		}
 	}
-	newDS, err := newDriftState(cal, b, energy, ds.shadow.Count())
-	if err != nil {
+	if next.drift, err = newDriftState(cal, model, ds.shadow.Count()); err != nil {
 		return nil, err
 	}
-	orig := rs.origSensors
-	if orig == nil {
-		orig = append([]int(nil), rs.mon.Sensors()...)
+	next.generation, next.parentKey = rs.generation+1, e.desc.TrainKey
+	next.origSensors = rs.origSensors
+	if next.origSensors == nil {
+		next.origSensors = rs.mon.Sensors()
 	}
-	keep := rs.keep
+	next.keep = rs.keep
 	if drop >= 0 {
-		if keep == nil {
-			keep = identity(len(rs.mon.Sensors()))
+		if next.keep == nil {
+			next.keep = identity(len(next.origSensors))
 		}
-		keep = removeAt(keep, drop)
+		next.keep = removeAt(next.keep, drop)
 	}
-	clientM := rs.clientM
-	if clientM == 0 {
-		clientM = len(orig)
-	}
-	newRS := &residentState{
-		mon: mon, kf: kf,
-		basis: b, energy: energy,
-		drift:       newDS,
-		generation:  rs.generation + 1,
-		parentKey:   e.desc.TrainKey,
-		origSensors: orig,
-		keep:        keep,
-		clientM:     clientM,
-	}
-	return newRS, nil
+	next.clientM = rs.clientWidth()
+	return next, nil
 }
 
 // commitSwap persists the next generation and publishes it. The atomic

@@ -50,15 +50,21 @@ func healthyReadings(t *testing.T, srv *server, id string, n int) [][]float64 {
 	t.Helper()
 	srv.mu.Lock()
 	e := srv.monitors[id]
-	var me *modelEntry
-	if e != nil {
-		me = srv.models[e.key]
-	}
 	srv.mu.Unlock()
 	if e == nil {
 		t.Fatalf("monitor %s not registered", id)
 	}
 	rs := e.res.Load()
+	var me *modelEntry
+	if rs != nil {
+		key, _, err := keyFromMeta(rs.meta)
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.mu.Lock()
+		me = srv.models[key]
+		srv.mu.Unlock()
+	}
 	if rs == nil || me == nil || me.ds == nil {
 		t.Fatalf("monitor %s not resident with its ensemble", id)
 	}

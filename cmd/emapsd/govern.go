@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 
-	"repro/internal/floorplan"
 	"repro/internal/governor"
 	"repro/internal/obs"
 	"repro/internal/wire"
@@ -123,9 +122,9 @@ func decodeGovernJSON(data []byte) (readings [][]float64, cfg *wire.GovernConfig
 	return readings, req.Config, nil
 }
 
-// buildGovernor constructs a fresh governor from a config, mapping each
-// degenerate-config class onto its stable error code.
-func (s *server) buildGovernor(w http.ResponseWriter, e *monitorEntry, cfg *wire.GovernConfig) (*governorState, bool) {
+// buildGovernor constructs a fresh governor for the monitor serving rs from
+// a config, mapping each degenerate-config class onto its stable error code.
+func (s *server) buildGovernor(w http.ResponseWriter, rs *residentState, cfg *wire.GovernConfig) (*governorState, bool) {
 	if cfg.Ladder != nil {
 		if err := governor.ValidateLadder(cfg.Ladder); err != nil {
 			httpError(w, http.StatusBadRequest, "bad_ladder", "%v", err)
@@ -142,11 +141,8 @@ func (s *server) buildGovernor(w http.ResponseWriter, e *monitorEntry, cfg *wire
 		httpError(w, http.StatusBadRequest, "bad_policy", "%v", err)
 		return nil, false
 	}
-	// e.fp and e.key are stable once residentHTTP has paged the monitor in
-	// (fillMeta runs before the resident state is published).
-	grid := floorplan.Grid{W: e.key.W, H: e.key.H}
-	raster := e.fp.Rasterize(grid)
-	ctrl, err := governor.NewController(policy, cfg.Ladder, governor.CoreCells(e.fp, raster))
+	raster := rs.fp.Rasterize(rs.model.Grid)
+	ctrl, err := governor.NewController(policy, cfg.Ladder, governor.CoreCells(rs.fp, raster))
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad_policy", "%v", err)
 		return nil, false
@@ -169,9 +165,9 @@ func (s *server) buildGovernor(w http.ResponseWriter, e *monitorEntry, cfg *wire
 
 // governorFor resolves the monitor's governor: install from cfg when one is
 // supplied, otherwise require one to exist already.
-func (s *server) governorFor(w http.ResponseWriter, e *monitorEntry, cfg *wire.GovernConfig) (*governorState, bool) {
+func (s *server) governorFor(w http.ResponseWriter, e *monitorEntry, rs *residentState, cfg *wire.GovernConfig) (*governorState, bool) {
 	if cfg != nil {
-		g, ok := s.buildGovernor(w, e, cfg)
+		g, ok := s.buildGovernor(w, rs, cfg)
 		if !ok {
 			return nil, false
 		}
@@ -309,7 +305,7 @@ func (s *server) handleGovern(w http.ResponseWriter, r *http.Request, e *monitor
 		}
 	}
 	tr.Mark(obs.StageDecode)
-	g, ok := s.governorFor(w, e, cfg)
+	g, ok := s.governorFor(w, e, rs, cfg)
 	if !ok {
 		return
 	}
@@ -343,7 +339,7 @@ func (s *server) handleGovernBinary(w http.ResponseWriter, r *http.Request, e *m
 		httpError(w, http.StatusBadRequest, "bad_frame", "%v", err)
 		return
 	}
-	g, ok := s.governorFor(w, e, req.Config)
+	g, ok := s.governorFor(w, e, rs, req.Config)
 	if !ok {
 		return
 	}

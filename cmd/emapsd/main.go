@@ -75,7 +75,6 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/basis"
 	"repro/internal/core"
 	"repro/internal/dataset"
 	"repro/internal/floorplan"
@@ -230,13 +229,12 @@ type modelEntry struct {
 // batch.
 type residentState struct {
 	mon *core.Monitor
-	kf  *track.Kalman // nil unless tracking was requested
+	kf  *track.Kalman // nil unless meta.Tracking
 
-	// The serving basis and per-cell energy, kept so adaptation and
+	// model is the serving basis and per-cell energy, kept so adaptation and
 	// persistence can rebuild records without reaching back to the model
 	// cache (an adapted generation's basis is not the cached model's).
-	basis  *basis.Basis
-	energy []float64
+	model *core.Model
 
 	// drift is the detector + shadow-basis state (see drift.go); nil for
 	// uncalibrated monitors (no training ensemble in memory at create and
@@ -256,14 +254,37 @@ type residentState struct {
 	origSensors []int
 	keep        []int
 	clientM     int
+
+	// meta and fp are the rest of the monitor's record: its training
+	// configuration and serving options, and the floorplan the governor
+	// rasterizes. Every generation keeps its creation's. They come last so
+	// that the fields every request reads share cache lines.
+	meta store.Meta
+	fp   *floorplan.Floorplan
+}
+
+// newResident builds the serving state of mon over model, with the record
+// metadata and floorplan it persists with, and a tracker when meta asks for
+// one. Create, the hot-swap and buildMonitorState (page-in and the boot
+// scan) all build through it, then attach drift state and lineage.
+func newResident(mon *core.Monitor, model *core.Model, meta store.Meta, fp *floorplan.Floorplan) (*residentState, error) {
+	rs := &residentState{mon: mon, model: model, meta: meta, fp: fp}
+	if meta.Tracking {
+		// Kalman state is run-time state, not model state: every tracker,
+		// restored ones included, starts from its stationary prior.
+		kf, err := track.NewKalman(model.Basis, mon.K(), mon.Sensors(), track.Config{Rho: meta.Rho})
+		if err != nil {
+			return nil, err
+		}
+		rs.kf = kf
+	}
+	return rs, nil
 }
 
 // monitorEntry is one monitor behind the request loop — possibly paged out.
 // desc (from the store index) is everything list/routing needs without
 // touching the record; res is the paged serving state (nil while paged
-// out); the meta fields are the creation request's training configuration,
-// which persisting and governing need, filled at create or first page-in
-// (metaOK) and stable afterwards.
+// out).
 type monitorEntry struct {
 	id   string
 	desc store.IndexEntry
@@ -271,13 +292,7 @@ type monitorEntry struct {
 	res     atomic.Pointer[residentState]
 	lastUse atomic.Int64 // unix nanos of the last touch, drives monitor LRU
 
-	mu        sync.Mutex // guards page-in and the meta fields below
-	metaOK    bool
-	key       trainKey
-	fp        *floorplan.Floorplan
-	rho       float64
-	workloads []string
-	specJSON  json.RawMessage
+	mu sync.Mutex // serializes page-in
 
 	snapshots atomic.Int64
 
@@ -668,18 +683,20 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "bad_floorplan", "bad floorplan: %v", err)
 		return
 	}
-	// Workload selection: registry names and/or one inline declarative
-	// spec. nil specs = the default four-preset mix.
-	specs, wlKey, err := resolveWorkloads(req.Workloads, req.WorkloadSpec)
+	// The training configuration as both records store it: the train key
+	// and the workload specs (nil = the default four-preset mix) derive
+	// from it as they do on every record load.
+	meta := store.Meta{Floorplan: fp.Name,
+		Cores: req.Cores, Caches: req.Caches, MeshW: req.MeshW, MeshH: req.MeshH,
+		GridW: req.GridW, GridH: req.GridH,
+		Snapshots: req.Snapshots, Seed: req.Seed, KMax: req.KMax,
+		Workloads: req.Workloads, WorkloadSpec: req.WorkloadSpec,
+		LoadCoupling: defaultLoadCoupling}
+	key, specs, err := keyFromMeta(meta)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad_workload", "bad workload: %v", err)
 		return
 	}
-	key := trainKey{Floorplan: fp.Name,
-		Cores: req.Cores, Caches: req.Caches, MeshW: req.MeshW, MeshH: req.MeshH,
-		W: req.GridW, H: req.GridH,
-		Snapshots: req.Snapshots, Seed: req.Seed, KMax: req.KMax,
-		Workload: wlKey}
 	entry, ok := s.modelFor(key)
 	if !ok {
 		httpError(w, http.StatusTooManyRequests, "cache_full",
@@ -739,7 +756,7 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		// Persist at training time, not eviction time: eviction then never
 		// races a slow disk write, and a crash between train and evict
 		// still finds the model on disk after restart.
-		s.persistModel(key, entry, req.Workloads, req.WorkloadSpec)
+		s.persistModel(key, entry, meta)
 	})
 	if entry.err != nil {
 		httpError(w, http.StatusBadRequest, "train_failed", "training failed: %v", entry.err)
@@ -764,43 +781,35 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "monitor_rejected", "monitor rejected: %v", err)
 		return
 	}
-	var kf *track.Kalman
-	if req.Tracking {
-		kf, err = track.NewKalman(entry.model.Basis, req.K, sensors, track.Config{Rho: req.Rho})
-		if err != nil {
-			httpError(w, http.StatusBadRequest, "tracker_rejected", "tracker rejected: %v", err)
-			return
-		}
+	// The monitor record adds the serving options to the model's metadata.
+	meta.Tracking, meta.Rho = req.Tracking, req.Rho
+	rs, err := newResident(mon, entry.model, meta, entry.fp)
+	if err != nil {
+		httpError(w, http.StatusBadRequest, "tracker_rejected", "tracker rejected: %v", err)
+		return
 	}
 	cond, err := mon.Cond()
 	if err != nil {
 		httpError(w, http.StatusInternalServerError, "internal", "cond: %v", err)
 		return
 	}
-	me := &monitorEntry{key: key, fp: entry.fp,
-		rho: req.Rho, workloads: req.Workloads, specJSON: req.WorkloadSpec,
-		metaOK: true}
-	rs := &residentState{mon: mon, kf: kf, basis: entry.model.Basis, energy: entry.model.Energy}
 	// Drift calibration needs the training ensemble in memory; a create
 	// served from a store-loaded model skips it (the monitor serves
 	// quality "ok" and reports drift_state "uncalibrated").
 	if entry.ds != nil {
-		maps := make([][]float64, entry.ds.T())
-		for i := range maps {
-			maps[i] = entry.ds.Map(i)
+		rows := make([][]float64, entry.ds.T())
+		for i := range rows {
+			rows[i] = mon.Sample(entry.ds.Map(i))
 		}
-		if cal, err := calibrateMonitor(mon, maps); err == nil {
-			if dstate, err := newDriftState(cal, entry.model.Basis, entry.model.Energy, entry.ds.T()); err == nil {
-				rs.drift = dstate
-			} else {
-				s.logf("drift calibration", "err", err)
-			}
-		} else {
+		cal, err := calibrate(mon, rows)
+		if err == nil {
+			rs.drift, err = newDriftState(cal, entry.model, entry.ds.T())
+		}
+		if err != nil {
 			s.logf("drift calibration", "err", err)
 		}
 	}
-	me.res.Store(rs)
-	me.lastUse.Store(time.Now().UnixNano())
+	me := &monitorEntry{}
 	s.mu.Lock()
 	// Sharded replicas allocate from disjoint ID sets: each advances past
 	// IDs the ring assigns elsewhere, so concurrent creates on different
@@ -814,13 +823,14 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Unlock()
-	me.desc = store.IndexEntry{ID: me.id,
-		TrainKey:  keyHash(key),
-		Floorplan: key.Floorplan, K: mon.K(), M: len(mon.Sensors()),
-		GridW: key.W, GridH: key.H, Tracking: kf != nil}
+	rs.meta.MonitorID = me.id
+	file := ""
 	if s.storeDir != "" {
-		me.desc.File = me.id + monitorSuffix
+		file = me.id + monitorSuffix
 	}
+	me.desc = descFor(rs, file, key)
+	me.res.Store(rs)
+	me.lastUse.Store(time.Now().UnixNano())
 	// Persist before publishing: once the monitor is visible, a concurrent
 	// DELETE must find the record on disk — persisting afterwards could
 	// resurrect a just-deleted monitor at the next warm start. A durable

@@ -29,16 +29,17 @@ func seedLargeStore(t *testing.T, dir string, n int) []string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := keyFromMeta(rec.Meta)
+	rs, key, err := buildMonitorState(rec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ids := []string{cr.ID}
-	idx := &store.Index{Entries: []store.IndexEntry{descFor(rec, cr.ID+monitorSuffix, key)}}
+	idx := &store.Index{Entries: []store.IndexEntry{descFor(rs, cr.ID+monitorSuffix, key)}}
 	var buf bytes.Buffer
 	for i := 2; i <= n; i++ {
 		id := fmt.Sprintf("mon-%d", i)
 		rec.Meta.MonitorID = id
+		rs.meta.MonitorID = id
 		buf.Reset()
 		if err := store.Encode(&buf, rec); err != nil {
 			t.Fatal(err)
@@ -47,7 +48,7 @@ func seedLargeStore(t *testing.T, dir string, n int) []string {
 		if err := os.WriteFile(filepath.Join(dir, file), buf.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		idx.Entries = append(idx.Entries, descFor(rec, file, key))
+		idx.Entries = append(idx.Entries, descFor(rs, file, key))
 		ids = append(ids, id)
 	}
 	if err := store.SaveIndexFile(filepath.Join(dir, indexName), idx); err != nil {

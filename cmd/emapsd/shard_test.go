@@ -217,7 +217,7 @@ func TestTrainLockStealsStale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	key, err := keyFromMeta(rec.Meta)
+	key, _, err := keyFromMeta(rec.Meta)
 	if err != nil {
 		t.Fatal(err)
 	}

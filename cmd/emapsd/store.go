@@ -14,11 +14,9 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/drift"
 	"repro/internal/floorplan"
 	"repro/internal/obs"
 	"repro/internal/store"
-	"repro/internal/track"
 	"repro/internal/workload"
 )
 
@@ -91,136 +89,88 @@ func (s *server) loadRecord(path string) (*store.Record, error) {
 	return store.LoadFile(path)
 }
 
-// metaForKey renders a training key (plus the training inputs that are
-// not part of the key) into record metadata.
-func metaForKey(key trainKey, workloads []string, specJSON json.RawMessage) store.Meta {
-	return store.Meta{
-		Floorplan: key.Floorplan,
-		Cores:     key.Cores, Caches: key.Caches, MeshW: key.MeshW, MeshH: key.MeshH,
-		GridW: key.W, GridH: key.H,
-		Snapshots: key.Snapshots, Seed: key.Seed, KMax: key.KMax,
-		Workloads:    workloads,
-		WorkloadSpec: specJSON,
-		LoadCoupling: defaultLoadCoupling,
-	}
-}
-
-// keyFromMeta inverts metaForKey, recomputing the canonical workload key
-// string from the stored scenario names and inline spec. The retired
-// meta.Solver field is ignored, so records written with it load under the
-// same key as records written without it.
-func keyFromMeta(meta store.Meta) (trainKey, error) {
-	_, wlKey, err := resolveWorkloads(meta.Workloads, meta.WorkloadSpec)
-	if err != nil {
-		return trainKey{}, err
-	}
-	return trainKey{
-		Floorplan: meta.Floorplan,
-		Cores:     meta.Cores, Caches: meta.Caches, MeshW: meta.MeshW, MeshH: meta.MeshH,
-		W: meta.GridW, H: meta.GridH,
-		Snapshots: meta.Snapshots, Seed: meta.Seed, KMax: meta.KMax,
-		Workload: wlKey,
-	}, nil
-}
-
-// resolveWorkloads parses registry scenario names and an optional inline
-// spec into the concrete spec list and the canonical cache-key string —
-// shared by the create handler and the store load path so the two cannot
-// disagree about what a key means.
-func resolveWorkloads(names []string, raw json.RawMessage) ([]*workload.Spec, string, error) {
+// keyFromMeta derives the train key of a record's metadata, and the
+// workload specs its ensemble is generated from: create keys the model
+// cache with it and every record load checks it, so the two cannot
+// disagree about what a key means. The workload part of the key is the
+// comma-joined scenario names plus, for an inline spec, its canonical JSON.
+// The retired meta.Solver field is ignored, so records written with it load
+// under the same key as records written without it.
+func keyFromMeta(meta store.Meta) (trainKey, []*workload.Spec, error) {
 	var specs []*workload.Spec
 	var parts []string
-	for _, name := range names {
+	for _, name := range meta.Workloads {
 		spec, err := workload.Parse(name)
 		if err != nil {
-			return nil, "", err
+			return trainKey{}, nil, err
 		}
 		specs = append(specs, spec)
 		parts = append(parts, spec.Name)
 	}
-	if len(raw) > 0 {
-		spec, err := workload.Decode(raw)
+	if len(meta.WorkloadSpec) > 0 {
+		spec, err := workload.Decode(meta.WorkloadSpec)
 		if err != nil {
-			return nil, "", err
+			return trainKey{}, nil, err
 		}
 		specs = append(specs, spec)
 		// Canonical JSON (struct field order), not the client's raw bytes,
 		// so formatting differences alias to one cache entry.
 		canon, err := json.Marshal(spec)
 		if err != nil {
-			return nil, "", err
+			return trainKey{}, nil, err
 		}
 		parts = append(parts, "inline:"+string(canon))
 	}
-	return specs, strings.Join(parts, ","), nil
+	return trainKey{
+		Floorplan: meta.Floorplan,
+		Cores:     meta.Cores, Caches: meta.Caches, MeshW: meta.MeshW, MeshH: meta.MeshH,
+		W: meta.GridW, H: meta.GridH,
+		Snapshots: meta.Snapshots, Seed: meta.Seed, KMax: meta.KMax,
+		Workload: strings.Join(parts, ","),
+	}, specs, nil
+}
+
+// saveRecord writes one record and counts the save. A failure is counted,
+// logged and returned.
+func (s *server) saveRecord(path string, rec *store.Record) error {
+	if err := store.SaveFile(path, rec); err != nil {
+		s.metrics.storeFailures.Add(1)
+		s.logf("persist record", "path", path, "err", err)
+		return err
+	}
+	s.metrics.storeSaves.Add(1)
+	return nil
 }
 
 // persistModel writes entry's trained model under its key. Best-effort: a
-// failure is logged and counted, never surfaced to the client — the model
+// failure is counted and logged, never surfaced to the client — the model
 // still serves from memory.
-func (s *server) persistModel(key trainKey, entry *modelEntry, workloads []string, specJSON json.RawMessage) {
-	if s.storeDir == "" {
-		return
+func (s *server) persistModel(key trainKey, entry *modelEntry, meta store.Meta) {
+	if s.storeDir != "" {
+		_ = s.saveRecord(s.modelPath(key), &store.Record{
+			Meta: meta, Basis: entry.model.Basis, Floorplan: entry.fp, Energy: entry.model.Energy})
 	}
-	rec := &store.Record{
-		Meta:      metaForKey(key, workloads, specJSON),
-		Basis:     entry.model.Basis,
-		Floorplan: entry.fp,
-		Energy:    entry.model.Energy,
-	}
-	if err := store.SaveFile(s.modelPath(key), rec); err != nil {
-		s.metrics.storeFailures.Add(1)
-		s.logf("persist model", "path", s.modelPath(key), "err", err)
-		return
-	}
-	s.metrics.storeSaves.Add(1)
 }
 
 // persistMonitor writes a live monitor's full serving bundle — including
 // the drift calibration and adaptation lineage when the monitor is
-// calibrated — and indexes it. A failed write is counted, logged and
-// returned: create refuses the monitor, a hot-swap keeps serving the
-// generation it already acknowledged. The basis and energy come from rs,
-// not the model cache: an adapted generation's basis is its own.
+// calibrated — and indexes it. A failed write is returned: create refuses
+// the monitor, a hot-swap keeps serving the generation it already
+// acknowledged. Everything comes from rs, not the model cache: an adapted
+// generation's basis is its own.
 func (s *server) persistMonitor(e *monitorEntry, rs *residentState) error {
 	if s.storeDir == "" {
 		return nil
 	}
-	meta := metaForKey(e.key, e.workloads, e.specJSON)
-	meta.MonitorID = e.id
-	meta.Tracking = rs.kf != nil
-	meta.Rho = e.rho
-	rec := rs.mon.Reconstructor()
-	op, opBias := rec.Operator()
-	record := &store.Record{
-		Meta:      meta,
-		Basis:     rs.basis,
-		Floorplan: e.fp,
-		Energy:    rs.energy,
-		Sensors:   rec.Sensors(),
-		K:         rec.K(),
-		QR:        rec.QR(),
-		Op:        op,
-		OpBias:    opBias,
-	}
+	rec := &store.Record{Meta: rs.meta, Floorplan: rs.fp, Energy: rs.model.Energy}
+	rec.SetMonitor(rs.mon.Reconstructor())
 	if rs.drift != nil {
-		cal := rs.drift.cal
-		record.Drift = &store.DriftInfo{
-			CalibMean:   cal.Mean,
-			CalibStd:    cal.Std,
-			SensorMean:  cal.SensorMean,
-			SensorStd:   cal.SensorStd,
-			ParentKey:   rs.parentKey,
-			Generation:  rs.generation,
-			OrigSensors: rs.origSensors,
-		}
+		rec.Drift = &store.DriftInfo{Calibration: rs.drift.cal,
+			ParentKey: rs.parentKey, Generation: rs.generation, OrigSensors: rs.origSensors}
 	}
-	if err := store.SaveFile(s.monitorPath(e.id), record); err != nil {
-		s.metrics.storeFailures.Add(1)
-		s.logf("persist monitor", "id", e.id, "err", err)
+	if err := s.saveRecord(s.monitorPath(e.id), rec); err != nil {
 		return err
 	}
-	s.metrics.storeSaves.Add(1)
 	s.updateIndex(&e.desc, "")
 	return nil
 }
@@ -241,7 +191,7 @@ func (s *server) loadModelRecord(key trainKey) (*core.Model, *floorplan.Floorpla
 		}
 		return nil, nil, false
 	}
-	gotKey, err := keyFromMeta(rec.Meta)
+	gotKey, _, err := keyFromMeta(rec.Meta)
 	if err != nil || gotKey != key {
 		// Hash collision, renamed file or tampering: the record describes a
 		// different training run — never serve it for this key.
@@ -404,93 +354,64 @@ func (s *server) adoptRecord(path, file string) (*monitorEntry, error) {
 	if err != nil {
 		return nil, err
 	}
-	lr, err := buildMonitorState(rec)
+	rs, key, err := buildMonitorState(rec)
 	if err != nil {
 		return nil, err
 	}
-	id := rec.Meta.MonitorID
-	if _, dup := s.index[id]; dup {
+	id := rs.meta.MonitorID
+	if _, dup := s.index[id]; dup || s.monitors[id] != nil {
 		return nil, fmt.Errorf("duplicate monitor id %q in store", id)
 	}
-	if _, dup := s.monitors[id]; dup {
-		return nil, fmt.Errorf("duplicate monitor id %q in store", id)
-	}
-	desc := descFor(rec, file, lr.key)
+	desc := descFor(rs, file, key)
 	s.index[id] = desc
 	s.bumpNextID(id)
 	if !s.owns(id) {
 		return nil, nil
 	}
 	e := &monitorEntry{id: id, desc: desc}
-	e.fillMeta(lr)
-	e.res.Store(lr.rs)
-	e.lastUse.Store(time.Now().UnixNano())
 	s.monitors[id] = e
-	s.residents[id] = e
-	s.seedModelCache(lr)
-	s.metrics.monitorsLoaded.Add(1)
+	s.install(e, rs, key)
 	return e, nil
 }
 
-// loadedRecord is a fully decoded monitor record, ready to serve.
-type loadedRecord struct {
-	rs  *residentState
-	key trainKey
-	rec *store.Record
-}
-
-// buildMonitorState rebuilds the serving state from a decoded record.
-func buildMonitorState(rec *store.Record) (*loadedRecord, error) {
-	if !rec.HasMonitor() {
-		return nil, fmt.Errorf("record has no monitor section")
+// buildMonitorState rebuilds the serving state from a decoded record, and
+// returns the train key its metadata names.
+func buildMonitorState(rec *store.Record) (*residentState, trainKey, error) {
+	r, err := rec.RestoreMonitor()
+	if err != nil {
+		return nil, trainKey{}, err
 	}
 	if rec.Meta.MonitorID == "" {
-		return nil, fmt.Errorf("record has no monitor id")
+		return nil, trainKey{}, fmt.Errorf("record has no monitor id")
 	}
 	if rec.Floorplan == nil || rec.Energy == nil {
-		return nil, fmt.Errorf("record missing floorplan or energy")
+		return nil, trainKey{}, fmt.Errorf("record missing floorplan or energy")
 	}
-	key, err := keyFromMeta(rec.Meta)
+	key, _, err := keyFromMeta(rec.Meta)
 	if err != nil {
-		return nil, fmt.Errorf("reconstructing train key: %w", err)
+		return nil, trainKey{}, fmt.Errorf("reconstructing train key: %w", err)
 	}
-	mon, err := core.RestoreMonitorWithOperator(rec.Basis, rec.K, rec.Sensors, rec.QR, rec.Op, rec.OpBias)
+	rec.Meta.Solver = "" // retired: a rewritten record drops it
+	model := &core.Model{Basis: rec.Basis, Energy: rec.Energy, Grid: rec.Basis.Grid}
+	rs, err := newResident(core.RestoredMonitor(r), model, rec.Meta, rec.Floorplan)
 	if err != nil {
-		return nil, fmt.Errorf("restoring monitor: %w", err)
+		return nil, trainKey{}, fmt.Errorf("restoring tracker: %w", err)
 	}
-	var kf *track.Kalman
-	if rec.Meta.Tracking {
-		// Kalman *state* is run-time state, not model state: the tracker
-		// restarts from its stationary prior, exactly like a fresh monitor.
-		kf, err = track.NewKalman(rec.Basis, rec.K, rec.Sensors, track.Config{Rho: rec.Meta.Rho})
-		if err != nil {
-			return nil, fmt.Errorf("restoring tracker: %w", err)
-		}
-	}
-	rs := &residentState{mon: mon, kf: kf, basis: rec.Basis, energy: rec.Energy}
-	if rec.Drift != nil {
+	if d := rec.Drift; d != nil {
 		// Drift detection resumes exactly where the saving daemon left off:
 		// same calibration, same lineage, same surviving-sensor compaction.
-		cal := drift.Calibration{
-			Mean: rec.Drift.CalibMean, Std: rec.Drift.CalibStd,
-			SensorMean: rec.Drift.SensorMean, SensorStd: rec.Drift.SensorStd,
+		if rs.drift, err = newDriftState(d.Calibration, model, key.Snapshots); err != nil {
+			return nil, trainKey{}, fmt.Errorf("restoring drift detector: %w", err)
 		}
-		ds, err := newDriftState(cal, rec.Basis, rec.Energy, key.Snapshots)
-		if err != nil {
-			return nil, fmt.Errorf("restoring drift detector: %w", err)
-		}
-		rs.drift = ds
-		rs.generation = rec.Drift.Generation
-		rs.parentKey = rec.Drift.ParentKey
-		if len(rec.Drift.OrigSensors) > 0 {
-			rs.origSensors = rec.Drift.OrigSensors
-			rs.clientM = len(rec.Drift.OrigSensors)
-			if len(rec.Drift.OrigSensors) != len(rec.Sensors) {
-				rs.keep = keepPositions(rec.Drift.OrigSensors, rec.Sensors)
+		rs.generation, rs.parentKey = d.Generation, d.ParentKey
+		if len(d.OrigSensors) > 0 {
+			rs.origSensors, rs.clientM = d.OrigSensors, len(d.OrigSensors)
+			if len(d.OrigSensors) != len(rec.Sensors) {
+				rs.keep = keepPositions(d.OrigSensors, rec.Sensors)
 			}
 		}
 	}
-	return &loadedRecord{rs: rs, key: key, rec: rec}, nil
+	return rs, key, nil
 }
 
 // keepPositions maps the serving sensor subset back onto positions in the
@@ -508,55 +429,38 @@ func keepPositions(orig, serving []int) []int {
 	return keep
 }
 
-// descFor summarizes a record as its index entry.
-func descFor(rec *store.Record, file string, key trainKey) store.IndexEntry {
-	return store.IndexEntry{
-		ID:        rec.Meta.MonitorID,
-		File:      file,
-		TrainKey:  keyHash(key),
-		Floorplan: rec.Meta.Floorplan,
-		K:         rec.K,
-		M:         len(rec.Sensors),
-		GridW:     rec.Meta.GridW,
-		GridH:     rec.Meta.GridH,
-		Tracking:  rec.Meta.Tracking,
-	}
+// descFor is a monitor's index entry: everything listing and routing read
+// without paging the record in. Its m is the client-facing width, which a
+// sensor exclusion leaves unchanged.
+func descFor(rs *residentState, file string, key trainKey) store.IndexEntry {
+	return store.IndexEntry{ID: rs.meta.MonitorID, File: file, TrainKey: keyHash(key),
+		Floorplan: rs.meta.Floorplan, K: rs.mon.K(), M: rs.clientWidth(),
+		GridW: rs.meta.GridW, GridH: rs.meta.GridH, Tracking: rs.kf != nil}
 }
 
-// fillMeta copies a loaded record's training configuration into the entry.
-// Callers hold e.mu (or the entry is not yet published).
-func (e *monitorEntry) fillMeta(lr *loadedRecord) {
-	if e.metaOK {
-		return
-	}
-	e.key = lr.key
-	e.fp = lr.rec.Floorplan
-	e.rho = lr.rec.Meta.Rho
-	e.workloads = lr.rec.Meta.Workloads
-	e.specJSON = lr.rec.Meta.WorkloadSpec
-	e.metaOK = true
-}
-
-// seedModelCache re-seeds the model cache from a loaded record so a later
-// create with this key places sensors without retraining. Adapted
-// generations are skipped: their basis has
-// diverged from what the train key means, and seeding it would hand a
-// future create the wrong subspace. Callers must not hold s.mu.
-func (s *server) seedModelCache(lr *loadedRecord) {
-	if lr.rs.generation > 0 {
-		return
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.models[lr.key]; !ok && len(s.models) < s.maxModels {
-		entry := &modelEntry{
-			model: &core.Model{Basis: lr.rec.Basis, Energy: lr.rec.Energy, Grid: lr.rec.Basis.Grid},
-			fp:    lr.rec.Floorplan,
+// install publishes the serving state read from e's record: the one tail
+// of page-in and the boot scan. The state is published before e joins the
+// resident set, so that an eviction can never drop it unregistered, and the
+// load is counted. A generation-0 record also seeds the model cache, so a
+// later create with its key places sensors without retraining; an adapted
+// generation is skipped, because its basis has diverged from what the key
+// means and would hand that create the wrong subspace. Callers must not
+// hold s.mu.
+func (s *server) install(e *monitorEntry, rs *residentState, key trainKey) {
+	e.res.Store(rs)
+	e.lastUse.Store(time.Now().UnixNano())
+	s.registerResident(e)
+	if rs.generation == 0 {
+		s.mu.Lock()
+		if _, ok := s.models[key]; !ok && len(s.models) < s.maxModels {
+			entry := &modelEntry{model: rs.model, fp: rs.fp}
+			entry.once.Do(func() {})
+			entry.ready.Store(true)
+			s.models[key] = entry
 		}
-		entry.once.Do(func() {})
-		entry.ready.Store(true)
-		s.models[lr.key] = entry
+		s.mu.Unlock()
 	}
+	s.metrics.monitorsLoaded.Add(1)
 }
 
 // touchNanos is a request's LRU stamp in unix nanoseconds: its arrival
@@ -609,7 +513,7 @@ func (s *server) resident(e *monitorEntry, tr *obs.Trace) (*residentState, error
 		s.logf("page in", "id", e.id, "path", path, "err", err)
 		return nil, err
 	}
-	lr, err := buildMonitorState(rec)
+	rs, key, err := buildMonitorState(rec)
 	if err != nil {
 		s.metrics.storeFailures.Add(1)
 		s.logf("page in", "id", e.id, "path", path, "err", err)
@@ -618,13 +522,8 @@ func (s *server) resident(e *monitorEntry, tr *obs.Trace) (*residentState, error
 		}
 		return nil, err
 	}
-	e.fillMeta(lr)
-	s.registerResident(e)
-	s.seedModelCache(lr)
-	e.res.Store(lr.rs)
-	e.lastUse.Store(time.Now().UnixNano())
-	s.metrics.monitorsLoaded.Add(1)
-	return lr.rs, nil
+	s.install(e, rs, key)
+	return rs, nil
 }
 
 // registerResident adds e to the resident set, evicting the

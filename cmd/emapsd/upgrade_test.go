@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -118,5 +119,44 @@ func TestFacadeLoadsDaemonModelRecord(t *testing.T) {
 	}
 	if fmt.Sprint(sensors) != fmt.Sprint(cr.Sensors) {
 		t.Fatalf("facade placement %v, daemon placed %v", sensors, cr.Sensors)
+	}
+}
+
+// TestFacadeLoadsDaemonMonitorRecord: the daemon's mon-<n>.emon is the
+// facade's monitor format, so eigenmaps.LoadMonitorFile serves the daemon's
+// own maps, bit for bit, for the same readings.
+func TestFacadeLoadsDaemonMonitorRecord(t *testing.T) {
+	dir := t.TempDir()
+	ts := httptest.NewServer(durableServer(t, dir))
+	defer ts.Close()
+	cr := createMonitor(t, ts, "")
+	rows := goodReadings(cr.M, 3, 1)
+	var resp struct {
+		Results []struct {
+			Map []float64 `json:"map"`
+		} `json:"results"`
+	}
+	body := `{"readings":` + readingsJSON(rows) + `,"include_maps":true}`
+	if r := doJSON(t, ts, http.MethodPost, "/v1/monitors/"+cr.ID+"/estimate", body, &resp); r.StatusCode != 200 || len(resp.Results) != len(rows) {
+		t.Fatalf("estimate: status %d, %d results", r.StatusCode, len(resp.Results))
+	}
+	mon, err := eigenmaps.LoadMonitorFile(filepath.Join(dir, cr.ID+monitorSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	maps, err := mon.EstimateBatch(rows, eigenmaps.BatchOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, m := range maps {
+		want := resp.Results[i].Map
+		if len(m) != len(want) {
+			t.Fatalf("snapshot %d: facade map has %d cells, daemon %d", i, len(m), len(want))
+		}
+		for j := range m {
+			if math.Float64bits(m[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("snapshot %d cell %d: facade %v, daemon %v", i, j, m[j], want[j])
+			}
+		}
 	}
 }

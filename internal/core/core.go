@@ -14,7 +14,6 @@ import (
 	"repro/internal/basis"
 	"repro/internal/dataset"
 	"repro/internal/floorplan"
-	"repro/internal/mat"
 	"repro/internal/place"
 	"repro/internal/recon"
 )
@@ -217,18 +216,10 @@ func (mdl *Model) NewMonitor(k int, sensors []int) (*Monitor, error) {
 	return &Monitor{rec: r}, nil
 }
 
-// RestoreMonitorWithOperator rebuilds a run-time estimator from a persisted
-// basis, sensor set, least-squares factorization and folded reconstruction
-// operator (the monitor store's deserialization path, see internal/store).
-// The restored monitor estimates bit-identically to the one they were
-// captured from.
-func RestoreMonitorWithOperator(b *basis.Basis, k int, sensors []int, qr *mat.QR, op *mat.Matrix, opBias []float64) (*Monitor, error) {
-	r, err := recon.RestoreWithOperator(b, k, sensors, qr, op, opBias)
-	if err != nil {
-		return nil, err
-	}
-	return &Monitor{rec: r}, nil
-}
+// RestoredMonitor wraps a reconstructor restored from a store record
+// (store.Record.RestoreMonitor) as a run-time estimator, which estimates
+// bit-identically to the monitor the record was saved from.
+func RestoredMonitor(r *recon.Reconstructor) *Monitor { return &Monitor{rec: r} }
 
 // Estimate reconstructs the full map from sensor readings (°C), ordered like
 // the sensor slice the monitor was built with.

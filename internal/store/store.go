@@ -65,8 +65,10 @@ import (
 	"path/filepath"
 
 	"repro/internal/basis"
+	"repro/internal/drift"
 	"repro/internal/floorplan"
 	"repro/internal/mat"
+	"repro/internal/recon"
 )
 
 const (
@@ -241,14 +243,10 @@ type Record struct {
 // exactly where the saving daemon left off: the monitor's training residual
 // distribution (its alarm thresholds) and its adaptation lineage.
 type DriftInfo struct {
-	// CalibMean/CalibStd are the moments of the normalized reprojection
-	// residual over the ensemble the monitor was (re)calibrated on.
-	CalibMean float64
-	CalibStd  float64
-	// SensorMean/SensorStd are per-sensor moments of the absolute residual,
-	// aligned with the record's *serving* sensor list (Record.Sensors).
-	SensorMean []float64
-	SensorStd  []float64
+	// Calibration holds the residual moments over the ensemble the monitor
+	// was (re)calibrated on. Its per-sensor moments align with the record's
+	// *serving* sensor list (Record.Sensors).
+	drift.Calibration
 
 	// ParentKey is the train-key hash of the design-time ancestor this
 	// monitor adapted away from (empty at generation 0).
@@ -265,6 +263,29 @@ type DriftInfo struct {
 
 // HasMonitor reports whether the record carries the monitor section.
 func (rec *Record) HasMonitor() bool { return rec.QR != nil }
+
+// SetMonitor fills the record's basis and monitor section from r: its
+// sensors, K, cached factorization and folded operator.
+func (rec *Record) SetMonitor(r *recon.Reconstructor) {
+	rec.Basis = r.Basis()
+	rec.Sensors, rec.K, rec.QR = r.Sensors(), r.K(), r.QR()
+	rec.Op, rec.OpBias = r.Operator()
+}
+
+// RestoreMonitor rebuilds the reconstructor SetMonitor saved. Nothing is
+// refactored or refolded, so it estimates bit-identically to the saved one.
+// A record without the monitor section (a model file) fails with a
+// KindInvalid *Error.
+func (rec *Record) RestoreMonitor() (*recon.Reconstructor, error) {
+	if !rec.HasMonitor() {
+		return nil, errf(KindInvalid, "record has no monitor section (model-only store file)")
+	}
+	r, err := recon.RestoreWithOperator(rec.Basis, rec.K, rec.Sensors, rec.QR, rec.Op, rec.OpBias)
+	if err != nil {
+		return nil, &Error{Kind: KindInvalid, Detail: "restoring monitor", Err: err}
+	}
+	return r, nil
+}
 
 // Section-presence bits in the payload's flags word. flagMonitor and
 // flagOperator are always set together.
@@ -370,7 +391,7 @@ func Encode(w io.Writer, rec *Record) error {
 
 	if rec.Drift != nil {
 		d := rec.Drift
-		putFloats(&payload, []float64{d.CalibMean, d.CalibStd})
+		putFloats(&payload, []float64{d.Mean, d.Std})
 		putU32(&payload, uint32(len(d.SensorMean)))
 		putFloats(&payload, d.SensorMean)
 		putFloats(&payload, d.SensorStd)
@@ -614,13 +635,13 @@ func validateDrift(rec *Record) error {
 		return errf(KindInvalid, "drift sensor moments %d/%d for M=%d",
 			len(d.SensorMean), len(d.SensorStd), m)
 	}
-	for _, v := range []float64{d.CalibMean, d.CalibStd} {
+	for _, v := range []float64{d.Mean, d.Std} {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			return errf(KindInvalid, "non-finite drift calibration")
 		}
 	}
-	if d.CalibStd <= 0 {
-		return errf(KindInvalid, "drift calibration std %v not positive", d.CalibStd)
+	if d.Std <= 0 {
+		return errf(KindInvalid, "drift calibration std %v not positive", d.Std)
 	}
 	for i := range d.SensorMean {
 		for _, v := range []float64{d.SensorMean[i], d.SensorStd[i]} {
@@ -929,10 +950,7 @@ func (p *reader) driftSection(rec *Record) error {
 		orig = nil
 	}
 	rec.Drift = &DriftInfo{
-		CalibMean:   cal[0],
-		CalibStd:    cal[1],
-		SensorMean:  sensorMean,
-		SensorStd:   sensorStd,
+		Calibration: drift.Calibration{Mean: cal[0], Std: cal[1], SensorMean: sensorMean, SensorStd: sensorStd},
 		ParentKey:   parentKey,
 		Generation:  int(gen),
 		OrigSensors: orig,

@@ -9,6 +9,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/drift"
 	"repro/internal/recon"
 )
 
@@ -36,10 +37,7 @@ func adaptedRecord(t *testing.T) *Record {
 		sStd[i] = 0.002
 	}
 	rec.Drift = &DriftInfo{
-		CalibMean:   0.11,
-		CalibStd:    0.018,
-		SensorMean:  sMean,
-		SensorStd:   sStd,
+		Calibration: drift.Calibration{Mean: 0.11, Std: 0.018, SensorMean: sMean, SensorStd: sStd},
 		ParentKey:   "8f3a1c2b9d4e5f60",
 		Generation:  1,
 		OrigSensors: orig,
@@ -82,8 +80,8 @@ func TestDriftRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Drift, rec.Drift) {
 		t.Fatalf("drift round-trip: got %+v want %+v", got.Drift, rec.Drift)
 	}
-	if math.Float64bits(got.Drift.CalibMean) != math.Float64bits(rec.Drift.CalibMean) ||
-		math.Float64bits(got.Drift.CalibStd) != math.Float64bits(rec.Drift.CalibStd) {
+	if math.Float64bits(got.Drift.Mean) != math.Float64bits(rec.Drift.Mean) ||
+		math.Float64bits(got.Drift.Std) != math.Float64bits(rec.Drift.Std) {
 		t.Fatal("calibration bits changed")
 	}
 	if !bytes.Equal(floatBits(got.Drift.SensorMean), floatBits(rec.Drift.SensorMean)) ||
@@ -120,7 +118,7 @@ func TestDriftCorruptionMatrix(t *testing.T) {
 	// Forgeries — corruption with the CRC (and length) re-fixed — must still
 	// die structurally, never parse into a wrong calibration silently.
 	negStd := append([]byte(nil), data...)
-	negStd[start+15] ^= 0x80 // sign bit of CalibStd
+	negStd[start+15] ^= 0x80 // sign bit of the calibration Std
 	refixCRC(negStd)
 	decodeErr(t, negStd, ErrInvalid)
 
@@ -146,17 +144,17 @@ func TestEncodeRejectsBadDrift(t *testing.T) {
 	}
 
 	shortMoments := *rec
-	shortMoments.Drift = &DriftInfo{
-		CalibMean: 0.1, CalibStd: 0.02,
+	shortMoments.Drift = &DriftInfo{Calibration: drift.Calibration{
+		Mean: 0.1, Std: 0.02,
 		SensorMean: rec.Drift.SensorMean[:2], SensorStd: rec.Drift.SensorStd[:2],
-	}
+	}}
 	if err := Encode(&buf, &shortMoments); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("short-moments error %v, want ErrInvalid", err)
 	}
 
 	badStd := *rec
 	cp := *rec.Drift
-	cp.CalibStd = 0
+	cp.Std = 0
 	badStd.Drift = &cp
 	if err := Encode(&buf, &badStd); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("zero-std error %v, want ErrInvalid", err)
@@ -164,7 +162,7 @@ func TestEncodeRejectsBadDrift(t *testing.T) {
 
 	nanCal := *rec
 	cp2 := *rec.Drift
-	cp2.CalibMean = math.NaN()
+	cp2.Mean = math.NaN()
 	nanCal.Drift = &cp2
 	if err := Encode(&buf, &nanCal); !errors.Is(err, ErrInvalid) {
 		t.Fatalf("NaN-calibration error %v, want ErrInvalid", err)

@@ -46,17 +46,9 @@ var (
 // including the folded reconstruction operator, so a loaded monitor skips
 // even the deterministic re-fold.
 func (mn *Monitor) storeRecord() *store.Record {
-	rec := mn.mon.Reconstructor()
-	op, opBias := rec.Operator()
-	return &store.Record{
-		Meta:    store.Meta{GridW: mn.grid.W, GridH: mn.grid.H},
-		Basis:   rec.Basis(),
-		Sensors: rec.Sensors(),
-		K:       rec.K(),
-		QR:      rec.QR(),
-		Op:      op,
-		OpBias:  opBias,
-	}
+	rec := &store.Record{Meta: store.Meta{GridW: mn.grid.W, GridH: mn.grid.H}}
+	rec.SetMonitor(mn.mon.Reconstructor())
+	return rec
 }
 
 // Save writes the monitor in the library's versioned binary store format.
@@ -93,13 +85,9 @@ func LoadMonitorFile(path string) (*Monitor, error) {
 }
 
 func monitorFromRecord(rec *store.Record) (*Monitor, error) {
-	if !rec.HasMonitor() {
-		return nil, fmt.Errorf("eigenmaps: %w", &store.Error{
-			Kind: store.KindInvalid, Detail: "record has no monitor section (model-only store file)"})
-	}
-	mon, err := core.RestoreMonitorWithOperator(rec.Basis, rec.K, rec.Sensors, rec.QR, rec.Op, rec.OpBias)
+	r, err := rec.RestoreMonitor()
 	if err != nil {
 		return nil, fmt.Errorf("eigenmaps: %w", err)
 	}
-	return &Monitor{mon: mon, grid: Grid{W: rec.Basis.Grid.W, H: rec.Basis.Grid.H}}, nil
+	return &Monitor{mon: core.RestoredMonitor(r), grid: Grid{W: rec.Basis.Grid.W, H: rec.Basis.Grid.H}}, nil
 }
