@@ -698,9 +698,10 @@ func BenchmarkTransientStep(b *testing.B) {
 		fp := floorplan.UltraSparcT1()
 		g := floorplan.Grid{W: 60, H: 56}
 		raster := fp.Rasterize(g)
-		gen := power.NewGenerator(fp, power.Config{
-			Scenario: power.ScenarioMixed, Seed: 7, LoadCoupling: 0.75,
-		})
+		gen, err := power.NewSpecGenerator(fp, workload.Preset("mixed"), power.Config{Seed: 7, LoadCoupling: 0.75})
+		if err != nil {
+			b.Fatal(err)
+		}
 		maps := make([][]float64, 64)
 		for i := range maps {
 			maps[i] = power.SpreadToCells(raster, gen.Step())

@@ -1,8 +1,11 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
 	"strconv"
-	"sync"
+
+	"repro/internal/wire"
 )
 
 // Reflection-free JSON fast paths for the serving hot routes. The CPU
@@ -15,16 +18,15 @@ import (
 // remains the semantic authority: the fast path claims only documents
 // encoding/json accepts, and decodes them to the same values.
 
-// readingsBuf is a pooled scratch parse state: all numbers land in one flat
-// slice (grown once, reused across requests) and rows are rebuilt as
-// subslices after the parse, so a steady-state request allocates nothing.
+// readingsBuf is pooled scratch parse state (part of serveScratch): all
+// numbers land in one flat slice (grown once, reused across requests) and
+// rows are rebuilt as subslices after the parse, so a steady-state request
+// allocates nothing.
 type readingsBuf struct {
 	flat []float64
 	ends []int // ends[i] = index into flat one past row i's last value
 	rows [][]float64
 }
-
-var readingsPool = sync.Pool{New: func() any { return new(readingsBuf) }}
 
 // readingsAt scans the [[...]...] value starting at i into b, replacing
 // any batch an earlier duplicate key left there, and returns the index just
@@ -145,32 +147,75 @@ func walkObject(data []byte, value func(key []byte, i int) (int, bool)) bool {
 	}
 }
 
-// parseEstimateRequest is the estimate/track route's fast path: a body
-// whose keys are among readings and include_maps. Absent readings decode
-// as an empty batch. ok=false defers to encoding/json, which ignores
-// unknown keys such as the retired "workers".
-func (b *readingsBuf) parseEstimateRequest(data []byte, req *estimateRequest) (rows [][]float64, ok bool) {
+// parseRequest is the fast path of every JSON route: a body whose keys are
+// readings and the route's own option, include_maps on estimate and track,
+// config on govern. Absent readings decode as an empty batch. The config
+// object (a dozen scalars, absent on steady-state requests) goes through
+// encoding/json, which also finds where it ends; a repeated config merges
+// into the first, as encoding/json decodes into a non-nil pointer.
+// ok=false defers the whole body to decodeJSON.
+func (b *readingsBuf) parseRequest(data []byte, govern bool) (rows [][]float64, includeMaps bool, cfg *wire.GovernConfig, ok bool) {
 	b.flat, b.ends = b.flat[:0], b.ends[:0]
 	ok = walkObject(data, func(key []byte, i int) (int, bool) {
-		switch string(key) {
-		case "readings":
+		switch {
+		case string(key) == "readings":
 			return b.readingsAt(data, i)
-		case "include_maps":
+		case string(key) == "include_maps" && !govern:
 			switch {
 			case hasPrefixAt(data, i, "true"):
-				req.IncludeMaps = true
+				includeMaps = true
 				return skipSpace(data, i+4), true
 			case hasPrefixAt(data, i, "false"):
-				req.IncludeMaps = false
+				includeMaps = false
 				return skipSpace(data, i+5), true
 			}
+		case string(key) == "config" && govern:
+			next := cfg
+			dec := json.NewDecoder(bytes.NewReader(data[i:]))
+			if dec.Decode(&next) != nil {
+				return 0, false
+			}
+			cfg = next
+			return skipSpace(data, i+int(dec.InputOffset())), true
 		}
 		return 0, false
 	})
 	if !ok {
-		return nil, false
+		return nil, false, nil, false
 	}
-	return b.buildRows(), true
+	return b.buildRows(), includeMaps, cfg, true
+}
+
+// decodeJSON decodes a body the walker did not claim (escapes, unknown
+// keys, non-numeric tokens, nulls, malformed JSON) through encoding/json,
+// the authority on such bodies, which also reports its error. It decodes
+// only the route's own keys, so a key the route ignores cannot fail it,
+// and unknown keys such as the retired "workers" stay ignored. It is a
+// function of its own so that the fallback's addresses do not move the
+// fast path's results to the heap on every request.
+func decodeJSON(data []byte, govern bool) (rows [][]float64, includeMaps bool, cfg *wire.GovernConfig, err error) {
+	var readings json.RawMessage
+	if govern {
+		var req struct {
+			Readings json.RawMessage    `json:"readings"`
+			Config   *wire.GovernConfig `json:"config"`
+		}
+		err = json.Unmarshal(data, &req)
+		readings, cfg = req.Readings, req.Config
+	} else {
+		var req struct {
+			Readings    json.RawMessage `json:"readings"`
+			IncludeMaps bool            `json:"include_maps"`
+		}
+		err = json.Unmarshal(data, &req)
+		readings, includeMaps = req.Readings, req.IncludeMaps
+	}
+	if err == nil && len(readings) > 0 {
+		// A fresh decode of the last readings value: encoding/json would
+		// decode a repeated key into the rows the first one left.
+		err = json.Unmarshal(readings, &rows)
+	}
+	return rows, includeMaps, cfg, err
 }
 
 func hasPrefixAt(data []byte, i int, s string) bool {
@@ -245,5 +290,3 @@ func appendResults(buf []byte, results []snapshotSummary, quality string) []byte
 	}
 	return append(buf, ']')
 }
-
-var responsePool = sync.Pool{New: func() any { b := make([]byte, 0, 4096); return &b }}

@@ -30,11 +30,10 @@ func TestParseReadingsAgreesWithEncodingJSON(t *testing.T) {
 		`[[0.1,1e21,-1e-21,9007199254740993]]`,
 	}
 	for _, doc := range accept {
-		buf := readingsPool.Get().(*readingsBuf)
+		buf := new(readingsBuf)
 		got, ok := buf.parseReadings([]byte(doc))
 		if !ok {
 			t.Errorf("parseReadings(%q): fell back, want fast path", doc)
-			readingsPool.Put(buf)
 			continue
 		}
 		var want [][]float64
@@ -51,7 +50,6 @@ func TestParseReadingsAgreesWithEncodingJSON(t *testing.T) {
 				}
 			}
 		}
-		readingsPool.Put(buf)
 	}
 
 	// Shapes the scanner must NOT claim: it defers, and encoding/json's
@@ -63,11 +61,10 @@ func TestParseReadingsAgreesWithEncodingJSON(t *testing.T) {
 		`[[+1]]`, `[[.5]]`, `[[1.]]`, `[[01]]`, `[[-]]`, `[[1e]]`, `[[1e+]]`, `[[0x10]]`, `[[Inf]]`,
 	}
 	for _, doc := range defer_ {
-		buf := readingsPool.Get().(*readingsBuf)
+		buf := new(readingsBuf)
 		if _, ok := buf.parseReadings([]byte(doc)); ok {
 			t.Errorf("parseReadings(%q): claimed the fast path, want fallback", doc)
 		}
-		readingsPool.Put(buf)
 	}
 }
 
@@ -89,13 +86,15 @@ func TestParseEstimateRequestAgreesWithEncodingJSON(t *testing.T) {
 	}
 	for _, doc := range claim {
 		buf := new(readingsBuf)
-		var fast estimateRequest
-		rows, ok := buf.parseEstimateRequest([]byte(doc), &fast)
+		rows, includeMaps, _, ok := buf.parseRequest([]byte(doc), false)
 		if !ok {
-			t.Errorf("parseEstimateRequest(%q): fell back, want fast path", doc)
+			t.Errorf("parseRequest(%q): fell back, want fast path", doc)
 			continue
 		}
-		var std estimateRequest
+		var std struct {
+			Readings    json.RawMessage `json:"readings"`
+			IncludeMaps bool            `json:"include_maps"`
+		}
 		if err := json.Unmarshal([]byte(doc), &std); err != nil {
 			t.Fatalf("json.Unmarshal(%q): %v", doc, err)
 		}
@@ -105,17 +104,17 @@ func TestParseEstimateRequestAgreesWithEncodingJSON(t *testing.T) {
 				t.Fatalf("json.Unmarshal readings(%q): %v", doc, err)
 			}
 		}
-		if fast.IncludeMaps != std.IncludeMaps {
-			t.Errorf("parseEstimateRequest(%q): include_maps=%v, want %v",
-				doc, fast.IncludeMaps, std.IncludeMaps)
+		if includeMaps != std.IncludeMaps {
+			t.Errorf("parseRequest(%q): include_maps=%v, want %v",
+				doc, includeMaps, std.IncludeMaps)
 		}
 		if len(rows) != len(stdRows) {
-			t.Errorf("parseEstimateRequest(%q): %d rows, want %d", doc, len(rows), len(stdRows))
+			t.Errorf("parseRequest(%q): %d rows, want %d", doc, len(rows), len(stdRows))
 			continue
 		}
 		for i := range rows {
 			if !reflect.DeepEqual(rows[i], stdRows[i]) {
-				t.Errorf("parseEstimateRequest(%q): row %d = %v, want %v", doc, i, rows[i], stdRows[i])
+				t.Errorf("parseRequest(%q): row %d = %v, want %v", doc, i, rows[i], stdRows[i])
 			}
 		}
 	}
@@ -132,9 +131,8 @@ func TestParseEstimateRequestAgreesWithEncodingJSON(t *testing.T) {
 	}
 	for _, doc := range defer_ {
 		buf := new(readingsBuf)
-		var req estimateRequest
-		if _, ok := buf.parseEstimateRequest([]byte(doc), &req); ok {
-			t.Errorf("parseEstimateRequest(%q): claimed the fast path, want fallback", doc)
+		if _, _, _, ok := buf.parseRequest([]byte(doc), false); ok {
+			t.Errorf("parseRequest(%q): claimed the fast path, want fallback", doc)
 		}
 	}
 }

@@ -113,10 +113,29 @@ func newDriftState(cal drift.Calibration, model *core.Model, seedCount int) (*dr
 // clientWidth is the number of readings a client sends per snapshot: the
 // monitor's sensor count, counting excluded sensors.
 func (rs *residentState) clientWidth() int {
-	if rs.clientM != 0 {
-		return rs.clientM
+	if rs.origSensors != nil {
+		return len(rs.origSensors)
 	}
 	return rs.mon.Reconstructor().M()
+}
+
+// setOrigSensors records orig as the client-facing sensor list of the
+// monitor rs serves, and derives keep, the positions of the serving
+// sensors within orig (nil when none is excluded). The serving sensors are
+// orig in order, less any excluded ones; store validation guarantees that
+// for a record.
+func (rs *residentState) setOrigSensors(orig []int) {
+	serving := rs.mon.Sensors()
+	rs.origSensors, rs.keep = orig, nil
+	if len(serving) == len(orig) {
+		return
+	}
+	rs.keep = make([]int, 0, len(serving))
+	for i, c := range orig {
+		if len(rs.keep) < len(serving) && serving[len(rs.keep)] == c {
+			rs.keep = append(rs.keep, i)
+		}
+	}
 }
 
 // compactReadings maps client-facing reading vectors onto the serving
@@ -130,7 +149,7 @@ func (rs *residentState) compactReadings(rows [][]float64) [][]float64 {
 	}
 	out := make([][]float64, len(rows))
 	for i, row := range rows {
-		if len(row) != rs.clientM {
+		if len(row) != len(rs.origSensors) {
 			out[i] = row
 			continue
 		}
@@ -355,18 +374,11 @@ func (s *server) swappedState(e *monitorEntry, rs *residentState, model *core.Mo
 		return nil, err
 	}
 	next.generation, next.parentKey = rs.generation+1, e.desc.TrainKey
-	next.origSensors = rs.origSensors
-	if next.origSensors == nil {
-		next.origSensors = rs.mon.Sensors()
+	orig := rs.origSensors
+	if orig == nil {
+		orig = rs.mon.Sensors()
 	}
-	next.keep = rs.keep
-	if drop >= 0 {
-		if next.keep == nil {
-			next.keep = identity(len(next.origSensors))
-		}
-		next.keep = removeAt(next.keep, drop)
-	}
-	next.clientM = rs.clientWidth()
+	next.setOrigSensors(orig)
 	return next, nil
 }
 
@@ -387,14 +399,6 @@ func removeAt[T any](xs []T, i int) []T {
 	return append(out, xs[i+1:]...)
 }
 
-func identity(n int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}
-
 // handleMonitorStats serves GET /v1/monitors/{id}: the monitor's identity,
 // lineage and live drift verdict — what an operator checks before deciding
 // between re-training and letting adaptation run (see docs/OPERATIONS.md).
@@ -403,14 +407,13 @@ func (s *server) handleMonitorStats(w http.ResponseWriter, e *monitorEntry) {
 	if !ok {
 		return
 	}
-	clientM := rs.clientWidth()
 	out := map[string]any{
 		"id":               e.id,
 		"floorplan":        e.desc.Floorplan,
 		"grid_w":           e.desc.GridW,
 		"grid_h":           e.desc.GridH,
 		"k":                rs.mon.K(),
-		"m":                clientM,
+		"m":                rs.clientWidth(),
 		"serving_m":        len(rs.mon.Sensors()),
 		"sensors":          rs.mon.Sensors(),
 		"tracking":         rs.kf != nil,
@@ -430,9 +433,8 @@ func (s *server) handleMonitorStats(w http.ResponseWriter, e *monitorEntry) {
 		out["drift_observations"] = st.Observations
 		out["faulty_sensor"] = st.FaultySensor
 	}
-	if len(rs.origSensors) > 0 && len(rs.origSensors) != len(rs.mon.Sensors()) {
-		excluded := diffSensors(rs.origSensors, rs.mon.Sensors())
-		out["excluded_sensors"] = excluded
+	if rs.keep != nil {
+		out["excluded_sensors"] = diffSensors(rs.origSensors, rs.mon.Sensors())
 	}
 	writeJSON(w, http.StatusOK, out)
 }

@@ -30,8 +30,7 @@ func FuzzJSONWalker(f *testing.F) {
 		f.Add([]byte(`{"readings":[[` + n + `]]}`))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var est estimateRequest
-		if rows, ok := new(readingsBuf).parseEstimateRequest(data, &est); ok {
+		if rows, includeMaps, _, ok := new(readingsBuf).parseRequest(data, false); ok {
 			var ref struct {
 				Readings    [][]float64 `json:"readings"`
 				IncludeMaps bool        `json:"include_maps"`
@@ -39,13 +38,13 @@ func FuzzJSONWalker(f *testing.F) {
 			if err := json.Unmarshal(data, &ref); err != nil {
 				t.Fatalf("estimate fast path claimed %q, encoding/json rejects it: %v", data, err)
 			}
-			if est.IncludeMaps != ref.IncludeMaps {
+			if includeMaps != ref.IncludeMaps {
 				t.Fatalf("estimate %q: include_maps=%v, encoding/json %v",
-					data, est.IncludeMaps, ref.IncludeMaps)
+					data, includeMaps, ref.IncludeMaps)
 			}
 			sameRows(t, data, rows, ref.Readings)
 		}
-		if rows, cfg, ok := parseGovernRequest(new(readingsBuf), data); ok {
+		if rows, _, cfg, ok := new(readingsBuf).parseRequest(data, true); ok {
 			var ref struct {
 				Config   *wire.GovernConfig `json:"config"`
 				Readings [][]float64        `json:"readings"`

@@ -1,16 +1,11 @@
 package main
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
 	"net/http"
 	"strconv"
-	"strings"
 	"sync"
 
 	"repro/internal/governor"
-	"repro/internal/obs"
 	"repro/internal/wire"
 )
 
@@ -24,11 +19,13 @@ import (
 // readings through the installed governor, whose control state (hysteresis
 // latches, PI integrals, cumulative duty) persists across requests — and
 // across drift adaptations, which swap the estimator but never the cap
-// schedule the plant is already running under.
+// schedule the plant is already running under. A config takes over only
+// once its batch is estimated: a refused request leaves the running
+// governor in place.
 //
-// Both protocols are served: JSON, and application/x-emaps wire v2 (EMGQ /
-// EMGS frames). The control step is stage-attributed as the "govern" span in
-// the flight recorder, between drift scoring and encode.
+// Both protocols are served through serve: JSON, and application/x-emaps
+// wire v2 (EMGQ / EMGS frames). The control step is stage-attributed as the
+// "govern" span in the flight recorder, between drift scoring and encode.
 
 // governorState is one monitor's installed governor: the controller plus
 // cumulative closed-loop counters. mu serializes control steps — cap
@@ -53,73 +50,6 @@ func (g *governorState) stats() (snapshots uint64, duty float64) {
 		duty = float64(g.throttled) / float64(g.snapshots*uint64(g.ctrl.Cores()))
 	}
 	return g.snapshots, duty
-}
-
-// governScratch is pooled per-request response state: the decision list and
-// one flat backing array for every decision's levels. The response is
-// encoded and written before the handler returns, so steady-state govern
-// requests reuse the same storage — mirroring readingsPool/responsePool on
-// the estimate route.
-type governScratch struct {
-	resp wire.GovernResponse
-	flat []int
-}
-
-var governPool = sync.Pool{New: func() any { return new(governScratch) }}
-
-// governHTTPRequest is the JSON shape of a govern request. Readings reuse
-// the pooled fast scanner; the config object (first request, or an explicit
-// reconfigure) goes through encoding/json — it is a dozen scalars.
-type governHTTPRequest struct {
-	Config   *wire.GovernConfig `json:"config"`
-	Readings json.RawMessage    `json:"readings"`
-}
-
-// parseGovernRequest is the govern route's fast path on the shared walker:
-// a body whose keys are among config and readings. The readings reuse the
-// estimate route's pooled scanner; the config object (a dozen scalars,
-// absent entirely on steady-state requests) goes through encoding/json,
-// which also finds where it ends. A repeated config merges into the first,
-// as encoding/json decodes into a non-nil pointer. ok=false defers the
-// whole body to encoding/json.
-func parseGovernRequest(b *readingsBuf, data []byte) (rows [][]float64, cfg *wire.GovernConfig, ok bool) {
-	b.flat, b.ends = b.flat[:0], b.ends[:0]
-	ok = walkObject(data, func(key []byte, i int) (int, bool) {
-		switch string(key) {
-		case "readings":
-			return b.readingsAt(data, i)
-		case "config":
-			next := cfg
-			dec := json.NewDecoder(bytes.NewReader(data[i:]))
-			if dec.Decode(&next) != nil {
-				return 0, false
-			}
-			cfg = next
-			return skipSpace(data, i+int(dec.InputOffset())), true
-		}
-		return 0, false
-	})
-	if !ok {
-		return nil, nil, false
-	}
-	return b.buildRows(), cfg, true
-}
-
-// decodeGovernJSON decodes a govern body the walker did not claim through
-// encoding/json, the authority on such bodies. It is a function of its
-// own so that the fallback's &readings does not move the fast path's
-// readings to the heap on every request.
-func decodeGovernJSON(data []byte) (readings [][]float64, cfg *wire.GovernConfig, err error) {
-	var req governHTTPRequest
-	if err := json.Unmarshal(data, &req); err != nil {
-		return nil, nil, fmt.Errorf("bad JSON: %v", err)
-	}
-	if len(req.Readings) > 0 && string(req.Readings) != "null" {
-		if err := json.Unmarshal(req.Readings, &readings); err != nil {
-			return nil, nil, fmt.Errorf("bad readings: %v", err)
-		}
-	}
-	return readings, req.Config, nil
 }
 
 // buildGovernor constructs a fresh governor for the monitor serving rs from
@@ -163,16 +93,12 @@ func (s *server) buildGovernor(w http.ResponseWriter, rs *residentState, cfg *wi
 	return g, true
 }
 
-// governorFor resolves the monitor's governor: install from cfg when one is
-// supplied, otherwise require one to exist already.
+// governorFor resolves the governor a govern request runs: a new one built
+// from cfg, which serve installs only once the batch is estimated, or else
+// the installed one.
 func (s *server) governorFor(w http.ResponseWriter, e *monitorEntry, rs *residentState, cfg *wire.GovernConfig) (*governorState, bool) {
 	if cfg != nil {
-		g, ok := s.buildGovernor(w, rs, cfg)
-		if !ok {
-			return nil, false
-		}
-		e.gov.Store(g)
-		return g, true
+		return s.buildGovernor(w, rs, cfg)
 	}
 	g := e.gov.Load()
 	if g == nil {
@@ -183,45 +109,30 @@ func (s *server) governorFor(w http.ResponseWriter, e *monitorEntry, rs *residen
 	return g, true
 }
 
-// governBatch is the compute path shared by both protocols: estimate the
-// maps, score drift, then run the control step over each estimated map in
-// order. Returns the response to encode.
-func (s *server) governBatch(w http.ResponseWriter, e *monitorEntry, rs *residentState, g *governorState, readings [][]float64, tr *obs.Trace) (*governScratch, wire.Quality, bool) {
-	if !s.checkBatch(w, readings) {
-		return nil, 0, false
-	}
-	readings = rs.compactReadings(readings)
-	maps, done, err := s.estimateMaps(rs, readings, tr)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad_readings", "estimate: %v", err)
-		return nil, 0, false
-	}
-	defer done()
-	quality := s.feedDrift(e, rs, readings, maps, tr)
-	s.snapshots.Add(int64(len(maps)))
-	e.snapshots.Add(int64(len(maps)))
-
+// step is the control step: it runs the governor over each estimated map
+// of a batch in order, and fills sc.govern with one decision per map,
+// carrying the map's summary, and with the governor's cumulative counters.
+// Levels live back to back in sc.levels, so steady-state requests reuse
+// the same storage.
+func (g *governorState) step(sc *serveScratch, maps [][]float64) {
 	g.mu.Lock()
-	ctrl := g.ctrl
-	cores := ctrl.Cores()
-	sc := governPool.Get().(*governScratch)
-	resp := &sc.resp
-	resp.Ladder = g.ladder
-	resp.Cores = cores
+	defer g.mu.Unlock()
+	cores := g.ctrl.Cores()
+	resp := &sc.govern
+	resp.Ladder, resp.Cores = g.ladder, cores
 	if cap(resp.Decisions) < len(maps) {
 		resp.Decisions = make([]wire.GovernDecision, len(maps))
 	}
 	resp.Decisions = resp.Decisions[:len(maps)]
-	if cap(sc.flat) < len(maps)*cores {
-		sc.flat = make([]int, len(maps)*cores)
+	if cap(sc.levels) < len(maps)*cores {
+		sc.levels = make([]int, len(maps)*cores)
 	}
-	flat := sc.flat[:len(maps)*cores]
 	for i, x := range maps {
 		sum := summarize(x, false)
 		d := &resp.Decisions[i]
 		d.MaxC, d.MinC, d.MeanC, d.MaxCell = sum.MaxC, sum.MinC, sum.MeanC, sum.MaxCell
-		d.Levels = flat[i*cores : (i+1)*cores : (i+1)*cores]
-		g.throttled += uint64(ctrl.StepInto(d.Levels, x))
+		d.Levels = sc.levels[i*cores : (i+1)*cores : (i+1)*cores]
+		g.throttled += uint64(g.ctrl.StepInto(d.Levels, x))
 	}
 	g.snapshots += uint64(len(maps))
 	resp.Snapshots = g.snapshots
@@ -229,9 +140,6 @@ func (s *server) governBatch(w http.ResponseWriter, e *monitorEntry, rs *residen
 	if g.snapshots > 0 && cores > 0 {
 		resp.ThrottleDuty = float64(g.throttled) / float64(g.snapshots*uint64(cores))
 	}
-	g.mu.Unlock()
-	tr.Mark(obs.StageGovern)
-	return sc, qualityFor(quality), true
 }
 
 // appendGovernResponseJSON renders the govern reply without reflection, in
@@ -275,92 +183,4 @@ func appendGovernResponseJSON(buf []byte, resp *wire.GovernResponse, quality str
 	buf = append(buf, `,"throttle_duty":`...)
 	buf = strconv.AppendFloat(buf, resp.ThrottleDuty, 'g', -1, 64)
 	return append(buf, '}', '\n')
-}
-
-func (s *server) handleGovern(w http.ResponseWriter, r *http.Request, e *monitorEntry) {
-	rs, ok := s.residentHTTP(w, e)
-	if !ok || !limitBody(w, r, s.bodyLimit(rs)) {
-		return
-	}
-	if strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentType) {
-		s.handleGovernBinary(w, r, e, rs)
-		return
-	}
-	tr := traceOf(w)
-	body := bodyPool.Get().(*bytes.Buffer)
-	body.Reset()
-	defer bodyPool.Put(body)
-	if _, err := body.ReadFrom(r.Body); err != nil {
-		badBody(w, err, "bad_json", "reading request: %v")
-		return
-	}
-	buf := readingsPool.Get().(*readingsBuf)
-	defer readingsPool.Put(buf)
-	readings, cfg, ok := parseGovernRequest(buf, body.Bytes())
-	if !ok {
-		var err error
-		if readings, cfg, err = decodeGovernJSON(body.Bytes()); err != nil {
-			httpError(w, http.StatusBadRequest, "bad_json", "%v", err)
-			return
-		}
-	}
-	tr.Mark(obs.StageDecode)
-	g, ok := s.governorFor(w, e, rs, cfg)
-	if !ok {
-		return
-	}
-	sc, quality, ok := s.governBatch(w, e, rs, g, readings, tr)
-	if !ok {
-		return
-	}
-	defer governPool.Put(sc)
-	tr.Tail(obs.StageEncode)
-	respBuf := responsePool.Get().(*[]byte)
-	*respBuf = appendGovernResponseJSON((*respBuf)[:0], &sc.resp, quality.String(), g.jsonHead)
-	s.writeResponse(w, "application/json", respBuf)
-}
-
-// handleGovernBinary serves one application/x-emaps govern request (EMGQ in,
-// EMGS out). Errors keep the JSON envelope, as on every binary route.
-func (s *server) handleGovernBinary(w http.ResponseWriter, r *http.Request, e *monitorEntry, rs *residentState) {
-	tr := traceOf(w)
-	body := bodyPool.Get().(*bytes.Buffer)
-	body.Reset()
-	defer bodyPool.Put(body)
-	if _, err := body.ReadFrom(r.Body); err != nil {
-		badBody(w, err, "bad_frame", "reading request: %v")
-		return
-	}
-	scratch := wireBufPool.Get().(*wire.ReadingsBuf)
-	defer wireBufPool.Put(scratch)
-	req, err := wire.DecodeGovernRequest(body.Bytes(), scratch)
-	tr.Mark(obs.StageDecode)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad_frame", "%v", err)
-		return
-	}
-	g, ok := s.governorFor(w, e, rs, req.Config)
-	if !ok {
-		return
-	}
-	sc, quality, ok := s.governBatch(w, e, rs, g, req.Readings, tr)
-	if !ok {
-		return
-	}
-	defer governPool.Put(sc)
-	sc.resp.Quality = quality
-	tr.Tail(obs.StageEncode)
-	respBuf := responsePool.Get().(*[]byte)
-	defer responsePool.Put(respBuf)
-	out, err := wire.AppendGovernResponse((*respBuf)[:0], &sc.resp)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, "internal", "encode: %v", err)
-		return
-	}
-	*respBuf = out
-	w.Header().Set("Content-Type", wire.ContentType)
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(out); err != nil && s.logger != nil {
-		s.logger.Error("write response", "err", err)
-	}
 }

@@ -4,12 +4,14 @@
 // reconstruction concurrently.
 //
 // Each monitor shares one precomputed reconstruction operator across all
-// requests, and estimate, track and govern each run one code path; batches
-// fan out over a worker pool, so independent clients and independent
-// monitors proceed in parallel. Trained models are cached by
-// training configuration, so two monitors over the same ensemble (say, a
-// K=8/M=16 layout and a K=4/M=8 fallback) pay for simulation and training
-// once.
+// requests. Estimate, track and govern, over JSON and the binary protocol,
+// run through one serving pipeline (serve): one decode, one batch check,
+// one compute, one drift score and one encode per request, refused in one
+// order on every route. Large batches fan out over every CPU, so
+// independent clients and independent monitors proceed in parallel.
+// Trained models are cached by training configuration, so two monitors
+// over the same ensemble (say, a K=8/M=16 layout and a K=4/M=8 fallback)
+// pay for simulation and training once.
 //
 //	emapsd -addr :8760
 //
@@ -61,7 +63,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"io/fs"
 	"log"
 	"log/slog"
@@ -248,12 +249,11 @@ type residentState struct {
 	parentKey  string
 
 	// Sensor-fault tolerance: origSensors is the client-facing sensor list
-	// (nil while no sensor has been excluded); keep holds the positions of
-	// the surviving sensors within a client reading vector of length
-	// clientM (nil = identity).
+	// (nil until the first hot-swap); keep holds the positions of the
+	// serving sensors within it (nil = all of them). setOrigSensors sets
+	// both.
 	origSensors []int
 	keep        []int
-	clientM     int
 
 	// meta and fp are the rest of the monitor's record: its training
 	// configuration and serving options, and the floorplan the governor
@@ -302,38 +302,6 @@ type monitorEntry struct {
 	// the cap schedule the plant is already running under.
 	gov atomic.Pointer[governorState]
 }
-
-// mapsPool recycles per-request output maps (batch × N floats) for every
-// monitor and route that writes them (estimate, govern, track): the serving
-// hot path must not allocate a fresh ~60 KB of maps per request at tens of
-// thousands of snapshots per second. One server-wide pool holds about as
-// many batches as requests run at once, where a pool per monitor would keep
-// a batch for every monitor served until GC clears it, resident or paged
-// out.
-var mapsPool = sync.Pool{New: func() any { return new([][]float64) }}
-
-// getMaps returns a pooled batch of n map buffers of length cells. A pooled
-// row is re-sliced when its capacity suffices and replaced when it does
-// not, so monitors of different N share the pool. Hand the batch back with
-// putMaps once the response is encoded.
-func getMaps(n, cells int) *[][]float64 {
-	buf := mapsPool.Get().(*[][]float64)
-	maps := (*buf)[:cap(*buf)]
-	if len(maps) < n {
-		maps = append(maps, make([][]float64, n-len(maps))...)
-	}
-	maps = maps[:n]
-	for i, row := range maps {
-		if cap(row) < cells {
-			row = make([]float64, cells)
-		}
-		maps[i] = row[:cells]
-	}
-	*buf = maps
-	return buf
-}
-
-func putMaps(buf *[][]float64) { mapsPool.Put(buf) }
 
 type server struct {
 	maxBatch    int
@@ -962,29 +930,19 @@ func (s *server) handleMonitor(w http.ResponseWriter, r *http.Request, rest stri
 		writeJSON(w, http.StatusOK, map[string]string{"deleted": id})
 		return "delete"
 	case action == "estimate" && r.Method == http.MethodPost:
-		s.handleEstimate(w, r, entry)
+		s.serve(w, r, entry, estimateRoute)
 		return "estimate"
 	case action == "track" && r.Method == http.MethodPost:
-		s.handleTrack(w, r, entry)
+		s.serve(w, r, entry, trackRoute)
 		return "track"
 	case action == "govern" && r.Method == http.MethodPost:
-		s.handleGovern(w, r, entry)
+		s.serve(w, r, entry, governRoute)
 		return "govern"
 	default:
 		httpError(w, http.StatusNotFound, "not_found", "no route %s %s", r.Method, r.URL.Path)
 		return "notfound"
 	}
 }
-
-type estimateRequest struct {
-	// Readings is captured raw and parsed by the pooled fast scanner in
-	// codec.go — the array is the bulk of the request bytes, and reflective
-	// decode of it dominated the serving profile.
-	Readings    json.RawMessage `json:"readings"`
-	IncludeMaps bool            `json:"include_maps"`
-}
-
-func releaseNothing() {}
 
 // Request-body bounds, checked before a body is buffered. A JSON reading
 // is at most 24 bytes in shortest round-trip form
@@ -1040,57 +998,6 @@ func badBody(w http.ResponseWriter, err error, code, format string) {
 	httpError(w, http.StatusBadRequest, code, format, err)
 }
 
-// bodyPool recycles whole-request read buffers for the estimate hot path.
-var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// decodeEstimateRequest parses an estimate/track body: one read into a
-// pooled buffer, then the single-pass scanner in codec.go, with encoding/json
-// as the fallback authority for anything the scanner does not claim. The
-// returned rows may alias pooled storage: call release exactly once, after
-// the rows (and any result slices aliasing them) are dead.
-func decodeEstimateRequest(r io.Reader, req *estimateRequest) (rows [][]float64, release func(), err error) {
-	body := bodyPool.Get().(*bytes.Buffer)
-	body.Reset()
-	if _, err := body.ReadFrom(r); err != nil {
-		bodyPool.Put(body)
-		return nil, releaseNothing, err
-	}
-	data := body.Bytes()
-	buf := readingsPool.Get().(*readingsBuf)
-	if rows, ok := buf.parseEstimateRequest(data, req); ok {
-		bodyPool.Put(body)
-		return rows, func() { readingsPool.Put(buf) }, nil
-	}
-	readingsPool.Put(buf)
-	defer bodyPool.Put(body)
-	rows, err = decodeEstimateJSON(data, req)
-	return rows, releaseNothing, err
-}
-
-// decodeEstimateJSON decodes an estimate/track body the walker did not
-// claim (escapes, extra keys, non-numeric tokens, malformed JSON) through
-// encoding/json, the authority on such bodies, which also reports its
-// error; unknown fields stay ignored, exactly as before the fast path. It
-// decodes into a copy of *req and is a function of its own so that the
-// fallback's addresses do not move the fast path's request and rows to the
-// heap on every request.
-func decodeEstimateJSON(data []byte, req *estimateRequest) ([][]float64, error) {
-	fallback := *req
-	if err := json.Unmarshal(data, &fallback); err != nil {
-		return nil, err
-	}
-	*req = fallback
-	if len(req.Readings) == 0 {
-		// Field absent: same as an empty batch downstream.
-		return nil, nil
-	}
-	var rows [][]float64
-	if err := json.Unmarshal(req.Readings, &rows); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
 // snapshotSummary is the per-snapshot digest a thermal manager consumes.
 // It is the wire package's Summary, by alias rather than by copy: the JSON
 // codec (tags on wire.Summary) and the binary codec encode the same struct,
@@ -1142,183 +1049,194 @@ func (s *server) residentHTTP(w http.ResponseWriter, e *monitorEntry) (*resident
 	return nil, false
 }
 
-// estimateMaps is the compute path shared by the estimate and govern routes
-// over both protocols: one batched GEMM against the monitor's operator into
-// pooled output buffers, reused across requests instead of re-allocating
-// batch × N floats. done releases them — call it exactly once, after the
-// maps are encoded.
-func (s *server) estimateMaps(rs *residentState, readings [][]float64, tr *obs.Trace) (maps [][]float64, done func(), err error) {
-	buf := getMaps(len(readings), rs.mon.N())
-	if err := rs.mon.EstimateBatchInto(*buf, readings, 0); err != nil {
-		putMaps(buf)
-		return nil, releaseNothing, err
-	}
-	tr.Mark(obs.StageSolve)
-	return *buf, func() { putMaps(buf) }, nil
+// route is a per-monitor serving route: what serve computes and encodes.
+type route int
+
+const (
+	estimateRoute route = iota
+	trackRoute
+	governRoute
+)
+
+// serveScratch is the pooled state of one served request: the body, the
+// decode scratch of both protocols, the output maps (batch × N floats,
+// which the hot path must not allocate afresh per request), the govern
+// decisions and the rendered response. One server-wide pool holds about as
+// many as requests run at once; a pooled map row is re-sliced when its
+// capacity suffices and replaced when it does not, so monitors of
+// different N share the pool.
+type serveScratch struct {
+	body   bytes.Buffer
+	json   readingsBuf
+	frame  wire.ReadingsBuf
+	maps   [][]float64
+	govern wire.GovernResponse
+	levels []int // every govern decision's levels, back to back
+	resp   []byte
 }
 
-func (s *server) handleEstimate(w http.ResponseWriter, r *http.Request, e *monitorEntry) {
-	rs, ok := s.residentHTTP(w, e)
-	if !ok || !limitBody(w, r, s.bodyLimit(rs)) {
-		return
+var scratchPool = sync.Pool{New: func() any { return new(serveScratch) }}
+
+// mapsFor returns n pooled map buffers of length cells.
+func (sc *serveScratch) mapsFor(n, cells int) [][]float64 {
+	maps := sc.maps[:cap(sc.maps)]
+	if len(maps) < n {
+		maps = append(maps, make([][]float64, n-len(maps))...)
 	}
-	if strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentType) {
-		s.handleEstimateBinary(w, r, e, rs)
-		return
+	maps = maps[:n]
+	for i, row := range maps {
+		if cap(row) < cells {
+			row = make([]float64, cells)
+		}
+		maps[i] = row[:cells]
 	}
-	tr := traceOf(w)
-	var req estimateRequest
-	readings, release, err := decodeEstimateRequest(r.Body, &req)
-	tr.Mark(obs.StageDecode)
-	if err != nil {
-		badBody(w, err, "bad_json", "bad JSON: %v")
-		return
-	}
-	defer release()
-	if !s.checkBatch(w, readings) {
-		return
-	}
-	readings = rs.compactReadings(readings)
-	maps, done, err := s.estimateMaps(rs, readings, tr)
-	if err != nil {
-		// Wrong-length vectors, NaN/Inf readings: client error, never a panic.
-		httpError(w, http.StatusBadRequest, "bad_readings", "estimate: %v", err)
-		return
-	}
-	defer done()
-	quality := s.feedDrift(e, rs, readings, maps, tr)
-	s.snapshots.Add(int64(len(maps)))
-	e.snapshots.Add(int64(len(maps)))
-	out := make([]snapshotSummary, len(maps))
-	for i, x := range maps {
-		out[i] = summarize(x, req.IncludeMaps)
-	}
-	// Hand-rendered response (see codec.go): same bytes a json.Encoder would
-	// produce for {"quality":"...","results":[...]}, minus the reflection.
-	// Everything after the drift span — summarize, render, the body write —
-	// is the encode stage; Tail attributes it at Finish with zero clock
-	// reads (the already-sent Server-Timing header carries the interior
-	// stages; the flight-recorder waterfall includes encode).
-	tr.Tail(obs.StageEncode)
-	body := responsePool.Get().(*[]byte)
-	*body = appendEstimateResponse((*body)[:0], out, quality.String())
-	s.writeResponse(w, "application/json", body)
+	sc.maps = maps
+	return maps
 }
 
-// wireBufPool recycles binary-protocol decode scratch, mirroring the JSON
-// path's readingsPool.
-var wireBufPool = sync.Pool{New: func() any { return new(wire.ReadingsBuf) }}
-
-// handleEstimateBinary serves one application/x-emaps estimate. The decoded
-// request and the computed summaries are the same structs the JSON path
-// sees — only the bytes on the wire differ. Errors keep the JSON envelope
-// regardless of the request protocol, so error handling is one client code
-// path.
-func (s *server) handleEstimateBinary(w http.ResponseWriter, r *http.Request, e *monitorEntry, rs *residentState) {
-	tr := traceOf(w)
-	body := bodyPool.Get().(*bytes.Buffer)
-	body.Reset()
-	defer bodyPool.Put(body)
-	if _, err := body.ReadFrom(r.Body); err != nil {
-		badBody(w, err, "bad_frame", "reading request: %v")
-		return
-	}
-	scratch := wireBufPool.Get().(*wire.ReadingsBuf)
-	defer wireBufPool.Put(scratch)
-	req, err := wire.DecodeEstimateRequest(body.Bytes(), scratch)
-	tr.Mark(obs.StageDecode)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad_frame", "%v", err)
-		return
-	}
-	if !s.checkBatch(w, req.Readings) {
-		return
-	}
-	readings := req.Readings
-	readings = rs.compactReadings(readings)
-	maps, done, err := s.estimateMaps(rs, readings, tr)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad_readings", "estimate: %v", err)
-		return
-	}
-	defer done()
-	quality := s.feedDrift(e, rs, readings, maps, tr)
-	s.snapshots.Add(int64(len(maps)))
-	e.snapshots.Add(int64(len(maps)))
-	out := make([]wire.Summary, len(maps))
-	for i, x := range maps {
-		out[i] = summarize(x, req.IncludeMaps)
-	}
-	tr.Tail(obs.StageEncode)
-	respBuf := responsePool.Get().(*[]byte)
-	*respBuf = wire.AppendEstimateResponse((*respBuf)[:0], out, qualityFor(quality))
-	s.writeResponse(w, wire.ContentType, respBuf)
-}
-
-func (s *server) handleTrack(w http.ResponseWriter, r *http.Request, e *monitorEntry) {
+// serve is the one serving pipeline: estimate, track and govern, over JSON
+// and the binary protocol, each step run once and in this order. It pages
+// the monitor in, bounds the body, reads and decodes it, resolves the
+// governor, checks the batch, compacts it onto the serving sensors,
+// computes the maps, installs a new governor, scores drift, counts, runs
+// the control step or summarizes, and encodes. The protocol switches only
+// at decode and encode, the route only at compute and encode, so every
+// route refuses in one order (DESIGN.md "Serving pipeline"). Errors keep
+// the JSON envelope whatever the request protocol. Every pooled buffer
+// goes back through the one deferred release, which the compiler
+// open-codes.
+func (s *server) serve(w http.ResponseWriter, r *http.Request, e *monitorEntry, rt route) {
 	rs, ok := s.residentHTTP(w, e)
 	if !ok {
 		return
 	}
-	if rs.kf == nil {
+	if rt == trackRoute && rs.kf == nil {
 		httpError(w, http.StatusBadRequest, "no_tracker", "monitor %s has no tracker (create with \"tracking\": true)", e.id)
 		return
 	}
 	if !limitBody(w, r, s.bodyLimit(rs)) {
 		return
 	}
+	// Track reads JSON only: a binary frame sent to it is bad JSON.
+	binary := rt != trackRoute && strings.HasPrefix(r.Header.Get("Content-Type"), wire.ContentType)
+	sc := scratchPool.Get().(*serveScratch)
+	defer scratchPool.Put(sc)
 	tr := traceOf(w)
-	var req estimateRequest
-	readings, release, err := decodeEstimateRequest(r.Body, &req)
+	sc.body.Reset()
+	_, err := sc.body.ReadFrom(r.Body)
+	data := sc.body.Bytes()
+	var readings [][]float64
+	var includeMaps bool
+	var cfg *wire.GovernConfig
+	switch {
+	case err != nil:
+	case binary && rt == governRoute:
+		var req *wire.GovernRequest
+		if req, err = wire.DecodeGovernRequest(data, &sc.frame); err == nil {
+			readings, cfg = req.Readings, req.Config
+		}
+	case binary:
+		var req *wire.EstimateRequest
+		if req, err = wire.DecodeEstimateRequest(data, &sc.frame); err == nil {
+			readings, includeMaps = req.Readings, req.IncludeMaps
+		}
+	default:
+		if readings, includeMaps, cfg, ok = sc.json.parseRequest(data, rt == governRoute); !ok {
+			readings, includeMaps, cfg, err = decodeJSON(data, rt == governRoute)
+		}
+	}
 	tr.Mark(obs.StageDecode)
 	if err != nil {
-		badBody(w, err, "bad_json", "bad JSON: %v")
+		code, format := "bad_json", "bad JSON: %v"
+		if binary {
+			code, format = "bad_frame", "bad frame: %v"
+		}
+		badBody(w, err, code, format)
 		return
 	}
-	defer release()
+	var g *governorState
+	if rt == governRoute {
+		if g, ok = s.governorFor(w, e, rs, cfg); !ok {
+			return
+		}
+	}
 	if !s.checkBatch(w, readings) {
 		return
 	}
 	readings = rs.compactReadings(readings)
-	buf := getMaps(len(readings), rs.mon.N())
-	defer putMaps(buf)
-	maps := *buf
-	// steps and uncertainty describe the tracker right after this batch:
-	// both come from the critical section that applied it.
-	steps, uncertainty, err := rs.kf.StepBatchInto(maps, readings)
+	maps := sc.mapsFor(len(readings), rs.mon.N())
+	var steps int
+	var uncertainty float64
+	if rt == trackRoute {
+		// steps and uncertainty describe the tracker right after this
+		// batch: both come from the critical section that applied it.
+		steps, uncertainty, err = rs.kf.StepBatchInto(maps, readings)
+	} else {
+		err = rs.mon.EstimateBatchInto(maps, readings, 0)
+	}
 	tr.Mark(obs.StageSolve)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad_readings", "track: %v", err)
+		// Wrong-length vectors, NaN, Inf or out-of-range readings: a client
+		// error, never a panic, and no state has moved.
+		httpError(w, http.StatusBadRequest, "bad_readings", "readings: %v", err)
 		return
 	}
-	// Kalman-smoothed maps are not the least-squares projection, so the
-	// tracker path scores drift with the residual matvec, not the estimates.
-	quality := s.feedDrift(e, rs, readings, nil, tr)
+	if cfg != nil {
+		// Installed only now, so a refused request leaves the running
+		// governor in place.
+		e.gov.Store(g)
+	}
+	// Kalman-smoothed maps are not the least-squares projection, so track
+	// scores drift with the residual matvec, not the maps.
+	estimates := maps
+	if rt == trackRoute {
+		estimates = nil
+	}
+	quality := s.feedDrift(e, rs, readings, estimates, tr)
 	s.snapshots.Add(int64(len(maps)))
 	e.snapshots.Add(int64(len(maps)))
-	out := make([]snapshotSummary, len(maps))
-	for i, x := range maps {
-		out[i] = summarize(x, req.IncludeMaps)
+	var sums []snapshotSummary
+	if rt == governRoute {
+		g.step(sc, maps)
+		tr.Mark(obs.StageGovern)
+	} else {
+		sums = make([]snapshotSummary, len(maps))
+		for i, x := range maps {
+			sums[i] = summarize(x, includeMaps)
+		}
 	}
-	// Everything after the drift span is the encode stage, as on estimate.
+	// Everything after the last span — summarizing, rendering and the body
+	// write — is the encode stage; Tail attributes it at Finish with no
+	// clock read.
 	tr.Tail(obs.StageEncode)
-	body := responsePool.Get().(*[]byte)
-	*body = appendTrackResponse((*body)[:0], out, quality.String(), steps, uncertainty)
-	s.writeResponse(w, "application/json", body)
+	out, contentType := sc.resp[:0], "application/json"
+	switch {
+	case rt == governRoute && binary:
+		sc.govern.Quality = qualityFor(quality)
+		out, err = wire.AppendGovernResponse(out, &sc.govern)
+		contentType = wire.ContentType
+	case rt == governRoute:
+		out = appendGovernResponseJSON(out, &sc.govern, quality.String(), g.jsonHead)
+	case binary:
+		out, contentType = wire.AppendEstimateResponse(out, sums, qualityFor(quality)), wire.ContentType
+	case rt == trackRoute:
+		out = appendTrackResponse(out, sums, quality.String(), steps, uncertainty)
+	default:
+		out = appendEstimateResponse(out, sums, quality.String())
+	}
+	if err != nil {
+		httpError(w, http.StatusInternalServerError, "internal", "encode: %v", err)
+		return
+	}
+	sc.resp = out
+	w.Header().Set("Content-Type", contentType)
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(out); err != nil && s.logger != nil {
+		s.logger.Error("write response", "err", err)
+	}
 }
 
 // --- plumbing ---
-
-// writeResponse writes a rendered 200 reply from a responsePool buffer and
-// returns the buffer to the pool.
-func (s *server) writeResponse(w http.ResponseWriter, contentType string, body *[]byte) {
-	w.Header().Set("Content-Type", contentType)
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(*body); err != nil && s.logger != nil {
-		s.logger.Error("write response", "err", err)
-	}
-	responsePool.Put(body)
-}
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")

@@ -236,8 +236,7 @@ func TestParseNumberFleetBodies(t *testing.T) {
 	}
 	buf := new(readingsBuf)
 	for _, body := range fleetBodies(t, n, 128) {
-		var req estimateRequest
-		rows, ok := buf.parseEstimateRequest(body, &req)
+		rows, _, _, ok := buf.parseRequest(body, false)
 		if !ok {
 			t.Fatalf("fleet body fell back to encoding/json: %.80s…", body)
 		}
@@ -253,18 +252,16 @@ func TestParseNumberFleetBodies(t *testing.T) {
 
 // BenchmarkDecodeEstimateRequest decodes one fleet-shaped JSON estimate
 // body (128 × 12 shortest-form readings) through the pooled walker, as
-// decodeEstimateRequest does after the body read.
+// serve does after the body read.
 func BenchmarkDecodeEstimateRequest(b *testing.B) {
 	body := fleetBodies(b, 1, 128)[0]
+	buf := new(readingsBuf)
 	b.SetBytes(int64(len(body)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf := readingsPool.Get().(*readingsBuf)
-		var req estimateRequest
-		if _, ok := buf.parseEstimateRequest(body, &req); !ok {
+		if _, _, _, ok := buf.parseRequest(body, false); !ok {
 			b.Fatal("fleet body fell back to encoding/json")
 		}
-		readingsPool.Put(buf)
 	}
 }

@@ -16,13 +16,15 @@ import (
 // objects, the trace's writer and the response; batches below the fan-out
 // threshold start no goroutines, and no route allocates per snapshot.
 var serveAllocPins = map[string]float64{
-	"estimate/json":   28,
-	"estimate/binary": 28,
-	"govern/json":     26,
+	"estimate/json":   26,
+	"estimate/binary": 27,
+	"govern/json":     25,
+	"govern/binary":   26,
+	"track/json":      26,
 }
 
-// TestServeAllocsPinned pins the allocations per request of JSON and
-// binary estimate and of govern at serveAllocPins.
+// TestServeAllocsPinned pins the allocations per request of every route
+// over every protocol it serves at serveAllocPins.
 func TestServeAllocsPinned(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops items at random under the race detector")
@@ -38,12 +40,26 @@ func TestServeAllocsPinned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	governFrame, err := wire.AppendGovernRequest(nil, &wire.GovernRequest{Readings: req.Readings})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A tracking twin on the same trained model serves the track route.
+	w := httptest.NewRecorder()
+	srv.ServeHTTP(w, httptest.NewRequest(http.MethodPost, "/v1/monitors", strings.NewReader(
+		`{"floorplan":"t1","grid_w":12,"grid_h":10,"snapshots":80,"seed":1,"kmax":8,"k":4,"m":8,"tracking":true}`)))
+	var cr createResponse
+	if err := json.Unmarshal(w.Body.Bytes(), &cr); err != nil || w.Code != http.StatusCreated {
+		t.Fatalf("create: status %d %s (%v)", w.Code, w.Body.String(), err)
+	}
 	routes := []struct {
 		name, path, body, contentType string
 	}{
 		{"estimate/json", estimatePath, estimateBody, "application/json"},
 		{"estimate/binary", estimatePath, string(frame), wire.ContentType},
 		{"govern/json", governPath, governBody, "application/json"},
+		{"govern/binary", governPath, string(governFrame), wire.ContentType},
+		{"track/json", "/v1/monitors/" + cr.ID + "/track", estimateBody, "application/json"},
 	}
 	serve := func(path, body, contentType string) {
 		r := httptest.NewRequest(http.MethodPost, path, strings.NewReader(body))

@@ -405,28 +405,10 @@ func buildMonitorState(rec *store.Record) (*residentState, trainKey, error) {
 		}
 		rs.generation, rs.parentKey = d.Generation, d.ParentKey
 		if len(d.OrigSensors) > 0 {
-			rs.origSensors, rs.clientM = d.OrigSensors, len(d.OrigSensors)
-			if len(d.OrigSensors) != len(rec.Sensors) {
-				rs.keep = keepPositions(d.OrigSensors, rec.Sensors)
-			}
+			rs.setOrigSensors(d.OrigSensors)
 		}
 	}
 	return rs, key, nil
-}
-
-// keepPositions maps the serving sensor subset back onto positions in the
-// client-facing original list (both ordered; store validation guarantees
-// serving ⊆ orig in order).
-func keepPositions(orig, serving []int) []int {
-	keep := make([]int, 0, len(serving))
-	j := 0
-	for i, c := range orig {
-		if j < len(serving) && serving[j] == c {
-			keep = append(keep, i)
-			j++
-		}
-	}
-	return keep
 }
 
 // descFor is a monitor's index entry: everything listing and routing read

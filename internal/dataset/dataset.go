@@ -115,15 +115,10 @@ type GenConfig struct {
 	Grid      floorplan.Grid
 	Snapshots int // total maps to produce; default 2652 (the paper's T)
 
-	// Scenarios are run back-to-back, splitting Snapshots equally; the
-	// resulting ensemble mixes workload regimes like the paper's trace set.
-	// Default: web, compute, mixed, idle. Mutually exclusive with Specs.
-	Scenarios []power.Scenario
-
-	// Specs are declarative workload scenarios run back-to-back like
-	// Scenarios. When set, Scenarios must be empty — the two spellings of
-	// the same knob cannot be mixed. Preset specs from the workload
-	// registry produce ensembles bit-identical to their Scenario enums.
+	// Specs are declarative workload scenarios run back-to-back, splitting
+	// Snapshots equally; the resulting ensemble mixes workload regimes like
+	// the paper's trace set. Default: the registry presets web, compute,
+	// mixed and idle.
 	Specs []*workload.Spec
 
 	// StepsPerSnapshot inserts extra un-recorded simulation steps between
@@ -133,7 +128,7 @@ type GenConfig struct {
 
 	Seed    int64
 	Thermal thermal.Config
-	Power   power.Config // Scenario and Seed fields are overridden per segment
+	Power   power.Config // Seed is overridden per segment
 }
 
 // ConfigError reports a GenConfig field that would silently produce a
@@ -163,9 +158,9 @@ func (c *GenConfig) defaults() {
 	if c.Snapshots == 0 {
 		c.Snapshots = 2652
 	}
-	if len(c.Scenarios) == 0 && len(c.Specs) == 0 {
-		c.Scenarios = []power.Scenario{
-			power.ScenarioWeb, power.ScenarioCompute, power.ScenarioMixed, power.ScenarioIdle,
+	if len(c.Specs) == 0 {
+		c.Specs = []*workload.Spec{
+			workload.Preset("web"), workload.Preset("compute"), workload.Preset("mixed"), workload.Preset("idle"),
 		}
 	}
 	if c.StepsPerSnapshot <= 0 {
@@ -182,11 +177,6 @@ func (c *GenConfig) validate() error {
 		return &ConfigError{Option: "Grid", Reason: fmt.Sprintf(
 			"%dx%d has a side below 1", c.Grid.W, c.Grid.H)}
 	}
-	if len(c.Scenarios) > 0 && len(c.Specs) > 0 {
-		return &ConfigError{Option: "Specs", Reason: fmt.Sprintf(
-			"%d Specs and %d Scenarios both set; use exactly one spelling (registry presets cover the enum scenarios)",
-			len(c.Specs), len(c.Scenarios))}
-	}
 	for i, s := range c.Specs {
 		if s == nil {
 			return &ConfigError{Option: "Specs", Reason: fmt.Sprintf("spec %d is nil", i)}
@@ -195,21 +185,12 @@ func (c *GenConfig) validate() error {
 			return &ConfigError{Option: "Specs", Reason: err.Error()}
 		}
 	}
-	if c.Snapshots < c.segments() {
+	if c.Snapshots < len(c.Specs) {
 		return &ConfigError{Option: "Snapshots", Reason: fmt.Sprintf(
 			"%d snapshots cannot cover %d scenarios (each scenario segment needs at least one snapshot)",
-			c.Snapshots, c.segments())}
+			c.Snapshots, len(c.Specs))}
 	}
 	return nil
-}
-
-// segments returns the number of workload segments the ensemble is split
-// into (specs when given, legacy enum scenarios otherwise).
-func (c *GenConfig) segments() int {
-	if len(c.Specs) > 0 {
-		return len(c.Specs)
-	}
-	return len(c.Scenarios)
 }
 
 // Generate runs the full design-time pipeline: for each scenario segment it
@@ -248,7 +229,7 @@ func generate(fp *floorplan.Floorplan, cfg GenConfig, workers int) (*Dataset, er
 	maps := mat.New(cfg.Snapshots, cfg.Grid.N())
 	// Segment si covers rows [starts[si], starts[si+1]); the last segment
 	// absorbs the division remainder.
-	nseg := cfg.segments()
+	nseg := len(cfg.Specs)
 	perSeg := cfg.Snapshots / nseg
 	starts := make([]int, nseg+1)
 	for si := 0; si < nseg; si++ {
@@ -344,22 +325,13 @@ func startSegment(fp *floorplan.Floorplan, raster *floorplan.Raster, model *ther
 	cfg *GenConfig, si int) (segmentRun, error) {
 	pcfg := cfg.Power
 	pcfg.Seed = cfg.Seed + int64(si)*7919
-	r := segmentRun{si: si}
-	if len(cfg.Specs) > 0 {
-		spec := cfg.Specs[si]
-		r.name = spec.Name
-		if r.name == "" {
-			r.name = fmt.Sprintf("spec[%d]", si)
-		}
-		var err error
-		r.gen, err = power.NewSpecGenerator(fp, spec, pcfg)
-		if err != nil {
-			return r, fmt.Errorf("dataset: scenario %s: %w", r.name, err)
-		}
-	} else {
-		pcfg.Scenario = cfg.Scenarios[si]
-		r.name = pcfg.Scenario.String()
-		r.gen = power.NewGenerator(fp, pcfg)
+	r := segmentRun{si: si, name: cfg.Specs[si].Name}
+	if r.name == "" {
+		r.name = fmt.Sprintf("spec[%d]", si)
+	}
+	var err error
+	if r.gen, err = power.NewSpecGenerator(fp, cfg.Specs[si], pcfg); err != nil {
+		return r, fmt.Errorf("dataset: scenario %s: %w", r.name, err)
 	}
 	r.tr = model.NewTransient()
 	r.cellP = make([]float64, cfg.Grid.N())

@@ -76,7 +76,7 @@ func TestGenerateSpatialStructure(t *testing.T) {
 	// in cores is several times higher.
 	fp := floorplan.UltraSparcT1()
 	cfg := tinyConfig(60, 3)
-	cfg.Scenarios = []power.Scenario{power.ScenarioCompute}
+	cfg.Specs = []*workload.Spec{workload.Preset("compute")}
 	d, err := Generate(fp, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -272,7 +272,7 @@ func generateOneAtATime(t *testing.T, fp *floorplan.Floorplan, cfg GenConfig) *m
 	raster := fp.Rasterize(cfg.Grid)
 	model := thermal.NewModel(cfg.Grid, cfg.Thermal)
 	maps := mat.New(cfg.Snapshots, cfg.Grid.N())
-	nseg := cfg.segments()
+	nseg := len(cfg.Specs)
 	scratch := make([]float64, cfg.Grid.N())
 	for si := 0; si < nseg; si++ {
 		r, err := startSegment(fp, raster, model, &cfg, si)
@@ -311,7 +311,7 @@ func TestGenerateWorkersBitIdentical(t *testing.T) {
 	// run's state its own.
 	fp := floorplan.UltraSparcT1()
 	three := tinyConfig(31, 23)
-	three.Scenarios = []power.Scenario{power.ScenarioWeb, power.ScenarioCompute, power.ScenarioIdle}
+	three.Specs = []*workload.Spec{workload.Preset("web"), workload.Preset("compute"), workload.Preset("idle")}
 	steps := tinyConfig(30, 21)
 	steps.StepsPerSnapshot = 2
 	leaky := tinyConfig(30, 22)
@@ -362,54 +362,6 @@ func TestGenerateRejectsGridSideBelowOne(t *testing.T) {
 		if !errors.As(err, &ce) || ce.Option != "Grid" {
 			t.Fatalf("grid %dx%d: err = %v, want ConfigError{Option: Grid}", g.W, g.H, err)
 		}
-	}
-}
-
-func TestGenerateSpecsMatchEnumScenarios(t *testing.T) {
-	// Registry preset specs must reproduce the enum-scenario ensemble
-	// bit-for-bit: the spec migration cannot change any existing dataset.
-	fp := floorplan.UltraSparcT1()
-	base := GenConfig{
-		Grid: floorplan.Grid{W: 12, H: 10}, Snapshots: 40, Seed: 99,
-		Scenarios: []power.Scenario{power.ScenarioWeb, power.ScenarioMixed},
-	}
-	enum, err := Generate(fp, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	specCfg := base
-	specCfg.Scenarios = nil
-	for _, name := range []string{"web", "mixed"} {
-		s, err := workload.Parse(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		specCfg.Specs = append(specCfg.Specs, s)
-	}
-	spec, err := Generate(fp, specCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for j := 0; j < enum.T(); j++ {
-		a, b := enum.Map(j), spec.Map(j)
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("map %d cell %d: enum %v != spec %v", j, i, a[i], b[i])
-			}
-		}
-	}
-}
-
-func TestGenerateRejectsSpecsPlusScenarios(t *testing.T) {
-	s, _ := workload.Parse("web")
-	_, err := Generate(floorplan.UltraSparcT1(), GenConfig{
-		Grid: floorplan.Grid{W: 8, H: 8}, Snapshots: 8,
-		Scenarios: []power.Scenario{power.ScenarioWeb},
-		Specs:     []*workload.Spec{s},
-	})
-	var ce *ConfigError
-	if !errors.As(err, &ce) || ce.Option != "Specs" {
-		t.Fatalf("Specs+Scenarios err = %v", err)
 	}
 }
 

@@ -10,12 +10,11 @@
 //
 // The engine is driven by declarative workload.Spec scenarios: phase
 // schedules of Markov rate regimes, bursty (MMPP) arrival modulation,
-// task-migration chains, DVFS ladders and periodic duty envelopes. The
-// historical Scenario enum remains as a thin compatibility layer whose four
-// presets delegate to the workload registry — by construction the delegated
-// engine consumes the RNG in exactly the legacy order, so preset traces are
-// bit-identical to the pre-spec implementation (pinned by
-// TestPresetSpecBitEquivalence).
+// task-migration chains, DVFS ladders and periodic duty envelopes. The four
+// historical presets (web, compute, mixed, idle) are registry specs; the
+// engine consumes the RNG in exactly the order of the enum arms it
+// replaced, so their traces are bit-identical to the pre-spec
+// implementation.
 package power
 
 import (
@@ -27,60 +26,10 @@ import (
 	"repro/internal/workload"
 )
 
-// Scenario selects a workload preset (legacy spelling; the presets live in
-// the workload registry and can also be addressed by name there).
-type Scenario int
-
-// Workload presets.
-const (
-	// ScenarioWeb models a throughput server: bursty per-core activity and
-	// frequent OS rebalancing (the T1's design point).
-	ScenarioWeb Scenario = iota
-	// ScenarioCompute models sustained compute: most cores busy most of the
-	// time, long phases, heavy FPU use.
-	ScenarioCompute
-	// ScenarioMixed alternates between web-like and compute-like phases.
-	ScenarioMixed
-	// ScenarioIdle models a lightly loaded machine with sporadic tasks.
-	ScenarioIdle
-)
-
-// String names the scenario.
-func (s Scenario) String() string {
-	switch s {
-	case ScenarioWeb:
-		return "web"
-	case ScenarioCompute:
-		return "compute"
-	case ScenarioMixed:
-		return "mixed"
-	case ScenarioIdle:
-		return "idle"
-	}
-	return fmt.Sprintf("Scenario(%d)", int(s))
-}
-
-// presetSpec maps the enum onto its registry spec. Unknown enum values keep
-// their historical behavior: generic fallback rates and no migration.
-func presetSpec(s Scenario) *workload.Spec {
-	switch s {
-	case ScenarioWeb, ScenarioCompute, ScenarioMixed, ScenarioIdle:
-		return workload.Preset(s.String())
-	}
-	return &workload.Spec{
-		Name: s.String(),
-		Phases: []workload.Phase{{
-			Rates: workload.Rates{IdleToBusy: 0.1, BusyToIdle: 0.1, BusyToFPU: 0.02, FPUToBusy: 0.2},
-		}},
-		Migration: workload.Migration{Period: -1},
-	}
-}
-
-// Config parameterizes a Generator. The zero value plus a Seed is a usable
-// web-scenario configuration.
+// Config parameterizes a Generator's hardware. The zero value plus a Seed
+// is a usable configuration.
 type Config struct {
-	Scenario Scenario
-	Seed     int64
+	Seed int64
 
 	// CoreIdleW / CoreBusyW bound each core's power draw [watts].
 	// Defaults: 1.0 / 6.5 (T1-class core budgets).
@@ -248,21 +197,9 @@ type Generator struct {
 	uEff   []float64         // envelope-modulated utilization (aliases util without envelopes)
 }
 
-// NewGenerator builds a Generator for fp under cfg. The generator is
-// deterministic given cfg.Seed. The enum scenario delegates to its workload
-// registry spec; traces are bit-identical to the historical enum arms.
-func NewGenerator(fp *floorplan.Floorplan, cfg Config) *Generator {
-	g, err := NewSpecGenerator(fp, presetSpec(cfg.Scenario), cfg)
-	if err != nil {
-		// Preset specs are valid by construction.
-		panic(fmt.Sprintf("power: preset %v: %v", cfg.Scenario, err))
-	}
-	return g
-}
-
 // NewSpecGenerator builds a Generator driven by a declarative workload
-// spec. cfg supplies the hardware power budgets (its Scenario field is
-// ignored); spec supplies the dynamics. The trace is bit-reproducible given
+// spec. cfg supplies the hardware power budgets; spec supplies the
+// dynamics. The trace is bit-reproducible given
 // (spec, cfg.Seed).
 func NewSpecGenerator(fp *floorplan.Floorplan, spec *workload.Spec, cfg Config) (*Generator, error) {
 	if err := spec.Validate(); err != nil {

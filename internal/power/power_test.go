@@ -8,15 +8,25 @@ import (
 	"repro/internal/workload"
 )
 
-func t1gen(t *testing.T, s Scenario, seed int64) (*floorplan.Floorplan, *Generator) {
+func t1gen(t *testing.T, preset string, seed int64) (*floorplan.Floorplan, *Generator) {
 	t.Helper()
 	fp := floorplan.UltraSparcT1()
-	return fp, NewGenerator(fp, Config{Scenario: s, Seed: seed})
+	return fp, presetGen(t, fp, preset, Config{Seed: seed})
+}
+
+// presetGen builds a generator for one of the four registry presets.
+func presetGen(t *testing.T, fp *floorplan.Floorplan, preset string, cfg Config) *Generator {
+	t.Helper()
+	g, err := NewSpecGenerator(fp, workload.Preset(preset), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g
 }
 
 func TestGeneratorDeterministic(t *testing.T) {
-	_, g1 := t1gen(t, ScenarioWeb, 7)
-	_, g2 := t1gen(t, ScenarioWeb, 7)
+	_, g1 := t1gen(t, "web", 7)
+	_, g2 := t1gen(t, "web", 7)
 	for i := 0; i < 50; i++ {
 		p1, p2 := g1.Step(), g2.Step()
 		for b := range p1 {
@@ -28,8 +38,8 @@ func TestGeneratorDeterministic(t *testing.T) {
 }
 
 func TestGeneratorSeedsDiffer(t *testing.T) {
-	_, g1 := t1gen(t, ScenarioWeb, 1)
-	_, g2 := t1gen(t, ScenarioWeb, 2)
+	_, g1 := t1gen(t, "web", 1)
+	_, g2 := t1gen(t, "web", 2)
 	same := true
 	for i := 0; i < 50 && same; i++ {
 		p1, p2 := g1.Step(), g2.Step()
@@ -46,7 +56,7 @@ func TestGeneratorSeedsDiffer(t *testing.T) {
 }
 
 func TestPowersWithinBounds(t *testing.T) {
-	fp, g := t1gen(t, ScenarioMixed, 3)
+	fp, g := t1gen(t, "mixed", 3)
 	cfg := Config{}
 	cfg.defaults()
 	for i := 0; i < 1000; i++ {
@@ -69,8 +79,8 @@ func TestPowersWithinBounds(t *testing.T) {
 
 func TestScenarioActivityOrdering(t *testing.T) {
 	// Compute workload must dissipate clearly more than idle workload.
-	avg := func(s Scenario) float64 {
-		_, g := t1gen(t, s, 11)
+	avg := func(preset string) float64 {
+		_, g := t1gen(t, preset, 11)
 		var tot float64
 		const steps = 2000
 		for i := 0; i < steps; i++ {
@@ -78,7 +88,7 @@ func TestScenarioActivityOrdering(t *testing.T) {
 		}
 		return tot / steps
 	}
-	idle, web, compute := avg(ScenarioIdle), avg(ScenarioWeb), avg(ScenarioCompute)
+	idle, web, compute := avg("idle"), avg("web"), avg("compute")
 	if !(idle < web && web < compute) {
 		t.Fatalf("expected idle < web < compute, got %v < %v < %v", idle, web, compute)
 	}
@@ -86,7 +96,7 @@ func TestScenarioActivityOrdering(t *testing.T) {
 
 func TestComputeScenarioPowerBudget(t *testing.T) {
 	// Sustained compute should land in a T1-class envelope (tens of watts).
-	_, g := t1gen(t, ScenarioCompute, 5)
+	_, g := t1gen(t, "compute", 5)
 	var tot float64
 	const steps = 2000
 	for i := 0; i < steps; i++ {
@@ -99,7 +109,7 @@ func TestComputeScenarioPowerBudget(t *testing.T) {
 }
 
 func TestTraceVariesOverTime(t *testing.T) {
-	_, g := t1gen(t, ScenarioWeb, 13)
+	_, g := t1gen(t, "web", 13)
 	first := g.Step()
 	varied := false
 	for i := 0; i < 200; i++ {
@@ -118,7 +128,7 @@ func TestTraceVariesOverTime(t *testing.T) {
 func TestCoresVaryIndependently(t *testing.T) {
 	// Over a long run, per-core powers must not be perfectly correlated;
 	// otherwise there is no spatial diversity for PCA to exploit.
-	fp, g := t1gen(t, ScenarioWeb, 17)
+	fp, g := t1gen(t, "web", 17)
 	cores := fp.KindBlocks(floorplan.KindCore)
 	const steps = 1500
 	series := make([][]float64, len(cores))
@@ -180,7 +190,7 @@ func correlation(a, b []float64) float64 {
 }
 
 func TestSpreadToCellsConservesPower(t *testing.T) {
-	fp, g := t1gen(t, ScenarioWeb, 19)
+	fp, g := t1gen(t, "web", 19)
 	grid := floorplan.Grid{W: 60, H: 56}
 	r := fp.Rasterize(grid)
 	for i := 0; i < 20; i++ {
@@ -197,7 +207,7 @@ func TestSpreadToCellsConservesPower(t *testing.T) {
 }
 
 func TestSpreadToCellsUniformWithinBlock(t *testing.T) {
-	fp, g := t1gen(t, ScenarioCompute, 23)
+	fp, g := t1gen(t, "compute", 23)
 	grid := floorplan.Grid{W: 30, H: 28}
 	r := fp.Rasterize(grid)
 	bp := g.Step()
@@ -230,7 +240,7 @@ func TestSpreadToCellsLengthMismatchPanics(t *testing.T) {
 func TestMigrationMovesLoad(t *testing.T) {
 	// With a short migration period, a busy core's task must eventually move.
 	fp := floorplan.UltraSparcT1()
-	g := NewGenerator(fp, Config{Scenario: ScenarioCompute, Seed: 29, MigrationPeriod: 5})
+	g := presetGen(t, fp, "compute", Config{Seed: 29, MigrationPeriod: 5})
 	cores := fp.KindBlocks(floorplan.KindCore)
 	argmax := func(p []float64) int {
 		best := cores[0]
@@ -250,22 +260,11 @@ func TestMigrationMovesLoad(t *testing.T) {
 	}
 }
 
-func TestScenarioString(t *testing.T) {
-	for s, want := range map[Scenario]string{
-		ScenarioWeb: "web", ScenarioCompute: "compute",
-		ScenarioMixed: "mixed", ScenarioIdle: "idle", Scenario(9): "Scenario(9)",
-	} {
-		if s.String() != want {
-			t.Fatalf("%d.String() = %q, want %q", int(s), s.String(), want)
-		}
-	}
-}
-
 func TestLoadCouplingCorrelatesCores(t *testing.T) {
 	fp := floorplan.UltraSparcT1()
 	cores := fp.KindBlocks(floorplan.KindCore)
 	run := func(coupling float64) float64 {
-		g := NewGenerator(fp, Config{Scenario: ScenarioWeb, Seed: 31, LoadCoupling: coupling})
+		g := presetGen(t, fp, "web", Config{Seed: 31, LoadCoupling: coupling})
 		const steps = 1500
 		a := make([]float64, steps)
 		b := make([]float64, steps)
@@ -286,7 +285,7 @@ func TestLoadCouplingCorrelatesCores(t *testing.T) {
 
 func TestLoadCouplingKeepsPowerBounds(t *testing.T) {
 	fp := floorplan.UltraSparcT1()
-	g := NewGenerator(fp, Config{Scenario: ScenarioMixed, Seed: 37, LoadCoupling: 0.75})
+	g := presetGen(t, fp, "mixed", Config{Seed: 37, LoadCoupling: 0.75})
 	cfg := Config{}
 	cfg.defaults()
 	for i := 0; i < 800; i++ {
@@ -351,30 +350,6 @@ func tracesEqual(a, b [][]float64) bool {
 		}
 	}
 	return true
-}
-
-// TestPresetSpecBitEquivalence pins the preset migration: the enum arms
-// delegate to registry specs, and the delegation must reproduce the enum
-// trace bit-for-bit (700 steps covers the mixed scenario's full 600-step
-// phase cycle and many migration periods).
-func TestPresetSpecBitEquivalence(t *testing.T) {
-	fp := floorplan.UltraSparcT1()
-	for _, sc := range []Scenario{ScenarioWeb, ScenarioCompute, ScenarioMixed, ScenarioIdle} {
-		for _, cpl := range []float64{0, 0.75} {
-			enum := NewGenerator(fp, Config{Scenario: sc, Seed: 101, LoadCoupling: cpl})
-			spec, err := workload.Parse(sc.String())
-			if err != nil {
-				t.Fatal(err)
-			}
-			sg, err := NewSpecGenerator(fp, spec, Config{Seed: 101, LoadCoupling: cpl})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !tracesEqual(stepTrace(enum, 700), stepTrace(sg, 700)) {
-				t.Fatalf("scenario %v coupling %v: spec trace diverges from enum trace", sc, cpl)
-			}
-		}
-	}
 }
 
 // TestSpecSeedDeterminism pins bit-reproducibility for every catalog spec —

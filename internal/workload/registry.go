@@ -9,10 +9,10 @@ import (
 
 // The built-in scenario catalog. The first four entries are the
 // repository's historical presets, expressed as specs: their rates,
-// phase alternation and migration periods are the exact values the old
-// enum arms hardcoded, so the power engine's enum path reproduces its
-// previous traces bit-for-bit by delegating here (pinned by
-// TestPresetSpecBitEquivalence in internal/power).
+// phase alternation and migration periods are the exact values the
+// retired power.Scenario enum arms hardcoded, so the power engine
+// reproduces those arms' traces bit-for-bit (the ensembles of the default
+// mix are digest-pinned by TestCreatePathDigestsPinned in internal/core).
 var builtins = []*Spec{
 	{
 		Name:   "web",
@@ -190,8 +190,8 @@ func Names() []string {
 }
 
 // Preset returns the registry spec for one of the four historical presets
-// by name. It panics on unknown names — it exists for the power engine's
-// enum delegation, where the name set is closed.
+// by name. It panics on unknown names — it exists for dataset.Generate's
+// default mix and for tests, where the name set is closed.
 func Preset(name string) *Spec {
 	s, ok := registry[name]
 	if !ok {
