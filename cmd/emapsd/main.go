@@ -1131,12 +1131,12 @@ func (s *server) serve(w http.ResponseWriter, r *http.Request, e *monitorEntry, 
 	switch {
 	case err != nil:
 	case binary && rt == governRoute:
-		var req *wire.GovernRequest
+		var req wire.GovernRequest
 		if req, err = wire.DecodeGovernRequest(data, &sc.frame); err == nil {
 			readings, cfg = req.Readings, req.Config
 		}
 	case binary:
-		var req *wire.EstimateRequest
+		var req wire.EstimateRequest
 		if req, err = wire.DecodeEstimateRequest(data, &sc.frame); err == nil {
 			readings, includeMaps = req.Readings, req.IncludeMaps
 		}

@@ -17,9 +17,9 @@ import (
 // threshold start no goroutines, and no route allocates per snapshot.
 var serveAllocPins = map[string]float64{
 	"estimate/json":   26,
-	"estimate/binary": 27,
+	"estimate/binary": 26,
 	"govern/json":     25,
-	"govern/binary":   26,
+	"govern/binary":   25,
 	"track/json":      26,
 }
 

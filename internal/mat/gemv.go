@@ -52,6 +52,21 @@ func MulVecBiasInto(dst, bias []float64, a *Matrix, x []float64) {
 	}
 }
 
+// mulVecSeeded is MulVecBiasInto's seeded form, one snapshot of
+// MulVecSeededBatchInto: each row's sum starts at bias[i], and no bias is
+// added after it. Shapes are the caller's to check.
+func mulVecSeeded(dst, bias []float64, a *Matrix, x []float64) {
+	n := a.cols
+	for i := range dst {
+		row := a.data[i*n : (i+1)*n]
+		s := bias[i]
+		for j, xv := range x {
+			s += row[j] * xv
+		}
+		dst[i] = s
+	}
+}
+
 // MulVecBiasBatchInto applies dst[t] = bias + a·xs[t] for every snapshot t.
 // Each dst[t] must have length a.Rows() and each xs[t] length a.Cols();
 // len(dst) must equal len(xs). Snapshots are processed four at a time so
@@ -68,6 +83,24 @@ func MulVecBiasInto(dst, bias []float64, a *Matrix, x []float64) {
 // 4-row × 4-snapshot one. The generic kernel serves every other platform
 // and the row and snapshot tails.
 func MulVecBiasBatchInto(dst [][]float64, bias []float64, a *Matrix, xs [][]float64) {
+	mulBiasBatch(dst, bias, a, xs, false)
+}
+
+// MulVecSeededBatchInto is MulVecBiasBatchInto with each sum seeded by the
+// bias: dst[t][i] = ((bias[i] + a[i][0]·xs[t][0]) + a[i][1]·xs[t][1]) + …,
+// in ascending j, with no add after the last product. That is the order of
+// a synthesized map, mean first and then one coefficient term at a time
+// (basis.SynthesizeInto), so it returns those bits, signed zeros included:
+// a −0 bias cell whose products are all −0 stays −0, which the unseeded
+// form, adding the bias to a sum started at +0, turns into +0. It runs
+// through the same vector and generic kernels, on the same shapes.
+func MulVecSeededBatchInto(dst [][]float64, bias []float64, a *Matrix, xs [][]float64) {
+	mulBiasBatch(dst, bias, a, xs, true)
+}
+
+// mulBiasBatch checks the batch's shapes and runs it through the fastest
+// kernels this CPU has, seeded or not.
+func mulBiasBatch(dst [][]float64, bias []float64, a *Matrix, xs [][]float64, seeded bool) {
 	if len(dst) != len(xs) {
 		panic(ErrShape)
 	}
@@ -84,9 +117,9 @@ func MulVecBiasBatchInto(dst [][]float64, bias []float64, a *Matrix, xs [][]floa
 	}
 	t := 0
 	if hasAVX {
-		t = mulBiasBatchVec(dst, bias, a, xs, hasAVX512)
+		t = mulBiasBatchVec(dst, bias, a, xs, hasAVX512, seeded)
 	}
-	mulBiasBatchGeneric(dst[t:], bias, a, xs[t:])
+	mulBiasBatchGeneric(dst[t:], bias, a, xs[t:], seeded)
 }
 
 // packStack is the largest packed block of readings (width·cols float64s,
@@ -103,7 +136,7 @@ var packPool = sync.Pool{New: func() any { return new([]float64) }}
 // snapshots it wrote: a multiple of 4, or 0 when the shape leaves the
 // kernels nothing to do. The caller checks that the CPU runs the kernels
 // it asks for.
-func mulBiasBatchVec(dst [][]float64, bias []float64, a *Matrix, xs [][]float64, wide bool) int {
+func mulBiasBatchVec(dst [][]float64, bias []float64, a *Matrix, xs [][]float64, wide, seeded bool) int {
 	m := a.cols
 	if m == 0 || a.rows < 4 || len(xs) < 4 {
 		return 0
@@ -130,10 +163,10 @@ func mulBiasBatchVec(dst [][]float64, bias []float64, a *Matrix, xs [][]float64,
 			packReadings(xp[:8*m], xs[t:t+8])
 			d := dst[t : t+8]
 			mulBias8x8(&d[0][0], &d[1][0], &d[2][0], &d[3][0], &d[4][0], &d[5][0], &d[6][0], &d[7][0],
-				&bias[0], &a.data[0], &xp[0], rows8, m)
+				&bias[0], &a.data[0], &xp[0], rows8, m, seeded)
 			if rows8 < a.rows {
-				mulBiasRows4(d[:4], bias, a, xs[t:t+4], rows8, a.rows)
-				mulBiasRows4(d[4:], bias, a, xs[t+4:t+8], rows8, a.rows)
+				mulRows4(d[:4], bias, a, xs[t:t+4], rows8, a.rows, seeded)
+				mulRows4(d[4:], bias, a, xs[t+4:t+8], rows8, a.rows, seeded)
 			}
 		}
 	}
@@ -141,9 +174,9 @@ func mulBiasBatchVec(dst [][]float64, bias []float64, a *Matrix, xs [][]float64,
 	for ; t+4 <= len(xs); t += 4 {
 		packReadings(xp[:4*m], xs[t:t+4])
 		d := dst[t : t+4]
-		mulBias4x4(&d[0][0], &d[1][0], &d[2][0], &d[3][0], &bias[0], &a.data[0], &xp[0], rows4, m)
+		mulBias4x4(&d[0][0], &d[1][0], &d[2][0], &d[3][0], &bias[0], &a.data[0], &xp[0], rows4, m, seeded)
 		if rows4 < a.rows {
-			mulBiasRows4(d, bias, a, xs[t:t+4], rows4, a.rows)
+			mulRows4(d, bias, a, xs[t:t+4], rows4, a.rows, seeded)
 		}
 	}
 	return t
@@ -162,15 +195,30 @@ func packReadings(xp []float64, xs [][]float64) {
 }
 
 // mulBiasBatchGeneric is the portable batch kernel behind
-// MulVecBiasBatchInto, and the reference the vector kernel is tested
-// against. Shapes are the caller's to check.
-func mulBiasBatchGeneric(dst [][]float64, bias []float64, a *Matrix, xs [][]float64) {
+// MulVecBiasBatchInto and, with seeded set, MulVecSeededBatchInto, and the
+// reference the vector kernels are tested against. Shapes are the
+// caller's to check.
+func mulBiasBatchGeneric(dst [][]float64, bias []float64, a *Matrix, xs [][]float64, seeded bool) {
 	t := 0
 	for ; t+4 <= len(xs); t += 4 {
-		mulBiasRows4(dst[t:t+4], bias, a, xs[t:t+4], 0, a.rows)
+		mulRows4(dst[t:t+4], bias, a, xs[t:t+4], 0, a.rows, seeded)
 	}
 	for ; t < len(xs); t++ {
-		MulVecBiasInto(dst[t], bias, a, xs[t])
+		if seeded {
+			mulVecSeeded(dst[t], bias, a, xs[t])
+		} else {
+			MulVecBiasInto(dst[t], bias, a, xs[t])
+		}
+	}
+}
+
+// mulRows4 runs the generic four-snapshot row kernel of the mode. The two
+// modes are two functions, so neither loop gives a register to the other.
+func mulRows4(dst [][]float64, bias []float64, a *Matrix, xs [][]float64, lo, hi int, seeded bool) {
+	if seeded {
+		mulSeededRows4(dst, bias, a, xs, lo, hi)
+	} else {
+		mulBiasRows4(dst, bias, a, xs, lo, hi)
 	}
 }
 
@@ -195,5 +243,25 @@ func mulBiasRows4(dst [][]float64, bias []float64, a *Matrix, xs [][]float64, lo
 		d1[i] = b + s1
 		d2[i] = b + s2
 		d3[i] = b + s3
+	}
+}
+
+// mulSeededRows4 is mulBiasRows4 with each sum starting at bias[i] and no
+// bias added after it.
+func mulSeededRows4(dst [][]float64, bias []float64, a *Matrix, xs [][]float64, lo, hi int) {
+	n := a.cols
+	x0, x1, x2, x3 := xs[0], xs[1], xs[2], xs[3]
+	d0, d1, d2, d3 := dst[0], dst[1], dst[2], dst[3]
+	for i := lo; i < hi; i++ {
+		row := a.data[i*n : (i+1)*n]
+		b := bias[i]
+		s0, s1, s2, s3 := b, b, b, b
+		for j, rv := range row {
+			s0 += rv * x0[j]
+			s1 += rv * x1[j]
+			s2 += rv * x2[j]
+			s3 += rv * x3[j]
+		}
+		d0[i], d1[i], d2[i], d3[i] = s0, s1, s2, s3
 	}
 }

@@ -47,17 +47,18 @@ func xgetbv() (eax, edx uint32)
 // mulBias4x4 writes dk[i] = bias[i] + Σ_j a[i·m+j]·xp[4j+k] for the four
 // snapshots k and rows i in [0, rows): a is the row-major operator, xp the
 // four snapshots' readings packed j-major (xp[4j+k] = reading j of
-// snapshot k). rows must be a positive multiple of 4 and m positive.
+// snapshot k). rows must be a positive multiple of 4 and m positive. With
+// seeded set each sum starts at bias[i], as MulVecSeededBatchInto's do.
 //
 //go:noescape
-func mulBias4x4(d0, d1, d2, d3, bias, a, xp *float64, rows, m int)
+func mulBias4x4(d0, d1, d2, d3, bias, a, xp *float64, rows, m int, seeded bool)
 
 // mulBias8x8 is mulBias4x4 for eight snapshots in AVX-512 registers:
 // xp[8j+k] = reading j of snapshot k, and rows must be a positive multiple
 // of 8.
 //
 //go:noescape
-func mulBias8x8(d0, d1, d2, d3, d4, d5, d6, d7, bias, a, xp *float64, rows, m int)
+func mulBias8x8(d0, d1, d2, d3, d4, d5, d6, d7, bias, a, xp *float64, rows, m int, seeded bool)
 
 // summaryBlocksAVX is summaryBlocksGeneric(x[0:n], st) on 256-bit vectors
 // (summary_amd64.s); n must be a positive multiple of summaryLanes.

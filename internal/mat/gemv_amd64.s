@@ -19,15 +19,17 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func mulBias4x4(d0, d1, d2, d3, bias, a, xp *float64, rows, m int)
+// func mulBias4x4(d0, d1, d2, d3, bias, a, xp *float64, rows, m int, seeded bool)
 //
 // Each pass of the outer loop computes a 4-row × 4-snapshot block of sums:
 // Y0..Y3 hold rows i..i+3, one snapshot per lane. Lane k of row r repeats
 // the generic kernel's s += a[i+r][j]·x_k[j] for j ascending, as a separate
-// VMULPD and VADDPD from a zero start, so every sum is bit-identical to it.
-// The block is then transposed to one vector per snapshot, added to
-// bias[i:i+4] and stored to dk[i:i+4].
-TEXT ·mulBias4x4(SB), NOSPLIT, $0-72
+// VMULPD and VADDPD from a zero start (from bias[i+r] when seeded), so
+// every sum is bit-identical to it. The block is then transposed to one
+// vector per snapshot, added to bias[i:i+4] unless seeded, and stored to
+// dk[i:i+4].
+TEXT ·mulBias4x4(SB), NOSPLIT, $0-73
+	MOVBQZX seeded+72(FP), DI // DI = 1 when the sums start at the bias
 	MOVQ bias+32(FP), BX
 	MOVQ a+40(FP), SI      // SI = &a[i·m], the block's first row
 	MOVQ xp+48(FP), R8
@@ -41,10 +43,21 @@ rowblock:
 	LEAQ (SI)(R9*1), R11   // rows i+1, i+2, i+3
 	LEAQ (R11)(R9*1), R12
 	LEAQ (R12)(R9*1), R13
+	TESTQ DI, DI
+	JNZ   seed4
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
 	VXORPD Y3, Y3, Y3
+	JMP   start4
+
+seed4:
+	VBROADCASTSD (BX)(R10*1), Y0   // bias[i+r] in every lane of row r
+	VBROADCASTSD 8(BX)(R10*1), Y1
+	VBROADCASTSD 16(BX)(R10*1), Y2
+	VBROADCASTSD 24(BX)(R10*1), Y3
+
+start4:
 	XORQ CX, CX            // CX = j·8
 
 col:
@@ -76,11 +89,15 @@ col:
 	VPERM2F128 $0x31, Y6, Y4, Y2 // snapshot 2
 	VPERM2F128 $0x31, Y7, Y5, Y3 // snapshot 3
 
+	TESTQ   DI, DI
+	JNZ     store4
 	VMOVUPD (BX)(R10*1), Y8     // bias[i:i+4]
 	VADDPD  Y0, Y8, Y0          // bias + s, the generic kernel's b + s
 	VADDPD  Y1, Y8, Y1
 	VADDPD  Y2, Y8, Y2
 	VADDPD  Y3, Y8, Y3
+
+store4:
 	MOVQ    d0+0(FP), AX
 	VMOVUPD Y0, (AX)(R10*1)
 	MOVQ    d1+8(FP), AX
@@ -99,17 +116,19 @@ col:
 	VZEROUPPER
 	RET
 
-// func mulBias8x8(d0, d1, d2, d3, d4, d5, d6, d7, bias, a, xp *float64, rows, m int)
+// func mulBias8x8(d0, d1, d2, d3, d4, d5, d6, d7, bias, a, xp *float64, rows, m int, seeded bool)
 //
 // The AVX-512 form of mulBias4x4: each pass of the outer loop computes an
 // 8-row × 8-snapshot block of sums in Z0..Z7, row i+r in Zr, one snapshot
 // per lane. Lane k of row r repeats the generic kernel's
 // s += a[i+r][j]·x_k[j] for j ascending, as a separate VMULPD and VADDPD
-// from a zero start, so every sum is bit-identical to it. Three rounds of
-// shuffles transpose the block to one vector per snapshot, which is added
-// to bias[i:i+8] and stored to dk[i:i+8]. Only Z0..Z15 are used, so
-// AVX512F is the one extension the kernel needs.
-TEXT ·mulBias8x8(SB), NOSPLIT, $0-104
+// from a zero start (from bias[i+r] when seeded), so every sum is
+// bit-identical to it. Three rounds of shuffles transpose the block to one
+// vector per snapshot, which is added to bias[i:i+8] unless seeded and
+// stored to dk[i:i+8]. Only Z0..Z15 are used, so AVX512F is the one
+// extension the kernel needs.
+TEXT ·mulBias8x8(SB), NOSPLIT, $0-105
+	MOVBQZX seeded+104(FP), DI // DI = 1 when the sums start at the bias
 	MOVQ bias+64(FP), BX
 	MOVQ a+72(FP), SI      // SI = &a[i·m], the block's first row
 	MOVQ xp+80(FP), R8
@@ -123,6 +142,8 @@ TEXT ·mulBias8x8(SB), NOSPLIT, $0-104
 rowblock:
 	MOVQ   SI, R11         // R11 = &a[i][j]: rows i..i+3 at R11 + r·m·8
 	LEAQ   (SI)(R9*4), R12 // R12 = &a[i+4][j]: rows i+4..i+7
+	TESTQ  DI, DI
+	JNZ    seed8
 	VPXORQ Z0, Z0, Z0
 	VPXORQ Z1, Z1, Z1
 	VPXORQ Z2, Z2, Z2
@@ -131,6 +152,19 @@ rowblock:
 	VPXORQ Z5, Z5, Z5
 	VPXORQ Z6, Z6, Z6
 	VPXORQ Z7, Z7, Z7
+	JMP    start8
+
+seed8:
+	VBROADCASTSD (BX)(R10*1), Z0   // bias[i+r] in every lane of row r
+	VBROADCASTSD 8(BX)(R10*1), Z1
+	VBROADCASTSD 16(BX)(R10*1), Z2
+	VBROADCASTSD 24(BX)(R10*1), Z3
+	VBROADCASTSD 32(BX)(R10*1), Z4
+	VBROADCASTSD 40(BX)(R10*1), Z5
+	VBROADCASTSD 48(BX)(R10*1), Z6
+	VBROADCASTSD 56(BX)(R10*1), Z7
+
+start8:
 	XORQ   CX, CX          // CX = j·8
 
 col:
@@ -193,6 +227,8 @@ col:
 	VSHUFF64X2 $0xdd, Z6, Z2, Z14 // snapshot 6
 	VSHUFF64X2 $0xdd, Z7, Z3, Z15 // snapshot 7
 
+	TESTQ   DI, DI
+	JNZ     store8
 	VMOVUPD (BX)(R10*1), Z0     // bias[i:i+8]
 	VADDPD  Z8, Z0, Z8          // bias + s, the generic kernel's b + s
 	VADDPD  Z9, Z0, Z9
@@ -202,6 +238,8 @@ col:
 	VADDPD  Z13, Z0, Z13
 	VADDPD  Z14, Z0, Z14
 	VADDPD  Z15, Z0, Z15
+
+store8:
 	MOVQ    d0+0(FP), AX
 	VMOVUPD Z8, (AX)(R10*1)
 	MOVQ    d1+8(FP), AX

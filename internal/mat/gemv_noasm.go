@@ -9,11 +9,11 @@ const (
 	hasAVX512 = false
 )
 
-func mulBias4x4(d0, d1, d2, d3, bias, a, xp *float64, rows, m int) {
+func mulBias4x4(d0, d1, d2, d3, bias, a, xp *float64, rows, m int, seeded bool) {
 	panic("mat: no AVX serving kernel on this platform")
 }
 
-func mulBias8x8(d0, d1, d2, d3, d4, d5, d6, d7, bias, a, xp *float64, rows, m int) {
+func mulBias8x8(d0, d1, d2, d3, d4, d5, d6, d7, bias, a, xp *float64, rows, m int, seeded bool) {
 	panic("mat: no AVX-512 serving kernel on this platform")
 }
 

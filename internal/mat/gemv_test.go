@@ -132,8 +132,9 @@ func batchOf(vals []float64, batch, n int) [][]float64 {
 	return out
 }
 
-// batchKernel writes a whole batch: dst[t] = bias + a·xs[t].
-type batchKernel func(dst [][]float64, bias []float64, a *Matrix, xs [][]float64)
+// batchKernel writes a whole batch: dst[t] = bias + a·xs[t], with seeded
+// set in MulVecSeededBatchInto's order.
+type batchKernel func(dst [][]float64, bias []float64, a *Matrix, xs [][]float64, seeded bool)
 
 // batchKernels lists the batch kernels this CPU runs, by name, each
 // called directly: the generic kernel, and each vector kernel with the
@@ -141,9 +142,9 @@ type batchKernel func(dst [][]float64, bias []float64, a *Matrix, xs [][]float64
 func batchKernels() map[string]batchKernel {
 	ks := map[string]batchKernel{"generic": mulBiasBatchGeneric}
 	vec := func(wide bool) batchKernel {
-		return func(dst [][]float64, bias []float64, a *Matrix, xs [][]float64) {
-			t := mulBiasBatchVec(dst, bias, a, xs, wide)
-			mulBiasBatchGeneric(dst[t:], bias, a, xs[t:])
+		return func(dst [][]float64, bias []float64, a *Matrix, xs [][]float64, seeded bool) {
+			t := mulBiasBatchVec(dst, bias, a, xs, wide, seeded)
+			mulBiasBatchGeneric(dst[t:], bias, a, xs[t:], seeded)
 		}
 	}
 	if hasAVX {
@@ -155,20 +156,54 @@ func batchKernels() map[string]batchKernel {
 	return ks
 }
 
-// checkKernelMatchesGeneric runs kernel and the generic kernel on the same
-// inputs and fails on the first output whose bits differ.
+// dispatch is the exported pair of entry points as one batchKernel.
+func dispatch(dst [][]float64, bias []float64, a *Matrix, xs [][]float64, seeded bool) {
+	if seeded {
+		MulVecSeededBatchInto(dst, bias, a, xs)
+	} else {
+		MulVecBiasBatchInto(dst, bias, a, xs)
+	}
+}
+
+// synthesizeOrder is basis.SynthesizeInto's loop over the rows of a, the
+// order MulVecSeededBatchInto must reproduce: the bias first, then one
+// product at a time in ascending j.
+func synthesizeOrder(dst [][]float64, bias []float64, a *Matrix, xs [][]float64) {
+	for t, alpha := range xs {
+		for i := range dst[t] {
+			row := a.Row(i)
+			s := bias[i]
+			for j, v := range alpha {
+				s += v * row[j]
+			}
+			dst[t][i] = s
+		}
+	}
+}
+
+// checkKernelMatchesGeneric runs kernel in both modes and fails on the
+// first output whose bits differ from the generic kernel's (unseeded) or
+// from synthesizeOrder's (seeded).
 func checkKernelMatchesGeneric(t *testing.T, name string, kernel batchKernel, bias []float64, a *Matrix, xs [][]float64) {
 	t.Helper()
 	rows := a.Rows()
-	got := batchOf(make([]float64, len(xs)*rows), len(xs), rows)
-	want := batchOf(make([]float64, len(xs)*rows), len(xs), rows)
-	kernel(got, bias, a, xs)
-	mulBiasBatchGeneric(want, bias, a, xs)
-	for k := range want {
-		for i := range want[k] {
-			if g, w := got[k][i], want[k][i]; math.Float64bits(g) != math.Float64bits(w) {
-				t.Fatalf("%s: snapshot %d cell %d = %v (%#x), generic kernel %v (%#x)",
-					name, k, i, g, math.Float64bits(g), w, math.Float64bits(w))
+	for _, seeded := range []bool{false, true} {
+		got := batchOf(make([]float64, len(xs)*rows), len(xs), rows)
+		want := batchOf(make([]float64, len(xs)*rows), len(xs), rows)
+		kernel(got, bias, a, xs, seeded)
+		ref := "generic kernel"
+		if seeded {
+			synthesizeOrder(want, bias, a, xs)
+			ref = "synthesis order"
+		} else {
+			mulBiasBatchGeneric(want, bias, a, xs, false)
+		}
+		for k := range want {
+			for i := range want[k] {
+				if g, w := got[k][i], want[k][i]; math.Float64bits(g) != math.Float64bits(w) {
+					t.Fatalf("%s seeded=%v: snapshot %d cell %d = %v (%#x), %s %v (%#x)",
+						name, seeded, k, i, g, math.Float64bits(g), ref, w, math.Float64bits(w))
+				}
 			}
 		}
 	}
@@ -188,7 +223,7 @@ func TestMulVecBiasBatchAVXMatchesGeneric(t *testing.T) {
 			bias := edgeVec(rng, rows)
 			for _, batch := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 17, 128} {
 				xs := batchOf(edgeVec(rng, batch*m), batch, m)
-				checkKernelMatchesGeneric(t, fmt.Sprintf("rows=%d m=%d batch=%d", rows, m, batch), MulVecBiasBatchInto, bias, a, xs)
+				checkKernelMatchesGeneric(t, fmt.Sprintf("rows=%d m=%d batch=%d", rows, m, batch), dispatch, bias, a, xs)
 			}
 		}
 	}
@@ -220,9 +255,9 @@ func TestMulVecBiasBatchKernelsMatchGeneric(t *testing.T) {
 	}
 }
 
-// FuzzMulVecBiasBatchInto checks each vector kernel, and the dispatch over
-// them, against the generic one bit for bit on fuzzer-chosen shapes and
-// float64 bit patterns. data is read as little-endian float64 words, cycled
+// FuzzMulVecBiasBatchInto checks each kernel, and the dispatch over them,
+// against the generic one bit for bit, and in the seeded mode against the
+// synthesis order, on fuzzer-chosen shapes and float64 bit patterns. data is read as little-endian float64 words, cycled
 // over the operator, the bias and the readings in that order. NaN words
 // read as 0: which payload an add of two NaNs propagates depends on the
 // operand order the compiler picked for the generic kernel, and recon never
@@ -240,6 +275,10 @@ func FuzzMulVecBiasBatchInto(f *testing.F) {
 	f.Add(uint8(7), uint8(3), uint8(9), words(math.Copysign(0, -1), 5e-324, 1e300, -1e300, 0.5))
 	f.Add(uint8(17), uint8(100), uint8(5), words(1e-160, -1e-160, 1e-310, 7, math.Inf(1)))
 	f.Add(uint8(1), uint8(1), uint8(4), []byte{})
+	// Rows 1, 4 and 7 have a −0 weight and a −0 bias, so each snapshot
+	// reading +0 sums −0 + −0 there: only the seeded mode keeps the −0 (on
+	// the 8-wide kernel, a 4-wide block and a tail).
+	f.Add(uint8(8), uint8(0), uint8(12), words(0, math.Copysign(0, -1), -1))
 	f.Fuzz(func(t *testing.T, rows, m, batch uint8, data []byte) {
 		if !hasAVX {
 			t.Skip(noAVX)
@@ -258,11 +297,41 @@ func FuzzMulVecBiasBatchInto(f *testing.F) {
 		bias := vals[nr*nm : nr*nm+nr]
 		xs := batchOf(vals[nr*nm+nr:], nb, nm)
 		shape := fmt.Sprintf("rows=%d m=%d batch=%d", nr, nm, nb)
-		checkKernelMatchesGeneric(t, shape, MulVecBiasBatchInto, bias, a, xs)
+		checkKernelMatchesGeneric(t, shape, dispatch, bias, a, xs)
 		for name, kernel := range batchKernels() {
 			checkKernelMatchesGeneric(t, name+" "+shape, kernel, bias, a, xs)
 		}
 	})
+}
+
+// The seeded mode keeps a −0 bias cell whose products are all −0 on every
+// kernel, where the unseeded one reads +0: the case that makes the seeded
+// mode, not the unseeded one over [bias | a], the synthesis order.
+func TestMulVecSeededBatchIntoKeepsNegativeZero(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	const rows, m, batch = 17, 3, 13
+	a := NewFromData(rows, m, randVec(rand.New(rand.NewSource(3)), rows*m))
+	bias := make([]float64, rows)
+	for i := range bias {
+		bias[i] = 40 + float64(i)
+	}
+	copy(a.Row(5), []float64{0, 0, 0})
+	bias[5] = negZero
+	xs := batchOf(make([]float64, batch*m), batch, m)
+	for _, x := range xs {
+		copy(x, []float64{-1, -2, -3})
+	}
+	for name, kernel := range batchKernels() {
+		for _, seeded := range []bool{false, true} {
+			dst := batchOf(make([]float64, batch*rows), batch, rows)
+			kernel(dst, bias, a, xs, seeded)
+			for k := range dst {
+				if got := math.Signbit(dst[k][5]); dst[k][5] != 0 || got != seeded {
+					t.Fatalf("%s seeded=%v: snapshot %d cell 5 = %v (sign bit %v)", name, seeded, k, dst[k][5], got)
+				}
+			}
+		}
+	}
 }
 
 // The serving kernel allocates nothing per call: at M = 24 the packed
@@ -306,7 +375,7 @@ func BenchmarkMulVecBiasBatch(b *testing.B) {
 				dst := batchOf(make([]float64, sh.batch*sh.rows), sh.batch, sh.rows)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					run(dst, bias, a, xs)
+					run(dst, bias, a, xs, false)
 				}
 				flops := 2 * float64(sh.rows*sh.m*sh.batch) * float64(b.N)
 				b.ReportMetric(flops/b.Elapsed().Seconds()/1e9, "GFLOP/s")

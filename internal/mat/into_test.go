@@ -67,10 +67,15 @@ func TestProductIntoFormsMatchAllocating(t *testing.T) {
 
 func TestProductIntoFormsRejectWrongDestination(t *testing.T) {
 	a, b := New(2, 3), New(3, 4)
+	c := solveCase(rand.New(rand.NewSource(34)), 3)
 	for name, f := range map[string]func(){
-		"MulVecInto": func() { MulVecInto(make([]float64, 3), a, make([]float64, 3)) },
-		"MulInto":    func() { MulInto(New(2, 3), a, b) },
-		"MulTBInto":  func() { MulTBInto(New(2, 3), a, New(4, 3)) },
+		"MulVecInto":                func() { MulVecInto(make([]float64, 3), a, make([]float64, 3)) },
+		"MulInto":                   func() { MulInto(New(2, 3), a, b) },
+		"MulTBInto":                 func() { MulTBInto(New(2, 3), a, New(4, 3)) },
+		"MulLowerInto non-square":   func() { MulLowerInto(New(2, 4), a, b) },
+		"MulLowerInto wrong dst":    func() { MulLowerInto(New(3, 2), New(3, 4), New(4, 3)) },
+		"SolveRowsInto wrong order": func() { c.SolveRowsInto(New(2, 4), New(2, 4)) },
+		"SolveRowsInto wrong rows":  func() { c.SolveRowsInto(New(3, 3), New(2, 3)) },
 	} {
 		func() {
 			defer func() {

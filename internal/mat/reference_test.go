@@ -416,3 +416,68 @@ func MulTB(a, b *Matrix) *Matrix {
 	MulTBInto(out, a, b)
 	return out
 }
+
+// refMulInto is MulInto before register blocking, verbatim: one AXPY per
+// nonzero entry of a's row into the zeroed output row. The blocked MulInto
+// and MulLowerInto are pinned to it (TestMulIntoBitIdenticalToReference).
+func refMulInto(dst, a, b *Matrix) {
+	if a.cols != b.rows || dst.rows != a.rows || dst.cols != b.cols {
+		panic(ErrShape)
+	}
+	clear(dst.data)
+	n := b.cols
+	for i := 0; i < a.rows; i++ {
+		arow := a.data[i*a.cols : (i+1)*a.cols]
+		orow := dst.data[i*n : (i+1)*n]
+		for k, av := range arow {
+			if av == 0 {
+				continue
+			}
+			AXPY(av, b.data[k*n:(k+1)*n], orow)
+		}
+	}
+}
+
+// refMulTBInto is MulTBInto before register blocking, verbatim: one Dot
+// per entry.
+func refMulTBInto(dst, a, b *Matrix) {
+	if a.cols != b.cols || dst.rows != a.rows || dst.cols != b.rows {
+		panic(ErrShape)
+	}
+	for i := 0; i < a.rows; i++ {
+		arow := a.data[i*a.cols : (i+1)*a.cols]
+		orow := dst.data[i*b.rows : (i+1)*b.rows]
+		for j := range orow {
+			orow[j] = Dot(arow, b.data[j*b.cols:(j+1)*b.cols])
+		}
+	}
+}
+
+// refSolveInto is Cholesky.SolveInto before the multi-row solve, verbatim:
+// one right-hand side through the forward and back substitutions. The
+// four-row solve and the one-row case are pinned to it.
+func refSolveInto(c *Cholesky, dst, b []float64) {
+	n := c.l.Rows()
+	if len(b) != n || len(dst) != n {
+		panic(ErrShape)
+	}
+	x, l := dst, c.l.data
+	copy(x, b)
+	// L y = b
+	for i := 0; i < n; i++ {
+		row := l[i*n : i*n+i+1]
+		s := x[i]
+		for j, v := range row[:i] {
+			s -= v * x[j]
+		}
+		x[i] = s / row[i]
+	}
+	// Lᵀ x = y
+	for i := n - 1; i >= 0; i-- {
+		s := x[i]
+		for j := i + 1; j < n; j++ {
+			s -= l[j*n+i] * x[j]
+		}
+		x[i] = s / l[i*n+i]
+	}
+}

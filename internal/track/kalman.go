@@ -69,6 +69,7 @@ type Kalman struct {
 	k       int
 	sensors []int
 
+	psiK  *mat.Matrix // N×K basis Ψ_K, the maps' operator
 	psiT  *mat.Matrix // M×K sensing matrix Ψ̃_K
 	meanS []float64   // training mean at the sensors
 	lam   []float64   // λ_0..λ_{K-1} floored at 1e-12, the stationary covariance
@@ -81,17 +82,23 @@ type Kalman struct {
 }
 
 // workspace is one step's scratch: every intermediate of the predict/update
-// cycle, overwritten each step under kf.mu.
+// cycle, overwritten each step under kf.mu, and the α of each step of a
+// block whose maps are not yet written.
 type workspace struct {
 	pMinus *mat.Matrix  // P⁻ (K×K)
 	pht    *mat.Matrix  // P⁻Ψ̃ᵀ (K×M)
-	s      *mat.Matrix  // S = Ψ̃P⁻Ψ̃ᵀ + R (M×M)
+	s      *mat.Matrix  // S = Ψ̃P⁻Ψ̃ᵀ + R (M×M), lower triangle
 	chol   mat.Cholesky // S = L·Lᵀ
 	gain   *mat.Matrix  // G = P⁻Ψ̃ᵀS⁻¹ (K×M)
 	iMinus *mat.Matrix  // I − GΨ̃ (K×K)
 	innov  []float64    // innovation (M)
 	upd    []float64    // G·innovation (K)
+	alphas [][]float64  // α after each step of the block (mapBlock × K)
 }
+
+// mapBlock is the number of steps whose maps one batch GEMM writes: the
+// eight snapshots of the AVX-512 kernel.
+const mapBlock = 8
 
 // NewKalman builds a tracker for the first k basis vectors observed at the
 // given sensor cells. Unlike least squares, the filter works for any M ≥ 1
@@ -136,6 +143,7 @@ func NewKalman(b *basis.Basis, k int, sensors []int, cfg Config) (*Kalman, error
 		b:       b,
 		k:       k,
 		sensors: append([]int(nil), sensors...),
+		psiK:    psiK,
 		psiT:    psiK.SelectRows(sensors),
 		meanS:   meanS,
 		lam:     lam,
@@ -149,7 +157,11 @@ func NewKalman(b *basis.Basis, k int, sensors []int, cfg Config) (*Kalman, error
 			iMinus: mat.New(k, k),
 			innov:  make([]float64, m),
 			upd:    make([]float64, k),
+			alphas: make([][]float64, mapBlock),
 		},
+	}
+	for i := range kf.ws.alphas {
+		kf.ws.alphas[i] = make([]float64, k)
 	}
 	kf.Reset()
 	return kf, nil
@@ -181,7 +193,7 @@ func (kf *Kalman) Sample(x []float64) []float64 {
 }
 
 // Step runs one predict/update cycle on the sensor readings (°C) and
-// returns the current full-map estimate.
+// returns the current full-map estimate: a batch of one.
 func (kf *Kalman) Step(readings []float64) ([]float64, error) {
 	if err := kf.checkReadings(readings); err != nil {
 		return nil, err
@@ -189,7 +201,7 @@ func (kf *Kalman) Step(readings []float64) ([]float64, error) {
 	out := make([]float64, kf.b.N())
 	kf.mu.Lock()
 	defer kf.mu.Unlock()
-	if err := kf.stepInto(out, readings); err != nil {
+	if _, err := kf.stepBatch([][]float64{out}, [][]float64{readings}); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -239,10 +251,8 @@ func (kf *Kalman) StepBatchInto(dst, readings [][]float64) (steps int, uncertain
 	}
 	kf.mu.Lock()
 	defer kf.mu.Unlock()
-	for i, y := range readings {
-		if err := kf.stepInto(dst[i], y); err != nil {
-			return 0, 0, fmt.Errorf("track: batch step %d: %w", i, err)
-		}
+	if i, err := kf.stepBatch(dst, readings); err != nil {
+		return 0, 0, fmt.Errorf("track: batch step %d: %w", i, err)
 	}
 	return kf.steps, kf.traceLocked(), nil
 }
@@ -265,13 +275,35 @@ func (kf *Kalman) checkReadings(readings []float64) error {
 	return nil
 }
 
-// stepInto runs one predict/update cycle on validated readings and writes
-// the full-map estimate into dst; the caller must hold kf.mu. It runs the
-// allocating kernels' write-into forms in the order the filter has always
-// used them, so every map, α and P is bitwise what MulVec, MulTBInto, Mul,
-// NewCholesky, Solve and Synthesize give
-// (TestStepBatchIntoBitIdenticalToReference).
-func (kf *Kalman) stepInto(dst, readings []float64) error {
+// stepBatch runs one predict/update cycle per validated reading vector, in
+// order, and writes the full-map estimate after step i into dst[i]; the
+// caller must hold kf.mu. It filters a block of up to mapBlock steps,
+// keeping each step's α, then writes the block's maps mean + Ψ_K·α in one
+// seeded batch GEMM, which sums in basis.SynthesizeInto's order. When a
+// step fails, the maps of the steps before it are still written, and
+// stepBatch returns its index and error.
+func (kf *Kalman) stepBatch(dst, readings [][]float64) (int, error) {
+	alphas := kf.ws.alphas
+	for t := 0; t < len(readings); t += mapBlock {
+		n := min(mapBlock, len(readings)-t)
+		for i, y := range readings[t : t+n] {
+			if err := kf.update(y); err != nil {
+				mat.MulVecSeededBatchInto(dst[t:t+i], kf.b.Mean, kf.psiK, alphas[:i])
+				return t + i, err
+			}
+			copy(alphas[i], kf.alpha)
+		}
+		mat.MulVecSeededBatchInto(dst[t:t+n], kf.b.Mean, kf.psiK, alphas[:n])
+	}
+	return 0, nil
+}
+
+// update runs one predict/update cycle on validated readings, leaving α
+// and P in kf.alpha and kf.p; the caller must hold kf.mu. Every entry of
+// every intermediate gets the operations, in the order, of the reference
+// step that built each one with the allocating kernels, so α and P keep
+// its bits (TestStepBatchIntoBitIdenticalToReference).
+func (kf *Kalman) update(readings []float64) error {
 	k, m := kf.k, len(kf.sensors)
 	ws := &kf.ws
 	rho := kf.cfg.Rho
@@ -292,19 +324,18 @@ func (kf *Kalman) stepInto(dst, readings []float64) error {
 		ws.innov[i] = (readings[i] - kf.meanS[i]) - v
 	}
 
-	// S = Ψ̃ P⁻ Ψ̃ᵀ + R.
+	// S = Ψ̃ P⁻ Ψ̃ᵀ + R, its lower triangle only: Factorize reads no other
+	// entry.
 	mat.MulTBInto(ws.pht, ws.pMinus, kf.psiT) // K×M: P⁻ Ψ̃ᵀ
-	mat.MulInto(ws.s, kf.psiT, ws.pht)        // M×M
+	mat.MulLowerInto(ws.s, kf.psiT, ws.pht)   // M×M
 	for i := 0; i < m; i++ {
 		ws.s.Add(i, i, kf.cfg.MeasurementVar)
 	}
 	if err := ws.chol.Factorize(ws.s); err != nil {
 		return fmt.Errorf("track: innovation covariance not SPD: %w", err)
 	}
-	// Gain G = P⁻ Ψ̃ᵀ S⁻¹, one row per solve: gᵢ = S⁻¹(P⁻Ψ̃ᵀ)ᵢ.
-	for row := 0; row < k; row++ {
-		ws.chol.SolveInto(ws.gain.Row(row), ws.pht.Row(row))
-	}
+	// Gain G = P⁻ Ψ̃ᵀ S⁻¹: every row gᵢ = S⁻¹(P⁻Ψ̃ᵀ)ᵢ, in one solve.
+	ws.chol.SolveRowsInto(ws.gain, ws.pht)
 
 	// Update: α += G·innov, P = (I − GΨ̃) P⁻ (Joseph-free form; S is SPD and
 	// the gain exact, so the plain form stays symmetric within round-off,
@@ -315,12 +346,13 @@ func (kf *Kalman) stepInto(dst, readings []float64) error {
 	}
 	mat.MulInto(ws.iMinus, ws.gain, kf.psiT) // K×K: GΨ̃, then I − GΨ̃ in place
 	im := ws.iMinus.Data()
-	for i, v := range im {
-		var id float64
-		if i%(k+1) == 0 {
-			id = 1
+	for r := 0; r < k; r++ {
+		row := im[r*k : (r+1)*k]
+		d := row[r]
+		for c, v := range row {
+			row[c] = 0 - v // not −v: I's +0 minus a +0 is +0
 		}
-		im[i] = id - v
+		row[r] = 1 - d
 	}
 	mat.MulInto(kf.p, ws.iMinus, ws.pMinus)
 	// Re-symmetrize to stop round-off drift.
@@ -333,7 +365,6 @@ func (kf *Kalman) stepInto(dst, readings []float64) error {
 		}
 	}
 	kf.steps++
-	kf.b.SynthesizeInto(dst, kf.alpha)
 	return nil
 }
 

@@ -3,19 +3,29 @@ package track
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/basis"
+	"repro/internal/dataset"
+	"repro/internal/floorplan"
 	"repro/internal/mat"
+	"repro/internal/place"
 )
 
 // zeroedBasis is b with exact zeros planted where the step's zero-factor
 // skips act on them: basis vector k−1 vanishes at every sensor (so its
 // column of Ψ̃, its row of P⁻Ψ̃ᵀ and of the gain, and the off-diagonal
-// entries of its row of I − GΨ̃ start out exactly zero), one more sensor
-// misses vector 1, and λ_3 is zero, which the prior floors at 1e-12.
-func zeroedBasis(b *basis.Basis, k int, sensors []int) *basis.Basis {
-	z := *b
+// entries of its row of I − GΨ̃ start out exactly zero, and α_{k−1} stays
+// +0), one more sensor misses vector 1, and λ_3 is zero, which the prior
+// floors at 1e-12. It also plants −0 mean cells: 2^(k−1) cells off the
+// sensors get a −0 mean and a row of signed zeros in Ψ_K, one row per sign
+// pattern of α_0..α_{k−2} and −0 in column k−1, so at every step whose
+// α has no zero one of them sums only −0 products onto its −0 mean and
+// its map reads −0. negZeroCells returns those cells.
+func zeroedBasis(b *basis.Basis, k int, sensors []int) (z *basis.Basis, negZeroCells []int) {
+	z = &basis.Basis{}
+	*z = *b
 	z.Psi = b.Psi.Clone()
 	z.Mean = append([]float64(nil), b.Mean...)
 	z.Importance = append([]float64(nil), b.Importance...)
@@ -24,7 +34,66 @@ func zeroedBasis(b *basis.Basis, k int, sensors []int) *basis.Basis {
 	}
 	z.Psi.Set(sensors[2], 1, 0)
 	z.Importance[3] = 0
-	return &z
+	isSensor := make(map[int]bool, len(sensors))
+	for _, s := range sensors {
+		isSensor[s] = true
+	}
+	negZero := math.Copysign(0, -1)
+	for c := 0; len(negZeroCells) < 1<<(k-1); c++ {
+		if isSensor[c] {
+			continue
+		}
+		pattern := len(negZeroCells)
+		for j := 0; j < k; j++ {
+			// α_j·ψ is −0 when their signs differ: +0 for a negative α_j.
+			v := negZero
+			if j < k-1 && pattern&(1<<j) != 0 {
+				v = 0
+			}
+			z.Psi.Set(c, j, v)
+		}
+		z.Mean[c] = negZero
+		negZeroCells = append(negZeroCells, c)
+	}
+	return z, negZeroCells
+}
+
+var (
+	oddOnce sync.Once
+	oddDS   *dataset.Dataset
+	oddB    *basis.Basis
+	oddS    []int
+	oddErr  error
+)
+
+// oddFixture is a die whose N is a multiple of neither 8 nor 4, so the
+// maps' batch GEMM runs its row tail: t1 at 13×11 (N 143), T 120, KMax 8,
+// and 10 greedy sensors for K 7.
+func oddFixture(t *testing.T) (*dataset.Dataset, *basis.Basis, []int) {
+	t.Helper()
+	oddOnce.Do(func() {
+		oddDS, oddErr = dataset.Generate(floorplan.UltraSparcT1(), dataset.GenConfig{
+			Grid:      floorplan.Grid{W: 13, H: 11},
+			Snapshots: 120,
+			Seed:      5,
+		})
+		if oddErr != nil {
+			return
+		}
+		if oddB, oddErr = basis.TrainPCA(oddDS, 8, basis.PCAConfig{Seed: 5}); oddErr != nil {
+			return
+		}
+		psi, err := oddB.PsiK(7)
+		if err != nil {
+			oddErr = err
+			return
+		}
+		oddS, oddErr = (&place.Greedy{}).Allocate(place.Input{Psi: psi, Grid: oddDS.Grid, M: 10})
+	})
+	if oddErr != nil {
+		t.Fatal(oddErr)
+	}
+	return oddDS, oddB, oddS
 }
 
 func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
@@ -33,20 +102,28 @@ func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bit
 // the reference step (kalman_ref_test.go) side by side over 2,048 noisy
 // snapshots in batches of 1 to 17, with one Reset part-way, and compares
 // every map, α, P, the step count and tr(P) bit for bit after each batch:
-// for ρ 1 and 0.9, with more sensors than coefficients, as many, fewer, and
-// on a basis with planted exact zeros.
+// for ρ 1 and 0.9, with more sensors than coefficients, as many, fewer, at
+// the fleet's shape, on a die whose N leaves a row tail in the maps' GEMM,
+// and on a basis with planted exact zeros and −0 mean cells. The batch
+// sizes run every whole 8-step block of the maps' GEMM and every tail.
 func TestStepBatchIntoBitIdenticalToReference(t *testing.T) {
 	ds, b, sensors := fixture(t)
+	fleetDS, fleetB, fleetS := fleetFixture(t)
+	oddDS, oddB, oddS := oddFixture(t)
+	zb, negZeroCells := zeroedBasis(b, 6, sensors)
 	cases := []struct {
 		name    string
+		ds      *dataset.Dataset
 		b       *basis.Basis
 		k       int
 		sensors []int
 	}{
-		{"M>K", b, 5, sensors},
-		{"M=K", b, 8, sensors},
-		{"M<K", b, 10, sensors[:6]},
-		{"zeros", zeroedBasis(b, 6, sensors), 6, sensors},
+		{"M>K", ds, b, 5, sensors},
+		{"M=K", ds, b, 8, sensors},
+		{"M<K", ds, b, 10, sensors[:6]},
+		{"fleet", fleetDS, fleetB, 8, fleetS},
+		{"odd N", oddDS, oddB, 7, oddS},
+		{"zeros", ds, zb, 6, sensors},
 	}
 	const total, resetAt = 2048, 1031
 	for _, rho := range []float64{1, 0.9} {
@@ -58,7 +135,7 @@ func TestStepBatchIntoBitIdenticalToReference(t *testing.T) {
 			ref := newRefKalman(c.b, c.k, c.sensors, Config{Rho: rho})
 			rng := rand.New(rand.NewSource(int64(31 * c.k)))
 			n := c.b.N()
-			step, size := 0, 0
+			step, size, negZeros := 0, 0, 0
 			for step < total {
 				size = size%17 + 1
 				if step < resetAt && step+size > resetAt {
@@ -66,7 +143,7 @@ func TestStepBatchIntoBitIdenticalToReference(t *testing.T) {
 				}
 				readings := make([][]float64, size)
 				for i := range readings {
-					truth := ds.Map((step + i) % ds.T())
+					truth := c.ds.Map((step + i) % c.ds.T())
 					y := make([]float64, len(c.sensors))
 					for j, s := range c.sensors {
 						y[j] = truth[s] + 0.5*rng.NormFloat64()
@@ -89,6 +166,9 @@ func TestStepBatchIntoBitIdenticalToReference(t *testing.T) {
 					for cell := range want {
 						if !sameBits(dst[i][cell], want[cell]) {
 							t.Fatalf("ρ %v %s step %d cell %d: %v, reference %v", rho, c.name, step+i, cell, dst[i][cell], want[cell])
+						}
+						if want[cell] == 0 && math.Signbit(want[cell]) {
+							negZeros++
 						}
 					}
 				}
@@ -113,6 +193,10 @@ func TestStepBatchIntoBitIdenticalToReference(t *testing.T) {
 					kf.Reset()
 					ref.Reset()
 				}
+			}
+			if c.b == zb && negZeros < total {
+				t.Fatalf("ρ %v %s: %d −0 map cells in %d steps, want at least one a step from the %d −0 mean cells",
+					rho, c.name, negZeros, total, len(negZeroCells))
 			}
 		}
 	}
@@ -182,6 +266,59 @@ func TestStepRejectsReadingsBeyondBound(t *testing.T) {
 	for c := range want {
 		if math.Float64bits(got[c]) != math.Float64bits(want[c]) {
 			t.Fatalf("cell %d after the rejected batch: %v, fresh filter %v", c, got[c], want[c])
+		}
+	}
+}
+
+// A step that fails inside a batch still leaves the maps of the steps
+// before it written, bitwise the reference's, and writes no later map. The
+// zeroed basis's vector k−1 is unobserved, so its variance only grows: at
+// λ 3e307 and q 1 it overflows on the fifth step, the NaN that then enters
+// the gain reaches every entry of P, and the sixth step's S is no longer
+// positive definite.
+func TestStepBatchIntoWritesMapsBeforeAFailedStep(t *testing.T) {
+	ds, b, sensors := fixture(t)
+	zb, _ := zeroedBasis(b, 6, sensors)
+	zb.Importance[5] = 3e307
+	cfg := Config{ProcessScale: 1}
+	kf, err := NewKalman(zb, 6, sensors, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefKalman(zb, 6, sensors, cfg)
+	const batch = 24
+	readings := make([][]float64, batch)
+	dst := make([][]float64, batch)
+	for i := range readings {
+		readings[i] = kf.Sample(ds.Map(i))
+		dst[i] = make([]float64, zb.N())
+		for c := range dst[i] {
+			dst[i][c] = -1
+		}
+	}
+	_, _, err = kf.StepBatchInto(dst, readings)
+	failed := -1
+	for i, y := range readings {
+		want, refErr := ref.stepLocked(y)
+		if refErr != nil {
+			failed = i
+			break
+		}
+		for c := range want {
+			if !sameBits(dst[i][c], want[c]) {
+				t.Fatalf("step %d cell %d: %v, reference %v", i, c, dst[i][c], want[c])
+			}
+		}
+	}
+	if failed < 1 || err == nil {
+		t.Fatalf("reference failed at step %d, batch error %v: want a failure after the first step", failed, err)
+	}
+	t.Logf("step %d fails: %v", failed, err)
+	for i := failed; i < batch; i++ {
+		for c, v := range dst[i] {
+			if v != -1 {
+				t.Fatalf("step %d (at or after the failure) cell %d written: %v", i, c, v)
+			}
 		}
 	}
 }

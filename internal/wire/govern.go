@@ -163,27 +163,27 @@ func AppendGovernRequest(buf []byte, req *GovernRequest) ([]byte, error) {
 // DecodeGovernRequest decodes one binary govern request. scratch may be nil;
 // a pooled ReadingsBuf makes steady-state decodes allocation-free, exactly
 // as for estimate requests.
-func DecodeGovernRequest(data []byte, scratch *ReadingsBuf) (*GovernRequest, error) {
+func DecodeGovernRequest(data []byte, scratch *ReadingsBuf) (GovernRequest, error) {
 	payload, err := checkEnvelope(data, governReqMagic, "govern request")
 	if err != nil {
-		return nil, err
+		return GovernRequest{}, err
 	}
 	if len(payload) < 4 {
-		return nil, fmt.Errorf("wire: govern request payload %d bytes, want at least 4", len(payload))
+		return GovernRequest{}, fmt.Errorf("wire: govern request payload %d bytes, want at least 4", len(payload))
 	}
 	flags := binary.LittleEndian.Uint32(payload[0:4])
 	if flags&^uint32(flagGovernConfig) != 0 {
-		return nil, fmt.Errorf("wire: unknown govern request flags %#x", flags)
+		return GovernRequest{}, fmt.Errorf("wire: unknown govern request flags %#x", flags)
 	}
 	off := 4
-	req := &GovernRequest{}
+	var req GovernRequest
 	if flags&flagGovernConfig != 0 {
 		if len(payload)-off < 4+7*8+4 {
-			return nil, fmt.Errorf("wire: govern request payload ends inside its config")
+			return GovernRequest{}, fmt.Errorf("wire: govern request payload ends inside its config")
 		}
 		policy := binary.LittleEndian.Uint32(payload[off:])
 		if policy >= uint32(len(governPolicyNames)) {
-			return nil, fmt.Errorf("wire: govern policy id %d out of range", policy)
+			return GovernRequest{}, fmt.Errorf("wire: govern policy id %d out of range", policy)
 		}
 		off += 4
 		var ps [7]float64
@@ -194,7 +194,7 @@ func DecodeGovernRequest(data []byte, scratch *ReadingsBuf) (*GovernRequest, err
 		ladderN := binary.LittleEndian.Uint32(payload[off:])
 		off += 4
 		if uint64(ladderN) > uint64(len(payload)-off)/8 {
-			return nil, fmt.Errorf("wire: govern request claims a %d-level ladder beyond the payload", ladderN)
+			return GovernRequest{}, fmt.Errorf("wire: govern request claims a %d-level ladder beyond the payload", ladderN)
 		}
 		var ladder []float64
 		if ladderN > 0 {
@@ -212,7 +212,7 @@ func DecodeGovernRequest(data []byte, scratch *ReadingsBuf) (*GovernRequest, err
 		}
 	}
 	if req.Readings, err = decodeBatch(payload[off:], scratch); err != nil {
-		return nil, err
+		return GovernRequest{}, err
 	}
 	return req, nil
 }

@@ -174,25 +174,26 @@ func AppendEstimateRequest(buf []byte, req *EstimateRequest) ([]byte, error) {
 
 // DecodeEstimateRequest decodes one binary estimate request. scratch may be
 // nil (the rows are then backed by a fresh allocation); passing a pooled
-// ReadingsBuf makes the decode reuse its storage. The returned request's
+// ReadingsBuf makes the decode reuse its storage, and the request comes
+// back by value, so such a decode allocates nothing. The returned request's
 // rows alias scratch — recycle it only after the rows are dead.
-func DecodeEstimateRequest(data []byte, scratch *ReadingsBuf) (*EstimateRequest, error) {
+func DecodeEstimateRequest(data []byte, scratch *ReadingsBuf) (EstimateRequest, error) {
 	payload, err := checkEnvelope(data, reqMagic, "request")
 	if err != nil {
-		return nil, err
+		return EstimateRequest{}, err
 	}
 	if len(payload) < 16 {
-		return nil, fmt.Errorf("wire: request payload %d bytes, want at least 16", len(payload))
+		return EstimateRequest{}, fmt.Errorf("wire: request payload %d bytes, want at least 16", len(payload))
 	}
 	flags := binary.LittleEndian.Uint32(payload[0:4])
 	if flags&^uint32(flagIncludeMaps) != 0 {
-		return nil, fmt.Errorf("wire: unknown request flags %#x", flags)
+		return EstimateRequest{}, fmt.Errorf("wire: unknown request flags %#x", flags)
 	}
 	readings, err := decodeBatch(payload[8:], scratch)
 	if err != nil {
-		return nil, err
+		return EstimateRequest{}, err
 	}
-	return &EstimateRequest{
+	return EstimateRequest{
 		Readings:    readings,
 		IncludeMaps: flags&flagIncludeMaps != 0,
 	}, nil
