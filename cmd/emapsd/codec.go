@@ -237,9 +237,10 @@ func skipSpace(data []byte, i int) int {
 // appendEstimateResponse renders {"quality":"...","results":[...]} without
 // reflection. The quality field comes first so clients (and emapsload's
 // counter) can classify a response from its fixed-offset prefix without
-// parsing the body. strconv's shortest round-trip formatting can differ
-// from encoding/json's only in exponent styling (1e-05 vs 0.00001); clients
-// decode bit-identical float64 values either way.
+// parsing the body. Its numbers are appendNumber's, strconv's shortest
+// round-trip 'g' form, which can differ from encoding/json's only in
+// exponent styling (1e-05 vs 0.00001); clients decode bit-identical
+// float64 values either way.
 func appendEstimateResponse(buf []byte, results []snapshotSummary, quality string) []byte {
 	return append(appendResults(buf, results, quality), '}', '\n')
 }
@@ -251,12 +252,18 @@ func appendTrackResponse(buf []byte, results []snapshotSummary, quality string, 
 	buf = append(buf, `,"steps":`...)
 	buf = strconv.AppendInt(buf, int64(steps), 10)
 	buf = append(buf, `,"uncertainty":`...)
-	buf = strconv.AppendFloat(buf, uncertainty, 'g', -1, 64)
+	buf = appendNumber(buf, uncertainty)
 	return append(buf, '}', '\n')
 }
 
 // appendResults renders {"quality":"...","results":[...] — the shared,
-// unclosed head of the estimate and track replies.
+// unclosed head of the estimate and track replies. Every float goes
+// through appendNumber, whose bytes are strconv.AppendFloat(v, 'g', -1,
+// 64)'s: the shortest decimal that reads back as v, the closest to v among
+// those, ties to even, written as %e when its decimal exponent is below −4
+// or at least 6 (1e-05, 1e+06) and as %f otherwise. The govern reply's
+// floats go through it too, so every float of every JSON reply keeps
+// strconv's bytes (TestServedBytesPinned).
 func appendResults(buf []byte, results []snapshotSummary, quality string) []byte {
 	buf = append(buf, `{"quality":"`...)
 	buf = append(buf, quality...)
@@ -267,11 +274,11 @@ func appendResults(buf []byte, results []snapshotSummary, quality string) []byte
 		}
 		r := &results[i]
 		buf = append(buf, `{"max_c":`...)
-		buf = strconv.AppendFloat(buf, r.MaxC, 'g', -1, 64)
+		buf = appendNumber(buf, r.MaxC)
 		buf = append(buf, `,"min_c":`...)
-		buf = strconv.AppendFloat(buf, r.MinC, 'g', -1, 64)
+		buf = appendNumber(buf, r.MinC)
 		buf = append(buf, `,"mean_c":`...)
-		buf = strconv.AppendFloat(buf, r.MeanC, 'g', -1, 64)
+		buf = appendNumber(buf, r.MeanC)
 		buf = append(buf, `,"max_cell":`...)
 		buf = strconv.AppendInt(buf, int64(r.MaxCell), 10)
 		// len, not nil: mirrors the struct tag's omitempty, which drops
@@ -282,7 +289,7 @@ func appendResults(buf []byte, results []snapshotSummary, quality string) []byte
 				if k > 0 {
 					buf = append(buf, ',')
 				}
-				buf = strconv.AppendFloat(buf, v, 'g', -1, 64)
+				buf = appendNumber(buf, v)
 			}
 			buf = append(buf, ']')
 		}

@@ -5,6 +5,10 @@ import (
 	"math"
 	"reflect"
 	"testing"
+
+	"repro/internal/dataset"
+	"repro/internal/floorplan"
+	"repro/internal/power"
 )
 
 // parseReadings scans data as one bare [[...]...] document: the readings
@@ -200,5 +204,33 @@ func TestAppendEstimateResponseMatchesEncodingJSON(t *testing.T) {
 				t.Fatalf("result %d: %+v != %+v", i, a, b)
 			}
 		}
+	}
+}
+
+// BenchmarkAppendEstimateResponse renders one fleet-shaped estimate reply:
+// the summaries of 128 simulated t1 16×14 maps, three floats and an int
+// each, without maps. It is the encode layer's in-process cost.
+func BenchmarkAppendEstimateResponse(b *testing.B) {
+	fp, err := floorplan.Named("t1")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ds, err := dataset.Generate(fp, dataset.GenConfig{
+		Grid: floorplan.Grid{W: 16, H: 14}, Snapshots: 128, Seed: 1_000_003,
+		Power: power.ConfigFor(fp, 0.75),
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	sums := make([]snapshotSummary, 128)
+	for i := range sums {
+		sums[i] = summarize(ds.Map(i), false)
+	}
+	buf := appendEstimateResponse(nil, sums, "ok")
+	b.SetBytes(int64(len(buf)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = appendEstimateResponse(buf[:0], sums, "ok")
 	}
 }

@@ -2,10 +2,12 @@ package main
 
 import (
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 
 	"repro/internal/governor"
+	"repro/internal/mat"
 	"repro/internal/wire"
 )
 
@@ -85,7 +87,7 @@ func (s *server) buildGovernor(w http.ResponseWriter, rs *residentState, cfg *wi
 		if i > 0 {
 			g.jsonHead = append(g.jsonHead, ',')
 		}
-		g.jsonHead = strconv.AppendFloat(g.jsonHead, f, 'g', -1, 64)
+		g.jsonHead = appendNumber(g.jsonHead, f)
 	}
 	g.jsonHead = append(g.jsonHead, `],"cores":`...)
 	g.jsonHead = strconv.AppendInt(g.jsonHead, int64(ctrl.Cores()), 10)
@@ -128,9 +130,8 @@ func (g *governorState) step(sc *serveScratch, maps [][]float64) {
 		sc.levels = make([]int, len(maps)*cores)
 	}
 	for i, x := range maps {
-		sum := summarize(x, false)
 		d := &resp.Decisions[i]
-		d.MaxC, d.MinC, d.MeanC, d.MaxCell = sum.MaxC, sum.MinC, sum.MeanC, sum.MaxCell
+		d.MaxC, d.MinC, d.MeanC, d.MaxCell = mat.Summarize(x)
 		d.Levels = sc.levels[i*cores : (i+1)*cores : (i+1)*cores]
 		g.throttled += uint64(g.ctrl.StepInto(d.Levels, x))
 	}
@@ -157,30 +158,51 @@ func appendGovernResponseJSON(buf []byte, resp *wire.GovernResponse, quality str
 		}
 		d := &resp.Decisions[i]
 		buf = append(buf, `{"max_c":`...)
-		buf = strconv.AppendFloat(buf, d.MaxC, 'g', -1, 64)
+		buf = appendNumber(buf, d.MaxC)
 		buf = append(buf, `,"min_c":`...)
-		buf = strconv.AppendFloat(buf, d.MinC, 'g', -1, 64)
+		buf = appendNumber(buf, d.MinC)
 		buf = append(buf, `,"mean_c":`...)
-		buf = strconv.AppendFloat(buf, d.MeanC, 'g', -1, 64)
+		buf = appendNumber(buf, d.MeanC)
 		buf = append(buf, `,"max_cell":`...)
 		buf = strconv.AppendInt(buf, int64(d.MaxCell), 10)
 		buf = append(buf, `,"levels":[`...)
-		for k, l := range d.Levels {
-			if k > 0 {
-				buf = append(buf, ',')
-			}
-			// Ladder levels are tiny ints (almost always one digit).
-			if uint(l) < 10 {
-				buf = append(buf, byte('0'+l))
-			} else {
-				buf = strconv.AppendInt(buf, int64(l), 10)
-			}
-		}
+		buf = appendLevels(buf, d.Levels)
 		buf = append(buf, ']', '}')
 	}
 	buf = append(buf, `],"snapshots":`...)
 	buf = strconv.AppendUint(buf, resp.Snapshots, 10)
 	buf = append(buf, `,"throttle_duty":`...)
-	buf = strconv.AppendFloat(buf, resp.ThrottleDuty, 'g', -1, 64)
+	buf = appendNumber(buf, resp.ThrottleDuty)
 	return append(buf, '}', '\n')
+}
+
+// appendLevels writes a decision's ladder levels, comma-separated. Levels
+// are ladder indices, one digit on any ladder of up to ten steps, so the
+// buffer grows once for a digit and a comma per core and each level is two
+// stores; a longer ladder's levels take the integer writer.
+func appendLevels(buf []byte, levels []int) []byte {
+	if len(levels) == 0 {
+		return buf
+	}
+	n, m := len(buf), 2*len(levels)
+	buf = slices.Grow(buf, m)
+	out := buf[n : n+m]
+	for k, l := range levels {
+		if uint(l) > 9 {
+			return appendLevelInts(buf[:n], levels)
+		}
+		pair := out[2*k : 2*k+2 : 2*k+2]
+		pair[0], pair[1] = byte('0'+l), ','
+	}
+	return buf[:n+m-1]
+}
+
+func appendLevelInts(buf []byte, levels []int) []byte {
+	for k, l := range levels {
+		if k > 0 {
+			buf = append(buf, ',')
+		}
+		buf = strconv.AppendInt(buf, int64(l), 10)
+	}
+	return buf
 }

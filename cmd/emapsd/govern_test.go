@@ -7,6 +7,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -238,5 +239,22 @@ func TestGovernWireParity(t *testing.T) {
 	var env errEnvelope
 	if err := json.Unmarshal(body, &env); err != nil || env.Error.Code != "bad_frame" {
 		t.Errorf("truncated frame error envelope %s (err %v)", body, err)
+	}
+}
+
+// appendLevels writes the levels as the integer writer would, one-digit
+// levels and a long ladder's multi-digit ones alike.
+func TestAppendLevels(t *testing.T) {
+	for _, levels := range [][]int{nil, {3}, {0, 3, 1, 9}, {10}, {9, 10, 255, 0}, {0, 0, 0, 0, 0, 0, 0, 12}} {
+		want := []byte("x")
+		for k, l := range levels {
+			if k > 0 {
+				want = append(want, ',')
+			}
+			want = strconv.AppendInt(want, int64(l), 10)
+		}
+		if got := appendLevels([]byte("x"), levels); string(got) != string(want) {
+			t.Errorf("appendLevels(%v) = %q, want %q", levels, got, want)
+		}
 	}
 }

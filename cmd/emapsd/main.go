@@ -358,7 +358,7 @@ func newServer(maxBatch int) *server {
 		adaptAfter: 64,
 		lockStale:  time.Minute,
 		metrics:    newMetricsSet(),
-		traces:     obs.NewRing(256, 32),
+		traces:     obs.NewRing(256, 32, stageBuckets),
 		logEvery:   1,
 		models:     make(map[trainKey]*modelEntry),
 		monitors:   make(map[string]*monitorEntry),
@@ -418,7 +418,6 @@ func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	if tr != nil {
 		tr.Route = route
 		tr.Finish(sw.status, sw.bytes, dur)
-		s.metrics.observeTrace(tr)
 		s.traces.Record(tr)
 	}
 	if s.logger != nil && s.shouldLog(sw.status) {
@@ -520,6 +519,9 @@ func (s *server) handleMetrics(w http.ResponseWriter) {
 	}
 	sort.Slice(g.driftStates, func(i, j int) bool { return g.driftStates[i].id < g.driftStates[j].id })
 	sort.Slice(g.governors, func(i, j int) bool { return g.governors[i].id < g.governors[j].id })
+	for st := range g.stages {
+		g.stages[st] = s.traces.StageSnapshot(obs.Stage(st))
+	}
 	// Render to memory first so a slow scraper's connection never holds the
 	// response open mid-snapshot (and the scrape stays one Write).
 	var buf bytes.Buffer
@@ -1007,8 +1009,9 @@ type snapshotSummary = wire.Summary
 
 // summarize digests one map: max, min and the first cell attaining the
 // max, bitwise those of one left-to-right scan, and the mean as a blocked
-// sum (mat.Summarize, one vector pass on amd64). Estimate, govern and
-// track all digest through it.
+// sum (mat.Summarize, one vector pass on amd64). Estimate and track digest
+// through it; govern's control step reads mat.Summarize straight into its
+// decisions, which have no map to carry.
 func summarize(x []float64, includeMap bool) snapshotSummary {
 	hi, lo, mean, maxCell := mat.Summarize(x)
 	sum := snapshotSummary{MaxC: hi, MinC: lo, MeanC: mean, MaxCell: maxCell}

@@ -19,15 +19,15 @@ import (
 // can derive request rates, error ratios, cache hit ratios and snapshots/s
 // without the daemon having to compute windows itself.
 //
-// The request-path side (observe, stage observation) is lock-free: routes
-// live in an obs.Registry (a sync.Map lookup plus atomic adds), stages in
-// a pre-built obs.StageSet indexed by stage number. The old mutexed
-// routeMetrics map serialized every request on one lock; under the
-// million-monitor load profile that lock was the only cross-request shared
-// write besides the counters, and it is gone.
+// The request-path side takes no global lock: routes live in an
+// obs.Registry (a sync.Map lookup plus atomic adds), and the per-stage
+// histograms in the flight recorder (obs.Ring), which takes a trace's
+// spans under the lock of the ring slot the trace goes into. The old
+// mutexed routeMetrics map serialized every request on one lock; under
+// the million-monitor load profile that lock was the only cross-request
+// shared write besides the counters, and it is gone.
 type metricsSet struct {
 	routes *obs.Registry
-	stages *obs.StageSet
 
 	cacheHits       atomic.Int64 // model cache: key already resident
 	cacheMisses     atomic.Int64 // model cache: key absent (train or disk load)
@@ -62,10 +62,7 @@ var stageBuckets = []float64{
 }
 
 func newMetricsSet() *metricsSet {
-	return &metricsSet{
-		routes: obs.NewRegistry(latencyBuckets),
-		stages: obs.NewStageSet(stageBuckets),
-	}
+	return &metricsSet{routes: obs.NewRegistry(latencyBuckets)}
 }
 
 // observe records one completed request. Lock-free: a sync.Map load plus
@@ -74,11 +71,6 @@ func (m *metricsSet) observe(route string, code int, d time.Duration) {
 	rs := m.routes.Route(route)
 	rs.Latency.Observe(d)
 	rs.ObserveCode(code)
-}
-
-// observeTrace folds a finished trace's spans into the stage histograms.
-func (m *metricsSet) observeTrace(t *obs.Trace) {
-	m.stages.ObserveTrace(t)
 }
 
 // gauges is the point-in-time state rendered alongside the counters.
@@ -96,6 +88,10 @@ type gauges struct {
 	// governors is one entry per monitor with an installed governor: its
 	// cumulative governed snapshots and throttle duty.
 	governors []governGauge
+
+	// stages is each serving stage's latency histogram, from the flight
+	// recorder.
+	stages [obs.NumStages]obs.HistSnapshot
 }
 
 // driftGauge is one monitor's drift verdict for the exposition.
@@ -138,7 +134,7 @@ func (m *metricsSet) render(w io.Writer, g gauges) {
 	}
 	fmt.Fprintf(w, "# HELP emapsd_stage_duration_seconds Serving-stage latency, by stage (decode, shard_route, page_in, solve, drift_score, adapt, govern, encode).\n# TYPE emapsd_stage_duration_seconds histogram\n")
 	for st := obs.Stage(0); st < obs.NumStages; st++ {
-		snap := m.stages.Stage(st).Snapshot()
+		snap := g.stages[st]
 		if snap.Count == 0 {
 			continue
 		}

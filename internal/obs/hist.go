@@ -206,35 +206,3 @@ func (g *Registry) Snapshot() []RouteSnapshot {
 	sort.Slice(out, func(i, j int) bool { return out[i].Label < out[j].Label })
 	return out
 }
-
-// StageSet is the per-stage histogram bank: one Hist per serving stage,
-// pre-resolved into an array so the request path indexes it directly
-// instead of hashing a label.
-type StageSet struct {
-	hists [NumStages]*Hist
-}
-
-// NewStageSet builds one histogram per stage over the given bounds.
-func NewStageSet(bounds []float64) *StageSet {
-	s := &StageSet{}
-	for i := range s.hists {
-		s.hists[i] = NewHist(bounds)
-	}
-	return s
-}
-
-// ObserveTrace records every span of a finished trace into the stage
-// histograms. Nil-safe on both receiver and trace.
-func (s *StageSet) ObserveTrace(t *Trace) {
-	if s == nil || t == nil || t.used == 0 {
-		return
-	}
-	for st := Stage(0); st < NumStages; st++ {
-		if t.used&(1<<st) != 0 {
-			s.hists[st].Observe(t.spans[st].Dur)
-		}
-	}
-}
-
-// Stage returns the histogram for one stage.
-func (s *StageSet) Stage(st Stage) *Hist { return s.hists[st] }

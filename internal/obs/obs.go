@@ -1,21 +1,22 @@
 // Package obs is the serving layer's flight recorder: per-request traces
 // with per-stage spans, fixed-size ring buffers of recent and slowest
-// requests, and lock-free sharded histograms for the metrics hot path.
+// requests, and sharded histograms for the metrics hot path.
 //
 // The daemon's request loop allocates one Trace per request, anchors it on a
 // monotonic clock, and hands it down the serving path; each stage — decode,
 // shard routing, page-in, the GEMM solve, drift scoring, adaptation,
 // governing, encode — records its span against that anchor. A finished
-// trace lands in a Ring (recent requests plus the top-N slowest), feeds the
-// per-stage histograms, and renders as a Server-Timing header, so one
+// trace lands in a Ring (recent requests, the top-N slowest and the
+// per-stage histograms) and renders as a Server-Timing header, so one
 // request's cost breaks down identically in /metrics, in the client's
 // response headers, and in the /v1/debug/requests waterfall.
 //
-// Everything on the request path is lock-free and nil-safe: histogram
-// observation is a handful of sharded atomic adds, ring insertion is an
-// atomic slot store, and every Trace method no-ops on a nil receiver so an
-// untraced (or deliberately stripped) request pays nothing but the nil
-// checks.
+// Everything on the request path is nil-safe and waits on no global lock:
+// a latency observation is a handful of sharded atomic adds, a finished
+// trace goes into its ring slot and its spans into the stage histograms
+// under one of eight ring locks, which a debug reader only ever tries,
+// and every Trace method no-ops on a nil receiver so an untraced (or
+// deliberately stripped) request pays nothing but the nil checks.
 package obs
 
 import (

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -115,7 +116,7 @@ func TestNewIDUniqueConcurrent(t *testing.T) {
 }
 
 func TestRingRecentAndSlowest(t *testing.T) {
-	r := NewRing(4, 2)
+	r := NewRing(4, 2, nil)
 	for i := 1; i <= 6; i++ {
 		tr := NewTrace(fmt.Sprintf("req-%d", i), time.Time{})
 		tr.Dur = time.Duration(i) * time.Millisecond
@@ -154,7 +155,7 @@ func ids(ts []Trace) []string {
 }
 
 func TestRingConcurrent(t *testing.T) {
-	r := NewRing(64, 8)
+	r := NewRing(64, 8, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -284,22 +285,53 @@ func TestCodeCountsConcurrent(t *testing.T) {
 }
 
 func TestStageSet(t *testing.T) {
-	s := NewStageSet([]float64{0.001, 0.01})
+	r := NewRing(4, 1, []float64{0.001, 0.01})
 	tr := NewTrace("x", time.Time{})
 	tr.record(StageDecode, 0, 100*time.Microsecond)
 	tr.record(StageSolve, 100*time.Microsecond, 5*time.Millisecond)
-	s.ObserveTrace(tr)
-	s.ObserveTrace(nil)
-	(*StageSet)(nil).ObserveTrace(tr)
+	r.Record(tr)
+	r.Record(nil)
+	(*Ring)(nil).Record(tr)
 
-	if c := s.Stage(StageDecode).Snapshot().Count; c != 1 {
+	if c := r.StageSnapshot(StageDecode).Count; c != 1 {
 		t.Errorf("decode count = %d", c)
 	}
-	if c := s.Stage(StageSolve).Snapshot().Count; c != 1 {
+	if c := r.StageSnapshot(StageSolve).Count; c != 1 {
 		t.Errorf("solve count = %d", c)
 	}
-	if c := s.Stage(StageEncode).Snapshot().Count; c != 0 {
+	if c := r.StageSnapshot(StageEncode).Count; c != 0 {
 		t.Errorf("encode count = %d", c)
+	}
+}
+
+// Concurrent traces land in the stage histograms without a lost count or
+// nanosecond, whichever ring locks they take, while readers copy slots out.
+func TestStageSetConcurrent(t *testing.T) {
+	r := NewRing(16, 4, []float64{0.000001, 0.001})
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				tr := NewTrace("x", time.Time{})
+				tr.record(StageDecode, 0, time.Duration(i))
+				tr.record(StageSolve, time.Duration(i), 2*time.Microsecond)
+				tr.Dur = time.Duration(g*1000 + i)
+				r.Record(tr)
+				if i%50 == 0 {
+					r.Recent(16)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	dec, sol := r.StageSnapshot(StageDecode), r.StageSnapshot(StageSolve)
+	if dec.Count != 4000 || sol.Count != 4000 || dec.Cumulative[0] != 4000 || sol.Cumulative[0] != 0 {
+		t.Fatalf("decode %+v, solve %+v: want 4000 observations each, decode all in the first bucket", dec, sol)
+	}
+	if want := 8 * 499 * 500 / 2; math.Abs(dec.Sum*1e9-float64(want)) > 0.5 {
+		t.Fatalf("decode sum %v s, want %d ns", dec.Sum, want)
 	}
 }
 
@@ -370,7 +402,7 @@ func BenchmarkHistObserve(b *testing.B) {
 }
 
 func BenchmarkRingRecord(b *testing.B) {
-	r := NewRing(256, 32)
+	r := NewRing(256, 32, nil)
 	b.RunParallel(func(pb *testing.PB) {
 		i := 0
 		for pb.Next() {

@@ -78,25 +78,39 @@ func (r *traceRec) unpack() Trace {
 	return t
 }
 
-// ringSlot is one recent-trace cell: a packed trace guarded by its own
-// tiny mutex, taken with TryLock on both sides so neither the serving path
-// nor a debug reader ever blocks (an uncontended TryLock is one CAS — the
-// same cost as a seqlock claim, without the racing read a seqlock would
-// need). Storing values rather than pointers keeps published traces out
-// of the garbage collector's object graph and lets the request path
-// recycle its Trace through a pool — the flight recorder owns fixed
-// storage, the request owns a scratch object.
+// ringSlot is one recent-trace cell: a packed trace, guarded by the ring
+// lock its index maps to. Storing values rather than pointers keeps
+// published traces out of the garbage collector's object graph and lets
+// the request path recycle its Trace through a pool — the flight recorder
+// owns fixed storage, the request owns a scratch object.
 type ringSlot struct {
-	mu   sync.Mutex
 	full bool
 	t    traceRec
 }
 
-// Ring is the flight recorder's trace store: a lock-free circular buffer
-// of the most recent finished traces plus a small mutex-guarded list of
-// the slowest ones seen. Record copies the trace into a slot under a
-// seqlock; readers copy it back out and retry if the sequence moved, so
-// neither side blocks the other.
+// ringLocks is how many locks the slots and the stage histograms are
+// spread over; consecutive slots take different ones.
+const ringLocks = 8
+
+// ringLock guards every ringLocks-th slot and its share of the stage
+// histograms, padded so that adjacent locks do not share a cache line.
+type ringLock struct {
+	mu sync.Mutex
+	// counts holds bucket b of stage st at b·NumStages + st: a request's
+	// spans mostly share a bucket, and so one cache line.
+	counts []int64
+	sums   [NumStages]int64
+	_      [32]byte
+}
+
+// Ring is the flight recorder: a circular buffer of the most recent
+// finished traces, a small mutex-guarded list of the slowest ones seen,
+// and the per-stage latency histograms. Record takes the lock of the slot
+// it claimed, copies the trace in and adds its spans to that lock's share
+// of the histograms, so one lock round trip per request does both.
+// Readers only try a slot's lock and skip the slot when it is held, so a
+// debug view never waits on the serving path; the serving path waits at
+// most for one slot copy.
 //
 // The slowest list's mutex is kept off the hot path by an atomic
 // threshold: once the list is full, a request only takes the lock if it
@@ -105,6 +119,10 @@ type ringSlot struct {
 type Ring struct {
 	slots []ringSlot
 	head  atomic.Uint64
+	locks [ringLocks]ringLock
+
+	bounds []float64 // stage histogram upper bounds in seconds, ascending
+	nanos  []int64   // the same bounds in integer nanoseconds
 
 	topN    int
 	slowMin atomic.Int64 // floor (ns) for entering slowest; 0 until full
@@ -113,34 +131,49 @@ type Ring struct {
 }
 
 // NewRing builds a ring keeping the last `recent` traces and the `topN`
-// slowest.
-func NewRing(recent, topN int) *Ring {
+// slowest, with stage histograms over stageBounds (ascending upper bounds
+// in seconds; the slice is retained and must not be mutated).
+func NewRing(recent, topN int, stageBounds []float64) *Ring {
 	if recent < 1 {
 		recent = 1
 	}
 	if topN < 1 {
 		topN = 1
 	}
-	return &Ring{slots: make([]ringSlot, recent), topN: topN}
+	r := &Ring{slots: make([]ringSlot, recent), topN: topN, bounds: stageBounds, nanos: NewHist(stageBounds).nanos}
+	for i := range r.locks {
+		r.locks[i].counts = make([]int64, int(NumStages)*(len(stageBounds)+1))
+	}
+	return r
 }
 
-// Record publishes a finished trace by value. The trace must be sealed
-// (Finish called); the caller keeps ownership and may recycle it once
-// Record returns. Nil-safe on both sides.
+// Record publishes a finished trace by value and adds its spans to the
+// stage histograms. The trace must be sealed (Finish called); the caller
+// keeps ownership and may recycle it once Record returns. Nil-safe on
+// both sides.
 func (r *Ring) Record(t *Trace) {
 	if r == nil || t == nil {
 		return
 	}
 	i := (r.head.Add(1) - 1) % uint64(len(r.slots))
-	s := &r.slots[i]
-	// A failed claim means a reader is copying this slot out (or another
-	// writer lapped the whole ring); dropping one trace from a debug view
-	// beats ever stalling the serving path.
-	if s.mu.TryLock() {
-		s.t.pack(t)
-		s.full = true
-		s.mu.Unlock()
+	l := &r.locks[i%ringLocks]
+	l.mu.Lock()
+	r.slots[i].t.pack(t)
+	r.slots[i].full = true
+	nb := int(NumStages)
+	for st := Stage(0); st < NumStages; st++ {
+		if t.used&(1<<st) == 0 {
+			continue
+		}
+		d := max(int64(t.spans[st].Dur), 0)
+		b := 0
+		for b < len(r.nanos) && d > r.nanos[b] {
+			b++
+		}
+		l.counts[b*nb+int(st)]++
+		l.sums[st] += d
 	}
+	l.mu.Unlock()
 
 	if int64(t.Dur) <= r.slowMin.Load() {
 		return
@@ -180,8 +213,8 @@ func (r *Ring) Recent(n int) []Trace {
 		// written right now is skipped — a debug view prefers a gap to a
 		// stall on the serving path.
 		i := (head + uint64(len(r.slots)) - 1 - k) % uint64(len(r.slots))
-		s := &r.slots[i]
-		if !s.mu.TryLock() {
+		l, s := &r.locks[i%ringLocks], &r.slots[i]
+		if !l.mu.TryLock() {
 			continue
 		}
 		var cp traceRec
@@ -189,7 +222,7 @@ func (r *Ring) Recent(n int) []Trace {
 		if full {
 			cp = s.t
 		}
-		s.mu.Unlock()
+		l.mu.Unlock()
 		if full {
 			out = append(out, cp.unpack())
 		}
@@ -209,4 +242,32 @@ func (r *Ring) Slowest() []Trace {
 	}
 	r.mu.Unlock()
 	return out
+}
+
+// StageSnapshot folds the locks' shares into one stage's cumulative
+// histogram. Nil-safe.
+func (r *Ring) StageSnapshot(st Stage) HistSnapshot {
+	if r == nil {
+		return HistSnapshot{}
+	}
+	counts := make([]int64, len(r.bounds)+1)
+	var nanos int64
+	for i := range r.locks {
+		l := &r.locks[i]
+		l.mu.Lock()
+		for b := range counts {
+			counts[b] += l.counts[b*int(NumStages)+int(st)]
+		}
+		nanos += l.sums[st]
+		l.mu.Unlock()
+	}
+	snap := HistSnapshot{Bounds: r.bounds, Cumulative: make([]int64, len(r.bounds))}
+	var run int64
+	for b := range r.bounds {
+		run += counts[b]
+		snap.Cumulative[b] = run
+	}
+	snap.Count = run + counts[len(r.bounds)]
+	snap.Sum = float64(nanos) / 1e9
+	return snap
 }
