@@ -157,18 +157,7 @@ func BenchmarkAblationSubspaceIteration(b *testing.B) {
 	env := benchEnvGet(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := basis.TrainPCA(env.DS, 12, basis.PCAConfig{Seed: 1}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationSnapshotMethod is the reference arm of the PCA ablation.
-func BenchmarkAblationSnapshotMethod(b *testing.B) {
-	env := benchEnvGet(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := basis.TrainPCA(env.DS, 12, basis.PCAConfig{Method: basis.PCAGram}); err != nil {
+		if _, err := basis.TrainPCA(env.DS, 12, 1); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -186,23 +175,6 @@ func BenchmarkAblationGreedyIncremental(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := (&place.Greedy{}).Allocate(in); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationGreedyEveryStepRankCheck is the naive-schedule arm:
-// a rank check after every removal.
-func BenchmarkAblationGreedyEveryStepRankCheck(b *testing.B) {
-	env := benchEnvGet(b)
-	psi, err := env.PCA.Basis.PsiK(12)
-	if err != nil {
-		b.Fatal(err)
-	}
-	in := place.Input{Psi: psi, Grid: env.DS.Grid, M: 16}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (&place.Greedy{CheckEveryStep: true}).Allocate(in); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -516,30 +488,20 @@ var provisionBenchDS = func() func(b *testing.B, name string) *dataset.Dataset {
 	}
 }()
 
-// BenchmarkTrain compares the two sides of the PCA duality on the shared
-// T1-sized ensemble (the tentpole criterion: gram ≥ 3× faster than
-// covariance at N ≈ 2–4×T). The auto arm tracks what Train actually picks
-// for this shape. The provision arms train the provision benchmark's two
-// dies with the daemon's options: t1 at 60×56, T 192, KMax 24 (the Gram
-// side) and manycore-256c at 32×32, T 384, KMax 16 (the covariance side).
+// BenchmarkTrain measures Train on the shared T1-sized ensemble (auto: the
+// side Train picks for this shape; basis's BenchmarkTrainSides times both
+// sides on it) and on the provision benchmark's two dies with the daemon's
+// options: t1 at 60×56, T 192, KMax 24 (the Gram side) and manycore-256c at
+// 32×32, T 384, KMax 16 (the covariance side).
 func BenchmarkTrain(b *testing.B) {
 	ds, _ := trainBenchGet(b)
-	for _, arm := range []struct {
-		name   string
-		method basis.PCAMethod
-	}{
-		{"covariance", basis.PCACovariance},
-		{"gram", basis.PCAGram},
-		{"auto", basis.PCAAuto},
-	} {
-		b.Run(arm.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Train(ds, core.TrainOptions{KMax: trainBenchKMax, Seed: 12, Method: arm.method}); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("auto", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := core.Train(ds, core.TrainOptions{KMax: trainBenchKMax, Seed: 12}); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 	for _, arm := range []struct {
 		name, floorplan string
 		kmax            int

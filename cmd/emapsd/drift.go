@@ -96,7 +96,7 @@ func calibrate(mon *core.Monitor, rows [][]float64) (drift.Calibration, error) {
 // restarting from scratch). seedCount weights the seed against absorbed
 // snapshots — the training ensemble size.
 func newDriftState(cal drift.Calibration, model *core.Model, seedCount int) (*driftState, error) {
-	det, err := drift.NewDetector(cal, drift.Config{})
+	det, err := drift.NewDetector(cal)
 	if err != nil {
 		return nil, err
 	}
@@ -222,8 +222,8 @@ func (ds *driftState) rememberBatch(rows [][]float64, m int) {
 			ds.ring = append(ds.ring, append([]float64(nil), row...))
 		} else {
 			copy(ds.ring[ds.ringPos], row)
-			ds.ringPos = (ds.ringPos + 1) % driftRingCap
 		}
+		ds.ringPos = (ds.ringPos + 1) % driftRingCap
 	}
 	ds.mu.Unlock()
 }
@@ -255,18 +255,15 @@ func (s *server) absorbForAdaptation(e *monitorEntry, rs *residentState, n int) 
 	}
 }
 
-// lastRows returns the n most recently remembered rows (serving space).
-// Caller holds ds.mu.
+// lastRows returns the n most recently remembered rows (serving space),
+// newest first. ringPos is the slot the next row goes to, so the newest
+// rows sit just below it, also while the ring is filling. Caller holds
+// ds.mu.
 func (ds *driftState) lastRows(n int) [][]float64 {
-	if n > len(ds.ring) {
-		n = len(ds.ring)
-	}
-	out := make([][]float64, 0, n)
-	for i := 0; i < n; i++ {
-		idx := (ds.ringPos - 1 - i + 2*driftRingCap) % driftRingCap
-		if idx < len(ds.ring) {
-			out = append(out, ds.ring[idx])
-		}
+	n = min(n, len(ds.ring))
+	out := make([][]float64, n)
+	for i := range out {
+		out[i] = ds.ring[(ds.ringPos-1-i+driftRingCap)%driftRingCap]
 	}
 	return out
 }
@@ -362,8 +359,8 @@ func (s *server) swappedState(e *monitorEntry, rs *residentState, model *core.Mo
 	cal, err := calibrate(mon, rows)
 	if err != nil {
 		// Too little recent traffic to refit (cannot happen in practice: the
-		// detector needs MinCount observations to leave OK, and each fills
-		// the ring). Rebase on the old moments so the detector stays alive.
+		// detector needs 16 observations to leave OK, and each fills the
+		// ring). Rebase on the old moments so the detector stays alive.
 		cal = ds.cal
 		if drop >= 0 {
 			cal.SensorMean = removeAt(cal.SensorMean, drop)

@@ -331,3 +331,33 @@ func TestAdaptationHotSwapZeroDrops(t *testing.T) {
 		t.Fatalf("adapted monitor rejects healthy traffic: %d %s", code, raw)
 	}
 }
+
+// TestDriftRingLastRows pins the recalibration ring's read side: after
+// every 16-row batch, while the ring fills and after it wraps, lastRows(n)
+// returns the n newest remembered rows, newest first, so adaptation can
+// absorb a monitor's first batches too. Rows of the wrong width are not
+// remembered.
+func TestDriftRingLastRows(t *testing.T) {
+	const m = 3
+	ds := &driftState{}
+	seen := 0
+	for batch := 0; batch < 12; batch++ {
+		rows := [][]float64{{-1}}
+		for i := 0; i < 16; i++ {
+			rows = append(rows, []float64{float64(seen), 0, 0})
+			seen++
+		}
+		ds.rememberBatch(rows, m)
+		for _, n := range []int{1, 16, 40, driftRingCap, driftRingCap + 1} {
+			got := ds.lastRows(n)
+			if want := min(n, seen, driftRingCap); len(got) != want {
+				t.Fatalf("after %d rows: lastRows(%d) gave %d rows, want %d", seen, n, len(got), want)
+			}
+			for i, row := range got {
+				if row[0] != float64(seen-1-i) {
+					t.Fatalf("after %d rows: lastRows(%d)[%d] is row %v, want %d", seen, n, i, row[0], seen-1-i)
+				}
+			}
+		}
+	}
+}

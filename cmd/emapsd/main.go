@@ -88,12 +88,6 @@ import (
 	"repro/internal/wire"
 )
 
-// defaultLoadCoupling is the core-utilization correlation every training
-// ensemble is generated with — throughput workloads like the T1's sit near
-// it (see SimOptions.LoadCoupling). Persisted in each record's metadata as
-// part of its training configuration.
-const defaultLoadCoupling = 0.75
-
 func main() {
 	addr := flag.String("addr", ":8760", "listen address")
 	maxSnap := flag.Int("max-batch", 4096, "largest accepted snapshot batch")
@@ -661,7 +655,7 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		GridW: req.GridW, GridH: req.GridH,
 		Snapshots: req.Snapshots, Seed: req.Seed, KMax: req.KMax,
 		Workloads: req.Workloads, WorkloadSpec: req.WorkloadSpec,
-		LoadCoupling: defaultLoadCoupling}
+		LoadCoupling: power.DefaultLoadCoupling}
 	key, specs, err := keyFromMeta(meta)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, "bad_workload", "bad workload: %v", err)
@@ -706,7 +700,7 @@ func (s *server) handleCreate(w http.ResponseWriter, r *http.Request) {
 			Snapshots: key.Snapshots,
 			Specs:     specs,
 			Seed:      key.Seed,
-			Power:     power.ConfigFor(fp, defaultLoadCoupling),
+			Power:     power.ConfigFor(fp, power.DefaultLoadCoupling),
 		})
 		if entry.err == nil {
 			entry.model, entry.err = core.Train(entry.ds, core.TrainOptions{KMax: key.KMax, Seed: key.Seed})

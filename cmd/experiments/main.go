@@ -21,7 +21,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/basis"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
 	"repro/internal/floorplan"
@@ -41,7 +40,6 @@ func main() {
 		pgmDir  = flag.String("pgm-dir", "", "write PGM images of the visual figures to this directory")
 		kmax    = flag.Int("kmax", 0, "override KMax")
 		seedArg = flag.Int64("seed", 0, "override seed")
-		method  = flag.String("train-method", "auto", "PCA eigensolver side: auto, covariance or gram")
 
 		specFiles = flag.String("scenario-spec", "", "comma-separated JSON workload-spec files replacing the default scenario mix")
 	)
@@ -56,16 +54,6 @@ func main() {
 	}
 	if *seedArg != 0 {
 		cfg.Seed = *seedArg
-	}
-	switch *method {
-	case "auto", "":
-		cfg.Method = basis.PCAAuto
-	case "covariance":
-		cfg.Method = basis.PCACovariance
-	case "gram":
-		cfg.Method = basis.PCAGram
-	default:
-		log.Fatalf("unknown -train-method %q (want auto, covariance or gram)", *method)
 	}
 	fileSpecs, ferr := workload.DecodeFiles(*specFiles)
 	if ferr != nil {

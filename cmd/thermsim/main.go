@@ -49,7 +49,7 @@ func main() {
 		fpName    = flag.String("floorplan", "t1", "floorplan: t1, athlon or manycore-<cores>c")
 		leakage   = flag.Bool("leakage", false, "enable temperature-dependent leakage feedback")
 		steps     = flag.Int("steps-per-snapshot", 1, "simulation steps between recorded snapshots")
-		coupling  = flag.Float64("coupling", 0.75, "default core load coupling in [0,1] for scenarios that declare no load_coupling of their own")
+		coupling  = flag.Float64("coupling", power.DefaultLoadCoupling, "default core load coupling in [0,1] for scenarios that declare no load_coupling of their own")
 		list      = flag.Bool("list-scenarios", false, "print the workload registry and exit")
 
 		govern     = flag.String("govern", "", "closed-loop mode: run this control policy (threshold, hysteresis or pi) instead of writing a dataset")
@@ -107,7 +107,7 @@ func main() {
 		Power:            pcfg,
 	}
 	if *leakage {
-		cfg.Thermal.Leakage = &thermal.LeakageModel{BaseWPerCell: 0.002, TRefC: 45, TSlopeC: 30}
+		cfg.Thermal.Leakage = thermal.DefaultLeakage()
 	}
 
 	ds, err := dataset.Generate(fp, cfg)

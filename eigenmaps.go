@@ -226,9 +226,7 @@ func SimulateT1(opt SimOptions) (*Ensemble, error) {
 		cfg.Specs = append(cfg.Specs, ws.spec)
 	}
 	if opt.EnableLeakage {
-		cfg.Thermal.Leakage = &thermal.LeakageModel{
-			BaseWPerCell: 0.002, TRefC: 45, TSlopeC: 30,
-		}
+		cfg.Thermal.Leakage = thermal.DefaultLeakage()
 	}
 	ds, err := dataset.Generate(floorplan.UltraSparcT1(), cfg)
 	if err != nil {

@@ -66,53 +66,6 @@ func TestTrainRejectsUnknownBasis(t *testing.T) {
 	}
 }
 
-func TestTrainMethodFacade(t *testing.T) {
-	ens, auto := fixture(t)
-	// Unknown method strings are rejected up front with the same typed
-	// error as every other invalid option.
-	if _, err := eigenmaps.Train(ens, eigenmaps.TrainOptions{KMax: 4, Method: "qr"}); !errors.Is(err, eigenmaps.ErrInvalidOptions) {
-		t.Fatalf("unknown method: got %v, want ErrInvalidOptions", err)
-	}
-	// Both eigensolver sides are selectable and train the same subspace the
-	// auto default does (up to numerical tolerance).
-	all := make([]int, ens.N())
-	for i := range all {
-		all[i] = i
-	}
-	autoMon, err := auto.NewMonitor(4, all)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := autoMon.Estimate(ens.Map(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, method := range []eigenmaps.TrainMethod{eigenmaps.AutoMethod, eigenmaps.CovarianceMethod, eigenmaps.GramMethod} {
-		m, err := eigenmaps.Train(ens, eigenmaps.TrainOptions{KMax: 12, Seed: 5, Method: method})
-		if err != nil {
-			t.Fatalf("%s: %v", method, err)
-		}
-		if m.KMax() != auto.KMax() {
-			t.Fatalf("%s: KMax %d != %d", method, m.KMax(), auto.KMax())
-		}
-		// Projecting a map onto the first four eigenmaps (all cells
-		// sensed) is the same with either side's basis.
-		mon, err := m.NewMonitor(4, all)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := mon.Estimate(ens.Map(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if math.Abs(got[i]-want[i]) > 1e-6 {
-				t.Fatalf("%s: projection differs from default training at cell %d: %v vs %v", method, i, got[i], want[i])
-			}
-		}
-	}
-}
-
 func TestTrainRejectsDegenerateOptionsFacade(t *testing.T) {
 	// One snapshot centers to the zero matrix: no spectrum to train on.
 	single, err := eigenmaps.SimulateT1(eigenmaps.SimOptions{
@@ -155,17 +108,24 @@ func TestModelAccessors(t *testing.T) {
 // training ensemble: projecting every training map onto the first K
 // eigenmaps leaves a per-cell MSE equal to the whole eigenvalue tail over
 // N, also for K = KMax, where the tail runs past the trained spectrum. A
-// monitor sensing every cell reconstructs by exactly that projection.
+// monitor sensing every cell reconstructs by exactly that projection. The
+// two ensembles sit on either side of Train's rule at N = 224 and KMax 12:
+// the fixture's 160 snapshots train on the covariance side, 96 on the Gram
+// side (T ≤ 128).
 func TestExpectedApproxMSEIsInSampleProjectionMSE(t *testing.T) {
-	ens, _ := fixture(t)
-	all := make([]int, ens.N())
-	for i := range all {
-		all[i] = i
+	fix, _ := fixture(t)
+	short, err := eigenmaps.SimulateT1(eigenmaps.SimOptions{Grid: fix.Grid(), Snapshots: 96, Seed: 5})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, method := range []eigenmaps.TrainMethod{eigenmaps.CovarianceMethod, eigenmaps.GramMethod} {
-		model, err := eigenmaps.Train(ens, eigenmaps.TrainOptions{KMax: 12, Seed: 5, Method: method})
+	for _, ens := range []*eigenmaps.Ensemble{fix, short} {
+		all := make([]int, ens.N())
+		for i := range all {
+			all[i] = i
+		}
+		model, err := eigenmaps.Train(ens, eigenmaps.TrainOptions{KMax: 12, Seed: 5})
 		if err != nil {
-			t.Fatalf("%s: %v", method, err)
+			t.Fatalf("T=%d: %v", ens.T(), err)
 		}
 		for _, k := range []int{4, 8, 12} {
 			mon, err := model.NewMonitor(k, all)
@@ -178,7 +138,7 @@ func TestExpectedApproxMSEIsInSampleProjectionMSE(t *testing.T) {
 			}
 			got := model.ExpectedApproxMSE(k)
 			if got <= 0 || math.Abs(got-ev.MSE) > 1e-9*ev.MSE {
-				t.Fatalf("%s K=%d: ExpectedApproxMSE %v, in-sample projection MSE %v", method, k, got, ev.MSE)
+				t.Fatalf("T=%d K=%d: ExpectedApproxMSE %v, in-sample projection MSE %v", ens.T(), k, got, ev.MSE)
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package basis
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
@@ -46,15 +47,11 @@ func agreementEnsemble(t *testing.T, fp *floorplan.Floorplan, snapshots int, see
 	return ds
 }
 
-// trainMethod trains the EigenMaps basis with a forced eigensolver side and
+// trainMethod trains the EigenMaps basis on a forced eigensolver side with
 // a tight covariance-iteration tolerance.
 func trainMethod(t *testing.T, ds *dataset.Dataset, kmax int, m PCAMethod) *Basis {
 	t.Helper()
-	b, err := TrainPCA(ds, kmax, PCAConfig{
-		Seed:     7,
-		Method:   m,
-		Subspace: mat.SubspaceOptions{Tol: 1e-14},
-	})
+	b, err := trainPCASide(ds, kmax, m, mat.SubspaceOptions{Rand: rand.New(rand.NewSource(7)), Tol: 1e-14}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +92,7 @@ func TestGramCovarianceSubspaceAgreement(t *testing.T) {
 	}
 }
 
-// TestPCAAutoSelection pins the cost-model dispatch: auto resolves to the
+// TestPCAAutoSelection pins the cost-model dispatch: TrainPCA takes the
 // Gram dual exactly when the ensemble is short relative to the grid AND
 // short enough (T ≤ max(128, 8·kmax)) that the dense T×T eigensolve stays
 // cheaper than iterating on the covariance; everything else falls back to
@@ -114,20 +111,18 @@ func TestPCAAutoSelection(t *testing.T) {
 		{300, 1200, 40, PCAGram},        // wide block favors the Gram side
 		{2652, 3360, 40, PCACovariance}, // the paper's full-scale shape
 	} {
-		if got := ResolvePCAMethod(PCAAuto, tc.t, tc.n, tc.kmax); got != tc.want {
-			t.Fatalf("ResolvePCAMethod(auto, %d, %d, %d) = %v, want %v", tc.t, tc.n, tc.kmax, got, tc.want)
+		if got := ResolvePCAMethod(tc.t, tc.n, tc.kmax); got != tc.want {
+			t.Fatalf("ResolvePCAMethod(%d, %d, %d) = %v, want %v", tc.t, tc.n, tc.kmax, got, tc.want)
 		}
 	}
-	// Concrete methods pass through untouched.
-	if ResolvePCAMethod(PCAGram, 500, 10, 8) != PCAGram || ResolvePCAMethod(PCACovariance, 10, 500, 8) != PCACovariance {
-		t.Fatal("forced methods must not be overridden")
-	}
-	// And the T ≥ N fallback trains through the covariance path without the
-	// caller asking for it.
+	// And the T ≥ N fallback trains through the covariance path.
 	ds := agreementEnsemble(t, floorplan.UltraSparcT1(), 150, 9)
-	auto, err := TrainPCA(ds, 5, PCAConfig{Seed: 9})
+	auto, err := TrainPCA(ds, 5, 9)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if auto.Method != PCACovariance {
+		t.Fatalf("T ≥ N trained on the %v side", auto.Method)
 	}
 	cov := trainMethod(t, ds, 5, PCACovariance)
 	if s := maxPrincipalAngleSin(t, cov.Psi, auto.Psi); s > 1e-6 {
@@ -139,12 +134,12 @@ func TestPCAAutoSelection(t *testing.T) {
 // results: the Gram path is bit-identical across worker counts.
 func TestGramWorkersInvariant(t *testing.T) {
 	ds := agreementEnsemble(t, floorplan.UltraSparcT1(), 80, 13)
-	seq, err := trainPCAWorkers(ds, 8, PCAConfig{Method: PCAGram}, 1)
+	seq, err := trainPCASide(ds, 8, PCAGram, mat.SubspaceOptions{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{0, 2, 5} {
-		par, err := trainPCAWorkers(ds, 8, PCAConfig{Method: PCAGram}, workers)
+		par, err := trainPCASide(ds, 8, PCAGram, mat.SubspaceOptions{}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}

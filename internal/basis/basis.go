@@ -36,10 +36,9 @@ type Basis struct {
 	// coefficient of the k-th selected frequency.
 	Importance []float64
 
-	// Method records which eigensolver side TrainPCA actually used (never
-	// PCAAuto), so reporting tools don't have to re-derive the dispatch.
-	// In-memory only: not serialized, and zero-valued on DCT and loaded
-	// bases.
+	// Method records which eigensolver side TrainPCA used, so reporting
+	// tools don't have to re-derive the dispatch. In-memory only: not
+	// serialized, and zero-valued on DCT and loaded bases.
 	Method PCAMethod
 }
 
@@ -133,18 +132,16 @@ func (b *Basis) Approximate(x []float64, k int) ([]float64, error) {
 	return b.Synthesize(alpha), nil
 }
 
-// PCAMethod selects how TrainPCA extracts the leading eigenpairs of the
-// snapshot covariance. Both sides of the duality span the same subspace (see
-// the subspace-agreement tests); they differ only in cost.
+// PCAMethod names the side TrainPCA extracts the leading eigenpairs of the
+// snapshot covariance on. Both sides of the duality span the same subspace
+// (see the subspace-agreement tests); they differ only in cost, and
+// ResolvePCAMethod picks one from the ensemble's shape.
 type PCAMethod int
 
 const (
-	// PCAAuto picks the cheaper side by the measured cost model — see
-	// ResolvePCAMethod.
-	PCAAuto PCAMethod = iota
 	// PCACovariance runs block subspace iteration on C = XᵀX/T without
 	// forming C — O(iters·N·T·K) — the only viable side when T ≥ N.
-	PCACovariance
+	PCACovariance PCAMethod = iota + 1
 	// PCAGram eigendecomposes the T×T snapshot Gram XXᵀ/T and lifts the
 	// eigenvectors as V = Xᵀ·U·Λ^(−1/2) — O(N·T² + T³), exact, and the fast
 	// side whenever the ensemble is short relative to the grid.
@@ -154,8 +151,6 @@ const (
 // String names the method.
 func (m PCAMethod) String() string {
 	switch m {
-	case PCAAuto:
-		return "auto"
 	case PCACovariance:
 		return "covariance"
 	case PCAGram:
@@ -164,8 +159,8 @@ func (m PCAMethod) String() string {
 	return fmt.Sprintf("PCAMethod(%d)", int(m))
 }
 
-// ResolvePCAMethod maps PCAAuto to the concrete method chosen for a T×N
-// ensemble at subspace dimension kmax; concrete methods pass through.
+// ResolvePCAMethod returns the side TrainPCA takes for a T×N ensemble at
+// subspace dimension kmax.
 //
 // The dispatch rule — Gram iff T < N and T ≤ max(128, 8·kmax) — encodes the
 // measured crossover of the two cost models: the Gram side pays
@@ -173,12 +168,9 @@ func (m PCAMethod) String() string {
 // a large constant (full eigenvector accumulation), so it loses once T grows
 // past a few hundred; the covariance side pays O(iters·N·T·(kmax+oversample))
 // and degrades sharply as the block widens, which moves the crossover out
-// proportionally to kmax. BenchmarkTrain tracks both sides so the rule can
-// be re-fit if the kernels change.
-func ResolvePCAMethod(m PCAMethod, t, n, kmax int) PCAMethod {
-	if m != PCAAuto {
-		return m
-	}
+// proportionally to kmax. BenchmarkTrainSides tracks both sides so the
+// rule can be re-fit if the kernels change.
+func ResolvePCAMethod(t, n, kmax int) PCAMethod {
 	cross := 128
 	if 8*kmax > cross {
 		cross = 8 * kmax
@@ -189,31 +181,24 @@ func ResolvePCAMethod(m PCAMethod, t, n, kmax int) PCAMethod {
 	return PCACovariance
 }
 
-// PCAConfig tunes TrainPCA.
-type PCAConfig struct {
-	// Seed drives the subspace-iteration starting block. The trained basis
-	// is deterministic given the seed (and essentially seed-independent, up
-	// to numerical tolerance, thanks to sign normalization).
-	Seed int64
-	// Subspace forwards to mat.TopCovarianceEigen (Rand is overwritten).
-	Subspace mat.SubspaceOptions
-	// Method selects the eigensolver side; the PCAAuto zero value picks the
-	// cheaper one from the ensemble shape.
-	Method PCAMethod
-}
-
 // TrainPCA learns the EigenMaps basis from the training ensemble: the kmax
 // leading eigenvectors of the sample covariance of the centered maps
-// (Proposition 1). Importance holds the corresponding eigenvalues. The Gram
-// path fans out over all CPUs; its result does not depend on the count.
-func TrainPCA(ds *dataset.Dataset, kmax int, cfg PCAConfig) (*Basis, error) {
-	return trainPCAWorkers(ds, kmax, cfg, 0)
+// (Proposition 1), on the side ResolvePCAMethod picks. Importance holds the
+// corresponding eigenvalues. The seed drives the covariance side's starting
+// block; the trained basis is deterministic given it (and essentially
+// seed-independent, up to numerical tolerance, thanks to sign
+// normalization). The Gram side fans out over all CPUs; its result does
+// not depend on the count.
+func TrainPCA(ds *dataset.Dataset, kmax int, seed int64) (*Basis, error) {
+	side := ResolvePCAMethod(ds.T(), ds.N(), kmax)
+	return trainPCASide(ds, kmax, side, mat.SubspaceOptions{Rand: rand.New(rand.NewSource(seed))}, 0)
 }
 
-// trainPCAWorkers is TrainPCA with an explicit goroutine cap for the Gram
-// path (0 = all CPUs, 1 = sequential); the tests vary it to pin
-// bit-identity.
-func trainPCAWorkers(ds *dataset.Dataset, kmax int, cfg PCAConfig, workers int) (*Basis, error) {
+// trainPCASide is TrainPCA on the given side, with the covariance side's
+// iteration options (opts.Rand seeds it) and a goroutine cap for the Gram
+// side (0 = all CPUs, 1 = sequential); the tests and benchmarks force a
+// side, tighten the tolerance and vary the cap.
+func trainPCASide(ds *dataset.Dataset, kmax int, side PCAMethod, opts mat.SubspaceOptions, workers int) (*Basis, error) {
 	if kmax < 1 {
 		return nil, fmt.Errorf("basis: kmax %d < 1", kmax)
 	}
@@ -223,16 +208,10 @@ func trainPCAWorkers(ds *dataset.Dataset, kmax int, cfg PCAConfig, workers int) 
 		vecs *mat.Matrix
 		err  error
 	)
-	method := ResolvePCAMethod(cfg.Method, ds.T(), ds.N(), kmax)
-	switch method {
-	case PCAGram:
+	if side == PCAGram {
 		vals, vecs, err = mat.SnapshotPODWorkers(x, kmax, workers)
-	case PCACovariance:
-		opts := cfg.Subspace
-		opts.Rand = rand.New(rand.NewSource(cfg.Seed))
+	} else {
 		vals, vecs, err = mat.TopCovarianceEigen(x, kmax, opts)
-	default:
-		err = fmt.Errorf("unknown method %v", method)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("basis: PCA training: %w", err)
@@ -243,7 +222,7 @@ func trainPCAWorkers(ds *dataset.Dataset, kmax int, cfg PCAConfig, workers int) 
 		Mean:       mean,
 		Psi:        vecs,
 		Importance: vals,
-		Method:     method,
+		Method:     side,
 	}, nil
 }
 

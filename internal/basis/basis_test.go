@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/dataset"
@@ -29,7 +30,7 @@ var trainingSet = func() *dataset.Dataset {
 
 func trainPCA(t *testing.T, kmax int) *Basis {
 	t.Helper()
-	b, err := TrainPCA(trainingSet, kmax, PCAConfig{Seed: 1})
+	b, err := TrainPCA(trainingSet, kmax, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,11 +200,11 @@ func TestKRangeErrors(t *testing.T) {
 }
 
 func TestSnapshotMethodMatchesSubspace(t *testing.T) {
-	b1, err := TrainPCA(trainingSet, 5, PCAConfig{Seed: 1, Method: PCACovariance})
+	b1, err := trainPCASide(trainingSet, 5, PCACovariance, mat.SubspaceOptions{Rand: rand.New(rand.NewSource(1))}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b2, err := TrainPCA(trainingSet, 5, PCAConfig{Method: PCAGram})
+	b2, err := trainPCASide(trainingSet, 5, PCAGram, mat.SubspaceOptions{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func TestEnergyRankedNoWorseThanZigZag(t *testing.T) {
 }
 
 func TestTrainRejectsBadKmax(t *testing.T) {
-	if _, err := TrainPCA(trainingSet, 0, PCAConfig{}); err == nil {
+	if _, err := TrainPCA(trainingSet, 0, 0); err == nil {
 		t.Fatal("expected kmax error")
 	}
 	if _, err := TrainDCT(trainingSet, 0, DCTZigZag); err == nil {

@@ -117,19 +117,22 @@ func NewIncrementalFrom(b *Basis, energy []float64, count, bufCap int) (*Increme
 // Count returns the number of snapshots absorbed (including buffered ones).
 func (inc *Incremental) Count() int { return inc.count + inc.nb }
 
-// Add absorbs one thermal map (length N). The map is copied.
+// Add absorbs one thermal map (length N). The map is copied. A full
+// buffer is merged when the next map arrives (or at Snapshot), not when it
+// fills: the merges fold the same groups of maps either way, and a buffer
+// that no map follows costs nothing until a snapshot needs it.
 func (inc *Incremental) Add(x []float64) error {
 	if len(x) != inc.n {
 		return fmt.Errorf("basis: map length %d, want %d", len(x), inc.n)
+	}
+	if inc.nb == inc.bufCap {
+		inc.merge()
 	}
 	inc.buf.SetRow(inc.nb, x)
 	inc.nb++
 	for i, v := range x {
 		inc.sum[i] += v
 		inc.sumSq[i] += v * v
-	}
-	if inc.nb == inc.bufCap {
-		inc.merge()
 	}
 	return nil
 }

@@ -52,7 +52,7 @@ func TestNewIncrementalFromValidation(t *testing.T) {
 	if _, err := NewIncrementalFrom(nil, nil, 10, 0); err == nil {
 		t.Fatal("nil basis should fail")
 	}
-	b, err := TrainPCA(trainingSet, 4, PCAConfig{Seed: 1})
+	b, err := TrainPCA(trainingSet, 4, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestNewIncrementalFromRoundTrips(t *testing.T) {
 	// Seeding from a trained basis and snapshotting immediately must hand the
 	// same subspace, mean, importance and energy back.
 	kmax := 5
-	b, err := TrainPCA(trainingSet, kmax, PCAConfig{Seed: 1})
+	b, err := TrainPCA(trainingSet, kmax, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestNewIncrementalFromAdapts(t *testing.T) {
 	// A seeded trainer that keeps absorbing a shifted regime must explain the
 	// new regime better than the frozen seed basis does.
 	k := 3
-	b, err := TrainPCA(trainingSet, 6, PCAConfig{Seed: 1})
+	b, err := TrainPCA(trainingSet, 6, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

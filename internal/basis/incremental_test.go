@@ -69,7 +69,7 @@ func TestIncrementalMatchesBatchPCA(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := TrainPCA(trainingSet, kmax, PCAConfig{Seed: 1})
+	batch, err := TrainPCA(trainingSet, kmax, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestIncrementalApproximationQuality(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch, err := TrainPCA(trainingSet, 10, PCAConfig{Seed: 1})
+	batch, err := TrainPCA(trainingSet, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

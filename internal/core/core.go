@@ -54,17 +54,13 @@ type TrainOptions struct {
 	// Seed drives PCA subspace iteration. Results are seed-insensitive up to
 	// numerical tolerance.
 	Seed int64
-	// Method selects the PCA eigensolver side (covariance subspace iteration
-	// or the snapshot-Gram dual); the zero value picks the cheaper one from
-	// the ensemble shape. Ignored by the DCT families.
-	Method basis.PCAMethod
 }
 
 // OptionError reports a TrainOptions field (or the ensemble it is applied
 // to) that would silently produce a degenerate model. Match with errors.As,
 // or errors.Is against ErrInvalidOptions.
 type OptionError struct {
-	Option string // offending field, e.g. "Method"
+	Option string // offending field, e.g. "Ensemble"
 	Reason string
 }
 
@@ -81,15 +77,10 @@ var ErrInvalidOptions = errors.New("core: invalid training options")
 
 // validate rejects option/ensemble combinations that would otherwise train
 // silently into garbage: a single snapshot centers to the zero matrix (its
-// "covariance" has no spectrum at all), and an unknown method has no solver.
+// "covariance" has no spectrum at all).
 func (opt TrainOptions) validate(ds *dataset.Dataset) error {
 	if t := ds.T(); t < 2 {
 		return &OptionError{Option: "Ensemble", Reason: fmt.Sprintf("training needs T ≥ 2 snapshots, got %d (a single centered snapshot has a degenerate covariance)", t)}
-	}
-	switch opt.Method {
-	case basis.PCAAuto, basis.PCACovariance, basis.PCAGram:
-	default:
-		return &OptionError{Option: "Method", Reason: fmt.Sprintf("unknown PCA method %v", opt.Method)}
 	}
 	return nil
 }
@@ -124,7 +115,7 @@ func Train(ds *dataset.Dataset, opt TrainOptions) (*Model, error) {
 	)
 	switch opt.Kind {
 	case BasisEigenMaps:
-		b, err = basis.TrainPCA(ds, opt.KMax, basis.PCAConfig{Seed: opt.Seed, Method: opt.Method})
+		b, err = basis.TrainPCA(ds, opt.KMax, opt.Seed)
 	case BasisDCT:
 		b, err = basis.TrainDCT(ds, opt.KMax, basis.DCTEnergyRanked)
 	case BasisDCTZigZag:

@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/basis"
 	"repro/internal/dataset"
 	"repro/internal/floorplan"
 	"repro/internal/place"
@@ -80,7 +79,6 @@ func TestTrainRejectsDegenerateOptions(t *testing.T) {
 		option string
 	}{
 		{"single snapshot", TrainOptions{KMax: 4}, single, "Ensemble"},
-		{"unknown method", TrainOptions{KMax: 4, Method: 99}, ds, "Method"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Train(tc.on, tc.opt)
@@ -98,29 +96,6 @@ func TestTrainRejectsDegenerateOptions(t *testing.T) {
 				t.Fatalf("option = %q, want %q (%v)", oe.Option, tc.option, err)
 			}
 		})
-	}
-}
-
-func TestTrainMethodMatchesDefault(t *testing.T) {
-	// Forcing either eigensolver side must not change the trained subspace
-	// beyond numerical tolerance on a T < N ensemble. The worker count of
-	// the Gram path is pinned bit-identical in package basis.
-	ds := testDS(t)
-	auto, err := Train(ds, TrainOptions{KMax: 6, Seed: 21})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, opt := range []TrainOptions{
-		{KMax: 6, Seed: 21, Method: basis.PCAGram},
-		{KMax: 6, Seed: 21, Method: basis.PCACovariance},
-	} {
-		m, err := Train(ds, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !m.Basis.Psi.Equal(auto.Basis.Psi, 1e-6) {
-			t.Fatalf("method %v diverged from the default basis", opt.Method)
-		}
 	}
 }
 

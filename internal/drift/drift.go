@@ -143,57 +143,30 @@ func Calibrate(rhos []float64, perSensor [][]float64) (Calibration, error) {
 	return Calibration{Mean: mean, Std: std, SensorMean: sMean, SensorStd: sStd}, nil
 }
 
-// Config tunes a Detector. The zero value selects the defaults noted per
-// field.
-type Config struct {
-	// Lambda is the EWMA smoothing weight per observed snapshot (default
-	// 0.1): smaller smooths harder, reacting slower but with fewer false
-	// alarms.
-	Lambda float64
-	// DriftZ is the EWMA z-score at which the state leaves OK (default 4).
-	DriftZ float64
-	// DegradeZ is the EWMA z-score at which DRIFTING escalates to DEGRADED
-	// (default 8).
-	DegradeZ float64
-	// CUSUMK is the CUSUM slack in z-units (default 0.5): shifts smaller
-	// than this never accumulate.
-	CUSUMK float64
-	// CUSUMH is the CUSUM alarm threshold in accumulated z-units (default
-	// 12) for the DRIFTING state.
-	CUSUMH float64
-	// FaultRatio is the smoothed share of residual energy a single sensor
+// The detector's tuning, the same for every monitor. driftZ and
+// cusumH set its false-alarm rate on the calibration's z-scores.
+const (
+	// lambda is the EWMA smoothing weight per observed snapshot: smaller
+	// smooths harder, reacting slower but with fewer false alarms.
+	lambda = 0.1
+	// driftZ is the EWMA z-score at which the state leaves OK.
+	driftZ = 4
+	// degradeZ is the EWMA z-score at which DRIFTING escalates to DEGRADED.
+	degradeZ = 2 * driftZ
+	// cusumK is the CUSUM slack in z-units: shifts smaller than this never
+	// accumulate.
+	cusumK = 0.5
+	// cusumH is the CUSUM alarm threshold in accumulated z-units for the
+	// DRIFTING state.
+	cusumH = 12
+	// faultRatio is the smoothed share of residual energy a single sensor
 	// must carry, while the detector is out of OK, to be attributed as
-	// faulty (default 0.6). Global drift spreads energy ≈ 1/M per sensor.
-	FaultRatio float64
-	// MinCount is the number of snapshots that must be observed before the
-	// detector leaves OK or attributes a fault (default 16).
-	MinCount int
-}
-
-func (cfg Config) withDefaults() Config {
-	if cfg.Lambda <= 0 || cfg.Lambda > 1 {
-		cfg.Lambda = 0.1
-	}
-	if cfg.DriftZ <= 0 {
-		cfg.DriftZ = 4
-	}
-	if cfg.DegradeZ <= cfg.DriftZ {
-		cfg.DegradeZ = 2 * cfg.DriftZ
-	}
-	if cfg.CUSUMK <= 0 {
-		cfg.CUSUMK = 0.5
-	}
-	if cfg.CUSUMH <= 0 {
-		cfg.CUSUMH = 12
-	}
-	if cfg.FaultRatio <= 0 || cfg.FaultRatio > 1 {
-		cfg.FaultRatio = 0.6
-	}
-	if cfg.MinCount <= 0 {
-		cfg.MinCount = 16
-	}
-	return cfg
-}
+	// faulty. Global drift spreads energy ≈ 1/M per sensor.
+	faultRatio = 0.6
+	// minCount is the number of snapshots that must be observed before the
+	// detector leaves OK or attributes a fault.
+	minCount = 16
+)
 
 // Status is a point-in-time snapshot of a detector, for stats endpoints and
 // logs.
@@ -209,8 +182,6 @@ type Status struct {
 // reprojection residuals. It is safe for concurrent use; Observe is cheap
 // (a few multiplies per sensor) next to the reconstruction itself.
 type Detector struct {
-	cfg Config
-
 	mu     sync.Mutex
 	cal    Calibration
 	ewma   float64
@@ -221,12 +192,11 @@ type Detector struct {
 }
 
 // NewDetector builds a detector around a monitor's training calibration.
-func NewDetector(cal Calibration, cfg Config) (*Detector, error) {
+func NewDetector(cal Calibration) (*Detector, error) {
 	if !cal.Valid() {
 		return nil, errors.New("drift: invalid calibration")
 	}
 	return &Detector{
-		cfg:    cfg.withDefaults(),
 		cal:    cal,
 		shares: make([]float64, len(cal.SensorMean)),
 		faulty: -1,
@@ -250,10 +220,10 @@ func (d *Detector) Observe(rho float64, sensorEnergy []float64, count int) {
 	// One EWMA step per snapshot in the batch, collapsed into a single
 	// update: after count steps at a constant z the EWMA is
 	// (1−λ)^count·prev + (1−(1−λ)^count)·z.
-	w := 1 - math.Pow(1-d.cfg.Lambda, float64(count))
+	w := 1 - math.Pow(1-lambda, float64(count))
 	d.ewma = (1-w)*d.ewma + w*z
 	// CUSUM accumulates the per-snapshot excess over the slack.
-	d.cusum += float64(count) * (z - d.cfg.CUSUMK)
+	d.cusum += float64(count) * (z - cusumK)
 	if d.cusum < 0 {
 		d.cusum = 0
 	}
@@ -273,7 +243,7 @@ func (d *Detector) Observe(rho float64, sensorEnergy []float64, count int) {
 // refreshLocked recomputes the fault attribution; the caller holds d.mu.
 func (d *Detector) refreshLocked() {
 	d.faulty = -1
-	if d.count < int64(d.cfg.MinCount) || d.stateLocked() == StateOK {
+	if d.count < minCount || d.stateLocked() == StateOK {
 		return
 	}
 	best, bestShare := -1, 0.0
@@ -282,20 +252,20 @@ func (d *Detector) refreshLocked() {
 			best, bestShare = i, s
 		}
 	}
-	if bestShare >= d.cfg.FaultRatio {
+	if bestShare >= faultRatio {
 		d.faulty = best
 	}
 }
 
 // stateLocked classifies from the current statistics; the caller holds d.mu.
 func (d *Detector) stateLocked() State {
-	if d.count < int64(d.cfg.MinCount) {
+	if d.count < minCount {
 		return StateOK
 	}
 	switch {
-	case d.ewma >= d.cfg.DegradeZ:
+	case d.ewma >= degradeZ:
 		return StateDegraded
-	case d.ewma >= d.cfg.DriftZ || d.cusum >= d.cfg.CUSUMH:
+	case d.ewma >= driftZ || d.cusum >= cusumH:
 		return StateDrifting
 	}
 	return StateOK
@@ -310,7 +280,7 @@ func (d *Detector) State() State {
 
 // FaultySensor returns the position (in the monitor's sensor vector) of the
 // sensor currently attributed as faulty, or -1. Attribution requires the
-// detector to be out of OK with one sensor carrying ≥ FaultRatio of the
+// detector to be out of OK with one sensor carrying ≥ faultRatio of the
 // smoothed residual energy.
 func (d *Detector) FaultySensor() int {
 	d.mu.Lock()

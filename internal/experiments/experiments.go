@@ -40,10 +40,6 @@ type Config struct {
 	// sensor operating point reachable. See DESIGN.md (trace substitution).
 	LoadCoupling float64
 
-	// Method forwards to core.TrainOptions: the PCA eigensolver side
-	// (default auto — pick the cheaper one from the ensemble shape).
-	Method basis.PCAMethod
-
 	// Specs, when non-empty, replaces the default scenario mix with
 	// declarative workload specs (dataset.GenConfig.Specs). The robustness
 	// harness also uses them as its scenario families.
@@ -62,7 +58,7 @@ func DefaultConfig() Config {
 		Ks:           []int{2, 4, 6, 8, 12, 16, 20, 24, 28, 32, 36},
 		SNRsDB:       []float64{10, 15, 20, 25, 30, 40, 50},
 		NoiseM:       16,
-		LoadCoupling: 0.75,
+		LoadCoupling: power.DefaultLoadCoupling,
 	}
 }
 
@@ -78,7 +74,7 @@ func QuickConfig() Config {
 		Ks:           []int{2, 4, 8, 12, 16},
 		SNRsDB:       []float64{10, 15, 25, 40},
 		NoiseM:       16,
-		LoadCoupling: 0.75,
+		LoadCoupling: power.DefaultLoadCoupling,
 	}
 }
 
@@ -132,9 +128,7 @@ func NewEnvWithDataset(cfg Config, ds *dataset.Dataset) (*Env, error) {
 	cfg.Grid = ds.Grid
 	cfg.Snapshots = ds.T()
 	start := time.Now()
-	pca, err := core.Train(ds, core.TrainOptions{
-		KMax: cfg.KMax, Kind: core.BasisEigenMaps, Seed: cfg.Seed, Method: cfg.Method,
-	})
+	pca, err := core.Train(ds, core.TrainOptions{KMax: cfg.KMax, Kind: core.BasisEigenMaps, Seed: cfg.Seed})
 	if err != nil {
 		return nil, fmt.Errorf("experiments: train EigenMaps: %w", err)
 	}

@@ -29,9 +29,6 @@ type GovernorConfig struct {
 	// Floorplan is the governed die. Default: the 256-core generated
 	// many-core plan (floorplan.Manycore(256, 64, 16×16)).
 	Floorplan *floorplan.Floorplan
-	// Power supplies hardware budgets. Zero value: power.ConfigFor over the
-	// floorplan with LoadCoupling.
-	Power power.Config
 
 	Grid      floorplan.Grid // default 32×32
 	Snapshots int            // training ensemble size per scenario, default 96
@@ -41,7 +38,9 @@ type GovernorConfig struct {
 	Steps     int            // closed-loop steps per run, default 120
 	Seed      int64
 
-	// LoadCoupling is the default core coupling (0.75, the suite's regime).
+	// LoadCoupling is the default core coupling (default
+	// power.DefaultLoadCoupling, the suite's regime). The hardware budgets
+	// are power.ConfigFor's for the floorplan.
 	LoadCoupling float64
 
 	// Policy names the control policy every arm runs (default "hysteresis");
@@ -71,12 +70,7 @@ func (c *GovernorConfig) defaults() error {
 		c.Floorplan = fp
 	}
 	if c.LoadCoupling == 0 {
-		c.LoadCoupling = 0.75
-	}
-	if c.Power == (power.Config{}) {
-		c.Power = power.ConfigFor(c.Floorplan, c.LoadCoupling)
-	} else if c.Power.LoadCoupling == 0 {
-		c.Power.LoadCoupling = c.LoadCoupling
+		c.LoadCoupling = power.DefaultLoadCoupling
 	}
 	if c.Grid.W == 0 || c.Grid.H == 0 {
 		c.Grid = floorplan.Grid{W: 32, H: 32}
@@ -175,6 +169,7 @@ func Governor(cfg GovernorConfig) (*GovernorResult, error) {
 	if err != nil {
 		return nil, fmt.Errorf("governor sweep: faults: %w", err)
 	}
+	pcfg := power.ConfigFor(cfg.Floorplan, cfg.LoadCoupling)
 	ns := len(cfg.Specs)
 	res := &GovernorResult{
 		Scenarios:           make([]string, ns),
@@ -201,7 +196,7 @@ func Governor(cfg GovernorConfig) (*GovernorResult, error) {
 			Plan:  cfg.Floorplan,
 			Grid:  cfg.Grid,
 			Spec:  spec,
-			Power: cfg.Power,
+			Power: pcfg,
 			Steps: cfg.Steps,
 			Seed:  mixSeed(cfg.Seed, int64(si)),
 		}
@@ -241,7 +236,7 @@ func Governor(cfg GovernorConfig) (*GovernorResult, error) {
 			Snapshots: cfg.Snapshots,
 			Specs:     []*workload.Spec{spec},
 			Seed:      mixSeed(cfg.Seed, 100_000+int64(si)),
-			Power:     cfg.Power,
+			Power:     pcfg,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("governor sweep: %s ensemble: %w", name, err)

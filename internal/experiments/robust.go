@@ -26,11 +26,6 @@ type RobustConfig struct {
 	// 256-core generated many-core plan (floorplan.Manycore(256, 64,
 	// 16×16)) — scenario diversity matters most at scale.
 	Floorplan *floorplan.Floorplan
-	// Power supplies the hardware budgets. Zero value: derived from the
-	// floorplan via power.ConfigFor (many-core scaling + LoadCoupling). A
-	// non-zero Power is used verbatim — set per-block budgets appropriate
-	// to the floorplan's core count yourself.
-	Power power.Config
 
 	Grid      floorplan.Grid // default 32×32
 	Snapshots int            // per family ensemble size, default 120
@@ -40,8 +35,10 @@ type RobustConfig struct {
 	Seed      int64
 
 	// LoadCoupling is the default core coupling for families that declare
-	// no load_coupling of their own. Default 0.75 — the regime every other
-	// experiment in the suite runs in (see DESIGN.md, trace substitution).
+	// no load_coupling of their own. Default power.DefaultLoadCoupling —
+	// the regime every other experiment in the suite runs in (see
+	// DESIGN.md, trace substitution). The hardware budgets are
+	// power.ConfigFor's for the floorplan (many-core scaling included).
 	LoadCoupling float64
 
 	// Specs are the scenario families. Default: the six-family catalog
@@ -75,12 +72,7 @@ func (c *RobustConfig) defaults() error {
 		c.Floorplan = fp
 	}
 	if c.LoadCoupling == 0 {
-		c.LoadCoupling = 0.75
-	}
-	if c.Power == (power.Config{}) {
-		c.Power = power.ConfigFor(c.Floorplan, c.LoadCoupling)
-	} else if c.Power.LoadCoupling == 0 {
-		c.Power.LoadCoupling = c.LoadCoupling
+		c.LoadCoupling = power.DefaultLoadCoupling
 	}
 	if c.Grid.W == 0 || c.Grid.H == 0 {
 		c.Grid = floorplan.Grid{W: 32, H: 32}
@@ -166,13 +158,14 @@ func Robust(cfg RobustConfig) (*RobustResult, error) {
 		res.Names[i] = name
 	}
 
+	pcfg := power.ConfigFor(cfg.Floorplan, cfg.LoadCoupling)
 	gen := func(si int, seedSalt int64) (*dataset.Dataset, error) {
 		return dataset.Generate(cfg.Floorplan, dataset.GenConfig{
 			Grid:      cfg.Grid,
 			Snapshots: cfg.Snapshots,
 			Specs:     []*workload.Spec{cfg.Specs[si]},
 			Seed:      mixSeed(cfg.Seed, seedSalt+int64(si)),
-			Power:     cfg.Power,
+			Power:     pcfg,
 		})
 	}
 
@@ -201,7 +194,7 @@ func Robust(cfg RobustConfig) (*RobustResult, error) {
 				Snapshots: cfg.AdaptSnapshots,
 				Specs:     []*workload.Spec{cfg.Specs[j]},
 				Seed:      mixSeed(cfg.Seed, 200_000+int64(j)),
-				Power:     cfg.Power,
+				Power:     pcfg,
 			})
 			if err != nil {
 				return nil, fmt.Errorf("robust: adapt stream %s: %w", res.Names[j], err)

@@ -32,16 +32,13 @@ type LoopConfig struct {
 	// Power supplies the hardware budgets (power.ConfigFor for manycore
 	// scaling). Its effective CoreIdleW/CoreBusyW are also what the loop
 	// inverts to recover per-core activity from demand watts.
-	Power   power.Config
-	Thermal thermal.Config
+	Power power.Config
 
 	Steps int
 	Seed  int64
 
-	// Policy and Ladder configure the Controller (nil Ladder =
-	// DefaultLadder).
+	// Policy drives the Controller, over DefaultLadder.
 	Policy Policy
-	Ladder []float64
 
 	// CeilingC is the thermal ceiling violations are scored against (on the
 	// TRUE map — the governor may only ever see estimates, but physics is
@@ -157,7 +154,7 @@ func Run(cfg LoopConfig) (*Result, error) {
 	}
 
 	raster := cfg.Plan.Rasterize(cfg.Grid)
-	ctrl, err := NewController(cfg.Policy, cfg.Ladder, CoreCells(cfg.Plan, raster))
+	ctrl, err := NewController(cfg.Policy, nil, CoreCells(cfg.Plan, raster))
 	if err != nil {
 		return nil, err
 	}
@@ -171,12 +168,9 @@ func Run(cfg LoopConfig) (*Result, error) {
 	eff := pcfg.WithDefaults()
 	idleW, busyW := eff.CoreIdleW, eff.CoreBusyW
 
-	model := thermal.NewModel(cfg.Grid, cfg.Thermal)
+	model := thermal.NewModel(cfg.Grid, thermal.Config{})
 	tr := model.NewTransient()
-	dt := cfg.Thermal.DtSeconds
-	if dt == 0 {
-		dt = 10e-3 // thermal.Config's default transient step
-	}
+	dt := model.Cfg.DtSeconds
 
 	coreBlocks := cfg.Plan.KindBlocks(floorplan.KindCore)
 	cellP := make([]float64, n)

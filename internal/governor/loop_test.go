@@ -201,7 +201,6 @@ func TestRunValidation(t *testing.T) {
 		func(c *LoopConfig) { c.Grid = floorplan.Grid{} },
 		func(c *LoopConfig) { c.Grid = floorplan.Grid{W: -3, H: -5} },
 		func(c *LoopConfig) { c.Policy = nil },
-		func(c *LoopConfig) { c.Ladder = []float64{1, 0.5} },
 		func(c *LoopConfig) { c.Estimator = fakeEstimator{}; c.Sensors = nil },
 		func(c *LoopConfig) { c.Estimator = fakeEstimator{}; c.Sensors = []int{1 << 20} },
 	}

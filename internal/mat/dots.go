@@ -44,13 +44,13 @@ var dotsBest = func() dotsKernel {
 // dotsLanesAVX is the number of lanes the AVX argmax kernel reduces in.
 const dotsLanesAVX = 32
 
-// DotsArgMax returns the largest v_c over the columns c ≠ skip of the
-// K-major block b, and the first column holding it: v_c = float32(|x·b_c|),
-// or float32(x·b_c) when signed. A column whose product is NaN never
-// qualifies, so a column of NaNs is out of the running. With no column
-// qualifying it returns −∞ and −1. A skip outside [0, n) skips nothing.
-func DotsArgMax(x, b []float64, skip int, signed bool) (float32, int) {
-	return dotsArgMax(dotsBest, x, b, skip, signed, nil)
+// DotsArgMax returns the largest v_c = float32(|x·b_c|) over the columns
+// c ≠ skip of the K-major block b, and the first column holding it. A
+// column whose product is NaN never qualifies, so a column of NaNs is out
+// of the running. With no column qualifying it returns −∞ and −1. A skip
+// outside [0, n) skips nothing.
+func DotsArgMax(x, b []float64, skip int) (float32, int) {
+	return dotsArgMax(dotsBest, x, b, skip, nil)
 }
 
 // DotsSumLanes is the number of partial sums DotsArgMaxSum keeps: column c
@@ -66,9 +66,9 @@ const DotsSumLanes = 32
 // order, so all of them return the same bits. The sum is not the serial
 // one: for a block of n columns it is within (n/DotsSumLanes + 4)·2⁻⁵³ of
 // itself of the exact sum of the magnitudes, to first order.
-func DotsArgMaxSum(x, b []float64, skip int, signed bool) (float32, int, float64) {
+func DotsArgMaxSum(x, b []float64, skip int) (float32, int, float64) {
 	var sums [DotsSumLanes]float64
-	v, c := dotsArgMax(dotsBest, x, b, skip, signed, &sums)
+	v, c := dotsArgMax(dotsBest, x, b, skip, &sums)
 	return v, c, sumLanes(&sums)
 }
 
@@ -85,15 +85,12 @@ func sumLanes(l *[DotsSumLanes]float64) float64 {
 // dotsArgMax runs DotsArgMax on kernel kern, and with sums non-nil also
 // adds each counted column's magnitude into lane c mod DotsSumLanes of
 // *sums, which must be zero on entry.
-func dotsArgMax(kern dotsKernel, x, b []float64, skip int, signed bool, sums *[DotsSumLanes]float64) (float32, int) {
+func dotsArgMax(kern dotsKernel, x, b []float64, skip int, sums *[DotsSumLanes]float64) (float32, int) {
 	n := dotsColumns(x, b)
 	if skip < 0 || skip >= n {
 		skip = -1
 	}
-	absMask := uint32(math.MaxInt32) // clears the sign bit of every float32
-	if signed {
-		absMask = math.MaxUint32
-	}
+	const absMask = math.MaxInt32 // clears the sign bit of every float32
 	switch {
 	case kern == dotsAVX512:
 		var vals [DotsWidth]float32
@@ -112,7 +109,7 @@ func dotsArgMax(kern dotsKernel, x, b []float64, skip int, signed bool, sums *[D
 		}
 		return laneArgMax(vals[:], idx[:])
 	}
-	return dotsArgMaxGeneric(x, b, n, skip, signed, sums)
+	return dotsArgMaxGeneric(x, b, n, skip, sums)
 }
 
 // AbsDotsInto writes dst[c] = float32(|x·b_c|) for every column c of the
@@ -212,21 +209,17 @@ func dotsBlock(acc *[DotsWidth]float64, x, b []float64, n, c0 int) {
 // dotsArgMaxGeneric is DotsArgMax column by column, the strict > keeping
 // the first column of the largest value, and with sums non-nil
 // DotsArgMaxSum's lanes.
-func dotsArgMaxGeneric(x, b []float64, n, skip int, signed bool, sums *[DotsSumLanes]float64) (float32, int) {
+func dotsArgMaxGeneric(x, b []float64, n, skip int, sums *[DotsSumLanes]float64) (float32, int) {
 	best, arg := float32(math.Inf(-1)), -1
 	var acc [DotsWidth]float64
 	for c0 := 0; c0 < n; c0 += DotsWidth {
 		dotsBlock(&acc, x, b, n, c0)
 		for c, s := range acc {
-			if sums != nil && c0+c != skip {
-				if m := float32(math.Abs(s)); m == m {
-					sums[c%DotsSumLanes] += float64(m)
-				}
+			v := float32(math.Abs(s))
+			if sums != nil && c0+c != skip && v == v {
+				sums[c%DotsSumLanes] += float64(v)
 			}
-			if !signed {
-				s = math.Abs(s)
-			}
-			if v := float32(s); v > best && c0+c != skip {
+			if v > best && c0+c != skip {
 				best, arg = v, c0+c
 			}
 		}

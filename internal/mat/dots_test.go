@@ -77,7 +77,7 @@ func dotsKernels() map[string]dotsKernel {
 // AVX-512, to the Dot definition: the largest value's float32 bits and its
 // first column, and every written value, for K below, at and past the
 // AVX-512 accumulator width, for one and several 64-column passes, with
-// the skipped column anywhere (or nowhere) and in both sign modes.
+// the skipped column anywhere (or nowhere).
 func TestDotsKernelsBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for _, k := range []int{1, 2, 3, 8, 12, 16, 17} {
@@ -90,29 +90,24 @@ func TestDotsKernelsBitIdentical(t *testing.T) {
 			ref := dotsRef(x, b)
 			for name, kern := range dotsKernels() {
 				for _, skip := range []int{-1, 0, rng.Intn(n), n - 1, n} {
-					for _, signed := range []bool{false, true} {
-						want, wantArg := float32(math.Inf(-1)), -1
-						for c, s := range ref {
-							if !signed {
-								s = math.Abs(s)
-							}
-							if v := float32(s); v > want && c != skip {
-								want, wantArg = v, c
-							}
+					want, wantArg := float32(math.Inf(-1)), -1
+					for c, s := range ref {
+						if v := float32(math.Abs(s)); v > want && c != skip {
+							want, wantArg = v, c
 						}
-						got, arg := dotsArgMax(kern, x, b, skip, signed, nil)
-						if math.Float32bits(got) != math.Float32bits(want) || arg != wantArg {
-							t.Fatalf("%s k=%d n=%d skip=%d signed=%v: max %v at %d, want %v at %d",
-								name, k, n, skip, signed, got, arg, want, wantArg)
-						}
-						var sums [DotsSumLanes]float64
-						got, arg = dotsArgMax(kern, x, b, skip, signed, &sums)
-						if math.Float32bits(got) != math.Float32bits(want) || arg != wantArg {
-							t.Fatalf("%s k=%d n=%d skip=%d signed=%v: with sums, max %v at %d, want %v at %d",
-								name, k, n, skip, signed, got, arg, want, wantArg)
-						}
-						checkLaneSums(t, fmt.Sprintf("%s k=%d n=%d skip=%d signed=%v", name, k, n, skip, signed), &sums, ref, skip)
 					}
+					got, arg := dotsArgMax(kern, x, b, skip, nil)
+					if math.Float32bits(got) != math.Float32bits(want) || arg != wantArg {
+						t.Fatalf("%s k=%d n=%d skip=%d: max %v at %d, want %v at %d",
+							name, k, n, skip, got, arg, want, wantArg)
+					}
+					var sums [DotsSumLanes]float64
+					got, arg = dotsArgMax(kern, x, b, skip, &sums)
+					if math.Float32bits(got) != math.Float32bits(want) || arg != wantArg {
+						t.Fatalf("%s k=%d n=%d skip=%d: with sums, max %v at %d, want %v at %d",
+							name, k, n, skip, got, arg, want, wantArg)
+					}
+					checkLaneSums(t, fmt.Sprintf("%s k=%d n=%d skip=%d", name, k, n, skip), &sums, ref, skip)
 				}
 				dst := make([]float32, n)
 				absDotsInto(kern, dst, x, b)
@@ -165,10 +160,10 @@ func TestDotsArgMaxSumPublic(t *testing.T) {
 	rng := rand.New(rand.NewSource(72))
 	x := []float64{0.5, -1, 2}
 	b := dotsBlockFixture(rng, x, 192)
-	v, c, sum := DotsArgMaxSum(x, b, 3, false)
-	wv, wc := DotsArgMax(x, b, 3, false)
+	v, c, sum := DotsArgMaxSum(x, b, 3)
+	wv, wc := DotsArgMax(x, b, 3)
 	var sums [DotsSumLanes]float64
-	dotsArgMax(dotsGeneric, x, b, 3, false, &sums)
+	dotsArgMax(dotsGeneric, x, b, 3, &sums)
 	if v != wv || c != wc || math.Float64bits(sum) != math.Float64bits(sumLanes(&sums)) {
 		t.Fatalf("DotsArgMaxSum %v at %d sum %v; DotsArgMax %v at %d, generic lanes sum %v", v, c, sum, wv, wc, sumLanes(&sums))
 	}
@@ -190,11 +185,11 @@ func TestDotsArgMaxNoneQualifies(t *testing.T) {
 			b    []float64
 			skip int
 		}{{dead, -1}, {one, 5}} {
-			if v, arg := dotsArgMax(kern, x, c.b, c.skip, false, nil); !math.IsInf(float64(v), -1) || arg != -1 {
+			if v, arg := dotsArgMax(kern, x, c.b, c.skip, nil); !math.IsInf(float64(v), -1) || arg != -1 {
 				t.Fatalf("%s skip=%d: %v at %d, want -Inf at -1", name, c.skip, v, arg)
 			}
 		}
-		if v, arg := dotsArgMax(kern, x, one, -1, false, nil); v != 3 || arg != 5 {
+		if v, arg := dotsArgMax(kern, x, one, -1, nil); v != 3 || arg != 5 {
 			t.Fatalf("%s: %v at %d, want 3 at 5", name, v, arg)
 		}
 	}
@@ -215,7 +210,7 @@ func TestDotsRejectsBadShapes(t *testing.T) {
 					t.Fatalf("len(x)=%d len(b)=%d: no panic", len(c.x), len(c.b))
 				}
 			}()
-			DotsArgMax(c.x, c.b, -1, false)
+			DotsArgMax(c.x, c.b, -1)
 		}()
 	}
 }
@@ -232,13 +227,13 @@ func BenchmarkDots(b *testing.B) {
 		for name, kern := range dotsKernels() {
 			b.Run(fmt.Sprintf("k=%d/n=%d/path=%s/argmax", shape.k, shape.n, name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					dotsArgMax(kern, x, blk, 7, false, nil)
+					dotsArgMax(kern, x, blk, 7, nil)
 				}
 			})
 			b.Run(fmt.Sprintf("k=%d/n=%d/path=%s/argmaxsum", shape.k, shape.n, name), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					var sums [DotsSumLanes]float64
-					dotsArgMax(kern, x, blk, 7, false, &sums)
+					dotsArgMax(kern, x, blk, 7, &sums)
 				}
 			})
 			b.Run(fmt.Sprintf("k=%d/n=%d/path=%s/values", shape.k, shape.n, name), func(b *testing.B) {

@@ -337,13 +337,13 @@ func refTopCovarianceEigen(x *Matrix, k int, opts SubspaceOptions) ([]float64, *
 	if k <= 0 {
 		return nil, New(n, 0), nil
 	}
-	p := max(min(k+opts.Oversample, n, t), k)
+	p := max(min(k+subspaceOversample, n, t), k)
 	v := refOrthonormalize(RandomMatrix(n, p, opts.Rand))
 	prev := make([]float64, k)
 	for i := range prev {
 		prev[i] = math.Inf(1)
 	}
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iter := 0; iter < subspaceMaxIter; iter++ {
 		w := refApplyCov(x, v)
 		eg, err := refSymEigen(MulTA(v, w))
 		if err != nil {

@@ -8,12 +8,6 @@ import (
 
 // SubspaceOptions tune TopCovarianceEigen.
 type SubspaceOptions struct {
-	// Oversample extra basis columns carried during iteration beyond the
-	// requested K; improves convergence of the trailing requested pairs.
-	// Default 16.
-	Oversample int
-	// MaxIter bounds the number of block power iterations. Default 300.
-	MaxIter int
 	// Tol is the relative eigenvalue-change convergence threshold on the
 	// requested K pairs. Default 1e-10.
 	Tol float64
@@ -21,13 +15,16 @@ type SubspaceOptions struct {
 	Rand *rand.Rand
 }
 
+const (
+	// subspaceOversample is the number of extra basis columns
+	// TopCovarianceEigen carries beyond the requested K; they improve the
+	// convergence of the trailing requested pairs.
+	subspaceOversample = 16
+	// subspaceMaxIter bounds TopCovarianceEigen's block power iterations.
+	subspaceMaxIter = 300
+)
+
 func (o *SubspaceOptions) defaults() {
-	if o.Oversample <= 0 {
-		o.Oversample = 16
-	}
-	if o.MaxIter <= 0 {
-		o.MaxIter = 300
-	}
 	if o.Tol <= 0 {
 		o.Tol = 1e-10
 	}
@@ -61,7 +58,7 @@ func TopCovarianceEigen(x *Matrix, k int, opts SubspaceOptions) ([]float64, *Mat
 	if k <= 0 {
 		return nil, New(n, 0), nil
 	}
-	p := k + opts.Oversample
+	p := k + subspaceOversample
 	if p > n {
 		p = n
 	}
@@ -80,7 +77,7 @@ func TopCovarianceEigen(x *Matrix, k int, opts SubspaceOptions) ([]float64, *Mat
 	for i := range prev {
 		prev[i] = math.Inf(1)
 	}
-	for iter := 0; iter < opts.MaxIter; iter++ {
+	for iter := 0; iter < subspaceMaxIter; iter++ {
 		wt := cov.apply(vt)
 		// Rayleigh–Ritz on the current subspace: H = VᵀW is VᵀCV.
 		h := cov.rayleigh(vt, wt)
@@ -105,10 +102,10 @@ func TopCovarianceEigen(x *Matrix, k int, opts SubspaceOptions) ([]float64, *Mat
 		if maxRel < opts.Tol {
 			break
 		}
-		// Hitting MaxIter is not fatal: the final Rayleigh–Ritz step below
-		// still yields the best approximation found, and thermal spectra
-		// decay fast enough that the requested pairs converge long before
-		// MaxIter in practice.
+		// Hitting subspaceMaxIter is not fatal: the final Rayleigh–Ritz step
+		// below still yields the best approximation found, and thermal
+		// spectra decay fast enough that the requested pairs converge long
+		// before it in practice.
 	}
 	// Final Rayleigh–Ritz rotation to align columns with eigenvectors.
 	wt := cov.apply(vt)

@@ -10,15 +10,15 @@ import (
 	"repro/internal/mat"
 )
 
-// The correlation build as it was with four rows per block, kept verbatim
-// (renamed) as the reference the on-demand correlations of the K-major
-// block must reproduce bit for bit (TestCorrelationsBitIdenticalToFourRowBuild).
-// Allocate stored this R×R matrix until the column kernels replaced it.
+// The correlation build as it was with four rows per block, kept (renamed,
+// magnitude rule only) as the reference the on-demand correlations of the
+// K-major block must reproduce bit for bit
+// (TestCorrelationsBitIdenticalToFourRowBuild). Allocate stored this R×R
+// matrix until the column kernels replaced it.
 
 // correlations4 returns Algorithm 1's row-correlation matrix of the
 // normalized rows of u, R×R in float32: G[i][j] = |uᵢ·uⱼ| off the diagonal
-// (the signed product when signed), and a diagonal of 0, or −∞ when signed
-// so a row never selects itself. It also returns each row's largest
+// and a diagonal of 0. It also returns each row's largest
 // off-diagonal entry and its column (the first on ties, −1 when there is
 // none): the row maxima with every row still active.
 //
@@ -28,15 +28,11 @@ import (
 // one for G[i][j] and G[j][i] since the products commute — so both
 // triangles come out exactly as the pairwise build would mirror them. The
 // blocks are independent, so they fan out over the CPUs.
-func correlations4(u *mat.Matrix, signed bool) (gm, rowMax []float32, rowArg []int) {
+func correlations4(u *mat.Matrix) (gm, rowMax []float32, rowArg []int) {
 	nr := u.Rows()
 	gm = make([]float32, nr*nr)
 	rowMax = make([]float32, nr)
 	rowArg = make([]int, nr)
-	diag := float32(0)
-	if signed {
-		diag = float32(math.Inf(-1))
-	}
 	zero := make([]float64, nr)
 	mat.ParallelChunks((nr+3)/4, 0, func(lo, hi int) {
 		buf := mat.New(4, nr)
@@ -54,16 +50,13 @@ func correlations4(u *mat.Matrix, signed bool) (gm, rowMax []float32, rowArg []i
 				best := float32(math.Inf(-1))
 				arg := -1
 				for j, v := range dst[i-i0] {
-					if !signed {
-						v = math.Abs(v)
-					}
-					row[j] = float32(v)
+					row[j] = float32(math.Abs(v))
 					if j != i && row[j] > best {
 						best = row[j]
 						arg = j
 					}
 				}
-				row[i] = diag
+				row[i] = 0
 				rowMax[i], rowArg[i] = best, arg
 			}
 		}
@@ -77,29 +70,24 @@ func correlations4(u *mat.Matrix, signed bool) (gm, rowMax []float32, rowArg []i
 // aggregate seeds are serial sums, not the blocked ones, which the
 // tie-break margin covers as well.
 var scalarKernels = columnKernels{
-	argMax: func(x, b []float64, skip int, signed bool) (float32, int) {
+	argMax: func(x, b []float64, skip int) (float32, int) {
 		best, arg := float32(math.Inf(-1)), -1
 		for c, s := range scalarDots(x, b) {
-			if !signed {
-				s = math.Abs(s)
-			}
-			if v := float32(s); v > best && c != skip {
+			if v := float32(math.Abs(s)); v > best && c != skip {
 				best, arg = v, c
 			}
 		}
 		return best, arg
 	},
-	argMaxSum: func(x, b []float64, skip int, signed bool) (float32, int, float64) {
+	argMaxSum: func(x, b []float64, skip int) (float32, int, float64) {
 		best, arg := float32(math.Inf(-1)), -1
 		var sum float64
 		for c, s := range scalarDots(x, b) {
-			if m := float32(math.Abs(s)); c != skip && m == m {
-				sum += float64(m)
+			v := float32(math.Abs(s))
+			if c != skip && v == v {
+				sum += float64(v)
 			}
-			if !signed {
-				s = math.Abs(s)
-			}
-			if v := float32(s); v > best && c != skip {
+			if v > best && c != skip {
 				best, arg = v, c
 			}
 		}
@@ -138,8 +126,7 @@ var kernelSets = []struct {
 // K-major block yields on demand to the stored R×R matrix of the four-row
 // build: each row's maximum over its live peers and its first argument,
 // and each row's magnitudes, bit for bit, for nr from 1 to 1,021 (below,
-// at and across the 64-column kernel width), signed and unsigned, through
-// both kernel sets, with every row live and again after every third row
+// at and across the 64-column kernel width), through both kernel sets, with every row live and again after every third row
 // has been removed (which compacts the block when nr ≥ 2).
 func TestCorrelationsBitIdenticalToFourRowBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
@@ -169,22 +156,20 @@ func TestCorrelationsBitIdenticalToFourRowBuild(t *testing.T) {
 				mat.Normalize(r)
 				u.SetRow(i, r)
 			}
-			for _, signed := range []bool{false, true} {
-				gm, _, _ := correlations4(u, signed)
-				for _, ks := range kernelSets {
-					name := fmt.Sprintf("nr=%d k=%d signed=%v kernels=%s", nr, k, signed, ks.name)
-					blk := newCorrBlock(psi, rows)
-					live := make([]bool, nr)
-					for i := range live {
-						live[i] = true
-					}
-					checkBlock(t, name, blk, ks.kern, gm, live, signed)
-					for i := 0; i < nr; i += 3 {
-						blk.kill(i)
-						live[i] = false
-					}
-					checkBlock(t, name+" after removals", blk, ks.kern, gm, live, signed)
+			gm, _, _ := correlations4(u)
+			for _, ks := range kernelSets {
+				name := fmt.Sprintf("nr=%d k=%d kernels=%s", nr, k, ks.name)
+				blk := newCorrBlock(psi, rows)
+				live := make([]bool, nr)
+				for i := range live {
+					live[i] = true
 				}
+				checkBlock(t, name, blk, ks.kern, gm, live)
+				for i := 0; i < nr; i += 3 {
+					blk.kill(i)
+					live[i] = false
+				}
+				checkBlock(t, name+" after removals", blk, ks.kern, gm, live)
 			}
 		}
 	}
@@ -192,7 +177,7 @@ func TestCorrelationsBitIdenticalToFourRowBuild(t *testing.T) {
 
 // checkBlock compares every live row's maximum, argument and magnitudes
 // from blk with the stored matrix gm restricted to the live rows.
-func checkBlock(t *testing.T, name string, blk *corrBlock, kern columnKernels, gm []float32, live []bool, signed bool) {
+func checkBlock(t *testing.T, name string, blk *corrBlock, kern columnKernels, gm []float32, live []bool) {
 	t.Helper()
 	nr := len(live)
 	x := make([]float64, blk.k)
@@ -207,7 +192,7 @@ func checkBlock(t *testing.T, name string, blk *corrBlock, kern columnKernels, g
 				want, wantArg = gm[i*nr+j], j
 			}
 		}
-		v, c := kern.argMax(blk.column(x, i), blk.data, int(blk.rowCol[i]), signed)
+		v, c := kern.argMax(blk.column(x, i), blk.data, int(blk.rowCol[i]))
 		arg := -1
 		if c >= 0 {
 			arg = int(blk.colRow[c])
@@ -220,8 +205,7 @@ func checkBlock(t *testing.T, name string, blk *corrBlock, kern columnKernels, g
 			if j == i || !live[j] {
 				continue
 			}
-			want := float32(math.Abs(float64(gm[i*nr+j])))
-			if got := vals[blk.rowCol[j]]; math.Float32bits(got) != math.Float32bits(want) {
+			if got, want := vals[blk.rowCol[j]], gm[i*nr+j]; math.Float32bits(got) != math.Float32bits(want) {
 				t.Fatalf("%s: |G[%d][%d]| = %v, four-row build %v", name, i, j, got, want)
 			}
 		}

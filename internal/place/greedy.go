@@ -17,12 +17,11 @@ import (
 //
 //   - Correlation magnitude. We eliminate by |G[i,j]| rather than the signed
 //     maximum: a row and its negation span the same direction and are just as
-//     redundant. Set SignedMax for the paper-literal variant.
+//     redundant.
 //   - Rank-check schedule. Checking rank(Ψ̃) after every removal is O(N²K²)
 //     overall; rank can only become critical once few rows remain, so we
-//     start checking when the survivor count drops below RankCheckBelow
-//     (default 4K). The small-instance ablation test asserts this produces
-//     the same result as checking every step.
+//     start checking when the survivor count drops to max(4K, M+K). The
+//     tests hold this to the reference run checking every step.
 //   - Victim selection. The globally strongest correlation is found by a
 //     lazily-invalidated max-heap over the per-row maxima — O(log R) per
 //     removal instead of the O(R) linear rescan — and the post-removal
@@ -43,15 +42,7 @@ import (
 //     after every removal; the tie-break trusts two of them only when
 //     they differ by more than a rounding bound τ, and otherwise sums the
 //     two rows exactly, so every decision is the exact sums'.
-type Greedy struct {
-	// SignedMax selects the paper-literal signed max-element rule.
-	SignedMax bool
-	// RankCheckBelow starts rank safeguarding when this many rows remain;
-	// 0 means the default max(4K, M+K).
-	RankCheckBelow int
-	// CheckEveryStep forces a rank check after every removal (ablation).
-	CheckEveryStep bool
-}
+type Greedy struct{}
 
 // rowMaxHeap is a binary max-heap of (correlation, row) pairs ordered by
 // value descending, row index ascending on ties — the same victim order the
@@ -134,8 +125,8 @@ func (g *Greedy) Allocate(in Input) ([]int, error) {
 // every column (mat.AbsDotsInto). The tests run Allocate through mat's
 // kernels and through scalar ones built on mat.Dot.
 type columnKernels struct {
-	argMax    func(x, b []float64, skip int, signed bool) (float32, int)
-	argMaxSum func(x, b []float64, skip int, signed bool) (float32, int, float64)
+	argMax    func(x, b []float64, skip int) (float32, int)
+	argMaxSum func(x, b []float64, skip int) (float32, int, float64)
 	absInto   func(dst []float32, x, b []float64)
 }
 
@@ -179,10 +170,10 @@ func (g *Greedy) allocate(in Input, kern columnKernels, slack float64) ([]int, i
 
 	// rowArgMax returns row i's largest correlation with the other live
 	// rows and the first row holding it (−1 when there is none): the
-	// maximum of float32(|uᵢ·uⱼ|), or of the signed product, over live
-	// j ≠ i in ascending order, strict > from −∞.
+	// maximum of float32(|uᵢ·uⱼ|) over live j ≠ i in ascending order,
+	// strict > from −∞.
 	rowArgMax := func(i int, x []float64) (float32, int) {
-		v, c := kern.argMax(blk.column(x, i), blk.data, int(blk.rowCol[i]), g.SignedMax)
+		v, c := kern.argMax(blk.column(x, i), blk.data, int(blk.rowCol[i]))
 		return v, blk.row(c)
 	}
 
@@ -202,7 +193,7 @@ func (g *Greedy) allocate(in Input, kern columnKernels, slack float64) ([]int, i
 		x := make([]float64, k)
 		for i := lo; i < hi; i++ {
 			var c int
-			rowMax[i], c, blk.agg[i] = kern.argMaxSum(blk.column(x, i), blk.data, i, g.SignedMax)
+			rowMax[i], c, blk.agg[i] = kern.argMaxSum(blk.column(x, i), blk.data, i)
 			rowArg[i] = blk.row(c)
 		}
 	})
@@ -235,13 +226,7 @@ func (g *Greedy) allocate(in Input, kern columnKernels, slack float64) ([]int, i
 		heap.push(rowMax[i], i)
 	}
 
-	checkBelow := g.RankCheckBelow
-	if checkBelow <= 0 {
-		checkBelow = 4 * k
-		if in.M+k > checkBelow {
-			checkBelow = in.M + k
-		}
-	}
+	checkBelow := max(4*k, in.M+k)
 
 	active := make([]bool, nr)
 	for i := range active {
@@ -312,7 +297,7 @@ func (g *Greedy) allocate(in Input, kern columnKernels, slack float64) ([]int, i
 		kern.absInto(va[:blk.n], x, blk.data)
 		mat.SubWidened(blk.agg, va[:len(blk.agg)])
 
-		if g.CheckEveryStep || remaining <= checkBelow {
+		if remaining <= checkBelow {
 			sub := in.Psi.SelectRows(survivors())
 			if mat.NewQR(sub).Rank() < k {
 				// Restore and break (Algorithm 1 step 3(d)).
@@ -465,8 +450,7 @@ func (b *corrBlock) compact() {
 
 // aggregates returns the sums of rows i's and j's correlation magnitudes
 // with their live peers (tie-break criterion: "the row that shows the
-// highest correlation with the other ones"; directionless even in signed
-// mode). Each sum adds the float64 of every float32 magnitude in ascending
+// highest correlation with the other ones"). Each sum adds the float64 of every float32 magnitude in ascending
 // peer order from +0, as a scan over the peers would: the row's own column
 // is zeroed and a dead column's magnitude reads +0, and adding +0 to a sum
 // that started at +0 leaves it bitwise unchanged. The two sums run

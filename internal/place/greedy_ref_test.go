@@ -12,11 +12,19 @@ import (
 // correlation build and active-list scans must reproduce exactly (see
 // TestGreedyBitIdenticalToReference).
 
+// refOptions selects the arms the reference keeps beyond Allocate's one
+// rule: the paper-literal signed max element instead of the magnitude, and
+// a rank check after every removal instead of from max(4K, M+K) survivors.
+type refOptions struct {
+	signed, every bool
+}
+
 // refAllocate is Greedy.Allocate with one serial Dot per correlation pair
-// and full-range scans over the active flags. With rescan set, the victim is
-// found by an O(R) linear scan over the row maxima instead of the lazy
-// max-heap — the formulation the heap must reproduce exactly.
-func refAllocate(g *Greedy, in Input, rescan bool) ([]int, error) {
+// and full-range scans over the active flags, run in the arms opt selects.
+// With rescan set, the victim is found by an O(R) linear scan over the row
+// maxima instead of the lazy max-heap — the formulation the heap must
+// reproduce exactly.
+func refAllocate(opt refOptions, in Input, rescan bool) ([]int, error) {
 	if in.Psi == nil {
 		return nil, fmt.Errorf("%w: greedy needs Psi", ErrBadInput)
 	}
@@ -56,13 +64,13 @@ func refAllocate(g *Greedy, in Input, rescan bool) ([]int, error) {
 		ri := u.Row(i)
 		for j := i + 1; j < nr; j++ {
 			v := mat.Dot(ri, u.Row(j))
-			if !g.SignedMax {
+			if !opt.signed {
 				v = math.Abs(v)
 			}
 			gm[i*nr+j] = float32(v)
 			gm[j*nr+i] = float32(v)
 		}
-		if g.SignedMax {
+		if opt.signed {
 			gm[i*nr+i] = float32(math.Inf(-1))
 		}
 	}
@@ -117,12 +125,9 @@ func refAllocate(g *Greedy, in Input, rescan bool) ([]int, error) {
 		}
 	}
 
-	checkBelow := g.RankCheckBelow
-	if checkBelow <= 0 {
-		checkBelow = 4 * k
-		if in.M+k > checkBelow {
-			checkBelow = in.M + k
-		}
+	checkBelow := 4 * k
+	if in.M+k > checkBelow {
+		checkBelow = in.M + k
 	}
 
 	survivors := func() []int {
@@ -169,7 +174,7 @@ func refAllocate(g *Greedy, in Input, rescan bool) ([]int, error) {
 		// Remove the endpoint with the larger aggregate correlation — the
 		// more redundant of the two.
 		if j := rowArg[victim]; j >= 0 && rowMax[j] == rowMax[victim] {
-			if refAggregate(g, gm, nr, active, j) > refAggregate(g, gm, nr, active, victim) {
+			if refAggregate(opt, gm, nr, active, j) > refAggregate(opt, gm, nr, active, victim) {
 				victim = j
 			}
 		}
@@ -177,7 +182,7 @@ func refAllocate(g *Greedy, in Input, rescan bool) ([]int, error) {
 		active[victim] = false
 		remaining--
 
-		if g.CheckEveryStep || remaining <= checkBelow {
+		if opt.every || remaining <= checkBelow {
 			sub := in.Psi.SelectRows(survivors())
 			if mat.NewQR(sub).Rank() < k {
 				// Restore and break (Algorithm 1 step 3(d)).
@@ -208,7 +213,7 @@ func refAllocate(g *Greedy, in Input, rescan bool) ([]int, error) {
 	return survivors(), nil
 }
 
-func refAggregate(g *Greedy, gm []float32, nr int, active []bool, i int) float64 {
+func refAggregate(opt refOptions, gm []float32, nr int, active []bool, i int) float64 {
 	var s float64
 	base := i * nr
 	for j := 0; j < nr; j++ {
@@ -216,7 +221,7 @@ func refAggregate(g *Greedy, gm []float32, nr int, active []bool, i int) float64
 			continue
 		}
 		v := float64(gm[base+j])
-		if g.SignedMax {
+		if opt.signed {
 			// Aggregate redundancy is directionless even in signed mode.
 			v = math.Abs(v)
 		}

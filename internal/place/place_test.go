@@ -142,8 +142,8 @@ func TestGreedyErrors(t *testing.T) {
 }
 
 func TestGreedyRankCheckScheduleAblation(t *testing.T) {
-	// Checking rank at every step must give the same allocation as the
-	// windowed default schedule.
+	// The reference checking rank at every step must give the same
+	// allocation as Allocate's windowed schedule.
 	for seed := int64(0); seed < 5; seed++ {
 		psi := mat.RandomOrthonormal(24, 3, rand.New(rand.NewSource(seed)))
 		in := Input{Psi: psi, Grid: floorplan.Grid{W: 6, H: 4}, M: 5}
@@ -151,7 +151,7 @@ func TestGreedyRankCheckScheduleAblation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := (&Greedy{CheckEveryStep: true}).Allocate(in)
+		b, err := refAllocate(refOptions{every: true}, in, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -170,29 +170,27 @@ func TestGreedyHeapMatchesRescanAblation(t *testing.T) {
 	// The lazy max-heap must reproduce the linear-rescan victim sequence of
 	// the reference exactly — same tie-breaks, same rank-safeguard
 	// interactions — so the two yield identical allocations on every
-	// instance.
+	// instance: Allocate's heap, and the reference's own heap in the signed
+	// and every-step arms it keeps.
 	for seed := int64(0); seed < 8; seed++ {
-		for _, signed := range []bool{false, true} {
-			for _, every := range []bool{false, true} {
-				psi := mat.RandomOrthonormal(36, 4, rand.New(rand.NewSource(seed)))
-				in := Input{Psi: psi, Grid: floorplan.Grid{W: 6, H: 6}, M: 6}
-				g := &Greedy{SignedMax: signed, CheckEveryStep: every}
-				heap, err := g.Allocate(in)
-				if err != nil {
+		psi := mat.RandomOrthonormal(36, 4, rand.New(rand.NewSource(seed)))
+		in := Input{Psi: psi, Grid: floorplan.Grid{W: 6, H: 6}, M: 6}
+		for _, opt := range []refOptions{{}, {signed: true}, {every: true}, {signed: true, every: true}} {
+			rescan, err := refAllocate(opt, in, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			heap, err := refAllocate(opt, in, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if opt == (refOptions{}) {
+				if heap, err = (&Greedy{}).Allocate(in); err != nil {
 					t.Fatal(err)
 				}
-				rescan, err := refAllocate(g, in, true)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(heap) != len(rescan) {
-					t.Fatalf("seed %d signed=%v every=%v: heap %v vs rescan %v", seed, signed, every, heap, rescan)
-				}
-				for i := range heap {
-					if heap[i] != rescan[i] {
-						t.Fatalf("seed %d signed=%v every=%v: heap %v vs rescan %v", seed, signed, every, heap, rescan)
-					}
-				}
+			}
+			if fmt.Sprint(heap) != fmt.Sprint(rescan) {
+				t.Fatalf("seed %d %+v: heap %v vs rescan %v", seed, opt, heap, rescan)
 			}
 		}
 	}
@@ -210,7 +208,7 @@ func TestGreedyHeapMatchesRescanMasked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rescan, err := refAllocate(&Greedy{}, in, true)
+	rescan, err := refAllocate(refOptions{}, in, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,14 +220,6 @@ func TestGreedyHeapMatchesRescanMasked(t *testing.T) {
 			t.Fatalf("heap %v vs rescan %v", heap, rescan)
 		}
 	}
-}
-
-func TestGreedySignedMaxVariant(t *testing.T) {
-	s, err := (&Greedy{SignedMax: true}).Allocate(Input{Psi: fixPsi, Grid: fixGrid, M: 6})
-	if err != nil {
-		t.Fatal(err)
-	}
-	distinctSorted(t, s, 6, 40)
 }
 
 func TestGreedySkipsZeroRows(t *testing.T) {
@@ -572,16 +562,13 @@ func TestParseStrategies(t *testing.T) {
 // over the K-major block to the serial reference (greedy_ref_test.go),
 // which stores the R×R matrix: identical sensors through both kernel sets
 // (mat's, AVX-512 where the CPU has it, and the scalar mat.Dot twins),
-// against both victim engines of the reference, for both correlation
-// rules, with and without a mask, with the default rank-check schedule,
-// one checking every step and one checking from halfway (both only up to
-// 300 rows, where a rank check per step stays cheap). The bases are
-// random, trained, built to tie (small integers, and rows repeated or
-// negated), and sized below, at and across the 64-column kernel width
-// (R % 64 ≠ 0 included); every run from R rows down to M crosses each
-// compaction of the block. Each run is made twice: with the running
-// aggregates settling the tie-breaks they can, and with the slack at +∞,
-// which sends every tie-break to the exact sums.
+// against both victim engines of the reference, with and without a mask.
+// The bases are random, trained, built to tie (small integers, and rows
+// repeated or negated), and sized below, at and across the 64-column
+// kernel width (R % 64 ≠ 0 included); every run from R rows down to M
+// crosses each compaction of the block. Each run is made twice: with the
+// running aggregates settling the tie-breaks they can, and with the slack
+// at +∞, which sends every tie-break to the exact sums.
 func TestGreedyBitIdenticalToReference(t *testing.T) {
 	ds, err := dataset.Generate(floorplan.UltraSparcT1(), dataset.GenConfig{
 		Grid: floorplan.Grid{W: 16, H: 14}, Snapshots: 80, Seed: 5,
@@ -589,7 +576,7 @@ func TestGreedyBitIdenticalToReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := basis.TrainPCA(ds, 8, basis.PCAConfig{Seed: 5})
+	b, err := basis.TrainPCA(ds, 8, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -648,44 +635,30 @@ func TestGreedyBitIdenticalToReference(t *testing.T) {
 			mask[i] = i%5 != 2
 		}
 		for _, masked := range []bool{false, true} {
-			for _, signed := range []bool{false, true} {
-				for _, sched := range []struct {
-					name  string
-					every bool
-					below int
-				}{{"default", false, 0}, {"every", true, 0}, {"below=n/2", false, n / 2}} {
-					if sched.name != "default" && n > 300 {
-						continue
-					}
-					in := Input{Psi: c.psi, M: c.m}
-					if masked {
-						in.Mask = mask
-					}
-					g := &Greedy{SignedMax: signed, CheckEveryStep: sched.every, RankCheckBelow: sched.below}
-					want, err := refAllocate(g, in, false)
+			in := Input{Psi: c.psi, M: c.m}
+			if masked {
+				in.Mask = mask
+			}
+			want, err := refAllocate(refOptions{}, in, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rescan, err := refAllocate(refOptions{}, in, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fmt.Sprint(rescan) != fmt.Sprint(want) {
+				t.Fatalf("%s masked=%v: reference rescan %v, heap %v", c.name, masked, rescan, want)
+			}
+			for _, ks := range kernelSets {
+				for _, slack := range []float64{tieSlack, math.Inf(1)} {
+					got, _, err := (&Greedy{}).allocate(in, ks.kern, slack)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if sched.name == "default" {
-						rescan, err := refAllocate(g, in, true)
-						if err != nil {
-							t.Fatal(err)
-						}
-						if fmt.Sprint(rescan) != fmt.Sprint(want) {
-							t.Fatalf("%s masked=%v signed=%v: reference rescan %v, heap %v", c.name, masked, signed, rescan, want)
-						}
-					}
-					for _, ks := range kernelSets {
-						for _, slack := range []float64{tieSlack, math.Inf(1)} {
-							got, _, err := g.allocate(in, ks.kern, slack)
-							if err != nil {
-								t.Fatal(err)
-							}
-							if fmt.Sprint(got) != fmt.Sprint(want) {
-								t.Fatalf("%s masked=%v signed=%v schedule=%s kernels=%s slack=%v: sensors %v, reference %v",
-									c.name, masked, signed, sched.name, ks.name, slack, got, want)
-							}
-						}
+					if fmt.Sprint(got) != fmt.Sprint(want) {
+						t.Fatalf("%s masked=%v kernels=%s slack=%v: sensors %v, reference %v",
+							c.name, masked, ks.name, slack, got, want)
 					}
 				}
 			}
@@ -723,7 +696,7 @@ func TestGreedyTieBreakAggregatesAtPaperScale(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := basis.TrainPCA(ds, c.kmax, basis.PCAConfig{Seed: seed})
+			b, err := basis.TrainPCA(ds, c.kmax, seed)
 			if err != nil {
 				t.Fatal(err)
 			}

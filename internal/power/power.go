@@ -50,10 +50,6 @@ type Config struct {
 	// OtherW is the power density assigned to blocks of KindOther. Default 0.5.
 	OtherW float64
 
-	// MigrationPeriod is the number of steps between OS rebalancing events.
-	// Zero defers to the workload spec; negative disables rebalancing.
-	MigrationPeriod int
-
 	// LoadCoupling ∈ [0,1] blends each core's utilization target with a
 	// shared, slowly varying system-load level: 1 makes cores track the
 	// global load exactly. It is the default for specs that declare no
@@ -126,6 +122,12 @@ func ManycoreConfig(cores, caches int) Config {
 	}
 	return c
 }
+
+// DefaultLoadCoupling is the load coupling of the T1's throughput
+// workloads, whose cores serve the same request mix (see
+// Config.LoadCoupling): the regime the daemon trains every model in, and
+// the default of the experiment suite and the simulator CLI.
+const DefaultLoadCoupling = 0.75
 
 // ConfigFor returns the Config for simulating fp at the given default load
 // coupling: T1-class dies (≤ 8 cores) get the standard budgets, larger
@@ -234,10 +236,7 @@ func NewSpecGenerator(fp *floorplan.Floorplan, spec *workload.Spec, cfg Config) 
 	if g.coupling == 0 {
 		g.coupling = cfg.LoadCoupling
 	}
-	g.migPeriod = cfg.MigrationPeriod
-	if g.migPeriod == 0 {
-		g.migPeriod = g.spec.Migration.Period
-	}
+	g.migPeriod = g.spec.Migration.Period
 	g.state = make([]coreState, len(g.cores))
 	g.util = make([]float64, len(g.cores))
 	g.globalLoad = 0.5

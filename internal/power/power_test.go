@@ -240,7 +240,12 @@ func TestSpreadToCellsLengthMismatchPanics(t *testing.T) {
 func TestMigrationMovesLoad(t *testing.T) {
 	// With a short migration period, a busy core's task must eventually move.
 	fp := floorplan.UltraSparcT1()
-	g := presetGen(t, fp, "compute", Config{Seed: 29, MigrationPeriod: 5})
+	spec := workload.Preset("compute")
+	spec.Migration.Period = 5
+	g, err := NewSpecGenerator(fp, spec, Config{Seed: 29})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cores := fp.KindBlocks(floorplan.KindCore)
 	argmax := func(p []float64) int {
 		best := cores[0]

@@ -26,7 +26,7 @@ var testSet = func() *dataset.Dataset {
 }()
 
 var testBasis = func() *basis.Basis {
-	b, err := basis.TrainPCA(testSet, 10, basis.PCAConfig{Seed: 3})
+	b, err := basis.TrainPCA(testSet, 10, 3)
 	if err != nil {
 		panic(err)
 	}

@@ -72,6 +72,12 @@ type LeakageModel struct {
 	TSlopeC      float64
 }
 
+// DefaultLeakage returns the leakage fit the simulators enable on request:
+// 2 mW per cell at 45 °C, growing e-fold every 30 °C.
+func DefaultLeakage() *LeakageModel {
+	return &LeakageModel{BaseWPerCell: 0.002, TRefC: 45, TSlopeC: 30}
+}
+
 // Power returns the leakage power of one cell at temperature tC (°C).
 func (l *LeakageModel) Power(tC float64) float64 {
 	return l.BaseWPerCell * math.Exp((tC-l.TRefC)/l.TSlopeC)

@@ -80,7 +80,7 @@ func oddFixture(t *testing.T) (*dataset.Dataset, *basis.Basis, []int) {
 		if oddErr != nil {
 			return
 		}
-		if oddB, oddErr = basis.TrainPCA(oddDS, 8, basis.PCAConfig{Seed: 5}); oddErr != nil {
+		if oddB, oddErr = basis.TrainPCA(oddDS, 8, 5); oddErr != nil {
 			return
 		}
 		psi, err := oddB.PsiK(7)

@@ -33,7 +33,7 @@ func fixture(t *testing.T) (*dataset.Dataset, *basis.Basis, []int) {
 		if fixErr != nil {
 			return
 		}
-		fixB, fixErr = basis.TrainPCA(fixDS, 10, basis.PCAConfig{Seed: 8})
+		fixB, fixErr = basis.TrainPCA(fixDS, 10, 8)
 		if fixErr != nil {
 			return
 		}
@@ -445,7 +445,7 @@ func fleetFixture(tb testing.TB) (*dataset.Dataset, *basis.Basis, []int) {
 		if fleetErr != nil {
 			return
 		}
-		if fleetB, fleetErr = basis.TrainPCA(fleetDS, 12, basis.PCAConfig{Seed: 1}); fleetErr != nil {
+		if fleetB, fleetErr = basis.TrainPCA(fleetDS, 12, 1); fleetErr != nil {
 			return
 		}
 		psi, err := fleetB.PsiK(8)

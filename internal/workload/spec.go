@@ -77,8 +77,7 @@ type Arrival struct {
 
 // Migration describes OS task rebalancing. Period is the deterministic
 // rebalance interval in steps; zero or negative disables periodic
-// rebalancing (a non-zero power.Config.MigrationPeriod still overrides
-// either way). Rate adds a per-step probability of an extra migration —
+// rebalancing. Rate adds a per-step probability of an extra migration —
 // an explicit task-migration Markov chain on top of the periodic policy.
 type Migration struct {
 	Period int     `json:"period,omitempty"`

@@ -6,7 +6,6 @@ import (
 	"math"
 	"os"
 
-	"repro/internal/basis"
 	"repro/internal/core"
 	"repro/internal/place"
 	"repro/internal/recon"
@@ -26,31 +25,6 @@ const (
 	DCTZigZagBasis BasisFamily = "dct-zigzag"
 )
 
-// TrainMethod selects the PCA eigensolver side used by Train. Both sides
-// extract the same EigenMaps subspace (Proposition 1); they differ only in
-// cost, which pivots on the ensemble shape:
-//
-//   - covariance: block subspace iteration on the N×N covariance (never
-//     formed), O(iters·N·T·K) — the only viable side when T ≥ N;
-//   - gram: eigendecompose the T×T snapshot Gram XXᵀ/T and lift the leading
-//     eigenvectors as V = Xᵀ·U·Λ^(−1/2), O(N·T² + T³) — the fast side when
-//     the ensemble is short relative to the grid AND short in absolute
-//     terms, since the dense T×T eigensolve grows cubically in T.
-type TrainMethod string
-
-// Available training methods.
-const (
-	// AutoMethod (the default) picks the measured-cheaper side: gram when
-	// T < N and T ≤ max(128, 8·KMax), covariance otherwise (the T³
-	// eigensolve loses past a few hundred snapshots unless a wide basis
-	// block slows the covariance iteration to match).
-	AutoMethod TrainMethod = "auto"
-	// CovarianceMethod forces block subspace iteration.
-	CovarianceMethod TrainMethod = "covariance"
-	// GramMethod forces the snapshot-Gram dual (method of snapshots).
-	GramMethod TrainMethod = "gram"
-)
-
 // TrainOptions parameterize Train.
 type TrainOptions struct {
 	// KMax is the largest subspace dimension the model will support.
@@ -60,9 +34,6 @@ type TrainOptions struct {
 	Basis BasisFamily
 	// Seed drives the PCA eigensolver's starting block.
 	Seed int64
-	// Method selects the PCA eigensolver side. Default AutoMethod.
-	// Ignored by the DCT families.
-	Method TrainMethod
 }
 
 // OptionError is the typed error Train returns for invalid TrainOptions or
@@ -78,7 +49,11 @@ type Model struct {
 	m *core.Model
 }
 
-// Train learns a model from a simulated ensemble.
+// Train learns a model from a simulated ensemble. Both sides of the PCA
+// duality extract the same EigenMaps subspace (Proposition 1) at a cost
+// that pivots on the ensemble's shape, so Train picks the side from it:
+// the T×T snapshot Gram when T < N and T ≤ max(128, 8·KMax), block
+// subspace iteration on the N×N covariance (never formed) otherwise.
 func Train(e *Ensemble, opt TrainOptions) (*Model, error) {
 	kind := core.BasisEigenMaps
 	switch opt.Basis {
@@ -90,23 +65,7 @@ func Train(e *Ensemble, opt TrainOptions) (*Model, error) {
 	default:
 		return nil, fmt.Errorf("eigenmaps: unknown basis family %q", opt.Basis)
 	}
-	var method basis.PCAMethod
-	switch opt.Method {
-	case "", AutoMethod:
-		method = basis.PCAAuto
-	case CovarianceMethod:
-		method = basis.PCACovariance
-	case GramMethod:
-		method = basis.PCAGram
-	default:
-		return nil, &OptionError{Option: "Method", Reason: fmt.Sprintf("unknown training method %q (want %q, %q or %q)", opt.Method, AutoMethod, CovarianceMethod, GramMethod)}
-	}
-	m, err := core.Train(e.ds, core.TrainOptions{
-		KMax:   opt.KMax,
-		Kind:   kind,
-		Seed:   opt.Seed,
-		Method: method,
-	})
+	m, err := core.Train(e.ds, core.TrainOptions{KMax: opt.KMax, Kind: kind, Seed: opt.Seed})
 	if err != nil {
 		return nil, err
 	}
